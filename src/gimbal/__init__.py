@@ -10,19 +10,26 @@ __version__ = "0.1.0"
 
 from .engine import (
     Dataset,
+    FitResult,
     GimbalConfig,
     LocationRecord,
     fit_all,
     fit_location,
-    predict_at,
+    predict,
     residual_knn_correct,
 )
 from .experiments import MapSummary, WeightDiffSummary, run_experiment, summarize, weight_diff
-from .kernels import active_backend, available_backends, set_backend
 from .simgen import SimSpec, generate
+
+
+def active_backend():
+    """The array backend the estimator runs on: always numpy."""
+    return "numpy"
+
 
 __all__ = [
     "Dataset",
+    "FitResult",
     "GimbalConfig",
     "LocationRecord",
     "MapSummary",
@@ -30,14 +37,12 @@ __all__ = [
     "WeightDiffSummary",
     "__version__",
     "active_backend",
-    "available_backends",
     "fit_all",
     "fit_location",
     "generate",
-    "predict_at",
+    "predict",
     "residual_knn_correct",
     "run_experiment",
-    "set_backend",
     "summarize",
     "weight_diff",
 ]

@@ -27,8 +27,9 @@ from .diagnostics import DEFAULT_K_MORAN, local_moran, reliability_mask
 from .engine import (
     Dataset,
     GimbalConfig,
+    branch_codes,
     fit_all,
-    predict_at,
+    predict,
     residual_knn_correct,
     standardized_covariate,
 )
@@ -133,49 +134,36 @@ def write_dataset_csv(path, dataset, beta1_true=None):
             writer.writerow(row)
 
 
-def _record_row(record, rec_id, moran_value, fragile):
-    beta = record.fit.beta
-    w = record.weight_map
-    o = record.orientation
-    return [
-        str(record.index),
-        "" if rec_id is None else str(rec_id),
-        _fmt(record.lat), _fmt(record.lon),
-        _fmt(None if beta is None else float(beta[0])),
-        _fmt(None if beta is None else float(beta[1])),
-        _fmt(None if beta is None else float(beta[2])),
-        _fmt(record.fit.m_nor_condition),
-        _fmt(record.cond_wls2),
-        _fmt(w.h_eff),
-        _fmt(o.phi), _fmt(o.r_phi), _fmt(o.theta_z),
-        _fmt(o.g_ident), _fmt(o.eta),
-        _fmt(w.n_eff_raw), _fmt(w.n_eff_post),
-        ";".join(sorted(record.branch_codes)),
-        _fmt(record.fit.rmse_local), _fmt(record.fit.r2_local),
-        _fmt(moran_value),
-        str(int(fragile)),
-    ]
-
-
-def write_records_csv(path, records, dataset, moran_values, fragile_flags):
+def write_records_csv(path, result, dataset, moran_values, fragile_flags):
+    fit, orient, wmap = result.fit, result.orientation, result.weight_map
+    ids = dataset.ids[result.index].tolist() if dataset.ids is not None else [None] * len(result)
+    values = np.column_stack([
+        result.lat, result.lon, fit.beta, fit.m_nor_condition, result.cond_wls2,
+        wmap.h_eff, orient.phi, orient.r_phi, orient.theta_z, orient.g_ident,
+        orient.eta, wmap.n_eff_raw, wmap.n_eff_post,
+        fit.rmse_local, fit.r2_local, moran_values,
+    ])
+    codes = [";".join(sorted(c)) for c in branch_codes(result)]
     with Path(path).open("w", newline="") as fh:
         fh.write(f"# schema: {SCHEMA_RECORDS}\n")
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
-        for i, record in enumerate(records):
-            rec_id = dataset.ids[record.index] if dataset.ids is not None else None
-            writer.writerow(_record_row(record, rec_id, moran_values[i], fragile_flags[i]))
+        for i, (index, rec_id, code, fragile) in enumerate(zip(
+            result.index.tolist(), ids, codes, np.asarray(fragile_flags).tolist()
+        )):
+            # one row at a time as Python floats: repr gives round-trip text
+            row = [_fmt(v) for v in values[i].tolist()]
+            writer.writerow([str(index), "" if rec_id is None else str(rec_id), *row[:15],
+                             code, *row[15:], str(int(fragile))])
 
 
-def _moran_over_records(records, lats, lons, k_moran):
-    """Per-record local Moran of the target-row residuals; ill-posed -> NaN."""
-    residuals = np.array([r.residual_at_target for r in records])
+def _moran_over_records(result, k_moran):
+    """Per-target local Moran of the target-row residuals; ill-posed -> NaN."""
+    residuals = result.residual_at_target
     finite = np.isfinite(residuals)
-    values = np.full(len(records), math.nan)
+    values = np.full(len(result), math.nan)
     if np.sum(finite) >= 2:
-        sub, defined = local_moran(
-            residuals[finite], np.asarray(lats)[finite], np.asarray(lons)[finite], k_moran
-        )
+        sub, defined = local_moran(residuals[finite], result.lat[finite], result.lon[finite], k_moran)
         if defined:
             values[finite] = sub
         else:
@@ -183,12 +171,10 @@ def _moran_over_records(records, lats, lons, k_moran):
     return values
 
 
-def _annotate_and_write(path, records, dataset, k_moran, kappa_quantile, neff_floor):
-    lats = [r.lat for r in records]
-    lons = [r.lon for r in records]
-    moran = _moran_over_records(records, lats, lons, k_moran)
-    fragile = reliability_mask(records, kappa_quantile, neff_floor)
-    write_records_csv(path, records, dataset, moran, fragile)
+def _annotate_and_write(path, result, dataset, k_moran, kappa_quantile, neff_floor):
+    moran = _moran_over_records(result, k_moran)
+    fragile = reliability_mask(result, kappa_quantile, neff_floor)
+    write_records_csv(path, result, dataset, moran, fragile)
 
 
 # ---------------------------------------------------------------- config
@@ -237,18 +223,18 @@ def cmd_fit(args):
     dataset = read_dataset(args.input)
     config = build_config(args)
     try:
-        records = fit_all(dataset, config, threads=args.threads)
+        result = fit_all(dataset, config, threads=args.threads)
     except (ConfigurationError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
     _annotate_and_write(
-        args.out_records, records, dataset,
+        args.out_records, result, dataset,
         args.moran_k, args.fragile_kappa_quantile, args.fragile_neff_floor,
     )
     from .experiments import summarize
 
     try:
-        map_summary = dataclasses.asdict(summarize(records))
+        map_summary = dataclasses.asdict(summarize(result))
     except ValueError:
         # every location ill-posed: records still emitted, summary is null
         map_summary = None
@@ -272,37 +258,30 @@ def cmd_predict(args):
         raise InputError(f"K={config.k} exceeds training size {train.n}")
 
     use_residual_knn = args.residual_knn is not None and args.residual_knn > 0
-    training_residuals = None
-    if use_residual_knn:
-        if args.residual_knn > train.n:
-            raise InputError(f"--residual-knn {args.residual_knn} exceeds training size {train.n}")
-        train_records = fit_all(train, config, threads=args.threads)
-        training_residuals = np.array([r.residual_at_target for r in train_records])
+    if use_residual_knn and args.residual_knn > train.n:
+        raise InputError(f"--residual-knn {args.residual_knn} exceeds training size {train.n}")
 
     _, x_mean, x_std = standardized_covariate(train.x)
+    preds, result = predict(train, config, test.lat, test.lon, test.x,
+                            x_moments=(x_mean, x_std), threads=args.threads)
+    ill = ~result.fit.well_posed
+    columns = [test.lat, test.lon, test.x, test.y, preds]
+    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
+    if use_residual_knn:
+        training_residuals = fit_all(train, config, threads=args.threads).residual_at_target
+        corr = residual_knn_correct(
+            training_residuals, train.lat, train.lon, test.lat, test.lon, args.residual_knn,
+        )
+        columns += [corr, np.where(ill, math.nan, preds + corr)]
+        header += ["residual_correction", "prediction_corrected"]
+    values = np.column_stack(columns)
     with Path(args.out).open("w", newline="") as fh:
         fh.write(f"# schema: {SCHEMA_PREDICTIONS}\n")
         writer = csv.writer(fh)
-        header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
-        if use_residual_knn:
-            header += ["residual_correction", "prediction_corrected"]
         writer.writerow(header)
-        for i in range(test.n):
-            pred, record = predict_at(
-                train, config, float(test.lat[i]), float(test.lon[i]),
-                float(test.x[i]), x_moments=(x_mean, x_std),
-            )
-            ill = not record.fit.well_posed
-            row = [str(i), _fmt(float(test.lat[i])), _fmt(float(test.lon[i])),
-                   _fmt(float(test.x[i])), _fmt(float(test.y[i])),
-                   _fmt(pred), str(int(ill))]
-            if use_residual_knn:
-                corr = residual_knn_correct(
-                    training_residuals, train.lat, train.lon,
-                    float(test.lat[i]), float(test.lon[i]), args.residual_knn,
-                )
-                row += [_fmt(corr), _fmt(pred + corr if not ill else math.nan)]
-            writer.writerow(row)
+        for i, flag in enumerate(ill.tolist()):
+            row = [_fmt(v) for v in values[i].tolist()]
+            writer.writerow([str(i), *row[:5], str(int(flag)), *row[5:]])
     return 0
 
 
@@ -334,9 +313,9 @@ def cmd_experiment(args):
 
     spec = SimSpec(**report["sim_spec"])
     dataset, _ = generate(spec)
-    for name, records in records_by_variant.items():
+    for name, result in records_by_variant.items():
         _annotate_and_write(
-            outdir / f"{exp_id}_{name}.csv", records, dataset,
+            outdir / f"{exp_id}_{name}.csv", result, dataset,
             DEFAULT_K_MORAN, 0.95, 0.0,
         )
     (outdir / f"{exp_id}_report.json").write_text(

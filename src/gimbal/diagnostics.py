@@ -39,21 +39,15 @@ def local_moran(residuals, lats, lons, k_moran=DEFAULT_K_MORAN):
     return values, True
 
 
-def reliability_mask(records, kappa_quantile=0.95, neff_floor=0.0):
-    """Boolean fragility flags per location.
+def reliability_mask(result, kappa_quantile=0.95, neff_floor=0.0):
+    """Boolean fragility flags per location of a FitResult.
 
     Fragile when the realized normal-matrix condition number exceeds the
     empirical kappa_quantile, when the post-correction ESS falls below
     neff_floor, or when the solve is ill-posed.
     """
-    kappas = np.array([r.fit.m_nor_condition for r in records if r.fit.well_posed])
+    fit = result.fit
+    kappas = fit.m_nor_condition[fit.well_posed]
     threshold = float(np.quantile(kappas, kappa_quantile)) if kappas.size else math.inf
-    flags = []
-    for r in records:
-        fragile = (
-            not r.fit.well_posed
-            or r.fit.m_nor_condition > threshold
-            or r.weight_map.n_eff_post < neff_floor
-        )
-        flags.append(bool(fragile))
-    return np.array(flags, dtype=bool)
+    return (~fit.well_posed | (fit.m_nor_condition > threshold)
+            | (result.weight_map.n_eff_post < neff_floor))

@@ -1,11 +1,14 @@
-"""Per-target orchestration of the realized estimator map.
+"""Orchestration of the realized estimator map over many targets.
 
-fit_location composes the stages for one target: KNN neighborhood, tangent
-displacements, orientation quantities (with ablation overrides), the one-shot
-safeguarded weight field, the closed-form local solve, and the standardized
-conditioning diagnostic. fit_all evaluates every target, optionally across
-threads; records always come back in input order and each location's record
-depends only on its own data, so parallel and serial runs agree bitwise.
+fit_all evaluates every target of a dataset in fixed chunks of
+CHUNK_TARGETS. Each chunk finds its targets' KNN neighborhoods, then runs the
+stages once on (C, K) arrays: tangent displacements, orientation quantities
+(with ablation overrides) and the one-shot safeguarded weight field, the
+closed-form local solve, and the standardized conditioning diagnostic.
+Results come back as one columnar FitResult in input order. Every stage
+reduces each row on its own, so a target's values do not depend on which
+other targets share its chunk, on the thread schedule, or on whether it is
+fitted alone (fit_location): serial and parallel runs agree bitwise.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
 come from the training table, the distance-trend regressor is zero at the
@@ -15,17 +18,18 @@ target, and the optional residual-KNN correction averages training residuals.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, solver
 from .geo import tangent_displacements
 from .neighborhood import ConfigurationError, Neighborhood, knn
 from .orientation import OrientationResult
-from .solver import LocalFit, cond_wls2, solve_local
+from .solver import LocalFit, cond_wls2
 from .weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
 
 BRANCH_PHI_ISO = "phi_iso"
@@ -33,6 +37,10 @@ BRANCH_THETA_NONIDENT = "theta_nonident"
 BRANCH_UNIFORM_FALLBACK = "uniform_fallback"
 BRANCH_UNDERFLOW_FALLBACK = "underflow_fallback"
 BRANCH_ILL_POSED = "ill_posed"
+
+# Targets evaluated together. Bounds the (C, K) working arrays; chunk
+# boundaries are fixed here, never by the thread count.
+CHUNK_TARGETS = 256
 
 _MODES = {
     "theta_z_mode": ("on", "off"),
@@ -60,6 +68,8 @@ class GimbalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ConfigurationError(f"K must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ConfigurationError(f"K must be >= 1, got {self.k}")
         for name in ("h", "gamma", "n0", "n_min", "eta_max",
@@ -69,8 +79,10 @@ class GimbalConfig:
                 raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
         if self.h <= 0:
             raise ConfigurationError("h must be positive")
-        if self.u is not None and self.u <= 0:
-            raise ConfigurationError("u must be positive when given")
+        if self.n0 <= 0:
+            raise ConfigurationError("n0 must be positive")
+        if self.u is not None and not (math.isfinite(self.u) and self.u > 0):
+            raise ConfigurationError(f"u must be finite and positive when given, got {self.u}")
         if self.eta_max < 1:
             raise ConfigurationError("eta_max must be >= 1")
         for name, allowed in _MODES.items():
@@ -120,6 +132,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class LocationRecord:
+    """Everything the estimator map produced at one target."""
+
     index: int
     lat: float
     lon: float
@@ -130,6 +144,77 @@ class LocationRecord:
     cond_wls2: float
     residual_at_target: float
     branch_codes: frozenset = field(default_factory=frozenset)
+
+
+def _map_columns(fn, table):
+    """Apply fn to every array of a (nested) columnar dataclass, keeping the structure."""
+    if is_dataclass(table):
+        return replace(table, **{f.name: _map_columns(fn, getattr(table, f.name)) for f in fields(table)})
+    return fn(table)
+
+
+def _columns(table):
+    """The arrays of a (nested) columnar dataclass, in field order."""
+    if is_dataclass(table):
+        for f in fields(table):
+            yield from _columns(getattr(table, f.name))
+    else:
+        yield table
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Columnar results of the estimator map, one row per target.
+
+    index (-1 for an out-of-sample target), lat, lon, cond_wls2 and
+    residual_at_target are (C,) arrays; neighborhood, orientation, weight_map
+    and fit hold (C,) columns plus the K-wide member_indices, distances,
+    weights and residuals, and (C, 3) coefficients. Ill-posed rows carry NaN
+    coefficients and residuals.
+    """
+
+    index: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    neighborhood: Neighborhood
+    orientation: OrientationResult
+    weight_map: RealizedWeightMap
+    fit: LocalFit
+    cond_wls2: np.ndarray
+    residual_at_target: np.ndarray
+
+    def __len__(self):
+        return self.index.shape[0]
+
+    def take(self, rows):
+        """The selected rows (an index array, slice or mask) as a FitResult."""
+        return _map_columns(lambda column: column[rows], self)
+
+    def record(self, i):
+        """Row i as a LocationRecord of scalars and (K,) arrays."""
+        row = _map_columns(
+            lambda column: column[i].item() if column.ndim == 1 else column[i].copy(), self
+        )
+        fit = row.fit if row.fit.well_posed else replace(row.fit, beta=None, residuals=None)
+        return LocationRecord(
+            index=row.index, lat=row.lat, lon=row.lon, neighborhood=row.neighborhood,
+            orientation=row.orientation, weight_map=row.weight_map, fit=fit,
+            cond_wls2=row.cond_wls2, residual_at_target=row.residual_at_target,
+            branch_codes=branch_codes(self.take([i]))[0],
+        )
+
+
+def branch_codes(result):
+    """The branch codes of each row of a FitResult, as frozensets."""
+    flags = {
+        BRANCH_PHI_ISO: result.orientation.phi_deactivated,
+        BRANCH_THETA_NONIDENT: result.orientation.theta_deactivated,
+        BRANCH_UNIFORM_FALLBACK: result.weight_map.fallback_code == FALLBACK_UNIFORM,
+        BRANCH_UNDERFLOW_FALLBACK: result.weight_map.fallback_code == FALLBACK_UNDERFLOW,
+        BRANCH_ILL_POSED: ~result.fit.well_posed,
+    }
+    rows = np.column_stack(list(flags.values())).reshape(len(result), len(flags)).tolist()
+    return [frozenset(code for code, on in zip(flags, row) if on) for row in rows]
 
 
 def standardized_covariate(x, mean=None, std=None):
@@ -148,130 +233,106 @@ def standardized_covariate(x, mean=None, std=None):
 
 
 def build_local_design(dataset, nb, u):
-    """Local design [1, x_j, z_ij] with z_ij = d_ij / u, plus y and z."""
+    """Local design [1, x_j, z_ij] with z_ij = d_ij / u, plus y and z.
+
+    nb is one neighborhood ((K, 3) design) or a stack ((C, K, 3)).
+    """
     members = nb.member_indices
     z = nb.distances / u
-    X = np.column_stack([np.ones(members.shape[0]), dataset.x[members], z])
+    X = np.stack([np.ones_like(z), dataset.x[members], z], axis=-1)
     return X, dataset.y[members], z
 
 
-def _mode_flags(config):
-    return (
-        0 if config.phi_mode == "forced_zero" else 1,
-        0 if config.theta_z_mode == "off" else 1,
-        0 if config.eta_mode == "forced_one" else 1,
+def _fit_targets(dataset, config, lat0, lon0, index, x_std):
+    """The estimator map at targets (lat0, lon0), neighbors taken from dataset.
+
+    index holds each target's row in dataset, or -1 for an out-of-sample
+    target.
+    """
+    c = index.shape[0]
+    hoods = [knn(dataset.lat, dataset.lon, la, lo, config.k, target_index=i if i >= 0 else None)
+             for la, lo, i in zip(lat0.tolist(), lon0.tolist(), index.tolist())]
+    nb = Neighborhood(
+        target_index=index,
+        member_indices=np.array([h.member_indices for h in hoods], dtype=np.intp).reshape(c, config.k),
+        distances=np.array([h.distances for h in hoods], dtype=np.float64).reshape(c, config.k),
+        self_included=np.array([h.self_included for h in hoods], dtype=bool),
     )
-
-
-def _unpack_weight_map(raw, h):
-    (phi, r_phi, phi_deact, theta_z, g_ident, theta_deact, eta, lam_max,
-     lam_min, n_eff_raw, h_eff, n_eff_post, fallback_code, n_recompute,
-     weight_vec) = raw
-    orient = OrientationResult(
-        phi=float(phi), r_phi=float(r_phi), phi_deactivated=bool(phi_deact),
-        theta_z=float(theta_z), g_ident=float(g_ident),
-        theta_deactivated=bool(theta_deact),
-        eta=float(eta), lambda_max=float(lam_max), lambda_min=float(lam_min),
-    )
-    wmap = RealizedWeightMap(
-        orientation=orient, h_nominal=h, h_eff=float(h_eff),
-        n_eff_raw=float(n_eff_raw), n_eff_post=float(n_eff_post),
-        fallback_code=int(fallback_code), weights=np.asarray(weight_vec),
-    )
-    return orient, wmap, int(n_recompute)
-
-
-def _branch_codes(orient, wmap, fit):
-    codes = set()
-    if orient.phi_deactivated:
-        codes.add(BRANCH_PHI_ISO)
-    if orient.theta_deactivated:
-        codes.add(BRANCH_THETA_NONIDENT)
-    if wmap.fallback_code == FALLBACK_UNIFORM:
-        codes.add(BRANCH_UNIFORM_FALLBACK)
-    elif wmap.fallback_code == FALLBACK_UNDERFLOW:
-        codes.add(BRANCH_UNDERFLOW_FALLBACK)
-    if not fit.well_posed:
-        codes.add(BRANCH_ILL_POSED)
-    return frozenset(codes)
-
-
-def _fit_neighborhood(dataset, config, nb, target_lat, target_lon, x_std):
-    """Shared tail of the pipeline once a neighborhood is fixed."""
     members = nb.member_indices
-    east, north = tangent_displacements(
-        target_lat, target_lon, dataset.lat[members], dataset.lon[members]
-    )
+    east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     X, y_loc, z = build_local_design(dataset, nb, config.u_scale)
 
-    raw = kernels.weight_map(
-        east, north, nb.distances, z, y_loc,
-        config.h, config.eps_phi, config.eps_theta, config.eps_eta,
-        config.eta_max, config.n0, config.n_min, *_mode_flags(config),
-    )
-    orient, wmap, _ = _unpack_weight_map(raw, config.h)
-
-    fit = solve_local(X, y_loc, wmap.weights, config.gamma, config.eps_kappa)
+    orient, wmap = kernels.weight_map(east, north, nb.distances, z, y_loc, config)
+    fit = solver.solve_local(X, y_loc, wmap.weights, config.gamma, config.eps_kappa)
     cw2 = cond_wls2(x_std[members], wmap.weights, config.eps_kappa)
-    return X, y_loc, orient, wmap, fit, cw2
+
+    at_target = members == index[:, None]
+    residual_at_target = np.where(
+        at_target.any(axis=-1), fit.residuals[np.arange(c), np.argmax(at_target, axis=-1)], np.nan
+    )
+    return FitResult(
+        index=index, lat=lat0, lon=lon0, neighborhood=nb, orientation=orient,
+        weight_map=wmap, fit=fit, cond_wls2=cw2, residual_at_target=residual_at_target,
+    )
 
 
-def fit_location(dataset, config, target_index, x_std=None, dists=None):
-    """Full realized estimator map at one in-sample target."""
+def _fit_chunks(dataset, config, lat0, lon0, index, x_std, threads):
+    """_fit_targets over chunks of CHUNK_TARGETS targets, joined in order.
+
+    threads: 1 runs serial, 0 uses all cores, otherwise the given count.
+    """
+    if threads < 0:
+        raise ConfigurationError(f"threads must be >= 0, got {threads}")
+
+    def chunk(start):
+        rows = slice(start, start + CHUNK_TARGETS)
+        return _fit_targets(dataset, config, lat0[rows], lon0[rows], index[rows], x_std)
+
+    n = index.shape[0]
+    # an empty target list still makes one (empty) chunk
+    starts = range(0, max(n, 1), CHUNK_TARGETS)
+    with ThreadPoolExecutor(max_workers=None if threads == 0 else threads) as pool:
+        parts = map(chunk, starts) if threads == 1 else pool.map(chunk, starts)
+        # each chunk is copied into place as it arrives, so at most a few
+        # chunks are held besides the result
+        result = None
+        for start, part in zip(starts, parts):
+            if result is None:
+                result = _map_columns(lambda c: np.empty((n,) + c.shape[1:], c.dtype), part)
+            for column, values in zip(_columns(result), _columns(part)):
+                column[start:start + len(part)] = values
+    return result
+
+
+def fit_location(dataset, config, target_index, x_std=None):
+    """Full realized estimator map at one in-sample target, as a LocationRecord."""
     if x_std is None:
         x_std, _, _ = standardized_covariate(dataset.x)
-    lat_i = float(dataset.lat[target_index])
-    lon_i = float(dataset.lon[target_index])
-    nb = knn(dataset.lat, dataset.lon, lat_i, lon_i, config.k,
-             target_index=target_index, dists=dists)
-    X, y_loc, orient, wmap, fit, cw2 = _fit_neighborhood(
-        dataset, config, nb, lat_i, lon_i, x_std
-    )
-
-    residual_at_target = math.nan
-    if fit.well_posed:
-        pos = np.nonzero(nb.member_indices == target_index)[0]
-        if pos.size:
-            residual_at_target = float(fit.residuals[pos[0]])
-
-    return LocationRecord(
-        index=target_index, lat=lat_i, lon=lon_i, neighborhood=nb,
-        orientation=orient, weight_map=wmap, fit=fit, cond_wls2=cw2,
-        residual_at_target=residual_at_target,
-        branch_codes=_branch_codes(orient, wmap, fit),
-    )
+    rows = np.array([target_index])
+    return _fit_targets(dataset, config, dataset.lat[rows], dataset.lon[rows], rows, x_std).record(0)
 
 
 def fit_all(dataset, config, threads=1):
-    """One LocationRecord per row, in input order.
+    """The estimator map at every row, as a FitResult in input order.
 
-    threads: 1 runs serial, 0 uses all cores, otherwise the given count.
-    Per-location work is independent and side-effect-free, so the thread
-    schedule cannot change any output value.
+    threads: 1 runs serial, 0 uses all cores, otherwise the given count of
+    threads, each taking whole chunks. The thread schedule cannot change any
+    output value.
     """
     dataset.validate()
     if config.k > dataset.n:
         raise ConfigurationError(f"K={config.k} exceeds dataset size {dataset.n}")
     x_std, _, _ = standardized_covariate(dataset.x)
-
-    def one(i):
-        return fit_location(dataset, config, i, x_std=x_std)
-
-    indices = range(dataset.n)
-    if threads == 1:
-        return [one(i) for i in indices]
-    max_workers = None if threads == 0 else threads
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, indices))
+    return _fit_chunks(dataset, config, dataset.lat, dataset.lon, np.arange(dataset.n), x_std, threads)
 
 
-def predict_at(train, config, target_lat, target_lon, x_target, x_moments=None):
-    """Out-of-sample prediction at a target point.
+def predict(train, config, lats, lons, x, x_moments=None, threads=1):
+    """Out-of-sample predictions at target points.
 
     Neighbors come from the training pool only; the distance-trend regressor
     is evaluated as zero at the target, so the prediction is
-    beta0 + beta1 * x_target. Returns (prediction, record); the prediction is
-    NaN when the local solve is ill-posed.
+    beta0 + beta1 * x. Returns (predictions, FitResult); a prediction is NaN
+    where the local solve is ill-posed.
     """
     if x_moments is None:
         _, mean, std = standardized_covariate(train.x)
@@ -279,25 +340,18 @@ def predict_at(train, config, target_lat, target_lon, x_target, x_moments=None):
         mean, std = x_moments
     x_std, _, _ = standardized_covariate(train.x, mean, std)
 
-    nb = knn(train.lat, train.lon, target_lat, target_lon, config.k, target_index=None)
-    X, y_loc, orient, wmap, fit, cw2 = _fit_neighborhood(
-        train, config, nb, target_lat, target_lon, x_std
-    )
-    record = LocationRecord(
-        index=-1, lat=float(target_lat), lon=float(target_lon),
-        neighborhood=nb, orientation=orient, weight_map=wmap, fit=fit,
-        cond_wls2=cw2, residual_at_target=math.nan,
-        branch_codes=_branch_codes(orient, wmap, fit),
-    )
-    if not fit.well_posed:
-        return math.nan, record
-    prediction = float(fit.beta[0] + fit.beta[1] * x_target)
-    return prediction, record
+    lats = np.asarray(lats, dtype=np.float64)
+    result = _fit_chunks(train, config, lats, np.asarray(lons, dtype=np.float64),
+                         np.full(lats.shape[0], -1), x_std, threads)
+    beta = result.fit.beta
+    return beta[:, 0] + beta[:, 1] * np.asarray(x, dtype=np.float64), result
 
 
 def residual_knn_correct(training_residuals, train_lats, train_lons,
-                         target_lat, target_lon, k_resid):
-    """Unweighted mean of the k nearest training residuals."""
+                         target_lats, target_lons, k_resid):
+    """Unweighted mean of the k nearest training residuals at each target."""
     residuals = np.asarray(training_residuals, dtype=np.float64)
-    nb = knn(train_lats, train_lons, target_lat, target_lon, k_resid, target_index=None)
-    return float(np.mean(residuals[nb.member_indices]))
+    return np.array([
+        np.mean(residuals[knn(train_lats, train_lons, la, lo, k_resid).member_indices])
+        for la, lo in zip(np.asarray(target_lats).tolist(), np.asarray(target_lons).tolist())
+    ])

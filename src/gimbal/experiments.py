@@ -68,41 +68,33 @@ def _mu_sd(values):
     return float(np.mean(arr)), float(np.std(arr))
 
 
-def summarize(records):
-    """Map-level summary across target locations.
+def summarize(result):
+    """Map-level summary across the target locations of a FitResult.
 
-    Branch rates are computed over all records; moment summaries exclude
+    Branch rates are computed over all targets; moment summaries exclude
     ill-posed locations (their count is reported). Percentiles use linear
     interpolation between order statistics.
     """
-    if not records:
+    n_targets = len(result)
+    if n_targets == 0:
         raise ValueError("summarize requires at least one record")
-    well = [r for r in records if r.fit.well_posed]
-    n_targets = len(records)
-    n_ill = n_targets - len(well)
-    if not well:
+    fit, orient, wmap = result.fit, result.orientation, result.weight_map
+    well = fit.well_posed
+    n_ill = n_targets - int(np.count_nonzero(well))
+    if n_ill == n_targets:
         raise ValueError("summarize requires at least one well-posed record")
 
-    rmse = [r.fit.rmse_local for r in well]
-    r2 = [r.fit.r2_local for r in well]
-    kappa = np.array([r.fit.m_nor_condition for r in well])
-    neff_raw = [r.weight_map.n_eff_raw for r in well]
-    neff_post = [r.weight_map.n_eff_post for r in well]
-    eta = [r.orientation.eta for r in well]
-    rphi = [r.orientation.r_phi for r in well]
-    gident = [r.orientation.g_ident for r in well]
-    theta = [r.orientation.theta_z for r in well]
-
-    n_uniform = sum(1 for r in records if r.weight_map.fallback_uniform)
-    mu_rmse, sd_rmse = _mu_sd(rmse)
-    mu_r2, sd_r2 = _mu_sd(r2)
+    kappa = fit.m_nor_condition[well]
+    n_uniform = int(np.count_nonzero(wmap.fallback_uniform))
+    mu_rmse, sd_rmse = _mu_sd(fit.rmse_local[well])
+    mu_r2, sd_r2 = _mu_sd(fit.r2_local[well])
     mu_kappa, sd_kappa = _mu_sd(kappa)
-    mu_neff_raw, sd_neff_raw = _mu_sd(neff_raw)
-    mu_neff_post, sd_neff_post = _mu_sd(neff_post)
-    mu_eta, sd_eta = _mu_sd(eta)
-    mu_rphi, sd_rphi = _mu_sd(rphi)
-    mu_gident, sd_gident = _mu_sd(gident)
-    mu_theta, sd_theta = _mu_sd(theta)
+    mu_neff_raw, sd_neff_raw = _mu_sd(wmap.n_eff_raw[well])
+    mu_neff_post, sd_neff_post = _mu_sd(wmap.n_eff_post[well])
+    mu_eta, sd_eta = _mu_sd(orient.eta[well])
+    mu_rphi, sd_rphi = _mu_sd(orient.r_phi[well])
+    mu_gident, sd_gident = _mu_sd(orient.g_ident[well])
+    mu_theta, sd_theta = _mu_sd(orient.theta_z[well])
 
     return MapSummary(
         n_targets=n_targets,
@@ -119,42 +111,45 @@ def summarize(records):
         mu_rphi=mu_rphi, sd_rphi=sd_rphi,
         mu_gident=mu_gident, sd_gident=sd_gident,
         mu_theta=mu_theta, sd_theta=sd_theta,
-        pr_phi_zero=sum(1 for r in records if r.orientation.phi_deactivated) / n_targets,
-        pr_theta_zero=sum(1 for r in records if r.orientation.theta_deactivated) / n_targets,
+        pr_phi_zero=int(np.count_nonzero(orient.phi_deactivated)) / n_targets,
+        pr_theta_zero=int(np.count_nonzero(orient.theta_deactivated)) / n_targets,
         pr_uniform=n_uniform / n_targets,
         n_uniform=n_uniform,
     )
 
 
-def weight_diff(records_a, records_b):
+def weight_diff(result_a, result_b):
     """Per-target l1 distance and correlation of normalized weight vectors.
 
     Both runs must share targets and neighborhoods (same data and K).
     Correlation is skipped wherever either weight vector is constant.
     """
-    if len(records_a) != len(records_b):
+    if len(result_a) != len(result_b):
         raise ValueError("weight_diff requires runs over the same targets")
-    l1 = []
-    corr = []
-    for ra, rb in zip(records_a, records_b):
-        if ra.index != rb.index or not np.array_equal(
-            ra.neighborhood.member_indices, rb.neighborhood.member_indices
-        ):
-            raise ValueError(f"neighborhood mismatch at target {ra.index}")
-        wa = ra.weight_map.weights
-        wb = rb.weight_map.weights
-        l1.append(float(np.sum(np.abs(wa - wb))))
-        # exact constancy test; np.std of a constant vector is not exactly 0
-        if np.min(wa) < np.max(wa) and np.min(wb) < np.max(wb):
-            corr.append(float(np.corrcoef(wa, wb)[0, 1]))
+    members_a = result_a.neighborhood.member_indices
+    members_b = result_b.neighborhood.member_indices
+    if members_a.shape != members_b.shape:
+        mismatch = np.ones(len(result_a), dtype=bool)
+    else:
+        mismatch = (result_a.index != result_b.index) | np.any(members_a != members_b, axis=-1)
+    if mismatch.any():
+        raise ValueError(f"neighborhood mismatch at target {result_a.index[np.argmax(mismatch)]}")
+    wa = result_a.weight_map.weights
+    wb = result_b.weight_map.weights
+    l1 = np.sum(np.abs(wa - wb), axis=-1)
+    # exact constancy test; the spread of a constant vector is not exactly 0
+    varying = (np.min(wa, axis=-1) < np.max(wa, axis=-1)) & (np.min(wb, axis=-1) < np.max(wb, axis=-1))
+    da = wa[varying] - np.mean(wa[varying], axis=-1, keepdims=True)
+    db = wb[varying] - np.mean(wb[varying], axis=-1, keepdims=True)
+    corr = np.sum(da * db, axis=-1) / np.sqrt(np.sum(da * da, axis=-1) * np.sum(db * db, axis=-1))
     mu_l1, sd_l1 = _mu_sd(l1)
-    if corr:
+    if corr.size:
         mu_corr, sd_corr = _mu_sd(corr)
     else:
         mu_corr, sd_corr = math.nan, math.nan
     return WeightDiffSummary(
         mu_l1=mu_l1, sd_l1=sd_l1, mu_corr=mu_corr, sd_corr=sd_corr,
-        n_corr_defined=len(corr),
+        n_corr_defined=int(corr.size),
     )
 
 
@@ -233,9 +228,9 @@ def _run_e71(seed, threads):
 
     # the strict threshold re-run changes the phi branch but, since r_phi is
     # data-determined, the re-solved flag rate equals the flag-only rate
-    flag_only = sum(
-        1 for r in records["full"] if r.orientation.r_phi <= STRICT_EPS_PHI
-    ) / len(records["full"])
+    flag_only = int(np.count_nonzero(
+        records["full"].orientation.r_phi <= STRICT_EPS_PHI
+    )) / len(records["full"])
     extra = {
         "strict_eps_phi": {
             "threshold": STRICT_EPS_PHI,

@@ -6,7 +6,8 @@ Earth radius and a single tangent-plane convention apply everywhere:
 * great-circle distances use the haversine formula on a sphere of radius
   ``EARTH_RADIUS_M``;
 * tangent-plane displacements use the equirectangular approximation anchored
-  at the *origin* point (``cos`` of the origin latitude scales longitude);
+  at the *origin* point (``cos`` of the origin latitude scales longitude),
+  with longitude differences taken the short way round the globe;
 * bearings are measured from the East axis, counterclockwise, via
   ``atan2(north, east)``, matching the planar rotation convention below.
 """
@@ -14,35 +15,12 @@ Earth radius and a single tangent-plane convention apply everywhere:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
 _DEG = math.pi / 180.0
-
-
-class GeoPoint(NamedTuple):
-    lat: float
-    lon: float
-
-
-class Displacement(NamedTuple):
-    east: float
-    north: float
-
-
-def haversine_distance(a, b):
-    """Great-circle distance in meters between two (lat, lon) points."""
-    lat1, lon1 = a
-    lat2, lon2 = b
-    phi1 = lat1 * _DEG
-    phi2 = lat2 * _DEG
-    dphi = (lat2 - lat1) * _DEG
-    dlam = (lon2 - lon1) * _DEG
-    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
 
 
 def haversine_to_all(lats, lons, lat0, lon0):
@@ -55,43 +33,21 @@ def haversine_to_all(lats, lons, lat0, lon0):
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
-def tangent_displacement(origin, target):
-    """East-North displacement (meters) from origin to target.
-
-    Equirectangular approximation with cos(lat) taken at the origin, so all
-    neighbors of one target share the same longitude scaling.
-    """
-    lat0, lon0 = origin
-    lat, lon = target
-    east = EARTH_RADIUS_M * math.cos(lat0 * _DEG) * (lon - lon0) * _DEG
-    north = EARTH_RADIUS_M * (lat - lat0) * _DEG
-    return Displacement(east, north)
-
-
 def tangent_displacements(lat0, lon0, lats, lons):
-    """Vectorized East-North displacements from (lat0, lon0) to each point."""
-    lats = np.asarray(lats, dtype=np.float64)
-    lons = np.asarray(lons, dtype=np.float64)
-    east = EARTH_RADIUS_M * math.cos(lat0 * _DEG) * (lons - lon0) * _DEG
-    north = EARTH_RADIUS_M * (lats - lat0) * _DEG
-    return east, north
+    """East-North displacements (meters) from origins to points.
 
-
-def bearing(delta):
-    """Bearing angle in radians from the East axis, range (-pi, pi].
-
-    Undefined for the zero displacement; callers must drop self pairs.
+    The origin is a scalar pair with (K,) points, or (C,) arrays with (C, K)
+    points, one row per origin. Longitude differences are wrapped into
+    (-180, 180], so a neighborhood that straddles the antimeridian keeps its
+    shape; a difference already in that range is used as is.
     """
-    east, north = delta
-    if east == 0.0 and north == 0.0:
-        raise ValueError("bearing is undefined for a zero displacement")
-    return math.atan2(north, east)
-
-
-def bearings(east, north):
-    """Vectorized atan2(north, east); zero displacements map to 0.0 and must
-    be excluded by the caller (see neighborhood handling in the engine)."""
-    return np.arctan2(north, east)
+    lat0 = np.asarray(lat0, dtype=np.float64)[..., None]
+    lon0 = np.asarray(lon0, dtype=np.float64)[..., None]
+    dlon = np.asarray(lons, dtype=np.float64) - lon0
+    dlon = np.where(dlon > 180.0, dlon - 360.0, np.where(dlon <= -180.0, dlon + 360.0, dlon))
+    east = EARTH_RADIUS_M * np.cos(lat0 * _DEG) * dlon * _DEG
+    north = EARTH_RADIUS_M * (np.asarray(lats, dtype=np.float64) - lat0) * _DEG
+    return east, north
 
 
 def rotation_matrix(alpha):
@@ -101,17 +57,9 @@ def rotation_matrix(alpha):
     return np.array([[c, -s], [s, c]])
 
 
-def meters_to_geo(origin, delta):
-    """Inverse of tangent_displacement about the same origin."""
-    lat0, lon0 = origin
-    east, north = delta
-    lat = lat0 + north / EARTH_RADIUS_M / _DEG
-    lon = lon0 + east / (EARTH_RADIUS_M * math.cos(lat0 * _DEG)) / _DEG
-    return GeoPoint(lat, lon)
-
-
 def meters_to_geo_arrays(lat0, lon0, east, north):
-    """Vectorized meters_to_geo for simulator output."""
+    """Degrees of the points at East-North offsets (meters) from one origin;
+    the inverse of tangent_displacements about that origin."""
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
     lat = lat0 + north / EARTH_RADIUS_M / _DEG

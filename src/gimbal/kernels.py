@@ -1,302 +1,44 @@
-"""Hot kernels with a numba path and a pure-numpy fallback.
+"""The realized weight map of a stack of neighborhoods.
 
-Two kernels dominate runtime: the brute-force distance scan (O(N) per target)
-and the per-neighborhood realized weight map (orientation + metric + raw
-weights + one-shot ESS safeguard). Both carry an @njit implementation and a
-vectorized numpy twin; the numpy twin for the weight map is the composition
-of the audited operations in orientation.py / weights.py, so the fused kernel
-is always checkable against the reference path.
-
-Backend selection: numba when importable, unless the environment variable
-GIMBAL_DISABLE_NUMBA is set to a non-empty value other than "0", in which
-case the numpy path runs. set_backend() switches explicitly (used by the
-benchmark and the cross-path tests). Both paths are deterministic run to run;
-they agree to ~1e-12 but not bitwise (summation order differs).
+One composition of the orientation and weight stages, from tangent
+displacements to safeguarded weights: the bearing resultant, the value
+orientation and the anisotropy ratio (each forced to its isotropic value when
+the configuration switches it off), then the one-shot ESS safeguard. Inputs
+are (C, K) arrays, one row per neighborhood, or (K,) for a single one.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-from . import geo, orientation, weights
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+from .orientation import OrientationResult, anisotropy_ratio, bearing_resultant, value_orientation
+from .weights import one_shot_safeguard
 
 
-def _env_disables_numba():
-    flag = os.environ.get("GIMBAL_DISABLE_NUMBA", "")
-    return flag not in ("", "0")
+def weight_map(east, north, distances, z, y, config):
+    """Orientation and safeguarded weights of each neighborhood.
 
-
-_BACKEND = "numba" if (HAS_NUMBA and not _env_disables_numba()) else "numpy"
-
-
-def active_backend():
-    return _BACKEND
-
-
-def available_backends():
-    return ("numpy", "numba") if HAS_NUMBA else ("numpy",)
-
-
-def set_backend(name):
-    """Force a backend ("numpy" or "numba"); returns the active one."""
-    global _BACKEND
-    if name not in available_backends():
-        raise ValueError(f"backend {name!r} not available (have {available_backends()})")
-    _BACKEND = name
-    return _BACKEND
-
-
-# weight-map fallback codes mirror weights.py
-_F_NONE = weights.FALLBACK_NONE
-_F_UNIFORM = weights.FALLBACK_UNIFORM
-_F_UNDERFLOW = weights.FALLBACK_UNDERFLOW
-
-
-def haversine_row(lats, lons, lat0, lon0):
-    """Distances in meters from (lat0, lon0) to every point."""
-    if _BACKEND == "numba":
-        return _haversine_row_nb(
-            np.ascontiguousarray(lats, dtype=np.float64),
-            np.ascontiguousarray(lons, dtype=np.float64),
-            float(lat0),
-            float(lon0),
-        )
-    return geo.haversine_to_all(lats, lons, lat0, lon0)
-
-
-def weight_map(east, north, dist, z, y, h, eps_phi, eps_theta, eps_eta,
-               eta_max, n0, n_min, phi_on, theta_on, eta_on):
-    """Full realized weight map for one neighborhood.
-
-    Returns (phi, r_phi, phi_deact, theta_z, g_ident, theta_deact, eta,
-    lam_max, lam_min, n_eff_raw, h_eff, n_eff_post, fallback_code,
-    n_recompute, weight_vector). Diagnostics (r_phi, g_ident, eigenvalues)
-    are always computed from data; the *_on switches only force the realized
-    value of the corresponding orientation quantity.
+    Returns (OrientationResult, RealizedWeightMap). Diagnostics (r_phi,
+    g_ident, eigenvalues) are always computed from data; the configuration's
+    modes only force the realized value of the corresponding quantity.
     """
-    args = (
-        np.ascontiguousarray(east, dtype=np.float64),
-        np.ascontiguousarray(north, dtype=np.float64),
-        np.ascontiguousarray(dist, dtype=np.float64),
-        np.ascontiguousarray(z, dtype=np.float64),
-        np.ascontiguousarray(y, dtype=np.float64),
-        float(h), float(eps_phi), float(eps_theta), float(eps_eta),
-        float(eta_max), float(n0), float(n_min),
-        int(phi_on), int(theta_on), int(eta_on),
+    phi, r_phi, phi_deact = bearing_resultant(east, north, distances, config.h, config.eps_phi)
+    if config.phi_mode == "forced_zero":
+        phi, phi_deact = np.zeros_like(phi), np.ones_like(phi_deact)
+
+    theta_z, g_ident, theta_deact = value_orientation(z, y, config.eps_theta)
+    if config.theta_z_mode == "off":
+        theta_z, theta_deact = np.zeros_like(theta_z), np.ones_like(theta_deact)
+
+    eta, lam_max, lam_min = anisotropy_ratio(
+        east, north, distances, config.h, config.eps_eta, config.eta_max
     )
-    if _BACKEND == "numba":
-        return _weight_map_nb(*args)
-    return _weight_map_numpy(*args)
+    if config.eta_mode == "forced_one":
+        eta = np.ones_like(eta)
 
-
-def _weight_map_numpy(east, north, dist, z, y, h, eps_phi, eps_theta, eps_eta,
-                      eta_max, n0, n_min, phi_on, theta_on, eta_on):
-    """Reference path: composition of the audited per-stage operations."""
-    nonzero = (east != 0.0) | (north != 0.0)
-    phi, r_phi, phi_deact = orientation.bearing_resultant(
-        geo.bearings(east[nonzero], north[nonzero]), dist[nonzero], h, eps_phi
-    )
-    if not phi_on:
-        phi, phi_deact = 0.0, True
-
-    theta_z, g_ident, theta_deact = orientation.value_orientation(z, y, eps_theta)
-    if not theta_on:
-        theta_z, theta_deact = 0.0, True
-
-    eta, lam_max, lam_min = orientation.anisotropy_ratio(
-        east, north, dist, h, eps_eta, eta_max
-    )
-    if not eta_on:
-        eta = 1.0
-
-    orient = orientation.OrientationResult(
+    orient = OrientationResult(
         phi=phi, r_phi=r_phi, phi_deactivated=phi_deact,
         theta_z=theta_z, g_ident=g_ident, theta_deactivated=theta_deact,
         eta=eta, lambda_max=lam_max, lambda_min=lam_min,
     )
-    recompute = [0]
-    wmap = weights.one_shot_safeguard(
-        east, north, orient, h, n0, n_min,
-        on_recompute=lambda _h: recompute.__setitem__(0, recompute[0] + 1),
-    )
-    return (
-        phi, r_phi, phi_deact, theta_z, g_ident, theta_deact,
-        eta, lam_max, lam_min,
-        wmap.n_eff_raw, wmap.h_eff, wmap.n_eff_post,
-        wmap.fallback_code, recompute[0], wmap.weights,
-    )
-
-
-@njit(cache=True, nogil=True)
-def _haversine_row_nb(lats, lons, lat0, lon0):
-    n = lats.shape[0]
-    out = np.empty(n)
-    deg = math.pi / 180.0
-    phi0 = lat0 * deg
-    lam0 = lon0 * deg
-    cos0 = math.cos(phi0)
-    for i in range(n):
-        phi = lats[i] * deg
-        dphi = (lats[i] - lat0) * deg
-        dlam = (lons[i] - lon0) * deg
-        s = math.sin(dphi / 2.0) ** 2 + cos0 * math.cos(phi) * math.sin(dlam / 2.0) ** 2
-        root = math.sqrt(s)
-        if root > 1.0:
-            root = 1.0
-        out[i] = 2.0 * geo.EARTH_RADIUS_M * math.asin(root)
-    return out
-
-
-@njit(cache=True, nogil=True)
-def _weight_map_nb(east, north, dist, z, y, h, eps_phi, eps_theta, eps_eta,
-                   eta_max, n0, n_min, phi_on, theta_on, eta_on):
-    n = east.shape[0]
-
-    # bearing resultant over nonzero displacements
-    c = 0.0
-    s_sin = 0.0
-    wsum_bearing = 0.0
-    wsum_all = 0.0
-    for j in range(n):
-        om = math.exp(-(dist[j] * dist[j]) / (h * h))
-        wsum_all += om
-        if east[j] != 0.0 or north[j] != 0.0:
-            th = math.atan2(north[j], east[j])
-            c += om * math.cos(th)
-            s_sin += om * math.sin(th)
-            wsum_bearing += om
-    if wsum_bearing > 0.0:
-        r_phi = math.sqrt(c * c + s_sin * s_sin) / wsum_bearing
-    else:
-        r_phi = 0.0
-    phi_deact = (phi_on == 0) or (wsum_bearing <= 0.0) or (r_phi <= eps_phi)
-    phi = 0.0 if phi_deact else math.atan2(s_sin, c)
-
-    # value orientation from population moments
-    zbar = 0.0
-    ybar = 0.0
-    for j in range(n):
-        zbar += z[j]
-        ybar += y[j]
-    zbar /= n
-    ybar /= n
-    var_z = 0.0
-    var_y = 0.0
-    cov = 0.0
-    for j in range(n):
-        dz = z[j] - zbar
-        dy = y[j] - ybar
-        var_z += dz * dz
-        var_y += dy * dy
-        cov += dz * dy
-    var_z /= n
-    var_y /= n
-    cov /= n
-    diff = var_y - var_z
-    g_ident = abs(diff) + abs(2.0 * cov)
-    theta_deact = (theta_on == 0) or (g_ident <= eps_theta)
-    theta_z = 0.0 if theta_deact else 0.5 * math.atan2(diff, 2.0 * cov)
-
-    # geometry anisotropy from the weighted displacement second moments
-    sxx = 0.0
-    sxy = 0.0
-    syy = 0.0
-    if wsum_all > 0.0:
-        for j in range(n):
-            om_t = math.exp(-(dist[j] * dist[j]) / (h * h)) / wsum_all
-            sxx += om_t * east[j] * east[j]
-            sxy += om_t * east[j] * north[j]
-            syy += om_t * north[j] * north[j]
-    half_tr = 0.5 * (sxx + syy)
-    rad2 = (0.5 * (sxx - syy)) ** 2 + sxy * sxy
-    rad = math.sqrt(rad2) if rad2 > 0.0 else 0.0
-    lam_max = half_tr + rad
-    lam_min = half_tr - rad
-    top = lam_max if lam_max > 0.0 else 0.0
-    eta = math.sqrt(top / max(lam_min, eps_eta))
-    if eta < 1.0:
-        eta = 1.0
-    if eta > eta_max:
-        eta = eta_max
-    if eta_on == 0:
-        eta = 1.0
-
-    # metric basis Q = R(phi) R(theta_z)
-    ca = math.cos(phi)
-    sa = math.sin(phi)
-    cb = math.cos(theta_z)
-    sb = math.sin(theta_z)
-    q11 = ca * cb - sa * sb
-    q12 = -ca * sb - sa * cb
-    q21 = sa * cb + ca * sb
-    q22 = ca * cb - sa * sb
-
-    out = np.empty(n)
-    l1 = 1.0 / (h * h)
-    l2 = 1.0 / (h * h * eta * eta)
-    m11 = l1 * q11 * q11 + l2 * q12 * q12
-    m12 = l1 * q11 * q21 + l2 * q12 * q22
-    m22 = l1 * q21 * q21 + l2 * q22 * q22
-    s_raw = 0.0
-    for j in range(n):
-        quad = m11 * east[j] * east[j] + 2.0 * m12 * east[j] * north[j] + m22 * north[j] * north[j]
-        out[j] = math.exp(-quad)
-        s_raw += out[j]
-    if s_raw == 0.0:
-        for j in range(n):
-            out[j] = 1.0 / n
-        return (phi, r_phi, phi_deact, theta_z, g_ident, theta_deact,
-                eta, lam_max, lam_min, 0.0, math.nan, float(n), _F_UNDERFLOW, 0, out)
-
-    sq = 0.0
-    for j in range(n):
-        wt = out[j] / s_raw
-        sq += wt * wt
-    n_eff_raw = 1.0 / sq
-
-    # one-shot correction: rebuild only the diagonal scaling at h_eff
-    h_eff = h * math.sqrt(n0 / n_eff_raw)
-    l1 = 1.0 / (h_eff * h_eff)
-    l2 = 1.0 / (h_eff * h_eff * eta * eta)
-    m11 = l1 * q11 * q11 + l2 * q12 * q12
-    m12 = l1 * q11 * q21 + l2 * q12 * q22
-    m22 = l1 * q21 * q21 + l2 * q22 * q22
-    s1 = 0.0
-    for j in range(n):
-        quad = m11 * east[j] * east[j] + 2.0 * m12 * east[j] * north[j] + m22 * north[j] * north[j]
-        out[j] = math.exp(-quad)
-        s1 += out[j]
-    if s1 == 0.0:
-        for j in range(n):
-            out[j] = 1.0 / n
-        return (phi, r_phi, phi_deact, theta_z, g_ident, theta_deact,
-                eta, lam_max, lam_min, n_eff_raw, h_eff, float(n), _F_UNDERFLOW, 1, out)
-
-    sq = 0.0
-    for j in range(n):
-        out[j] = out[j] / s1
-        sq += out[j] * out[j]
-    n_eff_post = 1.0 / sq
-    if n_eff_post < n_min:
-        for j in range(n):
-            out[j] = 1.0 / n
-        return (phi, r_phi, phi_deact, theta_z, g_ident, theta_deact,
-                eta, lam_max, lam_min, n_eff_raw, h_eff, n_eff_post, _F_UNIFORM, 1, out)
-    return (phi, r_phi, phi_deact, theta_z, g_ident, theta_deact,
-            eta, lam_max, lam_min, n_eff_raw, h_eff, n_eff_post, _F_NONE, 1, out)
+    return orient, one_shot_safeguard(east, north, orient, config.h, config.n0, config.n_min)

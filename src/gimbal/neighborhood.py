@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from .geo import haversine_to_all
 
 
 class ConfigurationError(ValueError):
@@ -20,24 +20,24 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class Neighborhood:
+    """One target's neighbors (target_index None out of sample), or a stack of
+    them ((C,) target indices, -1 out of sample, and (C, K) members)."""
+
     target_index: int | None
     member_indices: np.ndarray
     distances: np.ndarray
     self_included: bool
 
 
-def knn(lats, lons, target_lat, target_lon, k, exclude_index=None,
-        target_index=None, dists=None):
+def knn(lats, lons, target_lat, target_lon, k, exclude_index=None, target_index=None):
     """K nearest points to (target_lat, target_lon) by haversine distance.
 
     exclude_index removes one point from the candidate pool (never a member).
-    dists may carry precomputed distances to all points to skip the scan.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
     n = lats.shape[0]
-    if dists is None:
-        dists = kernels.haversine_row(lats, lons, float(target_lat), float(target_lon))
+    dists = haversine_to_all(lats, lons, float(target_lat), float(target_lon))
 
     candidates = np.arange(n)
     if exclude_index is not None:

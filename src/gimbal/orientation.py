@@ -1,4 +1,4 @@
-"""Realized orientation quantities for one neighborhood.
+"""Realized orientation quantities of neighborhoods.
 
 Three deterministic summaries feed the directional metric:
 
@@ -12,13 +12,15 @@ Three deterministic summaries feed the directional metric:
 * ``anisotropy_ratio``: square-rooted eigenvalue ratio of the decay-weighted
   displacement second-moment matrix, floored and clipped to [1, eta_max].
 
-All moments are population moments (divide by n). Decay weights always use
-the nominal bandwidth h, never the ESS-corrected one.
+Every function reduces over the last axis: a (K,) input is one neighborhood
+and gives scalars, a (C, K) input is C neighborhoods and gives (C,) arrays.
+Each row's result depends on that row alone. All moments are population
+moments (divide by K). Decay weights always use the nominal bandwidth h,
+never the ESS-corrected one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OrientationResult:
+    """Orientation of one neighborhood (scalars) or of a stack ((C,) arrays)."""
+
     phi: float
     r_phi: float
     phi_deactivated: bool
@@ -40,7 +44,7 @@ class OrientationResult:
 def sym2_eigvals(sxx, sxy, syy):
     """Eigenvalues (max, min) of [[sxx, sxy], [sxy, syy]] in closed form."""
     half_tr = 0.5 * (sxx + syy)
-    rad = math.sqrt(max(0.0, (0.5 * (sxx - syy)) ** 2 + sxy * sxy))
+    rad = np.sqrt(np.maximum(0.0, (0.5 * (sxx - syy)) ** 2 + sxy * sxy))
     return half_tr + rad, half_tr - rad
 
 
@@ -50,26 +54,24 @@ def decay_weights(distances, h):
     return np.exp(-(d * d) / (h * h))
 
 
-def bearing_resultant(bearings, distances, h, eps_phi):
+def bearing_resultant(east, north, distances, h, eps_phi):
     """Dominant bearing direction with isotropy deactivation.
 
-    Returns (phi, r_phi, deactivated). Callers must pass bearings only for
-    nonzero displacements; an empty input (all neighbors coincident with the
-    target) is treated as isotropic.
+    Returns (phi, r_phi, deactivated). Zero displacements (the target itself,
+    coincident points) have no bearing and are left out; a neighborhood with
+    no other point, or whose decay weights all underflow, is isotropic.
     """
-    th = np.asarray(bearings, dtype=np.float64)
-    if th.size == 0:
-        return 0.0, 0.0, True
-    om = decay_weights(distances, h)
-    wsum = float(np.sum(om))
-    if wsum <= 0.0:
-        return 0.0, 0.0, True
-    c = float(np.sum(om * np.cos(th)))
-    s = float(np.sum(om * np.sin(th)))
-    r_phi = math.sqrt(c * c + s * s) / wsum
-    if r_phi <= eps_phi:
-        return 0.0, r_phi, True
-    return math.atan2(s, c), r_phi, False
+    east = np.asarray(east, dtype=np.float64)
+    north = np.asarray(north, dtype=np.float64)
+    th = np.arctan2(north, east)
+    om = np.where((east != 0.0) | (north != 0.0), decay_weights(distances, h), 0.0)
+    wsum = np.sum(om, axis=-1)
+    c = np.sum(om * np.cos(th), axis=-1)
+    s = np.sum(om * np.sin(th), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_phi = np.where(wsum > 0.0, np.sqrt(c * c + s * s) / wsum, 0.0)
+    deactivated = (wsum <= 0.0) | (r_phi <= eps_phi)
+    return np.where(deactivated, 0.0, np.arctan2(s, c)), r_phi, deactivated
 
 
 def value_orientation(z, y, eps_theta):
@@ -80,36 +82,36 @@ def value_orientation(z, y, eps_theta):
     """
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = z.shape[0]
-    zc = z - np.mean(z)
-    yc = y - np.mean(y)
-    var_z = float(np.sum(zc * zc)) / n
-    var_y = float(np.sum(yc * yc)) / n
-    cov = float(np.sum(zc * yc)) / n
+    n = z.shape[-1]
+    zc = z - np.mean(z, axis=-1, keepdims=True)
+    yc = y - np.mean(y, axis=-1, keepdims=True)
+    var_z = np.sum(zc * zc, axis=-1) / n
+    var_y = np.sum(yc * yc, axis=-1) / n
+    cov = np.sum(zc * yc, axis=-1) / n
     diff = var_y - var_z
-    g_ident = abs(diff) + abs(2.0 * cov)
-    if g_ident <= eps_theta:
-        return 0.0, g_ident, True
-    return 0.5 * math.atan2(diff, 2.0 * cov), g_ident, False
+    g_ident = np.abs(diff) + np.abs(2.0 * cov)
+    deactivated = g_ident <= eps_theta
+    return np.where(deactivated, 0.0, 0.5 * np.arctan2(diff, 2.0 * cov)), g_ident, deactivated
 
 
 def anisotropy_ratio(east, north, distances, h, eps_eta, eta_max):
     """Clipped anisotropy ratio from the weighted displacement second moments.
 
     Returns (eta, lambda_max, lambda_min) where the lambdas are the raw
-    (unfloored) eigenvalues of the weighted second-moment matrix.
+    (unfloored) eigenvalues of the weighted second-moment matrix. When every
+    decay weight underflows, eta is 1 and both lambdas are 0.
     """
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
     om = decay_weights(distances, h)
-    wsum = float(np.sum(om))
-    if wsum <= 0.0:
-        return 1.0, 0.0, 0.0
-    om_t = om / wsum
-    sxx = float(np.sum(om_t * east * east))
-    sxy = float(np.sum(om_t * east * north))
-    syy = float(np.sum(om_t * north * north))
-    lam_max, lam_min = sym2_eigvals(sxx, sxy, syy)
-    eta_raw = math.sqrt(max(0.0, lam_max) / max(lam_min, eps_eta))
-    eta = min(max(eta_raw, 1.0), eta_max)
-    return eta, lam_max, lam_min
+    wsum = np.sum(om, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        om_t = om / wsum[..., None]
+        sxx = np.sum(om_t * east * east, axis=-1)
+        sxy = np.sum(om_t * east * north, axis=-1)
+        syy = np.sum(om_t * north * north, axis=-1)
+        lam_max, lam_min = sym2_eigvals(sxx, sxy, syy)
+        eta = np.clip(np.sqrt(np.maximum(0.0, lam_max) / np.maximum(lam_min, eps_eta)), 1.0, eta_max)
+    defined = wsum > 0.0
+    return (np.where(defined, eta, 1.0), np.where(defined, lam_max, 0.0),
+            np.where(defined, lam_min, 0.0))

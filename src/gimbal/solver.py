@@ -8,11 +8,14 @@ with W = diag(w). gamma = 0 gives local OLS; gamma -> infinity gives local
 WLS. Well-posedness is decided deterministically from the eigenvalues of the
 normal matrix (relative floor 1e-12); singular locations are flagged and
 excluded downstream, never pseudo-inverted.
+
+A design X of shape (K, p) is one neighborhood; (C, K, p) with (C, K) y and
+weights is a stack of C neighborhoods, solved together row by row. Each row's
+result depends on that row alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +37,12 @@ class FitSummaries(NamedTuple):
 
 @dataclass(frozen=True)
 class LocalFit:
+    """Local solve of one neighborhood (scalars, (p,) beta, (K,) residuals) or
+    of a stack ((C,) arrays, (C, p) beta, (C, K) residuals).
+
+    Ill-posed rows carry NaN coefficients, residuals, bound and fit summaries.
+    """
+
     beta: np.ndarray | None
     m_nor_condition: float
     operator_norm_bound: float
@@ -44,92 +53,82 @@ class LocalFit:
     residuals: np.ndarray | None
 
 
-def modulated_normal_matrix(X, weights, gamma):
-    X = np.asarray(X, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    return X.T @ X + 2.0 * gamma * (X.T @ (X * w[:, None]))
+def _weighted_gram(columns, scale):
+    """Stacked symmetric matrices G[a, b] = sum_k columns[a] columns[b] scale."""
+    p = len(columns)
+    out = np.empty(columns[0].shape[:-1] + (p, p))
+    for a in range(p):
+        for b in range(a, p):
+            out[..., a, b] = out[..., b, a] = np.sum(columns[a] * columns[b] * scale, axis=-1)
+    return out
 
 
 def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
-    """Solve the modulated normal equations for one neighborhood.
+    """Solve the modulated normal equations of one or many neighborhoods.
 
-    Returns a LocalFit; when the normal matrix is singular the fit carries
-    well_posed=False and no coefficients (the location is flagged, not
-    regularized).
+    Returns a LocalFit; a row whose normal matrix is singular carries
+    well_posed=False and NaN coefficients (the location is flagged, not
+    regularized). operator_norm_bound is ||M_nor^-1||_2 ||B||_2 with
+    B = X^T (I + 2 gamma W), an upper bound on the estimator's Lipschitz
+    constant in y; ||B||_2 is the square root of the largest eigenvalue of
+    B B^T.
     """
     X = np.asarray(X, dtype=np.float64)
+    # contiguous columns, so every reduction runs along contiguous rows
+    cols = [np.ascontiguousarray(X[..., a]) for a in range(X.shape[-1])]
     y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    scale = 1.0 + 2.0 * gamma * np.asarray(weights, dtype=np.float64)
+    p = len(cols)
 
-    m_nor = modulated_normal_matrix(X, w, gamma)
+    m_nor = _weighted_gram(cols, scale)  # X^T (I + 2 gamma W) X
     evals = np.linalg.eigvalsh(m_nor)
-    lam_min = float(evals[0])
-    lam_max = float(evals[-1])
-    kappa = lam_max / max(lam_min, eps_kappa) if lam_max > 0.0 else math.inf
+    lam_min = evals[..., 0]
+    lam_max = evals[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(lam_max > 0.0, lam_max / np.maximum(lam_min, eps_kappa), np.inf)
+    well_posed = (lam_max > 0.0) & (lam_min > SINGULARITY_RTOL * lam_max)
 
-    well_posed = lam_max > 0.0 and lam_min > SINGULARITY_RTOL * lam_max
-    if well_posed:
-        try:
-            chol = np.linalg.cholesky(m_nor)
-        except np.linalg.LinAlgError:
-            well_posed = False
-    if not well_posed:
-        return LocalFit(
-            beta=None,
-            m_nor_condition=kappa,
-            operator_norm_bound=math.nan,
-            well_posed=False,
-            rmse_local=math.nan,
-            r2_local=math.nan,
-            r2_defined=False,
-            residuals=None,
-        )
+    # The eigenvalue test admits condition numbers below 1e12 only, where a
+    # Cholesky factorization cannot break down in double precision. Singular
+    # rows are factored as the identity and their results discarded.
+    chol = np.linalg.cholesky(np.where(well_posed[..., None, None], m_nor, np.eye(p)))
+    rhs = np.stack([np.sum(c * scale * y, axis=-1) for c in cols], axis=-1)
+    beta = np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs[..., None]))[..., 0]
+    beta = np.where(well_posed[..., None], beta, np.nan)
 
-    rhs = X.T @ y + 2.0 * gamma * (X.T @ (w * y))
-    beta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    b_norm = np.sqrt(np.linalg.eigvalsh(_weighted_gram(cols, scale * scale))[..., -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(well_posed, b_norm / lam_min, np.nan)
 
-    b_op = X.T * (1.0 + 2.0 * gamma * w)[None, :]
-    bound = float(np.linalg.svd(b_op, compute_uv=False)[0]) / lam_min
-
-    rmse, r2, r2_defined, residuals = local_fit_summaries(X, y, beta, w)
+    rmse, r2, r2_defined, residuals = local_fit_summaries(X, y, beta)
     return LocalFit(
         beta=beta,
         m_nor_condition=kappa,
         operator_norm_bound=bound,
-        well_posed=True,
+        well_posed=well_posed,
         rmse_local=rmse,
-        r2_local=r2,
-        r2_defined=r2_defined,
+        r2_local=np.where(well_posed, r2, np.nan),
+        r2_defined=r2_defined & well_posed,
         residuals=residuals,
     )
 
 
-def stability_bound(X, weights, gamma):
-    """Upper bound ||M_nor^-1||_2 * ||B||_2 on the estimator's Lipschitz
-    constant in y (finite-perturbation stability)."""
-    X = np.asarray(X, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    m_nor = modulated_normal_matrix(X, w, gamma)
-    evals = np.linalg.eigvalsh(m_nor)
-    lam_min = float(evals[0])
-    lam_max = float(evals[-1])
-    if not (lam_max > 0.0 and lam_min > SINGULARITY_RTOL * lam_max):
-        raise np.linalg.LinAlgError("stability bound undefined: singular normal matrix")
-    b_op = X.T * (1.0 + 2.0 * gamma * w)[None, :]
-    return float(np.linalg.svd(b_op, compute_uv=False)[0]) / lam_min
+def local_fit_summaries(X, y, beta):
+    """Unweighted RMSE / R^2 / residuals over the neighborhood rows.
 
-
-def local_fit_summaries(X, y, beta, weights):
-    """Unweighted RMSE / R^2 / residuals over the neighborhood rows."""
+    R^2 is undefined for a constant response: it is reported as 0 with
+    r2_defined False.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    residuals = y - X @ beta
-    rmse = math.sqrt(float(np.mean(residuals * residuals)))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot > 0.0:
-        r2 = 1.0 - float(np.sum(residuals * residuals)) / ss_tot
-        return FitSummaries(rmse, r2, True, residuals)
-    return FitSummaries(rmse, 0.0, False, residuals)
+    residuals = y - np.sum(X * np.asarray(beta)[..., None, :], axis=-1)
+    ss_res = np.sum(residuals * residuals, axis=-1)
+    rmse = np.sqrt(ss_res / y.shape[-1])
+    ss_tot = np.sum((y - np.mean(y, axis=-1, keepdims=True)) ** 2, axis=-1)
+    defined = ss_tot > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(defined, 1.0 - ss_res / ss_tot, 0.0)
+    return FitSummaries(rmse, r2, defined, residuals)
 
 
 def cond_wls2(x_standardized, weights, eps_kappa=DEFAULT_EPS_KAPPA):
@@ -140,10 +139,9 @@ def cond_wls2(x_standardized, weights, eps_kappa=DEFAULT_EPS_KAPPA):
     """
     x = np.asarray(x_standardized, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    g11 = float(np.sum(w))
-    g12 = float(np.sum(w * x))
-    g22 = float(np.sum(w * x * x))
+    g11 = np.sum(w, axis=-1)
+    g12 = np.sum(w * x, axis=-1)
+    g22 = np.sum(w * x * x, axis=-1)
     lam_max, lam_min = sym2_eigvals(g11, g12, g22)
-    if lam_max <= 0.0:
-        return math.inf
-    return lam_max / max(lam_min, eps_kappa)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lam_max > 0.0, lam_max / np.maximum(lam_min, eps_kappa), np.inf)

@@ -10,17 +10,16 @@ construction; it is never iterated.
 ``n_eff_post`` always reports the ESS of the *recomputed candidate* weights,
 i.e. the quantity the fallback rule tests. The ESS of the final weight vector
 (which is n_i on the uniform branch) is exposed separately.
+
+Like the orientation stage, every function works on one neighborhood ((K,)
+displacements) or on a stack of them ((C, K), reduced over the last axis).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geo import rotation_matrix
-from .orientation import OrientationResult
 
 FALLBACK_NONE = 0
 FALLBACK_UNIFORM = 1
@@ -29,12 +28,18 @@ FALLBACK_UNDERFLOW = 2
 
 @dataclass(frozen=True)
 class RealizedWeightMap:
-    orientation: OrientationResult
-    h_nominal: float
+    """Safeguarded weights of one neighborhood (scalars, (K,) weights) or of
+    a stack ((C,) arrays, (C, K) weights).
+
+    n_recompute counts the weight recomputations at a corrected bandwidth:
+    1, or 0 when the raw weights underflowed and h_eff could not be formed.
+    """
+
     h_eff: float
     n_eff_raw: float
     n_eff_post: float
     fallback_code: int
+    n_recompute: int
     weights: np.ndarray
 
     @property
@@ -46,25 +51,32 @@ class RealizedWeightMap:
         return ess(self.weights)
 
 
-def build_metric(orient, h):
-    """Weight-evaluation metric Q Lambda Q^T for one neighborhood."""
-    return metric_matrix(orient.phi, orient.theta_z, orient.eta, h)
-
-
 def metric_matrix(phi, theta_z, eta, h):
-    q = rotation_matrix(phi) @ rotation_matrix(theta_z)
-    lam = np.array([[1.0 / (h * h), 0.0], [0.0, 1.0 / (h * h * eta * eta)]])
-    return q @ lam @ q.T
+    """Weight-evaluation metric Q Lambda Q^T, shape (..., 2, 2)."""
+    ca, sa = np.cos(phi), np.sin(phi)
+    cb, sb = np.cos(theta_z), np.sin(theta_z)
+    # Q = R(phi) R(theta_z)
+    q11 = ca * cb - sa * sb
+    q12 = -ca * sb - sa * cb
+    q21 = sa * cb + ca * sb
+    q22 = q11
+    l1 = 1.0 / (h * h)
+    l2 = 1.0 / (h * h * eta * eta)
+    m11 = l1 * q11 * q11 + l2 * q12 * q12
+    m12 = l1 * q11 * q21 + l2 * q12 * q22
+    m22 = l1 * q21 * q21 + l2 * q22 * q22
+    return np.stack([np.stack([m11, m12], axis=-1), np.stack([m12, m22], axis=-1)], axis=-2)
 
 
 def raw_weights(east, north, metric):
     """exp(-Delta^T M Delta) for each displacement."""
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
+    m = np.asarray(metric)[..., None]  # each entry broadcast over the neighborhood axis
     quad = (
-        metric[0, 0] * east * east
-        + 2.0 * metric[0, 1] * east * north
-        + metric[1, 1] * north * north
+        m[..., 0, 0, :] * east * east
+        + 2.0 * m[..., 0, 1, :] * east * north
+        + m[..., 1, 1, :] * north * north
     )
     return np.exp(-quad)
 
@@ -80,64 +92,45 @@ def ess(normalized_weights):
     return 1.0 / float(np.sum(w * w))
 
 
-def one_shot_safeguard(east, north, orient, h, n0, n_min, on_recompute=None):
+def _normalized(w):
+    """Weights over their sum, the ESS of the result, and where the sum
+    underflowed to 0 (the first two are NaN there)."""
+    total = np.sum(w, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_tilde = w / total
+        return w_tilde, 1.0 / np.sum(w_tilde * w_tilde, axis=-1), total[..., 0] == 0.0
+
+
+def one_shot_safeguard(east, north, orient, h, n0, n_min):
     """Raw weights, single ESS bandwidth correction, uniform fallback.
 
-    on_recompute, when given, is called once per weight recomputation at a
-    corrected bandwidth (instrumentation for the one-shot property).
+    orient supplies phi, theta_z and eta (scalars or (C,) arrays). When every
+    raw weight underflows, h_eff cannot be formed: it is NaN, n_eff_raw is 0,
+    and the weights fall back to uniform, as they do when the corrected
+    weights underflow.
     """
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
-    n = east.shape[0]
+    n = east.shape[-1]
 
     w_raw = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, h))
-    s_raw = float(np.sum(w_raw))
-    if s_raw == 0.0:
-        # every raw weight underflowed; h_eff cannot be formed
-        return RealizedWeightMap(
-            orientation=orient,
-            h_nominal=h,
-            h_eff=math.nan,
-            n_eff_raw=0.0,
-            n_eff_post=float(n),
-            fallback_code=FALLBACK_UNDERFLOW,
-            weights=np.full(n, 1.0 / n),
-        )
-
-    w_tilde = w_raw / s_raw
-    n_eff_raw = 1.0 / float(np.sum(w_tilde * w_tilde))
+    _, n_eff_raw, raw_underflow = _normalized(w_raw)
+    n_eff_raw = np.where(raw_underflow, 0.0, n_eff_raw)
 
     # unconditional one-shot correction: shrinks as well as inflates
-    h_eff = h * math.sqrt(n0 / n_eff_raw)
-    if on_recompute is not None:
-        on_recompute(h_eff)
+    with np.errstate(divide="ignore"):
+        h_eff = np.where(raw_underflow, np.nan, h * np.sqrt(n0 / n_eff_raw))
     w1 = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, h_eff))
-    s1 = float(np.sum(w1))
-    if s1 == 0.0:
-        return RealizedWeightMap(
-            orientation=orient,
-            h_nominal=h,
-            h_eff=h_eff,
-            n_eff_raw=n_eff_raw,
-            n_eff_post=float(n),
-            fallback_code=FALLBACK_UNDERFLOW,
-            weights=np.full(n, 1.0 / n),
-        )
+    w1_tilde, n_eff_post, post_underflow = _normalized(w1)
+    underflow = raw_underflow | post_underflow
 
-    w1_tilde = w1 / s1
-    n_eff_post = 1.0 / float(np.sum(w1_tilde * w1_tilde))
-    if n_eff_post < n_min:
-        final = np.full(n, 1.0 / n)
-        code = FALLBACK_UNIFORM
-    else:
-        final = w1_tilde
-        code = FALLBACK_NONE
+    code = np.where(underflow, FALLBACK_UNDERFLOW,
+                    np.where(n_eff_post < n_min, FALLBACK_UNIFORM, FALLBACK_NONE))
     return RealizedWeightMap(
-        orientation=orient,
-        h_nominal=h,
         h_eff=h_eff,
         n_eff_raw=n_eff_raw,
-        n_eff_post=n_eff_post,
+        n_eff_post=np.where(underflow, float(n), n_eff_post),
         fallback_code=code,
-        weights=final,
+        n_recompute=np.where(raw_underflow, 0, 1),
+        weights=np.where((code != FALLBACK_NONE)[..., None], 1.0 / n, w1_tilde),
     )

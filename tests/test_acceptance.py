@@ -14,7 +14,7 @@ from gimbal.engine import Dataset, GimbalConfig, fit_all, fit_location
 from gimbal.experiments import E73_N0_SWEEP, run_experiment
 from gimbal.orientation import sym2_eigvals
 from gimbal.simgen import SimSpec, generate
-from gimbal.solver import solve_local, stability_bound
+from gimbal.solver import solve_local
 from gimbal.weights import ess, one_shot_safeguard
 from gimbal.orientation import OrientationResult
 
@@ -87,7 +87,7 @@ def test_criterion_4_stability_bound():
     for _ in range(100):
         X, _, w = random_instance(rng, n=25)
         gamma = rng.uniform(0, 5)
-        bound = stability_bound(X, w, gamma)
+        bound = solve_local(X, np.zeros(25), w, gamma).operator_norm_bound
         for _ in range(100):
             y1 = rng.normal(0, 1, 25)
             y2 = rng.normal(0, 1, 25)
@@ -110,10 +110,8 @@ def test_criterion_5_ess_algebra():
         n = int(rng.integers(2, 40))
         east = rng.normal(0, 3000, n)
         north = rng.normal(0, 3000, n)
-        calls = []
-        one_shot_safeguard(east, north, orient, 2000.0, n0=10.0, n_min=4.0,
-                           on_recompute=calls.append)
-        assert len(calls) == 1
+        wm = one_shot_safeguard(east, north, orient, 2000.0, n0=10.0, n_min=4.0)
+        assert wm.n_recompute == 1
 
 
 @_criterion(6, "deactivated mechanisms give normalized isotropic Gaussian within 1e-12")
@@ -122,7 +120,7 @@ def test_criterion_6_isotropic_reduction():
     cfg = GimbalConfig(k=30, phi_mode="forced_zero", theta_z_mode="off",
                        eta_mode="forced_one")
     from gimbal.geo import tangent_displacements
-    from gimbal.weights import build_metric, raw_weights
+    from gimbal.weights import metric_matrix, raw_weights
     from gimbal.neighborhood import knn
 
     for i in (0, 42, 99):
@@ -131,7 +129,7 @@ def test_criterion_6_isotropic_reduction():
             float(ds.lat[i]), float(ds.lon[i]),
             ds.lat[nb.member_indices], ds.lon[nb.member_indices])
         orient = OrientationResult(0.0, 0.0, True, 0.0, 0.0, True, 1.0, 0.0, 0.0)
-        w = raw_weights(east, north, build_metric(orient, cfg.h))
+        w = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, cfg.h))
         planar_sq = east**2 + north**2
         expect = np.exp(-planar_sq / cfg.h**2)
         assert np.allclose(w / w.sum(), expect / expect.sum(), rtol=1e-12, atol=1e-15)
@@ -160,7 +158,7 @@ def test_criterion_8_experiment_72(experiment_reports):
 
 @_criterion(9, "experiment 7.3: ESS monotone, fallback monotone, RMSE constant to 3dp")
 def test_criterion_9_experiment_73(experiment_reports):
-    report, _ = experiment_reports["e73"]
+    report, records = experiment_reports["e73"]
     s = report["summaries"]
     neff = [s[f"n0_{n:g}"]["mu_neff_post"] for n in E73_N0_SWEEP]
     prun = [s[f"n0_{n:g}"]["pr_uniform"] for n in E73_N0_SWEEP]
@@ -168,6 +166,8 @@ def test_criterion_9_experiment_73(experiment_reports):
     assert all(b >= a for a, b in zip(neff, neff[1:])), neff
     assert all(b <= a for a, b in zip(prun, prun[1:])), prun
     assert max(rmse) - min(rmse) < 5e-4, rmse
+    # the safeguard is one-shot at every target of every variant
+    assert all(np.all(r.weight_map.n_recompute <= 1) for r in records.values())
 
 
 @_criterion(10, "experiment 7.4: theta 0 vs 1, l1 > 0.05, RMSE gap < 0.005")
@@ -286,8 +286,8 @@ def _oracle_weight_vector(lat_t, lon_t, lats, lons, ys, h, u, eps_phi,
 
 @_criterion(12, "weights/KNN/eigenvalues match independent brute-force oracles")
 def test_criterion_12_oracles():
-    from gimbal.geo import haversine_distance
     from gimbal.neighborhood import knn
+    from scalar_geo import haversine_distance
 
     rng = np.random.default_rng(105)
     ds, _ = generate(SimSpec(n=200, extent=15_000.0, seed=12))

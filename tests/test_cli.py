@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gimbal.cli import RECORD_FIELDS, main, read_dataset
-from gimbal.engine import Dataset, GimbalConfig, fit_all, predict_at, standardized_covariate
+from gimbal.engine import GimbalConfig, predict, standardized_covariate
 
 
 def write_csv(path, rows, header=("lat", "lon", "x", "y")):
@@ -104,14 +104,17 @@ def test_config_precedence(tmp_path):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # unknown keys, and known keys holding a value of the wrong type
     inp = tmp_path / "data.csv"
     write_csv(inp, toy_rows())
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"bandwidth": 10}))
-    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
-               "--out-summary", str(tmp_path / "s.json"), "--config", str(cfg_file)])
-    assert rc == 2
-    assert "bandwidth" in capsys.readouterr().err
+    for config, named in (({"bandwidth": 10}, "bandwidth"), ({"k": 50.5}, "K"),
+                          ({"k": True}, "K"), ({"u": math.inf}, "u")):
+        cfg_file.write_text(json.dumps(config))
+        rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+                   "--out-summary", str(tmp_path / "s.json"), "--config", str(cfg_file)])
+        assert rc == 2, config
+        assert named in capsys.readouterr().err
 
 
 def test_fit_all_ill_posed_still_exits_zero(tmp_path):
@@ -157,10 +160,9 @@ def test_predict_protocol_and_cross_check(tmp_path):
     assert header[:7] == ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
     cfg = GimbalConfig(k=20)
     _, mean, std = standardized_covariate(train.x)
+    expect, _ = predict(train, cfg, train.lat[:5], train.lon[:5], train.x[:5], x_moments=(mean, std))
     for i, row in enumerate(rows):
-        expect, _ = predict_at(train, cfg, float(train.lat[i]), float(train.lon[i]),
-                               float(train.x[i]), x_moments=(mean, std))
-        assert float(row[5]) == pytest.approx(expect, rel=1e-12)
+        assert float(row[5]) == pytest.approx(expect[i], rel=1e-12)
 
 
 def test_predict_residual_knn_zero_residuals(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gimbal.diagnostics import local_moran, reliability_mask
-from gimbal.engine import GimbalConfig, fit_all
+from gimbal.engine import Dataset, GimbalConfig, fit_all
 from gimbal.simgen import SimSpec, generate
 
 
@@ -69,9 +69,9 @@ def test_mask_no_flags_when_everything_clean():
 
 
 def test_mask_quantile_selects_top_tail():
-    records = records_fixture()[:100]
+    records = records_fixture().take(slice(0, 100))
     flags = reliability_mask(records, kappa_quantile=0.95, neff_floor=0.0)
-    kappas = np.array([r.fit.m_nor_condition for r in records])
+    kappas = records.fit.m_nor_condition
     # sort-based oracle: exactly the strictly-above-quantile records
     expect = kappas > np.quantile(kappas, 0.95)
     assert np.array_equal(flags, expect)
@@ -87,14 +87,18 @@ def test_mask_monotone_in_quantile():
 
 def test_mask_neff_floor_and_ill_posed():
     records = records_fixture()
-    floor = np.median([r.weight_map.n_eff_post for r in records])
+    floor = np.median(records.weight_map.n_eff_post)
     flags = reliability_mask(records, kappa_quantile=1.0, neff_floor=floor)
-    for r, f in zip(records, flags):
-        assert f == (r.weight_map.n_eff_post < floor)
+    assert np.array_equal(flags, records.weight_map.n_eff_post < floor)
 
-    from gimbal.engine import Dataset
-
-    tiny = Dataset(lat=np.array([35.0]), lon=np.array([135.0]),
-                   x=np.array([1.0]), y=np.array([0.0]))
-    bad = fit_all(tiny, GimbalConfig(k=1))
-    assert reliability_mask(bad + records, 1.0, 0.0)[0]
+    # a far cluster with a constant covariate: its neighborhoods are
+    # rank-deficient, and each of its targets is flagged
+    ds, _ = generate(SimSpec(n=120, extent=15_000.0, seed=21))
+    rng = np.random.default_rng(82)
+    mixed = Dataset(lat=np.append(ds.lat, 36.0 + rng.uniform(0, 0.01, 25)),
+                    lon=np.append(ds.lon, rng.uniform(135.0, 135.01, 25)),
+                    x=np.append(ds.x, np.ones(25)), y=np.append(ds.y, rng.normal(0, 1, 25)))
+    result = fit_all(mixed, GimbalConfig(k=25))
+    ill = ~result.fit.well_posed
+    assert ill[120:].all() and not ill[:120].any()
+    assert np.array_equal(reliability_mask(result, 1.0, 0.0), ill)

@@ -6,12 +6,13 @@ import pytest
 
 from gimbal.engine import (
     BRANCH_ILL_POSED,
+    CHUNK_TARGETS,
     Dataset,
     GimbalConfig,
     build_local_design,
     fit_all,
     fit_location,
-    predict_at,
+    predict,
     residual_knn_correct,
     standardized_covariate,
 )
@@ -33,6 +34,10 @@ def test_config_validation():
         GimbalConfig(eta_max=0.5)
     with pytest.raises(ConfigurationError):
         GimbalConfig(theta_z_mode="maybe")
+    for bad in (dict(k=50.5), dict(k=True), dict(u=math.inf), dict(u=math.nan), dict(n0=0.0)):
+        with pytest.raises(ConfigurationError):
+            GimbalConfig(**bad)
+    assert GimbalConfig(k=np.int64(7)).k == 7
     assert GimbalConfig(u=None).u_scale == 3000.0
     assert GimbalConfig(u=1234.0).u_scale == 1234.0
 
@@ -68,16 +73,15 @@ def test_mode_overrides():
     ds = small_dataset()
     proxy = GimbalConfig(k=20, phi_mode="forced_zero", theta_z_mode="off",
                          eta_mode="forced_one")
-    recs = fit_all(ds, proxy)
-    for r in recs:
-        assert r.orientation.phi == 0.0
-        assert r.orientation.phi_deactivated
-        assert r.orientation.theta_z == 0.0
-        assert r.orientation.theta_deactivated
-        assert r.orientation.eta == 1.0
-        # diagnostics still reported from data
-        assert r.orientation.r_phi > 0.0
-        assert r.orientation.g_ident > 0.0
+    o = fit_all(ds, proxy).orientation
+    assert np.all(o.phi == 0.0)
+    assert np.all(o.phi_deactivated)
+    assert np.all(o.theta_z == 0.0)
+    assert np.all(o.theta_deactivated)
+    assert np.all(o.eta == 1.0)
+    # diagnostics still reported from data
+    assert np.all(o.r_phi > 0.0)
+    assert np.all(o.g_ident > 0.0)
 
 
 def test_isotropic_proxy_weights_are_gaussian_pre_safeguard():
@@ -104,8 +108,45 @@ def test_fit_all_order_and_parallel_serial_bitwise():
     cfg = GimbalConfig(k=15)
     serial = fit_all(ds, cfg, threads=1)
     parallel = fit_all(ds, cfg, threads=4)
-    assert [r.index for r in serial] == list(range(ds.n))
+    assert serial.index.tolist() == list(range(ds.n))
     assert pickle.dumps(serial) == pickle.dumps(parallel)
+
+
+def test_fit_location_equals_its_row_of_fit_all():
+    # rows on both sides of a chunk boundary: a target's values do not depend
+    # on the other targets of its chunk
+    ds = small_dataset(seed=7, n=CHUNK_TARGETS + 20)
+    cfg = GimbalConfig(k=12)
+    result = fit_all(ds, cfg, threads=2)
+    for i in (0, CHUNK_TARGETS - 1, CHUNK_TARGETS, ds.n - 1):
+        assert pickle.dumps(fit_location(ds, cfg, i)) == pickle.dumps(result.record(i))
+
+
+def test_fit_longitude_shift_invariance():
+    # the same cloud centred on lon 0 and on the antimeridian: neighborhoods
+    # are identical, so every record must be too
+    rng = np.random.default_rng(12)
+    lat = rng.uniform(-0.1, 0.1, 300)
+    dlon = rng.uniform(-0.1, 0.1, 300)
+    x = rng.normal(0.0, 1.0, 300)
+    y = 1.0 + 0.5 * x + rng.normal(0.0, 0.3, 300)
+    lon_far = np.where(dlon > 0.0, dlon - 180.0, dlon + 180.0)
+    cfg = GimbalConfig(k=30)
+    near = fit_all(Dataset(lat=lat, lon=dlon, x=x, y=y), cfg)
+    far = fit_all(Dataset(lat=lat, lon=lon_far, x=x, y=y), cfg)
+    assert np.array_equal(near.neighborhood.member_indices, far.neighborhood.member_indices)
+    for name in ("phi", "r_phi", "theta_z", "g_ident", "eta", "lambda_max", "lambda_min"):
+        np.testing.assert_allclose(getattr(far.orientation, name), getattr(near.orientation, name),
+                                   rtol=1e-9, atol=1e-9, err_msg=name)
+    for a, b in ((far.weight_map.weights, near.weight_map.weights),
+                 (far.weight_map.n_eff_post, near.weight_map.n_eff_post),
+                 (far.fit.beta, near.fit.beta),
+                 (far.residual_at_target, near.residual_at_target)):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+    for name in ("phi_deactivated", "theta_deactivated"):
+        assert np.array_equal(getattr(far.orientation, name), getattr(near.orientation, name))
+    assert np.array_equal(far.weight_map.fallback_code, near.weight_map.fallback_code)
+    assert np.array_equal(far.fit.well_posed, near.fit.well_posed)
 
 
 def test_fit_all_k_too_large():
@@ -119,14 +160,14 @@ def test_single_point_dataset_is_ill_posed_not_crash():
                  x=np.array([1.0]), y=np.array([2.0]))
     recs = fit_all(ds, GimbalConfig(k=1))
     assert len(recs) == 1
-    assert not recs[0].fit.well_posed
-    assert BRANCH_ILL_POSED in recs[0].branch_codes
+    assert not recs.fit.well_posed[0]
+    assert BRANCH_ILL_POSED in recs.record(0).branch_codes
 
 
 def test_branch_codes_consistent_with_flags():
     ds = small_dataset(seed=5, n=120)
     recs = fit_all(ds, GimbalConfig(k=25, n_min=20.0))
-    for r in recs:
+    for r in map(recs.record, range(len(recs))):
         assert ("phi_iso" in r.branch_codes) == r.orientation.phi_deactivated
         assert ("theta_nonident" in r.branch_codes) == r.orientation.theta_deactivated
         has_fallback = ("uniform_fallback" in r.branch_codes) or (
@@ -141,8 +182,8 @@ def test_predict_matches_in_sample_fitted_value_at_zero_z():
     # location's neighborhood, coefficients, and z=0 fitted value exactly
     train = small_dataset(seed=2, n=80)
     cfg = GimbalConfig(k=20)
-    pred, record = predict_at(train, cfg, float(train.lat[4]), float(train.lon[4]),
-                              float(train.x[4]))
+    preds, result = predict(train, cfg, train.lat[4:5], train.lon[4:5], train.x[4:5])
+    pred, record = preds[0], result.record(0)
     assert record.fit.well_posed
     in_sample = fit_location(train, cfg, 4)
     assert np.array_equal(record.neighborhood.member_indices,
@@ -155,7 +196,8 @@ def test_predict_matches_in_sample_fitted_value_at_zero_z():
 def test_prediction_independent_of_beta2():
     train = small_dataset(seed=3, n=80)
     cfg = GimbalConfig(k=20)
-    pred, record = predict_at(train, cfg, 35.01, 135.01, 0.7)
+    preds, result = predict(train, cfg, [35.01], [135.01], [0.7])
+    pred, record = preds[0], result.record(0)
     # recompute the prediction from the record's own coefficients
     assert pred == pytest.approx(record.fit.beta[0] + record.fit.beta[1] * 0.7)
 
@@ -163,7 +205,7 @@ def test_prediction_independent_of_beta2():
 def test_predict_neighborhood_is_training_only():
     train = small_dataset(seed=4, n=50)
     cfg = GimbalConfig(k=50)  # all training points
-    _, record = predict_at(train, cfg, 35.02, 135.02, 0.0)
+    record = predict(train, cfg, [35.02], [135.02], [0.0])[1].record(0)
     assert sorted(record.neighborhood.member_indices.tolist()) == list(range(50))
     assert not record.neighborhood.self_included
 
@@ -174,10 +216,9 @@ def test_predict_oos_rmse_sanity_envelope():
     test = Dataset(lat=ds.lat[240:], lon=ds.lon[240:], x=ds.x[240:], y=ds.y[240:])
     cfg = GimbalConfig(k=30)
     in_sample = fit_all(train, cfg)
-    mu_in = float(np.mean([r.fit.rmse_local for r in in_sample]))
-    preds = [predict_at(train, cfg, float(test.lat[i]), float(test.lon[i]),
-                        float(test.x[i]))[0] for i in range(test.n)]
-    rmse_out = math.sqrt(float(np.mean((np.array(preds) - test.y) ** 2)))
+    mu_in = float(np.mean(in_sample.fit.rmse_local))
+    preds, _ = predict(train, cfg, test.lat, test.lon, test.x)
+    rmse_out = math.sqrt(float(np.mean((preds - test.y) ** 2)))
     assert math.isfinite(rmse_out)
     assert rmse_out < 2.0 * max(mu_in, 1.0)
 
@@ -186,18 +227,18 @@ def test_residual_knn_correct():
     lats = np.array([35.0, 35.1, 35.2, 35.3])
     lons = np.full(4, 135.0)
     res = np.array([1.0, 2.0, 3.0, 4.0])
-    assert residual_knn_correct(np.zeros(4), lats, lons, 35.05, 135.0, 2) == 0.0
-    assert residual_knn_correct(res, lats, lons, 35.09, 135.0, 1) == 2.0
+    assert residual_knn_correct(np.zeros(4), lats, lons, [35.05], [135.0], 2).tolist() == [0.0]
+    assert residual_knn_correct(res, lats, lons, [35.09, 35.21], [135.0, 135.0], 1).tolist() == [2.0, 3.0]
     # brute-force check
     rng = np.random.default_rng(70)
     lats = rng.uniform(34.8, 35.2, 30)
     lons = rng.uniform(134.8, 135.2, 30)
     res = rng.normal(0, 1, 30)
-    from gimbal.geo import haversine_distance
+    from scalar_geo import haversine_distance
 
     order = sorted(range(30), key=lambda i: (haversine_distance((35.0, 135.0), (lats[i], lons[i])), i))
     expect = float(np.mean(res[order[:5]]))
-    assert residual_knn_correct(res, lats, lons, 35.0, 135.0, 5) == pytest.approx(expect, rel=1e-12)
+    assert residual_knn_correct(res, lats, lons, [35.0], [135.0], 5)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_standardized_covariate_constant_column():

@@ -5,16 +5,18 @@ import pytest
 
 from gimbal.geo import (
     EARTH_RADIUS_M,
+    haversine_to_all,
+    meters_to_geo_arrays,
+    rotation_matrix,
+    tangent_displacements,
+)
+from scalar_geo import (
     Displacement,
     GeoPoint,
     bearing,
     haversine_distance,
-    haversine_to_all,
     meters_to_geo,
-    meters_to_geo_arrays,
-    rotation_matrix,
     tangent_displacement,
-    tangent_displacements,
 )
 
 

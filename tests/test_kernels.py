@@ -1,91 +1,55 @@
-import math
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from gimbal import kernels
+from gimbal.engine import GimbalConfig
+from gimbal.geo import tangent_displacements
+from gimbal.solver import cond_wls2, solve_local
 
 
-@pytest.fixture
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
+def stacked_neighborhoods(rng, c, k):
+    """c random neighborhoods of k points, spread from far inside to far
+    outside the bandwidth; every third has a zero displacement."""
+    lat0 = rng.uniform(-60.0, 60.0, c)
+    lon0 = rng.uniform(-179.0, 179.0, c)
+    spread = rng.choice([0.003, 0.03, 20.0], (c, 1))
+    lats = lat0[:, None] + spread * rng.normal(0.0, 1.0, (c, k))
+    lons = lon0[:, None] + spread * rng.normal(0.0, 1.0, (c, k))
+    lats[::3, 0] = lat0[::3]
+    lons[::3, 0] = lon0[::3]
+    return lat0, lon0, lats, lons
 
 
-def random_neighborhood(rng, n):
-    east = rng.normal(0, 3000, n)
-    north = rng.normal(0, 3000, n)
-    if rng.random() < 0.5:
-        east[0] = 0.0
-        north[0] = 0.0
+def assert_rows_equal(stacked, rows):
+    for name, value in vars(stacked).items():
+        joined = np.concatenate([vars(r)[name] for r in rows])
+        assert np.array_equal(value, joined, equal_nan=True), name
+
+
+def test_batched_stages_equal_one_row_calls_bitwise():
+    rng = np.random.default_rng(60)
+    c, k = 40, 25
+    lat0, lon0, lats, lons = stacked_neighborhoods(rng, c, k)
+    east, north = tangent_displacements(lat0, lon0, lats, lons)
+    assert np.any((east == 0.0) & (north == 0.0))
     dist = np.hypot(east, north)
     z = dist / 3000.0
-    y = rng.normal(0, 1, n)
-    return east, north, dist, z, y
+    x = rng.normal(0.0, 1.0, (c, k))
+    y = rng.normal(0.0, 1.0, (c, k))
+    config = GimbalConfig(k=k, n0=10.0, n_min=6.0)
 
+    orient, wmap = kernels.weight_map(east, north, dist, z, y, config)
+    X = np.stack([np.ones_like(z), x, z], axis=-1)
+    fit = solve_local(X, y, wmap.weights, config.gamma)
+    cw2 = cond_wls2(x, wmap.weights)
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_weight_map_paths_agree(restore_backend):
-    rng = np.random.default_rng(60)
-    for trial in range(100):
-        n = int(rng.integers(2, 50))
-        east, north, dist, z, y = random_neighborhood(rng, n)
-        flags = (int(rng.random() < 0.8), int(rng.random() < 0.8), int(rng.random() < 0.8))
-        args = (east, north, dist, z, y, 3000.0, 1e-3, 1e-8, 1e-8, 50.0,
-                15.0, 4.0, *flags)
-        kernels.set_backend("numpy")
-        a = kernels.weight_map(*args)
-        kernels.set_backend("numba")
-        b = kernels.weight_map(*args)
-        # scalars
-        for i in range(14):
-            if isinstance(a[i], float) and math.isnan(a[i]):
-                assert math.isnan(b[i])
-            elif isinstance(a[i], (bool, int)) or i in (12, 13):
-                assert a[i] == b[i], (trial, i)
-            else:
-                assert abs(a[i] - b[i]) <= 1e-12 * max(1.0, abs(a[i])), (trial, i)
-        assert np.allclose(a[14], b[14], rtol=0, atol=1e-12)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_haversine_paths_agree(restore_backend):
-    rng = np.random.default_rng(61)
-    lats = rng.uniform(-60, 60, 300)
-    lons = rng.uniform(-179, 179, 300)
-    kernels.set_backend("numpy")
-    a = kernels.haversine_row(lats, lons, 35.0, 135.0)
-    kernels.set_backend("numba")
-    b = kernels.haversine_row(lats, lons, 35.0, 135.0)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-6)
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-def test_env_flag_selects_numpy_fallback():
-    code = (
-        "import gimbal.kernels as k; "
-        "assert k.active_backend() == 'numpy', k.active_backend(); "
-        "print('ok')"
-    )
-    env = dict(os.environ, GIMBAL_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_default_backend_is_numba_without_flag():
-    env = {k: v for k, v in os.environ.items() if k != "GIMBAL_DISABLE_NUMBA"}
-    code = "import gimbal.kernels as k; print(k.active_backend())"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "numba"
+    one = [slice(i, i + 1) for i in range(c)]
+    rows = [tangent_displacements(lat0[s], lon0[s], lats[s], lons[s]) for s in one]
+    assert np.array_equal(east, np.concatenate([r[0] for r in rows]))
+    assert np.array_equal(north, np.concatenate([r[1] for r in rows]))
+    rows = [kernels.weight_map(east[s], north[s], dist[s], z[s], y[s], config) for s in one]
+    assert_rows_equal(orient, [r[0] for r in rows])
+    assert_rows_equal(wmap, [r[1] for r in rows])
+    assert_rows_equal(fit, [solve_local(X[s], y[s], wmap.weights[s], config.gamma) for s in one])
+    assert np.array_equal(cw2, np.concatenate([cond_wls2(x[s], wmap.weights[s]) for s in one]))
+    # the stack exercises every branch of the safeguard
+    assert set(wmap.fallback_code.tolist()) == {0, 1, 2}

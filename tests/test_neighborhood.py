@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gimbal.geo import haversine_distance
+from scalar_geo import haversine_distance
 from gimbal.neighborhood import ConfigurationError, knn
 
 

@@ -12,10 +12,17 @@ from gimbal.orientation import (
 )
 
 
+def resultant_of_bearings(th, d, h, eps_phi):
+    """bearing_resultant of neighbors at bearings th and distances d."""
+    th = np.asarray(th, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    return bearing_resultant(d * np.cos(th), d * np.sin(th), d, h, eps_phi)
+
+
 def test_bearing_resultant_aligned_field():
     th = np.full(6, 0.7)
     d = np.linspace(100, 2000, 6)
-    phi, r, deact = bearing_resultant(th, d, 1500.0, 1e-3)
+    phi, r, deact = resultant_of_bearings(th, d, 1500.0, 1e-3)
     assert r == pytest.approx(1.0, abs=1e-12)
     assert phi == pytest.approx(0.7, abs=1e-12)
     assert not deact
@@ -24,7 +31,7 @@ def test_bearing_resultant_aligned_field():
 def test_bearing_resultant_perfect_balance_deactivates():
     th = np.array([0.4, 0.4 + math.pi])
     d = np.array([500.0, 500.0])
-    phi, r, deact = bearing_resultant(th, d, 1000.0, 1e-3)
+    phi, r, deact = resultant_of_bearings(th, d, 1000.0, 1e-3)
     assert r <= 1e-3
     assert phi == 0.0
     assert deact
@@ -37,7 +44,7 @@ def test_bearing_resultant_complex_sum_oracle():
         th = rng.uniform(-math.pi, math.pi, n)
         d = rng.uniform(10, 5000, n)
         h = 2000.0
-        phi, r, deact = bearing_resultant(th, d, h, 1e-3)
+        phi, r, deact = resultant_of_bearings(th, d, h, 1e-3)
         # independent complex-arithmetic evaluation
         total = sum(math.exp(-(di * di) / (h * h)) * cmath.exp(1j * ti)
                     for di, ti in zip(d, th))
@@ -51,23 +58,36 @@ def test_bearing_resultant_permutation_invariant():
     rng = np.random.default_rng(21)
     th = rng.uniform(-math.pi, math.pi, 30)
     d = rng.uniform(10, 5000, 30)
-    phi_a, r_a, _ = bearing_resultant(th, d, 3000.0, 1e-3)
+    phi_a, r_a, _ = resultant_of_bearings(th, d, 3000.0, 1e-3)
     perm = rng.permutation(30)
-    phi_b, r_b, _ = bearing_resultant(th[perm], d[perm], 3000.0, 1e-3)
+    phi_b, r_b, _ = resultant_of_bearings(th[perm], d[perm], 3000.0, 1e-3)
     assert phi_a == pytest.approx(phi_b, abs=1e-12)
     assert r_a == pytest.approx(r_b, abs=1e-12)
 
 
 def test_bearing_resultant_empty_is_isotropic():
-    phi, r, deact = bearing_resultant(np.array([]), np.array([]), 1000.0, 1e-3)
+    phi, r, deact = resultant_of_bearings(np.array([]), np.array([]), 1000.0, 1e-3)
     assert (phi, r, deact) == (0.0, 0.0, True)
+
+
+def test_bearing_resultant_ignores_zero_displacements():
+    rng = np.random.default_rng(29)
+    east = rng.normal(0, 1500, 12)
+    north = rng.normal(0, 1500, 12)
+    d = np.hypot(east, north)
+    with_self = bearing_resultant(np.append(0.0, east), np.append(0.0, north),
+                                  np.append(0.0, d), 2000.0, 1e-3)
+    without = bearing_resultant(east, north, d, 2000.0, 1e-3)
+    assert with_self == pytest.approx(without, abs=1e-12)
+    # only coincident points: no bearing at all
+    assert bearing_resultant(np.zeros(3), np.zeros(3), np.zeros(3), 2000.0, 1e-3) == (0.0, 0.0, True)
 
 
 def test_bearing_resultant_decay_underflow_is_isotropic():
     # distances so large that every decay weight underflows to zero
     th = np.array([0.1, 0.2, 0.3])
     d = np.full(3, 1.0e9)
-    phi, r, deact = bearing_resultant(th, d, 10.0, 1e-3)
+    phi, r, deact = resultant_of_bearings(th, d, 10.0, 1e-3)
     assert (phi, r, deact) == (0.0, 0.0, True)
 
 
@@ -210,7 +230,7 @@ def test_flags_match_threshold_predicates():
         th = rng.uniform(-math.pi, math.pi, n)
         d = rng.uniform(1, 4000, n)
         eps = rng.uniform(0, 1)
-        phi, r, deact = bearing_resultant(th, d, 1500.0, eps)
+        phi, r, deact = resultant_of_bearings(th, d, 1500.0, eps)
         assert deact == (r <= eps)
         assert 0.0 <= r <= 1.0 + 1e-12
         if deact:

@@ -8,7 +8,6 @@ from gimbal.weights import (
     FALLBACK_NONE,
     FALLBACK_UNDERFLOW,
     FALLBACK_UNIFORM,
-    build_metric,
     ess,
     metric_matrix,
     one_shot_safeguard,
@@ -25,7 +24,8 @@ def orient(phi=0.0, theta=0.0, eta=1.0):
 
 
 def test_metric_isotropic_reduction():
-    m = build_metric(orient(), 2000.0)
+    o = orient()
+    m = metric_matrix(o.phi, o.theta_z, o.eta, 2000.0)
     assert np.allclose(m, np.eye(2) / 2000.0**2, atol=1e-18)
 
 
@@ -127,6 +127,7 @@ def test_safeguard_underflow_branch():
     assert wm.fallback_code == FALLBACK_UNDERFLOW
     assert wm.n_eff_raw == 0.0
     assert math.isnan(wm.h_eff)
+    assert wm.n_recompute == 0
     assert np.allclose(wm.weights, 0.2)
 
 
@@ -134,10 +135,9 @@ def test_safeguard_exactly_one_recomputation():
     rng = np.random.default_rng(32)
     for _ in range(50):
         east, north, _ = random_cloud(rng, 20)
-        calls = []
-        one_shot_safeguard(east, north, orient(eta=rng.uniform(1, 10)), 1500.0,
-                           n0=10.0, n_min=4.0, on_recompute=calls.append)
-        assert len(calls) == 1
+        wm = one_shot_safeguard(east, north, orient(eta=rng.uniform(1, 10)), 1500.0,
+                                n0=10.0, n_min=4.0)
+        assert wm.n_recompute == 1
 
 
 def test_final_weights_normalized_and_nonnegative():
@@ -160,7 +160,8 @@ def test_isotropic_deactivated_equals_gaussian_within_1e12():
     rng = np.random.default_rng(34)
     east, north, d = random_cloud(rng, 40)
     h = 2500.0
-    w = raw_weights(east, north, build_metric(orient(), h))
+    o = orient()
+    w = raw_weights(east, north, metric_matrix(o.phi, o.theta_z, o.eta, h))
     expect = np.exp(-(d / h) ** 2)
     assert np.allclose(w / w.sum(), expect / expect.sum(), atol=1e-12, rtol=1e-12)
 
