@@ -162,7 +162,11 @@ def _moran_over_records(result, k_moran):
     residuals = result.residual_at_target
     finite = np.isfinite(residuals)
     values = np.full(len(result), math.nan)
-    if np.sum(finite) >= 2:
+    n_finite = int(np.sum(finite))
+    if n_finite >= 2:
+        if not 1 <= k_moran < n_finite:
+            raise ConfigurationError(f"--moran-k {k_moran} outside the eligible range "
+                                     f"[1, {n_finite - 1}]: {n_finite} locations have a finite residual")
         sub, defined = local_moran(residuals[finite], result.lat[finite], result.lon[finite], k_moran)
         if defined:
             values[finite] = sub
@@ -220,6 +224,11 @@ def build_config(args):
 # ---------------------------------------------------------------- commands
 
 def cmd_fit(args):
+    quantile, floor = args.fragile_kappa_quantile, args.fragile_neff_floor
+    if not 0.0 <= quantile <= 1.0:
+        raise InputError(f"--fragile-kappa-quantile must lie in [0, 1], got {quantile}")
+    if not math.isfinite(floor):
+        raise InputError(f"--fragile-neff-floor must be finite, got {floor}")
     dataset = read_dataset(args.input)
     config = build_config(args)
     try:
@@ -257,7 +266,9 @@ def cmd_predict(args):
     if config.k > train.n:
         raise InputError(f"K={config.k} exceeds training size {train.n}")
 
-    use_residual_knn = args.residual_knn is not None and args.residual_knn > 0
+    if args.residual_knn < 0:
+        raise InputError(f"--residual-knn must be >= 0 (0 means no correction), got {args.residual_knn}")
+    use_residual_knn = args.residual_knn > 0
     if use_residual_knn and args.residual_knn > train.n:
         raise InputError(f"--residual-knn {args.residual_knn} exceeds training size {train.n}")
 
@@ -354,7 +365,7 @@ def _build_parser():
     p_pred.add_argument("--test", required=True, type=Path)
     p_pred.add_argument("--out", required=True, type=Path)
     p_pred.add_argument("--threads", type=int, default=1)
-    p_pred.add_argument("--residual-knn", type=int, default=None)
+    p_pred.add_argument("--residual-knn", type=int, default=0, help="0 = no correction")
     _add_config_flags(p_pred)
     p_pred.set_defaults(func=cmd_predict)
 

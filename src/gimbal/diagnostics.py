@@ -24,19 +24,13 @@ def local_moran(residuals, lats, lons, k_moran=DEFAULT_K_MORAN):
     undefined; all values are 0 and defined is False.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
-    lats = np.asarray(lats, dtype=np.float64)
-    lons = np.asarray(lons, dtype=np.float64)
     n = residuals.shape[0]
     std = float(np.std(residuals))
     if std == 0.0:
         return np.zeros(n), False
     z = (residuals - np.mean(residuals)) / std
-    values = np.empty(n)
-    for i in range(n):
-        nb = knn(lats, lons, lats[i], lons[i], k_moran,
-                 exclude_index=i, target_index=i)
-        values[i] = z[i] * float(np.mean(z[nb.member_indices]))
-    return values, True
+    members, _ = knn(lats, lons, lats, lons, k_moran, exclude=np.arange(n))
+    return z * np.mean(z[members], axis=-1), True
 
 
 def reliability_mask(result, kappa_quantile=0.95, neff_floor=0.0):

@@ -249,16 +249,8 @@ def _fit_targets(dataset, config, lat0, lon0, index, x_std):
     index holds each target's row in dataset, or -1 for an out-of-sample
     target.
     """
-    c = index.shape[0]
-    hoods = [knn(dataset.lat, dataset.lon, la, lo, config.k, target_index=i if i >= 0 else None)
-             for la, lo, i in zip(lat0.tolist(), lon0.tolist(), index.tolist())]
-    nb = Neighborhood(
-        target_index=index,
-        member_indices=np.array([h.member_indices for h in hoods], dtype=np.intp).reshape(c, config.k),
-        distances=np.array([h.distances for h in hoods], dtype=np.float64).reshape(c, config.k),
-        self_included=np.array([h.self_included for h in hoods], dtype=bool),
-    )
-    members = nb.member_indices
+    members, distances = knn(dataset.lat, dataset.lon, lat0, lon0, config.k)
+    nb = Neighborhood(target_index=index, member_indices=members, distances=distances)
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     X, y_loc, z = build_local_design(dataset, nb, config.u_scale)
 
@@ -268,7 +260,8 @@ def _fit_targets(dataset, config, lat0, lon0, index, x_std):
 
     at_target = members == index[:, None]
     residual_at_target = np.where(
-        at_target.any(axis=-1), fit.residuals[np.arange(c), np.argmax(at_target, axis=-1)], np.nan
+        at_target.any(axis=-1),
+        fit.residuals[np.arange(index.shape[0]), np.argmax(at_target, axis=-1)], np.nan,
     )
     return FitResult(
         index=index, lat=lat0, lon=lon0, neighborhood=nb, orientation=orient,
@@ -350,8 +343,5 @@ def predict(train, config, lats, lons, x, x_moments=None, threads=1):
 def residual_knn_correct(training_residuals, train_lats, train_lons,
                          target_lats, target_lons, k_resid):
     """Unweighted mean of the k nearest training residuals at each target."""
-    residuals = np.asarray(training_residuals, dtype=np.float64)
-    return np.array([
-        np.mean(residuals[knn(train_lats, train_lons, la, lo, k_resid).member_indices])
-        for la, lo in zip(np.asarray(target_lats).tolist(), np.asarray(target_lons).tolist())
-    ])
+    members, _ = knn(train_lats, train_lons, target_lats, target_lons, k_resid)
+    return np.mean(np.asarray(training_residuals, dtype=np.float64)[members], axis=-1)

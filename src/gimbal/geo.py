@@ -24,12 +24,13 @@ _DEG = math.pi / 180.0
 
 
 def haversine_to_all(lats, lons, lat0, lon0):
-    """Haversine distances (meters) from one point to every row of lats/lons."""
+    """Haversine distances (meters) from origins to every row of lats/lons:
+    (N,) from a scalar origin, (C, N) from (C, 1) origin arrays."""
     phi = np.asarray(lats, dtype=np.float64) * _DEG
     lam = np.asarray(lons, dtype=np.float64) * _DEG
     phi0 = lat0 * _DEG
     lam0 = lon0 * _DEG
-    s = np.sin((phi - phi0) / 2.0) ** 2 + math.cos(phi0) * np.cos(phi) * np.sin((lam - lam0) / 2.0) ** 2
+    s = np.sin((phi - phi0) / 2.0) ** 2 + np.cos(phi0) * np.cos(phi) * np.sin((lam - lam0) / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 

@@ -124,10 +124,9 @@ def test_criterion_6_isotropic_reduction():
     from gimbal.neighborhood import knn
 
     for i in (0, 42, 99):
-        nb = knn(ds.lat, ds.lon, float(ds.lat[i]), float(ds.lon[i]), 30, target_index=i)
+        members, _ = knn(ds.lat, ds.lon, ds.lat[[i]], ds.lon[[i]], 30)
         east, north = tangent_displacements(
-            float(ds.lat[i]), float(ds.lon[i]),
-            ds.lat[nb.member_indices], ds.lon[nb.member_indices])
+            float(ds.lat[i]), float(ds.lon[i]), ds.lat[members[0]], ds.lon[members[0]])
         orient = OrientationResult(0.0, 0.0, True, 0.0, 0.0, True, 1.0, 0.0, 0.0)
         w = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, cfg.h))
         planar_sq = east**2 + north**2
@@ -310,12 +309,12 @@ def test_criterion_12_oracles():
     for _ in range(20):
         tlat = float(rng.uniform(34.8, 35.2))
         tlon = float(rng.uniform(134.8, 135.2))
-        nb = knn(ds.lat, ds.lon, tlat, tlon, 10)
+        members, _ = knn(ds.lat, ds.lon, [tlat], [tlon], 10)
         pairs = sorted(
             (haversine_distance((tlat, tlon), (float(ds.lat[j]), float(ds.lon[j]))), j)
             for j in range(ds.n)
         )
-        assert nb.member_indices.tolist() == [j for _, j in pairs[:10]]
+        assert members[0].tolist() == [j for _, j in pairs[:10]]
 
     # closed-form 2x2 eigenvalues vs LAPACK's iterative solver
     for _ in range(100):

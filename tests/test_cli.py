@@ -82,10 +82,19 @@ def test_fit_missing_column_exits_2(tmp_path, capsys):
 def test_fit_k_exceeds_n_exits_2(tmp_path, capsys):
     inp = tmp_path / "data.csv"
     write_csv(inp, toy_rows(n=5))
-    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
-               "--out-summary", str(tmp_path / "s.json"), "--k", "50"])
+    base = ["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+            "--out-summary", str(tmp_path / "s.json")]
+    rc = main(base + ["--k", "50"])
     assert rc == 2
     assert "K=50" in capsys.readouterr().err
+    # the Moran adjacency excludes the target: the default --moran-k 8 needs
+    # 9 locations with a finite residual, and the error names the flag
+    for extra in ([], ["--moran-k", "0"], ["--moran-k", "5"]):
+        rc = main(base + ["--k", "5"] + extra)
+        assert rc == 2, extra
+        err = capsys.readouterr().err
+        assert "--moran-k" in err and "[1, 4]" in err and "5 locations" in err, err
+    assert main(base + ["--k", "5", "--moran-k", "4"]) == 0
 
 
 def test_config_precedence(tmp_path):
@@ -115,6 +124,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
                    "--out-summary", str(tmp_path / "s.json"), "--config", str(cfg_file)])
         assert rc == 2, config
         assert named in capsys.readouterr().err
+    # fragility settings are checked like config values
+    for flag, value in (("--fragile-kappa-quantile", "1.5"), ("--fragile-kappa-quantile", "nan"),
+                        ("--fragile-kappa-quantile", "-0.1"), ("--fragile-neff-floor", "nan"),
+                        ("--fragile-neff-floor", "inf")):
+        rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+                   "--out-summary", str(tmp_path / "s.json"), "--k", "4", flag, value])
+        assert rc == 2, (flag, value)
+        assert flag in capsys.readouterr().err
 
 
 def test_fit_all_ill_posed_still_exits_zero(tmp_path):
@@ -189,6 +206,16 @@ def test_predict_residual_knn_zero_residuals(tmp_path):
     _, rk = read_csv_skipping_comments(tmp_path / "pred_rk.csv")
     assert float(plain[0][5]) == pytest.approx(2.5, abs=1e-8)
     assert float(rk[0][8]) == pytest.approx(float(plain[0][5]), abs=1e-9)
+    # 0 means no correction; a negative count is an input error
+    rc = main(["predict", "--train", str(tmp_path / "train.csv"),
+               "--test", str(tmp_path / "test.csv"),
+               "--out", str(tmp_path / "pred_0.csv"), "--k", "10", "--residual-knn", "0"])
+    assert rc == 0
+    assert (tmp_path / "pred_0.csv").read_bytes() == (tmp_path / "pred_plain.csv").read_bytes()
+    rc = main(["predict", "--train", str(tmp_path / "train.csv"),
+               "--test", str(tmp_path / "test.csv"),
+               "--out", str(tmp_path / "pred_neg.csv"), "--k", "10", "--residual-knn", "-1"])
+    assert rc == 2
 
 
 def test_experiment_command_emits_variants_and_report(tmp_path, capsys):

@@ -16,7 +16,7 @@ from gimbal.engine import (
     residual_knn_correct,
     standardized_covariate,
 )
-from gimbal.neighborhood import ConfigurationError, knn
+from gimbal.neighborhood import ConfigurationError, Neighborhood, knn
 from gimbal.simgen import SimSpec, generate
 
 
@@ -51,7 +51,8 @@ def test_dataset_validation_names_row():
 
 def test_build_local_design_z_column():
     ds = small_dataset()
-    nb = knn(ds.lat, ds.lon, float(ds.lat[5]), float(ds.lon[5]), 10, target_index=5)
+    members, distances = knn(ds.lat, ds.lon, ds.lat[[5]], ds.lon[[5]], 10)
+    nb = Neighborhood(target_index=5, member_indices=members[0], distances=distances[0])
     u = 3000.0
     X, y, z = build_local_design(ds, nb, u)
     assert X.shape == (10, 3)
@@ -207,7 +208,8 @@ def test_predict_neighborhood_is_training_only():
     cfg = GimbalConfig(k=50)  # all training points
     record = predict(train, cfg, [35.02], [135.02], [0.0])[1].record(0)
     assert sorted(record.neighborhood.member_indices.tolist()) == list(range(50))
-    assert not record.neighborhood.self_included
+    assert record.index == -1
+    assert math.isnan(record.residual_at_target)  # the target is no member
 
 
 def test_predict_oos_rmse_sanity_envelope():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalar_geo import haversine_distance
-from gimbal.neighborhood import ConfigurationError, knn
+from gimbal.neighborhood import BLOCK_DISTANCES, ConfigurationError, knn
 
 
 def scan_oracle(lats, lons, target, k, exclude=None):
@@ -16,6 +17,22 @@ def scan_oracle(lats, lons, target, k, exclude=None):
     return [i for _, i in pairs[:k]]
 
 
+def knn_one(lats, lons, target_lat, target_lon, k, exclude=None):
+    """knn at one target, as (K,) members and distances."""
+    members, distances = knn(lats, lons, [target_lat], [target_lon], k,
+                             exclude=None if exclude is None else [exclude])
+    return members[0], distances[0]
+
+
+def assert_matches_oracle(lats, lons, target_lats, target_lons, k, exclude=None):
+    members, distances = knn(lats, lons, target_lats, target_lons, k, exclude=exclude)
+    assert members.shape == distances.shape == (len(target_lats), k)
+    for i, target in enumerate(zip(target_lats, target_lons)):
+        skip = None if exclude is None else exclude[i]
+        assert members[i].tolist() == scan_oracle(lats, lons, target, k, exclude=skip), i
+        assert np.all(np.diff(distances[i]) >= 0)
+
+
 def random_cloud(rng, n):
     return rng.uniform(34.5, 35.5, n), rng.uniform(134.5, 135.5, n)
 
@@ -23,17 +40,16 @@ def random_cloud(rng, n):
 def test_self_is_member_zero():
     lats = np.array([35.0, 35.1, 35.2])
     lons = np.array([135.0, 135.0, 135.0])
-    nb = knn(lats, lons, 35.1, 135.0, 2, target_index=1)
-    assert nb.member_indices[0] == 1
-    assert nb.distances[0] == 0.0
-    assert nb.self_included
+    members, distances = knn_one(lats, lons, 35.1, 135.0, 2)
+    assert members[0] == 1
+    assert distances[0] == 0.0
 
 
 def test_k_equals_n_returns_everything():
     rng = np.random.default_rng(7)
     lats, lons = random_cloud(rng, 12)
-    nb = knn(lats, lons, 35.0, 135.0, 12)
-    assert sorted(nb.member_indices.tolist()) == list(range(12))
+    members, _ = knn_one(lats, lons, 35.0, 135.0, 12)
+    assert sorted(members.tolist()) == list(range(12))
 
 
 def test_matches_exhaustive_scan_oracle():
@@ -42,46 +58,134 @@ def test_matches_exhaustive_scan_oracle():
     for _ in range(20):
         tlat = rng.uniform(34.5, 35.5)
         tlon = rng.uniform(134.5, 135.5)
-        nb = knn(lats, lons, tlat, tlon, 5)
-        assert nb.member_indices.tolist() == scan_oracle(lats, lons, (tlat, tlon), 5)
+        members, _ = knn_one(lats, lons, tlat, tlon, 5)
+        assert members.tolist() == scan_oracle(lats, lons, (tlat, tlon), 5)
 
 
 def test_distances_nondecreasing():
     rng = np.random.default_rng(9)
     lats, lons = random_cloud(rng, 80)
-    nb = knn(lats, lons, 35.0, 135.0, 30)
-    assert np.all(np.diff(nb.distances) >= 0)
+    _, distances = knn_one(lats, lons, 35.0, 135.0, 30)
+    assert np.all(np.diff(distances) >= 0)
 
 
 def test_tie_break_by_original_index():
     # three coincident points: smaller indices win the tie
     lats = np.array([35.0, 35.0, 35.0, 35.5])
     lons = np.array([135.0, 135.0, 135.0, 135.0])
-    nb = knn(lats, lons, 35.0, 135.0, 2)
-    assert nb.member_indices.tolist() == [0, 1]
+    members, _ = knn_one(lats, lons, 35.0, 135.0, 2)
+    assert members.tolist() == [0, 1]
 
 
 def test_determinism_two_identical_calls():
     rng = np.random.default_rng(10)
     lats, lons = random_cloud(rng, 40)
-    a = knn(lats, lons, 35.2, 135.2, 10)
-    b = knn(lats, lons, 35.2, 135.2, 10)
-    assert np.array_equal(a.member_indices, b.member_indices)
-    assert np.array_equal(a.distances, b.distances)
+    a = knn_one(lats, lons, 35.2, 135.2, 10)
+    b = knn_one(lats, lons, 35.2, 135.2, 10)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_exclude_index_never_member():
     rng = np.random.default_rng(11)
     lats, lons = random_cloud(rng, 20)
-    nb = knn(lats, lons, lats[3], lons[3], 19, exclude_index=3)
-    assert 3 not in nb.member_indices
-    assert nb.member_indices.tolist() == scan_oracle(lats, lons, (lats[3], lons[3]), 19, exclude=3)
+    members, _ = knn_one(lats, lons, lats[3], lons[3], 19, exclude=3)
+    assert 3 not in members
+    assert members.tolist() == scan_oracle(lats, lons, (lats[3], lons[3]), 19, exclude=3)
 
 
-def test_k_exceeding_eligible_reports_target():
+def test_k_outside_eligible_range_raises():
     lats = np.array([35.0, 35.1])
     lons = np.array([135.0, 135.1])
-    with pytest.raises(ConfigurationError, match="target index 5"):
-        knn(lats, lons, 35.0, 135.0, 2, exclude_index=0, target_index=5)
+    with pytest.raises(ConfigurationError, match=r"K=2 outside the eligible range \[1, 1\]"):
+        knn_one(lats, lons, 35.0, 135.0, 2, exclude=0)
     with pytest.raises(ConfigurationError):
-        knn(lats, lons, 35.0, 135.0, 0)
+        knn_one(lats, lons, 35.0, 135.0, 0)
+
+
+# ---- batched queries against the oracle on tie-heavy and edge geometry
+
+def test_exact_tie_lattice():
+    # a lattice symmetric about the equator and the prime meridian: the four
+    # mirror images of each offset tie exactly, and K cuts through tie groups
+    steps = np.arange(-3, 4) * 0.01
+    lats, lons = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
+    for k in (2, 3, 6, 11, 24, 49):
+        assert_matches_oracle(lats, lons, [0.0], [0.0], k)
+    members, distances = knn_one(lats, lons, 0.0, 0.0, 5)
+    assert members[0] == 24
+    # the four nearest lattice points tie at one distance, taken in index order
+    assert len(set(distances[1:5].tolist())) == 1
+    assert members[1:5].tolist() == sorted(members[1:5].tolist())
+
+
+def test_duplicate_points():
+    rng = np.random.default_rng(12)
+    lats, lons = random_cloud(rng, 6)
+    picks = rng.integers(0, 6, 40)
+    lats, lons = lats[picks], lons[picks]
+    for k in (1, 5, 13, 40):
+        assert_matches_oracle(lats, lons, lats, lons, k)
+
+
+def test_k_equals_n_full_order():
+    rng = np.random.default_rng(13)
+    lats, lons = random_cloud(rng, 30)
+    assert_matches_oracle(lats, lons, lats[:10], lons[:10], 30)
+
+
+def test_exclude_with_k_equals_n_minus_one():
+    rng = np.random.default_rng(14)
+    lats, lons = random_cloud(rng, 25)
+    exclude = np.arange(25)
+    assert_matches_oracle(lats, lons, lats, lons, 24, exclude=exclude)
+    members, _ = knn(lats, lons, lats, lons, 24, exclude=exclude)
+    assert not np.any(members == exclude[:, None])
+
+
+def test_cloud_straddling_antimeridian():
+    rng = np.random.default_rng(15)
+    lons = rng.uniform(179.9, 180.1, 120)
+    lons = np.where(lons > 180.0, lons - 360.0, lons)
+    lats = rng.uniform(-0.1, 0.1, 120)
+    assert_matches_oracle(lats, lons, lats[:30], lons[:30], 15)
+    assert_matches_oracle(lats, lons, [0.0, 0.0], [180.0, -180.0], 15)
+
+
+def test_ring_near_pole():
+    rng = np.random.default_rng(16)
+    lats = np.append(rng.uniform(89.95, 90.0, 150), 90.0)
+    lons = np.append(rng.uniform(-180.0, 180.0, 150), 0.0)
+    assert_matches_oracle(lats, lons, lats[::10], lons[::10], 20)
+    assert_matches_oracle(lats, lons, [90.0, 89.99], [45.0, -170.0], 20)
+
+
+def test_more_targets_than_one_block():
+    rng = np.random.default_rng(17)
+    n = 1000
+    lats, lons = random_cloud(rng, n)
+    targets = 3 * (BLOCK_DISTANCES // n) + 1
+    tlats, tlons = random_cloud(rng, targets)
+    assert_matches_oracle(lats, lons, tlats, tlons, 12)
+    exclude = rng.integers(0, n, targets)
+    assert_matches_oracle(lats, lons, tlats, tlons, 12, exclude=exclude)
+
+
+@st.composite
+def point_sets(draw):
+    """Few distinct points, picked with repeats; targets among the picks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool_lats, pool_lons = random_cloud(rng, draw(st.integers(1, 6)))
+    picks = np.array(draw(st.lists(st.integers(0, len(pool_lats) - 1), min_size=2, max_size=25)))
+    n = picks.shape[0]
+    targets = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
+    exclude = targets if draw(st.booleans()) else None
+    k = draw(st.integers(1, n - (exclude is not None)))
+    return pool_lats[picks], pool_lons[picks], targets, k, exclude
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_property_matches_oracle_with_duplicates(case):
+    lats, lons, targets, k, exclude = case
+    assert_matches_oracle(lats, lons, lats[targets], lons[targets], k, exclude=exclude)
