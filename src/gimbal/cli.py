@@ -55,14 +55,9 @@ class InputError(ValueError):
     """Problem with an input file; maps to exit code 2."""
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _float_fields(values):
+    """CSV fields of a list of Python floats: repr, or empty for NaN."""
+    return [repr(v) if v == v else "" for v in values]
 
 
 def _json_safe(obj):
@@ -126,12 +121,11 @@ def write_dataset_csv(path, dataset, beta1_true=None):
         if beta1_true is not None:
             header.append("beta1_true")
         writer.writerow(header)
-        for i in range(dataset.n):
-            row = [_fmt(float(dataset.lat[i])), _fmt(float(dataset.lon[i])),
-                   _fmt(float(dataset.x[i])), _fmt(float(dataset.y[i]))]
-            if beta1_true is not None:
-                row.append(_fmt(float(beta1_true[i])))
-            writer.writerow(row)
+        columns = [dataset.lat, dataset.lon, dataset.x, dataset.y]
+        if beta1_true is not None:
+            columns.append(beta1_true)
+        for row in np.column_stack(columns):
+            writer.writerow(_float_fields(row.tolist()))
 
 
 def write_records_csv(path, result, dataset, moran_values, fragile_flags):
@@ -152,7 +146,7 @@ def write_records_csv(path, result, dataset, moran_values, fragile_flags):
             result.index.tolist(), ids, codes, np.asarray(fragile_flags).tolist()
         )):
             # one row at a time as Python floats: repr gives round-trip text
-            row = [_fmt(v) for v in values[i].tolist()]
+            row = _float_fields(values[i].tolist())
             writer.writerow([str(index), "" if rec_id is None else str(rec_id), *row[:15],
                              code, *row[15:], str(int(fragile))])
 
@@ -231,6 +225,12 @@ def cmd_fit(args):
         raise InputError(f"--fragile-neff-floor must be finite, got {floor}")
     dataset = read_dataset(args.input)
     config = build_config(args)
+    # both neighbor counts are checked against the input before any fitting
+    if config.k > dataset.n:
+        raise InputError(f"K={config.k} exceeds dataset size {dataset.n}")
+    if not 1 <= args.moran_k < dataset.n:
+        raise InputError(f"--moran-k {args.moran_k} outside the eligible range "
+                         f"[1, {dataset.n - 1}]: the input has {dataset.n} locations")
     try:
         result = fit_all(dataset, config, threads=args.threads)
     except (ConfigurationError, ValueError) as exc:
@@ -291,7 +291,7 @@ def cmd_predict(args):
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, flag in enumerate(ill.tolist()):
-            row = [_fmt(v) for v in values[i].tolist()]
+            row = _float_fields(values[i].tolist())
             writer.writerow([str(i), *row[:5], str(int(flag)), *row[5:]])
     return 0
 

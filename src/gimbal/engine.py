@@ -167,10 +167,10 @@ class FitResult:
     """Columnar results of the estimator map, one row per target.
 
     index (-1 for an out-of-sample target), lat, lon, cond_wls2 and
-    residual_at_target are (C,) arrays; neighborhood, orientation, weight_map
-    and fit hold (C,) columns plus the K-wide member_indices, distances,
-    weights and residuals, and (C, 3) coefficients. Ill-posed rows carry NaN
-    coefficients and residuals.
+    residual_at_target are (C,) arrays; neighborhood holds the K-wide
+    member_indices and distances; orientation, weight_map and fit hold (C,)
+    columns plus the K-wide weights and residuals, and (C, 3) coefficients.
+    Ill-posed rows carry NaN coefficients and residuals.
     """
 
     index: np.ndarray
@@ -250,7 +250,7 @@ def _fit_targets(dataset, config, lat0, lon0, index, x_std):
     target.
     """
     members, distances = knn(dataset.lat, dataset.lon, lat0, lon0, config.k)
-    nb = Neighborhood(target_index=index, member_indices=members, distances=distances)
+    nb = Neighborhood(member_indices=members, distances=distances)
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     X, y_loc, z = build_local_design(dataset, nb, config.u_scale)
 

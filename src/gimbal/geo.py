@@ -34,6 +34,15 @@ def haversine_to_all(lats, lons, lat0, lon0):
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
+def unit_vectors(lats, lons):
+    """(N, 3) points on the unit sphere; the dot product of two rows is the
+    cosine of their central angle, which orders pairs as haversine does."""
+    phi = np.asarray(lats, dtype=np.float64) * _DEG
+    lam = np.asarray(lons, dtype=np.float64) * _DEG
+    cos_phi = np.cos(phi)
+    return np.stack([cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)], axis=-1)
+
+
 def tangent_displacements(lat0, lon0, lats, lons):
     """East-North displacements (meters) from origins to points.
 

@@ -25,13 +25,17 @@ class Displacement(NamedTuple):
 
 
 def haversine_distance(a, b):
-    """Great-circle distance in meters between two (lat, lon) points."""
+    """Great-circle distance in meters between two (lat, lon) points.
+
+    Like the package, it differences the coordinates after converting them to
+    radians; below ~1e-7 deg that rounding, not the formula, sets the order.
+    """
     lat1, lon1 = a
     lat2, lon2 = b
     phi1 = lat1 * _DEG
     phi2 = lat2 * _DEG
-    dphi = (lat2 - lat1) * _DEG
-    dlam = (lon2 - lon1) * _DEG
+    dphi = phi2 - phi1
+    dlam = lon2 * _DEG - lon1 * _DEG
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
 

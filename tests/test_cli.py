@@ -139,13 +139,29 @@ def test_fit_all_ill_posed_still_exits_zero(tmp_path):
     rows = [[35.0 + 0.01 * i, 135.0, 1.0, float(i)] for i in range(8)]
     inp = tmp_path / "flat.csv"
     write_csv(inp, rows)
+    # the default --moran-k 8 needs nine locations
     rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
-               "--out-summary", str(tmp_path / "s.json"), "--k", "4"])
+               "--out-summary", str(tmp_path / "s.json"), "--k", "4", "--moran-k", "4"])
     assert rc == 0
     _, out_rows = read_csv_skipping_comments(tmp_path / "r.csv")
     assert len(out_rows) == 8
     assert all("ill_posed" in r[17] for r in out_rows)
     assert json.loads((tmp_path / "s.json").read_text())["map_summary"] is None
+
+
+def test_fit_moran_k_checked_before_fit(tmp_path, capsys):
+    # every location ill-posed leaves no finite residual for the post-fit
+    # check, so only the check against the input size can reject these
+    rows = [[35.0 + 0.01 * i, 135.0, 1.0, float(i)] for i in range(8)]
+    inp = tmp_path / "flat.csv"
+    write_csv(inp, rows)
+    for moran_k in ("0", "-1", "8"):
+        rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+                   "--out-summary", str(tmp_path / "s.json"), "--k", "4",
+                   "--moran-k", moran_k])
+        assert rc == 2
+        assert f"--moran-k {moran_k} outside the eligible range [1, 7]" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_simulate_reproducible_and_readable(tmp_path):

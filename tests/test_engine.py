@@ -52,7 +52,7 @@ def test_dataset_validation_names_row():
 def test_build_local_design_z_column():
     ds = small_dataset()
     members, distances = knn(ds.lat, ds.lon, ds.lat[[5]], ds.lon[[5]], 10)
-    nb = Neighborhood(target_index=5, member_indices=members[0], distances=distances[0])
+    nb = Neighborhood(member_indices=members[0], distances=distances[0])
     u = 3000.0
     X, y, z = build_local_design(ds, nb, u)
     assert X.shape == (10, 3)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalar_geo import haversine_distance
+from gimbal.geo import haversine_to_all
 from gimbal.neighborhood import BLOCK_DISTANCES, ConfigurationError, knn
 
 
@@ -31,10 +32,22 @@ def assert_matches_oracle(lats, lons, target_lats, target_lons, k, exclude=None)
         skip = None if exclude is None else exclude[i]
         assert members[i].tolist() == scan_oracle(lats, lons, target, k, exclude=skip), i
         assert np.all(np.diff(distances[i]) >= 0)
+    # the reported distances are the haversine distances of the members, bit for bit
+    tlats, tlons = np.asarray(target_lats, float), np.asarray(target_lons, float)
+    expected = haversine_to_all(np.asarray(lats)[members], np.asarray(lons)[members],
+                                tlats[:, None], tlons[:, None])
+    assert np.array_equal(distances, expected)
 
 
-def random_cloud(rng, n):
-    return rng.uniform(34.5, 35.5, n), rng.uniform(134.5, 135.5, n)
+def random_cloud(rng, n, spread=1.0):
+    """n points uniform in a square of side spread degrees about (35, 135)."""
+    return (rng.uniform(35.0 - spread / 2, 35.0 + spread / 2, n),
+            rng.uniform(135.0 - spread / 2, 135.0 + spread / 2, n))
+
+
+def sphere_points(rng, n):
+    """n points uniform over the whole sphere."""
+    return np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n))), rng.uniform(-180.0, 180.0, n)
 
 
 def test_self_is_member_zero():
@@ -171,11 +184,57 @@ def test_more_targets_than_one_block():
     assert_matches_oracle(lats, lons, tlats, tlons, 12, exclude=exclude)
 
 
+# ---- the cosine prefilter where cosines cannot order the points: clusters
+# finer than the key's rounding, antipodes, and mixed scales
+
+def test_sub_millimetre_cluster():
+    # ~1e-9 deg (~0.1 mm) apart: every cosine rounds to within a few ulp of 1
+    rng = np.random.default_rng(18)
+    lats, lons = random_cloud(rng, 60, spread=1e-9)
+    for k in (1, 4, 10, 30, 60):
+        assert_matches_oracle(lats, lons, lats[::3], lons[::3], k)
+
+
+def test_sub_millimetre_cluster_with_exclude():
+    rng = np.random.default_rng(19)
+    lats, lons = random_cloud(rng, 60, spread=1e-9)
+    exclude = np.arange(60)
+    for k in (1, 7, 25, 59):
+        assert_matches_oracle(lats, lons, lats, lons, k, exclude=exclude)
+
+
+def test_antipodal_targets_on_the_sphere():
+    rng = np.random.default_rng(20)
+    lats, lons = sphere_points(rng, 80)
+    # each point's antipode: that point is the farthest of the whole pool
+    tlats = -lats
+    tlons = np.where(lons > 0.0, lons - 180.0, lons + 180.0)
+    for k in (1, 9, 40, 80):
+        assert_matches_oracle(lats, lons, tlats, tlons, k)
+    members, _ = knn(lats, lons, tlats, tlons, 80)
+    assert np.array_equal(members[:, -1], np.arange(80))
+    assert_matches_oracle(lats, lons, lats, lons, 79, exclude=np.arange(80))
+
+
+def test_tight_cluster_among_global_points_with_exclude():
+    rng = np.random.default_rng(21)
+    cl_lats, cl_lons = random_cloud(rng, 40, spread=1e-6)
+    gl_lats, gl_lons = sphere_points(rng, 40)
+    order = rng.permutation(80)
+    lats = np.concatenate([cl_lats, gl_lats])[order]
+    lons = np.concatenate([cl_lons, gl_lons])[order]
+    exclude = np.arange(80)
+    for k in (1, 5, 39, 45, 79):
+        assert_matches_oracle(lats, lons, lats, lons, k, exclude=exclude)
+
+
 @st.composite
 def point_sets(draw):
-    """Few distinct points, picked with repeats; targets among the picks."""
+    """Few distinct points, picked with repeats; targets among the picks.
+    The pool's spread runs from ~1e-9 deg (sub-millimetre) to 90 deg."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool_lats, pool_lons = random_cloud(rng, draw(st.integers(1, 6)))
+    spread = 10.0 ** draw(st.floats(-9.0, np.log10(90.0)))
+    pool_lats, pool_lons = random_cloud(rng, draw(st.integers(1, 6)), spread)
     picks = np.array(draw(st.lists(st.integers(0, len(pool_lats) - 1), min_size=2, max_size=25)))
     n = picks.shape[0]
     targets = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
