@@ -31,15 +31,15 @@ from .engine import (
     fit_all,
     predict,
     residual_knn_correct,
-    standardized_covariate,
 )
-from .experiments import run_experiment
+from .experiments import run_experiment, summarize
 from .neighborhood import ConfigurationError
 from .simgen import SimSpec, generate
 
 SCHEMA_DATASET = "gimbal.dataset.v1"
 SCHEMA_RECORDS = "gimbal.records.v1"
 SCHEMA_PREDICTIONS = "gimbal.predictions.v1"
+SCHEMA_SUMMARY = "gimbal.summary.v2"
 
 _REQUIRED_COLUMNS = ("lat", "lon", "x", "y")
 
@@ -51,13 +51,10 @@ RECORD_FIELDS = (
 )
 
 
-class InputError(ValueError):
-    """Problem with an input file; maps to exit code 2."""
-
-
-def _float_fields(values):
-    """CSV fields of a list of Python floats: repr, or empty for NaN."""
-    return [repr(v) if v == v else "" for v in values]
+def _float_fields(row):
+    """CSV fields of one row of floats: the repr of each as a Python float,
+    or empty for NaN."""
+    return [repr(v) if v == v else "" for v in row.tolist()]
 
 
 def _json_safe(obj):
@@ -71,32 +68,46 @@ def _json_safe(obj):
     return obj
 
 
+def _write_csv(path, schema, header, rows):
+    """A schema comment line, the header, then each row as rows yields it."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"# schema: {schema}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, obj):
+    Path(path).write_text(json.dumps(_json_safe(obj), sort_keys=True, indent=2) + "\n")
+
+
 def read_dataset(path):
-    """Read a dataset CSV; raises InputError naming the offending column/row."""
+    """Read a dataset CSV; raises ConfigurationError naming the offending
+    column/row."""
     path = Path(path)
     if not path.exists():
-        raise InputError(f"input file not found: {path}")
+        raise ConfigurationError(f"input file not found: {path}")
     with path.open(newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
     if not rows:
-        raise InputError(f"{path}: empty file")
+        raise ConfigurationError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
     missing = [name for name in _REQUIRED_COLUMNS if name not in header]
     if missing:
-        raise InputError(f"{path}: missing required column '{missing[0]}'")
+        raise ConfigurationError(f"{path}: missing required column '{missing[0]}'")
     col = {name: header.index(name) for name in header}
 
     data = {name: [] for name in _REQUIRED_COLUMNS}
     ids = [] if "id" in col else None
     for row_no, row in enumerate(rows[1:]):
         if len(row) != len(header):
-            raise InputError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
+            raise ConfigurationError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
         for name in _REQUIRED_COLUMNS:
             raw = row[col[name]]
             try:
                 value = float(raw)
             except ValueError:
-                raise InputError(f"{path}: row {row_no}: column {name} is not numeric ({raw!r})")
+                raise ConfigurationError(f"{path}: row {row_no}: column {name} is not numeric ({raw!r})")
             data[name].append(value)
         if ids is not None:
             ids.append(row[col["id"]])
@@ -109,28 +120,23 @@ def read_dataset(path):
     try:
         dataset.validate()
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return dataset
 
 
 def write_dataset_csv(path, dataset, beta1_true=None):
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_DATASET}\n")
-        writer = csv.writer(fh)
-        header = ["lat", "lon", "x", "y"]
-        if beta1_true is not None:
-            header.append("beta1_true")
-        writer.writerow(header)
-        columns = [dataset.lat, dataset.lon, dataset.x, dataset.y]
-        if beta1_true is not None:
-            columns.append(beta1_true)
-        for row in np.column_stack(columns):
-            writer.writerow(_float_fields(row.tolist()))
+    header = list(_REQUIRED_COLUMNS)
+    columns = [dataset.lat, dataset.lon, dataset.x, dataset.y]
+    if beta1_true is not None:
+        header.append("beta1_true")
+        columns.append(beta1_true)
+    _write_csv(path, SCHEMA_DATASET, header, map(_float_fields, np.column_stack(columns)))
 
 
-def write_records_csv(path, result, dataset, moran_values, fragile_flags):
+def write_records_csv(path, result, ids, moran_values, fragile_flags):
+    """One row per target of result; ids is the input's id column, or None."""
     fit, orient, wmap = result.fit, result.orientation, result.weight_map
-    ids = dataset.ids[result.index].tolist() if dataset.ids is not None else [None] * len(result)
+    ids = ids[result.index].tolist() if ids is not None else [None] * len(result)
     values = np.column_stack([
         result.lat, result.lon, fit.beta, fit.m_nor_condition, result.cond_wls2,
         wmap.h_eff, orient.phi, orient.r_phi, orient.theta_z, orient.g_ident,
@@ -138,17 +144,13 @@ def write_records_csv(path, result, dataset, moran_values, fragile_flags):
         fit.rmse_local, fit.r2_local, moran_values,
     ])
     codes = [";".join(sorted(c)) for c in branch_codes(result)]
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_RECORDS}\n")
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for i, (index, rec_id, code, fragile) in enumerate(zip(
-            result.index.tolist(), ids, codes, np.asarray(fragile_flags).tolist()
-        )):
-            # one row at a time as Python floats: repr gives round-trip text
-            row = _float_fields(values[i].tolist())
-            writer.writerow([str(index), "" if rec_id is None else str(rec_id), *row[:15],
-                             code, *row[15:], str(int(fragile))])
+    # rows are formatted one at a time: whole-column tolist() raises peak memory
+    rows = ([str(index), "" if rec_id is None else str(rec_id), *row[:15], code, *row[15:],
+             str(int(fragile))]
+            for index, rec_id, code, fragile, row in zip(
+                result.index.tolist(), ids, codes, np.asarray(fragile_flags).tolist(),
+                map(_float_fields, values)))
+    _write_csv(path, SCHEMA_RECORDS, RECORD_FIELDS, rows)
 
 
 def _moran_over_records(result, k_moran):
@@ -161,34 +163,27 @@ def _moran_over_records(result, k_moran):
         if not 1 <= k_moran < n_finite:
             raise ConfigurationError(f"--moran-k {k_moran} outside the eligible range "
                                      f"[1, {n_finite - 1}]: {n_finite} locations have a finite residual")
-        sub, defined = local_moran(residuals[finite], result.lat[finite], result.lon[finite], k_moran)
-        if defined:
-            values[finite] = sub
-        else:
-            values[finite] = 0.0
+        # zero residual variance leaves the statistic undefined: all zeros
+        values[finite], _ = local_moran(residuals[finite], result.lat[finite], result.lon[finite], k_moran)
     return values
 
 
-def _annotate_and_write(path, result, dataset, k_moran, kappa_quantile, neff_floor):
+def _annotate_and_write(path, result, ids, k_moran, kappa_quantile, neff_floor):
     moran = _moran_over_records(result, k_moran)
     fragile = reliability_mask(result, kappa_quantile, neff_floor)
-    write_records_csv(path, result, dataset, moran, fragile)
+    write_records_csv(path, result, ids, moran, fragile)
 
 
 # ---------------------------------------------------------------- config
 
-_CONFIG_FLAGS = (
-    ("k", int), ("h", float), ("gamma", float), ("u", float),
-    ("n0", float), ("n_min", float), ("eta_max", float),
-    ("eps_phi", float), ("eps_theta", float), ("eps_eta", float),
-    ("eps_kappa", float), ("theta_z_mode", str), ("phi_mode", str),
-    ("eta_mode", str), ("seed", int),
-)
+# one flag per GimbalConfig field, typed as its default (u defaults to None: a float)
+_CONFIG_TYPES = {f.name: float if f.default is None else type(f.default)
+                 for f in dataclasses.fields(GimbalConfig)}
 
 
 def _add_config_flags(parser):
     parser.add_argument("--config", type=Path, help="JSON file with config fields")
-    for name, typ in _CONFIG_FLAGS:
+    for name, typ in _CONFIG_TYPES.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
@@ -199,20 +194,18 @@ def build_config(args):
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read config file {args.config}: {exc}") from exc
-        known = {name for name, _ in _CONFIG_FLAGS}
-        unknown = set(loaded) - known
+            raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config file {args.config} must hold a JSON object")
+        unknown = loaded.keys() - _CONFIG_TYPES.keys()
         if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for name, _ in _CONFIG_FLAGS:
+    for name in _CONFIG_TYPES:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    try:
-        return GimbalConfig(**values)
-    except (ConfigurationError, TypeError) as exc:
-        raise InputError(str(exc)) from exc
+    return GimbalConfig(**values)
 
 
 # ---------------------------------------------------------------- commands
@@ -220,42 +213,30 @@ def build_config(args):
 def cmd_fit(args):
     quantile, floor = args.fragile_kappa_quantile, args.fragile_neff_floor
     if not 0.0 <= quantile <= 1.0:
-        raise InputError(f"--fragile-kappa-quantile must lie in [0, 1], got {quantile}")
+        raise ConfigurationError(f"--fragile-kappa-quantile must lie in [0, 1], got {quantile}")
     if not math.isfinite(floor):
-        raise InputError(f"--fragile-neff-floor must be finite, got {floor}")
+        raise ConfigurationError(f"--fragile-neff-floor must be finite, got {floor}")
     dataset = read_dataset(args.input)
     config = build_config(args)
     # both neighbor counts are checked against the input before any fitting
     if config.k > dataset.n:
-        raise InputError(f"K={config.k} exceeds dataset size {dataset.n}")
+        raise ConfigurationError(f"K={config.k} exceeds dataset size {dataset.n}")
     if not 1 <= args.moran_k < dataset.n:
-        raise InputError(f"--moran-k {args.moran_k} outside the eligible range "
-                         f"[1, {dataset.n - 1}]: the input has {dataset.n} locations")
-    try:
-        result = fit_all(dataset, config, threads=args.threads)
-    except (ConfigurationError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-
-    _annotate_and_write(
-        args.out_records, result, dataset,
-        args.moran_k, args.fragile_kappa_quantile, args.fragile_neff_floor,
-    )
-    from .experiments import summarize
-
+        raise ConfigurationError(f"--moran-k {args.moran_k} outside the eligible range "
+                                 f"[1, {dataset.n - 1}]: the input has {dataset.n} locations")
+    result = fit_all(dataset, config, threads=args.threads)
+    _annotate_and_write(args.out_records, result, dataset.ids, args.moran_k, quantile, floor)
     try:
         map_summary = dataclasses.asdict(summarize(result))
     except ValueError:
         # every location ill-posed: records still emitted, summary is null
         map_summary = None
-    summary = {
-        "schema": "gimbal.summary.v1",
+    _write_json(args.out_summary, {
+        "schema": SCHEMA_SUMMARY,
         "version": __version__,
         "config": dataclasses.asdict(config),
         "map_summary": map_summary,
-    }
-    Path(args.out_summary).write_text(
-        json.dumps(_json_safe(summary), sort_keys=True, indent=2) + "\n"
-    )
+    })
     return 0
 
 
@@ -264,49 +245,41 @@ def cmd_predict(args):
     test = read_dataset(args.test)
     config = build_config(args)
     if config.k > train.n:
-        raise InputError(f"K={config.k} exceeds training size {train.n}")
-
+        raise ConfigurationError(f"K={config.k} exceeds training size {train.n}")
     if args.residual_knn < 0:
-        raise InputError(f"--residual-knn must be >= 0 (0 means no correction), got {args.residual_knn}")
-    use_residual_knn = args.residual_knn > 0
-    if use_residual_knn and args.residual_knn > train.n:
-        raise InputError(f"--residual-knn {args.residual_knn} exceeds training size {train.n}")
+        raise ConfigurationError(f"--residual-knn must be >= 0 (0 means no correction), got {args.residual_knn}")
+    if args.residual_knn > train.n:
+        raise ConfigurationError(f"--residual-knn {args.residual_knn} exceeds training size {train.n}")
 
-    _, x_mean, x_std = standardized_covariate(train.x)
-    preds, result = predict(train, config, test.lat, test.lon, test.x,
-                            x_moments=(x_mean, x_std), threads=args.threads)
+    preds, result = predict(train, config, test.lat, test.lon, test.x, threads=args.threads)
     ill = ~result.fit.well_posed
     columns = [test.lat, test.lon, test.x, test.y, preds]
     header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
-    if use_residual_knn:
+    if args.residual_knn > 0:
         training_residuals = fit_all(train, config, threads=args.threads).residual_at_target
         corr = residual_knn_correct(
             training_residuals, train.lat, train.lon, test.lat, test.lon, args.residual_knn,
         )
         columns += [corr, np.where(ill, math.nan, preds + corr)]
         header += ["residual_correction", "prediction_corrected"]
-    values = np.column_stack(columns)
-    with Path(args.out).open("w", newline="") as fh:
-        fh.write(f"# schema: {SCHEMA_PREDICTIONS}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, flag in enumerate(ill.tolist()):
-            row = _float_fields(values[i].tolist())
-            writer.writerow([str(i), *row[:5], str(int(flag)), *row[5:]])
+    rows = ([str(i), *row[:5], str(int(flag)), *row[5:]]
+            for i, (flag, row) in enumerate(zip(
+                ill.tolist(), map(_float_fields, np.column_stack(columns)))))
+    _write_csv(args.out, SCHEMA_PREDICTIONS, header, rows)
     return 0
 
 
 def cmd_simulate(args):
     try:
-        spec = SimSpec(
+        dataset, beta1 = generate(SimSpec(
             n=args.n, lat0=args.lat0, lon0=args.lon0, extent=args.extent,
             sampling=args.sampling, rho=args.rho, psi=args.psi,
             delta_beta=args.delta_beta, sigma=args.sigma, c_rad=args.c_rad,
             seed=args.seed,
-        )
+        ))
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    dataset, beta1 = generate(spec)
+        # a bad spec, or points off the globe (near a pole): nothing is written
+        raise ConfigurationError(str(exc)) from exc
     write_dataset_csv(args.out, dataset, beta1_true=beta1)
     return 0
 
@@ -317,21 +290,14 @@ _EXPERIMENT_IDS = {"7.1": "e71", "7.2": "e72", "7.3": "e73", "7.4": "e74"}
 def cmd_experiment(args):
     exp_id = _EXPERIMENT_IDS.get(args.id, args.id)
     if exp_id not in _EXPERIMENT_IDS.values():
-        raise InputError(f"unknown experiment id {args.id!r}")
+        raise ConfigurationError(f"unknown experiment id {args.id!r}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     report, records_by_variant = run_experiment(exp_id, base_seed=args.seed, threads=args.threads)
-
-    spec = SimSpec(**report["sim_spec"])
-    dataset, _ = generate(spec)
+    # simulated data has no id column
     for name, result in records_by_variant.items():
-        _annotate_and_write(
-            outdir / f"{exp_id}_{name}.csv", result, dataset,
-            DEFAULT_K_MORAN, 0.95, 0.0,
-        )
-    (outdir / f"{exp_id}_report.json").write_text(
-        json.dumps(_json_safe(report), sort_keys=True, indent=2) + "\n"
-    )
+        _annotate_and_write(outdir / f"{exp_id}_{name}.csv", result, None, DEFAULT_K_MORAN, 0.95, 0.0)
+    _write_json(outdir / f"{exp_id}_report.json", report)
 
     failed = [k for k, v in report["properties"].items() if not v["pass"]]
     for name in sorted(report["properties"]):
@@ -398,7 +364,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation

@@ -65,24 +65,24 @@ class GimbalConfig:
     theta_z_mode: str = "on"
     phi_mode: str = "on"
     eta_mode: str = "geometry"
-    seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
             raise ConfigurationError(f"K must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ConfigurationError(f"K must be >= 1, got {self.k}")
-        for name in ("h", "gamma", "n0", "n_min", "eta_max",
+        for name in ("h", "gamma", "u", "n0", "n_min", "eta_max",
                      "eps_phi", "eps_theta", "eps_eta", "eps_kappa"):
             value = getattr(self, name)
+            if name == "u" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value) or value < 0:
                 raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
-        if self.h <= 0:
-            raise ConfigurationError("h must be positive")
-        if self.n0 <= 0:
-            raise ConfigurationError("n0 must be positive")
-        if self.u is not None and not (math.isfinite(self.u) and self.u > 0):
-            raise ConfigurationError(f"u must be finite and positive when given, got {self.u}")
+        for name in ("h", "n0", "u"):
+            if getattr(self, name) == 0:
+                raise ConfigurationError(f"{name} must be positive")
         if self.eta_max < 1:
             raise ConfigurationError("eta_max must be >= 1")
         for name, allowed in _MODES.items():
@@ -217,19 +217,16 @@ def branch_codes(result):
     return [frozenset(code for code, on in zip(flags, row) if on) for row in rows]
 
 
-def standardized_covariate(x, mean=None, std=None):
+def standardized_covariate(x):
     """Population-moment standardization used only for the condWLS2 diagnostic.
 
     A constant column standardizes to zeros (rank-1 Gram, huge finite kappa).
     """
     x = np.asarray(x, dtype=np.float64)
-    if mean is None:
-        mean = float(np.mean(x))
-    if std is None:
-        std = float(np.std(x))
+    std = np.std(x)
     if std == 0.0:
-        return np.zeros_like(x), mean, std
-    return (x - mean) / std, mean, std
+        return np.zeros_like(x)
+    return (x - np.mean(x)) / std
 
 
 def build_local_design(dataset, nb, u):
@@ -297,12 +294,11 @@ def _fit_chunks(dataset, config, lat0, lon0, index, x_std, threads):
     return result
 
 
-def fit_location(dataset, config, target_index, x_std=None):
+def fit_location(dataset, config, target_index):
     """Full realized estimator map at one in-sample target, as a LocationRecord."""
-    if x_std is None:
-        x_std, _, _ = standardized_covariate(dataset.x)
     rows = np.array([target_index])
-    return _fit_targets(dataset, config, dataset.lat[rows], dataset.lon[rows], rows, x_std).record(0)
+    return _fit_targets(dataset, config, dataset.lat[rows], dataset.lon[rows], rows,
+                        standardized_covariate(dataset.x)).record(0)
 
 
 def fit_all(dataset, config, threads=1):
@@ -313,13 +309,11 @@ def fit_all(dataset, config, threads=1):
     output value.
     """
     dataset.validate()
-    if config.k > dataset.n:
-        raise ConfigurationError(f"K={config.k} exceeds dataset size {dataset.n}")
-    x_std, _, _ = standardized_covariate(dataset.x)
-    return _fit_chunks(dataset, config, dataset.lat, dataset.lon, np.arange(dataset.n), x_std, threads)
+    return _fit_chunks(dataset, config, dataset.lat, dataset.lon, np.arange(dataset.n),
+                       standardized_covariate(dataset.x), threads)
 
 
-def predict(train, config, lats, lons, x, x_moments=None, threads=1):
+def predict(train, config, lats, lons, x, threads=1):
     """Out-of-sample predictions at target points.
 
     Neighbors come from the training pool only; the distance-trend regressor
@@ -327,15 +321,9 @@ def predict(train, config, lats, lons, x, x_moments=None, threads=1):
     beta0 + beta1 * x. Returns (predictions, FitResult); a prediction is NaN
     where the local solve is ill-posed.
     """
-    if x_moments is None:
-        _, mean, std = standardized_covariate(train.x)
-    else:
-        mean, std = x_moments
-    x_std, _, _ = standardized_covariate(train.x, mean, std)
-
     lats = np.asarray(lats, dtype=np.float64)
     result = _fit_chunks(train, config, lats, np.asarray(lons, dtype=np.float64),
-                         np.full(lats.shape[0], -1), x_std, threads)
+                         np.full(lats.shape[0], -1), standardized_covariate(train.x), threads)
     beta = result.fit.beta
     return beta[:, 0] + beta[:, 1] * np.asarray(x, dtype=np.float64), result
 

@@ -178,7 +178,7 @@ def run_experiment(exp_id, base_seed=0, threads=1):
 
 def _report(exp_id, seed, spec, config, summaries, properties, extra=None):
     report = {
-        "schema": "gimbal.experiment-report.v1",
+        "schema": "gimbal.experiment-report.v2",
         "experiment": exp_id,
         "seed": seed,
         "sim_spec": asdict(spec),
@@ -195,18 +195,25 @@ def _verdict(passed, value):
     return {"pass": bool(passed), "value": value}
 
 
+def _fit_variants(spec, configs, threads):
+    """Fit each named config on the one dataset of spec.
+
+    Returns (records, summaries), both keyed by variant name.
+    """
+    dataset, _ = generate(spec)
+    records = {name: fit_all(dataset, cfg, threads=threads) for name, cfg in configs.items()}
+    return records, {name: summarize(result) for name, result in records.items()}
+
+
 def _run_e71(seed, threads):
     """Isotropy sanity check: four variants on one undeformed dataset."""
     spec = replace(_BASE_SPEC, rho=1.0, psi=0.0, c_rad=0.0, seed=seed)
-    dataset, _ = generate(spec)
-    configs = {
+    records, summaries = _fit_variants(spec, {
         "isotropic_proxy": replace(_BASE_CONFIG, **_PROXY),
         "theta_off": replace(_BASE_CONFIG, theta_z_mode="off"),
         "full": _BASE_CONFIG,
         "full_strict_eps_phi": replace(_BASE_CONFIG, eps_phi=STRICT_EPS_PHI),
-    }
-    records = {name: fit_all(dataset, cfg, threads=threads) for name, cfg in configs.items()}
-    summaries = {name: summarize(recs) for name, recs in records.items()}
+    }, threads)
 
     proxy = summaries["isotropic_proxy"]
     properties = {}
@@ -244,13 +251,10 @@ def _run_e71(seed, threads):
 def _run_e72(seed, threads):
     """Geometric anisotropy activation under rho=10, psi=pi/4."""
     spec = replace(_BASE_SPEC, rho=10.0, psi=math.pi / 4.0, c_rad=0.0, seed=seed)
-    dataset, _ = generate(spec)
-    configs = {
+    records, summaries = _fit_variants(spec, {
         "isotropic_proxy": replace(_BASE_CONFIG, **_PROXY),
         "full": _BASE_CONFIG,
-    }
-    records = {name: fit_all(dataset, cfg, threads=threads) for name, cfg in configs.items()}
-    summaries = {name: summarize(recs) for name, recs in records.items()}
+    }, threads)
     diff = weight_diff(records["full"], records["isotropic_proxy"])
 
     properties = {
@@ -271,14 +275,9 @@ def _run_e73(seed, threads):
         _BASE_SPEC, sampling="gaussian", extent=_E73_EXTENT,
         rho=10.0, psi=math.pi / 4.0, c_rad=0.0, seed=seed,
     )
-    dataset, _ = generate(spec)
     base = replace(_BASE_CONFIG, k=30, h=2000.0, n_min=12.0)
-    records = {}
-    summaries = {}
-    for n0 in E73_N0_SWEEP:
-        name = f"n0_{n0:g}"
-        records[name] = fit_all(dataset, replace(base, n0=n0), threads=threads)
-        summaries[name] = summarize(records[name])
+    records, summaries = _fit_variants(
+        spec, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, threads)
 
     ordered = [summaries[f"n0_{n0:g}"] for n0 in E73_N0_SWEEP]
     neff = [s.mu_neff_post for s in ordered]
@@ -306,14 +305,11 @@ def _run_e74(seed, threads):
         _BASE_SPEC, extent=_E74_EXTENT,
         rho=10.0, psi=math.pi / 4.0, c_rad=8.0, delta_beta=0.0, seed=seed,
     )
-    dataset, _ = generate(spec)
     base = replace(_BASE_CONFIG, k=30, h=2000.0, n0=20.0, n_min=4.0)
-    configs = {
+    records, summaries = _fit_variants(spec, {
         "theta_on": base,
         "theta_off": replace(base, theta_z_mode="off"),
-    }
-    records = {name: fit_all(dataset, cfg, threads=threads) for name, cfg in configs.items()}
-    summaries = {name: summarize(recs) for name, recs in records.items()}
+    }, threads)
     diff = weight_diff(records["theta_on"], records["theta_off"])
 
     properties = {

@@ -69,9 +69,12 @@ def rotation_matrix(alpha):
 
 def meters_to_geo_arrays(lat0, lon0, east, north):
     """Degrees of the points at East-North offsets (meters) from one origin;
-    the inverse of tangent_displacements about that origin."""
+    the inverse of tangent_displacements about that origin. A longitude past
+    the antimeridian is shifted by 360 degrees into [-180, 180]; one already
+    in range is returned as computed."""
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
     lat = lat0 + north / EARTH_RADIUS_M / _DEG
     lon = lon0 + east / (EARTH_RADIUS_M * math.cos(lat0 * _DEG)) / _DEG
+    lon = np.where(lon > 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
     return lat, lon

@@ -38,7 +38,7 @@ MARGIN = 1e-12
 
 
 class ConfigurationError(ValueError):
-    """Raised when a requested configuration cannot be satisfied by the data."""
+    """A configuration or input the data cannot satisfy; the CLI exits 2 on it."""
 
 
 @dataclass(frozen=True)

@@ -112,9 +112,13 @@ def gen_response(lats, lons, x, spec, rng=None):
 
 
 def generate(spec):
-    """Full seeded dataset; returns (Dataset, true beta1 array)."""
+    """Full seeded dataset; returns (Dataset, true beta1 array).
+
+    Raises ValueError when a point falls off the globe (a latitude past a
+    pole), naming its row.
+    """
     loc_rng, cov_rng, noise_rng = _streams(spec.seed)
     lats, lons = sample_locations(spec, loc_rng)
     x = cov_rng.standard_normal(spec.n)
     y = gen_response(lats, lons, x, spec, noise_rng)
-    return Dataset(lat=lats, lon=lons, x=x, y=y), beta_surface(lats, spec.delta_beta)
+    return Dataset(lat=lats, lon=lons, x=x, y=y).validate(), beta_surface(lats, spec.delta_beta)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from gimbal.cli import RECORD_FIELDS, main, read_dataset
-from gimbal.engine import GimbalConfig, predict, standardized_covariate
+from gimbal.engine import GimbalConfig, predict
 
 
 def write_csv(path, rows, header=("lat", "lon", "x", "y")):
@@ -45,6 +46,47 @@ def test_fit_toy_csv(tmp_path):
     summary = json.loads((tmp_path / "sum.json").read_text())
     assert summary["map_summary"]["n_targets"] == 10
     assert summary["config"]["k"] == 5
+    assert summary["schema"] == "gimbal.summary.v2"
+    assert "seed" not in summary["config"]
+
+
+def test_fit_id_column_reaches_records(tmp_path):
+    ids = [f"site-{(7 * i) % 10}" for i in range(10)]
+    inp = tmp_path / "data.csv"
+    write_csv(inp, [[rec_id, *row] for rec_id, row in zip(ids, toy_rows())],
+              header=("id", "lat", "lon", "x", "y"))
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "rec.csv"),
+               "--out-summary", str(tmp_path / "sum.json"), "--k", "5"])
+    assert rc == 0
+    _, rows = read_csv_skipping_comments(tmp_path / "rec.csv")
+    assert [row[RECORD_FIELDS.index("id")] for row in rows] == ids
+    assert [row[0] for row in rows] == [str(i) for i in range(10)]
+
+
+# a valid value other than the default for every GimbalConfig field
+NON_DEFAULT_CONFIG = {
+    "k": 6, "h": 2500.0, "gamma": 2.0, "u": 1500.0, "n0": 10.0, "n_min": 3.0,
+    "eta_max": 40.0, "eps_phi": 2e-3, "eps_theta": 1e-7, "eps_eta": 1e-7,
+    "eps_kappa": 1e-11, "theta_z_mode": "off", "phi_mode": "forced_zero",
+    "eta_mode": "forced_one",
+}
+
+
+def test_every_config_field_settable_by_flag_and_file(tmp_path):
+    fields = dataclasses.asdict(GimbalConfig())
+    assert NON_DEFAULT_CONFIG.keys() == fields.keys()
+    assert all(NON_DEFAULT_CONFIG[name] != fields[name] for name in fields)
+    inp = tmp_path / "data.csv"
+    write_csv(inp, toy_rows())
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(NON_DEFAULT_CONFIG))
+    flags = [item for name, value in NON_DEFAULT_CONFIG.items()
+             for item in (f"--{name.replace('_', '-')}", str(value))]
+    for tag, extra in (("flags", flags), ("file", ["--config", str(cfg_file)])):
+        rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / f"r_{tag}.csv"),
+                   "--out-summary", str(tmp_path / f"s_{tag}.json"), *extra])
+        assert rc == 0, tag
+        assert json.loads((tmp_path / f"s_{tag}.json").read_text())["config"] == NON_DEFAULT_CONFIG
 
 
 def test_fit_rerun_byte_identical(tmp_path):
@@ -118,7 +160,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     write_csv(inp, toy_rows())
     cfg_file = tmp_path / "cfg.json"
     for config, named in (({"bandwidth": 10}, "bandwidth"), ({"k": 50.5}, "K"),
-                          ({"k": True}, "K"), ({"u": math.inf}, "u")):
+                          ({"k": True}, "K"), ({"u": math.inf}, "u"), ({"n0": True}, "n0"),
+                          ({"h": "3000"}, "h"), ({"seed": 0}, "seed"), (["k"], "JSON object")):
         cfg_file.write_text(json.dumps(config))
         rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
                    "--out-summary", str(tmp_path / "s.json"), "--config", str(cfg_file)])
@@ -149,6 +192,20 @@ def test_fit_all_ill_posed_still_exits_zero(tmp_path):
     assert json.loads((tmp_path / "s.json").read_text())["map_summary"] is None
 
 
+def test_fault_inside_the_fit_exits_3(tmp_path, monkeypatch, capsys):
+    # inputs are checked before fit_all; an error raised inside it is internal
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("gimbal.cli.fit_all", singular)
+    inp = tmp_path / "data.csv"
+    write_csv(inp, toy_rows())
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--k", "5"])
+    assert rc == 3
+    assert "internal error: Singular matrix" in capsys.readouterr().err
+
+
 def test_fit_moran_k_checked_before_fit(tmp_path, capsys):
     # every location ill-posed leaves no finite residual for the post-fit
     # check, so only the check against the input size can reject these
@@ -177,6 +234,27 @@ def test_simulate_reproducible_and_readable(tmp_path):
     assert ds.n == 50
 
 
+def test_simulate_across_the_antimeridian_fits(tmp_path):
+    sim = tmp_path / "sim.csv"
+    rc = main(["simulate", "--out", str(sim), "--n", "60", "--extent", "8000",
+               "--lon0", "179.99"])
+    assert rc == 0
+    ds = read_dataset(sim)
+    assert ds.lon.min() < -179.9 and ds.lon.max() > 179.9  # wrapped, both sides
+    rc = main(["fit", "--input", str(sim), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--k", "10"])
+    assert rc == 0
+
+
+def test_simulate_past_the_pole_exits_2(tmp_path, capsys):
+    sim = tmp_path / "sim.csv"
+    rc = main(["simulate", "--out", str(sim), "--n", "60", "--extent", "8000",
+               "--lat0", "89.99"])
+    assert rc == 2
+    assert "lat" in capsys.readouterr().err
+    assert not sim.exists()
+
+
 def test_predict_protocol_and_cross_check(tmp_path):
     rc = main(["simulate", "--out", str(tmp_path / "train.csv"), "--n", "80",
                "--seed", "7", "--extent", "8000"])
@@ -191,9 +269,7 @@ def test_predict_protocol_and_cross_check(tmp_path):
     assert rc == 0
     header, rows = read_csv_skipping_comments(tmp_path / "pred.csv")
     assert header[:7] == ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
-    cfg = GimbalConfig(k=20)
-    _, mean, std = standardized_covariate(train.x)
-    expect, _ = predict(train, cfg, train.lat[:5], train.lon[:5], train.x[:5], x_moments=(mean, std))
+    expect, _ = predict(train, GimbalConfig(k=20), train.lat[:5], train.lon[:5], train.x[:5])
     for i, row in enumerate(rows):
         assert float(row[5]) == pytest.approx(expect[i], rel=1e-12)
 
@@ -262,7 +338,8 @@ def test_experiment_71_emits_four_variants(tmp_path):
         "e71_theta_off.csv",
     ]
     report = json.loads((tmp_path / "out" / "e71_report.json").read_text())
-    assert report["schema"] == "gimbal.experiment-report.v1"
+    assert report["schema"] == "gimbal.experiment-report.v2"
+    assert "seed" not in report["base_config"]
     assert report["strict_eps_phi"]["threshold"] == 0.3
     # r_phi is data-determined: re-solved and flag-only strict rates coincide
     assert (report["strict_eps_phi"]["resolved_pr_phi_zero"]

@@ -34,7 +34,8 @@ def test_config_validation():
         GimbalConfig(eta_max=0.5)
     with pytest.raises(ConfigurationError):
         GimbalConfig(theta_z_mode="maybe")
-    for bad in (dict(k=50.5), dict(k=True), dict(u=math.inf), dict(u=math.nan), dict(n0=0.0)):
+    for bad in (dict(k=50.5), dict(k=True), dict(u=math.inf), dict(u=math.nan), dict(n0=0.0),
+                dict(u=0.0), dict(n0=True), dict(u=False), dict(h="3000")):
         with pytest.raises(ConfigurationError):
             GimbalConfig(**bad)
     assert GimbalConfig(k=np.int64(7)).k == 7
@@ -244,8 +245,7 @@ def test_residual_knn_correct():
 
 
 def test_standardized_covariate_constant_column():
-    x_std, mean, std = standardized_covariate(np.full(5, 3.0))
-    assert std == 0.0
+    x_std = standardized_covariate(np.full(5, 3.0))
     assert np.all(x_std == 0.0)
 
 

@@ -138,6 +138,20 @@ def test_meters_to_geo_one_degree_north():
     assert p.lon == 0.0
 
 
+def test_meters_to_geo_wraps_only_past_the_antimeridian():
+    east = np.array([-20_000.0, 0.0, 20_000.0])
+    step = east / (EARTH_RADIUS_M * math.cos(math.radians(35.0))) / (math.pi / 180.0)
+    for lon0, past in ((179.99, 2), (-179.99, 0)):
+        lat, lon = meters_to_geo_arrays(35.0, lon0, east, np.zeros(3))
+        naive = lon0 + step
+        inside = [i for i in range(3) if i != past]
+        assert np.array_equal(lon[inside], naive[inside])  # in range: as computed
+        assert lon[past] == naive[past] - math.copysign(360.0, lon0)
+        assert -180.0 <= lon[past] <= 180.0
+        e2, _ = tangent_displacements(35.0, lon0, lat, lon)
+        assert np.allclose(e2, east, atol=1e-6)
+
+
 def test_array_roundtrip_matches_scalar():
     east = np.array([1000.0, -2500.0])
     north = np.array([-300.0, 4200.0])
