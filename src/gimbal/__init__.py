@@ -12,7 +12,6 @@ from .engine import (
     Dataset,
     FitResult,
     GimbalConfig,
-    LocationRecord,
     fit_all,
     fit_location,
     predict,
@@ -31,7 +30,6 @@ __all__ = [
     "Dataset",
     "FitResult",
     "GimbalConfig",
-    "LocationRecord",
     "MapSummary",
     "SimSpec",
     "WeightDiffSummary",

@@ -23,7 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import DEFAULT_K_MORAN, local_moran, reliability_mask
+from .diagnostics import (
+    DEFAULT_K_MORAN,
+    DEFAULT_KAPPA_QUANTILE,
+    DEFAULT_NEFF_FLOOR,
+    local_moran,
+    reliability_mask,
+)
 from .engine import (
     Dataset,
     GimbalConfig,
@@ -112,16 +118,14 @@ def read_dataset(path):
         if ids is not None:
             ids.append(row[col["id"]])
 
-    dataset = Dataset(
-        lat=np.array(data["lat"]), lon=np.array(data["lon"]),
-        x=np.array(data["x"]), y=np.array(data["y"]),
-        ids=np.array(ids) if ids is not None else None,
-    )
     try:
-        dataset.validate()
+        return Dataset(
+            lat=np.array(data["lat"]), lon=np.array(data["lon"]),
+            x=np.array(data["x"]), y=np.array(data["y"]),
+            ids=np.array(ids) if ids is not None else None,
+        )
     except ValueError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    return dataset
 
 
 def write_dataset_csv(path, dataset, beta1_true=None):
@@ -296,7 +300,8 @@ def cmd_experiment(args):
     report, records_by_variant = run_experiment(exp_id, base_seed=args.seed, threads=args.threads)
     # simulated data has no id column
     for name, result in records_by_variant.items():
-        _annotate_and_write(outdir / f"{exp_id}_{name}.csv", result, None, DEFAULT_K_MORAN, 0.95, 0.0)
+        _annotate_and_write(outdir / f"{exp_id}_{name}.csv", result, None, DEFAULT_K_MORAN,
+                            DEFAULT_KAPPA_QUANTILE, DEFAULT_NEFF_FLOOR)
     _write_json(outdir / f"{exp_id}_report.json", report)
 
     failed = [k for k, v in report["properties"].items() if not v["pass"]]
@@ -321,8 +326,8 @@ def _build_parser():
     p_fit.add_argument("--out-summary", required=True, type=Path)
     p_fit.add_argument("--threads", type=int, default=1, help="0 = all cores")
     p_fit.add_argument("--moran-k", type=int, default=DEFAULT_K_MORAN)
-    p_fit.add_argument("--fragile-kappa-quantile", type=float, default=0.95)
-    p_fit.add_argument("--fragile-neff-floor", type=float, default=0.0)
+    p_fit.add_argument("--fragile-kappa-quantile", type=float, default=DEFAULT_KAPPA_QUANTILE)
+    p_fit.add_argument("--fragile-neff-floor", type=float, default=DEFAULT_NEFF_FLOOR)
     _add_config_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 

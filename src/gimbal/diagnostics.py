@@ -15,6 +15,9 @@ import numpy as np
 from .neighborhood import knn
 
 DEFAULT_K_MORAN = 8
+# reliability_mask defaults: kappa above its 95% quantile is fragile; no ESS floor
+DEFAULT_KAPPA_QUANTILE = 0.95
+DEFAULT_NEFF_FLOOR = 0.0
 
 
 def local_moran(residuals, lats, lons, k_moran=DEFAULT_K_MORAN):
@@ -33,7 +36,7 @@ def local_moran(residuals, lats, lons, k_moran=DEFAULT_K_MORAN):
     return z * np.mean(z[members], axis=-1), True
 
 
-def reliability_mask(result, kappa_quantile=0.95, neff_floor=0.0):
+def reliability_mask(result, kappa_quantile=DEFAULT_KAPPA_QUANTILE, neff_floor=DEFAULT_NEFF_FLOOR):
     """Boolean fragility flags per location of a FitResult.
 
     Fragile when the realized normal-matrix condition number exceeds the

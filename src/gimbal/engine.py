@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -47,6 +47,14 @@ _MODES = {
     "phi_mode": ("on", "forced_zero"),
     "eta_mode": ("geometry", "forced_one"),
 }
+
+
+def check_real(name, value):
+    """Raise ConfigurationError unless value is a finite real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +84,9 @@ class GimbalConfig:
             value = getattr(self, name)
             if name == "u" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value) or value < 0:
-                raise ConfigurationError(f"{name} must be finite and nonnegative, got {value}")
+            check_real(name, value)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be nonnegative, got {value}")
         for name in ("h", "n0", "u"):
             if getattr(self, name) == 0:
                 raise ConfigurationError(f"{name} must be positive")
@@ -94,8 +101,30 @@ class GimbalConfig:
         return self.h if self.u is None else self.u
 
 
+def check_coordinates(lat, lon, **columns):
+    """Raise ValueError naming the first bad column or row: every column (lon
+    and any others given) must have lat's length, every value must be finite,
+    lat in [-90, 90] and lon in [-180, 180]."""
+    columns = {"lat": lat, "lon": lon, **columns}
+    for name, col in columns.items():
+        if col.shape[0] != lat.shape[0]:
+            raise ValueError(f"column {name} has length {col.shape[0]}, expected {lat.shape[0]}")
+    for name, col in columns.items():
+        bad = np.nonzero(~np.isfinite(col))[0]
+        if bad.size:
+            raise ValueError(f"column {name} is not finite at row {bad[0]}")
+    bad = np.nonzero((lat < -90.0) | (lat > 90.0))[0]
+    if bad.size:
+        raise ValueError(f"lat out of range [-90, 90] at row {bad[0]}")
+    bad = np.nonzero((lon < -180.0) | (lon > 180.0))[0]
+    if bad.size:
+        raise ValueError(f"lon out of range [-180, 180] at row {bad[0]}")
+
+
 @dataclass(frozen=True)
 class Dataset:
+    """Input columns; construction checks them with check_coordinates."""
+
     lat: np.ndarray
     lon: np.ndarray
     x: np.ndarray
@@ -105,45 +134,11 @@ class Dataset:
     def __post_init__(self):
         for name in ("lat", "lon", "x", "y"):
             object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
-        n = self.lat.shape[0]
-        for name in ("lon", "x", "y"):
-            if getattr(self, name).shape[0] != n:
-                raise ValueError(f"column {name} has length {getattr(self, name).shape[0]}, expected {n}")
+        check_coordinates(self.lat, self.lon, x=self.x, y=self.y)
 
     @property
     def n(self):
         return self.lat.shape[0]
-
-    def validate(self):
-        """Range/finiteness checks; raises ValueError naming the first bad row."""
-        for name in ("lat", "lon", "x", "y"):
-            col = getattr(self, name)
-            bad = np.nonzero(~np.isfinite(col))[0]
-            if bad.size:
-                raise ValueError(f"column {name} is not finite at row {bad[0]}")
-        bad = np.nonzero((self.lat < -90.0) | (self.lat > 90.0))[0]
-        if bad.size:
-            raise ValueError(f"lat out of range [-90, 90] at row {bad[0]}")
-        bad = np.nonzero((self.lon < -180.0) | (self.lon > 180.0))[0]
-        if bad.size:
-            raise ValueError(f"lon out of range [-180, 180] at row {bad[0]}")
-        return self
-
-
-@dataclass(frozen=True)
-class LocationRecord:
-    """Everything the estimator map produced at one target."""
-
-    index: int
-    lat: float
-    lon: float
-    neighborhood: Neighborhood
-    orientation: OrientationResult
-    weight_map: RealizedWeightMap
-    fit: LocalFit
-    cond_wls2: float
-    residual_at_target: float
-    branch_codes: frozenset = field(default_factory=frozenset)
 
 
 def _map_columns(fn, table):
@@ -170,7 +165,8 @@ class FitResult:
     residual_at_target are (C,) arrays; neighborhood holds the K-wide
     member_indices and distances; orientation, weight_map and fit hold (C,)
     columns plus the K-wide weights and residuals, and (C, 3) coefficients.
-    Ill-posed rows carry NaN coefficients and residuals.
+    Ill-posed rows carry NaN coefficients and residuals. One row (record) is
+    a FitResult of the same structure with scalar and (K,) fields.
     """
 
     index: np.ndarray
@@ -191,21 +187,13 @@ class FitResult:
         return _map_columns(lambda column: column[rows], self)
 
     def record(self, i):
-        """Row i as a LocationRecord of scalars and (K,) arrays."""
-        row = _map_columns(
-            lambda column: column[i].item() if column.ndim == 1 else column[i].copy(), self
-        )
-        fit = row.fit if row.fit.well_posed else replace(row.fit, beta=None, residuals=None)
-        return LocationRecord(
-            index=row.index, lat=row.lat, lon=row.lon, neighborhood=row.neighborhood,
-            orientation=row.orientation, weight_map=row.weight_map, fit=fit,
-            cond_wls2=row.cond_wls2, residual_at_target=row.residual_at_target,
-            branch_codes=branch_codes(self.take([i]))[0],
-        )
+        """Row i as a FitResult of scalars and (K,) arrays."""
+        return _map_columns(lambda column: column[i].copy(), self)
 
 
 def branch_codes(result):
-    """The branch codes of each row of a FitResult, as frozensets."""
+    """The branch codes of each row of a FitResult (a table, or one row from
+    record), as a list of frozensets."""
     flags = {
         BRANCH_PHI_ISO: result.orientation.phi_deactivated,
         BRANCH_THETA_NONIDENT: result.orientation.theta_deactivated,
@@ -213,7 +201,7 @@ def branch_codes(result):
         BRANCH_UNDERFLOW_FALLBACK: result.weight_map.fallback_code == FALLBACK_UNDERFLOW,
         BRANCH_ILL_POSED: ~result.fit.well_posed,
     }
-    rows = np.column_stack(list(flags.values())).reshape(len(result), len(flags)).tolist()
+    rows = np.column_stack(list(flags.values())).reshape(-1, len(flags)).tolist()
     return [frozenset(code for code, on in zip(flags, row) if on) for row in rows]
 
 
@@ -295,7 +283,8 @@ def _fit_chunks(dataset, config, lat0, lon0, index, x_std, threads):
 
 
 def fit_location(dataset, config, target_index):
-    """Full realized estimator map at one in-sample target, as a LocationRecord."""
+    """Full realized estimator map at one in-sample target, as a one-row
+    FitResult (see FitResult.record)."""
     rows = np.array([target_index])
     return _fit_targets(dataset, config, dataset.lat[rows], dataset.lon[rows], rows,
                         standardized_covariate(dataset.x)).record(0)
@@ -308,7 +297,6 @@ def fit_all(dataset, config, threads=1):
     threads, each taking whole chunks. The thread schedule cannot change any
     output value.
     """
-    dataset.validate()
     return _fit_chunks(dataset, config, dataset.lat, dataset.lon, np.arange(dataset.n),
                        standardized_covariate(dataset.x), threads)
 
@@ -319,13 +307,15 @@ def predict(train, config, lats, lons, x, threads=1):
     Neighbors come from the training pool only; the distance-trend regressor
     is evaluated as zero at the target, so the prediction is
     beta0 + beta1 * x. Returns (predictions, FitResult); a prediction is NaN
-    where the local solve is ill-posed.
+    where the local solve is ill-posed. The targets are checked as a
+    Dataset's rows are (check_coordinates).
     """
-    lats = np.asarray(lats, dtype=np.float64)
-    result = _fit_chunks(train, config, lats, np.asarray(lons, dtype=np.float64),
+    lats, lons, x = (np.asarray(c, dtype=np.float64) for c in (lats, lons, x))
+    check_coordinates(lats, lons, x=x)
+    result = _fit_chunks(train, config, lats, lons,
                          np.full(lats.shape[0], -1), standardized_covariate(train.x), threads)
     beta = result.fit.beta
-    return beta[:, 0] + beta[:, 1] * np.asarray(x, dtype=np.float64), result
+    return beta[:, 0] + beta[:, 1] * x, result
 
 
 def residual_knn_correct(training_residuals, train_lats, train_lons,

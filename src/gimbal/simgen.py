@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Dataset
+from .engine import Dataset, check_real
 from .geo import meters_to_geo_arrays, rotation_matrix, tangent_displacements
 
 _SAMPLING = ("uniform", "gaussian")
@@ -38,6 +38,8 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lat0", "lon0", "extent", "rho", "psi", "delta_beta", "sigma", "c_rad"):
+            check_real(name, getattr(self, name))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.rho < 1.0:
@@ -121,4 +123,4 @@ def generate(spec):
     lats, lons = sample_locations(spec, loc_rng)
     x = cov_rng.standard_normal(spec.n)
     y = gen_response(lats, lons, x, spec, noise_rng)
-    return Dataset(lat=lats, lon=lons, x=x, y=y).validate(), beta_surface(lats, spec.delta_beta)
+    return Dataset(lat=lats, lon=lons, x=x, y=y), beta_surface(lats, spec.delta_beta)

@@ -17,7 +17,6 @@ result depends on that row alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +27,6 @@ SINGULARITY_RTOL = 1e-12
 DEFAULT_EPS_KAPPA = 1e-12
 
 
-class FitSummaries(NamedTuple):
-    rmse: float
-    r2: float
-    r2_defined: bool
-    residuals: np.ndarray
-
-
 @dataclass(frozen=True)
 class LocalFit:
     """Local solve of one neighborhood (scalars, (p,) beta, (K,) residuals) or
@@ -43,14 +35,14 @@ class LocalFit:
     Ill-posed rows carry NaN coefficients, residuals, bound and fit summaries.
     """
 
-    beta: np.ndarray | None
+    beta: np.ndarray
     m_nor_condition: float
     operator_norm_bound: float
     well_posed: bool
     rmse_local: float
     r2_local: float
     r2_defined: bool
-    residuals: np.ndarray | None
+    residuals: np.ndarray
 
 
 def _weighted_gram(columns, scale):
@@ -114,7 +106,7 @@ def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
 
 
 def local_fit_summaries(X, y, beta):
-    """Unweighted RMSE / R^2 / residuals over the neighborhood rows.
+    """Unweighted (rmse, r2, r2_defined, residuals) over the neighborhood rows.
 
     R^2 is undefined for a constant response: it is reported as 0 with
     r2_defined False.
@@ -128,7 +120,7 @@ def local_fit_summaries(X, y, beta):
     defined = ss_tot > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(defined, 1.0 - ss_res / ss_tot, 0.0)
-    return FitSummaries(rmse, r2, defined, residuals)
+    return rmse, r2, defined, residuals
 
 
 def cond_wls2(x_standardized, weights, eps_kappa=DEFAULT_EPS_KAPPA):

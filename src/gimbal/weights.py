@@ -82,14 +82,17 @@ def raw_weights(east, north, metric):
 
 
 def ess(normalized_weights):
-    """Effective sample size 1 / sum(w^2) of a normalized weight vector."""
+    """Effective sample size 1 / sum(w^2) of normalized weights, reduced over
+    the last axis: a scalar for one vector, a (C,) array for a stack. Raises
+    if any vector is all zero or does not sum to one."""
     w = np.asarray(normalized_weights, dtype=np.float64)
-    total = float(np.sum(w))
-    if total == 0.0:
+    total = np.atleast_1d(np.sum(w, axis=-1))
+    if np.any(total == 0.0):
         raise ValueError("ESS is undefined for an all-zero weight vector")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights must be normalized (sum={total!r})")
-    return 1.0 / float(np.sum(w * w))
+    off = total[np.abs(total - 1.0) > 1e-9]
+    if off.size:
+        raise ValueError(f"weights must be normalized (sum={float(off[0])!r})")
+    return 1.0 / np.sum(w * w, axis=-1)
 
 
 def _normalized(w):

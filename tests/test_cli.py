@@ -253,6 +253,12 @@ def test_simulate_past_the_pole_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "lat" in capsys.readouterr().err
     assert not sim.exists()
+    # a non-finite float in the spec exits 2 naming its field
+    for flag, value in (("--extent", "inf"), ("--sigma", "nan"), ("--psi", "inf"), ("--rho", "nan")):
+        rc = main(["simulate", "--out", str(sim), "--n", "20", flag, value])
+        assert rc == 2, flag
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not sim.exists()
 
 
 def test_predict_protocol_and_cross_check(tmp_path):

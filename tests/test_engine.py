@@ -9,6 +9,7 @@ from gimbal.engine import (
     CHUNK_TARGETS,
     Dataset,
     GimbalConfig,
+    branch_codes,
     build_local_design,
     fit_all,
     fit_location,
@@ -44,10 +45,8 @@ def test_config_validation():
 
 
 def test_dataset_validation_names_row():
-    ds = Dataset(lat=np.array([0.0, 200.0]), lon=np.zeros(2),
-                 x=np.zeros(2), y=np.zeros(2))
     with pytest.raises(ValueError, match="row 1"):
-        ds.validate()
+        Dataset(lat=np.array([0.0, 200.0]), lon=np.zeros(2), x=np.zeros(2), y=np.zeros(2))
 
 
 def test_build_local_design_z_column():
@@ -163,20 +162,50 @@ def test_single_point_dataset_is_ill_posed_not_crash():
     recs = fit_all(ds, GimbalConfig(k=1))
     assert len(recs) == 1
     assert not recs.fit.well_posed[0]
-    assert BRANCH_ILL_POSED in recs.record(0).branch_codes
+    assert BRANCH_ILL_POSED in branch_codes(recs.record(0))[0]
 
 
 def test_branch_codes_consistent_with_flags():
     ds = small_dataset(seed=5, n=120)
     recs = fit_all(ds, GimbalConfig(k=25, n_min=20.0))
     for r in map(recs.record, range(len(recs))):
-        assert ("phi_iso" in r.branch_codes) == r.orientation.phi_deactivated
-        assert ("theta_nonident" in r.branch_codes) == r.orientation.theta_deactivated
-        has_fallback = ("uniform_fallback" in r.branch_codes) or (
-            "underflow_fallback" in r.branch_codes
-        )
+        codes = branch_codes(r)[0]
+        assert ("phi_iso" in codes) == r.orientation.phi_deactivated
+        assert ("theta_nonident" in codes) == r.orientation.theta_deactivated
+        has_fallback = "uniform_fallback" in codes or "underflow_fallback" in codes
         assert has_fallback == r.weight_map.fallback_uniform
-        assert ("ill_posed" in r.branch_codes) == (not r.fit.well_posed)
+        assert ("ill_posed" in codes) == (not r.fit.well_posed)
+
+
+def test_n_eff_final_on_a_table():
+    ds = small_dataset(seed=5, n=120)
+    k = 25
+    result = fit_all(ds, GimbalConfig(k=k, n_min=15.0))
+    n_eff = result.weight_map.n_eff_final
+    assert n_eff.shape == (len(result),)
+    fallback = result.weight_map.fallback_uniform
+    assert fallback.any() and not fallback.all()
+    for i in range(len(result)):
+        assert n_eff[i] == result.record(i).weight_map.n_eff_final
+    assert n_eff[fallback] == pytest.approx(float(k), rel=1e-12)
+
+
+def test_predict_rejects_bad_targets():
+    train = small_dataset(seed=2, n=80)
+    cfg = GimbalConfig(k=20)
+    for lats, lons, message in (([200.0], [135.0], "lat out of range .* row 0"),
+                                ([35.0, 35.0], [135.0, 400.0], "lon out of range .* row 1"),
+                                ([35.0, math.nan], [135.0, 135.0], "column lat is not finite at row 1"),
+                                ([35.0], [math.inf], "column lon is not finite at row 0")):
+        with pytest.raises(ValueError, match=message):
+            predict(train, cfg, lats, lons, np.zeros(len(lats)))
+    with pytest.raises(ValueError, match="column x is not finite at row 0"):
+        predict(train, cfg, [35.0], [135.0], [math.nan])
+    # a column of another length is not broadcast
+    for lats, lons, x, name in (([35.0, 35.01], [135.0], [0.5, 0.5], "lon"),
+                                ([35.0, 35.01], [135.0, 135.01], [0.5], "x")):
+        with pytest.raises(ValueError, match=f"column {name} has length 1, expected 2"):
+            predict(train, cfg, lats, lons, x)
 
 
 def test_predict_matches_in_sample_fitted_value_at_zero_z():

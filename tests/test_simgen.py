@@ -133,6 +133,12 @@ def test_spec_validation():
         SimSpec(sigma=-1.0)
     with pytest.raises(ValueError):
         SimSpec(sampling="poisson")
+    # every float field must be a finite real number, and the error names it
+    for name, value in (("extent", math.inf), ("sigma", math.nan), ("psi", math.inf),
+                        ("rho", math.nan), ("lat0", -math.inf), ("c_rad", True),
+                        ("delta_beta", "0.5")):
+        with pytest.raises(ValueError, match=name):
+            SimSpec(**{name: value})
 
 
 def test_gaussian_sampling_spread():

@@ -89,6 +89,16 @@ def test_ess_rejects_bad_input():
         ess(np.array([0.3, 0.3]))
 
 
+def test_ess_of_a_stack_is_per_row():
+    stack = np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0], [0.5, 0.25, 0.25, 0.0]])
+    np.testing.assert_allclose(ess(stack), [4.0, 1.0, 1 / 0.375], rtol=1e-12)
+    # one bad row fails the whole stack
+    with pytest.raises(ValueError, match="all-zero"):
+        ess(np.vstack([stack, np.zeros(4)]))
+    with pytest.raises(ValueError, match="sum=0.6"):
+        ess(np.vstack([stack, [0.3, 0.3, 0.0, 0.0]]))
+
+
 def random_cloud(rng, n, scale=2000.0):
     east = rng.normal(0, scale, n)
     north = rng.normal(0, scale, n)
