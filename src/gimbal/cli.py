@@ -124,7 +124,7 @@ def read_dataset(path):
             x=np.array(data["x"]), y=np.array(data["y"]),
             ids=np.array(ids) if ids is not None else None,
         )
-    except ValueError as exc:
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
@@ -180,35 +180,40 @@ def _annotate_and_write(path, result, ids, k_moran, kappa_quantile, neff_floor):
 
 # ---------------------------------------------------------------- config
 
-# one flag per GimbalConfig field, typed as its default (u defaults to None: a float)
-_CONFIG_TYPES = {f.name: float if f.default is None else type(f.default)
-                 for f in dataclasses.fields(GimbalConfig)}
+def _add_field_flags(parser, cls):
+    """One flag per field of the dataclass cls, typed as the field's default
+    (a None default, GimbalConfig.u, is a float); an unset flag is None."""
+    for f in dataclasses.fields(cls):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", default=None,
+                            type=float if f.default is None else type(f.default))
 
 
 def _add_config_flags(parser):
     parser.add_argument("--config", type=Path, help="JSON file with config fields")
-    for name, typ in _CONFIG_TYPES.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
+    _add_field_flags(parser, GimbalConfig)
+
+
+def _flag_values(args, cls):
+    """The fields of the dataclass cls that were set by flag."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def build_config(args):
     """Flags override config-file values override documented defaults."""
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config file {args.config} must hold a JSON object")
-        unknown = loaded.keys() - _CONFIG_TYPES.keys()
+        unknown = loaded.keys() - {f.name for f in dataclasses.fields(GimbalConfig)}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for name in _CONFIG_TYPES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
+    values.update(_flag_values(args, GimbalConfig))
     return GimbalConfig(**values)
 
 
@@ -274,16 +279,8 @@ def cmd_predict(args):
 
 
 def cmd_simulate(args):
-    try:
-        dataset, beta1 = generate(SimSpec(
-            n=args.n, lat0=args.lat0, lon0=args.lon0, extent=args.extent,
-            sampling=args.sampling, rho=args.rho, psi=args.psi,
-            delta_beta=args.delta_beta, sigma=args.sigma, c_rad=args.c_rad,
-            seed=args.seed,
-        ))
-    except ValueError as exc:
-        # a bad spec, or points off the globe (near a pole): nothing is written
-        raise ConfigurationError(str(exc)) from exc
+    # a bad spec, or points off the globe (near a pole), raises before anything is written
+    dataset, beta1 = generate(SimSpec(**_flag_values(args, SimSpec)))
     write_dataset_csv(args.out, dataset, beta1_true=beta1)
     return 0
 
@@ -292,12 +289,11 @@ _EXPERIMENT_IDS = {"7.1": "e71", "7.2": "e72", "7.3": "e73", "7.4": "e74"}
 
 
 def cmd_experiment(args):
+    # an unknown id or a bad seed raises before the output directory is made
     exp_id = _EXPERIMENT_IDS.get(args.id, args.id)
-    if exp_id not in _EXPERIMENT_IDS.values():
-        raise ConfigurationError(f"unknown experiment id {args.id!r}")
+    report, records_by_variant = run_experiment(exp_id, base_seed=args.seed, threads=args.threads)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    report, records_by_variant = run_experiment(exp_id, base_seed=args.seed, threads=args.threads)
     # simulated data has no id column
     for name, result in records_by_variant.items():
         _annotate_and_write(outdir / f"{exp_id}_{name}.csv", result, None, DEFAULT_K_MORAN,
@@ -342,17 +338,7 @@ def _build_parser():
 
     p_sim = sub.add_parser("simulate", help="generate a seeded synthetic dataset")
     p_sim.add_argument("--out", required=True, type=Path)
-    p_sim.add_argument("--n", type=int, default=1200)
-    p_sim.add_argument("--lat0", type=float, default=35.0)
-    p_sim.add_argument("--lon0", type=float, default=135.0)
-    p_sim.add_argument("--extent", type=float, default=40_000.0)
-    p_sim.add_argument("--sampling", choices=["uniform", "gaussian"], default="uniform")
-    p_sim.add_argument("--rho", type=float, default=1.0)
-    p_sim.add_argument("--psi", type=float, default=0.0)
-    p_sim.add_argument("--delta-beta", type=float, default=0.5)
-    p_sim.add_argument("--sigma", type=float, default=1.0)
-    p_sim.add_argument("--c-rad", type=float, default=0.0)
-    p_sim.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p_sim, SimSpec)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_exp = sub.add_parser("experiment", help="run a mechanism experiment")

@@ -57,6 +57,12 @@ def check_real(name, value):
         raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+def check_int(name, value):
+    """Raise ConfigurationError unless value is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GimbalConfig:
     k: int = 50
@@ -75,8 +81,7 @@ class GimbalConfig:
     eta_mode: str = "geometry"
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ConfigurationError(f"K must be an integer, got {self.k!r}")
+        check_int("K", self.k)
         if self.k < 1:
             raise ConfigurationError(f"K must be >= 1, got {self.k}")
         for name in ("h", "gamma", "u", "n0", "n_min", "eta_max",
@@ -102,28 +107,29 @@ class GimbalConfig:
 
 
 def check_coordinates(lat, lon, **columns):
-    """Raise ValueError naming the first bad column or row: every column (lon
-    and any others given) must have lat's length, every value must be finite,
-    lat in [-90, 90] and lon in [-180, 180]."""
+    """Raise ConfigurationError naming the first bad column or row: every
+    column (lon and any others given) must have lat's length, every value
+    must be finite, lat in [-90, 90] and lon in [-180, 180]."""
     columns = {"lat": lat, "lon": lon, **columns}
     for name, col in columns.items():
         if col.shape[0] != lat.shape[0]:
-            raise ValueError(f"column {name} has length {col.shape[0]}, expected {lat.shape[0]}")
+            raise ConfigurationError(f"column {name} has length {col.shape[0]}, expected {lat.shape[0]}")
     for name, col in columns.items():
         bad = np.nonzero(~np.isfinite(col))[0]
         if bad.size:
-            raise ValueError(f"column {name} is not finite at row {bad[0]}")
+            raise ConfigurationError(f"column {name} is not finite at row {bad[0]}")
     bad = np.nonzero((lat < -90.0) | (lat > 90.0))[0]
     if bad.size:
-        raise ValueError(f"lat out of range [-90, 90] at row {bad[0]}")
+        raise ConfigurationError(f"lat out of range [-90, 90] at row {bad[0]}")
     bad = np.nonzero((lon < -180.0) | (lon > 180.0))[0]
     if bad.size:
-        raise ValueError(f"lon out of range [-180, 180] at row {bad[0]}")
+        raise ConfigurationError(f"lon out of range [-180, 180] at row {bad[0]}")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Input columns; construction checks them with check_coordinates."""
+    """Input columns; construction checks them with check_coordinates, and
+    ids (if given) for lat's length."""
 
     lat: np.ndarray
     lon: np.ndarray
@@ -135,6 +141,8 @@ class Dataset:
         for name in ("lat", "lon", "x", "y"):
             object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
         check_coordinates(self.lat, self.lon, x=self.x, y=self.y)
+        if self.ids is not None and len(self.ids) != self.n:
+            raise ConfigurationError(f"column ids has length {len(self.ids)}, expected {self.n}")
 
     @property
     def n(self):
@@ -228,7 +236,7 @@ def build_local_design(dataset, nb, u):
     return X, dataset.y[members], z
 
 
-def _fit_targets(dataset, config, lat0, lon0, index, x_std):
+def _fit_targets(dataset, config, lat0, lon0, index):
     """The estimator map at targets (lat0, lon0), neighbors taken from dataset.
 
     index holds each target's row in dataset, or -1 for an out-of-sample
@@ -241,7 +249,7 @@ def _fit_targets(dataset, config, lat0, lon0, index, x_std):
 
     orient, wmap = kernels.weight_map(east, north, nb.distances, z, y_loc, config)
     fit = solver.solve_local(X, y_loc, wmap.weights, config.gamma, config.eps_kappa)
-    cw2 = cond_wls2(x_std[members], wmap.weights, config.eps_kappa)
+    cw2 = cond_wls2(standardized_covariate(dataset.x)[members], wmap.weights, config.eps_kappa)
 
     at_target = members == index[:, None]
     residual_at_target = np.where(
@@ -254,7 +262,7 @@ def _fit_targets(dataset, config, lat0, lon0, index, x_std):
     )
 
 
-def _fit_chunks(dataset, config, lat0, lon0, index, x_std, threads):
+def _fit_chunks(dataset, config, lat0, lon0, index, threads):
     """_fit_targets over chunks of CHUNK_TARGETS targets, joined in order.
 
     threads: 1 runs serial, 0 uses all cores, otherwise the given count.
@@ -264,7 +272,7 @@ def _fit_chunks(dataset, config, lat0, lon0, index, x_std, threads):
 
     def chunk(start):
         rows = slice(start, start + CHUNK_TARGETS)
-        return _fit_targets(dataset, config, lat0[rows], lon0[rows], index[rows], x_std)
+        return _fit_targets(dataset, config, lat0[rows], lon0[rows], index[rows])
 
     n = index.shape[0]
     # an empty target list still makes one (empty) chunk
@@ -286,8 +294,7 @@ def fit_location(dataset, config, target_index):
     """Full realized estimator map at one in-sample target, as a one-row
     FitResult (see FitResult.record)."""
     rows = np.array([target_index])
-    return _fit_targets(dataset, config, dataset.lat[rows], dataset.lon[rows], rows,
-                        standardized_covariate(dataset.x)).record(0)
+    return _fit_targets(dataset, config, dataset.lat[rows], dataset.lon[rows], rows).record(0)
 
 
 def fit_all(dataset, config, threads=1):
@@ -297,8 +304,7 @@ def fit_all(dataset, config, threads=1):
     threads, each taking whole chunks. The thread schedule cannot change any
     output value.
     """
-    return _fit_chunks(dataset, config, dataset.lat, dataset.lon, np.arange(dataset.n),
-                       standardized_covariate(dataset.x), threads)
+    return _fit_chunks(dataset, config, dataset.lat, dataset.lon, np.arange(dataset.n), threads)
 
 
 def predict(train, config, lats, lons, x, threads=1):
@@ -312,8 +318,7 @@ def predict(train, config, lats, lons, x, threads=1):
     """
     lats, lons, x = (np.asarray(c, dtype=np.float64) for c in (lats, lons, x))
     check_coordinates(lats, lons, x=x)
-    result = _fit_chunks(train, config, lats, lons,
-                         np.full(lats.shape[0], -1), standardized_covariate(train.x), threads)
+    result = _fit_chunks(train, config, lats, lons, np.full(lats.shape[0], -1), threads)
     beta = result.fit.beta
     return beta[:, 0] + beta[:, 1] * x, result
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .engine import GimbalConfig, fit_all
+from .engine import ConfigurationError, GimbalConfig, fit_all
 from .simgen import SimSpec, generate
 
 E73_N0_SWEEP = (6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)
@@ -172,7 +172,7 @@ def run_experiment(exp_id, base_seed=0, threads=1):
     """
     runners = {"e71": _run_e71, "e72": _run_e72, "e73": _run_e73, "e74": _run_e74}
     if exp_id not in runners:
-        raise ValueError(f"unknown experiment id {exp_id!r}; expected one of {sorted(runners)}")
+        raise ConfigurationError(f"unknown experiment id {exp_id!r}; expected one of {sorted(runners)}")
     return runners[exp_id](base_seed, threads)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Dataset, check_real
+from .engine import ConfigurationError, Dataset, check_int, check_real
 from .geo import meters_to_geo_arrays, rotation_matrix, tangent_displacements
 
 _SAMPLING = ("uniform", "gaussian")
@@ -38,18 +38,22 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "seed"):
+            check_int(name, getattr(self, name))
         for name in ("lat0", "lon0", "extent", "rho", "psi", "delta_beta", "sigma", "c_rad"):
             check_real(name, getattr(self, name))
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ConfigurationError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.rho < 1.0:
-            raise ValueError("rho must be >= 1")
+            raise ConfigurationError(f"rho must be >= 1, got {self.rho}")
         if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
         if self.extent <= 0.0:
-            raise ValueError("extent must be positive")
+            raise ConfigurationError(f"extent must be positive, got {self.extent}")
         if self.sampling not in _SAMPLING:
-            raise ValueError(f"sampling must be one of {_SAMPLING}")
+            raise ConfigurationError(f"sampling must be one of {_SAMPLING}, got {self.sampling!r}")
 
 
 def deformation_matrix(rho, psi):
@@ -67,22 +71,21 @@ def _streams(seed):
 
 
 def _sample_plane(spec, rng):
-    """Raw and deformed East-North coordinates (n x 2 each)."""
+    """Deformed East-North coordinates (n x 2)."""
     if spec.sampling == "uniform":
         u = rng.uniform(-spec.extent, spec.extent, size=(spec.n, 2))
     else:
         u = rng.normal(0.0, spec.extent / 2.0, size=(spec.n, 2))
     mean = u.mean(axis=0)
-    deformed = (u - mean) @ deformation_matrix(spec.rho, spec.psi).T + mean
-    return u, deformed
+    return (u - mean) @ deformation_matrix(spec.rho, spec.psi).T + mean
 
 
 def sample_locations(spec, rng=None):
     """Seeded planar sampling + deformation + conversion to degrees."""
     if rng is None:
         rng = _streams(spec.seed)[0]
-    _, deformed = _sample_plane(spec, rng)
-    lats, lons = meters_to_geo_arrays(spec.lat0, spec.lon0, deformed[:, 0], deformed[:, 1])
+    east, north = _sample_plane(spec, rng).T
+    lats, lons = meters_to_geo_arrays(spec.lat0, spec.lon0, east, north)
     return lats, lons
 
 
@@ -116,8 +119,8 @@ def gen_response(lats, lons, x, spec, rng=None):
 def generate(spec):
     """Full seeded dataset; returns (Dataset, true beta1 array).
 
-    Raises ValueError when a point falls off the globe (a latitude past a
-    pole), naming its row.
+    Raises ConfigurationError when a point falls off the globe (a latitude
+    past a pole), naming its row.
     """
     loc_rng, cov_rng, noise_rng = _streams(spec.seed)
     lats, lons = sample_locations(spec, loc_rng)

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gimbal.cli import RECORD_FIELDS, main, read_dataset
+from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv
 from gimbal.engine import GimbalConfig, predict
+from gimbal.simgen import SimSpec, generate
 
 
 def write_csv(path, rows, header=("lat", "lon", "x", "y")):
@@ -234,6 +235,24 @@ def test_simulate_reproducible_and_readable(tmp_path):
     assert ds.n == 50
 
 
+NON_DEFAULT_SIMSPEC = {
+    "n": 40, "lat0": -20.0, "lon0": -60.0, "extent": 5000.0, "sampling": "gaussian",
+    "rho": 2.0, "psi": 0.3, "delta_beta": 0.25, "sigma": 0.5, "c_rad": 1.5, "seed": 7,
+}
+
+
+def test_every_simspec_field_settable_by_flag(tmp_path):
+    fields = dataclasses.asdict(SimSpec())
+    assert NON_DEFAULT_SIMSPEC.keys() == fields.keys()
+    assert all(NON_DEFAULT_SIMSPEC[name] != fields[name] for name in fields)
+    flags = [item for name, value in NON_DEFAULT_SIMSPEC.items()
+             for item in (f"--{name.replace('_', '-')}", str(value))]
+    assert main(["simulate", "--out", str(tmp_path / "flags.csv"), *flags]) == 0
+    dataset, beta1 = generate(SimSpec(**NON_DEFAULT_SIMSPEC))
+    write_dataset_csv(tmp_path / "library.csv", dataset, beta1_true=beta1)
+    assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
 def test_simulate_across_the_antimeridian_fits(tmp_path):
     sim = tmp_path / "sim.csv"
     rc = main(["simulate", "--out", str(sim), "--n", "60", "--extent", "8000",
@@ -253,11 +272,17 @@ def test_simulate_past_the_pole_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "lat" in capsys.readouterr().err
     assert not sim.exists()
-    # a non-finite float in the spec exits 2 naming its field
-    for flag, value in (("--extent", "inf"), ("--sigma", "nan"), ("--psi", "inf"), ("--rho", "nan")):
+    # a non-finite float, an unknown sampling or a negative seed in the spec
+    # exits 2 naming its field
+    for flag, value, message in (("--extent", "inf", "extent must be finite"),
+                                 ("--sigma", "nan", "sigma must be finite"),
+                                 ("--psi", "inf", "psi must be finite"),
+                                 ("--rho", "nan", "rho must be finite"),
+                                 ("--sampling", "poisson", "sampling must be one of"),
+                                 ("--seed", "-1", "seed must be >= 0")):
         rc = main(["simulate", "--out", str(sim), "--n", "20", flag, value])
         assert rc == 2, flag
-        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not sim.exists()
 
 
@@ -355,6 +380,15 @@ def test_experiment_71_emits_four_variants(tmp_path):
 def test_experiment_unknown_id_exits_2(tmp_path, capsys):
     rc = main(["experiment", "--id", "9.9", "--outdir", str(tmp_path / "x")])
     assert rc == 2
+    assert "unknown experiment id '9.9'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["experiment", "--id", "7.1", "--seed", "-1", "--outdir", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag():

@@ -49,6 +49,11 @@ def test_dataset_validation_names_row():
         Dataset(lat=np.array([0.0, 200.0]), lon=np.zeros(2), x=np.zeros(2), y=np.zeros(2))
 
 
+def test_dataset_rejects_ids_of_another_length():
+    with pytest.raises(ConfigurationError, match="column ids has length 1, expected 3"):
+        Dataset(lat=np.zeros(3), lon=np.zeros(3), x=np.zeros(3), y=np.zeros(3), ids=np.array(["a"]))
+
+
 def test_build_local_design_z_column():
     ds = small_dataset()
     members, distances = knn(ds.lat, ds.lon, ds.lat[[5]], ds.lon[[5]], 10)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gimbal.geo import tangent_displacements
+from gimbal.neighborhood import ConfigurationError
 from gimbal.simgen import (
     SimSpec,
     beta_surface,
@@ -138,6 +139,10 @@ def test_spec_validation():
                         ("rho", math.nan), ("lat0", -math.inf), ("c_rad", True),
                         ("delta_beta", "0.5")):
         with pytest.raises(ValueError, match=name):
+            SimSpec(**{name: value})
+    # the integer fields must be integers (a bool is not), the seed nonnegative
+    for name, value in (("n", 2.5), ("n", True), ("seed", -1), ("seed", 1.5)):
+        with pytest.raises(ConfigurationError, match=name):
             SimSpec(**{name: value})
 
 
