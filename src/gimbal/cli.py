@@ -27,7 +27,7 @@ from .diagnostics import (
     DEFAULT_K_MORAN,
     DEFAULT_KAPPA_QUANTILE,
     DEFAULT_NEFF_FLOOR,
-    local_moran,
+    local_moran_of_rows,
     reliability_mask,
 )
 from .engine import (
@@ -158,17 +158,19 @@ def write_records_csv(path, result, ids, moran_values, fragile_flags):
 
 
 def _moran_over_records(result, k_moran):
-    """Per-target local Moran of the target-row residuals; ill-posed -> NaN."""
+    """Per-target local Moran of the target-row residuals of a fit_all
+    result, its adjacency taken from the fit's own neighbor rows; ill-posed
+    -> NaN."""
     residuals = result.residual_at_target
-    finite = np.isfinite(residuals)
-    values = np.full(len(result), math.nan)
-    n_finite = int(np.sum(finite))
-    if n_finite >= 2:
-        if not 1 <= k_moran < n_finite:
-            raise ConfigurationError(f"--moran-k {k_moran} outside the eligible range "
-                                     f"[1, {n_finite - 1}]: {n_finite} locations have a finite residual")
-        # zero residual variance leaves the statistic undefined: all zeros
-        values[finite], _ = local_moran(residuals[finite], result.lat[finite], result.lon[finite], k_moran)
+    n_finite = int(np.sum(np.isfinite(residuals)))
+    if n_finite < 2:
+        return np.full(len(result), math.nan)
+    if not 1 <= k_moran < n_finite:
+        raise ConfigurationError(f"--moran-k {k_moran} outside the eligible range "
+                                 f"[1, {n_finite - 1}]: {n_finite} locations have a finite residual")
+    # zero residual variance leaves the statistic undefined: all zeros
+    values, _ = local_moran_of_rows(residuals, result.lat, result.lon,
+                                    result.neighborhood.member_indices, k_moran)
     return values
 
 
@@ -219,7 +221,26 @@ def build_config(args):
 
 # ---------------------------------------------------------------- commands
 
+def _check_output_file(flag, path):
+    """Raise ConfigurationError unless path can be written as a file: its
+    directory exists and the path is not itself a directory."""
+    if not path.parent.is_dir():
+        raise ConfigurationError(f"{flag} {path}: {path.parent} is not an existing directory")
+    if path.is_dir():
+        raise ConfigurationError(f"{flag} {path} is a directory")
+
+
+def _check_output_dir(flag, path):
+    """Raise ConfigurationError unless path is a directory or can be made
+    as one: its nearest existing ancestor, or itself, is a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"{flag} {path}: {existing} exists and is not a directory")
+
+
 def cmd_fit(args):
+    _check_output_file("--out-records", args.out_records)
+    _check_output_file("--out-summary", args.out_summary)
     quantile, floor = args.fragile_kappa_quantile, args.fragile_neff_floor
     if not 0.0 <= quantile <= 1.0:
         raise ConfigurationError(f"--fragile-kappa-quantile must lie in [0, 1], got {quantile}")
@@ -250,6 +271,7 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
+    _check_output_file("--out", args.out)
     train = read_dataset(args.train)
     test = read_dataset(args.test)
     config = build_config(args)
@@ -279,6 +301,7 @@ def cmd_predict(args):
 
 
 def cmd_simulate(args):
+    _check_output_file("--out", args.out)
     # a bad spec, or points off the globe (near a pole), raises before anything is written
     dataset, beta1 = generate(SimSpec(**_flag_values(args, SimSpec)))
     write_dataset_csv(args.out, dataset, beta1_true=beta1)
@@ -289,6 +312,7 @@ _EXPERIMENT_IDS = {"7.1": "e71", "7.2": "e72", "7.3": "e73", "7.4": "e74"}
 
 
 def cmd_experiment(args):
+    _check_output_dir("--outdir", args.outdir)
     # an unknown id or a bad seed raises before the output directory is made
     exp_id = _EXPERIMENT_IDS.get(args.id, args.id)
     report, records_by_variant = run_experiment(exp_id, base_seed=args.seed, threads=args.threads)

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import gimbal.cli
 from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv
-from gimbal.engine import GimbalConfig, predict
+from gimbal.engine import CHUNK_TARGETS, GimbalConfig, fit_all, predict
 from gimbal.simgen import SimSpec, generate
+from test_diagnostics import moran_on_finite
 
 
 def write_csv(path, rows, header=("lat", "lon", "x", "y")):
@@ -138,6 +140,69 @@ def test_fit_k_exceeds_n_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "--moran-k" in err and "[1, 4]" in err and "5 locations" in err, err
     assert main(base + ["--k", "5", "--moran-k", "4"]) == 0
+
+
+def test_fit_moran_rows_all_short_match_local_moran(tmp_path):
+    # at --k 5 every fit row is too short for --moran-k 8, so the whole
+    # adjacency comes from one neighbor query; the rows span two chunks
+    ds, _ = generate(SimSpec(n=CHUNK_TARGETS + 44, extent=15_000.0, seed=24))
+    inp = tmp_path / "data.csv"
+    write_dataset_csv(inp, ds)
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--k", "5", "--moran-k", "8"])
+    assert rc == 0
+    header, rows = read_csv_skipping_comments(tmp_path / "r.csv")
+    column = header.index("local_moran")
+    values = np.array([float(row[column]) if row[column] else math.nan for row in rows])
+
+    expect = moran_on_finite(fit_all(read_dataset(inp), GimbalConfig(k=5)), 8)
+    assert np.array_equal(values.view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fit", "--out-records"), ("fit", "--out-summary"), ("predict", "--out"),
+    ("simulate", "--out"),
+])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, command, flag):
+    # a missing directory; the inputs do not exist either, so the output
+    # path is checked first
+    missing = str(tmp_path / "missing.csv")
+    paths = {
+        "fit": {"--input": missing, "--out-records": "r.csv", "--out-summary": "s.json"},
+        "predict": {"--train": missing, "--test": missing, "--out": "p.csv"},
+        "simulate": {"--out": "d.csv"},
+    }[command]
+    paths = {name: value if name in ("--input", "--train", "--test") else str(tmp_path / value)
+             for name, value in paths.items()}
+    paths[flag] = str(tmp_path / "nodir" / "x")
+    assert main([command] + [arg for pair in paths.items() for arg in pair]) == 2
+    assert f"error: {flag} {paths[flag]}" in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("make", ["file", "file_parent"])
+def test_experiment_outdir_over_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch, make):
+    (tmp_path / "taken").write_text("")
+    outdir = tmp_path / "taken" if make == "file" else tmp_path / "taken" / "sub"
+
+    def not_run(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(gimbal.cli, "run_experiment", not_run)
+    assert main(["experiment", "--id", "7.1", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert f"--outdir {outdir}: {tmp_path / 'taken'} exists and is not a directory" in err
+
+
+def test_fit_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    inp = tmp_path / "data.csv"
+    write_csv(inp, toy_rows())
+    (tmp_path / "r.csv").mkdir()
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--k", "5"])
+    assert rc == 2
+    assert f"--out-records {tmp_path / 'r.csv'} is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_config_precedence(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import gimbal.diagnostics
+from gimbal.cli import _moran_over_records
 from gimbal.diagnostics import local_moran, reliability_mask
-from gimbal.engine import Dataset, GimbalConfig, fit_all
+from gimbal.engine import CHUNK_TARGETS, Dataset, GimbalConfig, fit_all
 from gimbal.simgen import SimSpec, generate
 
 
@@ -102,3 +104,62 @@ def test_mask_neff_floor_and_ill_posed():
     ill = ~result.fit.well_posed
     assert ill[120:].all() and not ill[:120].any()
     assert np.array_equal(reliability_mask(result, 1.0, 0.0), ill)
+
+
+def moran_on_finite(result, k_moran):
+    """The reference: local_moran, with its own KNN query, over the rows with
+    a finite residual; NaN elsewhere."""
+    residuals = result.residual_at_target
+    finite = np.isfinite(residuals)
+    values = np.full(len(result), np.nan)
+    values[finite], _ = local_moran(residuals[finite], result.lat[finite], result.lon[finite], k_moran)
+    return values
+
+
+def cluster_fixture():
+    """200 points spread over 0.5 degrees, plus a cluster of 10 points within
+    1e-3 degrees, each twice, with a constant covariate: at K=10 the cluster's
+    rows are ill-posed, and the rows of spread points near the cluster keep
+    fewer than 8 finite members."""
+    rng = np.random.default_rng(3)
+    lat = np.append(35.0 + rng.uniform(0, 0.5, 200), np.tile(35.2 + rng.uniform(0, 1e-3, 10), 2))
+    lon = np.append(135.0 + rng.uniform(0, 0.5, 200), np.tile(135.2 + rng.uniform(0, 1e-3, 10), 2))
+    x = np.append(rng.normal(size=200), np.ones(20))
+    return Dataset(lat=lat, lon=lon, x=x, y=1.0 + 2.0 * x + rng.normal(size=220))
+
+
+@pytest.mark.parametrize("k", [10, 50])
+def test_moran_of_fit_rows_bitwise_equals_local_moran(k, monkeypatch):
+    result = fit_all(cluster_fixture(), GimbalConfig(k=k))
+    knn = gimbal.diagnostics.knn
+    queried = []
+
+    def counting_knn(lats, lons, target_lats, target_lons, k_moran, exclude=None):
+        queried.append(len(target_lats))
+        return knn(lats, lons, target_lats, target_lons, k_moran, exclude=exclude)
+
+    monkeypatch.setattr(gimbal.diagnostics, "knn", counting_knn)
+    values = _moran_over_records(result, 8)
+    if k == 10:
+        assert np.sum(~result.fit.well_posed) == 20
+        assert len(queried) == 1 and 0 < queried[0] < len(result)  # the short rows only
+    else:
+        assert queried == []
+    monkeypatch.undo()
+    assert np.array_equal(values.view(np.int64), moran_on_finite(result, 8).view(np.int64))
+
+
+def test_moran_of_fit_rows_needs_no_second_query(monkeypatch):
+    # every row keeps at least 8 finite members of its K=50 fit row, so the
+    # adjacency is read off the fit alone
+    ds, _ = generate(SimSpec(n=2 * CHUNK_TARGETS + 40, extent=15_000.0, seed=23))
+    result = fit_all(ds, GimbalConfig(k=50))
+    expect = moran_on_finite(result, 8)
+
+    def no_query(*args, **kwargs):
+        raise AssertionError("the Moran adjacency ran a neighbor query")
+
+    monkeypatch.setattr(gimbal.diagnostics, "knn", no_query)
+    values = _moran_over_records(result, 8)
+    assert np.isfinite(values).all()
+    assert np.array_equal(values.view(np.int64), expect.view(np.int64))
