@@ -277,10 +277,8 @@ def cmd_predict(args):
     config = build_config(args)
     if config.k > train.n:
         raise ConfigurationError(f"K={config.k} exceeds training size {train.n}")
-    if args.residual_knn < 0:
-        raise ConfigurationError(f"--residual-knn must be >= 0 (0 means no correction), got {args.residual_knn}")
-    if args.residual_knn > train.n:
-        raise ConfigurationError(f"--residual-knn {args.residual_knn} exceeds training size {train.n}")
+    if not 0 <= args.residual_knn <= config.k:
+        raise ConfigurationError(f"--residual-knn must lie in [0, K={config.k}], got {args.residual_knn}")
 
     preds, result = predict(train, config, test.lat, test.lon, test.x, threads=args.threads)
     ill = ~result.fit.well_posed
@@ -288,10 +286,8 @@ def cmd_predict(args):
     header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
     if args.residual_knn > 0:
         training_residuals = fit_all(train, config, threads=args.threads).residual_at_target
-        corr = residual_knn_correct(
-            training_residuals, train.lat, train.lon, test.lat, test.lon, args.residual_knn,
-        )
-        columns += [corr, np.where(ill, math.nan, preds + corr)]
+        corr = residual_knn_correct(training_residuals, result.neighborhood.member_indices, args.residual_knn)
+        columns += [corr, preds + corr]
         header += ["residual_correction", "prediction_corrected"]
     rows = ([str(i), *row[:5], str(int(flag)), *row[5:]]
             for i, (flag, row) in enumerate(zip(

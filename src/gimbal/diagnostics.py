@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .engine import CHUNK_TARGETS
-from .neighborhood import knn
+from .neighborhood import ConfigurationError, knn
 
 DEFAULT_K_MORAN = 8
 # reliability_mask defaults: kappa above its 95% quantile is fragile; no ESS floor
@@ -67,6 +67,8 @@ def local_moran_of_rows(residuals, lats, lons, members, k_moran=DEFAULT_K_MORAN)
     Returns (values, defined); values are NaN where the residual is not finite
     and equal local_moran on the finite points elsewhere.
     """
+    if k_moran < 1:
+        raise ConfigurationError(f"k_moran must be >= 1, got {k_moran}")
     residuals = np.asarray(residuals, dtype=np.float64)
     subset = np.flatnonzero(np.isfinite(residuals))
     values = np.full(residuals.shape[0], math.nan)

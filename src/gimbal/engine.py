@@ -12,7 +12,8 @@ fitted alone (fit_location): serial and parallel runs agree bitwise.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
 come from the training table, the distance-trend regressor is zero at the
-target, and the optional residual-KNN correction averages training residuals.
+target, and the residual-KNN correction averages the training residuals of
+the first members of each prediction row.
 """
 
 from __future__ import annotations
@@ -108,10 +109,12 @@ class GimbalConfig:
 
 def check_coordinates(lat, lon, **columns):
     """Raise ConfigurationError naming the first bad column or row: every
-    column (lon and any others given) must have lat's length, every value
-    must be finite, lat in [-90, 90] and lon in [-180, 180]."""
+    column (lat, lon and any others given) must be 1-D of lat's length,
+    every value must be finite, lat in [-90, 90] and lon in [-180, 180]."""
     columns = {"lat": lat, "lon": lon, **columns}
     for name, col in columns.items():
+        if col.ndim != 1:
+            raise ConfigurationError(f"column {name} must be 1-D, got shape {col.shape}")
         if col.shape[0] != lat.shape[0]:
             raise ConfigurationError(f"column {name} has length {col.shape[0]}, expected {lat.shape[0]}")
     for name, col in columns.items():
@@ -323,8 +326,11 @@ def predict(train, config, lats, lons, x, threads=1):
     return beta[:, 0] + beta[:, 1] * x, result
 
 
-def residual_knn_correct(training_residuals, train_lats, train_lons,
-                         target_lats, target_lons, k_resid):
-    """Unweighted mean of the k nearest training residuals at each target."""
-    members, _ = knn(train_lats, train_lons, target_lats, target_lons, k_resid)
-    return np.mean(np.asarray(training_residuals, dtype=np.float64)[members], axis=-1)
+def residual_knn_correct(training_residuals, members, k_resid):
+    """Unweighted mean of the k_resid nearest training residuals at each
+    target: the first k_resid columns of a prediction's (distance,
+    index)-ordered neighborhood.member_indices. Makes no neighbor query."""
+    check_int("k_resid", k_resid)
+    if not 1 <= k_resid <= members.shape[1]:
+        raise ConfigurationError(f"k_resid={k_resid} outside [1, K={members.shape[1]}]")
+    return np.mean(np.asarray(training_residuals, dtype=np.float64)[members[:, :k_resid]], axis=-1)

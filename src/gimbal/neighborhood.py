@@ -1,10 +1,9 @@
 """Deterministic K-nearest-neighbor rule over haversine distance.
 
-One exact batched query serves every caller (fit, prediction, residual
-correction, local Moran). A cheap key, the cosine of the central angle,
-picks the candidates; the final rank is on (haversine distance, original
-index), so ties always break toward the smaller index and the neighborhood is
-a pure function of the input table.
+One exact batched query serves every caller (fit, prediction, local Moran).
+A cheap key, the cosine of the central angle, picks the candidates; the final
+rank is on (haversine distance, original index), so ties always break toward
+the smaller index and the neighborhood is a pure function of the input table.
 """
 
 from __future__ import annotations

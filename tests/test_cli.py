@@ -370,7 +370,7 @@ def test_predict_protocol_and_cross_check(tmp_path):
         assert float(row[5]) == pytest.approx(expect[i], rel=1e-12)
 
 
-def test_predict_residual_knn_zero_residuals(tmp_path):
+def test_predict_residual_knn_zero_residuals(tmp_path, capsys):
     # exact-plane data: training residuals vanish, correction changes nothing
     rng = np.random.default_rng(1)
     rows = []
@@ -404,6 +404,15 @@ def test_predict_residual_knn_zero_residuals(tmp_path):
                "--test", str(tmp_path / "test.csv"),
                "--out", str(tmp_path / "pred_neg.csv"), "--k", "10", "--residual-knn", "-1"])
     assert rc == 2
+    assert not (tmp_path / "pred_neg.csv").exists()
+    # the correction reads the first k of the K members of each prediction row
+    capsys.readouterr()
+    rc = main(["predict", "--train", str(tmp_path / "train.csv"),
+               "--test", str(tmp_path / "test.csv"),
+               "--out", str(tmp_path / "pred_big.csv"), "--k", "10", "--residual-knn", "11"])
+    assert rc == 2
+    assert "--residual-knn must lie in [0, K=10], got 11" in capsys.readouterr().err
+    assert not (tmp_path / "pred_big.csv").exists()
 
 
 def test_experiment_command_emits_variants_and_report(tmp_path, capsys):

@@ -3,8 +3,9 @@ import pytest
 
 import gimbal.diagnostics
 from gimbal.cli import _moran_over_records
-from gimbal.diagnostics import local_moran, reliability_mask
+from gimbal.diagnostics import local_moran, local_moran_of_rows, reliability_mask
 from gimbal.engine import CHUNK_TARGETS, Dataset, GimbalConfig, fit_all
+from gimbal.neighborhood import ConfigurationError
 from gimbal.simgen import SimSpec, generate
 
 
@@ -163,3 +164,14 @@ def test_moran_of_fit_rows_needs_no_second_query(monkeypatch):
     values = _moran_over_records(result, 8)
     assert np.isfinite(values).all()
     assert np.array_equal(values.view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("k_moran", [0, -1])
+def test_moran_of_rows_rejects_k_below_one(k_moran):
+    # as local_moran does, through its knn call
+    result = records_fixture()
+    with pytest.raises(ConfigurationError):
+        local_moran(result.residual_at_target, result.lat, result.lon, k_moran)
+    with pytest.raises(ConfigurationError, match=f"k_moran must be >= 1, got {k_moran}"):
+        local_moran_of_rows(result.residual_at_target, result.lat, result.lon,
+                            result.neighborhood.member_indices, k_moran)

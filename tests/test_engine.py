@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+import gimbal.engine
 from gimbal.engine import (
     BRANCH_ILL_POSED,
     CHUNK_TARGETS,
@@ -47,6 +48,10 @@ def test_config_validation():
 def test_dataset_validation_names_row():
     with pytest.raises(ValueError, match="row 1"):
         Dataset(lat=np.array([0.0, 200.0]), lon=np.zeros(2), x=np.zeros(2), y=np.zeros(2))
+    # a 2-D column is rejected by name, not left to fail inside the fit
+    grid = np.full((20, 10), 35.0)
+    with pytest.raises(ConfigurationError, match=r"column lat must be 1-D, got shape \(20, 10\)"):
+        Dataset(lat=grid, lon=grid + 100.0, x=np.zeros((20, 10)), y=np.zeros((20, 10)))
 
 
 def test_dataset_rejects_ids_of_another_length():
@@ -211,6 +216,11 @@ def test_predict_rejects_bad_targets():
                                 ([35.0, 35.01], [135.0, 135.01], [0.5], "x")):
         with pytest.raises(ValueError, match=f"column {name} has length 1, expected 2"):
             predict(train, cfg, lats, lons, x)
+    # scalar and 2-D targets are not 1-D columns
+    with pytest.raises(ConfigurationError, match=r"column lat must be 1-D, got shape \(\)"):
+        predict(train, cfg, 35.0, 135.0, 1.0)
+    with pytest.raises(ConfigurationError, match=r"column lat must be 1-D, got shape \(2, 1\)"):
+        predict(train, cfg, [[35.0], [35.01]], [[135.0], [135.01]], [[0.5], [0.5]])
 
 
 def test_predict_matches_in_sample_fitted_value_at_zero_z():
@@ -260,12 +270,23 @@ def test_predict_oos_rmse_sanity_envelope():
     assert rmse_out < 2.0 * max(mu_in, 1.0)
 
 
+def prediction_members(lats, lons, target_lats, target_lons, k):
+    """The (distance, index)-ordered neighbor rows of a K=k prediction from
+    the training points (lats, lons) at the targets."""
+    rng = np.random.default_rng(0)
+    train = Dataset(lat=lats, lon=lons, x=rng.normal(size=len(lats)), y=rng.normal(size=len(lats)))
+    _, result = predict(train, GimbalConfig(k=k), target_lats, target_lons, np.zeros(len(target_lats)))
+    return result.neighborhood.member_indices
+
+
 def test_residual_knn_correct():
     lats = np.array([35.0, 35.1, 35.2, 35.3])
     lons = np.full(4, 135.0)
     res = np.array([1.0, 2.0, 3.0, 4.0])
-    assert residual_knn_correct(np.zeros(4), lats, lons, [35.05], [135.0], 2).tolist() == [0.0]
-    assert residual_knn_correct(res, lats, lons, [35.09, 35.21], [135.0, 135.0], 1).tolist() == [2.0, 3.0]
+    members = prediction_members(lats, lons, [35.05], [135.0], 4)
+    assert residual_knn_correct(np.zeros(4), members, 2).tolist() == [0.0]
+    members = prediction_members(lats, lons, [35.09, 35.21], [135.0, 135.0], 4)
+    assert residual_knn_correct(res, members, 1).tolist() == [2.0, 3.0]
     # brute-force check
     rng = np.random.default_rng(70)
     lats = rng.uniform(34.8, 35.2, 30)
@@ -274,8 +295,51 @@ def test_residual_knn_correct():
     from scalar_geo import haversine_distance
 
     order = sorted(range(30), key=lambda i: (haversine_distance((35.0, 135.0), (lats[i], lons[i])), i))
-    expect = float(np.mean(res[order[:5]]))
-    assert residual_knn_correct(res, lats, lons, [35.0], [135.0], 5)[0] == pytest.approx(expect, rel=1e-12)
+    members = prediction_members(lats, lons, [35.0], [135.0], 12)
+    for k in (5, 12):
+        expect = float(np.mean(res[order[:k]]))
+        assert residual_knn_correct(res, members, k)[0] == pytest.approx(expect, rel=1e-12)
+
+
+def lattice_with_duplicates():
+    """A 12 x 12 lattice of 0.01-degree steps, every point twice, and targets
+    on lattice points (distance-0 duplicates) and between them (ties)."""
+    lat, lon = (g.ravel() for g in np.meshgrid(35.0 + 0.01 * np.arange(12), 135.0 + 0.01 * np.arange(12)))
+    lats, lons = np.tile(lat, 2), np.tile(lon, 2)
+    target_lats = np.append(lat[::7], lat[::11] + 0.005)
+    target_lons = np.append(lon[::7], lon[::11] + 0.005)
+    return lats, lons, target_lats, target_lons
+
+
+@pytest.mark.parametrize("k", [1, 10, 30])
+def test_residual_knn_correct_equals_own_query_bitwise(k):
+    # the first k of a (distance, index)-ordered K-row are the k nearest
+    lats, lons, target_lats, target_lons = lattice_with_duplicates()
+    res = np.random.default_rng(71).normal(size=len(lats))
+    members = prediction_members(lats, lons, target_lats, target_lons, 30)
+    expect = np.mean(res[knn(lats, lons, target_lats, target_lons, k)[0]], -1)
+    assert np.array_equal(residual_knn_correct(res, members, k).view(np.int64), expect.view(np.int64))
+
+
+def test_residual_knn_correct_makes_no_query(monkeypatch):
+    lats, lons, target_lats, target_lons = lattice_with_duplicates()
+    res = np.random.default_rng(72).normal(size=len(lats))
+    members = prediction_members(lats, lons, target_lats, target_lons, 30)
+    expect = np.mean(res[knn(lats, lons, target_lats, target_lons, 10)[0]], -1)
+
+    def no_query(*args, **kwargs):
+        raise AssertionError("the residual correction ran a neighbor query")
+
+    monkeypatch.setattr(gimbal.engine, "knn", no_query)
+    assert np.array_equal(residual_knn_correct(res, members, 10), expect)
+
+
+def test_residual_knn_correct_bounds():
+    lats, lons, target_lats, target_lons = lattice_with_duplicates()
+    members = prediction_members(lats, lons, target_lats, target_lons, 30)
+    for k in (0, -1, 31):
+        with pytest.raises(ConfigurationError, match=rf"k_resid={k} outside \[1, K=30\]"):
+            residual_knn_correct(np.zeros(len(lats)), members, k)
 
 
 def test_standardized_covariate_constant_column():
