@@ -1,14 +1,18 @@
 """Orchestration of the realized estimator map over many targets.
 
-fit_all evaluates every target of a dataset in fixed chunks of
-CHUNK_TARGETS. Each chunk finds its targets' KNN neighborhoods, then runs the
-stages once on (C, K) arrays: tangent displacements, orientation quantities
-(with ablation overrides) and the one-shot safeguarded weight field, the
-closed-form local solve, and the standardized conditioning diagnostic.
-Results come back as one columnar FitResult in input order. Every stage
-reduces each row on its own, so a target's values do not depend on which
-other targets share its chunk, on the thread schedule, or on whether it is
-fitted alone (fit_location): serial and parallel runs agree bitwise.
+fit_variants evaluates one or more configs that share K at every target of a
+dataset, in fixed chunks of CHUNK_TARGETS; fit_all is its one-config case.
+Each chunk finds its targets' KNN neighborhoods with one query, computes the
+tangent displacements and gathers the members' columns once, then for each
+config runs the config-dependent stages on (C, K) arrays: orientation
+quantities (with ablation overrides) and the one-shot safeguarded weight
+field, the closed-form local solve, and the standardized conditioning
+diagnostic. Each config's chunk is copied into its own columnar FitResult,
+in input order, before the next config is computed. Every stage reduces each
+row on its own, so a target's values do not depend on which other targets
+share its chunk, on which other configs share the query, on the thread
+schedule, or on whether it is fitted alone (fit_location): all of these
+agree bitwise.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
 come from the training table, the distance-trend regressor is zero at the
@@ -228,86 +232,110 @@ def standardized_covariate(x):
     return (x - np.mean(x)) / std
 
 
-def build_local_design(dataset, nb, u):
-    """Local design [1, x_j, z_ij] with z_ij = d_ij / u, plus y and z.
+def build_local_design(x_members, z):
+    """Local design [1, x_j, z_ij] from the members' covariate and their
+    normalized distances z_ij = d_ij / u: (K,) columns give a (K, 3) design,
+    a stack of (C, K) columns a (C, K, 3) one."""
+    return np.stack([np.ones_like(z), x_members, z], axis=-1)
 
-    nb is one neighborhood ((K, 3) design) or a stack ((C, K, 3)).
+
+def _fit_targets(dataset, configs, x_std, lat0, lon0, index):
+    """The estimator map of each config at targets (lat0, lon0), neighbors
+    taken from dataset; yields one FitResult per config, in order.
+
+    The configs share k, so the neighbor query, the tangent displacements and
+    the members' gathered columns are computed once and serve every config.
+    x_std is the dataset's standardized covariate. index holds each target's
+    row in dataset, or -1 for an out-of-sample target.
     """
-    members = nb.member_indices
-    z = nb.distances / u
-    X = np.stack([np.ones_like(z), dataset.x[members], z], axis=-1)
-    return X, dataset.y[members], z
-
-
-def _fit_targets(dataset, config, lat0, lon0, index):
-    """The estimator map at targets (lat0, lon0), neighbors taken from dataset.
-
-    index holds each target's row in dataset, or -1 for an out-of-sample
-    target.
-    """
-    members, distances = knn(dataset.lat, dataset.lon, lat0, lon0, config.k)
+    members, distances = knn(dataset.lat, dataset.lon, lat0, lon0, configs[0].k)
     nb = Neighborhood(member_indices=members, distances=distances)
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
-    X, y_loc, z = build_local_design(dataset, nb, config.u_scale)
+    y_loc = dataset.y[members]
+    # one design per chunk: each config writes its own z column before its
+    # solve, and no result keeps a reference to X
+    X = build_local_design(dataset.x[members], distances)
 
-    orient, wmap = kernels.weight_map(east, north, nb.distances, z, y_loc, config)
-    fit = solver.solve_local(X, y_loc, wmap.weights, config.gamma, config.eps_kappa)
-    cw2 = cond_wls2(standardized_covariate(dataset.x)[members], wmap.weights, config.eps_kappa)
+    for config in configs:
+        z = distances / config.u_scale
+        X[..., 2] = z
+        orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config)
+        fit = solver.solve_local(X, y_loc, wmap.weights, config.gamma, config.eps_kappa)
+        cw2 = cond_wls2(x_std[members], wmap.weights, config.eps_kappa)
 
-    at_target = members == index[:, None]
-    residual_at_target = np.where(
-        at_target.any(axis=-1),
-        fit.residuals[np.arange(index.shape[0]), np.argmax(at_target, axis=-1)], np.nan,
-    )
-    return FitResult(
-        index=index, lat=lat0, lon=lon0, neighborhood=nb, orientation=orient,
-        weight_map=wmap, fit=fit, cond_wls2=cw2, residual_at_target=residual_at_target,
-    )
+        at_target = members == index[:, None]
+        residual_at_target = np.where(
+            at_target.any(axis=-1),
+            fit.residuals[np.arange(index.shape[0]), np.argmax(at_target, axis=-1)], np.nan,
+        )
+        yield FitResult(
+            index=index, lat=lat0, lon=lon0, neighborhood=nb, orientation=orient,
+            weight_map=wmap, fit=fit, cond_wls2=cw2, residual_at_target=residual_at_target,
+        )
 
 
-def _fit_chunks(dataset, config, lat0, lon0, index, threads):
-    """_fit_targets over chunks of CHUNK_TARGETS targets, joined in order.
+def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
+    """_fit_targets over chunks of CHUNK_TARGETS targets: one FitResult per
+    config, each joined in order.
 
     threads: 1 runs serial, 0 uses all cores, otherwise the given count.
     """
+    configs = tuple(configs)
+    if not configs:
+        raise ConfigurationError("at least one config is required")
+    ks = sorted({config.k for config in configs})
+    if len(ks) > 1:
+        raise ConfigurationError(f"configs must share K, got K in {ks}")
     if threads < 0:
         raise ConfigurationError(f"threads must be >= 0, got {threads}")
+    x_std = standardized_covariate(dataset.x)
 
     def chunk(start):
         rows = slice(start, start + CHUNK_TARGETS)
-        return _fit_targets(dataset, config, lat0[rows], lon0[rows], index[rows])
+        return _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows])
 
     n = index.shape[0]
     # an empty target list still makes one (empty) chunk
     starts = range(0, max(n, 1), CHUNK_TARGETS)
+    results = [None] * len(configs)
     with ThreadPoolExecutor(max_workers=None if threads == 0 else threads) as pool:
-        parts = map(chunk, starts) if threads == 1 else pool.map(chunk, starts)
-        # each chunk is copied into place as it arrives, so at most a few
-        # chunks are held besides the result
-        result = None
-        for start, part in zip(starts, parts):
-            if result is None:
-                result = _map_columns(lambda c: np.empty((n,) + c.shape[1:], c.dtype), part)
-            for column, values in zip(_columns(result), _columns(part)):
-                column[start:start + len(part)] = values
-    return result
+        # serial, each config's part is copied into place before the next is
+        # computed; a worker thread hands back a chunk's parts as a list
+        chunks = map(chunk, starts) if threads == 1 else pool.map(lambda s: list(chunk(s)), starts)
+        for start, parts in zip(starts, chunks):
+            for c, part in enumerate(parts):
+                if results[c] is None:
+                    results[c] = _map_columns(lambda col: np.empty((n,) + col.shape[1:], col.dtype), part)
+                for column, values in zip(_columns(results[c]), _columns(part)):
+                    column[start:start + len(part)] = values
+    return results
 
 
 def fit_location(dataset, config, target_index):
     """Full realized estimator map at one in-sample target, as a one-row
     FitResult (see FitResult.record)."""
     rows = np.array([target_index])
-    return _fit_targets(dataset, config, dataset.lat[rows], dataset.lon[rows], rows).record(0)
+    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, 1)[0].record(0)
 
 
-def fit_all(dataset, config, threads=1):
-    """The estimator map at every row, as a FitResult in input order.
+def fit_variants(dataset, configs, threads=1):
+    """The estimator map of each config at every row: one FitResult per
+    config, in the configs' order, each in input order.
 
+    The configs must share k: each chunk's neighbor query, tangent
+    displacements and gathered member columns serve every config, and only
+    the weight map, local solve and diagnostics run once per config.
     threads: 1 runs serial, 0 uses all cores, otherwise the given count of
     threads, each taking whole chunks. The thread schedule cannot change any
     output value.
     """
-    return _fit_chunks(dataset, config, dataset.lat, dataset.lon, np.arange(dataset.n), threads)
+    return _fit_chunks(dataset, configs, dataset.lat, dataset.lon, np.arange(dataset.n), threads)
+
+
+def fit_all(dataset, config, threads=1):
+    """The estimator map at every row, as a FitResult in input order: the
+    one-config case of fit_variants."""
+    return fit_variants(dataset, (config,), threads)[0]
 
 
 def predict(train, config, lats, lons, x, threads=1):
@@ -321,7 +349,7 @@ def predict(train, config, lats, lons, x, threads=1):
     """
     lats, lons, x = (np.asarray(c, dtype=np.float64) for c in (lats, lons, x))
     check_coordinates(lats, lons, x=x)
-    result = _fit_chunks(train, config, lats, lons, np.full(lats.shape[0], -1), threads)
+    result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), threads)[0]
     beta = result.fit.beta
     return beta[:, 0] + beta[:, 1] * x, result
 

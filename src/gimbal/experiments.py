@@ -4,6 +4,9 @@ one-shot ESS stress sweep, value-orientation dependence).
 
 Each experiment generates ONE dataset and evaluates all of its variants on
 it, which is what makes the per-target weight-difference evidence meaningful.
+The variants of an experiment share K, so they are fitted together by one
+engine.fit_variants call: each chunk of targets gets one neighbor query, and
+only the weight map and local solve run once per variant.
 Reported table values in the source material are seed-dependent; the runners
 check structural properties (monotonicity, branch rates, no-harm bounds)
 rather than exact numbers.
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .engine import ConfigurationError, GimbalConfig, fit_all
+from .engine import ConfigurationError, GimbalConfig, fit_variants
 from .simgen import SimSpec, generate
 
 E73_N0_SWEEP = (6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)
@@ -129,9 +132,9 @@ def weight_diff(result_a, result_b):
     members_a = result_a.neighborhood.member_indices
     members_b = result_b.neighborhood.member_indices
     if members_a.shape != members_b.shape:
-        mismatch = np.ones(len(result_a), dtype=bool)
-    else:
-        mismatch = (result_a.index != result_b.index) | np.any(members_a != members_b, axis=-1)
+        raise ValueError(
+            f"neighborhood mismatch: the runs have K={members_a.shape[-1]} and K={members_b.shape[-1]}")
+    mismatch = (result_a.index != result_b.index) | np.any(members_a != members_b, axis=-1)
     if mismatch.any():
         raise ValueError(f"neighborhood mismatch at target {result_a.index[np.argmax(mismatch)]}")
     wa = result_a.weight_map.weights
@@ -196,12 +199,13 @@ def _verdict(passed, value):
 
 
 def _fit_variants(spec, configs, threads):
-    """Fit each named config on the one dataset of spec.
+    """Fit each named config on the one dataset of spec with one fit_variants
+    call, so each chunk's neighbor query serves every variant.
 
     Returns (records, summaries), both keyed by variant name.
     """
     dataset, _ = generate(spec)
-    records = {name: fit_all(dataset, cfg, threads=threads) for name, cfg in configs.items()}
+    records = dict(zip(configs, fit_variants(dataset, configs.values(), threads=threads)))
     return records, {name: summarize(result) for name, result in records.items()}
 
 

@@ -14,12 +14,14 @@ from gimbal.engine import (
     build_local_design,
     fit_all,
     fit_location,
+    fit_variants,
     predict,
     residual_knn_correct,
     standardized_covariate,
 )
 from gimbal.neighborhood import ConfigurationError, Neighborhood, knn
 from gimbal.simgen import SimSpec, generate
+from gimbal.solver import solve_local
 
 
 def small_dataset(seed=0, n=60):
@@ -64,12 +66,12 @@ def test_build_local_design_z_column():
     members, distances = knn(ds.lat, ds.lon, ds.lat[[5]], ds.lon[[5]], 10)
     nb = Neighborhood(member_indices=members[0], distances=distances[0])
     u = 3000.0
-    X, y, z = build_local_design(ds, nb, u)
+    X = build_local_design(ds.x[nb.member_indices], nb.distances / u)
     assert X.shape == (10, 3)
     assert np.all(X[:, 0] == 1.0)
+    assert np.array_equal(X[:, 1], ds.x[nb.member_indices])
     assert np.allclose(X[:, 2], nb.distances / u)
-    assert z[0] == 0.0  # self row
-    assert np.allclose(y, ds.y[nb.member_indices])
+    assert X[0, 2] == 0.0  # self row
 
 
 def test_fit_location_deterministic():
@@ -121,6 +123,69 @@ def test_fit_all_order_and_parallel_serial_bitwise():
     parallel = fit_all(ds, cfg, threads=4)
     assert serial.index.tolist() == list(range(ds.n))
     assert pickle.dumps(serial) == pickle.dumps(parallel)
+
+
+# the variant sets of e71 (proxy modes, eps_phi) and e73 (an n0 sweep at a
+# non-default h and n_min), and one whose distance scales differ, each
+# sharing one K
+VARIANT_SETS = {
+    "scales": (GimbalConfig(k=12, u=1500.0), GimbalConfig(k=12), GimbalConfig(k=12, h=2000.0, u=4000.0)),
+    "e71": (
+        GimbalConfig(k=12, phi_mode="forced_zero", theta_z_mode="off", eta_mode="forced_one"),
+        GimbalConfig(k=12, theta_z_mode="off"),
+        GimbalConfig(k=12),
+        GimbalConfig(k=12, eps_phi=0.30),
+    ),
+    "e73": tuple(GimbalConfig(k=12, h=2000.0, n_min=12.0, n0=n0)
+                 for n0 in (6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("variants", sorted(VARIANT_SETS))
+def test_fit_variants_equals_fit_all_per_config(variants, threads):
+    # more targets than one chunk, so a chunk boundary is crossed
+    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    configs = VARIANT_SETS[variants]
+    results = fit_variants(ds, configs, threads=threads)
+    assert len(results) == len(configs)
+    for config, result in zip(configs, results):
+        assert pickle.dumps(result) == pickle.dumps(fit_all(ds, config, threads=threads))
+
+
+def test_fit_variants_solves_each_config_on_its_own_design():
+    # the configs share a chunk's design, yet each solve sees its own
+    # z = d / u column
+    ds = small_dataset(seed=5, n=CHUNK_TARGETS + 44)
+    configs = VARIANT_SETS["scales"]
+    for config, result in zip(configs, fit_variants(ds, configs)):
+        members = result.neighborhood.member_indices
+        X = build_local_design(ds.x[members], result.neighborhood.distances / config.u_scale)
+        expect = solve_local(X, ds.y[members], result.weight_map.weights, config.gamma, config.eps_kappa)
+        assert pickle.dumps(result.fit) == pickle.dumps(expect)
+
+
+def test_fit_variants_makes_one_query_per_chunk(monkeypatch):
+    ds = small_dataset(seed=4, n=2 * CHUNK_TARGETS + 10)
+    calls = []
+
+    def counted_knn(*args, **kwargs):
+        calls.append(args[2].shape[0])
+        return knn(*args, **kwargs)
+
+    monkeypatch.setattr(gimbal.engine, "knn", counted_knn)
+    results = fit_variants(ds, VARIANT_SETS["e73"])
+    assert len(results) == 9
+    assert len(calls) == math.ceil(ds.n / CHUNK_TARGETS) == 3
+    assert sum(calls) == ds.n
+
+
+def test_fit_variants_rejects_mixed_k_and_no_configs():
+    ds = small_dataset()
+    with pytest.raises(ConfigurationError, match=r"share K, got K in \[10, 12\]"):
+        fit_variants(ds, (GimbalConfig(k=10), GimbalConfig(k=12)))
+    with pytest.raises(ConfigurationError, match="at least one config"):
+        fit_variants(ds, ())
 
 
 def test_fit_location_equals_its_row_of_fit_all():

@@ -101,8 +101,11 @@ def test_weight_diff_matches_direct_recomputation():
 def test_weight_diff_rejects_mismatched_neighborhoods():
     recs_a = records_for(BASE_SPEC, BASE_CFG)
     recs_b = records_for(BASE_SPEC, replace(BASE_CFG, k=19))
-    with pytest.raises(ValueError, match="neighborhood mismatch"):
+    with pytest.raises(ValueError, match="neighborhood mismatch: the runs have K=20 and K=19"):
         weight_diff(recs_a, recs_b)
+    other_data = records_for(replace(BASE_SPEC, seed=1), BASE_CFG)
+    with pytest.raises(ValueError, match="neighborhood mismatch at target 0"):
+        weight_diff(recs_a, other_data)
     with pytest.raises(ValueError):
         weight_diff(recs_a, recs_a.take(slice(0, -1)))
 
