@@ -1,10 +1,13 @@
 """Batch command-line surface: fit, predict, simulate, experiment.
 
-CSV conventions: a schema comment line (starting with ``#``) precedes the
-header of every file this tool writes; readers skip comment lines. Floats are
-written with ``repr`` so outputs are byte-identical across reruns with the
-same inputs. Missing values (ill-posed locations, undefined diagnostics) are
-empty fields.
+CSV conventions: a schema comment line (starting with ``#``, ended by
+``\n``) precedes the header of every file this tool writes; readers skip
+comment lines before the header. The header and every row are ended by
+``\r\n``, as the ``csv`` module ends them. Floats are written with ``repr``
+so outputs are byte-identical across reruns with the same inputs. Missing
+values (ill-posed locations, undefined diagnostics) are empty fields. Only the
+``id`` field can hold a delimiter, a quote or a line break, so it is the only
+field ever quoted, by the ``csv`` module's rules.
 
 Exit codes: 0 success (flagged locations included), 2 input/configuration
 error, 3 internal invariant violation.
@@ -15,6 +18,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import math
 import sys
@@ -31,9 +36,11 @@ from .diagnostics import (
     reliability_mask,
 )
 from .engine import (
+    BRANCH_STRINGS,
+    CHUNK_TARGETS,
     Dataset,
     GimbalConfig,
-    branch_codes,
+    branch_bits,
     fit_all,
     predict,
     residual_knn_correct,
@@ -57,10 +64,8 @@ RECORD_FIELDS = (
 )
 
 
-def _float_fields(row):
-    """CSV fields of one row of floats: the repr of each as a Python float,
-    or empty for NaN."""
-    return [repr(v) if v == v else "" for v in row.tolist()]
+# a branch code's text, indexed by its 5-bit code
+_BRANCH_TEXT = np.array(BRANCH_STRINGS, dtype=object)
 
 
 def _json_safe(obj):
@@ -74,13 +79,45 @@ def _json_safe(obj):
     return obj
 
 
-def _write_csv(path, schema, header, rows):
-    """A schema comment line, the header, then each row as rows yields it."""
+def _fields(column):
+    """The CSV fields of a 1-D column: a float as its repr, NaN as an empty
+    field; an integer or boolean as a decimal integer; an object column's
+    entries as the text they hold."""
+    kind = column.dtype.kind
+    if kind == "f":
+        fields = list(map(repr, column.tolist()))
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            fields[i] = ""
+        return fields
+    if kind == "O":
+        return column.tolist()
+    return list(map(str, column.astype(np.int64).tolist()))
+
+
+def _quoted(texts):
+    """Each text as the csv module writes it as one field of a row, quoted
+    when it holds a delimiter, a quote or a line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        # a second, empty field: a row of one empty field would be quoted
+        writer.writerow((text, ""))
+        fields.append(buf.getvalue()[:-len(",\r\n")])
+    return fields
+
+
+def _write_csv(path, schema, header, columns):
+    """A schema comment line, the header, then one row per entry of the
+    equal-length columns (see _fields), CHUNK_TARGETS rows per write."""
     with Path(path).open("w", newline="") as fh:
         fh.write(f"# schema: {schema}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CHUNK_TARGETS):
+            block = [_fields(column[start:start + CHUNK_TARGETS]) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def _write_json(path, obj):
@@ -94,7 +131,8 @@ def read_dataset(path):
     if not path.exists():
         raise ConfigurationError(f"input file not found: {path}")
     with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+        # comment lines precede the header; after it, a row starting with "#" is data
+        rows = list(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))))
     if not rows:
         raise ConfigurationError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
@@ -133,28 +171,21 @@ def write_dataset_csv(path, dataset, beta1_true=None):
     columns = [dataset.lat, dataset.lon, dataset.x, dataset.y]
     if beta1_true is not None:
         header.append("beta1_true")
-        columns.append(beta1_true)
-    _write_csv(path, SCHEMA_DATASET, header, map(_float_fields, np.column_stack(columns)))
+        columns.append(np.asarray(beta1_true, dtype=np.float64))
+    _write_csv(path, SCHEMA_DATASET, header, columns)
 
 
 def write_records_csv(path, result, ids, moran_values, fragile_flags):
     """One row per target of result; ids is the input's id column, or None."""
     fit, orient, wmap = result.fit, result.orientation, result.weight_map
-    ids = ids[result.index].tolist() if ids is not None else [None] * len(result)
-    values = np.column_stack([
-        result.lat, result.lon, fit.beta, fit.m_nor_condition, result.cond_wls2,
-        wmap.h_eff, orient.phi, orient.r_phi, orient.theta_z, orient.g_ident,
-        orient.eta, wmap.n_eff_raw, wmap.n_eff_post,
-        fit.rmse_local, fit.r2_local, moran_values,
+    id_texts = _quoted(map(str, ids[result.index].tolist())) if ids is not None else [""] * len(result)
+    _write_csv(path, SCHEMA_RECORDS, RECORD_FIELDS, [
+        result.index, np.array(id_texts, dtype=object), result.lat, result.lon, *fit.beta.T,
+        fit.m_nor_condition, result.cond_wls2, wmap.h_eff, orient.phi, orient.r_phi,
+        orient.theta_z, orient.g_ident, orient.eta, wmap.n_eff_raw, wmap.n_eff_post,
+        _BRANCH_TEXT[branch_bits(result)], fit.rmse_local, fit.r2_local,
+        np.asarray(moran_values, dtype=np.float64), np.asarray(fragile_flags, dtype=bool),
     ])
-    codes = [";".join(sorted(c)) for c in branch_codes(result)]
-    # rows are formatted one at a time: whole-column tolist() raises peak memory
-    rows = ([str(index), "" if rec_id is None else str(rec_id), *row[:15], code, *row[15:],
-             str(int(fragile))]
-            for index, rec_id, code, fragile, row in zip(
-                result.index.tolist(), ids, codes, np.asarray(fragile_flags).tolist(),
-                map(_float_fields, values)))
-    _write_csv(path, SCHEMA_RECORDS, RECORD_FIELDS, rows)
 
 
 def _moran_over_records(result, k_moran):
@@ -281,18 +312,14 @@ def cmd_predict(args):
         raise ConfigurationError(f"--residual-knn must lie in [0, K={config.k}], got {args.residual_knn}")
 
     preds, result = predict(train, config, test.lat, test.lon, test.x, threads=args.threads)
-    ill = ~result.fit.well_posed
-    columns = [test.lat, test.lon, test.x, test.y, preds]
+    columns = [np.arange(test.n), test.lat, test.lon, test.x, test.y, preds, ~result.fit.well_posed]
     header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
     if args.residual_knn > 0:
         training_residuals = fit_all(train, config, threads=args.threads).residual_at_target
         corr = residual_knn_correct(training_residuals, result.neighborhood.member_indices, args.residual_knn)
         columns += [corr, preds + corr]
         header += ["residual_correction", "prediction_corrected"]
-    rows = ([str(i), *row[:5], str(int(flag)), *row[5:]]
-            for i, (flag, row) in enumerate(zip(
-                ill.tolist(), map(_float_fields, np.column_stack(columns)))))
-    _write_csv(args.out, SCHEMA_PREDICTIONS, header, rows)
+    _write_csv(args.out, SCHEMA_PREDICTIONS, header, columns)
     return 0
 
 

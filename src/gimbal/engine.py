@@ -43,6 +43,16 @@ BRANCH_UNIFORM_FALLBACK = "uniform_fallback"
 BRANCH_UNDERFLOW_FALLBACK = "underflow_fallback"
 BRANCH_ILL_POSED = "ill_posed"
 
+# A row's branch code packs its five flags into 5 bits, bit b set when the
+# flag BRANCH_BITS[b] holds. BRANCH_SETS[code] is the code as a frozenset of
+# names, BRANCH_STRINGS[code] as the records file writes it: the set names
+# sorted and joined with ";".
+BRANCH_BITS = (BRANCH_PHI_ISO, BRANCH_THETA_NONIDENT, BRANCH_UNIFORM_FALLBACK,
+               BRANCH_UNDERFLOW_FALLBACK, BRANCH_ILL_POSED)
+BRANCH_SETS = tuple(frozenset(name for b, name in enumerate(BRANCH_BITS) if code >> b & 1)
+                    for code in range(1 << len(BRANCH_BITS)))
+BRANCH_STRINGS = tuple(";".join(sorted(names)) for names in BRANCH_SETS)
+
 # Targets evaluated together. Bounds the (C, K) working arrays; chunk
 # boundaries are fixed here, never by the thread count.
 CHUNK_TARGETS = 256
@@ -206,18 +216,24 @@ class FitResult:
         return _map_columns(lambda column: column[i].copy(), self)
 
 
+def branch_bits(result):
+    """The 5-bit branch code of each row of a FitResult (see BRANCH_BITS): a
+    (C,) uint8 array for a table, a 0-d one for a row from record."""
+    wmap = result.weight_map
+    # in BRANCH_BITS order
+    flags = (result.orientation.phi_deactivated, result.orientation.theta_deactivated,
+             wmap.fallback_code == FALLBACK_UNIFORM, wmap.fallback_code == FALLBACK_UNDERFLOW,
+             ~result.fit.well_posed)
+    code = np.zeros(np.shape(flags[0]), dtype=np.uint8)
+    for b, flag in enumerate(flags):
+        code |= np.asarray(flag, dtype=np.uint8) << b
+    return code
+
+
 def branch_codes(result):
     """The branch codes of each row of a FitResult (a table, or one row from
     record), as a list of frozensets."""
-    flags = {
-        BRANCH_PHI_ISO: result.orientation.phi_deactivated,
-        BRANCH_THETA_NONIDENT: result.orientation.theta_deactivated,
-        BRANCH_UNIFORM_FALLBACK: result.weight_map.fallback_code == FALLBACK_UNIFORM,
-        BRANCH_UNDERFLOW_FALLBACK: result.weight_map.fallback_code == FALLBACK_UNDERFLOW,
-        BRANCH_ILL_POSED: ~result.fit.well_posed,
-    }
-    rows = np.column_stack(list(flags.values())).reshape(-1, len(flags)).tolist()
-    return [frozenset(code for code, on in zip(flags, row) if on) for row in rows]
+    return [BRANCH_SETS[code] for code in branch_bits(result).reshape(-1).tolist()]
 
 
 def standardized_covariate(x):

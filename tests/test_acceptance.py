@@ -2,6 +2,7 @@
 line (run with -s to see them). Numbers follow the criteria list in the
 project README."""
 
+import dataclasses
 import functools
 import math
 import pickle
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from gimbal.cli import main
-from gimbal.engine import Dataset, GimbalConfig, branch_codes, fit_all, fit_location
+from gimbal.engine import Dataset, GimbalConfig, branch_bits, branch_codes, fit_all, fit_location
 from gimbal.experiments import E73_N0_SWEEP, run_experiment
 from gimbal.orientation import sym2_eigvals
 from gimbal.simgen import SimSpec, generate
@@ -371,3 +372,26 @@ def test_criterion_13_degeneracy_fuzz():
             assert "ill_posed" in branch_codes(rec)[0]
     assert eta_cap_seen
     assert ill_posed_seen
+
+
+@_criterion(14, "theta_z off: fit_all linear in y, branches fixed, stability bound holds")
+def test_criterion_14_linearity_in_y():
+    # with the value orientation off, the weights, branches and well-posedness
+    # read coordinates only, so every target's map is linear in y
+    ds, _ = generate(SimSpec(n=1200, seed=14))
+    cfg = GimbalConfig(theta_z_mode="off")
+    base = fit_all(ds, cfg)
+    ok = base.fit.well_posed
+    beta = base.fit.beta[ok]
+    members = base.neighborhood.member_indices[ok]
+    noise = np.random.default_rng(114).normal(0.0, np.std(ds.y), ds.n)
+    for scale in (1e-6, 1e-3, 1.0):
+        delta = scale * noise
+        moved = fit_all(dataclasses.replace(ds, y=ds.y + delta), cfg)
+        alone = fit_all(dataclasses.replace(ds, y=delta), cfg)
+        for result in (moved, alone):
+            assert np.array_equal(branch_bits(result), branch_bits(base))
+        d_beta = moved.fit.beta[ok] - beta
+        assert np.all(np.abs(d_beta - alone.fit.beta[ok]) <= 1e-12 * (1.0 + np.abs(beta)))
+        bound = base.fit.operator_norm_bound[ok] * np.linalg.norm(delta[members], axis=1)
+        assert np.all(np.linalg.norm(d_beta, axis=1) <= bound * (1 + 1e-9))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -7,9 +8,20 @@ import numpy as np
 import pytest
 
 import gimbal.cli
-from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv
-from gimbal.engine import CHUNK_TARGETS, GimbalConfig, fit_all, predict
+from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv, write_records_csv
+from gimbal.diagnostics import reliability_mask
+from gimbal.engine import (
+    BRANCH_STRINGS,
+    CHUNK_TARGETS,
+    Dataset,
+    GimbalConfig,
+    branch_codes,
+    fit_all,
+    predict,
+    residual_knn_correct,
+)
 from gimbal.simgen import SimSpec, generate
+from gimbal.weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM
 from test_diagnostics import moran_on_finite
 
 
@@ -51,6 +63,154 @@ def test_fit_toy_csv(tmp_path):
     assert summary["config"]["k"] == 5
     assert summary["schema"] == "gimbal.summary.v2"
     assert "seed" not in summary["config"]
+
+
+def oracle_csv(schema, header, rows):
+    """The bytes of a CSV file as csv.writer writes it after the schema line:
+    a float field as its repr, NaN as an empty field, text as it is."""
+    buf = io.StringIO(newline="")
+    buf.write(f"# schema: {schema}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([[v if isinstance(v, str) else repr(v) if v == v else "" for v in row]
+                      for row in rows])
+    return buf.getvalue().encode()
+
+
+def branch_flags(result):
+    """The five branch flags of each row by name, read off the result's own columns."""
+    return {
+        "phi_iso": result.orientation.phi_deactivated,
+        "theta_nonident": result.orientation.theta_deactivated,
+        "uniform_fallback": result.weight_map.fallback_code == FALLBACK_UNIFORM,
+        "underflow_fallback": result.weight_map.fallback_code == FALLBACK_UNDERFLOW,
+        "ill_posed": ~result.fit.well_posed,
+    }
+
+
+def oracle_records(result, ids, moran, fragile):
+    flags = branch_flags(result)
+    fit, orient, wmap = result.fit, result.orientation, result.weight_map
+    columns = [result.lat, result.lon, *fit.beta.T, fit.m_nor_condition, result.cond_wls2,
+               wmap.h_eff, orient.phi, orient.r_phi, orient.theta_z, orient.g_ident, orient.eta,
+               wmap.n_eff_raw, wmap.n_eff_post]
+    rows = []
+    for i in range(len(result)):
+        code = ";".join(sorted(name for name, on in flags.items() if on[i]))
+        rows.append([str(result.index[i]), ids[i], *(float(c[i]) for c in columns), code,
+                     float(fit.rmse_local[i]), float(fit.r2_local[i]), float(moran[i]),
+                     str(int(fragile[i]))])
+    return oracle_csv("gimbal.records.v1", RECORD_FIELDS, rows)
+
+
+# every kind of text the csv module quotes or passes through, and a leading "#"
+TRICKY_IDS = ["a,b", 'say "hi"', "two\r\nlines", " lead", "", "ünïcode", "#p3", "lf\nonly"]
+
+
+def tricky_dataset(n=24, seed=8):
+    """n points with the ids of TRICKY_IDS in turn; the first eight share one
+    covariate value within 0.001 degrees, so their rows are ill-posed at K=6."""
+    rng = np.random.default_rng(seed)
+    lat = 35.0 + np.concatenate([rng.uniform(0, 1e-3, 8), rng.uniform(0.01, 0.05, n - 8)])
+    lon = 135.0 + rng.uniform(0, 0.04, n)
+    x = np.concatenate([np.ones(8), rng.normal(size=n - 8)])
+    ids = np.array([TRICKY_IDS[i % len(TRICKY_IDS)] for i in range(n)])
+    return Dataset(lat=lat, lon=lon, x=x, y=rng.normal(size=n), ids=ids)
+
+
+def test_every_csv_matches_the_csv_module_oracle(tmp_path):
+    ds = tricky_dataset()
+    inp = tmp_path / "data.csv"
+    write_csv(inp, [[i, *v] for i, *v in zip(ds.ids, ds.lat.tolist(), ds.lon.tolist(),
+                                             ds.x.tolist(), ds.y.tolist())],
+              header=("id", "lat", "lon", "x", "y"))
+    config = GimbalConfig(k=6)
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "rec.csv"),
+               "--out-summary", str(tmp_path / "sum.json"), "--k", "6", "--moran-k", "4"])
+    assert rc == 0
+    result = fit_all(ds, config)
+    assert not result.fit.well_posed[:8].any() and result.fit.well_posed[8:].all()
+    expect = oracle_records(result, ds.ids.tolist(), moran_on_finite(result, 4),
+                            reliability_mask(result))
+    assert (tmp_path / "rec.csv").read_bytes() == expect
+
+    # predictions: -0.0 in the test columns, ill-posed rows at the cluster,
+    # and an out-of-pool target; with and without the residual correction
+    test = Dataset(lat=np.append(ds.lat[:10], -0.0), lon=np.append(ds.lon[:10], 0.0),
+                   x=np.append(ds.x[:10], -0.0), y=np.full(11, -0.0))
+    write_dataset_csv(tmp_path / "test.csv", test)
+    preds, fitted = predict(ds, config, test.lat, test.lon, test.x)
+    assert np.isnan(preds).any() and not np.isnan(preds).all()
+    corr = residual_knn_correct(result.residual_at_target, fitted.neighborhood.member_indices, 3)
+    ill = (~fitted.fit.well_posed).astype(int).tolist()
+    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
+    for residual_knn, extra in ((0, []), (3, [corr, preds + corr])):
+        out = tmp_path / f"pred{residual_knn}.csv"
+        rc = main(["predict", "--train", str(inp), "--test", str(tmp_path / "test.csv"),
+                   "--out", str(out), "--k", "6", "--residual-knn", str(residual_knn)])
+        assert rc == 0
+        values = zip(*(c.tolist() for c in [test.lat, test.lon, test.x, test.y, preds, *extra]))
+        rows = [[str(i), *v[:5], str(ill[i]), *v[5:]] for i, v in enumerate(values)]
+        extra_header = ["residual_correction", "prediction_corrected"] if extra else []
+        assert out.read_bytes() == oracle_csv("gimbal.predictions.v1", header + extra_header, rows)
+
+    # a dataset file with every special float in its free column
+    beta1 = np.array([math.nan, -0.0, math.inf, -math.inf, 5e-324, 0.1, 1e16, -2.5] * 3)
+    write_dataset_csv(tmp_path / "ds.csv", ds, beta1_true=beta1)
+    rows = list(zip(ds.lat.tolist(), ds.lon.tolist(), ds.x.tolist(), ds.y.tolist(), beta1.tolist()))
+    assert (tmp_path / "ds.csv").read_bytes() == oracle_csv(
+        "gimbal.dataset.v1", ["lat", "lon", "x", "y", "beta1_true"], rows)
+
+
+def test_branch_codes_one_encoding(tmp_path):
+    # the 32 texts of the 5-bit code: bit b set names BRANCH_BITS[b]
+    names = gimbal.engine.BRANCH_BITS
+    assert len(BRANCH_STRINGS) == 32
+    for code, text in enumerate(BRANCH_STRINGS):
+        assert text == ";".join(sorted(n for b, n in enumerate(names) if code >> b & 1))
+        assert gimbal.engine.BRANCH_SETS[code] == frozenset(text.split(";")) - {""}
+    # a spread cloud; ten coincident points with one response (phi, theta and
+    # the solve all degenerate); ten points a degree apart (uniform fallback);
+    # and targets far from every training point (underflow fallback)
+    rng = np.random.default_rng(11)
+    lat = np.concatenate([35 + rng.uniform(0, 0.05, 40), np.full(10, 40.0), 30 + np.arange(10.0)])
+    lon = np.concatenate([135 + rng.uniform(0, 0.05, 40), np.full(10, 140.0), np.full(10, 120.0)])
+    y = rng.normal(size=60)
+    y[40:50] = 1.0
+    ds = Dataset(lat=lat, lon=lon, x=rng.normal(size=60), y=y)
+    _, result = predict(ds, GimbalConfig(k=8), np.append(lat, [0.0, -50.0]),
+                        np.append(lon, [0.0, 10.0]), np.append(ds.x, [0.1, 0.2]))
+    flags = branch_flags(result)
+    assert all(on.any() for on in flags.values())
+    write_records_csv(tmp_path / "r.csv", result, None, np.full(len(result), math.nan),
+                      reliability_mask(result))
+    header, rows = read_csv_skipping_comments(tmp_path / "r.csv")
+    column = [row[header.index("branch_codes")] for row in rows]
+    for i, codes in enumerate(branch_codes(result)):
+        assert codes == frozenset(name for name, on in flags.items() if on[i])
+        assert column[i] == ";".join(sorted(codes))
+
+
+def test_comment_rows_only_before_the_header(tmp_path, capsys):
+    # after the header, a row whose first field starts with "#" is data
+    ids = [f"p{i}" for i in range(10)]
+    ids[3] = "#p3"
+    inp = tmp_path / "ids.csv"
+    with open(inp, "w", newline="") as fh:
+        fh.write("# a comment\n")
+        writer = csv.writer(fh)
+        writer.writerow(["id", "lat", "lon", "x", "y"])
+        writer.writerows([[rec_id, *row] for rec_id, row in zip(ids, toy_rows())])
+    ds = read_dataset(inp)
+    assert ds.ids.tolist() == ids
+    assert ds.lat.tolist() == [row[0] for row in toy_rows()]
+    rows = toy_rows()
+    rows[6][0] = "#35.1"
+    write_csv(inp, rows)
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--k", "5"])
+    assert rc == 2
+    assert "row 6: column lat is not numeric ('#35.1')" in capsys.readouterr().err
 
 
 def test_fit_id_column_reaches_records(tmp_path):
