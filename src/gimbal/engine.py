@@ -1,18 +1,20 @@
 """Orchestration of the realized estimator map over many targets.
 
 fit_variants evaluates one or more configs that share K at every target of a
-dataset, in fixed chunks of CHUNK_TARGETS; fit_all is its one-config case.
-Each chunk finds its targets' KNN neighborhoods with one query, computes the
-tangent displacements and gathers the members' columns once, then for each
-config runs the config-dependent stages on (C, K) arrays: orientation
-quantities (with ablation overrides) and the one-shot safeguarded weight
-field, the closed-form local solve, and the standardized conditioning
-diagnostic. Each config's chunk is copied into its own columnar FitResult,
-in input order, before the next config is computed. Every stage reduces each
-row on its own, so a target's values do not depend on which other targets
-share its chunk, on which other configs share the query, on the thread
-schedule, or on whether it is fitted alone (fit_location): all of these
-agree bitwise.
+dataset; fit_all is its one-config case. One neighbor query (the exact grid
+query of neighborhood.knn) finds every target's KNN neighborhood first; its
+read-only arrays become the neighborhood of every config's result. The
+targets then run in fixed chunks of CHUNK_TARGETS. Each chunk slices its rows
+of the query, computes the tangent displacements and gathers the members'
+columns once, then for each config runs the config-dependent stages on
+(C, K) arrays: orientation quantities (with ablation overrides) and the
+one-shot safeguarded weight field, the closed-form local solve, and the
+standardized conditioning diagnostic. Each config's chunk is copied into
+its own columnar FitResult, in input order, before the next config is
+computed. Every stage reduces each row on its own, so a target's values do
+not depend on which other targets share its chunk or the query, on which
+other configs share the query, on the thread schedule, or on whether it is
+fitted alone (fit_location): all of these agree bitwise.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
 come from the training table, the distance-trend regressor is zero at the
@@ -167,18 +169,20 @@ class Dataset:
 
 
 def _map_columns(fn, table):
-    """Apply fn to every array of a (nested) columnar dataclass, keeping the structure."""
+    """Apply fn to every array of a (nested) columnar dataclass, keeping the
+    structure; a field that is None stays None."""
     if is_dataclass(table):
         return replace(table, **{f.name: _map_columns(fn, getattr(table, f.name)) for f in fields(table)})
-    return fn(table)
+    return None if table is None else fn(table)
 
 
 def _columns(table):
-    """The arrays of a (nested) columnar dataclass, in field order."""
+    """The arrays of a (nested) columnar dataclass, in field order, skipping
+    fields that are None."""
     if is_dataclass(table):
         for f in fields(table):
             yield from _columns(getattr(table, f.name))
-    else:
+    elif table is not None:
         yield table
 
 
@@ -255,17 +259,17 @@ def build_local_design(x_members, z):
     return np.stack([np.ones_like(z), x_members, z], axis=-1)
 
 
-def _fit_targets(dataset, configs, x_std, lat0, lon0, index):
-    """The estimator map of each config at targets (lat0, lon0), neighbors
-    taken from dataset; yields one FitResult per config, in order.
+def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances):
+    """The estimator map of each config at targets (lat0, lon0), whose
+    neighbors in dataset are the (C, K) rows members and distances; yields
+    one FitResult per config, in order, with no neighborhood (the caller
+    holds the query's).
 
-    The configs share k, so the neighbor query, the tangent displacements and
-    the members' gathered columns are computed once and serve every config.
-    x_std is the dataset's standardized covariate. index holds each target's
-    row in dataset, or -1 for an out-of-sample target.
+    The tangent displacements and the members' gathered columns are computed
+    once and serve every config. x_std is the dataset's standardized
+    covariate. index holds each target's row in dataset, or -1 for an
+    out-of-sample target.
     """
-    members, distances = knn(dataset.lat, dataset.lon, lat0, lon0, configs[0].k)
-    nb = Neighborhood(member_indices=members, distances=distances)
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     y_loc = dataset.y[members]
     # one design per chunk: each config writes its own z column before its
@@ -285,7 +289,7 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index):
             fit.residuals[np.arange(index.shape[0]), np.argmax(at_target, axis=-1)], np.nan,
         )
         yield FitResult(
-            index=index, lat=lat0, lon=lon0, neighborhood=nb, orientation=orient,
+            index=index, lat=lat0, lon=lon0, neighborhood=None, orientation=orient,
             weight_map=wmap, fit=fit, cond_wls2=cw2, residual_at_target=residual_at_target,
         )
 
@@ -294,6 +298,9 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
     """_fit_targets over chunks of CHUNK_TARGETS targets: one FitResult per
     config, each joined in order.
 
+    One neighbor query covers every target before the chunks run; each chunk
+    slices its rows. The query's arrays are marked read-only and become the
+    neighborhood of every config's result, shared, not copied.
     threads: 1 runs serial, 0 uses all cores, otherwise the given count.
     """
     configs = tuple(configs)
@@ -305,10 +312,13 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
     if threads < 0:
         raise ConfigurationError(f"threads must be >= 0, got {threads}")
     x_std = standardized_covariate(dataset.x)
+    members, distances = knn(dataset.lat, dataset.lon, lat0, lon0, ks[0])
+    members.flags.writeable = distances.flags.writeable = False
 
     def chunk(start):
         rows = slice(start, start + CHUNK_TARGETS)
-        return _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows])
+        return _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows],
+                            members[rows], distances[rows])
 
     n = index.shape[0]
     # an empty target list still makes one (empty) chunk
@@ -324,7 +334,8 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
                     results[c] = _map_columns(lambda col: np.empty((n,) + col.shape[1:], col.dtype), part)
                 for column, values in zip(_columns(results[c]), _columns(part)):
                     column[start:start + len(part)] = values
-    return results
+    nb = Neighborhood(member_indices=members, distances=distances)
+    return [replace(result, neighborhood=nb) for result in results]
 
 
 def fit_location(dataset, config, target_index):
@@ -338,9 +349,10 @@ def fit_variants(dataset, configs, threads=1):
     """The estimator map of each config at every row: one FitResult per
     config, in the configs' order, each in input order.
 
-    The configs must share k: each chunk's neighbor query, tangent
+    The configs must share k: the neighbor query and each chunk's tangent
     displacements and gathered member columns serve every config, and only
-    the weight map, local solve and diagnostics run once per config.
+    the weight map, local solve and diagnostics run once per config. Every
+    result's neighborhood is the same read-only pair of arrays.
     threads: 1 runs serial, 0 uses all cores, otherwise the given count of
     threads, each taking whole chunks. The thread schedule cannot change any
     output value.

@@ -5,8 +5,8 @@ one-shot ESS stress sweep, value-orientation dependence).
 Each experiment generates ONE dataset and evaluates all of its variants on
 it, which is what makes the per-target weight-difference evidence meaningful.
 The variants of an experiment share K, so they are fitted together by one
-engine.fit_variants call: each chunk of targets gets one neighbor query, and
-only the weight map and local solve run once per variant.
+engine.fit_variants call: one neighbor query serves every target and
+variant, and only the weight map and local solve run once per variant.
 Reported table values in the source material are seed-dependent; the runners
 check structural properties (monotonicity, branch rates, no-harm bounds)
 rather than exact numbers.
@@ -200,7 +200,7 @@ def _verdict(passed, value):
 
 def _fit_variants(spec, configs, threads):
     """Fit each named config on the one dataset of spec with one fit_variants
-    call, so each chunk's neighbor query serves every variant.
+    call, so one neighbor query serves every variant.
 
     Returns (records, summaries), both keyed by variant name.
     """

@@ -4,11 +4,25 @@ One exact batched query serves every caller (fit, prediction, local Moran).
 A cheap key, the cosine of the central angle, picks the candidates; the final
 rank is on (haversine distance, original index), so ties always break toward
 the smaller index and the neighborhood is a pure function of the input table.
+
+The key is only computed against a target's nearby points. The pool's unit
+vectors are binned into cubes of side s = 2**-level; a target's candidates
+are the points of the 3x3x3 block of cells around its own. Every point
+outside the block lies at chord >= s from the target, so its key is at most
+1 - s**2 / 2 (plus rounding). A row whose k-th key, less MARGIN, clears that
+bound cannot miss a point the full scan would gather, and it is answered by
+the same gather and re-rank as the full scan: members and distances agree
+bit for bit. Each target starts at the finest level whose block holds
+FILL * (k + 1 if exclude else k) points; a row that fails the bound retries
+one level coarser. The coarsest level is the full scan (every point is a
+candidate), which is also taken wherever a block would hold more than
+FULL_SCAN_SHARE of the pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +49,21 @@ BLOCK_DISTANCES = 1 << 15
 # key, 10u for the haversine.)
 MARGIN = 1e-12
 
+# Finest grid level: cubes of side 2**-17, about 49 m on the Earth. Below
+# it the acceptance bound s**2 / 2 (2.9e-11 here) nears the 2 * MARGIN that
+# a row must clear it by.
+FINEST_LEVEL = 17
+# A target's first level is the finest whose block holds FILL times the
+# points a row needs. A disk of radius s, the part of the block a row can
+# accept, covers about a third of a block's area.
+FILL = 3
+# A block holding more than this share of the pool takes the full scan: a
+# key there costs a gather, against a slice of one matmul in the full scan.
+FULL_SCAN_SHARE = 0.25
+
+# (dx, dy) of the nine columns of a 3x3x3 block
+_COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+
 
 class ConfigurationError(ValueError):
     """A configuration or input the data cannot satisfy; the CLI exits 2 on it."""
@@ -48,15 +77,153 @@ class Neighborhood:
     distances: np.ndarray
 
 
+class _Grid:
+    """The pool's unit vectors binned into cubes of side 2**-level.
+
+    A cell is floor(p * 2**level) per axis, exact for a power of two. Points
+    are sorted by a cell key that runs fastest along z, so the 3x3x3 block
+    around a cell is nine contiguous runs of the sorted order.
+    """
+
+    def __init__(self, pool, level):
+        self._pool = pool
+        self._scale = 2.0 ** level
+        # cell coordinates run over [-2**level, 2**level]; a block reaches one
+        # cell further each way
+        self._offset = (1 << level) + 1
+        self._width = 2 * self._offset + 1
+        keys = self.cells(pool)
+        self.order = np.argsort(keys, kind="stable")
+        self._keys = keys[self.order]
+        # a block's first key in each column, relative to its centre cell's key
+        self._columns = (_COLUMNS[:, 0] * self._width + _COLUMNS[:, 1]) * self._width - 1
+        # a point outside a target's block is at chord >= s, so its key is at
+        # most this, give or take a few ulp
+        self.floor = 1.0 - 0.5 / (self._scale * self._scale)
+
+    @cached_property
+    def coords(self):
+        """The x, y and z columns of the unit vectors, in the sorted order."""
+        return [np.ascontiguousarray(self._pool[self.order, axis]) for axis in range(3)]
+
+    @cached_property
+    def position(self):
+        """Each point's position in the sorted order."""
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(self.order.shape[0])
+        return position
+
+    def cells(self, points):
+        """The cell key of each (..., 3) point."""
+        c = np.floor(points * self._scale).astype(np.int64) + self._offset
+        return (c[..., 0] * self._width + c[..., 1]) * self._width + c[..., 2]
+
+    def blocks(self, points):
+        """(cell_of, starts, lengths) of the G distinct cells of the points:
+        each point's cell as an index in [0, G), and where the nine runs of
+        the block around each cell start in the sorted order and how many
+        points each holds, (G, 9) each."""
+        cells, cell_of = np.unique(self.cells(points), return_inverse=True)
+        first = cells[:, None] + self._columns
+        starts = np.searchsorted(self._keys, first, "left")
+        return cell_of, starts, np.searchsorted(self._keys, first + 2, "right") - starts
+
+
+class _Grids(dict):
+    """The grid of each level, built when first asked for."""
+
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def __missing__(self, level):
+        grid = self[level] = _Grid(self.pool, level)
+        return grid
+
+
+def _ragged_arange(starts, lengths):
+    """arange(s, s + l) of each (s, l) pair, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _first_levels(grids, targets, need):
+    """Each target's finest level in [0, FINEST_LEVEL] whose block holds at
+    least need points, or -1 (the full scan). Block counts nest across
+    levels (a block lies inside its coarser level's block), so a binary
+    search finds it."""
+    lo = np.full(targets.shape[0], -1)
+    hi = np.full(targets.shape[0], FINEST_LEVEL + 1)
+    while True:
+        rows = np.flatnonzero(hi - lo > 1)
+        if not rows.shape[0]:
+            return lo
+        mid = (lo[rows] + hi[rows]) // 2
+        for level in np.unique(mid):
+            at = rows[mid == level]
+            cell_of, _, lengths = grids[level].blocks(targets[at])
+            held = np.sum(lengths, axis=-1)[cell_of] >= need
+            lo[at[held]] = level
+            hi[at[~held]] = level
+
+
+def _key_blocks(grids, level, pool, targets, rows, exclude):
+    """The cosine keys of rows at level (-1: the full scan), in blocks of at
+    most BLOCK_DISTANCES keys: yields (block rows, keys, positions, grid).
+
+    A grid row's key columns are its block's points, padded to the widest
+    row: positions holds each column's place in grid.order. A full-scan
+    row's columns are the whole pool in index order (positions and grid
+    None). A padding column and the excluded point have key -inf. A row
+    whose block holds more than FULL_SCAN_SHARE of the pool is given the
+    full scan instead."""
+    n = pool.shape[0]
+    full = rows
+    if level >= 0:
+        grid = grids[level]
+        cell_of, starts, lengths = grid.blocks(targets[rows])
+        size = np.sum(lengths, axis=-1)
+        small = size[cell_of] <= FULL_SCAN_SHARE * n
+        full = rows[~small]
+        # rows in ascending block size, so that a block of rows pads little
+        order = np.argsort(size[cell_of[small]], kind="stable")
+        rows, cell_of = rows[small][order], cell_of[small][order]
+        xs, ys, zs = grid.coords
+        start = 0
+        while start < rows.shape[0]:
+            stop = min(rows.shape[0], start + max(1, BLOCK_DISTANCES // size[cell_of[start]]))
+            w = int(size[cell_of[stop - 1]])
+            stop = min(stop, start + max(1, BLOCK_DISTANCES // w))
+            block, cells = rows[start:stop], cell_of[start:stop]
+            start = stop
+            positions = np.zeros((block.shape[0], w), dtype=np.intp)
+            filled = np.arange(w) < size[cells, None]
+            positions[filled] = _ragged_arange(starts[cells].ravel(), lengths[cells].ravel())
+            t = targets[block]
+            cos = xs[positions] * t[:, 0:1] + ys[positions] * t[:, 1:2] + zs[positions] * t[:, 2:3]
+            cos[~filled] = -np.inf
+            if exclude is not None:
+                cos[positions == grid.position[exclude[block]][:, None]] = -np.inf
+            yield block, cos, positions, grid
+    step = max(1, BLOCK_DISTANCES // n)
+    for start in range(0, full.shape[0], step):
+        block = full[start:start + step]
+        cos = targets[block] @ pool.T
+        if exclude is not None:
+            cos[np.arange(block.shape[0]), exclude[block]] = -np.inf
+        yield block, cos, None, None
+
+
 def knn(lats, lons, target_lats, target_lons, k, exclude=None):
     """The k nearest points to each target by haversine distance.
 
     Returns (members, distances), (C, K) arrays in ascending (distance, index)
     order. exclude[i], when given, is removed from target i's candidate pool.
-    Each block of targets ranks every point by the cosine of its central angle
-    (one matmul of unit vectors), gathers every point whose cosine is within
-    MARGIN of the k-th largest (boundary ties and near-ties included), and
-    sorts only those on (haversine distance, index).
+    Each row ranks its candidates (the points of its grid block, or every
+    point) by the cosine of their central angle, gathers every candidate
+    whose cosine is within MARGIN of the k-th largest (boundary ties and
+    near-ties included), and sorts only those on (haversine distance, index).
+    A grid row whose k-th cosine does not clear its block's bound retries
+    one level coarser.
     """
     lats, lons, target_lats, target_lons = (
         np.asarray(a, dtype=np.float64) for a in (lats, lons, target_lats, target_lons))
@@ -64,24 +231,52 @@ def knn(lats, lons, target_lats, target_lons, k, exclude=None):
     eligible = n - (exclude is not None)
     if k < 1 or k > eligible:
         raise ConfigurationError(f"K={k} outside the eligible range [1, {eligible}]")
+    if exclude is not None:
+        exclude = np.asarray(exclude, dtype=np.intp)
 
-    pool = unit_vectors(lats, lons).T
+    pool = unit_vectors(lats, lons)
     targets = unit_vectors(target_lats, target_lons)
-    members = np.empty((target_lats.shape[0], k), dtype=np.intp)
+    members = np.empty((targets.shape[0], k), dtype=np.intp)
     distances = np.empty(members.shape, dtype=np.float64)
-    step = max(1, BLOCK_DISTANCES // n)
-    for start in range(0, members.shape[0], step):
-        rows = slice(start, start + step)
-        cos = targets[rows] @ pool
-        if exclude is not None:
-            cos[np.arange(cos.shape[0]), exclude[rows]] = -np.inf
-        kth = np.partition(cos, n - k, axis=-1)[:, n - k:n - k + 1]
-        # rows with fewer near-ties than the block's most gather extra points
-        width = int(np.max(np.sum(cos >= kth - MARGIN, axis=-1)))
-        cand = np.argpartition(cos, n - width, axis=-1)[:, n - width:]
-        cand_d = haversine_to_all(lats[cand], lons[cand],
-                                  target_lats[rows, None], target_lons[rows, None])
-        order = np.lexsort((cand, cand_d))[:, :k]
-        members[rows] = np.take_along_axis(cand, order, axis=-1)
-        distances[rows] = np.take_along_axis(cand_d, order, axis=-1)
+    grids = _Grids(pool)
+    need = FILL * (k + (exclude is not None))
+    if need > FULL_SCAN_SHARE * n:
+        level = np.full(targets.shape[0], -1)
+    else:
+        level = _first_levels(grids, targets, need)
+    rows = np.arange(targets.shape[0])
+    while rows.shape[0]:
+        retry = []
+        for lv in np.unique(level[rows])[::-1]:
+            for block, cos, positions, grid in _key_blocks(
+                    grids, lv, pool, targets, rows[level[rows] == lv], exclude):
+                w = cos.shape[1]
+                kth = np.partition(cos, w - k, axis=-1)[:, w - k:w - k + 1]
+                if grid is not None:
+                    # a point outside the block has a key within a few ulp
+                    # of the floor or below it, so a row that clears it by
+                    # MARGIN gathers every point the full scan would
+                    ok = kth[:, 0] - MARGIN > grid.floor + MARGIN
+                    if not ok.all():
+                        retry.append(block[~ok])
+                        block, cos, kth, positions = block[ok], cos[ok], kth[ok], positions[ok]
+                        if not block.shape[0]:
+                            continue
+                # every candidate within MARGIN of the k-th key, left-aligned;
+                # a row with fewer than the block's most is padded at distance inf
+                near = cos >= kth - MARGIN
+                count = np.count_nonzero(near, axis=-1)
+                gathered = np.arange(count.max()) < count[:, None]
+                cand = np.zeros(gathered.shape, dtype=np.intp)
+                cand[gathered] = np.nonzero(near)[1]
+                if grid is not None:
+                    cand = grid.order[np.take_along_axis(positions, cand, axis=-1)]
+                cand_d = haversine_to_all(lats[cand], lons[cand],
+                                          target_lats[block, None], target_lons[block, None])
+                cand_d[~gathered] = np.inf
+                order = np.lexsort((cand, cand_d))[:, :k]
+                members[block] = np.take_along_axis(cand, order, axis=-1)
+                distances[block] = np.take_along_axis(cand_d, order, axis=-1)
+        rows = np.concatenate(retry) if retry else rows[:0]
+        level[rows] -= 1
     return members, distances

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
-line (run with -s to see them). Numbers follow the criteria list in the
-project README."""
+line (run with -s to see them). Each criterion's number and meaning are
+given by the _criterion description on its test."""
 
 import dataclasses
 import functools

@@ -165,7 +165,8 @@ def test_fit_variants_solves_each_config_on_its_own_design():
         assert pickle.dumps(result.fit) == pickle.dumps(expect)
 
 
-def test_fit_variants_makes_one_query_per_chunk(monkeypatch):
+def test_fit_variants_and_predict_make_one_query(monkeypatch):
+    # one query covers every target of a fitted set, whatever its chunks
     ds = small_dataset(seed=4, n=2 * CHUNK_TARGETS + 10)
     calls = []
 
@@ -176,8 +177,24 @@ def test_fit_variants_makes_one_query_per_chunk(monkeypatch):
     monkeypatch.setattr(gimbal.engine, "knn", counted_knn)
     results = fit_variants(ds, VARIANT_SETS["e73"])
     assert len(results) == 9
-    assert len(calls) == math.ceil(ds.n / CHUNK_TARGETS) == 3
-    assert sum(calls) == ds.n
+    assert calls == [ds.n]
+    calls.clear()
+    test = small_dataset(seed=5, n=CHUNK_TARGETS + 3)
+    predict(ds, GimbalConfig(k=12), test.lat, test.lon, test.x)
+    assert calls == [test.n]
+
+
+def test_fit_variants_share_one_read_only_neighborhood():
+    ds = small_dataset(seed=6, n=CHUNK_TARGETS + 30)
+    results = fit_variants(ds, VARIANT_SETS["e73"], threads=2)
+    nb = results[0].neighborhood
+    assert all(result.neighborhood is nb for result in results)
+    assert not nb.member_indices.flags.writeable and not nb.distances.flags.writeable
+    with pytest.raises(ValueError):
+        nb.member_indices[0, 0] = 1
+    members, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, VARIANT_SETS["e73"][0].k)
+    assert np.array_equal(nb.member_indices, members)
+    assert np.array_equal(nb.distances, distances)
 
 
 def test_fit_variants_rejects_mixed_k_and_no_configs():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gimbal.neighborhood as neighborhood
 from scalar_geo import haversine_distance
 from gimbal.geo import haversine_to_all
 from gimbal.neighborhood import BLOCK_DISTANCES, ConfigurationError, knn
+from gimbal.simgen import SimSpec, generate
 
 
 def scan_oracle(lats, lons, target, k, exclude=None):
@@ -248,3 +250,166 @@ def point_sets(draw):
 def test_property_matches_oracle_with_duplicates(case):
     lats, lons, targets, k, exclude = case
     assert_matches_oracle(lats, lons, lats[targets], lons[targets], k, exclude=exclude)
+
+
+# ---- the cell grid: rows answered from a 3x3x3 block of cells agree bit for
+# bit with the full scan, the grid's coarsest level
+
+def full_scan(monkeypatch, *args, **kwargs):
+    """knn with every row sent to the full scan."""
+    with monkeypatch.context() as m:
+        m.setattr(neighborhood, "FULL_SCAN_SHARE", 0.0)
+        return knn(*args, **kwargs)
+
+
+def grid_rows(monkeypatch, *args, **kwargs):
+    """knn, and a mask of the rows the grid answered (no full-scan block)."""
+    scanned = []
+    key_blocks = neighborhood._key_blocks
+
+    def spied(*spy_args):
+        for block, cos, positions, grid in key_blocks(*spy_args):
+            if grid is None:
+                scanned.append(block.copy())
+            yield block, cos, positions, grid
+
+    with monkeypatch.context() as m:
+        m.setattr(neighborhood, "_key_blocks", spied)
+        members, distances = knn(*args, **kwargs)
+    answered = np.ones(members.shape[0], dtype=bool)
+    for block in scanned:
+        answered[block] = False
+    return members, distances, answered
+
+
+def assert_grid_matches(monkeypatch, lats, lons, target_lats, target_lons, k, exclude=None,
+                        oracle_rows=()):
+    """knn equals the full scan bit for bit, and the oracle on oracle_rows;
+    returns the mask of rows the grid answered."""
+    members, distances, answered = grid_rows(monkeypatch, lats, lons, target_lats, target_lons,
+                                             k, exclude=exclude)
+    full_members, full_distances = full_scan(monkeypatch, lats, lons, target_lats, target_lons,
+                                             k, exclude=exclude)
+    assert np.array_equal(members, full_members)
+    assert np.array_equal(distances, full_distances)
+    for i in oracle_rows:
+        skip = None if exclude is None else exclude[i]
+        target = (target_lats[i], target_lons[i])
+        assert members[i].tolist() == scan_oracle(lats, lons, target, k, exclude=skip), i
+    return answered
+
+
+def test_grid_dense_cluster_in_sparse_field(monkeypatch):
+    # a ~2 km cluster, and a sub-millimetre one 3 degrees north of it, inside
+    # a 20-degree field
+    rng = np.random.default_rng(22)
+    field_lats, field_lons = random_cloud(rng, 1500, spread=20.0)
+    dense_lats, dense_lons = random_cloud(rng, 1200, spread=0.02)
+    tiny_lats, tiny_lons = random_cloud(rng, 300, spread=1e-9)
+    tiny_lats = tiny_lats + 3.0
+    order = rng.permutation(3000)
+    lats = np.concatenate([field_lats, dense_lats, tiny_lats])[order]
+    lons = np.concatenate([field_lons, dense_lons, tiny_lons])[order]
+    tlats, tlons = lats[::7], lons[::7]
+    for k in (1, 10, 60):
+        answered = assert_grid_matches(monkeypatch, lats, lons, tlats, tlons, k,
+                                       oracle_rows=range(0, tlats.shape[0], 43))
+        # a field point whose block takes in the cluster gets the full scan
+        assert answered.mean() > 0.6
+
+
+def test_grid_targets_on_cell_boundaries(monkeypatch):
+    # a lattice about lat 0 / lon 0 and one across lon 180: unit-vector
+    # components of 0 and +-1 are exact multiples of every cell side, and
+    # the lattice's mirror images tie exactly
+    steps = np.arange(-20, 21) * 0.001
+    lat_grid, lon_grid = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
+    lats = np.concatenate([lat_grid, lat_grid])
+    lons = np.concatenate([lon_grid, np.where(lon_grid > 0.0, lon_grid - 180.0, lon_grid + 180.0)])
+    tlats = np.array([0.0, 0.0, 0.0, 0.001, -0.02, 0.0, 0.0, 0.0, 0.005])
+    tlons = np.array([0.0, 180.0, -180.0, 0.0, 0.02, 0.01, 179.99, -179.99, -180.0])
+    for k in (2, 3, 6, 11, 24, 49, 120):
+        answered = assert_grid_matches(monkeypatch, lats, lons, tlats, tlons, k,
+                                       oracle_rows=range(tlats.shape[0]))
+        assert answered.all()
+
+
+def test_grid_near_the_poles(monkeypatch):
+    rng = np.random.default_rng(23)
+    lats = np.concatenate([rng.uniform(89.9, 90.0, 800), [90.0, 90.0],
+                           rng.uniform(-90.0, -89.9, 800), [-90.0]])
+    lons = np.concatenate([rng.uniform(-180.0, 180.0, 800), [0.0, 180.0],
+                           rng.uniform(-180.0, 180.0, 800), [-180.0]])
+    tlats = np.concatenate([[90.0, -90.0, 90.0], lats[::40]])
+    tlons = np.concatenate([[0.0, 0.0, 180.0], lons[::40]])
+    for k in (1, 12, 50):
+        answered = assert_grid_matches(monkeypatch, lats, lons, tlats, tlons, k,
+                                       oracle_rows=range(0, tlats.shape[0], 4))
+        assert answered[:3].all()
+
+
+def test_grid_duplicates_straddling_a_boundary(monkeypatch):
+    # duplicated points on the equator (z = 0, a cell boundary at every level)
+    # and a hair either side of it, in a field that engages the grid
+    rng = np.random.default_rng(24)
+    base_lats = np.array([-1e-9, 0.0, 1e-9, 0.0, -1e-7, 1e-7])
+    base_lons = np.array([0.0, 0.0, 0.0, 1e-9, 0.0, 0.0])
+    picks = rng.integers(0, base_lats.shape[0], 300)
+    field_lats = rng.uniform(-0.5, 0.5, 900)
+    field_lons = rng.uniform(-0.5, 0.5, 900)
+    lats = np.concatenate([base_lats[picks], field_lats])
+    lons = np.concatenate([base_lons[picks], field_lons])
+    targets = np.concatenate([np.arange(0, 300, 11), np.arange(300, 1200, 37)])
+    for k in (1, 7, 49, 50, 51, 90):
+        answered = assert_grid_matches(monkeypatch, lats, lons, lats[targets], lons[targets], k,
+                                       oracle_rows=range(0, targets.shape[0], 5))
+        assert answered.any()
+
+
+def test_grid_with_exclude(monkeypatch):
+    rng = np.random.default_rng(25)
+    lats, lons = random_cloud(rng, 1500, spread=2.0)
+    picks = rng.integers(0, 1500, 300)
+    lats, lons = np.concatenate([lats, lats[picks]]), np.concatenate([lons, lons[picks]])
+    n = lats.shape[0]
+    exclude = np.arange(n)
+    rows = np.arange(0, n, 9)
+    for k in (1, 8, 40):
+        answered = assert_grid_matches(monkeypatch, lats, lons, lats[rows], lons[rows], k,
+                                       exclude=exclude[rows], oracle_rows=range(0, rows.shape[0], 17))
+        assert answered.mean() > 0.9
+    # K = eligible: every block is too small, and every row is a full scan
+    small = slice(0, 40)
+    _, _, answered = grid_rows(monkeypatch, lats[small], lons[small], lats[small], lons[small],
+                               39, exclude=exclude[small])
+    assert not answered.any()
+    assert_matches_oracle(lats[small], lons[small], lats[small], lons[small], 39,
+                          exclude=exclude[small])
+
+
+def test_grid_widens_to_full_scan_for_antipodal_targets(monkeypatch):
+    # targets outside a regional pool: the cloud's antipode and points far
+    # from every training point must reach the full scan, the rest not
+    rng = np.random.default_rng(26)
+    lats, lons = random_cloud(rng, 2000, spread=1.0)
+    far_lats = np.array([-35.0, -35.3, -34.6, 35.0, 0.0])
+    far_lons = np.array([-45.0, -44.8, -45.4, -45.0, 45.0])
+    near_lats, near_lons = random_cloud(rng, 20, spread=1.0)
+    tlats = np.concatenate([far_lats, near_lats])
+    tlons = np.concatenate([far_lons, near_lons])
+    for k in (1, 25, 50):
+        answered = assert_grid_matches(monkeypatch, lats, lons, tlats, tlons, k,
+                                       oracle_rows=range(tlats.shape[0]))
+        assert not answered[:far_lats.shape[0]].any()
+        assert answered[far_lats.shape[0]:].mean() > 0.5
+
+
+@pytest.mark.parametrize("k, exclude", [(50, False), (8, True)])
+def test_grid_equals_full_scan_at_scale(monkeypatch, k, exclude):
+    # the fit_large data shape at N=19200, every 50th target
+    ds, _ = generate(SimSpec(n=19200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
+    rows = np.arange(0, ds.n, 50)
+    excluded = rows if exclude else None
+    answered = assert_grid_matches(monkeypatch, ds.lat, ds.lon, ds.lat[rows], ds.lon[rows], k,
+                                   exclude=excluded)
+    assert answered.mean() > 0.95
