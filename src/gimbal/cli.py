@@ -7,7 +7,10 @@ comment lines before the header. The header and every row are ended by
 so outputs are byte-identical across reruns with the same inputs. Missing
 values (ill-posed locations, undefined diagnostics) are empty fields. Only the
 ``id`` field can hold a delimiter, a quote or a line break, so it is the only
-field ever quoted, by the ``csv`` module's rules.
+field ever quoted, by the ``csv`` module's rules. One writer (_write_csv)
+frames every file; it writes the tables of several files in lockstep, so an
+experiment's variants format each float cell they share once. A header that
+names a column twice is an input error.
 
 Exit codes: 0 success (flagged locations included), 2 input/configuration
 error, 3 internal invariant violation.
@@ -16,6 +19,7 @@ error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -79,19 +83,37 @@ def _json_safe(obj):
     return obj
 
 
-def _fields(column):
-    """The CSV fields of a 1-D column: a float as its repr, NaN as an empty
-    field; an integer or boolean as a decimal integer; an object column's
-    entries as the text they hold."""
+def _fields(column, prev):
+    """The CSV fields of a 1-D column block, and the key by which the next
+    table's block at the same place reuses them: (fields, key).
+
+    A float is its repr, NaN an empty field. prev is (fields, key) of the
+    previous table's block at the same place, or (None, None). A float cell
+    whose int64 bits equal prev's cell reuses its text, so only the cells
+    that changed go through repr (-0.0 and 0.0 differ; NaNs with unequal
+    payloads are both formatted, as empty fields). An integer or boolean is
+    a decimal integer and an object column's entry the text it holds; those
+    have no key.
+    """
     kind = column.dtype.kind
-    if kind == "f":
-        fields = list(map(repr, column.tolist()))
-        for i in np.flatnonzero(np.isnan(column)).tolist():
-            fields[i] = ""
-        return fields
     if kind == "O":
-        return column.tolist()
-    return list(map(str, column.astype(np.int64).tolist()))
+        return column.tolist(), None
+    if kind != "f":
+        return list(map(str, column.astype(np.int64).tolist())), None
+    bits = column.view(np.int64)
+    prev_fields, prev_bits = prev
+    if prev_bits is not None:
+        changed = np.flatnonzero(bits != prev_bits)
+        fields = prev_fields.copy()
+        for i, text in zip(changed.tolist(), map(repr, column[changed].tolist())):
+            fields[i] = text
+        nan = changed[np.isnan(column[changed])]
+    else:
+        fields = list(map(repr, column.tolist()))
+        nan = np.flatnonzero(np.isnan(column))
+    for i in nan.tolist():
+        fields[i] = ""
+    return fields, bits
 
 
 def _quoted(texts):
@@ -109,15 +131,26 @@ def _quoted(texts):
     return fields
 
 
-def _write_csv(path, schema, header, columns):
-    """A schema comment line, the header, then one row per entry of the
-    equal-length columns (see _fields), CHUNK_TARGETS rows per write."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# schema: {schema}\n")
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), CHUNK_TARGETS):
-            block = [_fields(column[start:start + CHUNK_TARGETS]) for column in columns]
-            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+def _write_csv(paths, schema, header, tables):
+    """One file per path: a schema comment line, the header, then one row per
+    entry of its table, a list of equal-length columns (see _fields).
+
+    Every table has one column per header name and the same number of rows.
+    The files are written in lockstep, CHUNK_TARGETS rows of each per write,
+    so that a column block reuses the cells of the previous table's block at
+    the same place; at most two blocks per column are held.
+    """
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(Path(path).open("w", newline="")) for path in paths]
+        for fh in files:
+            fh.write(f"# schema: {schema}\n")
+            fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(tables[0][0]), CHUNK_TARGETS):
+            block = [(None, None)] * len(header)
+            for fh, columns in zip(files, tables):
+                block = [_fields(column[start:start + CHUNK_TARGETS], prev)
+                         for column, prev in zip(columns, block)]
+                fh.write("\r\n".join(map(",".join, zip(*(fields for fields, _ in block)))) + "\r\n")
 
 
 def _write_json(path, obj):
@@ -136,6 +169,9 @@ def read_dataset(path):
     if not rows:
         raise ConfigurationError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
+    twice = next((name for i, name in enumerate(header) if name and name in header[:i]), None)
+    if twice is not None:
+        raise ConfigurationError(f"{path}: column '{twice}' is named twice in the header")
     missing = [name for name in _REQUIRED_COLUMNS if name not in header]
     if missing:
         raise ConfigurationError(f"{path}: missing required column '{missing[0]}'")
@@ -172,19 +208,31 @@ def write_dataset_csv(path, dataset, beta1_true=None):
     if beta1_true is not None:
         header.append("beta1_true")
         columns.append(np.asarray(beta1_true, dtype=np.float64))
-    _write_csv(path, SCHEMA_DATASET, header, columns)
+    _write_csv([path], SCHEMA_DATASET, header, [columns])
 
 
-def write_records_csv(path, result, ids, moran_values, fragile_flags):
-    """One row per target of result; ids is the input's id column, or None."""
+def _records_columns(result, ids, moran_values, fragile_flags):
     fit, orient, wmap = result.fit, result.orientation, result.weight_map
     id_texts = _quoted(map(str, ids[result.index].tolist())) if ids is not None else [""] * len(result)
-    _write_csv(path, SCHEMA_RECORDS, RECORD_FIELDS, [
+    return [
         result.index, np.array(id_texts, dtype=object), result.lat, result.lon, *fit.beta.T,
         fit.m_nor_condition, result.cond_wls2, wmap.h_eff, orient.phi, orient.r_phi,
         orient.theta_z, orient.g_ident, orient.eta, wmap.n_eff_raw, wmap.n_eff_post,
         _BRANCH_TEXT[branch_bits(result)], fit.rmse_local, fit.r2_local,
         np.asarray(moran_values, dtype=np.float64), np.asarray(fragile_flags, dtype=bool),
+    ]
+
+
+def write_records_csv(paths, results, ids, moran_values, fragile_flags):
+    """One records file per path, from the result, local Moran values and
+    fragile flags at the same position of the other sequences; the results
+    cover the same targets. ids is the input's id column, or None. The files
+    are written in lockstep (_write_csv), so the variants of an experiment
+    format each cell they share once.
+    """
+    _write_csv(paths, SCHEMA_RECORDS, RECORD_FIELDS, [
+        _records_columns(result, ids, moran, fragile)
+        for result, moran, fragile in zip(results, moran_values, fragile_flags)
     ])
 
 
@@ -205,10 +253,12 @@ def _moran_over_records(result, k_moran):
     return values
 
 
-def _annotate_and_write(path, result, ids, k_moran, kappa_quantile, neff_floor):
-    moran = _moran_over_records(result, k_moran)
-    fragile = reliability_mask(result, kappa_quantile, neff_floor)
-    write_records_csv(path, result, ids, moran, fragile)
+def _annotate_and_write(paths, results, ids, k_moran, kappa_quantile, neff_floor):
+    """Local Moran and fragile flags of each result, then one records file
+    per path (write_records_csv)."""
+    moran = [_moran_over_records(result, k_moran) for result in results]
+    fragile = [reliability_mask(result, kappa_quantile, neff_floor) for result in results]
+    write_records_csv(paths, results, ids, moran, fragile)
 
 
 # ---------------------------------------------------------------- config
@@ -286,7 +336,7 @@ def cmd_fit(args):
         raise ConfigurationError(f"--moran-k {args.moran_k} outside the eligible range "
                                  f"[1, {dataset.n - 1}]: the input has {dataset.n} locations")
     result = fit_all(dataset, config, threads=args.threads)
-    _annotate_and_write(args.out_records, result, dataset.ids, args.moran_k, quantile, floor)
+    _annotate_and_write([args.out_records], [result], dataset.ids, args.moran_k, quantile, floor)
     try:
         map_summary = dataclasses.asdict(summarize(result))
     except ValueError:
@@ -319,7 +369,7 @@ def cmd_predict(args):
         corr = residual_knn_correct(training_residuals, result.neighborhood.member_indices, args.residual_knn)
         columns += [corr, preds + corr]
         header += ["residual_correction", "prediction_corrected"]
-    _write_csv(args.out, SCHEMA_PREDICTIONS, header, columns)
+    _write_csv([args.out], SCHEMA_PREDICTIONS, header, [columns])
     return 0
 
 
@@ -341,10 +391,10 @@ def cmd_experiment(args):
     report, records_by_variant = run_experiment(exp_id, base_seed=args.seed, threads=args.threads)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # simulated data has no id column
-    for name, result in records_by_variant.items():
-        _annotate_and_write(outdir / f"{exp_id}_{name}.csv", result, None, DEFAULT_K_MORAN,
-                            DEFAULT_KAPPA_QUANTILE, DEFAULT_NEFF_FLOOR)
+    # simulated data has no id column; the variants' files are written together
+    _annotate_and_write([outdir / f"{exp_id}_{name}.csv" for name in records_by_variant],
+                        list(records_by_variant.values()), None, DEFAULT_K_MORAN,
+                        DEFAULT_KAPPA_QUANTILE, DEFAULT_NEFF_FLOOR)
     _write_json(outdir / f"{exp_id}_report.json", report)
 
     failed = [k for k, v in report["properties"].items() if not v["pass"]]

@@ -9,11 +9,14 @@ of the query, computes the tangent displacements and gathers the members'
 columns once, then for each config runs the config-dependent stages on
 (C, K) arrays: orientation quantities (with ablation overrides) and the
 one-shot safeguarded weight field, the closed-form local solve, and the
-standardized conditioning diagnostic. Each config's chunk is copied into
-its own columnar FitResult, in input order, before the next config is
-computed. Every stage reduces each row on its own, so a target's values do
-not depend on which other targets share its chunk or the query, on which
-other configs share the query, on the thread schedule, or on whether it is
+standardized conditioning diagnostic. Configs that differ only in the fields
+read after the orientation stage (kernels.AFTER_ORIENTATION) share one
+orientation stage per chunk, and with it the raw weights' ESS, so an n0
+sweep computes it once. Each config's chunk is copied into its own columnar
+FitResult, in input order, before the next config is computed. Every stage
+reduces each row on its own, so a target's values do not depend on which
+other targets share its chunk or the query, on which other configs share the
+query or an orientation stage, on the thread schedule, or on whether it is
 fitted alone (fit_location): all of these agree bitwise.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
@@ -266,20 +269,23 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances)
     holds the query's).
 
     The tangent displacements and the members' gathered columns are computed
-    once and serve every config. x_std is the dataset's standardized
-    covariate. index holds each target's row in dataset, or -1 for an
-    out-of-sample target.
+    once and serve every config, and so does each orientation stage: configs
+    that differ only in kernels.AFTER_ORIENTATION fields share one (the memo
+    lives in this call's frame, so no two chunks share it). x_std is the
+    dataset's standardized covariate. index holds each target's row in
+    dataset, or -1 for an out-of-sample target.
     """
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     y_loc = dataset.y[members]
     # one design per chunk: each config writes its own z column before its
     # solve, and no result keeps a reference to X
     X = build_local_design(dataset.x[members], distances)
+    stages = {}
 
     for config in configs:
         z = distances / config.u_scale
         X[..., 2] = z
-        orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config)
+        orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config, stages)
         fit = solver.solve_local(X, y_loc, wmap.weights, config.gamma, config.eps_kappa)
         cw2 = cond_wls2(x_std[members], wmap.weights, config.eps_kappa)
 
@@ -350,9 +356,11 @@ def fit_variants(dataset, configs, threads=1):
     config, in the configs' order, each in input order.
 
     The configs must share k: the neighbor query and each chunk's tangent
-    displacements and gathered member columns serve every config, and only
-    the weight map, local solve and diagnostics run once per config. Every
-    result's neighborhood is the same read-only pair of arrays.
+    displacements and gathered member columns serve every config, each
+    chunk's orientation stage serves every config of one
+    kernels.orientation_key, and only the rest of the weight map, the local
+    solve and the diagnostics run once per config. Every result's
+    neighborhood is the same read-only pair of arrays.
     threads: 1 runs serial, 0 uses all cores, otherwise the given count of
     threads, each taking whole chunks. The thread schedule cannot change any
     output value.

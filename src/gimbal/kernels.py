@@ -1,26 +1,44 @@
 """The realized weight map of a stack of neighborhoods.
 
 One composition of the orientation and weight stages, from tangent
-displacements to safeguarded weights: the bearing resultant, the value
-orientation and the anisotropy ratio (each forced to its isotropic value when
-the configuration switches it off), then the one-shot ESS safeguard. Inputs
-are (C, K) arrays, one row per neighborhood, or (K,) for a single one.
+displacements to safeguarded weights. The orientation stage is the bearing
+resultant, the value orientation and the anisotropy ratio (each forced to its
+isotropic value when the configuration switches it off), plus the raw
+weights' ESS; then the rest of the one-shot ESS safeguard. Inputs are (C, K)
+arrays, one row per neighborhood, or (K,) for a single one.
+
+Configs that differ only in AFTER_ORIENTATION fields have equal orientation
+stages, so weight_map computes the stage once per orientation_key among the
+calls that share one memo.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .orientation import OrientationResult, anisotropy_ratio, bearing_resultant, value_orientation
-from .weights import one_shot_safeguard
+from .weights import one_shot_safeguard, raw_ess
+
+# GimbalConfig fields that the orientation stage does not read: the
+# safeguard's n0 and n_min and the local solve's gamma and eps_kappa
+AFTER_ORIENTATION = ("n0", "n_min", "gamma", "eps_kappa")
 
 
-def weight_map(east, north, distances, z, y, config):
-    """Orientation and safeguarded weights of each neighborhood.
+def orientation_key(config):
+    """The config's fields other than AFTER_ORIENTATION, as a tuple: configs
+    with equal keys have equal orientation stages."""
+    return tuple(getattr(config, f.name) for f in fields(config) if f.name not in AFTER_ORIENTATION)
 
-    Returns (OrientationResult, RealizedWeightMap). Diagnostics (r_phi,
-    g_ident, eigenvalues) are always computed from data; the configuration's
-    modes only force the realized value of the corresponding quantity.
+
+def orientation_stage(east, north, distances, z, y, config):
+    """Orientation of each neighborhood and its raw weights' ESS.
+
+    Returns (OrientationResult, (n_eff_raw, raw_underflow)); see
+    weights.raw_ess. Diagnostics (r_phi, g_ident, eigenvalues) are always
+    computed from data; the configuration's modes only force the realized
+    value of the corresponding quantity.
     """
     phi, r_phi, phi_deact = bearing_resultant(east, north, distances, config.h, config.eps_phi)
     if config.phi_mode == "forced_zero":
@@ -41,4 +59,21 @@ def weight_map(east, north, distances, z, y, config):
         theta_z=theta_z, g_ident=g_ident, theta_deactivated=theta_deact,
         eta=eta, lambda_max=lam_max, lambda_min=lam_min,
     )
-    return orient, one_shot_safeguard(east, north, orient, config.h, config.n0, config.n_min)
+    return orient, raw_ess(east, north, orient, config.h)
+
+
+def weight_map(east, north, distances, z, y, config, shared=None):
+    """Orientation and safeguarded weights of each neighborhood.
+
+    Returns (OrientationResult, RealizedWeightMap). shared is a memo of
+    orientation stages by orientation_key, read and filled here, for calls on
+    the same neighborhoods (east, north, distances, y, and z = distances / u);
+    None shares nothing. The bandwidth correction and the fallback run on
+    every call.
+    """
+    shared = {} if shared is None else shared
+    key = orientation_key(config)
+    if key not in shared:
+        shared[key] = orientation_stage(east, north, distances, z, y, config)
+    orient, raw = shared[key]
+    return orient, one_shot_safeguard(east, north, orient, config.h, config.n0, config.n_min, raw)

@@ -1,11 +1,12 @@
 """Directional weight field: metric construction, raw weights, ESS safeguard.
 
 The metric is M = Q diag(1, eta^-2) Q^T / h^2 with Q = R(phi) R(theta_z).
-Raw weights exp(-Delta^T M Delta) are normalized, checked for effective
-sample size, corrected once via h_eff = h * sqrt(n0 / n_eff_raw) (rebuilding
-only the diagonal scaling, never Q or eta), and replaced by uniform weights
-when the corrected ESS still falls below n_min. The correction is one-shot by
-construction; it is never iterated.
+Raw weights exp(-Delta^T M Delta) are normalized and checked for effective
+sample size (raw_ess: it reads no n0 or n_min, so configs that differ only
+there can share it), corrected once via h_eff = h * sqrt(n0 / n_eff_raw)
+(rebuilding only the diagonal scaling, never Q or eta), and replaced by
+uniform weights when the corrected ESS still falls below n_min. The
+correction is one-shot by construction; it is never iterated.
 
 ``n_eff_post`` always reports the ESS of the *recomputed candidate* weights,
 i.e. the quantity the fallback rule tests. The ESS of the final weight vector
@@ -104,21 +105,29 @@ def _normalized(w):
         return w_tilde, 1.0 / np.sum(w_tilde * w_tilde, axis=-1), total[..., 0] == 0.0
 
 
-def one_shot_safeguard(east, north, orient, h, n0, n_min):
+def raw_ess(east, north, orient, h):
+    """The safeguard's first step, which reads neither n0 nor n_min: the ESS
+    of the raw weights at the nominal bandwidth h, and where their sum
+    underflowed to 0 (the ESS is 0 there). Returns (n_eff_raw, underflow)."""
+    w_raw = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, h))
+    _, n_eff_raw, underflow = _normalized(w_raw)
+    return np.where(underflow, 0.0, n_eff_raw), underflow
+
+
+def one_shot_safeguard(east, north, orient, h, n0, n_min, raw=None):
     """Raw weights, single ESS bandwidth correction, uniform fallback.
 
-    orient supplies phi, theta_z and eta (scalars or (C,) arrays). When every
-    raw weight underflows, h_eff cannot be formed: it is NaN, n_eff_raw is 0,
-    and the weights fall back to uniform, as they do when the corrected
+    orient supplies phi, theta_z and eta (scalars or (C,) arrays); raw is
+    raw_ess(east, north, orient, h) when the caller holds it already. When
+    every raw weight underflows, h_eff cannot be formed: it is NaN, n_eff_raw
+    is 0, and the weights fall back to uniform, as they do when the corrected
     weights underflow.
     """
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
     n = east.shape[-1]
 
-    w_raw = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, h))
-    _, n_eff_raw, raw_underflow = _normalized(w_raw)
-    n_eff_raw = np.where(raw_underflow, 0.0, n_eff_raw)
+    n_eff_raw, raw_underflow = raw_ess(east, north, orient, h) if raw is None else raw
 
     # unconditional one-shot correction: shrinks as well as inflates
     with np.errstate(divide="ignore"):

@@ -162,6 +162,56 @@ def test_every_csv_matches_the_csv_module_oracle(tmp_path):
         "gimbal.dataset.v1", ["lat", "lon", "x", "y", "beta1_true"], rows)
 
 
+def test_tables_written_in_lockstep_match_the_csv_module_oracle(tmp_path):
+    # four tables over two blocks; in one cell the tables hold 0.0 then -0.0,
+    # NaNs with two payloads, inf and -inf, and 1-ulp neighbours, so a reused
+    # cell is right only if it matched bit for bit
+    n = CHUNK_TARGETS + 7
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=n)
+    nan_a = np.float64(math.nan)
+    nan_b = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    assert math.isnan(nan_b) and nan_a.view(np.int64) != nan_b.view(np.int64)
+    cells = [
+        (0.0, -0.0, -0.0, 0.0),
+        (nan_a, nan_b, nan_b, nan_a),
+        (math.inf, math.inf, -math.inf, 0.5),
+        (0.1, np.nextafter(0.1, 1.0), 0.1, np.nextafter(0.1, 0.0)),
+    ]
+    tables = []
+    for t in range(4):
+        col = base.copy()
+        col[t::5] += t  # some cells change from table to table, most do not
+        for row, values in zip((0, 1, CHUNK_TARGETS, n - 1), cells):
+            col[row] = values[t]
+        same = np.full(n, 2.5)
+        tables.append([np.arange(n) * (t + 1), np.array([f"t{t}r{i}" for i in range(n)], dtype=object),
+                       col, same, np.arange(n) % 2 == t % 2])
+    header = ["index", "name", "value", "same", "flag"]
+    paths = [tmp_path / f"t{t}.csv" for t in range(4)]
+    gimbal.cli._write_csv(paths, "test.v1", header, tables)
+    for path, (index, names, col, same, flag) in zip(paths, tables):
+        rows = [[str(i), name, v, s, str(int(f))] for i, name, v, s, f in
+                zip(index.tolist(), names.tolist(), col.tolist(), same.tolist(), flag.tolist())]
+        assert path.read_bytes() == oracle_csv("test.v1", header, rows)
+    assert paths[1].read_text().splitlines()[2].split(",")[2] == "-0.0"
+
+
+def test_experiment_73_files_equal_the_fit_of_its_dataset(tmp_path):
+    # the nine n0 variants are written together; each file is still the
+    # file gimbal fit writes for that config on the experiment's dataset
+    assert main(["experiment", "--id", "7.3", "--seed", "1", "--outdir", str(tmp_path / "e73")]) == 0
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--out", str(data), "--n", "1200", "--sampling", "gaussian",
+                 "--extent", "25000", "--rho", "10", "--psi", "0.7853981633974483", "--seed", "1"]) == 0
+    for n0 in ("6", "100"):
+        out = tmp_path / f"fit_{n0}.csv"
+        assert main(["fit", "--input", str(data), "--out-records", str(out),
+                     "--out-summary", str(tmp_path / "s.json"),
+                     "--k", "30", "--h", "2000", "--n-min", "12", "--n0", n0]) == 0
+        assert out.read_bytes() == (tmp_path / "e73" / f"e73_n0_{n0}.csv").read_bytes()
+
+
 def test_branch_codes_one_encoding(tmp_path):
     # the 32 texts of the 5-bit code: bit b set names BRANCH_BITS[b]
     names = gimbal.engine.BRANCH_BITS
@@ -182,8 +232,8 @@ def test_branch_codes_one_encoding(tmp_path):
                         np.append(lon, [0.0, 10.0]), np.append(ds.x, [0.1, 0.2]))
     flags = branch_flags(result)
     assert all(on.any() for on in flags.values())
-    write_records_csv(tmp_path / "r.csv", result, None, np.full(len(result), math.nan),
-                      reliability_mask(result))
+    write_records_csv([tmp_path / "r.csv"], [result], None, [np.full(len(result), math.nan)],
+                      [reliability_mask(result)])
     header, rows = read_csv_skipping_comments(tmp_path / "r.csv")
     column = [row[header.index("branch_codes")] for row in rows]
     for i, codes in enumerate(branch_codes(result)):
@@ -282,6 +332,18 @@ def test_fit_missing_column_exits_2(tmp_path, capsys):
                "--out-summary", str(tmp_path / "s.json")])
     assert rc == 2
     assert "y" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [("lat", "lon", "x", "y", "lat"),
+                                    ("lat", "lon", "note", "x", "y", "note")])
+def test_fit_column_named_twice_exits_2(tmp_path, capsys, header):
+    inp = tmp_path / "twice.csv"
+    write_csv(inp, [[*row, row[0]] + [0.0] * (len(header) - 5) for row in toy_rows()], header=header)
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--k", "5"])
+    assert rc == 2
+    assert f"column '{header[-1]}' is named twice in the header" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_fit_k_exceeds_n_exits_2(tmp_path, capsys):

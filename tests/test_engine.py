@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gimbal.engine
+from gimbal import kernels
 from gimbal.engine import (
     BRANCH_ILL_POSED,
     CHUNK_TARGETS,
@@ -19,6 +22,7 @@ from gimbal.engine import (
     residual_knn_correct,
     standardized_covariate,
 )
+from gimbal.kernels import orientation_stage
 from gimbal.neighborhood import ConfigurationError, Neighborhood, knn
 from gimbal.simgen import SimSpec, generate
 from gimbal.solver import solve_local
@@ -125,10 +129,22 @@ def test_fit_all_order_and_parallel_serial_bitwise():
     assert pickle.dumps(serial) == pickle.dumps(parallel)
 
 
+# a base config, then one config per GimbalConfig field other than k that
+# differs from the base in that field alone; the last four fields are read
+# only after the orientation stage
+ONE_FIELD_BASE = GimbalConfig(k=12)
+ONE_FIELD_CHANGES = {
+    "h": 2000.0, "u": 1500.0, "eps_phi": 0.30, "eps_theta": 0.5, "eps_eta": 1e6, "eta_max": 2.0,
+    "theta_z_mode": "off", "phi_mode": "forced_zero", "eta_mode": "forced_one",
+    "gamma": 0.5, "n0": 6.0, "n_min": 12.0, "eps_kappa": 1.0,
+}
+
 # the variant sets of e71 (proxy modes, eps_phi) and e73 (an n0 sweep at a
-# non-default h and n_min), and one whose distance scales differ, each
-# sharing one K
+# non-default h and n_min), one whose distance scales differ, and the
+# one-field changes, each sharing one K
 VARIANT_SETS = {
+    "one_field": (ONE_FIELD_BASE, *(replace(ONE_FIELD_BASE, **{name: value})
+                                    for name, value in ONE_FIELD_CHANGES.items())),
     "scales": (GimbalConfig(k=12, u=1500.0), GimbalConfig(k=12), GimbalConfig(k=12, h=2000.0, u=4000.0)),
     "e71": (
         GimbalConfig(k=12, phi_mode="forced_zero", theta_z_mode="off", eta_mode="forced_one"),
@@ -151,6 +167,37 @@ def test_fit_variants_equals_fit_all_per_config(variants, threads):
     assert len(results) == len(configs)
     for config, result in zip(configs, results):
         assert pickle.dumps(result) == pickle.dumps(fit_all(ds, config, threads=threads))
+
+
+def test_each_config_field_moves_the_orientation_stage_unless_read_after_it():
+    # every field but k is changed, and each change moves its result, so a
+    # config that borrowed another's orientation stage would be caught
+    assert set(ONE_FIELD_CHANGES) == {f.name for f in dataclasses.fields(GimbalConfig)} - {"k"}
+    assert set(kernels.AFTER_ORIENTATION) < set(ONE_FIELD_CHANGES)
+    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    base, *changed = fit_variants(ds, VARIANT_SETS["one_field"])
+    for name, result in zip(ONE_FIELD_CHANGES, changed):
+        assert pickle.dumps(result) != pickle.dumps(base), name
+        stage = (result.orientation, result.weight_map.n_eff_raw)
+        moved = pickle.dumps(stage) != pickle.dumps((base.orientation, base.weight_map.n_eff_raw))
+        assert moved == (name not in kernels.AFTER_ORIENTATION), name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("variants, keys", [("e73", 1), ("scales", 3), ("e71", 4), ("one_field", 10)])
+def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, keys, threads):
+    # an n0 sweep shares one stage per chunk; configs that differ in a field
+    # the stage reads each get their own
+    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    calls = []
+
+    def counted(east, *args):
+        calls.append(east.shape[0])
+        return orientation_stage(east, *args)
+
+    monkeypatch.setattr(kernels, "orientation_stage", counted)
+    fit_variants(ds, VARIANT_SETS[variants], threads=threads)
+    assert sorted(calls) == [44] * keys + [CHUNK_TARGETS] * keys
 
 
 def test_fit_variants_solves_each_config_on_its_own_design():
