@@ -37,6 +37,7 @@ from .diagnostics import (
     DEFAULT_KAPPA_QUANTILE,
     DEFAULT_NEFF_FLOOR,
     local_moran_of_rows,
+    moran_adjacency,
     reliability_mask,
 )
 from .engine import (
@@ -236,27 +237,39 @@ def write_records_csv(paths, results, ids, moran_values, fragile_flags):
     ])
 
 
-def _moran_over_records(result, k_moran):
+def _moran_over_records(result, k_moran, adjacencies=None):
     """Per-target local Moran of the target-row residuals of a fit_all
     result, its adjacency taken from the fit's own neighbor rows; ill-posed
-    -> NaN."""
+    -> NaN. adjacencies is a memo of Moran adjacencies, read and filled here,
+    for results held alive by the caller; None shares nothing."""
     residuals = result.residual_at_target
-    n_finite = int(np.sum(np.isfinite(residuals)))
+    finite = np.isfinite(residuals)
+    n_finite = int(np.count_nonzero(finite))
     if n_finite < 2:
         return np.full(len(result), math.nan)
     if not 1 <= k_moran < n_finite:
         raise ConfigurationError(f"--moran-k {k_moran} outside the eligible range "
                                  f"[1, {n_finite - 1}]: {n_finite} locations have a finite residual")
+    members = result.neighborhood.member_indices
+    # the variants of one fit_variants call share their targets and
+    # neighborhood arrays, so one adjacency serves every variant with the
+    # same finite rows
+    key = (id(members), finite.tobytes(), k_moran)
+    adjacencies = {} if adjacencies is None else adjacencies
+    if key not in adjacencies:
+        adjacencies[key] = moran_adjacency(finite, result.lat, result.lon, members, k_moran)
     # zero residual variance leaves the statistic undefined: all zeros
-    values, _ = local_moran_of_rows(residuals, result.lat, result.lon,
-                                    result.neighborhood.member_indices, k_moran)
+    values, _ = local_moran_of_rows(residuals, result.lat, result.lon, members, k_moran,
+                                    adjacencies[key])
     return values
 
 
 def _annotate_and_write(paths, results, ids, k_moran, kappa_quantile, neff_floor):
     """Local Moran and fragile flags of each result, then one records file
-    per path (write_records_csv)."""
-    moran = [_moran_over_records(result, k_moran) for result in results]
+    per path (write_records_csv). Results that share their neighbor rows and
+    finite-residual set share one Moran adjacency."""
+    adjacencies = {}
+    moran = [_moran_over_records(result, k_moran, adjacencies) for result in results]
     fragile = [reliability_mask(result, kappa_quantile, neff_floor) for result in results]
     write_records_csv(paths, results, ids, moran, fragile)
 

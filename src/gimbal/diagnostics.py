@@ -12,6 +12,9 @@ then take the first k_moran points left. Any point outside the row is
 farther, or equally far with a larger index, so these are exactly the
 k_moran nearest finite points that the query would return, and the values
 agree bitwise. Only rows left with fewer than k_moran points are queried.
+That adjacency is moran_adjacency; it depends on the rows, the set of finite
+residuals and k_moran only, so residual columns that share all three (the
+variants of an experiment) can share one.
 """
 
 from __future__ import annotations
@@ -58,26 +61,16 @@ def local_moran(residuals, lats, lons, k_moran=DEFAULT_K_MORAN):
     return _lisa(z, members), True
 
 
-def local_moran_of_rows(residuals, lats, lons, members, k_moran=DEFAULT_K_MORAN):
-    """local_moran over the points with a finite residual, its adjacency read
-    off neighbor rows (see the module docstring).
-
-    members[i] holds point i's nearest points of the same table in ascending
-    (distance, index) order, as fit_all(...).neighborhood.member_indices does.
-    Returns (values, defined); values are NaN where the residual is not finite
-    and equal local_moran on the finite points elsewhere.
-    """
+def moran_adjacency(finite, lats, lons, members, k_moran=DEFAULT_K_MORAN):
+    """The adjacency step of local_moran_of_rows: each point where the (n,)
+    mask finite holds gets its k_moran nearest other such points, read off
+    its row of members (see the module docstring), as positions in
+    np.flatnonzero(finite). Returns an (n_finite, k_moran) array."""
     if k_moran < 1:
         raise ConfigurationError(f"k_moran must be >= 1, got {k_moran}")
-    residuals = np.asarray(residuals, dtype=np.float64)
-    subset = np.flatnonzero(np.isfinite(residuals))
-    values = np.full(residuals.shape[0], math.nan)
-    z = _standardized(residuals[subset])
-    if z is None:
-        values[subset] = 0.0
-        return values, False
+    subset = np.flatnonzero(finite)
     # each point's position in the finite subset, -1 for the others
-    position = np.full(residuals.shape[0], -1)
+    position = np.full(finite.shape[0], -1)
     position[subset] = np.arange(subset.size)
     adjacency = np.empty((subset.size, k_moran), dtype=np.intp)
     short = np.zeros(subset.size, dtype=bool)
@@ -93,7 +86,33 @@ def local_moran_of_rows(residuals, lats, lons, members, k_moran=DEFAULT_K_MORAN)
     if short.size:
         lats, lons = np.asarray(lats)[subset], np.asarray(lons)[subset]
         adjacency[short], _ = knn(lats, lons, lats[short], lons[short], k_moran, exclude=short)
-    values[subset] = _lisa(z, adjacency)
+    return adjacency
+
+
+def local_moran_of_rows(residuals, lats, lons, members, k_moran=DEFAULT_K_MORAN, adjacency=None):
+    """local_moran over the points with a finite residual, its adjacency read
+    off neighbor rows (see the module docstring).
+
+    members[i] holds point i's nearest points of the same table in ascending
+    (distance, index) order, as fit_all(...).neighborhood.member_indices does.
+    adjacency, if given, must be moran_adjacency(np.isfinite(residuals), lats,
+    lons, members, k_moran), which a caller holds already; it is computed
+    here otherwise, and only when the statistic is defined. Returns (values,
+    defined); values are NaN where the residual is not finite and equal
+    local_moran on the finite points elsewhere.
+    """
+    if k_moran < 1:
+        raise ConfigurationError(f"k_moran must be >= 1, got {k_moran}")
+    residuals = np.asarray(residuals, dtype=np.float64)
+    finite = np.isfinite(residuals)
+    values = np.full(residuals.shape[0], math.nan)
+    z = _standardized(residuals[finite])
+    if z is None:
+        values[finite] = 0.0
+        return values, False
+    if adjacency is None:
+        adjacency = moran_adjacency(finite, lats, lons, members, k_moran)
+    values[finite] = _lisa(z, adjacency)
     return values, True
 
 

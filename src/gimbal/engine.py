@@ -12,12 +12,18 @@ one-shot safeguarded weight field, the closed-form local solve, and the
 standardized conditioning diagnostic. Configs that differ only in the fields
 read after the orientation stage (kernels.AFTER_ORIENTATION) share one
 orientation stage per chunk, and with it the raw weights' ESS, so an n0
-sweep computes it once. Each config's chunk is copied into its own columnar
-FitResult, in input order, before the next config is computed. Every stage
-reduces each row on its own, so a target's values do not depend on which
-other targets share its chunk or the query, on which other configs share the
-query or an orientation stage, on the thread schedule, or on whether it is
-fitted alone (fit_location): all of these agree bitwise.
+sweep computes it once. A fallback row's weights are 1/K whatever n0, so
+configs of one kernels.solve_key (u_scale, gamma, eps_kappa) solve each
+fallback row of a chunk once; a key that one config holds alone (every
+fit_all, predict and fit_location) solves the chunk in one call. The solve
+takes the design [1, x, z] as its x and z columns and skips every product
+with the intercept, which changes no bit. Each config's chunk is copied into
+its own columnar FitResult, in input order, before the next config is
+computed. Every stage reduces each row on its own, so a target's values do
+not depend on which other targets share its chunk or the query, on which
+other configs share the query, an orientation stage or a solve, on the
+thread schedule, or on whether it is fitted alone (fit_location): all of
+these agree bitwise.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
 come from the training table, the distance-trend regressor is zero at the
@@ -29,8 +35,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -40,7 +48,7 @@ from .geo import tangent_displacements
 from .neighborhood import ConfigurationError, Neighborhood, knn
 from .orientation import OrientationResult
 from .solver import LocalFit, cond_wls2
-from .weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
+from .weights import FALLBACK_NONE, FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
 
 BRANCH_PHI_ISO = "phi_iso"
 BRANCH_THETA_NONIDENT = "theta_nonident"
@@ -255,11 +263,14 @@ def standardized_covariate(x):
     return (x - np.mean(x)) / std
 
 
-def build_local_design(x_members, z):
-    """Local design [1, x_j, z_ij] from the members' covariate and their
-    normalized distances z_ij = d_ij / u: (K,) columns give a (K, 3) design,
-    a stack of (C, K) columns a (C, K, 3) one."""
-    return np.stack([np.ones_like(z), x_members, z], axis=-1)
+def _local_solve(x_loc, z, y_loc, xs_loc, weights, config, rows):
+    """The local solve of a config on the design [1, x, z] at the selected
+    rows of a chunk's (C, K) columns (rows: an index array, or slice(None)
+    for every row, which copies nothing), and cond_wls2 on the standardized
+    x: a list of the LocalFit's columns, then cond_wls2's."""
+    w = weights[rows]
+    fit = solver.solve_local((None, x_loc[rows], z[rows]), y_loc[rows], w, config.gamma, config.eps_kappa)
+    return [*_columns(fit), cond_wls2(xs_loc[rows], w, config.eps_kappa)]
 
 
 def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances):
@@ -270,24 +281,47 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances)
 
     The tangent displacements and the members' gathered columns are computed
     once and serve every config, and so does each orientation stage: configs
-    that differ only in kernels.AFTER_ORIENTATION fields share one (the memo
-    lives in this call's frame, so no two chunks share it). x_std is the
-    dataset's standardized covariate. index holds each target's row in
-    dataset, or -1 for an out-of-sample target.
+    that differ only in kernels.AFTER_ORIENTATION fields share one. A
+    fallback row's weights are 1/K whatever the config, so configs of one
+    kernels.solve_key solve each fallback row once: each later config solves
+    only the rows not already held and copies the rest. A key that one
+    config holds alone solves the whole chunk in one call. The memos live in
+    this call's frame, so no two chunks share them. x_std is the dataset's
+    standardized covariate. index holds each target's row in dataset, or -1
+    for an out-of-sample target.
     """
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
-    y_loc = dataset.y[members]
-    # one design per chunk: each config writes its own z column before its
-    # solve, and no result keeps a reference to X
-    X = build_local_design(dataset.x[members], distances)
+    x_loc, y_loc, xs_loc = dataset.x[members], dataset.y[members], x_std[members]
     stages = {}
+    holders = Counter(kernels.solve_key(config) for config in configs)
+    # per solve key that several configs hold: the fallback rows solved so
+    # far, and _local_solve's columns over the chunk, valid at those rows
+    solved = {}
 
     for config in configs:
         z = distances / config.u_scale
-        X[..., 2] = z
         orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config, stages)
-        fit = solver.solve_local(X, y_loc, wmap.weights, config.gamma, config.eps_kappa)
-        cw2 = cond_wls2(x_std[members], wmap.weights, config.eps_kappa)
+        key = kernels.solve_key(config)
+        solve = partial(_local_solve, x_loc, z, y_loc, xs_loc, wmap.weights, config)
+        fallback = wmap.fallback_code != FALLBACK_NONE
+        held, memo = solved.get(key, (np.zeros_like(fallback), None))
+        reuse = fallback & held
+        if reuse.any():
+            rows = np.flatnonzero(~reuse)
+            columns = [column.copy() for column in memo]
+            for column, part in zip(columns, solve(rows)):
+                column[rows] = part
+        else:
+            columns = solve(slice(None))
+        # only a key that another config holds too keeps its fallback rows
+        if holders[key] > 1 and (added := fallback & ~held).any():
+            if memo is None:
+                memo = [column.copy() for column in columns]
+            else:
+                for column, new in zip(memo, columns):
+                    column[added] = new[added]
+            solved[key] = (held | added, memo)
+        fit = LocalFit(*columns[:-1])
 
         at_target = members == index[:, None]
         residual_at_target = np.where(
@@ -296,7 +330,7 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances)
         )
         yield FitResult(
             index=index, lat=lat0, lon=lon0, neighborhood=None, orientation=orient,
-            weight_map=wmap, fit=fit, cond_wls2=cw2, residual_at_target=residual_at_target,
+            weight_map=wmap, fit=fit, cond_wls2=columns[-1], residual_at_target=residual_at_target,
         )
 
 
@@ -358,8 +392,9 @@ def fit_variants(dataset, configs, threads=1):
     The configs must share k: the neighbor query and each chunk's tangent
     displacements and gathered member columns serve every config, each
     chunk's orientation stage serves every config of one
-    kernels.orientation_key, and only the rest of the weight map, the local
-    solve and the diagnostics run once per config. Every result's
+    kernels.orientation_key, each fallback row's local solve serves every
+    config of one kernels.solve_key, and only the rest of the weight map, the
+    other rows' solves and the diagnostics run once per config. Every result's
     neighborhood is the same read-only pair of arrays.
     threads: 1 runs serial, 0 uses all cores, otherwise the given count of
     threads, each taking whole chunks. The thread schedule cannot change any

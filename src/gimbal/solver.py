@@ -11,7 +11,10 @@ excluded downstream, never pseudo-inverted.
 
 A design X of shape (K, p) is one neighborhood; (C, K, p) with (C, K) y and
 weights is a stack of C neighborhoods, solved together row by row. Each row's
-result depends on that row alone.
+result depends on that row alone. X may also be given as a tuple of its p
+columns ((K,) or (C, K) arrays), with None for an intercept column of ones:
+every product with the intercept is then skipped, which changes no bit, since
+1.0 * v == v in IEEE arithmetic. Both shapes run the same code.
 """
 
 from __future__ import annotations
@@ -45,29 +48,48 @@ class LocalFit:
     residuals: np.ndarray
 
 
+def _design_columns(X):
+    """The design's columns: a tuple of columns as given (None is the
+    intercept), or an array's last-axis slices, each made contiguous so every
+    reduction runs along contiguous rows."""
+    if isinstance(X, tuple):
+        return [None if c is None else np.asarray(c, dtype=np.float64) for c in X]
+    X = np.asarray(X, dtype=np.float64)
+    return [np.ascontiguousarray(X[..., a]) for a in range(X.shape[-1])]
+
+
+def _product(*factors):
+    """The factors multiplied left to right, skipping None (the intercept's
+    ones)."""
+    present = [f for f in factors if f is not None]
+    out = present[0]
+    for f in present[1:]:
+        out = out * f
+    return out
+
+
 def _weighted_gram(columns, scale):
     """Stacked symmetric matrices G[a, b] = sum_k columns[a] columns[b] scale."""
     p = len(columns)
-    out = np.empty(columns[0].shape[:-1] + (p, p))
+    out = np.empty(scale.shape[:-1] + (p, p))
     for a in range(p):
         for b in range(a, p):
-            out[..., a, b] = out[..., b, a] = np.sum(columns[a] * columns[b] * scale, axis=-1)
+            out[..., a, b] = out[..., b, a] = np.sum(_product(columns[a], columns[b], scale), axis=-1)
     return out
 
 
 def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
     """Solve the modulated normal equations of one or many neighborhoods.
 
-    Returns a LocalFit; a row whose normal matrix is singular carries
-    well_posed=False and NaN coefficients (the location is flagged, not
-    regularized). operator_norm_bound is ||M_nor^-1||_2 ||B||_2 with
+    X is a design array or a tuple of its columns (see the module
+    docstring). Returns a LocalFit; a row whose normal matrix is singular
+    carries well_posed=False and NaN coefficients (the location is flagged,
+    not regularized). operator_norm_bound is ||M_nor^-1||_2 ||B||_2 with
     B = X^T (I + 2 gamma W), an upper bound on the estimator's Lipschitz
     constant in y; ||B||_2 is the square root of the largest eigenvalue of
     B B^T.
     """
-    X = np.asarray(X, dtype=np.float64)
-    # contiguous columns, so every reduction runs along contiguous rows
-    cols = [np.ascontiguousarray(X[..., a]) for a in range(X.shape[-1])]
+    cols = _design_columns(X)
     y = np.asarray(y, dtype=np.float64)
     scale = 1.0 + 2.0 * gamma * np.asarray(weights, dtype=np.float64)
     p = len(cols)
@@ -84,7 +106,7 @@ def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
     # Cholesky factorization cannot break down in double precision. Singular
     # rows are factored as the identity and their results discarded.
     chol = np.linalg.cholesky(np.where(well_posed[..., None, None], m_nor, np.eye(p)))
-    rhs = np.stack([np.sum(c * scale * y, axis=-1) for c in cols], axis=-1)
+    rhs = np.stack([np.sum(_product(c, scale, y), axis=-1) for c in cols], axis=-1)
     beta = np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs[..., None]))[..., 0]
     beta = np.where(well_posed[..., None], beta, np.nan)
 
@@ -92,7 +114,7 @@ def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(well_posed, b_norm / lam_min, np.nan)
 
-    rmse, r2, r2_defined, residuals = local_fit_summaries(X, y, beta)
+    rmse, r2, r2_defined, residuals = _summaries(cols, y, beta)
     return LocalFit(
         beta=beta,
         m_nor_condition=kappa,
@@ -106,14 +128,23 @@ def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
 
 
 def local_fit_summaries(X, y, beta):
-    """Unweighted (rmse, r2, r2_defined, residuals) over the neighborhood rows.
+    """Unweighted (rmse, r2, r2_defined, residuals) over the neighborhood rows;
+    X is a design array or a tuple of its columns.
 
     R^2 is undefined for a constant response: it is reported as 0 with
     r2_defined False.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    residuals = y - np.sum(X * np.asarray(beta)[..., None, :], axis=-1)
+    return _summaries(_design_columns(X), np.asarray(y, dtype=np.float64), np.asarray(beta))
+
+
+def _summaries(cols, y, beta):
+    # the fitted values summed left to right over the columns, as a
+    # last-axis sum of the products with a design array adds them
+    fitted = None
+    for a, c in enumerate(cols):
+        term = _product(c, beta[..., a, None])
+        fitted = term if fitted is None else fitted + term
+    residuals = y - fitted
     ss_res = np.sum(residuals * residuals, axis=-1)
     rmse = np.sqrt(ss_res / y.shape[-1])
     ss_tot = np.sum((y - np.mean(y, axis=-1, keepdims=True)) ** 2, axis=-1)

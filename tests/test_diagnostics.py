@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import gimbal.cli
 import gimbal.diagnostics
-from gimbal.cli import _moran_over_records
-from gimbal.diagnostics import local_moran, local_moran_of_rows, reliability_mask
-from gimbal.engine import CHUNK_TARGETS, Dataset, GimbalConfig, fit_all
+from gimbal.cli import _annotate_and_write, _moran_over_records
+from gimbal.diagnostics import local_moran, local_moran_of_rows, moran_adjacency, reliability_mask
+from gimbal.engine import CHUNK_TARGETS, Dataset, GimbalConfig, fit_all, fit_variants
 from gimbal.neighborhood import ConfigurationError
 from gimbal.simgen import SimSpec, generate
 
@@ -175,3 +178,36 @@ def test_moran_of_rows_rejects_k_below_one(k_moran):
     with pytest.raises(ConfigurationError, match=f"k_moran must be >= 1, got {k_moran}"):
         local_moran_of_rows(result.residual_at_target, result.lat, result.lon,
                             result.neighborhood.member_indices, k_moran)
+
+
+def test_moran_of_rows_with_its_adjacency_given_is_bitwise_equal():
+    # the adjacency step and the LISA step, run apart, give the joined values
+    result = fit_all(cluster_fixture(), GimbalConfig(k=10))
+    residuals, members = result.residual_at_target, result.neighborhood.member_indices
+    adjacency = moran_adjacency(np.isfinite(residuals), result.lat, result.lon, members, 8)
+    assert adjacency.shape == (np.count_nonzero(np.isfinite(residuals)), 8)
+    joined = local_moran_of_rows(residuals, result.lat, result.lon, members, 8)[0]
+    apart = local_moran_of_rows(residuals, result.lat, result.lon, members, 8, adjacency)[0]
+    assert np.array_equal(apart.view(np.int64), joined.view(np.int64))
+    assert np.array_equal(joined.view(np.int64), moran_on_finite(result, 8).view(np.int64))
+
+
+def test_records_share_one_moran_adjacency_per_rows_and_finite_set(monkeypatch, tmp_path):
+    # three n0 variants share one neighborhood and finite set; a variant with
+    # one more NaN residual and a separate fit of one config each need their own
+    ds = cluster_fixture()
+    configs = [GimbalConfig(k=10, n0=n0) for n0 in (6.0, 15.0, 50.0)]
+    variants = fit_variants(ds, configs)
+    fewer = dataclasses.replace(variants[1], residual_at_target=variants[1].residual_at_target.copy())
+    fewer.residual_at_target[0] = np.nan
+    results = [*variants, fewer, fit_all(ds, configs[0])]
+    builds, written = [], []
+    monkeypatch.setattr(gimbal.cli, "moran_adjacency",
+                        lambda *args: builds.append(1) or moran_adjacency(*args))
+    monkeypatch.setattr(gimbal.cli, "write_records_csv", lambda paths, results, ids, moran, fragile:
+                        written.extend(moran))
+    _annotate_and_write([tmp_path / f"{i}.csv" for i in range(5)], results, None, 8, 0.95, 0.0)
+    assert len(builds) == 3
+    monkeypatch.undo()
+    for result, values in zip(results, written):
+        assert np.array_equal(values.view(np.int64), moran_on_finite(result, 8).view(np.int64))

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import pickle
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gimbal.engine
+import gimbal.solver
 from gimbal import kernels
 from gimbal.engine import (
     BRANCH_ILL_POSED,
@@ -14,7 +16,6 @@ from gimbal.engine import (
     Dataset,
     GimbalConfig,
     branch_codes,
-    build_local_design,
     fit_all,
     fit_location,
     fit_variants,
@@ -23,7 +24,7 @@ from gimbal.engine import (
     standardized_covariate,
 )
 from gimbal.kernels import orientation_stage
-from gimbal.neighborhood import ConfigurationError, Neighborhood, knn
+from gimbal.neighborhood import ConfigurationError, knn
 from gimbal.simgen import SimSpec, generate
 from gimbal.solver import solve_local
 
@@ -63,19 +64,6 @@ def test_dataset_validation_names_row():
 def test_dataset_rejects_ids_of_another_length():
     with pytest.raises(ConfigurationError, match="column ids has length 1, expected 3"):
         Dataset(lat=np.zeros(3), lon=np.zeros(3), x=np.zeros(3), y=np.zeros(3), ids=np.array(["a"]))
-
-
-def test_build_local_design_z_column():
-    ds = small_dataset()
-    members, distances = knn(ds.lat, ds.lon, ds.lat[[5]], ds.lon[[5]], 10)
-    nb = Neighborhood(member_indices=members[0], distances=distances[0])
-    u = 3000.0
-    X = build_local_design(ds.x[nb.member_indices], nb.distances / u)
-    assert X.shape == (10, 3)
-    assert np.all(X[:, 0] == 1.0)
-    assert np.array_equal(X[:, 1], ds.x[nb.member_indices])
-    assert np.allclose(X[:, 2], nb.distances / u)
-    assert X[0, 2] == 0.0  # self row
 
 
 def test_fit_location_deterministic():
@@ -139,10 +127,19 @@ ONE_FIELD_CHANGES = {
     "gamma": 0.5, "n0": 6.0, "n_min": 12.0, "eps_kappa": 1.0,
 }
 
+# an n0 sweep under each of five solve keys: two gamma values times two
+# distance scales, and one that differs in eps_kappa alone; every config has
+# fallback rows, so each key's later configs reuse its earlier ones' solves
+SOLVE_KEYS = tuple(GimbalConfig(k=12, h=2000.0, n_min=10.0, n0=n0, **key)
+                   for key in ({}, {"gamma": 0.5}, {"u": 1500.0}, {"gamma": 0.5, "u": 1500.0},
+                               {"eps_kappa": 1.0})
+                   for n0 in (4.0, 6.0, 9.0))
+
 # the variant sets of e71 (proxy modes, eps_phi) and e73 (an n0 sweep at a
-# non-default h and n_min), one whose distance scales differ, and the
-# one-field changes, each sharing one K
+# non-default h and n_min), one whose distance scales differ, the one-field
+# changes and the solve keys, each sharing one K
 VARIANT_SETS = {
+    "solve_keys": SOLVE_KEYS,
     "one_field": (ONE_FIELD_BASE, *(replace(ONE_FIELD_BASE, **{name: value})
                                     for name, value in ONE_FIELD_CHANGES.items())),
     "scales": (GimbalConfig(k=12, u=1500.0), GimbalConfig(k=12), GimbalConfig(k=12, h=2000.0, u=4000.0)),
@@ -184,7 +181,8 @@ def test_each_config_field_moves_the_orientation_stage_unless_read_after_it():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("variants, keys", [("e73", 1), ("scales", 3), ("e71", 4), ("one_field", 10)])
+@pytest.mark.parametrize("variants, keys", [("e73", 1), ("scales", 3), ("e71", 4), ("one_field", 10),
+                                            ("solve_keys", 2)])
 def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, keys, threads):
     # an n0 sweep shares one stage per chunk; configs that differ in a field
     # the stage reads each get their own
@@ -200,14 +198,88 @@ def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, ke
     assert sorted(calls) == [44] * keys + [CHUNK_TARGETS] * keys
 
 
+def test_solve_keys_set_has_fallback_rows_under_two_configs_of_each_key():
+    # the coverage that test_fit_variants_equals_fit_all_per_config relies on
+    # to catch a solve_key missing a field the fallback solve reads
+    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    results = fit_variants(ds, VARIANT_SETS["solve_keys"])
+    by_key = {}
+    for config, result in zip(VARIANT_SETS["solve_keys"], results):
+        fallback = result.weight_map.fallback_code != 0
+        for rows in (slice(0, CHUNK_TARGETS), slice(CHUNK_TARGETS, None)):
+            by_key.setdefault((kernels.solve_key(config), rows.start), []).append(fallback[rows].any())
+    assert len(by_key) == 5 * 2
+    assert all(sum(has) >= 2 for has in by_key.values())
+
+
+def spy_solves(monkeypatch):
+    """Patch solver.solve_local to record the rows of each call under the
+    index of the first target of the chunk it serves: {index: [rows, ...]}."""
+    calls, chunk = {}, threading.local()
+    fit_targets, solve_local_ = gimbal.engine._fit_targets, gimbal.solver.solve_local
+
+    def tagged(dataset, configs, x_std, lat0, lon0, index, *rest):
+        # a chunk's generator runs in one thread from start to end
+        chunk.start = int(index[0]) if index.shape[0] else 0
+        yield from fit_targets(dataset, configs, x_std, lat0, lon0, index, *rest)
+
+    def counted(X, y, *args):
+        calls.setdefault(chunk.start, []).append(y.shape[0])
+        return solve_local_(X, y, *args)
+
+    monkeypatch.setattr(gimbal.engine, "_fit_targets", tagged)
+    monkeypatch.setattr(gimbal.solver, "solve_local", counted)
+    return calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("variants", ["e73", "solve_keys"])
+def test_fallback_rows_are_solved_once_per_solve_key_per_chunk(monkeypatch, variants, threads):
+    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    configs = VARIANT_SETS[variants]
+    calls = spy_solves(monkeypatch)
+    results = fit_variants(ds, configs, threads=threads)
+    assert sorted(calls) == [0, CHUNK_TARGETS]
+    for start, rows in calls.items():
+        chunk = slice(start, start + CHUNK_TARGETS)
+        expect = 0
+        for key in {kernels.solve_key(config) for config in configs}:
+            fallback = [result.weight_map.fallback_code[chunk] != 0
+                        for config, result in zip(configs, results) if kernels.solve_key(config) == key]
+            expect += sum(np.count_nonzero(~f) for f in fallback) + np.count_nonzero(np.any(fallback, axis=0))
+        assert len(rows) == len(configs)
+        assert sum(rows) == expect
+        assert expect < len(configs) * len(range(ds.n)[chunk])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_config_solves_each_chunk_in_one_call(monkeypatch, threads):
+    # fit_all, predict and fit_location gather nothing: one call per chunk
+    # over all of its rows, fallback rows included
+    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    config = VARIANT_SETS["e73"][0]
+    calls = spy_solves(monkeypatch)
+    result = fit_all(ds, config, threads=threads)
+    assert (result.weight_map.fallback_code != 0).any()
+    assert calls == {0: [CHUNK_TARGETS], CHUNK_TARGETS: [44]}
+    calls.clear()
+    # an out-of-sample chunk is tagged by its index, -1
+    predict(ds, config, ds.lat[:10], ds.lon[:10], ds.x[:10], threads=threads)
+    assert calls == {-1: [10]}
+    calls.clear()
+    fit_location(ds, config, 7)
+    assert calls == {7: [1]}
+
+
 def test_fit_variants_solves_each_config_on_its_own_design():
-    # the configs share a chunk's design, yet each solve sees its own
-    # z = d / u column
+    # each config's solve sees its own z = d / u column, also where the
+    # configs share an orientation stage or fallback solves
     ds = small_dataset(seed=5, n=CHUNK_TARGETS + 44)
     configs = VARIANT_SETS["scales"]
     for config, result in zip(configs, fit_variants(ds, configs)):
         members = result.neighborhood.member_indices
-        X = build_local_design(ds.x[members], result.neighborhood.distances / config.u_scale)
+        z = result.neighborhood.distances / config.u_scale
+        X = np.stack([np.ones_like(z), ds.x[members], z], axis=-1)
         expect = solve_local(X, ds.y[members], result.weight_map.weights, config.gamma, config.eps_kappa)
         assert pickle.dumps(result.fit) == pickle.dumps(expect)
 

@@ -206,6 +206,41 @@ def test_cond_wls2_matches_eigen_oracle():
         assert cond_wls2(x, w) == pytest.approx(expect, rel=1e-10)
 
 
+def assert_fits_bitwise_equal(a, b):
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        assert value.dtype == other.dtype and value.shape == other.shape, name
+        if value.dtype == np.float64:
+            value, other = value.view(np.int64), other.view(np.int64)
+        assert np.array_equal(value, other), name
+
+
+@pytest.mark.parametrize("k", [30, 50])
+def test_column_path_equals_stacked_design_bitwise(k):
+    # the engine's (None, x, z) columns skip the intercept's products; the
+    # stack [1, x, z] computes them, and every field agrees bit for bit
+    rng = np.random.default_rng(52 + k)
+    c = 64
+    x = rng.normal(0.0, 1.0, (c, k))
+    z = rng.uniform(0.0, 2.0, (c, k))
+    y = 1.0 + 0.5 * x - z + rng.normal(0.0, 0.3, (c, k))
+    w = rng.uniform(0.01, 1.0, (c, k))
+    x[:8] = 1.5  # collinear with the intercept: ill-posed
+    z[8:16] = 2.0 * x[8:16]  # collinear with x: ill-posed
+    y[16:24] = -0.25  # constant response: r2 undefined
+    w[24:32] = 1.0  # uniform weights, as on a fallback row
+    w /= w.sum(axis=-1, keepdims=True)
+    stacked = np.stack([np.ones_like(z), x, z], axis=-1)
+    for gamma in (0.0, 1.0, 4.0):
+        fit = solve_local((None, x, z), y, w, gamma)
+        assert not fit.well_posed[:16].any() and fit.well_posed[16:].all()
+        assert not fit.r2_defined[16:24].any() and fit.r2_defined[24:].all()
+        assert_fits_bitwise_equal(fit, solve_local(stacked, y, w, gamma))
+        # one neighborhood at a time, too
+        assert_fits_bitwise_equal(solve_local((None, x[20], z[20]), y[20], w[20], gamma),
+                                  solve_local(stacked[20], y[20], w[20], gamma))
+
+
 def test_kappa_reported_even_when_ill_posed():
     X = np.column_stack([np.ones(8), np.ones(8), np.zeros(8)])
     fit = solve_local(X, np.arange(8.0), np.full(8, 1 / 8), 1.0)
