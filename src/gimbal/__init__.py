@@ -14,6 +14,7 @@ from .engine import (
     GimbalConfig,
     fit_all,
     fit_location,
+    fit_rows,
     fit_variants,
     predict,
     residual_knn_correct,
@@ -38,6 +39,7 @@ __all__ = [
     "active_backend",
     "fit_all",
     "fit_location",
+    "fit_rows",
     "fit_variants",
     "generate",
     "predict",

@@ -47,6 +47,7 @@ from .engine import (
     GimbalConfig,
     branch_bits,
     fit_all,
+    fit_rows,
     predict,
     residual_knn_correct,
 )
@@ -177,21 +178,13 @@ def read_dataset(path):
     if missing:
         raise ConfigurationError(f"{path}: missing required column '{missing[0]}'")
     col = {name: header.index(name) for name in header}
-
-    data = {name: [] for name in _REQUIRED_COLUMNS}
-    ids = [] if "id" in col else None
-    for row_no, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise ConfigurationError(f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}")
-        for name in _REQUIRED_COLUMNS:
-            raw = row[col[name]]
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ConfigurationError(f"{path}: row {row_no}: column {name} is not numeric ({raw!r})")
-            data[name].append(value)
-        if ids is not None:
-            ids.append(row[col["id"]])
+    body = rows[1:]
+    try:
+        data = _numeric_columns(body, len(header), col)
+    except ValueError:
+        # the row loop names the first bad row and column
+        data = _numeric_rows(path, body, len(header), col)
+    ids = [row[col["id"]] for row in body] if "id" in col else None
 
     try:
         return Dataset(
@@ -201,6 +194,33 @@ def read_dataset(path):
         )
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def _numeric_columns(body, width, col):
+    """The required columns of the data rows as lists of floats, read one
+    column at a time; ValueError if a row has other than width fields or a
+    cell is not numeric."""
+    if any(len(row) != width for row in body):
+        raise ValueError("a row of the wrong length")
+    return {name: list(map(float, [row[col[name]] for row in body])) for name in _REQUIRED_COLUMNS}
+
+
+def _numeric_rows(path, body, width, col):
+    """The required columns of the data rows as lists of floats, read row by
+    row; raises ConfigurationError at the first row of the wrong length or
+    the first non-numeric cell."""
+    data = {name: [] for name in _REQUIRED_COLUMNS}
+    for row_no, row in enumerate(body):
+        if len(row) != width:
+            raise ConfigurationError(f"{path}: row {row_no} has {len(row)} fields, expected {width}")
+        for name in _REQUIRED_COLUMNS:
+            raw = row[col[name]]
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ConfigurationError(f"{path}: row {row_no}: column {name} is not numeric ({raw!r})")
+            data[name].append(value)
+    return data
 
 
 def write_dataset_csv(path, dataset, beta1_true=None):
@@ -378,8 +398,12 @@ def cmd_predict(args):
     columns = [np.arange(test.n), test.lat, test.lon, test.x, test.y, preds, ~result.fit.well_posed]
     header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
     if args.residual_knn > 0:
-        training_residuals = fit_all(train, config, threads=args.threads).residual_at_target
-        corr = residual_knn_correct(training_residuals, result.neighborhood.member_indices, args.residual_knn)
+        members = result.neighborhood.member_indices
+        # the correction reads the residuals of these training rows only
+        read = np.unique(members[:, :args.residual_knn])
+        training_residuals = np.full(train.n, math.nan)
+        training_residuals[read] = fit_rows(train, config, read, threads=args.threads).residual_at_target
+        corr = residual_knn_correct(training_residuals, members, args.residual_knn)
         columns += [corr, preds + corr]
         header += ["residual_correction", "prediction_corrected"]
     _write_csv([args.out], SCHEMA_PREDICTIONS, header, [columns])

@@ -15,20 +15,22 @@ orientation stage per chunk, and with it the raw weights' ESS, so an n0
 sweep computes it once. A fallback row's weights are 1/K whatever n0, so
 configs of one kernels.solve_key (u_scale, gamma, eps_kappa) solve each
 fallback row of a chunk once; a key that one config holds alone (every
-fit_all, predict and fit_location) solves the chunk in one call. The solve
-takes the design [1, x, z] as its x and z columns and skips every product
-with the intercept, which changes no bit. Each config's chunk is copied into
-its own columnar FitResult, in input order, before the next config is
-computed. Every stage reduces each row on its own, so a target's values do
+fit_all, fit_rows, predict and fit_location) solves the chunk in one call.
+The solve takes the design [1, x, z] as its x and z columns and skips every
+product with the intercept, which changes no bit. Each config's chunk is
+copied into its own columnar FitResult, in input order, before the next
+config is computed. Every stage reduces each row on its own, so a target's values do
 not depend on which other targets share its chunk or the query, on which
 other configs share the query, an orientation stage or a solve, on the
-thread schedule, or on whether it is fitted alone (fit_location): all of
-these agree bitwise.
+thread schedule, or on whether it is fitted alone or among a few selected
+rows (fit_location, fit_rows): all of these agree bitwise. Each config's
+chunk is copied through a field-name tuple kept per dataclass type.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
 come from the training table, the distance-trend regressor is zero at the
 target, and the residual-KNN correction averages the training residuals of
-the first members of each prediction row.
+the first members of each prediction row, so only those training rows need
+an in-sample fit (fit_rows).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numbers
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -179,22 +181,29 @@ class Dataset:
         return self.lat.shape[0]
 
 
+@cache
+def _field_names(cls):
+    """The field names of a dataclass type, or None for any other type; kept
+    per type, so a walk over a nested result asks each type once."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def _map_columns(fn, table):
     """Apply fn to every array of a (nested) columnar dataclass, keeping the
     structure; a field that is None stays None."""
-    if is_dataclass(table):
-        return replace(table, **{f.name: _map_columns(fn, getattr(table, f.name)) for f in fields(table)})
-    return None if table is None else fn(table)
+    names = _field_names(type(table))
+    if names is None:
+        return None if table is None else fn(table)
+    return type(table)(**{name: _map_columns(fn, getattr(table, name)) for name in names})
 
 
 def _columns(table):
     """The arrays of a (nested) columnar dataclass, in field order, skipping
-    fields that are None."""
-    if is_dataclass(table):
-        for f in fields(table):
-            yield from _columns(getattr(table, f.name))
-    elif table is not None:
-        yield table
+    fields that are None, as a list."""
+    names = _field_names(type(table))
+    if names is None:
+        return [] if table is None else [table]
+    return [column for name in names for column in _columns(getattr(table, name))]
 
 
 @dataclass(frozen=True)
@@ -292,6 +301,10 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances)
     """
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     x_loc, y_loc, xs_loc = dataset.x[members], dataset.y[members], x_std[members]
+    # each in-sample target's own column of its row, if it is a member
+    at_target = members == index[:, None]
+    own = (np.arange(index.shape[0]), np.argmax(at_target, axis=-1))
+    has_own = at_target.any(axis=-1)
     stages = {}
     holders = Counter(kernels.solve_key(config) for config in configs)
     # per solve key that several configs hold: the fallback rows solved so
@@ -322,12 +335,7 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances)
                     column[added] = new[added]
             solved[key] = (held | added, memo)
         fit = LocalFit(*columns[:-1])
-
-        at_target = members == index[:, None]
-        residual_at_target = np.where(
-            at_target.any(axis=-1),
-            fit.residuals[np.arange(index.shape[0]), np.argmax(at_target, axis=-1)], np.nan,
-        )
+        residual_at_target = np.where(has_own, fit.residuals[own], np.nan)
         yield FitResult(
             index=index, lat=lat0, lon=lon0, neighborhood=None, orientation=orient,
             weight_map=wmap, fit=fit, cond_wls2=columns[-1], residual_at_target=residual_at_target,
@@ -364,6 +372,8 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
     # an empty target list still makes one (empty) chunk
     starts = range(0, max(n, 1), CHUNK_TARGETS)
     results = [None] * len(configs)
+    # each result's arrays, in _columns order
+    result_columns = [None] * len(configs)
     with ThreadPoolExecutor(max_workers=None if threads == 0 else threads) as pool:
         # serial, each config's part is copied into place before the next is
         # computed; a worker thread hands back a chunk's parts as a list
@@ -372,17 +382,32 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
             for c, part in enumerate(parts):
                 if results[c] is None:
                     results[c] = _map_columns(lambda col: np.empty((n,) + col.shape[1:], col.dtype), part)
-                for column, values in zip(_columns(results[c]), _columns(part)):
+                    result_columns[c] = _columns(results[c])
+                for column, values in zip(result_columns[c], _columns(part)):
                     column[start:start + len(part)] = values
     nb = Neighborhood(member_indices=members, distances=distances)
     return [replace(result, neighborhood=nb) for result in results]
 
 
+def fit_rows(dataset, config, rows, threads=1):
+    """The estimator map at the selected in-sample rows (an index array), as
+    a FitResult in the order of rows. Each row is bitwise its row of fit_all:
+    a target's values do not depend on which other targets are fitted with
+    it, and the standardized covariate still reads the whole of dataset.x.
+    threads as for fit_variants."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise ConfigurationError(f"rows must be a 1-D index array, got {rows.dtype} of shape {rows.shape}")
+    if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n):
+        raise ConfigurationError(f"rows must lie in [0, {dataset.n - 1}]")
+    rows = rows.astype(np.intp)
+    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, threads)[0]
+
+
 def fit_location(dataset, config, target_index):
     """Full realized estimator map at one in-sample target, as a one-row
-    FitResult (see FitResult.record)."""
-    rows = np.array([target_index])
-    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, 1)[0].record(0)
+    FitResult (see FitResult.record): the one-row case of fit_rows."""
+    return fit_rows(dataset, config, [target_index]).record(0)
 
 
 def fit_variants(dataset, configs, threads=1):

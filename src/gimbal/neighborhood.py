@@ -7,16 +7,20 @@ the smaller index and the neighborhood is a pure function of the input table.
 
 The key is only computed against a target's nearby points. The pool's unit
 vectors are binned into cubes of side s = 2**-level; a target's candidates
-are the points of the 3x3x3 block of cells around its own. Every point
-outside the block lies at chord >= s from the target, so its key is at most
-1 - s**2 / 2 (plus rounding). A row whose k-th key, less MARGIN, clears that
-bound cannot miss a point the full scan would gather, and it is answered by
-the same gather and re-rank as the full scan: members and distances agree
-bit for bit. Each target starts at the finest level whose block holds
-FILL * (k + 1 if exclude else k) points; a row that fails the bound retries
-one level coarser. The coarsest level is the full scan (every point is a
-candidate), which is also taken wherever a block would hold more than
-FULL_SCAN_SHARE of the pool.
+are the points of the 3x3x3 block of cells around its own. A point outside
+the block differs from the target, on some axis, by at least that axis's
+distance from the target to the block's face; the smallest of the three,
+the row's clearance (always >= s), bounds every outside point's key by
+1 - clearance**2 / 2 (plus rounding). A row whose k-th key, less MARGIN,
+clears that bound cannot miss a point the full scan would gather, and it is
+answered by the same gather and re-rank as the full scan: members and
+distances agree bit for bit. Each target starts at the finest level whose
+block holds FILL * (k + 1 if exclude else k) points, found by a walk from
+the middle level; a row that fails its bound retries one level coarser. The
+coarsest level is the full scan (every point is a candidate), which is also
+taken wherever a block would hold more than FULL_SCAN_SHARE of the pool.
+The re-rank sorts each row on distance alone, and on (distance, index) only
+where an exact tie among its first k + 1 distances could make the two differ.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ BLOCK_DISTANCES = 1 << 15
 MARGIN = 1e-12
 
 # Finest grid level: cubes of side 2**-17, about 49 m on the Earth. Below
-# it the acceptance bound s**2 / 2 (2.9e-11 here) nears the 2 * MARGIN that
-# a row must clear it by.
+# it the smallest acceptance bound, clearance**2 / 2 = s**2 / 2 (2.9e-11
+# here), nears the 2 * MARGIN that a row must clear it by.
 FINEST_LEVEL = 17
 # A target's first level is the finest whose block holds FILL times the
 # points a row needs. A disk of radius s, the part of the block a row can
@@ -97,9 +101,6 @@ class _Grid:
         self._keys = keys[self.order]
         # a block's first key in each column, relative to its centre cell's key
         self._columns = (_COLUMNS[:, 0] * self._width + _COLUMNS[:, 1]) * self._width - 1
-        # a point outside a target's block is at chord >= s, so its key is at
-        # most this, give or take a few ulp
-        self.floor = 1.0 - 0.5 / (self._scale * self._scale)
 
     @cached_property
     def coords(self):
@@ -117,6 +118,16 @@ class _Grid:
         """The cell key of each (..., 3) point."""
         c = np.floor(points * self._scale).astype(np.int64) + self._offset
         return (c[..., 0] * self._width + c[..., 1]) * self._width + c[..., 2]
+
+    def clearance(self, points):
+        """Each (..., 3) point's smallest distance, over the three axes, to a
+        face of the block around its cell: a point outside the block differs
+        from it by at least this on some axis. At least s."""
+        scaled = points * self._scale
+        # the point's place in its cell, in cells: the block reaches 1 + frac
+        # below it and 2 - frac above it
+        frac = scaled - np.floor(scaled)
+        return np.min(np.minimum(1.0 + frac, 2.0 - frac), axis=-1) / self._scale
 
     def blocks(self, points):
         """(cell_of, starts, lengths) of the G distinct cells of the points:
@@ -149,21 +160,31 @@ def _ragged_arange(starts, lengths):
 def _first_levels(grids, targets, need):
     """Each target's finest level in [0, FINEST_LEVEL] whose block holds at
     least need points, or -1 (the full scan). Block counts nest across
-    levels (a block lies inside its coarser level's block), so a binary
-    search finds it."""
-    lo = np.full(targets.shape[0], -1)
-    hi = np.full(targets.shape[0], FINEST_LEVEL + 1)
-    while True:
-        rows = np.flatnonzero(hi - lo > 1)
-        if not rows.shape[0]:
-            return lo
-        mid = (lo[rows] + hi[rows]) // 2
-        for level in np.unique(mid):
-            at = rows[mid == level]
-            cell_of, _, lengths = grids[level].blocks(targets[at])
-            held = np.sum(lengths, axis=-1)[cell_of] >= need
-            lo[at[held]] = level
-            hi[at[~held]] = level
+    levels (a block lies inside its coarser level's block), so a walk from
+    the middle level finds it: a row whose block holds need points goes finer
+    until it does not, any other goes coarser until it does."""
+
+    def holds(level, rows):
+        cell_of, _, lengths = grids[level].blocks(targets[rows])
+        return np.sum(lengths, axis=-1)[cell_of] >= need
+
+    middle = FINEST_LEVEL // 2
+    first = np.full(targets.shape[0], -1)
+    held = holds(middle, np.arange(targets.shape[0]))
+    finer, coarser = np.flatnonzero(held), np.flatnonzero(~held)
+    first[finer] = middle
+    for level in range(middle + 1, FINEST_LEVEL + 1):
+        if not finer.shape[0]:
+            break
+        finer = finer[holds(level, finer)]
+        first[finer] = level
+    for level in range(middle - 1, -1, -1):
+        if not coarser.shape[0]:
+            break
+        held = holds(level, coarser)
+        first[coarser[held]] = level
+        coarser = coarser[~held]
+    return first
 
 
 def _key_blocks(grids, level, pool, targets, rows, exclude):
@@ -222,8 +243,8 @@ def knn(lats, lons, target_lats, target_lons, k, exclude=None):
     point) by the cosine of their central angle, gathers every candidate
     whose cosine is within MARGIN of the k-th largest (boundary ties and
     near-ties included), and sorts only those on (haversine distance, index).
-    A grid row whose k-th cosine does not clear its block's bound retries
-    one level coarser.
+    A grid row whose k-th cosine does not clear its own block's bound (set
+    by its clearance) retries one level coarser.
     """
     lats, lons, target_lats, target_lons = (
         np.asarray(a, dtype=np.float64) for a in (lats, lons, target_lats, target_lons))
@@ -253,10 +274,12 @@ def knn(lats, lons, target_lats, target_lons, k, exclude=None):
                 w = cos.shape[1]
                 kth = np.partition(cos, w - k, axis=-1)[:, w - k:w - k + 1]
                 if grid is not None:
-                    # a point outside the block has a key within a few ulp
-                    # of the floor or below it, so a row that clears it by
-                    # MARGIN gathers every point the full scan would
-                    ok = kth[:, 0] - MARGIN > grid.floor + MARGIN
+                    # a point outside the row's block is at chord >= its
+                    # clearance, so its key is at most 1 - clearance**2 / 2,
+                    # give or take a few ulp: a row that clears that by MARGIN
+                    # gathers every point the full scan would
+                    clearance = grid.clearance(targets[block])
+                    ok = kth[:, 0] - MARGIN > 1.0 - 0.5 * clearance * clearance + MARGIN
                     if not ok.all():
                         retry.append(block[~ok])
                         block, cos, kth, positions = block[ok], cos[ok], kth[ok], positions[ok]
@@ -274,7 +297,15 @@ def knn(lats, lons, target_lats, target_lons, k, exclude=None):
                 cand_d = haversine_to_all(lats[cand], lons[cand],
                                           target_lats[block, None], target_lons[block, None])
                 cand_d[~gathered] = np.inf
-                order = np.lexsort((cand, cand_d))[:, :k]
+                # a row with no exact tie among its first k + 1 distances has
+                # unique first k, which the (distance, index) sort takes in the
+                # same order: only a tied row needs the index as second key
+                order = np.argsort(cand_d, axis=-1)
+                head = np.take_along_axis(cand_d, order[:, :k + 1], axis=-1)
+                tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=-1))
+                if tied.shape[0]:
+                    order[tied] = np.lexsort((cand[tied], cand_d[tied]))
+                order = order[:, :k]
                 members[block] = np.take_along_axis(cand, order, axis=-1)
                 distances[block] = np.take_along_axis(cand_d, order, axis=-1)
         rows = np.concatenate(retry) if retry else rows[:0]

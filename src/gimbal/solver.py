@@ -35,12 +35,11 @@ class LocalFit:
     """Local solve of one neighborhood (scalars, (p,) beta, (K,) residuals) or
     of a stack ((C,) arrays, (C, p) beta, (C, K) residuals).
 
-    Ill-posed rows carry NaN coefficients, residuals, bound and fit summaries.
+    Ill-posed rows carry NaN coefficients, residuals and fit summaries.
     """
 
     beta: np.ndarray
     m_nor_condition: float
-    operator_norm_bound: float
     well_posed: bool
     rmse_local: float
     r2_local: float
@@ -78,29 +77,34 @@ def _weighted_gram(columns, scale):
     return out
 
 
+def _normal_matrix(cols, scale):
+    """The normal matrix M = X^T (I + 2 gamma W) X of each row (scale is
+    1 + 2 gamma w), its smallest and largest eigenvalues, and whether the
+    row is well posed: (m_nor, lam_min, lam_max, well_posed)."""
+    m_nor = _weighted_gram(cols, scale)
+    evals = np.linalg.eigvalsh(m_nor)
+    lam_min = evals[..., 0]
+    lam_max = evals[..., -1]
+    well_posed = (lam_max > 0.0) & (lam_min > SINGULARITY_RTOL * lam_max)
+    return m_nor, lam_min, lam_max, well_posed
+
+
 def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
     """Solve the modulated normal equations of one or many neighborhoods.
 
     X is a design array or a tuple of its columns (see the module
     docstring). Returns a LocalFit; a row whose normal matrix is singular
     carries well_posed=False and NaN coefficients (the location is flagged,
-    not regularized). operator_norm_bound is ||M_nor^-1||_2 ||B||_2 with
-    B = X^T (I + 2 gamma W), an upper bound on the estimator's Lipschitz
-    constant in y; ||B||_2 is the square root of the largest eigenvalue of
-    B B^T.
+    not regularized).
     """
     cols = _design_columns(X)
     y = np.asarray(y, dtype=np.float64)
     scale = 1.0 + 2.0 * gamma * np.asarray(weights, dtype=np.float64)
     p = len(cols)
 
-    m_nor = _weighted_gram(cols, scale)  # X^T (I + 2 gamma W) X
-    evals = np.linalg.eigvalsh(m_nor)
-    lam_min = evals[..., 0]
-    lam_max = evals[..., -1]
+    m_nor, lam_min, lam_max, well_posed = _normal_matrix(cols, scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(lam_max > 0.0, lam_max / np.maximum(lam_min, eps_kappa), np.inf)
-    well_posed = (lam_max > 0.0) & (lam_min > SINGULARITY_RTOL * lam_max)
 
     # The eigenvalue test admits condition numbers below 1e12 only, where a
     # Cholesky factorization cannot break down in double precision. Singular
@@ -110,21 +114,31 @@ def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
     beta = np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs[..., None]))[..., 0]
     beta = np.where(well_posed[..., None], beta, np.nan)
 
-    b_norm = np.sqrt(np.linalg.eigvalsh(_weighted_gram(cols, scale * scale))[..., -1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(well_posed, b_norm / lam_min, np.nan)
-
     rmse, r2, r2_defined, residuals = _summaries(cols, y, beta)
     return LocalFit(
         beta=beta,
         m_nor_condition=kappa,
-        operator_norm_bound=bound,
         well_posed=well_posed,
         rmse_local=rmse,
         r2_local=np.where(well_posed, r2, np.nan),
         r2_defined=r2_defined & well_posed,
         residuals=residuals,
     )
+
+
+def operator_norm_bound(X, weights, gamma):
+    """The paper's stability bound ||M_nor^-1||_2 ||B||_2 of each row, with
+    B = X^T (I + 2 gamma W): an upper bound on the local estimator's
+    Lipschitz constant in y. ||B||_2 is the square root of the largest
+    eigenvalue of B B^T. NaN where the row is ill-posed. X, weights and
+    gamma are as solve_local takes them; no fit computes this.
+    """
+    cols = _design_columns(X)
+    scale = 1.0 + 2.0 * gamma * np.asarray(weights, dtype=np.float64)
+    _, lam_min, _, well_posed = _normal_matrix(cols, scale)
+    b_norm = np.sqrt(np.linalg.eigvalsh(_weighted_gram(cols, scale * scale))[..., -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(well_posed, b_norm / lam_min, np.nan)
 
 
 def local_fit_summaries(X, y, beta):

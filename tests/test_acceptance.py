@@ -15,7 +15,7 @@ from gimbal.engine import Dataset, GimbalConfig, branch_bits, branch_codes, fit_
 from gimbal.experiments import E73_N0_SWEEP, run_experiment
 from gimbal.orientation import sym2_eigvals
 from gimbal.simgen import SimSpec, generate
-from gimbal.solver import solve_local
+from gimbal.solver import operator_norm_bound, solve_local
 from gimbal.weights import ess, one_shot_safeguard
 from gimbal.orientation import OrientationResult
 
@@ -88,7 +88,7 @@ def test_criterion_4_stability_bound():
     for _ in range(100):
         X, _, w = random_instance(rng, n=25)
         gamma = rng.uniform(0, 5)
-        bound = solve_local(X, np.zeros(25), w, gamma).operator_norm_bound
+        bound = operator_norm_bound(X, w, gamma)
         for _ in range(100):
             y1 = rng.normal(0, 1, 25)
             y2 = rng.normal(0, 1, 25)
@@ -384,6 +384,9 @@ def test_criterion_14_linearity_in_y():
     ok = base.fit.well_posed
     beta = base.fit.beta[ok]
     members = base.neighborhood.member_indices[ok]
+    # each well-posed row's design [1, x, d / u], as the fit solved it
+    design = (None, ds.x[members], base.neighborhood.distances[ok] / cfg.u_scale)
+    row_bound = operator_norm_bound(design, base.weight_map.weights[ok], cfg.gamma)
     noise = np.random.default_rng(114).normal(0.0, np.std(ds.y), ds.n)
     for scale in (1e-6, 1e-3, 1.0):
         delta = scale * noise
@@ -393,5 +396,5 @@ def test_criterion_14_linearity_in_y():
             assert np.array_equal(branch_bits(result), branch_bits(base))
         d_beta = moved.fit.beta[ok] - beta
         assert np.all(np.abs(d_beta - alone.fit.beta[ok]) <= 1e-12 * (1.0 + np.abs(beta)))
-        bound = base.fit.operator_norm_bound[ok] * np.linalg.norm(delta[members], axis=1)
+        bound = row_bound * np.linalg.norm(delta[members], axis=1)
         assert np.all(np.linalg.norm(d_beta, axis=1) <= bound * (1 + 1e-9))

@@ -20,6 +20,7 @@ from gimbal.engine import (
     predict,
     residual_knn_correct,
 )
+from gimbal.neighborhood import ConfigurationError
 from gimbal.simgen import SimSpec, generate
 from gimbal.weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM
 from test_diagnostics import moran_on_finite
@@ -261,6 +262,27 @@ def test_comment_rows_only_before_the_header(tmp_path, capsys):
                "--out-summary", str(tmp_path / "s.json"), "--k", "5"])
     assert rc == 2
     assert "row 6: column lat is not numeric ('#35.1')" in capsys.readouterr().err
+
+
+def test_first_bad_cell_named_as_by_the_row_loop(tmp_path):
+    # the column-wise read fails on these files, and the row loop names the
+    # first fault in row order: a non-numeric cell before a short row, and
+    # the first of two bad cells of one row
+    early = tmp_path / "early.csv"
+    early.write_text("lat,lon,x,y\n35.0,135.0,0.1,1.0\n35.1,135.0,oops,1.0\n35.2,135.0\n")
+    with pytest.raises(ConfigurationError) as exc:
+        read_dataset(early)
+    assert str(exc.value) == f"{early}: row 1: column x is not numeric ('oops')"
+    short = tmp_path / "short.csv"
+    short.write_text("lat,lon,x,y\n35.0,135.0\n35.1,135.0,oops,1.0\n")
+    with pytest.raises(ConfigurationError) as exc:
+        read_dataset(short)
+    assert str(exc.value) == f"{short}: row 0 has 2 fields, expected 4"
+    twice = tmp_path / "twice.csv"
+    twice.write_text("id,lat,lon,x,y\na,35.0,135.0,0.1,1.0\nb,35.1,135.0,0.2,1.0\nc,35.2,north,0.3,?\n")
+    with pytest.raises(ConfigurationError) as exc:
+        read_dataset(twice)
+    assert str(exc.value) == f"{twice}: row 2: column lon is not numeric ('north')"
 
 
 def test_fit_id_column_reaches_records(tmp_path):
@@ -590,6 +612,38 @@ def test_predict_protocol_and_cross_check(tmp_path):
     expect, _ = predict(train, GimbalConfig(k=20), train.lat[:5], train.lon[:5], train.x[:5])
     for i, row in enumerate(rows):
         assert float(row[5]) == pytest.approx(expect[i], rel=1e-12)
+
+
+def test_predict_fits_only_the_training_rows_its_correction_reads(tmp_path, monkeypatch):
+    train_spec, test_spec = SimSpec(n=600, seed=8), SimSpec(n=90, seed=9)
+    for name, spec in (("train.csv", train_spec), ("test.csv", test_spec)):
+        write_dataset_csv(tmp_path / name, generate(spec)[0])
+    train, test = read_dataset(tmp_path / "train.csv"), read_dataset(tmp_path / "test.csv")
+    fitted = []
+    fit_rows = gimbal.cli.fit_rows
+
+    def spied(dataset, config, rows, threads=1):
+        fitted.append(np.array(rows))
+        return fit_rows(dataset, config, rows, threads)
+
+    monkeypatch.setattr(gimbal.cli, "fit_rows", spied)
+    rc = main(["predict", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+               "--out", str(tmp_path / "pred.csv"), "--k", "30", "--residual-knn", "7"])
+    assert rc == 0
+    config = GimbalConfig(k=30)
+    preds, result = predict(train, config, test.lat, test.lon, test.x)
+    members = result.neighborhood.member_indices
+    [rows] = fitted
+    assert np.array_equal(rows, np.unique(members[:, :7]))
+    assert rows.shape[0] < train.n
+    # the file the full in-sample fit gives, byte for byte
+    corr = residual_knn_correct(fit_all(train, config).residual_at_target, members, 7)
+    columns = [np.arange(test.n), test.lat, test.lon, test.x, test.y, preds, ~result.fit.well_posed,
+               corr, preds + corr]
+    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed",
+              "residual_correction", "prediction_corrected"]
+    gimbal.cli._write_csv([tmp_path / "full.csv"], gimbal.cli.SCHEMA_PREDICTIONS, header, [columns])
+    assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 def test_predict_residual_knn_zero_residuals(tmp_path, capsys):

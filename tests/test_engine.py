@@ -18,6 +18,7 @@ from gimbal.engine import (
     branch_codes,
     fit_all,
     fit_location,
+    fit_rows,
     fit_variants,
     predict,
     residual_knn_correct,
@@ -332,6 +333,20 @@ def test_fit_location_equals_its_row_of_fit_all():
     result = fit_all(ds, cfg, threads=2)
     for i in (0, CHUNK_TARGETS - 1, CHUNK_TARGETS, ds.n - 1):
         assert pickle.dumps(fit_location(ds, cfg, i)) == pickle.dumps(result.record(i))
+
+
+def test_fit_rows_equal_their_rows_of_fit_all():
+    # unsorted rows, a repeat and rows across a chunk boundary of fit_rows'
+    # own targets: each row is bitwise its row of fit_all, whoever its
+    # neighbors in the query and the chunk are
+    ds = small_dataset(seed=8, n=CHUNK_TARGETS + 40)
+    cfg = GimbalConfig(k=12)
+    rows = np.concatenate([[ds.n - 1, 5, 5, 0], np.arange(CHUNK_TARGETS + 30, 10, -1)])
+    assert pickle.dumps(fit_rows(ds, cfg, rows, threads=2)) == pickle.dumps(fit_all(ds, cfg).take(rows))
+    for bad in (np.ones(ds.n, dtype=bool), [0.0, 1.0], [[0, 1]], [-1], [ds.n]):
+        with pytest.raises(ConfigurationError, match="rows must"):
+            fit_rows(ds, cfg, bad)
+    assert len(fit_rows(ds, cfg, [])) == 0
 
 
 def test_fit_longitude_shift_invariance():

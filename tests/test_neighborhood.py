@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import gimbal.neighborhood as neighborhood
 from scalar_geo import haversine_distance
-from gimbal.geo import haversine_to_all
+from gimbal.geo import haversine_to_all, unit_vectors
 from gimbal.neighborhood import BLOCK_DISTANCES, ConfigurationError, knn
 from gimbal.simgen import SimSpec, generate
 
@@ -413,3 +413,193 @@ def test_grid_equals_full_scan_at_scale(monkeypatch, k, exclude):
     answered = assert_grid_matches(monkeypatch, ds.lat, ds.lon, ds.lat[rows], ds.lon[rows], k,
                                    exclude=excluded)
     assert answered.mean() > 0.95
+
+
+# ---- the acceptance bound, the level walk and the tie-only lexsort
+
+def on_face(axis, value, lat, lon):
+    """(lat, lon) with lat (axis 2, z) or lon (axis 1, y) stepped ulp by ulp
+    until the unit vector's component on axis is exactly value."""
+    point = [lat, lon]
+    moved = 0 if axis == 2 else 1
+    for _ in range(400):
+        component = unit_vectors(np.array(point[:1]), np.array(point[1:]))[0, axis]
+        if component == value:
+            return tuple(point)
+        point[moved] = np.nextafter(point[moved], np.inf if component < value else -np.inf)
+    raise AssertionError("no such point")
+
+
+def ring(lat0, lon0, inner, outer, n, rng):
+    """n points at central angles uniform in [inner, outer] radians around
+    (lat0, lon0), in every direction."""
+    t = unit_vectors(np.array([lat0]), np.array([lon0]))[0]
+    phi, lam = np.radians(lat0), np.radians(lon0)
+    east = np.array([-np.sin(lam), np.cos(lam), 0.0])
+    north = np.array([-np.sin(phi) * np.cos(lam), -np.sin(phi) * np.sin(lam), np.cos(phi)])
+    angle = rng.uniform(inner, outer, n)[:, None]
+    bearing = rng.uniform(0.0, 2.0 * np.pi, n)[:, None]
+    p = np.cos(angle) * t + np.sin(angle) * (np.cos(bearing) * east + np.sin(bearing) * north)
+    return np.degrees(np.arcsin(p[:, 2])), np.degrees(np.arctan2(p[:, 1], p[:, 0]))
+
+
+def test_grid_targets_on_a_cell_face_edge_and_corner(monkeypatch):
+    # z = 1/2 is a cell face at every level from 1; lat 0 with y = 1/4 an
+    # edge from level 2; lat 0, lon 0 (the point (1, 0, 0)) a corner at
+    # every level. Such a target's clearance is one cell side, so a ring of
+    # points just beyond one cell side puts some of its nearest points just
+    # outside its block on the face side.
+    face = on_face(2, 0.5, 30.0, 12.3)
+    edge = on_face(1, 0.25, 0.0, np.degrees(np.arcsin(0.25)))
+    corner = (0.0, 0.0)
+    targets = np.array([face, edge, corner])
+    p = unit_vectors(targets[:, 0], targets[:, 1])
+    assert p[0, 2] == 0.5 and p[1, 2] == 0.0 and p[1, 1] == 0.25
+    assert p[2].tolist() == [1.0, 0.0, 0.0]
+    for level in (2, 9, 12, 17):
+        grid = neighborhood._Grid(p, level)
+        assert np.array_equal(grid.clearance(p), np.full(3, 2.0 ** -level))
+    rng = np.random.default_rng(27)
+    side = 2.0 ** -12
+    lats, lons = [], []
+    for lat, lon in targets:
+        for inner, outer, n in ((1.02 * side, 1.3 * side, 400), (0.0, 30 * side, 300)):
+            ring_lats, ring_lons = ring(lat, lon, inner, outer, n, rng)
+            lats.append(ring_lats)
+            lons.append(ring_lons)
+    lats, lons = np.concatenate(lats), np.concatenate(lons)
+    tlats = np.concatenate([targets[:, 0], lats[::40]])
+    tlons = np.concatenate([targets[:, 1], lons[::40]])
+    for k in (1, 20, 60, 90):
+        answered = assert_grid_matches(monkeypatch, lats, lons, tlats, tlons, k,
+                                       oracle_rows=range(0, tlats.shape[0], 3))
+        assert answered[:3].all()
+    exclude = np.arange(tlats.shape[0])
+    assert_grid_matches(monkeypatch, lats, lons, tlats, tlons, 25, exclude=exclude)
+
+
+def test_clearance_bounds_every_point_outside_the_block():
+    rng = np.random.default_rng(29)
+    pool = unit_vectors(*sphere_points(rng, 3000))
+    for level in (1, 3, 6):
+        grid = neighborhood._Grid(pool, level)
+        side = 2.0 ** -level
+        targets = pool[:200]
+        clearance = grid.clearance(targets)
+        assert np.all(clearance >= side) and np.all(clearance < 2 * side)
+        cells = np.floor(pool * 2.0 ** level)
+        outside = np.any(np.abs(np.floor(targets * 2.0 ** level)[:, None] - cells[None]) > 1, axis=-1)
+        chord = np.linalg.norm(targets[:, None] - pool[None], axis=-1)
+        assert np.all(np.where(outside, chord, np.inf).min(axis=1) >= clearance * (1 - 1e-12))
+
+
+def test_clearance_accepts_rows_the_cell_side_would_retry(monkeypatch):
+    # rows whose k-th key clears their own block's bound 1 - clearance**2 / 2
+    # but not the cell side's 1 - s**2 / 2 are answered at their first level
+    ds, _ = generate(SimSpec(n=4800, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
+    k = 50
+    seen = []
+    key_blocks = neighborhood._key_blocks
+
+    def spied(grids, level, pool, targets, rows, exclude):
+        for block, cos, positions, grid in key_blocks(grids, level, pool, targets, rows, exclude):
+            w = cos.shape[1]
+            seen.append((block.copy(), level if grid is not None else -1,
+                         np.partition(cos, w - k, axis=-1)[:, w - k]))
+            yield block, cos, positions, grid
+
+    with monkeypatch.context() as m:
+        m.setattr(neighborhood, "_key_blocks", spied)
+        members, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, k)
+    full_members, full_distances = full_scan(monkeypatch, ds.lat, ds.lon, ds.lat, ds.lon, k)
+    assert np.array_equal(members, full_members)
+    assert np.array_equal(distances, full_distances)
+    tries = np.bincount(np.concatenate([block for block, _, _ in seen]), minlength=ds.n)
+    only_clearance = 0
+    for block, level, kth in seen:
+        if level < 0:
+            continue
+        first_try = tries[block] == 1
+        side = 2.0 ** -level
+        cell_side_retries = kth - neighborhood.MARGIN <= 1.0 - 0.5 * side * side + neighborhood.MARGIN
+        only_clearance += np.count_nonzero(first_try & cell_side_retries)
+    # 341 rows on this data; 165 still retry
+    assert only_clearance > 200
+    assert np.count_nonzero(tries > 1) < only_clearance
+
+
+def brute_first_levels(pool, targets, need):
+    """The finest level in [0, FINEST_LEVEL] whose 3x3x3 block around each
+    target's cell holds at least need points, by counting every point's cell
+    offset at every level; -1 if none does."""
+    first = np.full(targets.shape[0], -1)
+    for level in range(neighborhood.FINEST_LEVEL + 1):
+        scale = 2.0 ** level
+        offset = np.floor(targets * scale)[:, None, :] - np.floor(pool * scale)[None, :, :]
+        held = np.count_nonzero(np.all(np.abs(offset) <= 1, axis=-1), axis=1) >= need
+        first[held] = level
+    return first
+
+
+def pole_points(rng):
+    lats = np.concatenate([rng.uniform(89.9, 90.0, 500), [90.0], rng.uniform(-90.0, -89.99, 300)])
+    lons = np.concatenate([rng.uniform(-180.0, 180.0, 500), [0.0], rng.uniform(-180.0, 180.0, 300)])
+    return lats, lons
+
+
+def cluster_points(rng):
+    field_lats, field_lons = random_cloud(rng, 500, spread=20.0)
+    dense_lats, dense_lons = random_cloud(rng, 400, spread=0.02)
+    tiny_lats, tiny_lons = random_cloud(rng, 100, spread=1e-9)
+    return (np.concatenate([field_lats, dense_lats, tiny_lats + 3.0]),
+            np.concatenate([field_lons, dense_lons, tiny_lons]))
+
+
+def lattice_points(rng):
+    steps = np.arange(-15, 16) * 0.001
+    lats, lons = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
+    return lats, lons
+
+
+@pytest.mark.parametrize("points", [cluster_points, lattice_points, pole_points])
+def test_first_levels_are_the_finest_that_hold_need(points):
+    rng = np.random.default_rng(28)
+    lats, lons = points(rng)
+    pool = unit_vectors(lats, lons)
+    targets = np.concatenate([pool[::7], unit_vectors(*random_cloud(rng, 20, spread=30.0))])
+    grids = neighborhood._Grids(pool)
+    for need in (1, 3, 30, 150):
+        assert np.array_equal(neighborhood._first_levels(grids, targets, need),
+                              brute_first_levels(pool, targets, need)), need
+
+
+def test_only_rows_tied_among_their_first_k_plus_one_take_the_lexsort(monkeypatch):
+    steps = np.arange(-20, 21) * 0.001
+    lats, lons = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
+    lexsorted = []
+    lexsort = np.lexsort
+
+    def spied(keys, *args, **kwargs):
+        lexsorted.append(np.shape(keys[0])[0])
+        return lexsort(keys, *args, **kwargs)
+
+    def rows_lexsorted(tlat, tlon, k):
+        lexsorted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "lexsort", spied)
+            members, _ = knn(lats, lons, [tlat], [tlon], k)
+        assert members[0].tolist() == scan_oracle(lats, lons, (tlat, tlon), k)
+        return sum(lexsorted)
+
+    # the centre lattice point: its four nearest tie, so at k = 2 and 3 the
+    # k-th distance ties with the next, and at k = 5 and 9 the first k hold
+    # ties; at k = 1 the first two (itself, then one of four) do not tie
+    for k in (2, 3, 5, 9):
+        assert rows_lexsorted(0.0, 0.0, k) == 1, k
+    assert rows_lexsorted(0.0, 0.0, 1) == 0
+    # a target off the lattice's symmetry lines has no tie
+    tlat, tlon = 0.00137, 0.00291
+    d = np.sort(haversine_to_all(lats, lons, tlat, tlon))
+    for k in (1, 4, 25, 60):
+        assert np.all(np.diff(d[:k + 1]) > 0)
+        assert rows_lexsorted(tlat, tlon, k) == 0, k

@@ -6,16 +6,17 @@ import pytest
 from gimbal.solver import (
     cond_wls2,
     local_fit_summaries,
+    operator_norm_bound,
     solve_local,
 )
 
 
 def stability_bound(X, weights, gamma):
-    """The operator-norm bound solve_local reports; it is undefined when ill-posed."""
+    """operator_norm_bound of one design; it is undefined when ill-posed."""
     fit = solve_local(X, np.zeros(X.shape[0]), weights, gamma)
     if not fit.well_posed:
         raise np.linalg.LinAlgError("stability bound undefined: singular normal matrix")
-    return float(fit.operator_norm_bound)
+    return float(operator_norm_bound(X, weights, gamma))
 
 
 def random_instance(rng, n=30, p=3):
@@ -127,6 +128,39 @@ def test_stability_bound_requires_well_posed():
     X = np.column_stack([np.ones(10), np.ones(10), np.zeros(10)])
     with pytest.raises(np.linalg.LinAlgError):
         stability_bound(X, np.full(10, 0.1), 1.0)
+
+
+def test_operator_norm_bound_is_bitwise_the_product_expression():
+    # ||M_nor^-1||_2 ||B||_2 written out inline: the two Gram matrices summed
+    # in the same order, and their batched eigenvalues
+    rng = np.random.default_rng(48)
+    C, K = 40, 25
+    x, z = rng.normal(0, 1, (C, K)), rng.uniform(0, 2, (C, K))
+    x[3] = 1.5  # a constant covariate: ill-posed, NaN
+    w = rng.uniform(0.0, 1.0, (C, K))
+    w /= w.sum(axis=-1, keepdims=True)
+    gamma = 1.7
+    X = np.stack([np.ones((C, K)), x, z], axis=-1)
+
+    scale = 1.0 + 2.0 * gamma * w
+    m_nor = np.empty((C, 3, 3))
+    b_gram = np.empty((C, 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            m_nor[:, a, b] = m_nor[:, b, a] = np.sum(X[..., a] * X[..., b] * scale, axis=-1)
+            b_gram[:, a, b] = b_gram[:, b, a] = np.sum(X[..., a] * X[..., b] * (scale * scale), axis=-1)
+    evals = np.linalg.eigvalsh(m_nor)
+    well_posed = (evals[:, -1] > 0.0) & (evals[:, 0] > 1e-12 * evals[:, -1])
+    b_norm = np.sqrt(np.linalg.eigvalsh(b_gram)[:, -1])
+    expected = np.where(well_posed, b_norm / evals[:, 0], np.nan)
+
+    assert np.isnan(expected[3]) and np.count_nonzero(np.isnan(expected)) == 1
+    for design in (X, (None, x, z)):
+        got = operator_norm_bound(design, w, gamma)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # one row alone is its row of the stack
+    one = operator_norm_bound(X[5], w[5], gamma)
+    assert one.view(np.int64) == expected[5].view(np.int64)
 
 
 def test_gamma_interpolates_between_ols_and_wls():
