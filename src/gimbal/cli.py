@@ -368,7 +368,8 @@ def cmd_fit(args):
     if not 1 <= args.moran_k < dataset.n:
         raise ConfigurationError(f"--moran-k {args.moran_k} outside the eligible range "
                                  f"[1, {dataset.n - 1}]: the input has {dataset.n} locations")
-    result = fit_all(dataset, config, threads=args.threads)
+    # the records and summary read no weights, residuals or distances
+    result = fit_all(dataset, config, threads=args.threads, wide=False)
     _annotate_and_write([args.out_records], [result], dataset.ids, args.moran_k, quantile, floor)
     try:
         map_summary = dataclasses.asdict(summarize(result))
@@ -394,7 +395,7 @@ def cmd_predict(args):
     if not 0 <= args.residual_knn <= config.k:
         raise ConfigurationError(f"--residual-knn must lie in [0, K={config.k}], got {args.residual_knn}")
 
-    preds, result = predict(train, config, test.lat, test.lon, test.x, threads=args.threads)
+    preds, result = predict(train, config, test.lat, test.lon, test.x, threads=args.threads, wide=False)
     columns = [np.arange(test.n), test.lat, test.lon, test.x, test.y, preds, ~result.fit.well_posed]
     header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
     if args.residual_knn > 0:
@@ -402,7 +403,8 @@ def cmd_predict(args):
         # the correction reads the residuals of these training rows only
         read = np.unique(members[:, :args.residual_knn])
         training_residuals = np.full(train.n, math.nan)
-        training_residuals[read] = fit_rows(train, config, read, threads=args.threads).residual_at_target
+        training_residuals[read] = fit_rows(train, config, read, threads=args.threads,
+                                            wide=False).residual_at_target
         corr = residual_knn_correct(training_residuals, members, args.residual_knn)
         columns += [corr, preds + corr]
         header += ["residual_correction", "prediction_corrected"]

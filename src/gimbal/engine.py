@@ -19,11 +19,14 @@ fit_all, fit_rows, predict and fit_location) solves the chunk in one call.
 The solve takes the design [1, x, z] as its x and z columns and skips every
 product with the intercept, which changes no bit. Each config's chunk is
 copied into its own columnar FitResult, in input order, before the next
-config is computed. Every stage reduces each row on its own, so a target's values do
-not depend on which other targets share its chunk or the query, on which
-other configs share the query, an orientation stage or a solve, on the
-thread schedule, or on whether it is fitted alone or among a few selected
-rows (fit_location, fit_rows): all of these agree bitwise. Each config's
+config is computed. A narrow fit (wide=False) copies no K-wide column but
+the query's own member rows: the weights, residuals and distances stay
+inside their chunk, and each target's residual is read off them there.
+Every stage reduces each row on its own, so a target's values do not depend
+on which other targets share its chunk or the query, on which other configs
+share the query, an orientation stage or a solve, on the thread schedule,
+or on whether it is fitted alone or among a few selected rows
+(fit_location, fit_rows): all of these agree bitwise. Each config's
 chunk is copied through a field-name tuple kept per dataclass type.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
@@ -216,6 +219,10 @@ class FitResult:
     columns plus the K-wide weights and residuals, and (C, 3) coefficients.
     Ill-posed rows carry NaN coefficients and residuals. One row (record) is
     a FitResult of the same structure with scalar and (K,) fields.
+
+    A narrow result (wide=False) has None for neighborhood.distances,
+    weight_map.weights and fit.residuals; every other field is as in the
+    full result, bit for bit. take and record pass a None field through.
     """
 
     index: np.ndarray
@@ -282,11 +289,12 @@ def _local_solve(x_loc, z, y_loc, xs_loc, weights, config, rows):
     return [*_columns(fit), cond_wls2(xs_loc[rows], w, config.eps_kappa)]
 
 
-def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances):
+def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances, wide):
     """The estimator map of each config at targets (lat0, lon0), whose
     neighbors in dataset are the (C, K) rows members and distances; yields
     one FitResult per config, in order, with no neighborhood (the caller
-    holds the query's).
+    holds the query's). Unless wide, each result's weights and residuals
+    are None: the residual at each target is read off them here.
 
     The tangent displacements and the members' gathered columns are computed
     once and serve every config, and so does each orientation stage: configs
@@ -336,19 +344,24 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances)
             solved[key] = (held | added, memo)
         fit = LocalFit(*columns[:-1])
         residual_at_target = np.where(has_own, fit.residuals[own], np.nan)
+        if not wide:
+            wmap, fit = replace(wmap, weights=None), replace(fit, residuals=None)
         yield FitResult(
             index=index, lat=lat0, lon=lon0, neighborhood=None, orientation=orient,
             weight_map=wmap, fit=fit, cond_wls2=columns[-1], residual_at_target=residual_at_target,
         )
 
 
-def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
+def _fit_chunks(dataset, configs, lat0, lon0, index, threads, wide):
     """_fit_targets over chunks of CHUNK_TARGETS targets: one FitResult per
     config, each joined in order.
 
     One neighbor query covers every target before the chunks run; each chunk
     slices its rows. The query's arrays are marked read-only and become the
-    neighborhood of every config's result, shared, not copied.
+    neighborhood of every config's result, shared, not copied; a narrow
+    result (not wide) keeps only its member rows. Result columns are
+    allocated for the fields a chunk's results hold, so a narrow fit
+    allocates no K-wide column.
     threads: 1 runs serial, 0 uses all cores, otherwise the given count.
     """
     configs = tuple(configs)
@@ -366,7 +379,7 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
     def chunk(start):
         rows = slice(start, start + CHUNK_TARGETS)
         return _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows],
-                            members[rows], distances[rows])
+                            members[rows], distances[rows], wide)
 
     n = index.shape[0]
     # an empty target list still makes one (empty) chunk
@@ -385,23 +398,23 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads):
                     result_columns[c] = _columns(results[c])
                 for column, values in zip(result_columns[c], _columns(part)):
                     column[start:start + len(part)] = values
-    nb = Neighborhood(member_indices=members, distances=distances)
+    nb = Neighborhood(member_indices=members, distances=distances if wide else None)
     return [replace(result, neighborhood=nb) for result in results]
 
 
-def fit_rows(dataset, config, rows, threads=1):
+def fit_rows(dataset, config, rows, threads=1, wide=True):
     """The estimator map at the selected in-sample rows (an index array), as
     a FitResult in the order of rows. Each row is bitwise its row of fit_all:
     a target's values do not depend on which other targets are fitted with
     it, and the standardized covariate still reads the whole of dataset.x.
-    threads as for fit_variants."""
+    threads and wide as for fit_variants."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
         raise ConfigurationError(f"rows must be a 1-D index array, got {rows.dtype} of shape {rows.shape}")
     if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n):
         raise ConfigurationError(f"rows must lie in [0, {dataset.n - 1}]")
     rows = rows.astype(np.intp)
-    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, threads)[0]
+    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, threads, wide)[0]
 
 
 def fit_location(dataset, config, target_index):
@@ -410,7 +423,7 @@ def fit_location(dataset, config, target_index):
     return fit_rows(dataset, config, [target_index]).record(0)
 
 
-def fit_variants(dataset, configs, threads=1):
+def fit_variants(dataset, configs, threads=1, wide=True):
     """The estimator map of each config at every row: one FitResult per
     config, in the configs' order, each in input order.
 
@@ -424,28 +437,32 @@ def fit_variants(dataset, configs, threads=1):
     threads: 1 runs serial, 0 uses all cores, otherwise the given count of
     threads, each taking whole chunks. The thread schedule cannot change any
     output value.
+    wide: keep the K-wide weights, residuals and distances (the full
+    FitResult); False drops them after each chunk (see FitResult), which
+    changes no other field.
     """
-    return _fit_chunks(dataset, configs, dataset.lat, dataset.lon, np.arange(dataset.n), threads)
+    return _fit_chunks(dataset, configs, dataset.lat, dataset.lon, np.arange(dataset.n), threads, wide)
 
 
-def fit_all(dataset, config, threads=1):
+def fit_all(dataset, config, threads=1, wide=True):
     """The estimator map at every row, as a FitResult in input order: the
     one-config case of fit_variants."""
-    return fit_variants(dataset, (config,), threads)[0]
+    return fit_variants(dataset, (config,), threads, wide)[0]
 
 
-def predict(train, config, lats, lons, x, threads=1):
+def predict(train, config, lats, lons, x, threads=1, wide=True):
     """Out-of-sample predictions at target points.
 
     Neighbors come from the training pool only; the distance-trend regressor
     is evaluated as zero at the target, so the prediction is
     beta0 + beta1 * x. Returns (predictions, FitResult); a prediction is NaN
     where the local solve is ill-posed. The targets are checked as a
-    Dataset's rows are (check_coordinates).
+    Dataset's rows are (check_coordinates). threads and wide as for
+    fit_variants.
     """
     lats, lons, x = (np.asarray(c, dtype=np.float64) for c in (lats, lons, x))
     check_coordinates(lats, lons, x=x)
-    result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), threads)[0]
+    result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), threads, wide)[0]
     beta = result.fit.beta
     return beta[:, 0] + beta[:, 1] * x, result
 

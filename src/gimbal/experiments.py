@@ -124,9 +124,14 @@ def summarize(result):
 def weight_diff(result_a, result_b):
     """Per-target l1 distance and correlation of normalized weight vectors.
 
-    Both runs must share targets and neighborhoods (same data and K).
-    Correlation is skipped wherever either weight vector is constant.
+    Both runs must share targets and neighborhoods (same data and K), and
+    both must hold their weights (a wide fit). Correlation is skipped
+    wherever either weight vector is constant.
     """
+    for name, result in (("result_a", result_a), ("result_b", result_b)):
+        if result.weight_map.weights is None:
+            raise ValueError(f"weight_diff requires weight_map.weights, which {name} does not "
+                             "hold: fit it with wide=True")
     if len(result_a) != len(result_b):
         raise ValueError("weight_diff requires runs over the same targets")
     members_a = result_a.neighborhood.member_indices
@@ -171,7 +176,9 @@ def run_experiment(exp_id, base_seed=0, threads=1):
 
     Returns (report, records_by_variant) where the report carries the config,
     per-variant MapSummary values, weight-difference evidence where defined,
-    and one verdict per structural property.
+    and one verdict per structural property. The records of e72 and e74,
+    which weight_diff reads, keep their weights; those of e71 and e73 are
+    narrow (see engine.FitResult).
     """
     runners = {"e71": _run_e71, "e72": _run_e72, "e73": _run_e73, "e74": _run_e74}
     if exp_id not in runners:
@@ -198,14 +205,15 @@ def _verdict(passed, value):
     return {"pass": bool(passed), "value": value}
 
 
-def _fit_variants(spec, configs, threads):
+def _fit_variants(spec, configs, threads, wide):
     """Fit each named config on the one dataset of spec with one fit_variants
-    call, so one neighbor query serves every variant.
+    call, so one neighbor query serves every variant; wide as for
+    fit_variants.
 
     Returns (records, summaries), both keyed by variant name.
     """
     dataset, _ = generate(spec)
-    records = dict(zip(configs, fit_variants(dataset, configs.values(), threads=threads)))
+    records = dict(zip(configs, fit_variants(dataset, configs.values(), threads=threads, wide=wide)))
     return records, {name: summarize(result) for name, result in records.items()}
 
 
@@ -217,7 +225,7 @@ def _run_e71(seed, threads):
         "theta_off": replace(_BASE_CONFIG, theta_z_mode="off"),
         "full": _BASE_CONFIG,
         "full_strict_eps_phi": replace(_BASE_CONFIG, eps_phi=STRICT_EPS_PHI),
-    }, threads)
+    }, threads, wide=False)
 
     proxy = summaries["isotropic_proxy"]
     properties = {}
@@ -258,7 +266,7 @@ def _run_e72(seed, threads):
     records, summaries = _fit_variants(spec, {
         "isotropic_proxy": replace(_BASE_CONFIG, **_PROXY),
         "full": _BASE_CONFIG,
-    }, threads)
+    }, threads, wide=True)
     diff = weight_diff(records["full"], records["isotropic_proxy"])
 
     properties = {
@@ -281,7 +289,7 @@ def _run_e73(seed, threads):
     )
     base = replace(_BASE_CONFIG, k=30, h=2000.0, n_min=12.0)
     records, summaries = _fit_variants(
-        spec, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, threads)
+        spec, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, threads, wide=False)
 
     ordered = [summaries[f"n0_{n0:g}"] for n0 in E73_N0_SWEEP]
     neff = [s.mu_neff_post for s in ordered]
@@ -313,7 +321,7 @@ def _run_e74(seed, threads):
     records, summaries = _fit_variants(spec, {
         "theta_on": base,
         "theta_off": replace(base, theta_z_mode="off"),
-    }, threads)
+    }, threads, wide=True)
     diff = weight_diff(records["theta_on"], records["theta_off"])
 
     properties = {

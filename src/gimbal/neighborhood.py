@@ -15,16 +15,18 @@ the row's clearance (always >= s), bounds every outside point's key by
 clears that bound cannot miss a point the full scan would gather, and it is
 answered by the same gather and re-rank as the full scan: members and
 distances agree bit for bit. Each target starts at the finest level whose
-block holds FILL * (k + 1 if exclude else k) points, found by a walk from
-the middle level; a row that fails its bound retries one level coarser. The
-coarsest level is the full scan (every point is a candidate), which is also
-taken wherever a block would hold more than FULL_SCAN_SHARE of the pool.
+block holds FILL * (k + 1 if exclude else k) points, found by a walk from a
+level set by the pool's size and spread; a row that fails its bound retries
+one level coarser. The coarsest level is the full scan (every point is a
+candidate), which is also taken wherever a block would hold more than
+FULL_SCAN_SHARE of the pool.
 The re-rank sorts each row on distance alone, and on (distance, index) only
 where an exact tie among its first k + 1 distances could make the two differ.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -157,28 +159,45 @@ def _ragged_arange(starts, lengths):
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
+def _start_level(pool, need):
+    """The level nearest the one whose block holds need points about a
+    typical point of the pool, were its density that of a Gaussian with the
+    pool's spread: the two largest eigenvalues l1, l2 of the unit vectors'
+    covariance give a peak density N / (2 pi sqrt(l1 l2)), a typical point
+    sees half of it, and a block's section of the sphere is about 9 s**2.
+    Clamped to [0, FINEST_LEVEL]; a pool with no spread (coincident points)
+    starts finest."""
+    l2, l1 = np.linalg.eigvalsh(np.cov(pool, rowvar=False))[1:]
+    spread = math.sqrt(max(l1, 0.0) * max(l2, 0.0))
+    if spread == 0.0:
+        return FINEST_LEVEL
+    level = round(0.5 * math.log2(9.0 * pool.shape[0] / (need * 4.0 * math.pi * spread)))
+    return min(max(level, 0), FINEST_LEVEL)
+
+
 def _first_levels(grids, targets, need):
     """Each target's finest level in [0, FINEST_LEVEL] whose block holds at
     least need points, or -1 (the full scan). Block counts nest across
     levels (a block lies inside its coarser level's block), so a walk from
-    the middle level finds it: a row whose block holds need points goes finer
-    until it does not, any other goes coarser until it does."""
+    any level finds it: a row whose block holds need points goes finer until
+    it does not, any other goes coarser until it does. The walk starts at
+    _start_level of the pool, where most rows need one or two probes."""
 
     def holds(level, rows):
         cell_of, _, lengths = grids[level].blocks(targets[rows])
         return np.sum(lengths, axis=-1)[cell_of] >= need
 
-    middle = FINEST_LEVEL // 2
+    start = _start_level(grids.pool, need)
     first = np.full(targets.shape[0], -1)
-    held = holds(middle, np.arange(targets.shape[0]))
+    held = holds(start, np.arange(targets.shape[0]))
     finer, coarser = np.flatnonzero(held), np.flatnonzero(~held)
-    first[finer] = middle
-    for level in range(middle + 1, FINEST_LEVEL + 1):
+    first[finer] = start
+    for level in range(start + 1, FINEST_LEVEL + 1):
         if not finer.shape[0]:
             break
         finer = finer[holds(level, finer)]
         first[finer] = level
-    for level in range(middle - 1, -1, -1):
+    for level in range(start - 1, -1, -1):
         if not coarser.shape[0]:
             break
         held = holds(level, coarser)

@@ -34,6 +34,8 @@ class RealizedWeightMap:
 
     n_recompute counts the weight recomputations at a corrected bandwidth:
     1, or 0 when the raw weights underflowed and h_eff could not be formed.
+    weights is None in a narrow fit's result (see engine.FitResult), and
+    n_eff_final, which reads them, raises ValueError there.
     """
 
     h_eff: float
@@ -49,6 +51,8 @@ class RealizedWeightMap:
 
     @property
     def n_eff_final(self):
+        if self.weights is None:
+            raise ValueError("n_eff_final requires weights, which a narrow fit (wide=False) drops")
         return ess(self.weights)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -622,9 +623,10 @@ def test_predict_fits_only_the_training_rows_its_correction_reads(tmp_path, monk
     fitted = []
     fit_rows = gimbal.cli.fit_rows
 
-    def spied(dataset, config, rows, threads=1):
+    def spied(dataset, config, rows, threads=1, wide=True):
         fitted.append(np.array(rows))
-        return fit_rows(dataset, config, rows, threads)
+        assert not wide
+        return fit_rows(dataset, config, rows, threads, wide)
 
     monkeypatch.setattr(gimbal.cli, "fit_rows", spied)
     rc = main(["predict", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
@@ -745,3 +747,26 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_coincident_points_are_ill_posed_and_phi_iso_without_a_warning(tmp_path):
+    # 120 of 200 points at one spot, K=30: each of those rows has only
+    # coincident neighbors, so its distance column is zero (a singular
+    # design) and its bearings are undefined
+    rng = np.random.default_rng(3)
+    lat = np.concatenate([np.full(120, 35.0), 35.0 + rng.uniform(-0.2, 0.2, 80)])
+    lon = np.concatenate([np.full(120, 135.0), 135.0 + rng.uniform(-0.2, 0.2, 80)])
+    x, y = rng.normal(size=200), rng.normal(size=200)
+    write_csv(tmp_path / "spot.csv", np.column_stack([lat, lon, x, y]).tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_all(Dataset(lat=lat, lon=lon, x=x, y=y), GimbalConfig(k=30))
+        # main turns any exception, a warning raised as one included, into exit 3
+        rc = main(["fit", "--input", str(tmp_path / "spot.csv"), "--out-records", str(tmp_path / "r.csv"),
+                   "--out-summary", str(tmp_path / "s.json"), "--k", "30"])
+    assert rc == 0
+    assert branch_codes(result)[:120] == [frozenset({"ill_posed", "phi_iso"})] * 120
+    assert "ill_posed" not in set().union(*branch_codes(result)[120:])
+    with open(tmp_path / "r.csv", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [row["branch_codes"] for row in rows[:120]] == ["ill_posed;phi_iso"] * 120

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -347,6 +348,92 @@ def test_fit_rows_equal_their_rows_of_fit_all():
         with pytest.raises(ConfigurationError, match="rows must"):
             fit_rows(ds, cfg, bad)
     assert len(fit_rows(ds, cfg, [])) == 0
+
+
+# the K-wide fields a narrow result (wide=False) leaves None
+WIDE_ONLY = ("neighborhood.distances", "weight_map.weights", "fit.residuals")
+
+
+def leaves(result, path=""):
+    """(dotted field path, value) of every array or None of a nested result."""
+    if not dataclasses.is_dataclass(result):
+        return [(path, result)]
+    return [leaf for f in dataclasses.fields(result)
+            for leaf in leaves(getattr(result, f.name), f"{path}.{f.name}".lstrip("."))]
+
+
+def assert_narrow_of(narrow, full):
+    """narrow holds None at WIDE_ONLY, every other column of full bitwise,
+    and no K-wide array but the member rows (a table's (C, K) or a row's
+    (K,))."""
+    k = full.neighborhood.member_indices.shape[-1]
+    narrow_leaves, full_leaves = leaves(narrow), dict(leaves(full))
+    assert [path for path, _ in narrow_leaves] == list(full_leaves)
+    for path, column in narrow_leaves:
+        if path in WIDE_ONLY:
+            assert column is None and full_leaves[path] is not None, path
+            continue
+        expect = full_leaves[path]
+        assert column.dtype == expect.dtype and column.shape == expect.shape, path
+        assert column.tobytes() == expect.tobytes(), path
+        assert column.shape[-1:] != (k,) or path == "neighborhood.member_indices", path
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_narrow_results_equal_the_full_ones_without_the_k_wide_columns(threads):
+    ds = small_dataset(seed=9, n=CHUNK_TARGETS + 35)
+    configs = VARIANT_SETS["e73"] + VARIANT_SETS["solve_keys"][:2]
+    cfg = configs[0]
+    for narrow, full in zip(fit_variants(ds, configs, threads, wide=False), fit_variants(ds, configs, threads)):
+        assert_narrow_of(narrow, full)
+    assert_narrow_of(fit_all(ds, cfg, threads, wide=False), fit_all(ds, cfg, threads))
+    rows = np.array([ds.n - 1, 3, 3, CHUNK_TARGETS, 0])
+    assert_narrow_of(fit_rows(ds, cfg, rows, threads, wide=False), fit_rows(ds, cfg, rows, threads))
+    test = small_dataset(seed=10, n=CHUNK_TARGETS + 5)
+    (preds, narrow), (full_preds, full) = (predict(ds, cfg, test.lat, test.lon, test.x, threads, wide=wide)
+                                           for wide in (False, True))
+    assert preds.tobytes() == full_preds.tobytes()
+    assert_narrow_of(narrow, full)
+    # a row of a narrow result is narrow too
+    row = fit_all(ds, cfg, wide=False).record(CHUNK_TARGETS)
+    assert_narrow_of(row, fit_location(ds, cfg, CHUNK_TARGETS))
+    # the ESS of the final weights needs them (ess(None) would be NaN)
+    for result in (narrow, row):
+        with pytest.raises(ValueError, match="n_eff_final requires weights"):
+            result.weight_map.n_eff_final
+
+
+def test_narrow_fit_allocates_less_by_the_columns_it_drops(monkeypatch):
+    ds, _ = generate(SimSpec(n=2000, seed=3))
+    cfg = GimbalConfig(k=50)
+    query = gimbal.engine.knn
+
+    def knn_then_reset_peak(*args):
+        # the query's own transients are the same either way; the peak of
+        # the chunks that follow is the one that differs
+        out = query(*args)
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(gimbal.engine, "knn", knn_then_reset_peak)
+
+    def traced(wide):
+        tracemalloc.start()
+        try:
+            result = fit_all(ds, cfg, wide=wide)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced(False)  # first-call caches
+    full, full_peak = traced(True)
+    narrow, narrow_peak = traced(False)
+    # the weights and residuals are never allocated as result columns
+    # (2 x 2000 x 50 x 8 bytes); the distances are the query's own, held
+    # through the chunks either way and only dropped from the result
+    assert full_peak - narrow_peak >= full.weight_map.weights.nbytes + full.fit.residuals.nbytes
+    held = [sum(column.nbytes for column in gimbal.engine._columns(result)) for result in (full, narrow)]
+    assert held[0] - held[1] == sum(dict(leaves(full))[path].nbytes for path in WIDE_ONLY)
 
 
 def test_fit_longitude_shift_invariance():

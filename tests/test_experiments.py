@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gimbal.engine import GimbalConfig, fit_all
-from gimbal.experiments import summarize, weight_diff
+from gimbal.experiments import run_experiment, summarize, weight_diff
 from gimbal.simgen import SimSpec, generate
 
 
@@ -110,8 +110,27 @@ def test_weight_diff_rejects_mismatched_neighborhoods():
         weight_diff(recs_a, recs_a.take(slice(0, -1)))
 
 
+def test_weight_diff_names_missing_weights():
+    recs = records_for(BASE_SPEC, BASE_CFG)
+    ds, _ = generate(BASE_SPEC)
+    narrow = fit_all(ds, BASE_CFG, wide=False)
+    with pytest.raises(ValueError, match="requires weight_map.weights, which result_b does not hold"):
+        weight_diff(recs, narrow)
+    with pytest.raises(ValueError, match="requires weight_map.weights, which result_a does not hold"):
+        weight_diff(narrow, recs)
+
+
+@pytest.mark.parametrize("exp_id, wide", [("e71", False), ("e72", True), ("e73", False), ("e74", True)])
+def test_experiment_records_keep_weights_only_where_weight_diff_reads_them(exp_id, wide):
+    _, records = run_experiment(exp_id, base_seed=2)
+    for result in records.values():
+        assert (result.weight_map.weights is not None) == wide
+        assert (result.fit.residuals is not None) == wide
+        assert (result.neighborhood.distances is not None) == wide
+        assert result.neighborhood.member_indices is not None
+
+
 def test_run_experiment_rejects_unknown_id():
-    from gimbal.experiments import run_experiment
 
     with pytest.raises(ValueError):
         run_experiment("e99")

@@ -573,6 +573,60 @@ def test_first_levels_are_the_finest_that_hold_need(points):
                               brute_first_levels(pool, targets, need)), need
 
 
+@pytest.mark.parametrize("points", [cluster_points, lattice_points, pole_points])
+def test_first_levels_walk_finds_them_from_every_start_level(monkeypatch, points):
+    rng = np.random.default_rng(27)
+    pool = unit_vectors(*points(rng))
+    targets = np.concatenate([pool[::11], unit_vectors(*random_cloud(rng, 20, spread=30.0))])
+    for need in (3, 150):
+        expect = brute_first_levels(pool, targets, need)
+        for start in range(neighborhood.FINEST_LEVEL + 1):
+            monkeypatch.setattr(neighborhood, "_start_level", lambda pool, need: start)
+            grids = neighborhood._Grids(pool)
+            assert np.array_equal(neighborhood._first_levels(grids, targets, need), expect), (need, start)
+
+
+def walk_probes(monkeypatch, pool, need, start=None):
+    """Rows probed by _Grid.blocks while _first_levels walks every point of
+    pool, from start if given, else from _start_level."""
+    probes = []
+    blocks = neighborhood._Grid.blocks
+
+    def counted(grid, points):
+        probes.append(points.shape[0])
+        return blocks(grid, points)
+
+    with monkeypatch.context() as m:
+        m.setattr(neighborhood._Grid, "blocks", counted)
+        if start is not None:
+            m.setattr(neighborhood, "_start_level", lambda pool, need: start)
+        neighborhood._first_levels(neighborhood._Grids(pool), pool, need)
+    return sum(probes)
+
+
+@pytest.mark.parametrize("spec, per_row", [
+    (SimSpec(n=4800, seed=1), 2.0),  # 19 029 probes from the middle level
+    (SimSpec(n=4800, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1), 2.2),  # 12 166
+])
+def test_walk_from_the_start_level_takes_about_two_probes_a_row(monkeypatch, spec, per_row):
+    ds, _ = generate(spec)
+    need = neighborhood.FILL * 50
+    assert walk_probes(monkeypatch, unit_vectors(ds.lat, ds.lon), need) <= per_row * ds.n
+
+
+def test_start_level_follows_the_pool_spread(monkeypatch):
+    need = neighborhood.FILL * 10
+    # coincident points: every block holds them all, down to the finest level
+    assert neighborhood._start_level(np.tile([[0.6, 0.0, 0.8]], (200, 1)), need) == neighborhood.FINEST_LEVEL
+    # on a pool of one scale the walk from it probes fewer rows than one from
+    # the middle level (a pool of mixed scales has no typical level)
+    rng = np.random.default_rng(5)
+    for pool in (unit_vectors(*sphere_points(rng, 2000)), unit_vectors(*random_cloud(rng, 2000, 0.01)),
+                 unit_vectors(*random_cloud(rng, 2000, 2.0))):
+        middle = walk_probes(monkeypatch, pool, need, neighborhood.FINEST_LEVEL // 2)
+        assert walk_probes(monkeypatch, pool, need) < middle
+
+
 def test_only_rows_tied_among_their_first_k_plus_one_take_the_lexsort(monkeypatch):
     steps = np.arange(-20, 21) * 0.001
     lats, lons = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
