@@ -36,7 +36,7 @@ from .diagnostics import (
     DEFAULT_K_MORAN,
     DEFAULT_KAPPA_QUANTILE,
     DEFAULT_NEFF_FLOOR,
-    local_moran_of_rows,
+    local_moran,
     moran_adjacency,
     reliability_mask,
 )
@@ -279,8 +279,7 @@ def _moran_over_records(result, k_moran, adjacencies=None):
     if key not in adjacencies:
         adjacencies[key] = moran_adjacency(finite, result.lat, result.lon, members, k_moran)
     # zero residual variance leaves the statistic undefined: all zeros
-    values, _ = local_moran_of_rows(residuals, result.lat, result.lon, members, k_moran,
-                                    adjacencies[key])
+    values, _ = local_moran(residuals, adjacencies[key])
     return values
 
 

@@ -5,16 +5,19 @@ depends on the regression weights, so they measure remaining spatial
 structure rather than echoing the weighting scheme. Values are reported raw
 and are not bounded to [-1, 1] under this convention.
 
-local_moran finds the adjacency with its own KNN query. local_moran_of_rows
-reads it off neighbor rows already at hand (a fit's K-nearest rows): drop
-the target itself and every point without a finite residual from the row,
-then take the first k_moran points left. Any point outside the row is
-farther, or equally far with a larger index, so these are exactly the
-k_moran nearest finite points that the query would return, and the values
-agree bitwise. Only rows left with fewer than k_moran points are queried.
-That adjacency is moran_adjacency; it depends on the rows, the set of finite
+Local Moran is two steps. moran_adjacency gives each point with a finite
+residual its k_moran nearest other such points, read off neighbor rows
+already at hand (a fit's K-nearest rows): drop the target itself and every
+point without a finite residual from the row, then take the first k_moran
+points left. Any point outside the row is farther, or equally far with a
+larger index, so these are exactly the k_moran nearest finite points other
+than the target. Only rows left with fewer than k_moran points are queried,
+for their k_moran + 1 nearest finite points less the target; where
+coincident points of smaller index push the target itself out of that row,
+less its last point. The adjacency depends on the rows, the set of finite
 residuals and k_moran only, so residual columns that share all three (the
-variants of an experiment) can share one.
+variants of an experiment) can share one. local_moran is the LISA step over
+an adjacency.
 """
 
 from __future__ import annotations
@@ -32,43 +35,20 @@ DEFAULT_KAPPA_QUANTILE = 0.95
 DEFAULT_NEFF_FLOOR = 0.0
 
 
-def _standardized(residuals):
-    """Residuals minus their mean over their standard deviation, or None when
-    that deviation is zero."""
-    std = float(np.std(residuals))
-    if std == 0.0:
-        return None
-    return (residuals - np.mean(residuals)) / std
-
-
-def _lisa(z, adjacency):
-    """Local Moran's I of each row of z: z_i times the mean z of its (n, k) adjacency row."""
-    return z * np.mean(z[adjacency], axis=-1)
-
-
-def local_moran(residuals, lats, lons, k_moran=DEFAULT_K_MORAN):
-    """Local Moran's I of standardized residuals under KNN adjacency.
-
-    Returns (values, defined). With zero residual variance the statistic is
-    undefined; all values are 0 and defined is False.
-    """
-    residuals = np.asarray(residuals, dtype=np.float64)
-    n = residuals.shape[0]
-    z = _standardized(residuals)
-    if z is None:
-        return np.zeros(n), False
-    members, _ = knn(lats, lons, lats, lons, k_moran, exclude=np.arange(n))
-    return _lisa(z, members), True
-
-
 def moran_adjacency(finite, lats, lons, members, k_moran=DEFAULT_K_MORAN):
-    """The adjacency step of local_moran_of_rows: each point where the (n,)
-    mask finite holds gets its k_moran nearest other such points, read off
-    its row of members (see the module docstring), as positions in
-    np.flatnonzero(finite). Returns an (n_finite, k_moran) array."""
-    if k_moran < 1:
-        raise ConfigurationError(f"k_moran must be >= 1, got {k_moran}")
+    """Each point where the (n,) mask finite holds gets its k_moran nearest
+    other such points in ascending (distance, index) order, as positions in
+    np.flatnonzero(finite): an (n_finite, k_moran) array.
+
+    members[i] holds point i's nearest points of the same table in ascending
+    (distance, index) order, as fit_all(...).neighborhood.member_indices
+    does, in any number of columns; the adjacency is read off them where
+    they suffice (see the module docstring).
+    """
     subset = np.flatnonzero(finite)
+    if not 1 <= k_moran < subset.size:
+        raise ConfigurationError(f"k_moran={k_moran} outside the eligible range "
+                                 f"[1, {subset.size - 1}]: {subset.size} points are finite")
     # each point's position in the finite subset, -1 for the others
     position = np.full(finite.shape[0], -1)
     position[subset] = np.arange(subset.size)
@@ -85,34 +65,33 @@ def moran_adjacency(finite, lats, lons, members, k_moran=DEFAULT_K_MORAN):
     short = np.flatnonzero(short)
     if short.size:
         lats, lons = np.asarray(lats)[subset], np.asarray(lons)[subset]
-        adjacency[short], _ = knn(lats, lons, lats[short], lons[short], k_moran, exclude=short)
+        near, _ = knn(lats, lons, lats[short], lons[short], k_moran + 1)
+        # drop the row's own point, or its last one where coincident points
+        # of smaller index leave the own point out
+        own = near == short[:, None]
+        own[~own.any(axis=-1), -1] = True
+        adjacency[short] = near[~own].reshape(short.size, k_moran)
     return adjacency
 
 
-def local_moran_of_rows(residuals, lats, lons, members, k_moran=DEFAULT_K_MORAN, adjacency=None):
-    """local_moran over the points with a finite residual, its adjacency read
-    off neighbor rows (see the module docstring).
+def local_moran(residuals, adjacency):
+    """Local Moran's I of the standardized finite residuals under the
+    row-standardized adjacency moran_adjacency(np.isfinite(residuals), ...).
 
-    members[i] holds point i's nearest points of the same table in ascending
-    (distance, index) order, as fit_all(...).neighborhood.member_indices does.
-    adjacency, if given, must be moran_adjacency(np.isfinite(residuals), lats,
-    lons, members, k_moran), which a caller holds already; it is computed
-    here otherwise, and only when the statistic is defined. Returns (values,
-    defined); values are NaN where the residual is not finite and equal
-    local_moran on the finite points elsewhere.
+    Returns (values, defined); values are NaN where the residual is not
+    finite. With zero variance among the finite residuals the statistic is
+    undefined: values there are 0 and defined is False.
     """
-    if k_moran < 1:
-        raise ConfigurationError(f"k_moran must be >= 1, got {k_moran}")
     residuals = np.asarray(residuals, dtype=np.float64)
     finite = np.isfinite(residuals)
     values = np.full(residuals.shape[0], math.nan)
-    z = _standardized(residuals[finite])
-    if z is None:
+    r = residuals[finite]
+    std = float(np.std(r))
+    if std == 0.0:
         values[finite] = 0.0
         return values, False
-    if adjacency is None:
-        adjacency = moran_adjacency(finite, lats, lons, members, k_moran)
-    values[finite] = _lisa(z, adjacency)
+    z = (r - np.mean(r)) / std
+    values[finite] = z * np.mean(z[adjacency], axis=-1)
     return values, True
 
 

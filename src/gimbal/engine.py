@@ -128,6 +128,9 @@ class GimbalConfig:
         for name in ("h", "n0", "u"):
             if getattr(self, name) == 0:
                 raise ConfigurationError(f"{name} must be positive")
+        # the weight metric's scale 1 / h**2
+        if self.h * self.h == 0.0 or math.isinf(1.0 / (self.h * self.h)):
+            raise ConfigurationError(f"h must have a finite 1 / h**2, got {self.h}")
         if self.eta_max < 1:
             raise ConfigurationError("eta_max must be >= 1")
         for name, allowed in _MODES.items():

@@ -15,11 +15,10 @@ the row's clearance (always >= s), bounds every outside point's key by
 clears that bound cannot miss a point the full scan would gather, and it is
 answered by the same gather and re-rank as the full scan: members and
 distances agree bit for bit. Each target starts at the finest level whose
-block holds FILL * (k + 1 if exclude else k) points, found by a walk from a
-level set by the pool's size and spread; a row that fails its bound retries
-one level coarser. The coarsest level is the full scan (every point is a
-candidate), which is also taken wherever a block would hold more than
-FULL_SCAN_SHARE of the pool.
+block holds FILL * k points, found by a walk from a level set by the pool's
+size and spread; a row that fails its bound retries one level coarser. The
+coarsest level is the full scan (every point is a candidate), which is also
+taken wherever a block would hold more than FULL_SCAN_SHARE of the pool.
 The re-rank sorts each row on distance alone, and on (distance, index) only
 where an exact tie among its first k + 1 distances could make the two differ.
 """
@@ -108,13 +107,6 @@ class _Grid:
     def coords(self):
         """The x, y and z columns of the unit vectors, in the sorted order."""
         return [np.ascontiguousarray(self._pool[self.order, axis]) for axis in range(3)]
-
-    @cached_property
-    def position(self):
-        """Each point's position in the sorted order."""
-        position = np.empty_like(self.order)
-        position[self.order] = np.arange(self.order.shape[0])
-        return position
 
     def cells(self, points):
         """The cell key of each (..., 3) point."""
@@ -206,14 +198,14 @@ def _first_levels(grids, targets, need):
     return first
 
 
-def _key_blocks(grids, level, pool, targets, rows, exclude):
+def _key_blocks(grids, level, pool, targets, rows):
     """The cosine keys of rows at level (-1: the full scan), in blocks of at
     most BLOCK_DISTANCES keys: yields (block rows, keys, positions, grid).
 
     A grid row's key columns are its block's points, padded to the widest
     row: positions holds each column's place in grid.order. A full-scan
     row's columns are the whole pool in index order (positions and grid
-    None). A padding column and the excluded point have key -inf. A row
+    None). A padding column has key -inf. A row
     whose block holds more than FULL_SCAN_SHARE of the pool is given the
     full scan instead."""
     n = pool.shape[0]
@@ -241,45 +233,38 @@ def _key_blocks(grids, level, pool, targets, rows, exclude):
             t = targets[block]
             cos = xs[positions] * t[:, 0:1] + ys[positions] * t[:, 1:2] + zs[positions] * t[:, 2:3]
             cos[~filled] = -np.inf
-            if exclude is not None:
-                cos[positions == grid.position[exclude[block]][:, None]] = -np.inf
             yield block, cos, positions, grid
     step = max(1, BLOCK_DISTANCES // n)
     for start in range(0, full.shape[0], step):
         block = full[start:start + step]
         cos = targets[block] @ pool.T
-        if exclude is not None:
-            cos[np.arange(block.shape[0]), exclude[block]] = -np.inf
         yield block, cos, None, None
 
 
-def knn(lats, lons, target_lats, target_lons, k, exclude=None):
+def knn(lats, lons, target_lats, target_lons, k):
     """The k nearest points to each target by haversine distance.
 
     Returns (members, distances), (C, K) arrays in ascending (distance, index)
-    order. exclude[i], when given, is removed from target i's candidate pool.
-    Each row ranks its candidates (the points of its grid block, or every
-    point) by the cosine of their central angle, gathers every candidate
-    whose cosine is within MARGIN of the k-th largest (boundary ties and
-    near-ties included), and sorts only those on (haversine distance, index).
+    order. Each row ranks its candidates (the points of its grid block, or
+    every point) by the cosine of their central angle, gathers every
+    candidate whose cosine is within MARGIN of the k-th largest (boundary ties
+    and near-ties included), and sorts only those on (haversine distance,
+    index).
     A grid row whose k-th cosine does not clear its own block's bound (set
     by its clearance) retries one level coarser.
     """
     lats, lons, target_lats, target_lons = (
         np.asarray(a, dtype=np.float64) for a in (lats, lons, target_lats, target_lons))
     n = lats.shape[0]
-    eligible = n - (exclude is not None)
-    if k < 1 or k > eligible:
-        raise ConfigurationError(f"K={k} outside the eligible range [1, {eligible}]")
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=np.intp)
+    if k < 1 or k > n:
+        raise ConfigurationError(f"K={k} outside the eligible range [1, {n}]")
 
     pool = unit_vectors(lats, lons)
     targets = unit_vectors(target_lats, target_lons)
     members = np.empty((targets.shape[0], k), dtype=np.intp)
     distances = np.empty(members.shape, dtype=np.float64)
     grids = _Grids(pool)
-    need = FILL * (k + (exclude is not None))
+    need = FILL * k
     if need > FULL_SCAN_SHARE * n:
         level = np.full(targets.shape[0], -1)
     else:
@@ -289,7 +274,7 @@ def knn(lats, lons, target_lats, target_lons, k, exclude=None):
         retry = []
         for lv in np.unique(level[rows])[::-1]:
             for block, cos, positions, grid in _key_blocks(
-                    grids, lv, pool, targets, rows[level[rows] == lv], exclude):
+                    grids, lv, pool, targets, rows[level[rows] == lv]):
                 w = cos.shape[1]
                 kth = np.partition(cos, w - k, axis=-1)[:, w - k:w - k + 1]
                 if grid is not None:

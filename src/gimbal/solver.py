@@ -77,12 +77,22 @@ def _weighted_gram(columns, scale):
     return out
 
 
+def _eigvals(m):
+    """Ascending eigenvalues of each symmetric (..., p, p) matrix; NaN for a
+    matrix that is not finite (an overflowed product or NaN weights), which
+    the eigensolver cannot take: it sees the identity in its place."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    evals = np.linalg.eigvalsh(np.where(finite[..., None, None], m, np.eye(m.shape[-1])))
+    return np.where(finite[..., None], evals, np.nan)
+
+
 def _normal_matrix(cols, scale):
     """The normal matrix M = X^T (I + 2 gamma W) X of each row (scale is
     1 + 2 gamma w), its smallest and largest eigenvalues, and whether the
-    row is well posed: (m_nor, lam_min, lam_max, well_posed)."""
+    row is well posed: (m_nor, lam_min, lam_max, well_posed). A row whose
+    matrix is not finite has NaN eigenvalues and is ill-posed."""
     m_nor = _weighted_gram(cols, scale)
-    evals = np.linalg.eigvalsh(m_nor)
+    evals = _eigvals(m_nor)
     lam_min = evals[..., 0]
     lam_max = evals[..., -1]
     well_posed = (lam_max > 0.0) & (lam_min > SINGULARITY_RTOL * lam_max)
@@ -136,19 +146,9 @@ def operator_norm_bound(X, weights, gamma):
     cols = _design_columns(X)
     scale = 1.0 + 2.0 * gamma * np.asarray(weights, dtype=np.float64)
     _, lam_min, _, well_posed = _normal_matrix(cols, scale)
-    b_norm = np.sqrt(np.linalg.eigvalsh(_weighted_gram(cols, scale * scale))[..., -1])
+    b_norm = np.sqrt(_eigvals(_weighted_gram(cols, scale * scale))[..., -1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(well_posed, b_norm / lam_min, np.nan)
-
-
-def local_fit_summaries(X, y, beta):
-    """Unweighted (rmse, r2, r2_defined, residuals) over the neighborhood rows;
-    X is a design array or a tuple of its columns.
-
-    R^2 is undefined for a constant response: it is reported as 0 with
-    r2_defined False.
-    """
-    return _summaries(_design_columns(X), np.asarray(y, dtype=np.float64), np.asarray(beta))
 
 
 def _summaries(cols, y, beta):

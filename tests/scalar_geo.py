@@ -2,6 +2,9 @@
 
 The package computes distances and displacements on arrays (``gimbal.geo``);
 these plain-math versions check it and serve as brute-force oracles.
+nearest_others, the neighbor oracle of local Moran, sorts whole rows of the
+package's own haversine distances instead, so that it orders exact ties as
+the package sees them.
 """
 
 from __future__ import annotations
@@ -9,7 +12,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from gimbal.geo import EARTH_RADIUS_M
+import numpy as np
+
+from gimbal.geo import EARTH_RADIUS_M, haversine_to_all
 
 _DEG = math.pi / 180.0
 
@@ -71,3 +76,16 @@ def meters_to_geo(origin, delta):
     lat = lat0 + north / EARTH_RADIUS_M / _DEG
     lon = lon0 + east / (EARTH_RADIUS_M * math.cos(lat0 * _DEG)) / _DEG
     return GeoPoint(lat, lon)
+
+
+def nearest_others(lats, lons, rows, k):
+    """The k nearest points other than each point of rows, by a full sort of
+    its haversine distances to every point with ties broken by index:
+    (len(rows), k) indices."""
+    lats, lons = np.asarray(lats, dtype=np.float64), np.asarray(lons, dtype=np.float64)
+    index = np.arange(lats.shape[0])
+    out = []
+    for i in rows:
+        order = np.lexsort((index, haversine_to_all(lats, lons, lats[i], lons[i])))
+        out.append(order[order != i][:k])
+    return np.array(out, dtype=np.intp).reshape(len(out), k)

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gimbal.cli
 import gimbal.diagnostics
+from scalar_geo import nearest_others
 from gimbal.cli import _annotate_and_write, _moran_over_records
-from gimbal.diagnostics import local_moran, local_moran_of_rows, moran_adjacency, reliability_mask
+from gimbal.diagnostics import local_moran, moran_adjacency, reliability_mask
 from gimbal.engine import CHUNK_TARGETS, Dataset, GimbalConfig, fit_all, fit_variants
-from gimbal.neighborhood import ConfigurationError
+from gimbal.neighborhood import ConfigurationError, knn
 from gimbal.simgen import SimSpec, generate
 
 
@@ -18,9 +20,17 @@ def line_points(n, spacing=0.01):
     return lats, lons
 
 
+def moran(residuals, lats, lons, k_moran=8):
+    """local_moran of finite residuals over moran_adjacency of rows that hold
+    only the point itself: every row is short, so one query gives it all."""
+    n = len(residuals)
+    adjacency = moran_adjacency(np.ones(n, dtype=bool), lats, lons, np.arange(n)[:, None], k_moran)
+    return local_moran(residuals, adjacency)
+
+
 def test_constant_residuals_flagged_undefined():
     lats, lons = line_points(6)
-    values, defined = local_moran(np.full(6, 2.5), lats, lons, k_moran=2)
+    values, defined = moran(np.full(6, 2.5), lats, lons, k_moran=2)
     assert not defined
     assert np.all(values == 0.0)
 
@@ -29,7 +39,7 @@ def test_checkerboard_line_negative_interior():
     # alternating residuals on a line, k=2 adjacent neighbors
     lats, lons = line_points(6)
     residuals = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    values, defined = local_moran(residuals, lats, lons, k_moran=2)
+    values, defined = moran(residuals, lats, lons, k_moran=2)
     assert defined
     # interior points: both neighbors carry the opposite sign -> I < 0
     for i in range(1, 5):
@@ -45,7 +55,7 @@ def test_random_residuals_mean_near_zero():
     lats = rng.uniform(34.5, 35.5, n)
     lons = rng.uniform(134.5, 135.5, n)
     residuals = rng.normal(0, 1, n)
-    values, defined = local_moran(residuals, lats, lons, k_moran=8)
+    values, defined = moran(residuals, lats, lons, k_moran=8)
     assert defined
     # permutation baseline: mean I has standard error ~ 1/sqrt(n * k)
     se = 1.0 / np.sqrt(n * 8)
@@ -58,8 +68,8 @@ def test_affine_invariance():
     lats = rng.uniform(34.8, 35.2, n)
     lons = rng.uniform(134.8, 135.2, n)
     residuals = rng.normal(0, 2, n)
-    a, _ = local_moran(residuals, lats, lons)
-    b, _ = local_moran(5.0 * residuals - 3.0, lats, lons)
+    a, _ = moran(residuals, lats, lons)
+    b, _ = moran(5.0 * residuals - 3.0, lats, lons)
     assert np.allclose(a, b, atol=1e-9)
 
 
@@ -110,14 +120,19 @@ def test_mask_neff_floor_and_ill_posed():
     assert np.array_equal(reliability_mask(result, 1.0, 0.0), ill)
 
 
+def oracle_adjacency(finite, lats, lons, k_moran):
+    """moran_adjacency's reference: each finite point's k_moran nearest other
+    finite points by a full haversine sort (nearest_others), no knn."""
+    subset = np.flatnonzero(finite)
+    return nearest_others(lats[subset], lons[subset], range(subset.size), k_moran)
+
+
 def moran_on_finite(result, k_moran):
-    """The reference: local_moran, with its own KNN query, over the rows with
-    a finite residual; NaN elsewhere."""
+    """The reference: local_moran over oracle_adjacency of the rows with a
+    finite residual; NaN elsewhere."""
     residuals = result.residual_at_target
-    finite = np.isfinite(residuals)
-    values = np.full(len(result), np.nan)
-    values[finite], _ = local_moran(residuals[finite], result.lat[finite], result.lon[finite], k_moran)
-    return values
+    return local_moran(residuals, oracle_adjacency(np.isfinite(residuals), result.lat, result.lon,
+                                                   k_moran))[0]
 
 
 def cluster_fixture():
@@ -135,18 +150,18 @@ def cluster_fixture():
 @pytest.mark.parametrize("k", [10, 50])
 def test_moran_of_fit_rows_bitwise_equals_local_moran(k, monkeypatch):
     result = fit_all(cluster_fixture(), GimbalConfig(k=k))
-    knn = gimbal.diagnostics.knn
     queried = []
 
-    def counting_knn(lats, lons, target_lats, target_lons, k_moran, exclude=None):
-        queried.append(len(target_lats))
-        return knn(lats, lons, target_lats, target_lons, k_moran, exclude=exclude)
+    def counting_knn(lats, lons, target_lats, target_lons, k_query):
+        queried.append((len(target_lats), k_query))
+        return knn(lats, lons, target_lats, target_lons, k_query)
 
     monkeypatch.setattr(gimbal.diagnostics, "knn", counting_knn)
     values = _moran_over_records(result, 8)
     if k == 10:
         assert np.sum(~result.fit.well_posed) == 20
-        assert len(queried) == 1 and 0 < queried[0] < len(result)  # the short rows only
+        # the short rows only, for their k_moran + 1 nearest
+        assert len(queried) == 1 and 0 < queried[0][0] < len(result) and queried[0][1] == 9
     else:
         assert queried == []
     monkeypatch.undo()
@@ -171,25 +186,128 @@ def test_moran_of_fit_rows_needs_no_second_query(monkeypatch):
 
 @pytest.mark.parametrize("k_moran", [0, -1])
 def test_moran_of_rows_rejects_k_below_one(k_moran):
-    # as local_moran does, through its knn call
     result = records_fixture()
-    with pytest.raises(ConfigurationError):
-        local_moran(result.residual_at_target, result.lat, result.lon, k_moran)
-    with pytest.raises(ConfigurationError, match=f"k_moran must be >= 1, got {k_moran}"):
-        local_moran_of_rows(result.residual_at_target, result.lat, result.lon,
-                            result.neighborhood.member_indices, k_moran)
+    with pytest.raises(ConfigurationError, match=rf"k_moran={k_moran} outside the eligible range \[1, 119\]"):
+        moran_adjacency(np.isfinite(result.residual_at_target), result.lat, result.lon,
+                        result.neighborhood.member_indices, k_moran)
+
+
+def test_moran_adjacency_rejects_k_moran_of_n_finite_or_more(monkeypatch):
+    # 118 finite points: k_moran 117 is the largest; the error names k_moran
+    # and the finite count, not the K = k_moran + 1 of a neighbor query
+    result = records_fixture()
+    finite = np.isfinite(result.residual_at_target)
+    finite[[4, 90]] = False
+    args = (result.lat, result.lon, result.neighborhood.member_indices)
+    assert moran_adjacency(finite, *args, 117).shape == (118, 117)
+    monkeypatch.setattr(gimbal.diagnostics, "knn", None)
+    for k_moran in (118, 119, 500):
+        with pytest.raises(ConfigurationError, match=rf"k_moran={k_moran} outside the eligible "
+                                                     rf"range \[1, 117\]: 118 points are finite"):
+            moran_adjacency(finite, *args, k_moran)
 
 
 def test_moran_of_rows_with_its_adjacency_given_is_bitwise_equal():
-    # the adjacency step and the LISA step, run apart, give the joined values
+    # the adjacency step equals the brute-force one, and the LISA step over
+    # either gives the reference values
     result = fit_all(cluster_fixture(), GimbalConfig(k=10))
     residuals, members = result.residual_at_target, result.neighborhood.member_indices
-    adjacency = moran_adjacency(np.isfinite(residuals), result.lat, result.lon, members, 8)
-    assert adjacency.shape == (np.count_nonzero(np.isfinite(residuals)), 8)
-    joined = local_moran_of_rows(residuals, result.lat, result.lon, members, 8)[0]
-    apart = local_moran_of_rows(residuals, result.lat, result.lon, members, 8, adjacency)[0]
-    assert np.array_equal(apart.view(np.int64), joined.view(np.int64))
-    assert np.array_equal(joined.view(np.int64), moran_on_finite(result, 8).view(np.int64))
+    finite = np.isfinite(residuals)
+    adjacency = moran_adjacency(finite, result.lat, result.lon, members, 8)
+    assert adjacency.shape == (np.count_nonzero(finite), 8)
+    assert np.array_equal(adjacency, oracle_adjacency(finite, result.lat, result.lon, 8))
+    values, defined = local_moran(residuals, adjacency)
+    assert defined and np.array_equal(np.isnan(values), ~finite)
+    assert np.array_equal(values.view(np.int64), moran_on_finite(result, 8).view(np.int64))
+
+
+def coincident_field(rng, n, groups):
+    """n points spread over 0.5 degrees, with the points at each index array
+    of groups moved onto that group's first point."""
+    lats, lons = 35.0 + rng.uniform(0, 0.5, n), 135.0 + rng.uniform(0, 0.5, n)
+    for group in groups:
+        lats[group], lons[group] = lats[group[0]], lons[group[0]]
+    return lats, lons
+
+
+def spied_queries(monkeypatch):
+    """Each knn call moran_adjacency makes, as (k, targets' lats, members)."""
+    queries = []
+
+    def spy(lats, lons, target_lats, target_lons, k):
+        members, distances = knn(lats, lons, target_lats, target_lons, k)
+        queries.append((k, target_lats, members))
+        return members, distances
+
+    monkeypatch.setattr(gimbal.diagnostics, "knn", spy)
+    return queries
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_short_rows_drop_the_own_point_or_the_last_among_coincident_points(monkeypatch, k):
+    # a group of 3 coincident points keeps each one in its k_moran + 1 = 6
+    # nearest; in a group of 12, a point with six smaller indices there is
+    # pushed out of its own row, which drops its last point instead. Fit rows
+    # of K <= 3 are short for every point, and NaN residuals make positions
+    # in the finite subset differ from indices.
+    rng = np.random.default_rng(31)
+    order = rng.permutation(90)
+    lats, lons = coincident_field(rng, 90, [order[:3], np.sort(order[3:15])])
+    finite = np.ones(90, dtype=bool)
+    finite[order[15:21]] = False
+    members, _ = knn(lats, lons, lats, lons, k)
+    queries = spied_queries(monkeypatch)
+    adjacency = moran_adjacency(finite, lats, lons, members, 5)
+    assert [q[0] for q in queries] == [6] and queries[0][1].shape == (84,)
+    own = np.arange(84)[:, None] == queries[0][2]
+    assert own.any(axis=1).sum() == 84 - 6  # the six pushed out of the group of 12
+    assert np.array_equal(adjacency, oracle_adjacency(finite, lats, lons, 5))
+
+
+@pytest.mark.parametrize("spread", [1e-9, 1e-6])
+def test_short_rows_in_a_tight_cluster_among_global_points(monkeypatch, spread):
+    # a sub-millimetre (1e-9 deg) or ~0.1 m (1e-6 deg) cluster among points
+    # spread over the sphere, up to k_moran = n_finite - 1: cosine keys cannot
+    # order the cluster, and the far rows reach the antipodes
+    rng = np.random.default_rng(21)
+    cl_lats, cl_lons = 35.0 + rng.uniform(-spread / 2, spread / 2, (2, 40))
+    gl_lats = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 40)))
+    gl_lons = rng.uniform(-180.0, 180.0, 40)
+    order = rng.permutation(80)
+    lats = np.concatenate([cl_lats, gl_lats])[order]
+    lons = np.concatenate([cl_lons + 100.0, gl_lons])[order]
+    finite = np.ones(80, dtype=bool)
+    for k_moran in (1, 5, 39, 45, 79):
+        queries = spied_queries(monkeypatch)
+        adjacency = moran_adjacency(finite, lats, lons, np.arange(80)[:, None], k_moran)
+        assert len(queries) == 1
+        assert np.array_equal(adjacency, oracle_adjacency(finite, lats, lons, k_moran)), k_moran
+
+
+@st.composite
+def short_row_cases(draw):
+    """Few distinct points picked with repeats (coincident points), some not
+    finite, fit rows of K in [1, n] and k_moran in [1, n_finite - 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 10.0 ** draw(st.floats(-9.0, 1.0))
+    lats = 35.0 + rng.uniform(0, spread, draw(st.integers(1, 6)))
+    lons = 135.0 + rng.uniform(0, spread, lats.shape[0])
+    picks = np.array(draw(st.lists(st.integers(0, lats.shape[0] - 1), min_size=2, max_size=30)))
+    n = picks.shape[0]
+    finite = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    finite[draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))] = True
+    k = draw(st.integers(1, n))
+    k_moran = draw(st.integers(1, int(finite.sum()) - 1))
+    return lats[picks], lons[picks], finite, k, k_moran
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_row_cases())
+def test_property_moran_adjacency_matches_oracle_with_duplicates(case):
+    lats, lons, finite, k, k_moran = case
+    members, _ = knn(lats, lons, lats, lons, k)
+    assert np.array_equal(moran_adjacency(finite, lats, lons, members, k_moran),
+                          oracle_adjacency(finite, lats, lons, k_moran))
 
 
 def test_records_share_one_moran_adjacency_per_rows_and_finite_set(monkeypatch, tmp_path):

@@ -46,9 +46,13 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         GimbalConfig(theta_z_mode="maybe")
     for bad in (dict(k=50.5), dict(k=True), dict(u=math.inf), dict(u=math.nan), dict(n0=0.0),
-                dict(u=0.0), dict(n0=True), dict(u=False), dict(h="3000")):
+                dict(u=0.0), dict(n0=True), dict(u=False), dict(h="3000"),
+                # 1 / h**2, the weight metric's scale: h * h underflows to
+                # zero, or to a subnormal whose reciprocal overflows
+                dict(h=1e-300), dict(h=1e-160), dict(h=5e-324)):
         with pytest.raises(ConfigurationError):
             GimbalConfig(**bad)
+    assert GimbalConfig(h=1e-154).h == 1e-154
     assert GimbalConfig(k=np.int64(7)).k == 7
     assert GimbalConfig(u=None).u_scale == 3000.0
     assert GimbalConfig(u=1234.0).u_scale == 1234.0

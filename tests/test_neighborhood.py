@@ -3,36 +3,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gimbal.neighborhood as neighborhood
-from scalar_geo import haversine_distance
+from scalar_geo import haversine_distance, nearest_others
+from gimbal.diagnostics import moran_adjacency
 from gimbal.geo import haversine_to_all, unit_vectors
 from gimbal.neighborhood import BLOCK_DISTANCES, ConfigurationError, knn
 from gimbal.simgen import SimSpec, generate
 
 
-def scan_oracle(lats, lons, target, k, exclude=None):
+def scan_oracle(lats, lons, target, k):
     """Exhaustive (distance, index) sort, written independently of knn."""
     pairs = []
     for i in range(len(lats)):
-        if i == exclude:
-            continue
         pairs.append((haversine_distance(target, (lats[i], lons[i])), i))
     pairs.sort()
     return [i for _, i in pairs[:k]]
 
 
-def knn_one(lats, lons, target_lat, target_lon, k, exclude=None):
+def knn_one(lats, lons, target_lat, target_lon, k):
     """knn at one target, as (K,) members and distances."""
-    members, distances = knn(lats, lons, [target_lat], [target_lon], k,
-                             exclude=None if exclude is None else [exclude])
+    members, distances = knn(lats, lons, [target_lat], [target_lon], k)
     return members[0], distances[0]
 
 
-def assert_matches_oracle(lats, lons, target_lats, target_lons, k, exclude=None):
-    members, distances = knn(lats, lons, target_lats, target_lons, k, exclude=exclude)
+def assert_matches_oracle(lats, lons, target_lats, target_lons, k):
+    members, distances = knn(lats, lons, target_lats, target_lons, k)
     assert members.shape == distances.shape == (len(target_lats), k)
     for i, target in enumerate(zip(target_lats, target_lons)):
-        skip = None if exclude is None else exclude[i]
-        assert members[i].tolist() == scan_oracle(lats, lons, target, k, exclude=skip), i
+        assert members[i].tolist() == scan_oracle(lats, lons, target, k), i
         assert np.all(np.diff(distances[i]) >= 0)
     # the reported distances are the haversine distances of the members, bit for bit
     tlats, tlons = np.asarray(target_lats, float), np.asarray(target_lons, float)
@@ -101,19 +98,11 @@ def test_determinism_two_identical_calls():
     assert np.array_equal(a[1], b[1])
 
 
-def test_exclude_index_never_member():
-    rng = np.random.default_rng(11)
-    lats, lons = random_cloud(rng, 20)
-    members, _ = knn_one(lats, lons, lats[3], lons[3], 19, exclude=3)
-    assert 3 not in members
-    assert members.tolist() == scan_oracle(lats, lons, (lats[3], lons[3]), 19, exclude=3)
-
-
 def test_k_outside_eligible_range_raises():
     lats = np.array([35.0, 35.1])
     lons = np.array([135.0, 135.1])
-    with pytest.raises(ConfigurationError, match=r"K=2 outside the eligible range \[1, 1\]"):
-        knn_one(lats, lons, 35.0, 135.0, 2, exclude=0)
+    with pytest.raises(ConfigurationError, match=r"K=3 outside the eligible range \[1, 2\]"):
+        knn_one(lats, lons, 35.0, 135.0, 3)
     with pytest.raises(ConfigurationError):
         knn_one(lats, lons, 35.0, 135.0, 0)
 
@@ -149,15 +138,6 @@ def test_k_equals_n_full_order():
     assert_matches_oracle(lats, lons, lats[:10], lons[:10], 30)
 
 
-def test_exclude_with_k_equals_n_minus_one():
-    rng = np.random.default_rng(14)
-    lats, lons = random_cloud(rng, 25)
-    exclude = np.arange(25)
-    assert_matches_oracle(lats, lons, lats, lons, 24, exclude=exclude)
-    members, _ = knn(lats, lons, lats, lons, 24, exclude=exclude)
-    assert not np.any(members == exclude[:, None])
-
-
 def test_cloud_straddling_antimeridian():
     rng = np.random.default_rng(15)
     lons = rng.uniform(179.9, 180.1, 120)
@@ -182,8 +162,6 @@ def test_more_targets_than_one_block():
     targets = 3 * (BLOCK_DISTANCES // n) + 1
     tlats, tlons = random_cloud(rng, targets)
     assert_matches_oracle(lats, lons, tlats, tlons, 12)
-    exclude = rng.integers(0, n, targets)
-    assert_matches_oracle(lats, lons, tlats, tlons, 12, exclude=exclude)
 
 
 # ---- the cosine prefilter where cosines cannot order the points: clusters
@@ -197,14 +175,6 @@ def test_sub_millimetre_cluster():
         assert_matches_oracle(lats, lons, lats[::3], lons[::3], k)
 
 
-def test_sub_millimetre_cluster_with_exclude():
-    rng = np.random.default_rng(19)
-    lats, lons = random_cloud(rng, 60, spread=1e-9)
-    exclude = np.arange(60)
-    for k in (1, 7, 25, 59):
-        assert_matches_oracle(lats, lons, lats, lons, k, exclude=exclude)
-
-
 def test_antipodal_targets_on_the_sphere():
     rng = np.random.default_rng(20)
     lats, lons = sphere_points(rng, 80)
@@ -215,19 +185,6 @@ def test_antipodal_targets_on_the_sphere():
         assert_matches_oracle(lats, lons, tlats, tlons, k)
     members, _ = knn(lats, lons, tlats, tlons, 80)
     assert np.array_equal(members[:, -1], np.arange(80))
-    assert_matches_oracle(lats, lons, lats, lons, 79, exclude=np.arange(80))
-
-
-def test_tight_cluster_among_global_points_with_exclude():
-    rng = np.random.default_rng(21)
-    cl_lats, cl_lons = random_cloud(rng, 40, spread=1e-6)
-    gl_lats, gl_lons = sphere_points(rng, 40)
-    order = rng.permutation(80)
-    lats = np.concatenate([cl_lats, gl_lats])[order]
-    lons = np.concatenate([cl_lons, gl_lons])[order]
-    exclude = np.arange(80)
-    for k in (1, 5, 39, 45, 79):
-        assert_matches_oracle(lats, lons, lats, lons, k, exclude=exclude)
 
 
 @st.composite
@@ -240,16 +197,15 @@ def point_sets(draw):
     picks = np.array(draw(st.lists(st.integers(0, len(pool_lats) - 1), min_size=2, max_size=25)))
     n = picks.shape[0]
     targets = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
-    exclude = targets if draw(st.booleans()) else None
-    k = draw(st.integers(1, n - (exclude is not None)))
-    return pool_lats[picks], pool_lons[picks], targets, k, exclude
+    k = draw(st.integers(1, n))
+    return pool_lats[picks], pool_lons[picks], targets, k
 
 
 @settings(max_examples=150, deadline=None)
 @given(point_sets())
 def test_property_matches_oracle_with_duplicates(case):
-    lats, lons, targets, k, exclude = case
-    assert_matches_oracle(lats, lons, lats[targets], lons[targets], k, exclude=exclude)
+    lats, lons, targets, k = case
+    assert_matches_oracle(lats, lons, lats[targets], lons[targets], k)
 
 
 # ---- the cell grid: rows answered from a 3x3x3 block of cells agree bit for
@@ -262,8 +218,9 @@ def full_scan(monkeypatch, *args, **kwargs):
         return knn(*args, **kwargs)
 
 
-def grid_rows(monkeypatch, *args, **kwargs):
-    """knn, and a mask of the rows the grid answered (no full-scan block)."""
+def grid_answered(monkeypatch, query, n_targets):
+    """query()'s result, and a mask of the n_targets rows its knn call answered
+    on the grid (no full-scan block)."""
     scanned = []
     key_blocks = neighborhood._key_blocks
 
@@ -275,27 +232,35 @@ def grid_rows(monkeypatch, *args, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(neighborhood, "_key_blocks", spied)
-        members, distances = knn(*args, **kwargs)
-    answered = np.ones(members.shape[0], dtype=bool)
+        result = query()
+    answered = np.ones(n_targets, dtype=bool)
     for block in scanned:
         answered[block] = False
-    return members, distances, answered
+    return result, answered
 
 
-def assert_grid_matches(monkeypatch, lats, lons, target_lats, target_lons, k, exclude=None,
-                        oracle_rows=()):
+def assert_grid_matches(monkeypatch, lats, lons, target_lats, target_lons, k, oracle_rows=()):
     """knn equals the full scan bit for bit, and the oracle on oracle_rows;
     returns the mask of rows the grid answered."""
-    members, distances, answered = grid_rows(monkeypatch, lats, lons, target_lats, target_lons,
-                                             k, exclude=exclude)
-    full_members, full_distances = full_scan(monkeypatch, lats, lons, target_lats, target_lons,
-                                             k, exclude=exclude)
+    (members, distances), answered = grid_answered(
+        monkeypatch, lambda: knn(lats, lons, target_lats, target_lons, k), len(target_lats))
+    full_members, full_distances = full_scan(monkeypatch, lats, lons, target_lats, target_lons, k)
     assert np.array_equal(members, full_members)
     assert np.array_equal(distances, full_distances)
     for i in oracle_rows:
-        skip = None if exclude is None else exclude[i]
         target = (target_lats[i], target_lons[i])
-        assert members[i].tolist() == scan_oracle(lats, lons, target, k, exclude=skip), i
+        assert members[i].tolist() == scan_oracle(lats, lons, target, k), i
+    return answered
+
+
+def assert_moran_rows_match(monkeypatch, lats, lons, k_moran, oracle_rows):
+    """moran_adjacency of fit rows that hold only the point itself, so that
+    every row is short and one knn of k_moran + 1 answers all of them, equals
+    nearest_others on oracle_rows; returns the mask of rows the grid answered."""
+    n = len(lats)
+    adjacency, answered = grid_answered(monkeypatch, lambda: moran_adjacency(
+        np.ones(n, dtype=bool), lats, lons, np.arange(n)[:, None], k_moran), n)
+    assert np.array_equal(adjacency[oracle_rows], nearest_others(lats, lons, oracle_rows, k_moran))
     return answered
 
 
@@ -366,25 +331,21 @@ def test_grid_duplicates_straddling_a_boundary(monkeypatch):
         assert answered.any()
 
 
-def test_grid_with_exclude(monkeypatch):
+def test_grid_answers_moran_short_rows_among_duplicates(monkeypatch):
+    # 300 of 1800 points repeat another: a repeat's own point may be pushed
+    # out of its k_moran + 1 row
     rng = np.random.default_rng(25)
     lats, lons = random_cloud(rng, 1500, spread=2.0)
     picks = rng.integers(0, 1500, 300)
     lats, lons = np.concatenate([lats, lats[picks]]), np.concatenate([lons, lons[picks]])
-    n = lats.shape[0]
-    exclude = np.arange(n)
-    rows = np.arange(0, n, 9)
-    for k in (1, 8, 40):
-        answered = assert_grid_matches(monkeypatch, lats, lons, lats[rows], lons[rows], k,
-                                       exclude=exclude[rows], oracle_rows=range(0, rows.shape[0], 17))
+    rows = np.concatenate([np.arange(0, 1500, 29), np.arange(1500, 1800, 3)])
+    for k_moran in (1, 8, 40):
+        answered = assert_moran_rows_match(monkeypatch, lats, lons, k_moran, rows)
         assert answered.mean() > 0.9
-    # K = eligible: every block is too small, and every row is a full scan
+    # k_moran = n - 1: every block is too small, and every row is a full scan
     small = slice(0, 40)
-    _, _, answered = grid_rows(monkeypatch, lats[small], lons[small], lats[small], lons[small],
-                               39, exclude=exclude[small])
+    answered = assert_moran_rows_match(monkeypatch, lats[small], lons[small], 39, np.arange(40))
     assert not answered.any()
-    assert_matches_oracle(lats[small], lons[small], lats[small], lons[small], 39,
-                          exclude=exclude[small])
 
 
 def test_grid_widens_to_full_scan_for_antipodal_targets(monkeypatch):
@@ -404,14 +365,16 @@ def test_grid_widens_to_full_scan_for_antipodal_targets(monkeypatch):
         assert answered[far_lats.shape[0]:].mean() > 0.5
 
 
-@pytest.mark.parametrize("k, exclude", [(50, False), (8, True)])
-def test_grid_equals_full_scan_at_scale(monkeypatch, k, exclude):
-    # the fit_large data shape at N=19200, every 50th target
+@pytest.mark.parametrize("k, moran", [(50, False), (8, True)])
+def test_grid_equals_full_scan_at_scale(monkeypatch, k, moran):
+    # the fit_large data shape at N=19200, every 50th target; with moran, a
+    # Moran adjacency whose rows are all short, against the brute-force sort
     ds, _ = generate(SimSpec(n=19200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
     rows = np.arange(0, ds.n, 50)
-    excluded = rows if exclude else None
-    answered = assert_grid_matches(monkeypatch, ds.lat, ds.lon, ds.lat[rows], ds.lon[rows], k,
-                                   exclude=excluded)
+    if moran:
+        answered = assert_moran_rows_match(monkeypatch, ds.lat, ds.lon, k, rows)
+    else:
+        answered = assert_grid_matches(monkeypatch, ds.lat, ds.lon, ds.lat[rows], ds.lon[rows], k)
     assert answered.mean() > 0.95
 
 
@@ -474,8 +437,6 @@ def test_grid_targets_on_a_cell_face_edge_and_corner(monkeypatch):
         answered = assert_grid_matches(monkeypatch, lats, lons, tlats, tlons, k,
                                        oracle_rows=range(0, tlats.shape[0], 3))
         assert answered[:3].all()
-    exclude = np.arange(tlats.shape[0])
-    assert_grid_matches(monkeypatch, lats, lons, tlats, tlons, 25, exclude=exclude)
 
 
 def test_clearance_bounds_every_point_outside_the_block():
@@ -501,8 +462,8 @@ def test_clearance_accepts_rows_the_cell_side_would_retry(monkeypatch):
     seen = []
     key_blocks = neighborhood._key_blocks
 
-    def spied(grids, level, pool, targets, rows, exclude):
-        for block, cos, positions, grid in key_blocks(grids, level, pool, targets, rows, exclude):
+    def spied(grids, level, pool, targets, rows):
+        for block, cos, positions, grid in key_blocks(grids, level, pool, targets, rows):
             w = cos.shape[1]
             seen.append((block.copy(), level if grid is not None else -1,
                          np.partition(cos, w - k, axis=-1)[:, w - k]))

@@ -5,7 +5,6 @@ import pytest
 
 from gimbal.solver import (
     cond_wls2,
-    local_fit_summaries,
     operator_norm_bound,
     solve_local,
 )
@@ -179,38 +178,66 @@ def test_gamma_interpolates_between_ols_and_wls():
         assert np.linalg.norm(solve_local(X, y, w, 1e8).beta - beta_wls) <= 1e-4 * np.linalg.norm(beta_wls)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_rows_with_a_non_finite_normal_matrix_are_ill_posed():
+    # an overflowing covariate, NaN weights (h_eff**2 underflowed) and a
+    # gamma whose 2 * gamma overflows each make the normal matrix non-finite,
+    # which the eigensolver cannot take; the other rows solve as alone
+    rng = np.random.default_rng(50)
+    X = np.stack([random_instance(rng, n=20)[0] for _ in range(4)])
+    y = rng.normal(0, 1, (4, 20))
+    w = np.full((4, 20), 0.05)
+    X[1, 3, 1] = 1e160
+    w[2, 5] = np.nan
+    fit = solve_local(X, y, w, 1.0)
+    assert fit.well_posed.tolist() == [True, False, False, True]
+    assert np.isnan(fit.beta[1:3]).all() and np.isinf(fit.m_nor_condition[1:3]).all()
+    for row in (0, 3):
+        alone = solve_local(X[row], y[row], w[row], 1.0)
+        assert np.array_equal(fit.beta[row], alone.beta)
+    bound = operator_norm_bound(X, w, 1.0)
+    assert np.isnan(bound[1:3]).all() and np.isfinite(bound[[0, 3]]).all()
+    overflowed = solve_local(X[0], y[0], w[0], 1e308)
+    assert not overflowed.well_posed and np.isnan(operator_norm_bound(X[0], w[0], 1e308))
+
+
+# the unweighted fit summaries over the neighborhood rows, read off the
+# local OLS solve (gamma = 0)
+
 def test_summaries_exact_fit_and_forced_zero():
     rng = np.random.default_rng(48)
-    X, _, _ = random_instance(rng, n=12)
+    X, _, w = random_instance(rng, n=12)
     beta_true = np.array([0.5, -1.0, 2.0])
-    y = X @ beta_true
-    rmse, r2, defined, res = local_fit_summaries(X, y, beta_true)
-    assert rmse == pytest.approx(0.0, abs=1e-12)
-    assert r2 == pytest.approx(1.0, abs=1e-12)
-    assert defined
-    # beta forced to zero on centered y: R^2 = 0
-    yc = y - y.mean()
-    rmse0, r20, _, _ = local_fit_summaries(X, yc, np.zeros(3))
-    assert r20 == pytest.approx(0.0, abs=1e-12)
+    fit = solve_local(X, X @ beta_true, w, 0.0)
+    assert fit.rmse_local == pytest.approx(0.0, abs=1e-12)
+    assert fit.r2_local == pytest.approx(1.0, abs=1e-12)
+    assert fit.r2_defined
+    # a response orthogonal to every column (an OLS residual, so centered)
+    # forces beta to zero: R^2 = 0
+    y = rng.normal(0, 1, 12)
+    fit = solve_local(X, y - X @ ols_oracle(X, y), w, 0.0)
+    assert np.allclose(fit.beta, 0.0, atol=1e-12)
+    assert fit.r2_local == pytest.approx(0.0, abs=1e-12)
 
 
 def test_summaries_match_direct_formulas():
     rng = np.random.default_rng(49)
-    X, y, _ = random_instance(rng, n=18)
-    beta = ols_oracle(X, y)
-    rmse, r2, defined, res = local_fit_summaries(X, y, beta)
-    r_direct = y - X @ beta
-    assert np.allclose(res, r_direct)
-    assert rmse == pytest.approx(math.sqrt(np.mean(r_direct**2)), rel=1e-12)
-    assert r2 == pytest.approx(1 - r_direct @ r_direct / ((y - y.mean()) @ (y - y.mean())), rel=1e-12)
+    X, y, w = random_instance(rng, n=18)
+    fit = solve_local(X, y, w, 0.0)
+    r_direct = y - X @ fit.beta
+    assert np.allclose(fit.beta, ols_oracle(X, y))
+    assert np.allclose(fit.residuals, r_direct)
+    assert fit.rmse_local == pytest.approx(math.sqrt(np.mean(r_direct**2)), rel=1e-12)
+    assert fit.r2_local == pytest.approx(1 - r_direct @ r_direct / ((y - y.mean()) @ (y - y.mean())),
+                                         rel=1e-12)
 
 
 def test_summaries_constant_y_sentinel():
     X = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0) ** 2])
-    y = np.full(5, 2.0)
-    rmse, r2, defined, _ = local_fit_summaries(X, y, np.zeros(3))
-    assert not defined
-    assert r2 == 0.0
+    fit = solve_local(X, np.full(5, 2.0), np.full(5, 0.2), 0.0)
+    assert fit.well_posed
+    assert not fit.r2_defined
+    assert fit.r2_local == 0.0
 
 
 def test_cond_wls2_constant_column_hits_floor():
