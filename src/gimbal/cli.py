@@ -368,13 +368,17 @@ def cmd_fit(args):
         raise ConfigurationError(f"--moran-k {args.moran_k} outside the eligible range "
                                  f"[1, {dataset.n - 1}]: the input has {dataset.n} locations")
     # the records and summary read no weights, residuals or distances
-    result = fit_all(dataset, config, threads=args.threads, wide=False)
-    _annotate_and_write([args.out_records], [result], dataset.ids, args.moran_k, quantile, floor)
-    try:
-        map_summary = dataclasses.asdict(summarize(result))
-    except ValueError:
-        # every location ill-posed: records still emitted, summary is null
-        map_summary = None
+    result = fit_all(dataset, config, wide=False)
+    # an extreme cell overflows the statistics over its rows (local Moran,
+    # the fragile flags, the map summary) as it did the fit; its flagged rows
+    # stay the only signal
+    with np.errstate(all="ignore"):
+        _annotate_and_write([args.out_records], [result], dataset.ids, args.moran_k, quantile, floor)
+        try:
+            map_summary = dataclasses.asdict(summarize(result))
+        except ValueError:
+            # every location ill-posed: records still emitted, summary is null
+            map_summary = None
     _write_json(args.out_summary, {
         "schema": SCHEMA_SUMMARY,
         "version": __version__,
@@ -394,7 +398,7 @@ def cmd_predict(args):
     if not 0 <= args.residual_knn <= config.k:
         raise ConfigurationError(f"--residual-knn must lie in [0, K={config.k}], got {args.residual_knn}")
 
-    preds, result = predict(train, config, test.lat, test.lon, test.x, threads=args.threads, wide=False)
+    preds, result = predict(train, config, test.lat, test.lon, test.x, wide=False)
     columns = [np.arange(test.n), test.lat, test.lon, test.x, test.y, preds, ~result.fit.well_posed]
     header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
     if args.residual_knn > 0:
@@ -402,8 +406,7 @@ def cmd_predict(args):
         # the correction reads the residuals of these training rows only
         read = np.unique(members[:, :args.residual_knn])
         training_residuals = np.full(train.n, math.nan)
-        training_residuals[read] = fit_rows(train, config, read, threads=args.threads,
-                                            wide=False).residual_at_target
+        training_residuals[read] = fit_rows(train, config, read, wide=False).residual_at_target
         corr = residual_knn_correct(training_residuals, members, args.residual_knn)
         columns += [corr, preds + corr]
         header += ["residual_correction", "prediction_corrected"]
@@ -426,7 +429,7 @@ def cmd_experiment(args):
     _check_output_dir("--outdir", args.outdir)
     # an unknown id or a bad seed raises before the output directory is made
     exp_id = _EXPERIMENT_IDS.get(args.id, args.id)
-    report, records_by_variant = run_experiment(exp_id, base_seed=args.seed, threads=args.threads)
+    report, records_by_variant = run_experiment(exp_id, base_seed=args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # simulated data has no id column; the variants' files are written together
@@ -455,7 +458,6 @@ def _build_parser():
     p_fit.add_argument("--input", required=True, type=Path)
     p_fit.add_argument("--out-records", required=True, type=Path)
     p_fit.add_argument("--out-summary", required=True, type=Path)
-    p_fit.add_argument("--threads", type=int, default=1, help="0 = all cores")
     p_fit.add_argument("--moran-k", type=int, default=DEFAULT_K_MORAN)
     p_fit.add_argument("--fragile-kappa-quantile", type=float, default=DEFAULT_KAPPA_QUANTILE)
     p_fit.add_argument("--fragile-neff-floor", type=float, default=DEFAULT_NEFF_FLOOR)
@@ -466,7 +468,6 @@ def _build_parser():
     p_pred.add_argument("--train", required=True, type=Path)
     p_pred.add_argument("--test", required=True, type=Path)
     p_pred.add_argument("--out", required=True, type=Path)
-    p_pred.add_argument("--threads", type=int, default=1)
     p_pred.add_argument("--residual-knn", type=int, default=0, help="0 = no correction")
     _add_config_flags(p_pred)
     p_pred.set_defaults(func=cmd_predict)
@@ -480,8 +481,9 @@ def _build_parser():
     p_exp.add_argument("--id", required=True, help="7.1, 7.2, 7.3 or 7.4")
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--outdir", required=True, type=Path)
-    p_exp.add_argument("--threads", type=int, default=1)
     p_exp.set_defaults(func=cmd_experiment)
+    for p in (p_fit, p_pred, p_exp):
+        p.add_argument("--threads", type=int, help="ignored: every fit runs in one thread")
     return parser
 
 

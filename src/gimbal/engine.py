@@ -24,10 +24,12 @@ the query's own member rows: the weights, residuals and distances stay
 inside their chunk, and each target's residual is read off them there.
 Every stage reduces each row on its own, so a target's values do not depend
 on which other targets share its chunk or the query, on which other configs
-share the query, an orientation stage or a solve, on the thread schedule,
-or on whether it is fitted alone or among a few selected rows
-(fit_location, fit_rows): all of these agree bitwise. Each config's
-chunk is copied through a field-name tuple kept per dataclass type.
+share the query, an orientation stage or a solve, or on whether it is
+fitted alone or among a few selected rows (fit_location, fit_rows): all of
+these agree bitwise. Each config's chunk is copied through a field-name
+tuple kept per dataclass type. The chunks run in order, in one thread, under
+one numpy error state that silences floating-point warnings: an extreme
+input or setting shows only as the rows it flags.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
 come from the training table, the distance-trend regressor is zero at the
@@ -41,7 +43,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, partial
 from typing import Optional
@@ -71,8 +72,7 @@ BRANCH_SETS = tuple(frozenset(name for b, name in enumerate(BRANCH_BITS) if code
                     for code in range(1 << len(BRANCH_BITS)))
 BRANCH_STRINGS = tuple(";".join(sorted(names)) for names in BRANCH_SETS)
 
-# Targets evaluated together. Bounds the (C, K) working arrays; chunk
-# boundaries are fixed here, never by the thread count.
+# Targets evaluated together. Bounds the (C, K) working arrays.
 CHUNK_TARGETS = 256
 
 _MODES = {
@@ -355,7 +355,7 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
         )
 
 
-def _fit_chunks(dataset, configs, lat0, lon0, index, threads, wide):
+def _fit_chunks(dataset, configs, lat0, lon0, index, wide):
     """_fit_targets over chunks of CHUNK_TARGETS targets: one FitResult per
     config, each joined in order.
 
@@ -365,7 +365,6 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads, wide):
     result (not wide) keeps only its member rows. Result columns are
     allocated for the fields a chunk's results hold, so a narrow fit
     allocates no K-wide column.
-    threads: 1 runs serial, 0 uses all cores, otherwise the given count.
     """
     configs = tuple(configs)
     if not configs:
@@ -373,28 +372,23 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads, wide):
     ks = sorted({config.k for config in configs})
     if len(ks) > 1:
         raise ConfigurationError(f"configs must share K, got K in {ks}")
-    if threads < 0:
-        raise ConfigurationError(f"threads must be >= 0, got {threads}")
-    x_std = standardized_covariate(dataset.x)
     members, distances = knn(dataset.lat, dataset.lon, lat0, lon0, ks[0])
     members.flags.writeable = distances.flags.writeable = False
-
-    def chunk(start):
-        rows = slice(start, start + CHUNK_TARGETS)
-        return _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows],
-                            members[rows], distances[rows], wide)
-
     n = index.shape[0]
-    # an empty target list still makes one (empty) chunk
-    starts = range(0, max(n, 1), CHUNK_TARGETS)
     results = [None] * len(configs)
     # each result's arrays, in _columns order
     result_columns = [None] * len(configs)
-    with ThreadPoolExecutor(max_workers=None if threads == 0 else threads) as pool:
-        # serial, each config's part is copied into place before the next is
-        # computed; a worker thread hands back a chunk's parts as a list
-        chunks = map(chunk, starts) if threads == 1 else pool.map(lambda s: list(chunk(s)), starts)
-        for start, parts in zip(starts, chunks):
+    # accepted extreme cells and settings (an x of 1e160, gamma = 1e308, a
+    # subnormal n0) overflow on purpose; the rows they reach are flagged, so
+    # numpy's floating-point warnings would only repeat the flags
+    with np.errstate(all="ignore"):
+        x_std = standardized_covariate(dataset.x)
+        # an empty target list still makes one (empty) chunk; each config's
+        # part is copied into place before the next is computed
+        for start in range(0, max(n, 1), CHUNK_TARGETS):
+            rows = slice(start, start + CHUNK_TARGETS)
+            parts = _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows],
+                                 members[rows], distances[rows], wide)
             for c, part in enumerate(parts):
                 if results[c] is None:
                     results[c] = _map_columns(lambda col: np.empty((n,) + col.shape[1:], col.dtype), part)
@@ -405,19 +399,19 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, threads, wide):
     return [replace(result, neighborhood=nb) for result in results]
 
 
-def fit_rows(dataset, config, rows, threads=1, wide=True):
+def fit_rows(dataset, config, rows, wide=True):
     """The estimator map at the selected in-sample rows (an index array), as
     a FitResult in the order of rows. Each row is bitwise its row of fit_all:
     a target's values do not depend on which other targets are fitted with
     it, and the standardized covariate still reads the whole of dataset.x.
-    threads and wide as for fit_variants."""
+    wide as for fit_variants."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
         raise ConfigurationError(f"rows must be a 1-D index array, got {rows.dtype} of shape {rows.shape}")
     if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n):
         raise ConfigurationError(f"rows must lie in [0, {dataset.n - 1}]")
     rows = rows.astype(np.intp)
-    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, threads, wide)[0]
+    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, wide)[0]
 
 
 def fit_location(dataset, config, target_index):
@@ -426,7 +420,7 @@ def fit_location(dataset, config, target_index):
     return fit_rows(dataset, config, [target_index]).record(0)
 
 
-def fit_variants(dataset, configs, threads=1, wide=True):
+def fit_variants(dataset, configs, wide=True):
     """The estimator map of each config at every row: one FitResult per
     config, in the configs' order, each in input order.
 
@@ -437,35 +431,31 @@ def fit_variants(dataset, configs, threads=1, wide=True):
     config of one kernels.solve_key, and only the rest of the weight map, the
     other rows' solves and the diagnostics run once per config. Every result's
     neighborhood is the same read-only pair of arrays.
-    threads: 1 runs serial, 0 uses all cores, otherwise the given count of
-    threads, each taking whole chunks. The thread schedule cannot change any
-    output value.
     wide: keep the K-wide weights, residuals and distances (the full
     FitResult); False drops them after each chunk (see FitResult), which
     changes no other field.
     """
-    return _fit_chunks(dataset, configs, dataset.lat, dataset.lon, np.arange(dataset.n), threads, wide)
+    return _fit_chunks(dataset, configs, dataset.lat, dataset.lon, np.arange(dataset.n), wide)
 
 
-def fit_all(dataset, config, threads=1, wide=True):
+def fit_all(dataset, config, wide=True):
     """The estimator map at every row, as a FitResult in input order: the
     one-config case of fit_variants."""
-    return fit_variants(dataset, (config,), threads, wide)[0]
+    return fit_variants(dataset, (config,), wide)[0]
 
 
-def predict(train, config, lats, lons, x, threads=1, wide=True):
+def predict(train, config, lats, lons, x, wide=True):
     """Out-of-sample predictions at target points.
 
     Neighbors come from the training pool only; the distance-trend regressor
     is evaluated as zero at the target, so the prediction is
     beta0 + beta1 * x. Returns (predictions, FitResult); a prediction is NaN
     where the local solve is ill-posed. The targets are checked as a
-    Dataset's rows are (check_coordinates). threads and wide as for
-    fit_variants.
+    Dataset's rows are (check_coordinates). wide as for fit_variants.
     """
     lats, lons, x = (np.asarray(c, dtype=np.float64) for c in (lats, lons, x))
     check_coordinates(lats, lons, x=x)
-    result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), threads, wide)[0]
+    result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), wide)[0]
     beta = result.fit.beta
     return beta[:, 0] + beta[:, 1] * x, result
 

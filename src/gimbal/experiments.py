@@ -171,7 +171,7 @@ _E74_EXTENT = 14_000.0
 _PROXY = dict(phi_mode="forced_zero", theta_z_mode="off", eta_mode="forced_one")
 
 
-def run_experiment(exp_id, base_seed=0, threads=1):
+def run_experiment(exp_id, base_seed=0):
     """Run one of the four mechanism experiments.
 
     Returns (report, records_by_variant) where the report carries the config,
@@ -183,7 +183,7 @@ def run_experiment(exp_id, base_seed=0, threads=1):
     runners = {"e71": _run_e71, "e72": _run_e72, "e73": _run_e73, "e74": _run_e74}
     if exp_id not in runners:
         raise ConfigurationError(f"unknown experiment id {exp_id!r}; expected one of {sorted(runners)}")
-    return runners[exp_id](base_seed, threads)
+    return runners[exp_id](base_seed)
 
 
 def _report(exp_id, seed, spec, config, summaries, properties, extra=None):
@@ -205,7 +205,7 @@ def _verdict(passed, value):
     return {"pass": bool(passed), "value": value}
 
 
-def _fit_variants(spec, configs, threads, wide):
+def _fit_variants(spec, configs, wide):
     """Fit each named config on the one dataset of spec with one fit_variants
     call, so one neighbor query serves every variant; wide as for
     fit_variants.
@@ -213,11 +213,11 @@ def _fit_variants(spec, configs, threads, wide):
     Returns (records, summaries), both keyed by variant name.
     """
     dataset, _ = generate(spec)
-    records = dict(zip(configs, fit_variants(dataset, configs.values(), threads=threads, wide=wide)))
+    records = dict(zip(configs, fit_variants(dataset, configs.values(), wide=wide)))
     return records, {name: summarize(result) for name, result in records.items()}
 
 
-def _run_e71(seed, threads):
+def _run_e71(seed):
     """Isotropy sanity check: four variants on one undeformed dataset."""
     spec = replace(_BASE_SPEC, rho=1.0, psi=0.0, c_rad=0.0, seed=seed)
     records, summaries = _fit_variants(spec, {
@@ -225,7 +225,7 @@ def _run_e71(seed, threads):
         "theta_off": replace(_BASE_CONFIG, theta_z_mode="off"),
         "full": _BASE_CONFIG,
         "full_strict_eps_phi": replace(_BASE_CONFIG, eps_phi=STRICT_EPS_PHI),
-    }, threads, wide=False)
+    }, wide=False)
 
     proxy = summaries["isotropic_proxy"]
     properties = {}
@@ -260,13 +260,13 @@ def _run_e71(seed, threads):
     return _report("e71", seed, spec, _BASE_CONFIG, summaries, properties, extra), records
 
 
-def _run_e72(seed, threads):
+def _run_e72(seed):
     """Geometric anisotropy activation under rho=10, psi=pi/4."""
     spec = replace(_BASE_SPEC, rho=10.0, psi=math.pi / 4.0, c_rad=0.0, seed=seed)
     records, summaries = _fit_variants(spec, {
         "isotropic_proxy": replace(_BASE_CONFIG, **_PROXY),
         "full": _BASE_CONFIG,
-    }, threads, wide=True)
+    }, wide=True)
     diff = weight_diff(records["full"], records["isotropic_proxy"])
 
     properties = {
@@ -281,7 +281,7 @@ def _run_e72(seed, threads):
     return _report("e72", seed, spec, _BASE_CONFIG, summaries, properties, extra), records
 
 
-def _run_e73(seed, threads):
+def _run_e73(seed):
     """One-shot ESS stress: sweep the target level n0 on one dataset."""
     spec = replace(
         _BASE_SPEC, sampling="gaussian", extent=_E73_EXTENT,
@@ -289,7 +289,7 @@ def _run_e73(seed, threads):
     )
     base = replace(_BASE_CONFIG, k=30, h=2000.0, n_min=12.0)
     records, summaries = _fit_variants(
-        spec, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, threads, wide=False)
+        spec, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, wide=False)
 
     ordered = [summaries[f"n0_{n0:g}"] for n0 in E73_N0_SWEEP]
     neff = [s.mu_neff_post for s in ordered]
@@ -311,7 +311,7 @@ def _run_e73(seed, threads):
     return _report("e73", seed, spec, base, summaries, properties), records
 
 
-def _run_e74(seed, threads):
+def _run_e74(seed):
     """Value-orientation dependence under a radial response trend."""
     spec = replace(
         _BASE_SPEC, extent=_E74_EXTENT,
@@ -321,7 +321,7 @@ def _run_e74(seed, threads):
     records, summaries = _fit_variants(spec, {
         "theta_on": base,
         "theta_off": replace(base, theta_z_mode="off"),
-    }, threads, wide=True)
+    }, wide=True)
     diff = weight_diff(records["theta_on"], records["theta_off"])
 
     properties = {

@@ -623,10 +623,10 @@ def test_predict_fits_only_the_training_rows_its_correction_reads(tmp_path, monk
     fitted = []
     fit_rows = gimbal.cli.fit_rows
 
-    def spied(dataset, config, rows, threads=1, wide=True):
+    def spied(dataset, config, rows, wide=True):
         fitted.append(np.array(rows))
         assert not wide
-        return fit_rows(dataset, config, rows, threads, wide)
+        return fit_rows(dataset, config, rows, wide)
 
     monkeypatch.setattr(gimbal.cli, "fit_rows", spied)
     rc = main(["predict", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
@@ -710,7 +710,7 @@ def test_experiment_command_emits_variants_and_report(tmp_path, capsys):
 
 def test_experiment_71_emits_four_variants(tmp_path):
     rc = main(["experiment", "--id", "7.1", "--seed", "1",
-               "--outdir", str(tmp_path / "out"), "--threads", "0"])
+               "--outdir", str(tmp_path / "out")])
     assert rc == 0
     files = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert files == [
@@ -727,6 +727,26 @@ def test_experiment_71_emits_four_variants(tmp_path):
     # r_phi is data-determined: re-solved and flag-only strict rates coincide
     assert (report["strict_eps_phi"]["resolved_pr_phi_zero"]
             == report["strict_eps_phi"]["flag_only_pr_phi_zero"])
+
+
+def test_threads_flag_is_accepted_and_ignored(tmp_path):
+    # command lines written for the old thread pool still run, and write
+    # every output byte as they would without the flag
+    write_dataset_csv(tmp_path / "train.csv", generate(SimSpec(n=300, seed=1))[0])
+    write_dataset_csv(tmp_path / "test.csv", generate(SimSpec(n=40, seed=2))[0])
+    for tag, flag in (("threads0", ["--threads", "0"]), ("plain", [])):
+        out = tmp_path / tag
+        out.mkdir()
+        for argv in (["fit", "--input", str(tmp_path / "train.csv"), "--k", "20",
+                      "--out-records", str(out / "r.csv"), "--out-summary", str(out / "s.json")],
+                     ["predict", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+                      "--k", "20", "--residual-knn", "10", "--out", str(out / "p.csv")],
+                     ["experiment", "--id", "7.3", "--seed", "1", "--outdir", str(out / "e73")]):
+            assert main(argv + flag) == 0
+    files = sorted(p.relative_to(tmp_path / "plain") for p in (tmp_path / "plain").rglob("*") if p.is_file())
+    assert len(files) == 3 + 10
+    for name in files:
+        assert (tmp_path / "threads0" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
 
 def test_experiment_unknown_id_exits_2(tmp_path, capsys):

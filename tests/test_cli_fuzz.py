@@ -1,5 +1,5 @@
 """`gimbal fit` on small and extreme inputs exits 0 or 2, never 3 (exit 3
-is an internal invariant violation)."""
+is an internal invariant violation), and raises no numpy RuntimeWarning."""
 
 import contextlib
 import io
@@ -61,8 +61,9 @@ def fit_exit_code(rows, argv):
         (tmp / "in.csv").write_text("\n".join(lines) + "\n")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            # extreme cells overflow on purpose; only the exit code is checked
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # a numpy warning raises inside main, so it exits 3: the flagged
+            # rows must be a run's only signal of an extreme cell or setting
+            warnings.simplefilter("error", RuntimeWarning)
             rc = main(["fit", "--input", str(tmp / "in.csv"), "--out-records", str(tmp / "r.csv"),
                        "--out-summary", str(tmp / "s.json"), *argv])
     return rc, err.getvalue()
@@ -77,6 +78,12 @@ SPREAD = [(35.0 + 0.01 * i, 135.0 + 0.013 * (i * i % 7), float(i % 5), float(i *
 @example((SPREAD, ["--k", "6", "--moran-k", "3", "--gamma", "1e308"]))
 @example((SPREAD, ["--k", "6", "--moran-k", "3", "--n0", "5e-324"]))
 @example(([SPREAD[0][:2] + (1e160, 1.0)] + SPREAD[1:], ["--k", "6", "--moran-k", "3"]))
+# a y of 1e308 overflows the map summary's moments, and in the second case
+# local Moran's
+@example(([SPREAD[0][:3] + (1e308,)] + SPREAD[1:], ["--k", "6", "--moran-k", "3"]))
+@example(([(35.0, 135.0, 1.0, 0.0), (35.0, 135.0, 0.0, 0.0), (35.0, 135.0078125, 0.0, 0.0),
+           (35.0, 135.0, 0.0, 1e308), (35.0078125, 135.0, 0.0, 0.0), *[(35.0, 135.0, 0.0, 0.0)] * 3],
+          ["--k", "5", "--moran-k", "1"]))
 @example((SPREAD, ["--k", "6", "--moran-k", "3", "--h", "1e-300"]))
 @example((SPREAD, ["--k", "6", "--moran-k", "3", "--h", "1e-160"]))
 def test_fit_exits_0_or_2_never_3(case):

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import pickle
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -114,13 +113,9 @@ def test_isotropic_proxy_weights_are_gaussian_pre_safeguard():
         assert np.allclose(wm.weights, expect / expect.sum(), atol=1e-12)
 
 
-def test_fit_all_order_and_parallel_serial_bitwise():
+def test_fit_all_keeps_input_order():
     ds = small_dataset()
-    cfg = GimbalConfig(k=15)
-    serial = fit_all(ds, cfg, threads=1)
-    parallel = fit_all(ds, cfg, threads=4)
-    assert serial.index.tolist() == list(range(ds.n))
-    assert pickle.dumps(serial) == pickle.dumps(parallel)
+    assert fit_all(ds, GimbalConfig(k=15)).index.tolist() == list(range(ds.n))
 
 
 # a base config, then one config per GimbalConfig field other than k that
@@ -160,16 +155,21 @@ VARIANT_SETS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+def chunked_dataset(chunks):
+    """A dataset of chunks whole chunks and a 44-row tail, so one or more
+    chunk boundaries are crossed."""
+    return small_dataset(seed=3, n=chunks * CHUNK_TARGETS + 44)
+
+
+@pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("variants", sorted(VARIANT_SETS))
-def test_fit_variants_equals_fit_all_per_config(variants, threads):
-    # more targets than one chunk, so a chunk boundary is crossed
-    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+def test_fit_variants_equals_fit_all_per_config(variants, chunks):
+    ds = chunked_dataset(chunks)
     configs = VARIANT_SETS[variants]
-    results = fit_variants(ds, configs, threads=threads)
+    results = fit_variants(ds, configs)
     assert len(results) == len(configs)
     for config, result in zip(configs, results):
-        assert pickle.dumps(result) == pickle.dumps(fit_all(ds, config, threads=threads))
+        assert pickle.dumps(result) == pickle.dumps(fit_all(ds, config))
 
 
 def test_each_config_field_moves_the_orientation_stage_unless_read_after_it():
@@ -177,7 +177,7 @@ def test_each_config_field_moves_the_orientation_stage_unless_read_after_it():
     # config that borrowed another's orientation stage would be caught
     assert set(ONE_FIELD_CHANGES) == {f.name for f in dataclasses.fields(GimbalConfig)} - {"k"}
     assert set(kernels.AFTER_ORIENTATION) < set(ONE_FIELD_CHANGES)
-    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    ds = chunked_dataset(1)
     base, *changed = fit_variants(ds, VARIANT_SETS["one_field"])
     for name, result in zip(ONE_FIELD_CHANGES, changed):
         assert pickle.dumps(result) != pickle.dumps(base), name
@@ -186,13 +186,13 @@ def test_each_config_field_moves_the_orientation_stage_unless_read_after_it():
         assert moved == (name not in kernels.AFTER_ORIENTATION), name
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("variants, keys", [("e73", 1), ("scales", 3), ("e71", 4), ("one_field", 10),
                                             ("solve_keys", 2)])
-def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, keys, threads):
+def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, keys, chunks):
     # an n0 sweep shares one stage per chunk; configs that differ in a field
     # the stage reads each get their own
-    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    ds = chunked_dataset(chunks)
     calls = []
 
     def counted(east, *args):
@@ -200,37 +200,39 @@ def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, ke
         return orientation_stage(east, *args)
 
     monkeypatch.setattr(kernels, "orientation_stage", counted)
-    fit_variants(ds, VARIANT_SETS[variants], threads=threads)
-    assert sorted(calls) == [44] * keys + [CHUNK_TARGETS] * keys
+    fit_variants(ds, VARIANT_SETS[variants])
+    assert sorted(calls) == [44] * keys + [CHUNK_TARGETS] * (chunks * keys)
 
 
 def test_solve_keys_set_has_fallback_rows_under_two_configs_of_each_key():
     # the coverage that test_fit_variants_equals_fit_all_per_config relies on
     # to catch a solve_key missing a field the fallback solve reads
-    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
-    results = fit_variants(ds, VARIANT_SETS["solve_keys"])
-    by_key = {}
-    for config, result in zip(VARIANT_SETS["solve_keys"], results):
-        fallback = result.weight_map.fallback_code != 0
-        for rows in (slice(0, CHUNK_TARGETS), slice(CHUNK_TARGETS, None)):
-            by_key.setdefault((kernels.solve_key(config), rows.start), []).append(fallback[rows].any())
-    assert len(by_key) == 5 * 2
-    assert all(sum(has) >= 2 for has in by_key.values())
+    for chunks in (1, 2):
+        ds = chunked_dataset(chunks)
+        results = fit_variants(ds, VARIANT_SETS["solve_keys"])
+        by_key = {}
+        for config, result in zip(VARIANT_SETS["solve_keys"], results):
+            fallback = result.weight_map.fallback_code != 0
+            for start in range(0, ds.n, CHUNK_TARGETS):
+                has = fallback[start:start + CHUNK_TARGETS].any()
+                by_key.setdefault((kernels.solve_key(config), start), []).append(has)
+        assert len(by_key) == 5 * (chunks + 1)
+        assert all(sum(has) >= 2 for has in by_key.values())
 
 
 def spy_solves(monkeypatch):
     """Patch solver.solve_local to record the rows of each call under the
     index of the first target of the chunk it serves: {index: [rows, ...]}."""
-    calls, chunk = {}, threading.local()
+    calls, chunk = {}, {}
     fit_targets, solve_local_ = gimbal.engine._fit_targets, gimbal.solver.solve_local
 
     def tagged(dataset, configs, x_std, lat0, lon0, index, *rest):
-        # a chunk's generator runs in one thread from start to end
-        chunk.start = int(index[0]) if index.shape[0] else 0
+        # a chunk's generator runs to its end before the next chunk's starts
+        chunk["start"] = int(index[0]) if index.shape[0] else 0
         yield from fit_targets(dataset, configs, x_std, lat0, lon0, index, *rest)
 
     def counted(X, y, *args):
-        calls.setdefault(chunk.start, []).append(y.shape[0])
+        calls.setdefault(chunk["start"], []).append(y.shape[0])
         return solve_local_(X, y, *args)
 
     monkeypatch.setattr(gimbal.engine, "_fit_targets", tagged)
@@ -238,14 +240,14 @@ def spy_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunks", [1, 2])
 @pytest.mark.parametrize("variants", ["e73", "solve_keys"])
-def test_fallback_rows_are_solved_once_per_solve_key_per_chunk(monkeypatch, variants, threads):
-    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+def test_fallback_rows_are_solved_once_per_solve_key_per_chunk(monkeypatch, variants, chunks):
+    ds = chunked_dataset(chunks)
     configs = VARIANT_SETS[variants]
     calls = spy_solves(monkeypatch)
-    results = fit_variants(ds, configs, threads=threads)
-    assert sorted(calls) == [0, CHUNK_TARGETS]
+    results = fit_variants(ds, configs)
+    assert sorted(calls) == list(range(0, ds.n, CHUNK_TARGETS))
     for start, rows in calls.items():
         chunk = slice(start, start + CHUNK_TARGETS)
         expect = 0
@@ -258,19 +260,19 @@ def test_fallback_rows_are_solved_once_per_solve_key_per_chunk(monkeypatch, vari
         assert expect < len(configs) * len(range(ds.n)[chunk])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_one_config_solves_each_chunk_in_one_call(monkeypatch, threads):
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_one_config_solves_each_chunk_in_one_call(monkeypatch, chunks):
     # fit_all, predict and fit_location gather nothing: one call per chunk
     # over all of its rows, fallback rows included
-    ds = small_dataset(seed=3, n=CHUNK_TARGETS + 44)
+    ds = chunked_dataset(chunks)
     config = VARIANT_SETS["e73"][0]
     calls = spy_solves(monkeypatch)
-    result = fit_all(ds, config, threads=threads)
+    result = fit_all(ds, config)
     assert (result.weight_map.fallback_code != 0).any()
-    assert calls == {0: [CHUNK_TARGETS], CHUNK_TARGETS: [44]}
+    assert calls == {start: [min(CHUNK_TARGETS, ds.n - start)] for start in range(0, ds.n, CHUNK_TARGETS)}
     calls.clear()
     # an out-of-sample chunk is tagged by its index, -1
-    predict(ds, config, ds.lat[:10], ds.lon[:10], ds.x[:10], threads=threads)
+    predict(ds, config, ds.lat[:10], ds.lon[:10], ds.x[:10])
     assert calls == {-1: [10]}
     calls.clear()
     fit_location(ds, config, 7)
@@ -311,7 +313,7 @@ def test_fit_variants_and_predict_make_one_query(monkeypatch):
 
 def test_fit_variants_share_one_read_only_neighborhood():
     ds = small_dataset(seed=6, n=CHUNK_TARGETS + 30)
-    results = fit_variants(ds, VARIANT_SETS["e73"], threads=2)
+    results = fit_variants(ds, VARIANT_SETS["e73"])
     nb = results[0].neighborhood
     assert all(result.neighborhood is nb for result in results)
     assert not nb.member_indices.flags.writeable and not nb.distances.flags.writeable
@@ -335,7 +337,7 @@ def test_fit_location_equals_its_row_of_fit_all():
     # on the other targets of its chunk
     ds = small_dataset(seed=7, n=CHUNK_TARGETS + 20)
     cfg = GimbalConfig(k=12)
-    result = fit_all(ds, cfg, threads=2)
+    result = fit_all(ds, cfg)
     for i in (0, CHUNK_TARGETS - 1, CHUNK_TARGETS, ds.n - 1):
         assert pickle.dumps(fit_location(ds, cfg, i)) == pickle.dumps(result.record(i))
 
@@ -347,7 +349,7 @@ def test_fit_rows_equal_their_rows_of_fit_all():
     ds = small_dataset(seed=8, n=CHUNK_TARGETS + 40)
     cfg = GimbalConfig(k=12)
     rows = np.concatenate([[ds.n - 1, 5, 5, 0], np.arange(CHUNK_TARGETS + 30, 10, -1)])
-    assert pickle.dumps(fit_rows(ds, cfg, rows, threads=2)) == pickle.dumps(fit_all(ds, cfg).take(rows))
+    assert pickle.dumps(fit_rows(ds, cfg, rows)) == pickle.dumps(fit_all(ds, cfg).take(rows))
     for bad in (np.ones(ds.n, dtype=bool), [0.0, 1.0], [[0, 1]], [-1], [ds.n]):
         with pytest.raises(ConfigurationError, match="rows must"):
             fit_rows(ds, cfg, bad)
@@ -383,18 +385,18 @@ def assert_narrow_of(narrow, full):
         assert column.shape[-1:] != (k,) or path == "neighborhood.member_indices", path
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_narrow_results_equal_the_full_ones_without_the_k_wide_columns(threads):
-    ds = small_dataset(seed=9, n=CHUNK_TARGETS + 35)
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_narrow_results_equal_the_full_ones_without_the_k_wide_columns(chunks):
+    ds = small_dataset(seed=9, n=chunks * CHUNK_TARGETS + 35)
     configs = VARIANT_SETS["e73"] + VARIANT_SETS["solve_keys"][:2]
     cfg = configs[0]
-    for narrow, full in zip(fit_variants(ds, configs, threads, wide=False), fit_variants(ds, configs, threads)):
+    for narrow, full in zip(fit_variants(ds, configs, wide=False), fit_variants(ds, configs)):
         assert_narrow_of(narrow, full)
-    assert_narrow_of(fit_all(ds, cfg, threads, wide=False), fit_all(ds, cfg, threads))
+    assert_narrow_of(fit_all(ds, cfg, wide=False), fit_all(ds, cfg))
     rows = np.array([ds.n - 1, 3, 3, CHUNK_TARGETS, 0])
-    assert_narrow_of(fit_rows(ds, cfg, rows, threads, wide=False), fit_rows(ds, cfg, rows, threads))
+    assert_narrow_of(fit_rows(ds, cfg, rows, wide=False), fit_rows(ds, cfg, rows))
     test = small_dataset(seed=10, n=CHUNK_TARGETS + 5)
-    (preds, narrow), (full_preds, full) = (predict(ds, cfg, test.lat, test.lon, test.x, threads, wide=wide)
+    (preds, narrow), (full_preds, full) = (predict(ds, cfg, test.lat, test.lon, test.x, wide=wide)
                                            for wide in (False, True))
     assert preds.tobytes() == full_preds.tobytes()
     assert_narrow_of(narrow, full)
