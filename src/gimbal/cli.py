@@ -160,14 +160,16 @@ def _write_json(path, obj):
 
 
 def read_dataset(path):
-    """Read a dataset CSV; raises ConfigurationError naming the offending
-    column/row."""
+    """Read a dataset CSV; raises ConfigurationError naming the file, and
+    the offending column/row if it can be read."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        # comment lines precede the header; after it, a row starting with "#" is data
-        rows = list(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))))
+    try:
+        with path.open(newline="") as fh:
+            # comment lines precede the header; after it, a row starting with "#" is data
+            rows = list(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        # missing, a directory, not UTF-8, or a cell over csv's field limit
+        raise ConfigurationError(f"cannot read input file {path}: {exc}") from exc
     if not rows:
         raise ConfigurationError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
@@ -318,9 +320,10 @@ def build_config(args):
     """Flags override config-file values override documented defaults."""
     values = {}
     if args.config:
+        # a file that is not UTF-8, or not JSON, raises a ValueError
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config file {args.config} must hold a JSON object")
@@ -407,8 +410,10 @@ def cmd_predict(args):
         read = np.unique(members[:, :args.residual_knn])
         training_residuals = np.full(train.n, math.nan)
         training_residuals[read] = fit_rows(train, config, read, wide=False).residual_at_target
-        corr = residual_knn_correct(training_residuals, members, args.residual_knn)
-        columns += [corr, preds + corr]
+        # extreme residuals overflow the mean as extreme cells do the fit
+        with np.errstate(all="ignore"):
+            corr = residual_knn_correct(training_residuals, members, args.residual_knn)
+            columns += [corr, preds + corr]
         header += ["residual_correction", "prediction_corrected"]
     _write_csv([args.out], SCHEMA_PREDICTIONS, header, [columns])
     return 0

@@ -457,7 +457,9 @@ def predict(train, config, lats, lons, x, wide=True):
     check_coordinates(lats, lons, x=x)
     result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), wide)[0]
     beta = result.fit.beta
-    return beta[:, 0] + beta[:, 1] * x, result
+    # an extreme x overflows here as it does in the fit; see _fit_chunks
+    with np.errstate(all="ignore"):
+        return beta[:, 0] + beta[:, 1] * x, result
 
 
 def residual_knn_correct(training_residuals, members, k_resid):

@@ -2,16 +2,18 @@
 
 One composition of the orientation and weight stages, from tangent
 displacements to safeguarded weights. The orientation stage is the bearing
-resultant, the value orientation and the anisotropy ratio (each forced to its
-isotropic value when the configuration switches it off), plus the raw
-weights' ESS; then the rest of the one-shot ESS safeguard. Inputs are (C, K)
+resultant and the anisotropy ratio (both from one set of decay weights at
+the nominal bandwidth), the value orientation (each forced to its isotropic
+value when the configuration switches it off), the frame form q of each
+displacement, and the raw weights' ESS; then the rest of the one-shot ESS
+safeguard, which rescales q by the corrected bandwidth. Inputs are (C, K)
 arrays, one row per neighborhood, or (K,) for a single one.
 
 Configs that differ only in AFTER_ORIENTATION fields have equal orientation
-stages, so weight_map computes the stage once per orientation_key among the
-calls that share one memo. On the fallback branches the weights are 1/K
-whatever the config, so configs with equal solve_key have equal local solves
-on the rows where both fall back.
+stages, so weight_map computes the stage, q included, once per
+orientation_key among the calls that share one memo. On the fallback
+branches the weights are 1/K whatever the config, so configs with equal
+solve_key have equal local solves on the rows where both fall back.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from .orientation import OrientationResult, anisotropy_ratio, bearing_resultant, value_orientation
-from .weights import one_shot_safeguard, raw_ess
+from .orientation import (OrientationResult, anisotropy_ratio, bearing_resultant, decay_weights,
+                          value_orientation)
+from .weights import frame_quadratic, one_shot_safeguard, raw_ess
 
 # GimbalConfig fields that the orientation stage does not read: the
 # safeguard's n0 and n_min and the local solve's gamma and eps_kappa
@@ -42,14 +45,16 @@ def solve_key(config):
 
 
 def orientation_stage(east, north, distances, z, y, config):
-    """Orientation of each neighborhood and its raw weights' ESS.
+    """Orientation of each neighborhood, the frame form of its displacements
+    and its raw weights' ESS.
 
-    Returns (OrientationResult, (n_eff_raw, raw_underflow)); see
-    weights.raw_ess. Diagnostics (r_phi, g_ident, eigenvalues) are always
-    computed from data; the configuration's modes only force the realized
-    value of the corresponding quantity.
+    Returns (OrientationResult, q, (n_eff_raw, raw_underflow)); see
+    weights.frame_quadratic and weights.raw_ess. Diagnostics (r_phi,
+    g_ident, eigenvalues) are always computed from data; the configuration's
+    modes only force the realized value of the corresponding quantity.
     """
-    phi, r_phi, phi_deact = bearing_resultant(east, north, distances, config.h, config.eps_phi)
+    decay = decay_weights(distances, config.h)
+    phi, r_phi, phi_deact = bearing_resultant(east, north, decay, config.eps_phi)
     if config.phi_mode == "forced_zero":
         phi, phi_deact = np.zeros_like(phi), np.ones_like(phi_deact)
 
@@ -57,9 +62,7 @@ def orientation_stage(east, north, distances, z, y, config):
     if config.theta_z_mode == "off":
         theta_z, theta_deact = np.zeros_like(theta_z), np.ones_like(theta_deact)
 
-    eta, lam_max, lam_min = anisotropy_ratio(
-        east, north, distances, config.h, config.eps_eta, config.eta_max
-    )
+    eta, lam_max, lam_min = anisotropy_ratio(east, north, decay, config.eps_eta, config.eta_max)
     if config.eta_mode == "forced_one":
         eta = np.ones_like(eta)
 
@@ -68,7 +71,8 @@ def orientation_stage(east, north, distances, z, y, config):
         theta_z=theta_z, g_ident=g_ident, theta_deactivated=theta_deact,
         eta=eta, lambda_max=lam_max, lambda_min=lam_min,
     )
-    return orient, raw_ess(east, north, orient, config.h)
+    q = frame_quadratic(east, north, orient)
+    return orient, q, raw_ess(q, config.h)
 
 
 def weight_map(east, north, distances, z, y, config, shared=None):
@@ -78,11 +82,11 @@ def weight_map(east, north, distances, z, y, config, shared=None):
     orientation stages by orientation_key, read and filled here, for calls on
     the same neighborhoods (east, north, distances, y, and z = distances / u);
     None shares nothing. The bandwidth correction and the fallback run on
-    every call.
+    every call, on the stage's frame form.
     """
     shared = {} if shared is None else shared
     key = orientation_key(config)
     if key not in shared:
         shared[key] = orientation_stage(east, north, distances, z, y, config)
-    orient, raw = shared[key]
-    return orient, one_shot_safeguard(east, north, orient, config.h, config.n0, config.n_min, raw)
+    orient, q, raw = shared[key]
+    return orient, one_shot_safeguard(q, config.h, config.n0, config.n_min, raw)

@@ -54,8 +54,9 @@ def decay_weights(distances, h):
     return np.exp(-(d * d) / (h * h))
 
 
-def bearing_resultant(east, north, distances, h, eps_phi):
-    """Dominant bearing direction with isotropy deactivation.
+def bearing_resultant(east, north, decay, eps_phi):
+    """Dominant bearing direction with isotropy deactivation, from the
+    neighbors' decay_weights.
 
     Returns (phi, r_phi, deactivated). Zero displacements (the target itself,
     coincident points) have no bearing and are left out; a neighborhood with
@@ -64,7 +65,7 @@ def bearing_resultant(east, north, distances, h, eps_phi):
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
     th = np.arctan2(north, east)
-    om = np.where((east != 0.0) | (north != 0.0), decay_weights(distances, h), 0.0)
+    om = np.where((east != 0.0) | (north != 0.0), decay, 0.0)
     wsum = np.sum(om, axis=-1)
     c = np.sum(om * np.cos(th), axis=-1)
     s = np.sum(om * np.sin(th), axis=-1)
@@ -94,8 +95,9 @@ def value_orientation(z, y, eps_theta):
     return np.where(deactivated, 0.0, 0.5 * np.arctan2(diff, 2.0 * cov)), g_ident, deactivated
 
 
-def anisotropy_ratio(east, north, distances, h, eps_eta, eta_max):
-    """Clipped anisotropy ratio from the weighted displacement second moments.
+def anisotropy_ratio(east, north, decay, eps_eta, eta_max):
+    """Clipped anisotropy ratio from the displacement second moments weighted
+    by the neighbors' decay_weights.
 
     Returns (eta, lambda_max, lambda_min) where the lambdas are the raw
     (unfloored) eigenvalues of the weighted second-moment matrix. When every
@@ -103,10 +105,9 @@ def anisotropy_ratio(east, north, distances, h, eps_eta, eta_max):
     """
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
-    om = decay_weights(distances, h)
-    wsum = np.sum(om, axis=-1)
+    wsum = np.sum(decay, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        om_t = om / wsum[..., None]
+        om_t = decay / wsum[..., None]
         sxx = np.sum(om_t * east * east, axis=-1)
         sxy = np.sum(om_t * east * north, axis=-1)
         syy = np.sum(om_t * north * north, axis=-1)

@@ -1,12 +1,16 @@
-"""Directional weight field: metric construction, raw weights, ESS safeguard.
+"""Directional weight field: frame form, raw weights, ESS safeguard.
 
-The metric is M = Q diag(1, eta^-2) Q^T / h^2 with Q = R(phi) R(theta_z).
-Raw weights exp(-Delta^T M Delta) are normalized and checked for effective
-sample size (raw_ess: it reads no n0 or n_min, so configs that differ only
-there can share it), corrected once via h_eff = h * sqrt(n0 / n_eff_raw)
-(rebuilding only the diagonal scaling, never Q or eta), and replaced by
-uniform weights when the corrected ESS still falls below n_min. The
-correction is one-shot by construction; it is never iterated.
+The metric is M = Q diag(1, eta^-2) Q^T / h^2 with Q = R(phi) R(theta_z),
+and the weights are evaluated in the frame Q defines: with (u, v) = Q^T Delta,
+Delta^T M Delta = q / h^2 where q = u^2 + v^2 / eta^2 (frame_quadratic). q
+reads no bandwidth, so one q per neighborhood serves every bandwidth. Raw
+weights exp(-q / h^2) are normalized and checked for effective sample size
+(raw_ess: it reads no n0 or n_min, so configs that differ only there can
+share it), corrected once via h_eff = h * sqrt(n0 / n_eff_raw) (only the
+diagonal scaling changes: the weights become exp(-q / h_eff^2), with Q and
+eta as they were), and replaced by uniform weights when the corrected ESS
+still falls below n_min. The correction is one-shot by construction; it is
+never iterated.
 
 ``n_eff_post`` always reports the ESS of the *recomputed candidate* weights,
 i.e. the quantity the fallback rule tests. The ESS of the final weight vector
@@ -56,34 +60,15 @@ class RealizedWeightMap:
         return ess(self.weights)
 
 
-def metric_matrix(phi, theta_z, eta, h):
-    """Weight-evaluation metric Q Lambda Q^T, shape (..., 2, 2)."""
-    ca, sa = np.cos(phi), np.sin(phi)
-    cb, sb = np.cos(theta_z), np.sin(theta_z)
-    # Q = R(phi) R(theta_z)
-    q11 = ca * cb - sa * sb
-    q12 = -ca * sb - sa * cb
-    q21 = sa * cb + ca * sb
-    q22 = q11
-    l1 = 1.0 / (h * h)
-    l2 = 1.0 / (h * h * eta * eta)
-    m11 = l1 * q11 * q11 + l2 * q12 * q12
-    m12 = l1 * q11 * q21 + l2 * q12 * q22
-    m22 = l1 * q21 * q21 + l2 * q22 * q22
-    return np.stack([np.stack([m11, m12], axis=-1), np.stack([m12, m22], axis=-1)], axis=-2)
-
-
-def raw_weights(east, north, metric):
-    """exp(-Delta^T M Delta) for each displacement."""
-    east = np.asarray(east, dtype=np.float64)
-    north = np.asarray(north, dtype=np.float64)
-    m = np.asarray(metric)[..., None]  # each entry broadcast over the neighborhood axis
-    quad = (
-        m[..., 0, 0, :] * east * east
-        + 2.0 * m[..., 0, 1, :] * east * north
-        + m[..., 1, 1, :] * north * north
-    )
-    return np.exp(-quad)
+def frame_quadratic(east, north, orient):
+    """q = u^2 + v^2 / eta^2 of each displacement, whose weight at bandwidth
+    b is exp(-q / b^2): (u, v) = Q^T Delta are its coordinates in the frame
+    Q = R(phi) R(theta_z) = R(phi + theta_z), so q / b^2 = Delta^T M Delta."""
+    alpha = np.asarray(orient.phi + orient.theta_z)[..., None]
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    u = ca * east + sa * north
+    v = (ca * north - sa * east) / np.asarray(orient.eta)[..., None]
+    return u * u + v * v
 
 
 def ess(normalized_weights):
@@ -109,35 +94,30 @@ def _normalized(w):
         return w_tilde, 1.0 / np.sum(w_tilde * w_tilde, axis=-1), total[..., 0] == 0.0
 
 
-def raw_ess(east, north, orient, h):
+def raw_ess(q, h):
     """The safeguard's first step, which reads neither n0 nor n_min: the ESS
-    of the raw weights at the nominal bandwidth h, and where their sum
-    underflowed to 0 (the ESS is 0 there). Returns (n_eff_raw, underflow)."""
-    w_raw = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, h))
-    _, n_eff_raw, underflow = _normalized(w_raw)
+    of the raw weights exp(-q / h^2) at the nominal bandwidth h (q from
+    frame_quadratic), and where their sum underflowed to 0 (the ESS is 0
+    there). Returns (n_eff_raw, underflow)."""
+    _, n_eff_raw, underflow = _normalized(np.exp(-q / (h * h)))
     return np.where(underflow, 0.0, n_eff_raw), underflow
 
 
-def one_shot_safeguard(east, north, orient, h, n0, n_min, raw=None):
+def one_shot_safeguard(q, h, n0, n_min, raw):
     """Raw weights, single ESS bandwidth correction, uniform fallback.
 
-    orient supplies phi, theta_z and eta (scalars or (C,) arrays); raw is
-    raw_ess(east, north, orient, h) when the caller holds it already. When
-    every raw weight underflows, h_eff cannot be formed: it is NaN, n_eff_raw
-    is 0, and the weights fall back to uniform, as they do when the corrected
-    weights underflow.
+    q is frame_quadratic's form of each displacement and raw is raw_ess(q, h);
+    the corrected weights are exp(-q / h_eff^2). When every raw weight
+    underflows, h_eff cannot be formed: it is NaN, n_eff_raw is 0, and the
+    weights fall back to uniform, as they do when the corrected weights
+    underflow.
     """
-    east = np.asarray(east, dtype=np.float64)
-    north = np.asarray(north, dtype=np.float64)
-    n = east.shape[-1]
-
-    n_eff_raw, raw_underflow = raw_ess(east, north, orient, h) if raw is None else raw
-
+    n = q.shape[-1]
+    n_eff_raw, raw_underflow = raw
     # unconditional one-shot correction: shrinks as well as inflates
     with np.errstate(divide="ignore"):
         h_eff = np.where(raw_underflow, np.nan, h * np.sqrt(n0 / n_eff_raw))
-    w1 = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, h_eff))
-    w1_tilde, n_eff_post, post_underflow = _normalized(w1)
+    w1_tilde, n_eff_post, post_underflow = _normalized(np.exp(-q / (h_eff * h_eff)[..., None]))
     underflow = raw_underflow | post_underflow
 
     code = np.where(underflow, FALLBACK_UNDERFLOW,

@@ -15,7 +15,7 @@ from gimbal.experiments import E73_N0_SWEEP, run_experiment
 from gimbal.orientation import sym2_eigvals
 from gimbal.simgen import SimSpec, generate
 from gimbal.solver import operator_norm_bound, solve_local
-from gimbal.weights import ess, one_shot_safeguard
+from gimbal.weights import ess, frame_quadratic, one_shot_safeguard, raw_ess
 from gimbal.orientation import OrientationResult
 
 
@@ -110,7 +110,8 @@ def test_criterion_5_ess_algebra():
         n = int(rng.integers(2, 40))
         east = rng.normal(0, 3000, n)
         north = rng.normal(0, 3000, n)
-        wm = one_shot_safeguard(east, north, orient, 2000.0, n0=10.0, n_min=4.0)
+        q = frame_quadratic(east, north, orient)
+        wm = one_shot_safeguard(q, 2000.0, n0=10.0, n_min=4.0, raw=raw_ess(q, 2000.0))
         assert wm.n_recompute == 1
 
 
@@ -120,7 +121,6 @@ def test_criterion_6_isotropic_reduction():
     cfg = GimbalConfig(k=30, phi_mode="forced_zero", theta_z_mode="off",
                        eta_mode="forced_one")
     from gimbal.geo import tangent_displacements
-    from gimbal.weights import metric_matrix, raw_weights
     from gimbal.neighborhood import knn
 
     for i in (0, 42, 99):
@@ -128,7 +128,7 @@ def test_criterion_6_isotropic_reduction():
         east, north = tangent_displacements(
             float(ds.lat[i]), float(ds.lon[i]), ds.lat[members[0]], ds.lon[members[0]])
         orient = OrientationResult(0.0, 0.0, True, 0.0, 0.0, True, 1.0, 0.0, 0.0)
-        w = raw_weights(east, north, metric_matrix(orient.phi, orient.theta_z, orient.eta, cfg.h))
+        w = np.exp(-frame_quadratic(east, north, orient) / cfg.h**2)
         planar_sq = east**2 + north**2
         expect = np.exp(-planar_sq / cfg.h**2)
         assert np.allclose(w / w.sum(), expect / expect.sum(), rtol=1e-12, atol=1e-15)

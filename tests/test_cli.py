@@ -450,6 +450,36 @@ def test_fit_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+UNREADABLE = {
+    "not_utf8": lambda path: path.write_bytes(b"lat,lon,x,y\n35.0,135.0,\xff,1.0\n"),
+    "directory": lambda path: path.mkdir(),
+    # past the csv module's field limit of 131072 characters
+    "long_cell": lambda path: path.write_text("lat,lon,x,y\n35.0,135.0," + "1" * 200_000 + ",1.0\n"),
+}
+
+
+@pytest.mark.parametrize("flag, kind", [
+    ("--input", "not_utf8"), ("--input", "directory"), ("--input", "long_cell"),
+    ("--train", "not_utf8"), ("--test", "not_utf8"), ("--test", "long_cell"), ("--config", "not_utf8"),
+])
+def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, flag, kind):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad"
+    write_csv(good, toy_rows())
+    UNREADABLE[kind](bad)
+    fit = ["fit", "--out-records", str(tmp_path / "r.csv"), "--out-summary", str(tmp_path / "s.json")]
+    predict_ = ["predict", "--out", str(tmp_path / "p.csv")]
+    argv = {
+        "--input": fit + ["--input", bad],
+        "--config": fit + ["--input", good, "--config", bad],
+        "--train": predict_ + ["--train", bad, "--test", good],
+        "--test": predict_ + ["--train", good, "--test", bad],
+    }[flag]
+    assert main([str(arg) for arg in argv] + ["--k", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "good.csv"]
+
+
 def test_config_precedence(tmp_path):
     inp = tmp_path / "data.csv"
     write_csv(inp, toy_rows())

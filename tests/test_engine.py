@@ -28,6 +28,7 @@ from gimbal.kernels import orientation_stage
 from gimbal.neighborhood import ConfigurationError, knn
 from gimbal.simgen import SimSpec, generate
 from gimbal.solver import solve_local
+from gimbal.weights import frame_quadratic
 
 
 def small_dataset(seed=0, n=60):
@@ -190,18 +191,26 @@ def test_each_config_field_moves_the_orientation_stage_unless_read_after_it():
 @pytest.mark.parametrize("variants, keys", [("e73", 1), ("scales", 3), ("e71", 4), ("one_field", 10),
                                             ("solve_keys", 2)])
 def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, keys, chunks):
-    # an n0 sweep shares one stage per chunk; configs that differ in a field
-    # the stage reads each get their own
+    # an n0 sweep shares one stage per chunk, and with it one frame form for
+    # both bandwidths of every config; configs that differ in a field the
+    # stage reads each get their own
     ds = chunked_dataset(chunks)
-    calls = []
+    calls, forms = [], []
 
     def counted(east, *args):
         calls.append(east.shape[0])
         return orientation_stage(east, *args)
 
+    def counted_form(east, *args):
+        forms.append(east.shape[0])
+        return frame_quadratic(east, *args)
+
     monkeypatch.setattr(kernels, "orientation_stage", counted)
+    monkeypatch.setattr(kernels, "frame_quadratic", counted_form)
     fit_variants(ds, VARIANT_SETS[variants])
-    assert sorted(calls) == [44] * keys + [CHUNK_TARGETS] * (chunks * keys)
+    once_per_key_per_chunk = [44] * keys + [CHUNK_TARGETS] * (chunks * keys)
+    assert sorted(calls) == once_per_key_per_chunk
+    assert sorted(forms) == once_per_key_per_chunk
 
 
 def test_solve_keys_set_has_fallback_rows_under_two_configs_of_each_key():

@@ -7,6 +7,7 @@ import pytest
 from gimbal.orientation import (
     anisotropy_ratio,
     bearing_resultant,
+    decay_weights,
     sym2_eigvals,
     value_orientation,
 )
@@ -16,7 +17,7 @@ def resultant_of_bearings(th, d, h, eps_phi):
     """bearing_resultant of neighbors at bearings th and distances d."""
     th = np.asarray(th, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    return bearing_resultant(d * np.cos(th), d * np.sin(th), d, h, eps_phi)
+    return bearing_resultant(d * np.cos(th), d * np.sin(th), decay_weights(d, h), eps_phi)
 
 
 def test_bearing_resultant_aligned_field():
@@ -76,11 +77,12 @@ def test_bearing_resultant_ignores_zero_displacements():
     north = rng.normal(0, 1500, 12)
     d = np.hypot(east, north)
     with_self = bearing_resultant(np.append(0.0, east), np.append(0.0, north),
-                                  np.append(0.0, d), 2000.0, 1e-3)
-    without = bearing_resultant(east, north, d, 2000.0, 1e-3)
+                                  decay_weights(np.append(0.0, d), 2000.0), 1e-3)
+    without = bearing_resultant(east, north, decay_weights(d, 2000.0), 1e-3)
     assert with_self == pytest.approx(without, abs=1e-12)
     # only coincident points: no bearing at all
-    assert bearing_resultant(np.zeros(3), np.zeros(3), np.zeros(3), 2000.0, 1e-3) == (0.0, 0.0, True)
+    zeros = np.zeros(3)
+    assert bearing_resultant(zeros, zeros, decay_weights(zeros, 2000.0), 1e-3) == (0.0, 0.0, True)
 
 
 def test_bearing_resultant_decay_underflow_is_isotropic():
@@ -164,7 +166,7 @@ def test_anisotropy_axes_configuration_is_isotropic():
     east = np.array([1000.0, -1000.0, 0.0, 0.0])
     north = np.array([0.0, 0.0, 1000.0, -1000.0])
     d = np.full(4, 1000.0)
-    eta, lam_max, lam_min = anisotropy_ratio(east, north, d, 2000.0, 1e-8, 50.0)
+    eta, lam_max, lam_min = anisotropy_ratio(east, north, decay_weights(d, 2000.0), 1e-8, 50.0)
     assert eta == 1.0
     assert lam_max == pytest.approx(lam_min, rel=1e-12)
 
@@ -173,7 +175,7 @@ def test_anisotropy_collinear_hits_cap():
     east = np.array([500.0, 1000.0, -800.0, 1500.0])
     north = np.zeros(4)
     d = np.abs(east)
-    eta, lam_max, lam_min = anisotropy_ratio(east, north, d, 2000.0, 1e-8, 50.0)
+    eta, lam_max, lam_min = anisotropy_ratio(east, north, decay_weights(d, 2000.0), 1e-8, 50.0)
     assert lam_min == pytest.approx(0.0, abs=1e-9)
     assert eta == 50.0
 
@@ -186,7 +188,7 @@ def test_anisotropy_matches_iterative_eigen_oracle():
         north = rng.normal(0, 400, n)
         d = np.hypot(east, north)
         h = 2500.0
-        eta, lam_max, lam_min = anisotropy_ratio(east, north, d, h, 1e-8, 50.0)
+        eta, lam_max, lam_min = anisotropy_ratio(east, north, decay_weights(d, h), 1e-8, 50.0)
         om = np.exp(-(d / h) ** 2)
         om = om / om.sum()
         s_mat = (np.stack([east, north]) * om) @ np.stack([east, north]).T
@@ -203,11 +205,11 @@ def test_anisotropy_rotation_invariant():
     east = rng.normal(0, 2000, 30)
     north = rng.normal(0, 500, 30)
     d = np.hypot(east, north)
-    eta_a, lmax_a, lmin_a = anisotropy_ratio(east, north, d, 3000.0, 1e-8, 50.0)
+    eta_a, lmax_a, lmin_a = anisotropy_ratio(east, north, decay_weights(d, 3000.0), 1e-8, 50.0)
     alpha = 0.83
     e2 = math.cos(alpha) * east - math.sin(alpha) * north
     n2 = math.sin(alpha) * east + math.cos(alpha) * north
-    eta_b, lmax_b, lmin_b = anisotropy_ratio(e2, n2, d, 3000.0, 1e-8, 50.0)
+    eta_b, lmax_b, lmin_b = anisotropy_ratio(e2, n2, decay_weights(d, 3000.0), 1e-8, 50.0)
     assert eta_a == pytest.approx(eta_b, abs=1e-9)
     assert lmax_a == pytest.approx(lmax_b, rel=1e-9)
     assert lmin_a == pytest.approx(lmin_b, rel=1e-9, abs=1e-9)
