@@ -320,10 +320,11 @@ def build_config(args):
     """Flags override config-file values override documented defaults."""
     values = {}
     if args.config:
-        # a file that is not UTF-8, or not JSON, raises a ValueError
+        # a file that is not UTF-8, or not JSON, raises a ValueError; JSON
+        # nested deeper than the interpreter's recursion limit a RecursionError
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config file {args.config} must hold a JSON object")

@@ -19,8 +19,10 @@ block holds FILL * k points, found by a walk from a level set by the pool's
 size and spread; a row that fails its bound retries one level coarser. The
 coarsest level is the full scan (every point is a candidate), which is also
 taken wherever a block would hold more than FULL_SCAN_SHARE of the pool.
-The re-rank sorts each row on distance alone, and on (distance, index) only
-where an exact tie among its first k + 1 distances could make the two differ.
+The rows of one cell share their block: its points are gathered once and
+keyed against all of those rows by one matrix product. The re-rank sorts
+each row on distance alone, and on (distance, index) only where an exact
+tie among its first k + 1 distances could make the two differ.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ BLOCK_DISTANCES = 1 << 15
 
 # Cosine slack of the candidate gather. With u = 2**-53, the key (a dot
 # product of unit vectors built from rounded sin/cos, |sum of terms| <= 1) is
-# within ~20u ~ 2.2e-15 of the true cosine at any separation. The haversine
+# within ~20u ~ 2.2e-15 of the true cosine at any separation, whichever
+# order its three products are summed in and with or without fused
+# multiply-adds, as a BLAS matrix product may compute it. The haversine
 # distance d, read as cos(d / R) = 1 - 2s, is within ~34u ~ 3.8e-15 of it:
 # s, a sum of two nonnegative rounded products, is off by at most ~12u, and
 # sqrt, arcsin and the scaling add ~10u. The bound is in cosine units, so it
@@ -104,9 +108,9 @@ class _Grid:
         self._columns = (_COLUMNS[:, 0] * self._width + _COLUMNS[:, 1]) * self._width - 1
 
     @cached_property
-    def coords(self):
-        """The x, y and z columns of the unit vectors, in the sorted order."""
-        return [np.ascontiguousarray(self._pool[self.order, axis]) for axis in range(3)]
+    def points(self):
+        """The unit vectors in the sorted order."""
+        return self._pool[self.order]
 
     def cells(self, points):
         """The cell key of each (..., 3) point."""
@@ -149,6 +153,15 @@ class _Grids(dict):
 def _ragged_arange(starts, lengths):
     """arange(s, s + l) of each (s, l) pair, concatenated."""
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _take_rows(a, columns, rows=None):
+    """a[rows[i], columns[i, j]] of a 2-D a, for rows (default: row i of
+    columns reads row i of a), as one take from the flattened array: cheaper
+    than take_along_axis or two index arrays."""
+    if rows is None:
+        rows = np.arange(columns.shape[0])
+    return np.take(a, columns + a.shape[1] * rows[:, None])
 
 
 def _start_level(pool, need):
@@ -199,15 +212,20 @@ def _first_levels(grids, targets, need):
 
 
 def _key_blocks(grids, level, pool, targets, rows):
-    """The cosine keys of rows at level (-1: the full scan), in blocks of at
-    most BLOCK_DISTANCES keys: yields (block rows, keys, positions, grid).
+    """The cosine keys of rows at level (-1: the full scan), in blocks:
+    yields (block rows, keys, grid, positions, row_piece).
 
-    A grid row's key columns are its block's points, padded to the widest
-    row: positions holds each column's place in grid.order. A full-scan
-    row's columns are the whole pool in index order (positions and grid
-    None). A padding column has key -inf. A row
-    whose block holds more than FULL_SCAN_SHARE of the pool is given the
-    full scan instead."""
+    A grid level orders its rows by block size, then cell, and cuts each
+    cell's rows into pieces whose keys fit BLOCK_DISTANCES (one piece unless
+    the cell holds very many rows). A block of pieces gathers each piece's
+    block points once, padded to the widest, and keys all of the piece's
+    rows by one batched matmul; padding columns are -inf. positions (pieces,
+    width) holds each key column's place in grid.order, and row_piece each
+    row's piece. A full-scan row's key columns are the whole pool in index
+    order (grid, positions and row_piece None). A row whose block holds more
+    than FULL_SCAN_SHARE of the pool is given the full scan instead. No
+    padded product holds more than BLOCK_DISTANCES keys unless one row's
+    block does."""
     n = pool.shape[0]
     full = rows
     if level >= 0:
@@ -216,29 +234,49 @@ def _key_blocks(grids, level, pool, targets, rows):
         size = np.sum(lengths, axis=-1)
         small = size[cell_of] <= FULL_SCAN_SHARE * n
         full = rows[~small]
-        # rows in ascending block size, so that a block of rows pads little
-        order = np.argsort(size[cell_of[small]], kind="stable")
+        # rows in ascending block size, so that a block of pieces pads
+        # little, and each cell's rows together
+        order = np.argsort(size[cell_of[small]] * size.shape[0] + cell_of[small], kind="stable")
         rows, cell_of = rows[small][order], cell_of[small][order]
-        xs, ys, zs = grid.coords
-        start = 0
-        while start < rows.shape[0]:
-            stop = min(rows.shape[0], start + max(1, BLOCK_DISTANCES // size[cell_of[start]]))
-            w = int(size[cell_of[stop - 1]])
-            stop = min(stop, start + max(1, BLOCK_DISTANCES // w))
-            block, cells = rows[start:stop], cell_of[start:stop]
-            start = stop
-            positions = np.zeros((block.shape[0], w), dtype=np.intp)
-            filled = np.arange(w) < size[cells, None]
-            positions[filled] = _ragged_arange(starts[cells].ravel(), lengths[cells].ravel())
-            t = targets[block]
-            cos = xs[positions] * t[:, 0:1] + ys[positions] * t[:, 1:2] + zs[positions] * t[:, 2:3]
-            cos[~filled] = -np.inf
-            yield block, cos, positions, grid
+        # a piece is a run of one cell's rows whose keys alone fit a block
+        cap = np.maximum(1, BLOCK_DISTANCES // size[cell_of])
+        first = np.ones(rows.shape[0], dtype=bool)
+        first[1:] = cell_of[1:] != cell_of[:-1]
+        # each row's place in its piece
+        rank = np.arange(rows.shape[0])
+        rank = (rank - np.maximum.accumulate(np.where(first, rank, 0))) % cap
+        piece_start = np.flatnonzero(rank == 0)
+        piece_rows = np.diff(np.append(piece_start, rows.shape[0]))
+        piece_cell = cell_of[piece_start]
+        piece_width = size[piece_cell]
+        a = 0
+        while a < piece_start.shape[0]:
+            # the most pieces from a whose padded product (pieces x most rows
+            # x widest block) holds at most BLOCK_DISTANCES keys; it grows
+            # with each piece, since widths ascend
+            span = slice(a, a + max(1, BLOCK_DISTANCES // int(piece_width[a])))
+            cost = (np.arange(1, piece_rows[span].shape[0] + 1)
+                    * np.maximum.accumulate(piece_rows[span]) * piece_width[span])
+            b = a + max(1, int(np.searchsorted(cost, BLOCK_DISTANCES, "right")))
+            cells, counts = piece_cell[a:b], piece_rows[a:b]
+            w = int(piece_width[b - 1])
+            block = rows[piece_start[a]:piece_start[b - 1] + counts[-1]]
+            row_piece = np.repeat(np.arange(b - a), counts)
+            slot = rank[piece_start[a]:piece_start[a] + block.shape[0]]
+            a = b
+            positions = np.zeros((cells.shape[0], w), dtype=np.intp)
+            pad = np.arange(w) >= size[cells, None]
+            positions[~pad] = _ragged_arange(starts[cells].ravel(), lengths[cells].ravel())
+            t = np.zeros((cells.shape[0], int(counts.max()), 3))
+            t[row_piece, slot] = targets[block]
+            # take, unlike [] indexing, copies each point's three coordinates at once
+            keys = np.matmul(t, np.swapaxes(np.take(grid.points, positions, axis=0), -1, -2))
+            np.copyto(keys, -np.inf, where=pad[:, None, :])
+            yield block, keys[row_piece, slot], grid, positions, row_piece
     step = max(1, BLOCK_DISTANCES // n)
     for start in range(0, full.shape[0], step):
         block = full[start:start + step]
-        cos = targets[block] @ pool.T
-        yield block, cos, None, None
+        yield block, targets[block] @ pool.T, None, None, None
 
 
 def knn(lats, lons, target_lats, target_lons, k):
@@ -273,7 +311,7 @@ def knn(lats, lons, target_lats, target_lons, k):
     while rows.shape[0]:
         retry = []
         for lv in np.unique(level[rows])[::-1]:
-            for block, cos, positions, grid in _key_blocks(
+            for block, cos, grid, positions, row_piece in _key_blocks(
                     grids, lv, pool, targets, rows[level[rows] == lv]):
                 w = cos.shape[1]
                 kth = np.partition(cos, w - k, axis=-1)[:, w - k:w - k + 1]
@@ -286,7 +324,7 @@ def knn(lats, lons, target_lats, target_lons, k):
                     ok = kth[:, 0] - MARGIN > 1.0 - 0.5 * clearance * clearance + MARGIN
                     if not ok.all():
                         retry.append(block[~ok])
-                        block, cos, kth, positions = block[ok], cos[ok], kth[ok], positions[ok]
+                        block, cos, kth, row_piece = block[ok], cos[ok], kth[ok], row_piece[ok]
                         if not block.shape[0]:
                             continue
                 # every candidate within MARGIN of the k-th key, left-aligned;
@@ -295,9 +333,9 @@ def knn(lats, lons, target_lats, target_lons, k):
                 count = np.count_nonzero(near, axis=-1)
                 gathered = np.arange(count.max()) < count[:, None]
                 cand = np.zeros(gathered.shape, dtype=np.intp)
-                cand[gathered] = np.nonzero(near)[1]
+                cand[gathered] = np.flatnonzero(near) % w
                 if grid is not None:
-                    cand = grid.order[np.take_along_axis(positions, cand, axis=-1)]
+                    cand = grid.order[_take_rows(positions, cand, row_piece)]
                 cand_d = haversine_to_all(lats[cand], lons[cand],
                                           target_lats[block, None], target_lons[block, None])
                 cand_d[~gathered] = np.inf
@@ -305,13 +343,13 @@ def knn(lats, lons, target_lats, target_lons, k):
                 # unique first k, which the (distance, index) sort takes in the
                 # same order: only a tied row needs the index as second key
                 order = np.argsort(cand_d, axis=-1)
-                head = np.take_along_axis(cand_d, order[:, :k + 1], axis=-1)
+                head = _take_rows(cand_d, order[:, :k + 1])
                 tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=-1))
                 if tied.shape[0]:
                     order[tied] = np.lexsort((cand[tied], cand_d[tied]))
                 order = order[:, :k]
-                members[block] = np.take_along_axis(cand, order, axis=-1)
-                distances[block] = np.take_along_axis(cand_d, order, axis=-1)
+                members[block] = _take_rows(cand, order)
+                distances[block] = _take_rows(cand_d, order)
         rows = np.concatenate(retry) if retry else rows[:0]
         level[rows] -= 1
     return members, distances

@@ -4,7 +4,9 @@ Three deterministic summaries feed the directional metric:
 
 * ``bearing_resultant``: distance-decayed circular mean of neighbor bearings
   and its normalized magnitude; below the isotropy threshold the direction is
-  declared non-identifiable and forced to zero.
+  declared non-identifiable and forced to zero. A bearing's cosine and sine
+  are read off its displacement (east / r, north / r), so only the
+  resultant's direction takes an arctan2.
 * ``value_orientation``: half-angle of atan2(Var(y) - Var(z), 2 Cov(z, y))
   over (normalized distance, response) pairs, with an identifiability score
   that deterministically selects the zero branch when the second-moment
@@ -64,11 +66,22 @@ def bearing_resultant(east, north, decay, eps_phi):
     """
     east = np.asarray(east, dtype=np.float64)
     north = np.asarray(north, dtype=np.float64)
-    th = np.arctan2(north, east)
-    om = np.where((east != 0.0) | (north != 0.0), decay, 0.0)
+    moved = (east != 0.0) | (north != 0.0)
+    om = np.where(moved, decay, 0.0)
+    # each bearing's cos and sin are east / r and north / r, r its length.
+    # sqrt(east**2 + north**2) is within about an ulp of r unless a square
+    # under- or overflows, which only a length outside (1e-140, 1e150) risks;
+    # hypot, several times slower, takes those, so that a displacement as
+    # small as a subnormal keeps its bearing
+    with np.errstate(over="ignore"):
+        r = np.sqrt(east * east + north * north)
+    odd = ~((r > 1e-140) & (r < 1e150))
+    if odd.any():
+        r[odd] = np.hypot(east[odd], north[odd])
+    r[~moved] = 1.0
     wsum = np.sum(om, axis=-1)
-    c = np.sum(om * np.cos(th), axis=-1)
-    s = np.sum(om * np.sin(th), axis=-1)
+    c = np.sum(om * (east / r), axis=-1)
+    s = np.sum(om * (north / r), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r_phi = np.where(wsum > 0.0, np.sqrt(c * c + s * s) / wsum, 0.0)
     deactivated = (wsum <= 0.0) | (r_phi <= eps_phi)

@@ -7,7 +7,10 @@ The local coefficients solve
 with W = diag(w). gamma = 0 gives local OLS; gamma -> infinity gives local
 WLS. Well-posedness is decided deterministically from the eigenvalues of the
 normal matrix (relative floor 1e-12); singular locations are flagged and
-excluded downstream, never pseudo-inverted.
+excluded downstream, never pseudo-inverted. A well-posed system is solved by
+its Cholesky factor, written out over the p columns on arrays of rows, and
+forward and back substitution: no LAPACK call, and no pivoting, since the
+eigenvalue test admits condition numbers below 1e12 only.
 
 A design X of shape (K, p) is one neighborhood; (C, K, p) with (C, K) y and
 weights is a stack of C neighborhoods, solved together row by row. Each row's
@@ -99,6 +102,26 @@ def _normal_matrix(cols, scale):
     return m_nor, lam_min, lam_max, well_posed
 
 
+def _cholesky_solve(m, rhs):
+    """The solution of m x = rhs for each symmetric positive definite
+    (..., p, p) matrix m and the list rhs of its p right-hand sides, as p
+    arrays: m = L L^T by the Cholesky factorization written out over the p
+    columns, then L z = rhs forward and L^T x = z back."""
+    p = len(rhs)
+    low = {}
+    for j in range(p):
+        for r in range(j, p):
+            entry = m[..., r, j] - sum(low[r, i] * low[j, i] for i in range(j))
+            low[r, j] = np.sqrt(entry) if r == j else entry / low[j, j]
+    z = []
+    for r in range(p):
+        z.append((rhs[r] - sum(low[r, i] * z[i] for i in range(r))) / low[r, r])
+    x = [None] * p
+    for r in reversed(range(p)):
+        x[r] = (z[r] - sum(low[i, r] * x[i] for i in range(r + 1, p))) / low[r, r]
+    return x
+
+
 def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
     """Solve the modulated normal equations of one or many neighborhoods.
 
@@ -119,9 +142,9 @@ def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
     # The eigenvalue test admits condition numbers below 1e12 only, where a
     # Cholesky factorization cannot break down in double precision. Singular
     # rows are factored as the identity and their results discarded.
-    chol = np.linalg.cholesky(np.where(well_posed[..., None, None], m_nor, np.eye(p)))
-    rhs = np.stack([np.sum(_product(c, scale, y), axis=-1) for c in cols], axis=-1)
-    beta = np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs[..., None]))[..., 0]
+    m = np.where(well_posed[..., None, None], m_nor, np.eye(p))
+    rhs = [np.sum(_product(c, scale, y), axis=-1) for c in cols]
+    beta = np.stack(_cholesky_solve(m, rhs), axis=-1)
     beta = np.where(well_posed[..., None], beta, np.nan)
 
     rmse, r2, r2_defined, residuals = _summaries(cols, y, beta)

@@ -495,6 +495,21 @@ def test_config_precedence(tmp_path):
     assert summary["config"]["h"] == 3000.0   # default
 
 
+def test_deeply_nested_config_file_exits_2(tmp_path, capsys):
+    # the JSON decoder recurses once per bracket: 200 000 of them exhaust the
+    # interpreter's stack, an input error like any other undecodable file
+    inp = tmp_path / "data.csv"
+    write_csv(inp, toy_rows())
+    cfg_file = tmp_path / "deep.json"
+    cfg_file.write_text("[" * 200_000)
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--config", str(cfg_file)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(cfg_file) in err and "recursion" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     # unknown keys, and known keys holding a value of the wrong type
     inp = tmp_path / "data.csv"

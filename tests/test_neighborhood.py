@@ -225,10 +225,10 @@ def grid_answered(monkeypatch, query, n_targets):
     key_blocks = neighborhood._key_blocks
 
     def spied(*spy_args):
-        for block, cos, positions, grid in key_blocks(*spy_args):
+        for block, cos, grid, *columns in key_blocks(*spy_args):
             if grid is None:
                 scanned.append(block.copy())
-            yield block, cos, positions, grid
+            yield block, cos, grid, *columns
 
     with monkeypatch.context() as m:
         m.setattr(neighborhood, "_key_blocks", spied)
@@ -378,6 +378,48 @@ def test_grid_equals_full_scan_at_scale(monkeypatch, k, moran):
     assert answered.mean() > 0.95
 
 
+@pytest.mark.parametrize("k", [50, 5])
+def test_cell_products_equal_full_scan_at_scale(monkeypatch, k):
+    # N=19200 fit_large-shaped data and 400 copies of its first point,
+    # queried by every pool point (a cell holds several rows, the copies'
+    # cell more than one padded product can hold) and by a cloud outside the
+    # pool: some key block holds cells of unequal block sizes and row counts,
+    # no padded product exceeds BLOCK_DISTANCES keys, and every row is the
+    # full scan's bit for bit
+    ds, _ = generate(SimSpec(n=19200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
+    out, _ = generate(SimSpec(n=1200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=2))
+    lats = np.concatenate([ds.lat, np.full(400, ds.lat[0])])
+    lons = np.concatenate([ds.lon, np.full(400, ds.lon[0])])
+    assert 400 * 400 > BLOCK_DISTANCES
+    matmul, key_blocks = np.matmul, neighborhood._key_blocks
+    for target_lats, target_lons in ((lats, lons), (out.lat, out.lon)):
+        products, mixed = [], []
+
+        def spied_matmul(*args):
+            keys = matmul(*args)
+            products.append(keys.size)
+            return keys
+
+        def spied(*spy_args):
+            for block, cos, grid, positions, row_piece in key_blocks(*spy_args):
+                if grid is not None:
+                    widths = np.unique(np.isfinite(cos).sum(axis=-1))
+                    mixed.append(widths.shape[0] > 1 and np.unique(np.bincount(row_piece)).shape[0] > 1)
+                yield block, cos, grid, positions, row_piece
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", spied_matmul)
+            m.setattr(neighborhood, "_key_blocks", spied)
+            members, distances = knn(lats, lons, target_lats, target_lons, k)
+        assert products and max(products) <= BLOCK_DISTANCES
+        assert any(mixed)
+        rows = np.arange(0, target_lats.shape[0], 7)
+        full_members, full_distances = full_scan(
+            monkeypatch, lats, lons, target_lats[rows], target_lons[rows], k)
+        assert np.array_equal(members[rows], full_members)
+        assert np.array_equal(distances[rows], full_distances)
+
+
 # ---- the acceptance bound, the level walk and the tie-only lexsort
 
 def on_face(axis, value, lat, lon):
@@ -463,11 +505,11 @@ def test_clearance_accepts_rows_the_cell_side_would_retry(monkeypatch):
     key_blocks = neighborhood._key_blocks
 
     def spied(grids, level, pool, targets, rows):
-        for block, cos, positions, grid in key_blocks(grids, level, pool, targets, rows):
+        for block, cos, grid, *columns in key_blocks(grids, level, pool, targets, rows):
             w = cos.shape[1]
             seen.append((block.copy(), level if grid is not None else -1,
                          np.partition(cos, w - k, axis=-1)[:, w - k]))
-            yield block, cos, positions, grid
+            yield block, cos, grid, *columns
 
     with monkeypatch.context() as m:
         m.setattr(neighborhood, "_key_blocks", spied)

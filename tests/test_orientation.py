@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gimbal.geo import tangent_displacements
 from gimbal.orientation import (
     anisotropy_ratio,
     bearing_resultant,
@@ -79,7 +80,10 @@ def test_bearing_resultant_ignores_zero_displacements():
     with_self = bearing_resultant(np.append(0.0, east), np.append(0.0, north),
                                   decay_weights(np.append(0.0, d), 2000.0), 1e-3)
     without = bearing_resultant(east, north, decay_weights(d, 2000.0), 1e-3)
-    assert with_self == pytest.approx(without, abs=1e-12)
+    # approx compares a tuple of 0-d arrays only bit for bit: compare floats
+    assert float(with_self[0]) == pytest.approx(float(without[0]), abs=1e-12)
+    assert float(with_self[1]) == pytest.approx(float(without[1]), abs=1e-12)
+    assert with_self[2] == without[2]
     # only coincident points: no bearing at all
     zeros = np.zeros(3)
     assert bearing_resultant(zeros, zeros, decay_weights(zeros, 2000.0), 1e-3) == (0.0, 0.0, True)
@@ -237,3 +241,52 @@ def test_flags_match_threshold_predicates():
         assert 0.0 <= r <= 1.0 + 1e-12
         if deact:
             assert phi == 0.0
+
+
+def trigonometric_resultant(east, north, decay, eps_phi):
+    """bearing_resultant by the angle of each bearing: arctan2, then cos and sin."""
+    th = np.arctan2(north, east)
+    om = np.where((east != 0.0) | (north != 0.0), decay, 0.0)
+    wsum = np.sum(om, axis=-1)
+    c = np.sum(om * np.cos(th), axis=-1)
+    s = np.sum(om * np.sin(th), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_phi = np.where(wsum > 0.0, np.sqrt(c * c + s * s) / wsum, 0.0)
+    deactivated = (wsum <= 0.0) | (r_phi <= eps_phi)
+    return np.where(deactivated, 0.0, np.arctan2(s, c)), r_phi, deactivated
+
+
+def test_bearing_resultant_matches_the_trigonometric_form():
+    # stacked neighborhoods with zero displacements, axis-aligned neighbors
+    # and offsets from a millimetre to 1e6 km agree with arctan2/cos/sin
+    rng = np.random.default_rng(30)
+    c, k = 200, 40
+    scale = 10.0 ** rng.uniform(-3.0, 9.0, (c, 1))
+    east = rng.normal(0.0, 1.0, (c, k)) * scale
+    north = rng.normal(0.0, 1.0, (c, k)) * scale
+    east[:, 0] = north[:, 0] = 0.0
+    east[:, 1] = 0.0
+    north[:, 2] = 0.0
+    decay = rng.uniform(0.0, 1.0, (c, k))
+    phi, r_phi, deact = bearing_resultant(east, north, decay, 1e-3)
+    ref_phi, ref_r, ref_deact = trigonometric_resultant(east, north, decay, 1e-3)
+    assert np.array_equal(deact, ref_deact)
+    assert np.allclose(phi, ref_phi, rtol=0.0, atol=1e-12)
+    assert np.allclose(r_phi, ref_r, rtol=0.0, atol=1e-12)
+
+
+def test_bearing_resultant_keeps_a_subnormal_offset():
+    # a neighbor at lon 1e-300 beside a target at 0.0 lies due east, ~1e-295 m
+    # away: its squared offset underflows to 0, so it needs hypot to keep its
+    # bearing; so do a subnormal offset and one whose square overflows
+    east, north = tangent_displacements(0.0, 0.0, np.array([0.0, 0.0]), np.array([0.0, 1e-300]))
+    assert east[1] > 0.0 and east[1] * east[1] == 0.0
+    phi, r_phi, deact = bearing_resultant(east, north, np.ones(2), 1e-3)
+    assert (float(phi), float(r_phi), bool(deact)) == (0.0, 1.0, False)
+    # due north and due south cancel; north-east is left
+    east = np.array([0.0, 0.0, 1e200])
+    north = np.array([5e-324, -5e-324, 1e200])
+    phi, r_phi, deact = bearing_resultant(east, north, np.ones(3), 1e-3)
+    assert not deact
+    assert float(phi) == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert float(r_phi) == pytest.approx(1.0 / 3.0, abs=1e-12)

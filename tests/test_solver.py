@@ -307,3 +307,69 @@ def test_kappa_reported_even_when_ill_posed():
     fit = solve_local(X, np.arange(8.0), np.full(8, 1 / 8), 1.0)
     assert not fit.well_posed
     assert fit.m_nor_condition >= 1e10
+
+
+# the closed-form Cholesky solve against LAPACK on the same normal matrices
+
+def conditioned_designs(rng, c, k, kappa):
+    """(c, k, 3) designs X = U diag(s) V^T whose X^T X has condition number
+    kappa: U with orthonormal columns, V a random rotation, s from 1 down to
+    kappa**-0.5."""
+    s = np.array([1.0, kappa ** -0.25, kappa ** -0.5])
+    designs = []
+    for _ in range(c):
+        u = np.linalg.qr(rng.normal(size=(k, 3)))[0]
+        v = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        designs.append((u * s) @ v.T)
+    return np.stack(designs)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e3, 1e7, 1e11])
+def test_closed_form_solve_matches_lapack(kappa):
+    # beta of each row against np.linalg.solve of the same assembled normal
+    # equations: both are backward stable, so they agree to a small multiple
+    # of kappa * u; one neighborhood alone gives its stacked row bit for bit
+    rng = np.random.default_rng(int(math.log10(kappa)) + 60)
+    c, k = 40, 30
+    X = conditioned_designs(rng, c, k, kappa)
+    y = rng.normal(0.0, 1.0, (c, k))
+    w = rng.uniform(0.01, 1.0, (c, k))
+    w /= w.sum(axis=-1, keepdims=True)
+    for gamma in (0.0, 2.0):
+        fit = solve_local(X, y, w, gamma)
+        assert fit.well_posed.all()
+        scale = 1.0 + 2.0 * gamma * w
+        m_nor = np.einsum("cka,ck,ckb->cab", X, scale, X)
+        rhs = np.einsum("cka,ck,ck->ca", X, scale, y)
+        reference = np.linalg.solve(m_nor, rhs[..., None])[..., 0]
+        cond = np.linalg.cond(m_nor)
+        error = np.linalg.norm(fit.beta - reference, axis=-1) / np.linalg.norm(reference, axis=-1)
+        assert (error <= 16.0 * cond * np.finfo(float).eps).all(), error.max()
+        one = solve_local(X[3], y[3], w[3], gamma)
+        assert one.beta.shape == (3,) and one.well_posed.shape == ()
+        assert np.array_equal(one.beta, fit.beta[3])
+        assert np.array_equal(one.residuals, fit.residuals[3])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_closed_form_solve_leaves_ill_posed_and_non_finite_rows_nan():
+    # singular, nearly singular (kappa past 1e12), overflowing and NaN-weight
+    # rows carry NaN coefficients; the rows between them solve as alone
+    rng = np.random.default_rng(64)
+    c, k = 6, 20
+    X = conditioned_designs(rng, c, k, 1e4)
+    X[1] = conditioned_designs(rng, 1, k, 1e14)[0]
+    X[2, :, 2] = 3.0 * X[2, :, 1]
+    X[3, 4, 1] = 1e160
+    y = rng.normal(0.0, 1.0, (c, k))
+    y[5, 2] = np.inf
+    w = np.full((c, k), 1.0 / k)
+    w[4, 7] = np.nan
+    fit = solve_local(X, y, w, 1.0)
+    assert fit.well_posed.tolist() == [True, False, False, False, False, True]
+    assert np.isnan(fit.beta[1:5]).all() and np.isnan(fit.residuals[1:5]).all()
+    # a non-finite response leaves the normal matrix well posed; the
+    # coefficients it reaches are not finite
+    assert not np.isfinite(fit.beta[5]).all()
+    alone = solve_local(X[0], y[0], w[0], 1.0)
+    assert np.array_equal(fit.beta[0], alone.beta) and np.isfinite(alone.beta).all()
