@@ -3,14 +3,17 @@
 CSV conventions: a schema comment line (starting with ``#``, ended by
 ``\n``) precedes the header of every file this tool writes; readers skip
 comment lines before the header. The header and every row are ended by
-``\r\n``, as the ``csv`` module ends them. Floats are written with ``repr``
-so outputs are byte-identical across reruns with the same inputs. Missing
-values (ill-posed locations, undefined diagnostics) are empty fields. Only the
-``id`` field can hold a delimiter, a quote or a line break, so it is the only
-field ever quoted, by the ``csv`` module's rules. One writer (_write_csv)
-frames every file; it writes the tables of several files in lockstep, so an
-experiment's variants format each float cell they share once. A header that
-names a column twice is an input error.
+``\r\n``, as the ``csv`` module ends them. A float is written as its
+``repr``, the shortest text that reads back as the same double, so outputs
+are byte-identical across reruns with the same inputs; that text is computed
+for a block of float columns at a time in numpy (csvtext), not by ``repr``.
+Missing values (ill-posed locations, undefined diagnostics) are empty fields.
+Only the ``id`` field can hold a delimiter, a quote or a line break, so it is
+the only field ever quoted, by the ``csv`` module's rules. One writer
+(_write_csv) frames every file; it writes the tables of several files in
+lockstep, so an experiment's variants format each float cell they share
+once. Every file is read and written as UTF-8, whatever the locale. A header
+that names a column twice is an input error.
 
 Exit codes: 0 success (flagged locations included), 2 input/configuration
 error, 3 internal invariant violation.
@@ -31,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvtext
 from .diagnostics import (
     DEFAULT_K_MORAN,
     DEFAULT_KAPPA_QUANTILE,
@@ -42,7 +45,6 @@ from .diagnostics import (
 )
 from .engine import (
     BRANCH_STRINGS,
-    CHUNK_TARGETS,
     Dataset,
     GimbalConfig,
     branch_bits,
@@ -70,8 +72,10 @@ RECORD_FIELDS = (
 )
 
 
-# a branch code's text, indexed by its 5-bit code
-_BRANCH_TEXT = np.array(BRANCH_STRINGS, dtype=object)
+# a branch code's text, indexed by its 5-bit code, laid out as csvtext.rows reads it
+_BRANCH_TEXT = csvtext.text_matrix(BRANCH_STRINGS)
+# the cells of one block of rows of a CSV file: bounds the formatter's arrays
+_BLOCK_CELLS = 1 << 13
 
 
 def _json_safe(obj):
@@ -83,39 +87,6 @@ def _json_safe(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
-
-
-def _fields(column, prev):
-    """The CSV fields of a 1-D column block, and the key by which the next
-    table's block at the same place reuses them: (fields, key).
-
-    A float is its repr, NaN an empty field. prev is (fields, key) of the
-    previous table's block at the same place, or (None, None). A float cell
-    whose int64 bits equal prev's cell reuses its text, so only the cells
-    that changed go through repr (-0.0 and 0.0 differ; NaNs with unequal
-    payloads are both formatted, as empty fields). An integer or boolean is
-    a decimal integer and an object column's entry the text it holds; those
-    have no key.
-    """
-    kind = column.dtype.kind
-    if kind == "O":
-        return column.tolist(), None
-    if kind != "f":
-        return list(map(str, column.astype(np.int64).tolist())), None
-    bits = column.view(np.int64)
-    prev_fields, prev_bits = prev
-    if prev_bits is not None:
-        changed = np.flatnonzero(bits != prev_bits)
-        fields = prev_fields.copy()
-        for i, text in zip(changed.tolist(), map(repr, column[changed].tolist())):
-            fields[i] = text
-        nan = changed[np.isnan(column[changed])]
-    else:
-        fields = list(map(repr, column.tolist()))
-        nan = np.flatnonzero(np.isnan(column))
-    for i in nan.tolist():
-        fields[i] = ""
-    return fields, bits
 
 
 def _quoted(texts):
@@ -134,29 +105,29 @@ def _quoted(texts):
 
 
 def _write_csv(paths, schema, header, tables):
-    """One file per path: a schema comment line, the header, then one row per
-    entry of its table, a list of equal-length columns (see _fields).
+    """One file per path: a schema comment line, the header, then one row
+    per entry of its table, a list of equal-length columns, one per header
+    name (see csvtext.rows).
 
-    Every table has one column per header name and the same number of rows.
-    The files are written in lockstep, CHUNK_TARGETS rows of each per write,
-    so that a column block reuses the cells of the previous table's block at
-    the same place; at most two blocks per column are held.
+    Every table has the same number of rows. The files are written in
+    lockstep, a block of rows of each per write (at most _BLOCK_CELLS
+    cells), so that a block's float cells reuse the text of the previous
+    table's block at the same place where their bits are equal.
     """
+    step = max(1, _BLOCK_CELLS // len(header))
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(Path(path).open("w", newline="")) for path in paths]
+        files = [stack.enter_context(Path(path).open("wb")) for path in paths]
         for fh in files:
-            fh.write(f"# schema: {schema}\n")
-            fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(tables[0][0]), CHUNK_TARGETS):
-            block = [(None, None)] * len(header)
+            fh.write(f"# schema: {schema}\n{','.join(header)}\r\n".encode("utf-8"))
+        for start in range(0, len(tables[0][0]), step):
+            floats = None
             for fh, columns in zip(files, tables):
-                block = [_fields(column[start:start + CHUNK_TARGETS], prev)
-                         for column, prev in zip(columns, block)]
-                fh.write("\r\n".join(map(",".join, zip(*(fields for fields, _ in block)))) + "\r\n")
+                text, floats = csvtext.rows([column[start:start + step] for column in columns], floats)
+                fh.write(text)
 
 
 def _write_json(path, obj):
-    Path(path).write_text(json.dumps(_json_safe(obj), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(_json_safe(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def read_dataset(path):
@@ -164,7 +135,7 @@ def read_dataset(path):
     the offending column/row if it can be read."""
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             # comment lines precede the header; after it, a row starting with "#" is data
             rows = list(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
@@ -236,9 +207,10 @@ def write_dataset_csv(path, dataset, beta1_true=None):
 
 def _records_columns(result, ids, moran_values, fragile_flags):
     fit, orient, wmap = result.fit, result.orientation, result.weight_map
-    id_texts = _quoted(map(str, ids[result.index].tolist())) if ids is not None else [""] * len(result)
+    id_text = (csvtext.text_matrix(_quoted(map(str, ids[result.index].tolist()))) if ids is not None
+               else np.empty((len(result), 0), dtype=np.uint8))
     return [
-        result.index, np.array(id_texts, dtype=object), result.lat, result.lon, *fit.beta.T,
+        result.index, id_text, result.lat, result.lon, *fit.beta.T,
         fit.m_nor_condition, result.cond_wls2, wmap.h_eff, orient.phi, orient.r_phi,
         orient.theta_z, orient.g_ident, orient.eta, wmap.n_eff_raw, wmap.n_eff_post,
         _BRANCH_TEXT[branch_bits(result)], fit.rmse_local, fit.r2_local,
@@ -251,7 +223,7 @@ def write_records_csv(paths, results, ids, moran_values, fragile_flags):
     fragile flags at the same position of the other sequences; the results
     cover the same targets. ids is the input's id column, or None. The files
     are written in lockstep (_write_csv), so the variants of an experiment
-    format each cell they share once.
+    format each float cell they share once.
     """
     _write_csv(paths, SCHEMA_RECORDS, RECORD_FIELDS, [
         _records_columns(result, ids, moran, fragile)
@@ -323,7 +295,7 @@ def build_config(args):
         # a file that is not UTF-8, or not JSON, raises a ValueError; JSON
         # nested deeper than the interpreter's recursion limit a RecursionError
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):

@@ -3,7 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,12 +169,16 @@ def test_every_csv_matches_the_csv_module_oracle(tmp_path):
 
 
 def test_tables_written_in_lockstep_match_the_csv_module_oracle(tmp_path):
-    # four tables over two blocks; in one cell the tables hold 0.0 then -0.0,
-    # NaNs with two payloads, inf and -inf, and 1-ulp neighbours, so a reused
-    # cell is right only if it matched bit for bit
-    n = CHUNK_TARGETS + 7
+    # four tables over three blocks of rows; in one cell the tables hold 0.0
+    # then -0.0, NaNs with two payloads, inf and -inf, and 1-ulp neighbours,
+    # so a reused cell is right only if it matched bit for bit; the float edge
+    # values sit in the first block and across a block boundary (rotated from
+    # table to table there, so that they are formatted, not reused)
+    header = ["index", "name", "value", "same", "flag"]
+    step = gimbal.cli._BLOCK_CELLS // len(header)
+    n = 2 * step + 50
     rng = np.random.default_rng(12)
-    base = rng.normal(size=n)
+    base = rng.normal(size=n) * 10.0 ** rng.integers(-6, 18, n)
     nan_a = np.float64(math.nan)
     nan_b = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
     assert math.isnan(nan_b) and nan_a.view(np.int64) != nan_b.view(np.int64)
@@ -180,23 +188,30 @@ def test_tables_written_in_lockstep_match_the_csv_module_oracle(tmp_path):
         (math.inf, math.inf, -math.inf, 0.5),
         (0.1, np.nextafter(0.1, 1.0), 0.1, np.nextafter(0.1, 0.0)),
     ]
+    tiny, biggest = np.finfo(np.float64).smallest_normal, np.finfo(np.float64).max
+    edges = np.array([0.0, -0.0, nan_a, nan_b, math.inf, -math.inf, 5e-324, np.nextafter(tiny, 0.0), tiny,
+                      biggest, -biggest, 9999999999999998.0, 1e16, 0.0001, 9.999999999999999e-05,
+                      np.nextafter(0.1, 1.0), 0.1, np.nextafter(0.1, 0.0), 1e23, -2.5])
+    boundary = 2 * step - len(edges) // 2
     tables = []
     for t in range(4):
         col = base.copy()
         col[t::5] += t  # some cells change from table to table, most do not
-        for row, values in zip((0, 1, CHUNK_TARGETS, n - 1), cells):
+        col[2:2 + len(edges)] = edges
+        col[boundary:boundary + len(edges)] = np.roll(edges, t)
+        for row, values in zip((0, 1, step, n - 1), cells):
             col[row] = values[t]
         same = np.full(n, 2.5)
-        tables.append([np.arange(n) * (t + 1), np.array([f"t{t}r{i}" for i in range(n)], dtype=object),
-                       col, same, np.arange(n) % 2 == t % 2])
-    header = ["index", "name", "value", "same", "flag"]
+        names = [f"t{t}r{i}ü" for i in range(n)]
+        tables.append([np.arange(n) * (t + 1) - 1, gimbal.csvtext.text_matrix(names), col, same,
+                       np.arange(n) % 2 == t % 2])
     paths = [tmp_path / f"t{t}.csv" for t in range(4)]
     gimbal.cli._write_csv(paths, "test.v1", header, tables)
-    for path, (index, names, col, same, flag) in zip(paths, tables):
-        rows = [[str(i), name, v, s, str(int(f))] for i, name, v, s, f in
-                zip(index.tolist(), names.tolist(), col.tolist(), same.tolist(), flag.tolist())]
+    for t, (path, (index, _, col, same, flag)) in enumerate(zip(paths, tables)):
+        rows = [[str(i), f"t{t}r{r}ü", v, s, str(int(f))] for r, (i, v, s, f) in
+                enumerate(zip(index.tolist(), col.tolist(), same.tolist(), flag.tolist()))]
         assert path.read_bytes() == oracle_csv("test.v1", header, rows)
-    assert paths[1].read_text().splitlines()[2].split(",")[2] == "-0.0"
+    assert paths[1].read_text(encoding="utf-8").splitlines()[2].split(",")[2] == "-0.0"
 
 
 def test_experiment_73_files_equal_the_fit_of_its_dataset(tmp_path):
@@ -478,6 +493,31 @@ def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, flag, kind):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "good.csv"]
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale with UTF-8 mode and locale coercion off, Python's
+    # preferred encoding is ASCII; a UTF-8 input with a non-ASCII id and a
+    # config file still fit, to the bytes of a UTF-8 locale's run
+    inp, config = tmp_path / "ids.csv", tmp_path / "config.json"
+    rows = [[f"ünï{i}", *row] for i, row in enumerate(toy_rows())]
+    with open(inp, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["id", "lat", "lon", "x", "y"], *rows])
+    config.write_text('{"k": 5}', encoding="utf-8")
+    src = str(Path(gimbal.__file__).resolve().parents[1])
+    outputs = []
+    for locale in ("C.UTF-8", "C"):
+        out = tmp_path / locale
+        out.mkdir()
+        env = {**os.environ, "LC_ALL": locale, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONIOENCODING": "", "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "gimbal.cli", "fit", "--input", str(inp), "--config", str(config),
+                "--out-records", str(out / "rec.csv"), "--out-summary", str(out / "sum.json")]
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("rec.csv", "sum.json")])
+    assert outputs[0] == outputs[1]
+    assert ",ünï3,".encode() in outputs[1][0]
 
 
 def test_config_precedence(tmp_path):
