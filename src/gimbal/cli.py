@@ -12,8 +12,9 @@ Only the ``id`` field can hold a delimiter, a quote or a line break, so it is
 the only field ever quoted, by the ``csv`` module's rules. One writer
 (_write_csv) frames every file; it writes the tables of several files in
 lockstep, so an experiment's variants format each float cell they share
-once. Every file is read and written as UTF-8, whatever the locale. A header
-that names a column twice is an input error.
+once. Every file is read and written as UTF-8, whatever the locale; a
+leading byte order mark is dropped on read, and none is written. A header
+that names a column twice is an input error. An id is copied verbatim.
 
 Exit codes: 0 success (flagged locations included), 2 input/configuration
 error, 3 internal invariant violation.
@@ -59,7 +60,7 @@ from .simgen import SimSpec, generate
 
 SCHEMA_DATASET = "gimbal.dataset.v1"
 SCHEMA_RECORDS = "gimbal.records.v1"
-SCHEMA_PREDICTIONS = "gimbal.predictions.v1"
+SCHEMA_PREDICTIONS = "gimbal.predictions.v2"
 SCHEMA_SUMMARY = "gimbal.summary.v2"
 
 _REQUIRED_COLUMNS = ("lat", "lon", "x", "y")
@@ -135,7 +136,7 @@ def read_dataset(path):
     the offending column/row if it can be read."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             # comment lines precede the header; after it, a row starting with "#" is data
             rows = list(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
@@ -163,7 +164,8 @@ def read_dataset(path):
         return Dataset(
             lat=np.array(data["lat"]), lon=np.array(data["lon"]),
             x=np.array(data["x"]), y=np.array(data["y"]),
-            ids=np.array(ids) if ids is not None else None,
+            # str objects: a fixed-width str array drops trailing NULs
+            ids=np.array(ids, dtype=object) if ids is not None else None,
         )
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
@@ -295,7 +297,7 @@ def build_config(args):
         # a file that is not UTF-8, or not JSON, raises a ValueError; JSON
         # nested deeper than the interpreter's recursion limit a RecursionError
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -375,8 +377,10 @@ def cmd_predict(args):
         raise ConfigurationError(f"--residual-knn must lie in [0, K={config.k}], got {args.residual_knn}")
 
     preds, result = predict(train, config, test.lat, test.lon, test.x, wide=False)
-    columns = [np.arange(test.n), test.lat, test.lon, test.x, test.y, preds, ~result.fit.well_posed]
-    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
+    # a well-posed solve whose beta0 + beta1 * x overflowed
+    overflow = result.fit.well_posed & ~np.isfinite(preds)
+    columns = [np.arange(test.n), test.lat, test.lon, test.x, test.y, preds, ~result.fit.well_posed, overflow]
+    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed", "overflow"]
     if args.residual_knn > 0:
         members = result.neighborhood.member_indices
         # the correction reads the residuals of these training rows only

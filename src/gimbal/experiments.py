@@ -1,15 +1,17 @@
 """Mechanism experiments: map-level summaries, weight-field differences, and
-the four seeded runners (isotropy sanity, geometric anisotropy activation,
-one-shot ESS stress sweep, value-orientation dependence).
+the four seeded experiments (isotropy sanity, geometric anisotropy
+activation, one-shot ESS stress sweep, value-orientation dependence).
 
-Each experiment generates ONE dataset and evaluates all of its variants on
-it, which is what makes the per-target weight-difference evidence meaningful.
-The variants of an experiment share K, so they are fitted together by one
-engine.fit_variants call: one neighbor query serves every target and
-variant, and only the weight map and local solve run once per variant.
-Reported table values in the source material are seed-dependent; the runners
-check structural properties (monotonicity, branch rates, no-harm bounds)
-rather than exact numbers.
+Each experiment states its simulation spec, base config, named variants and
+checks; run_experiment is the one pipeline that runs them. It generates ONE
+dataset and evaluates all of the variants on it, which is what makes the
+per-target weight-difference evidence meaningful. The variants of an
+experiment share K, so they are fitted together by one engine.fit_variants
+call: one neighbor query serves every target and variant, and only the
+weight map and local solve run once per variant. Reported table values in
+the source material are seed-dependent; the checks test structural
+properties (monotonicity, branch rates, no-harm bounds) rather than exact
+numbers.
 """
 
 from __future__ import annotations
@@ -89,35 +91,25 @@ def summarize(result):
 
     kappa = fit.m_nor_condition[well]
     n_uniform = int(np.count_nonzero(wmap.fallback_uniform))
-    mu_rmse, sd_rmse = _mu_sd(fit.rmse_local[well])
-    mu_r2, sd_r2 = _mu_sd(fit.r2_local[well])
-    mu_kappa, sd_kappa = _mu_sd(kappa)
-    mu_neff_raw, sd_neff_raw = _mu_sd(wmap.n_eff_raw[well])
-    mu_neff_post, sd_neff_post = _mu_sd(wmap.n_eff_post[well])
-    mu_eta, sd_eta = _mu_sd(orient.eta[well])
-    mu_rphi, sd_rphi = _mu_sd(orient.r_phi[well])
-    mu_gident, sd_gident = _mu_sd(orient.g_ident[well])
-    mu_theta, sd_theta = _mu_sd(orient.theta_z[well])
+    moments = {}
+    for name, column in (
+        ("rmse", fit.rmse_local), ("r2", fit.r2_local), ("kappa", fit.m_nor_condition),
+        ("neff_raw", wmap.n_eff_raw), ("neff_post", wmap.n_eff_post), ("eta", orient.eta),
+        ("rphi", orient.r_phi), ("gident", orient.g_ident), ("theta", orient.theta_z),
+    ):
+        moments[f"mu_{name}"], moments[f"sd_{name}"] = _mu_sd(column[well])
 
     return MapSummary(
         n_targets=n_targets,
         n_ill_posed=n_ill,
-        mu_rmse=mu_rmse, sd_rmse=sd_rmse,
-        mu_r2=mu_r2, sd_r2=sd_r2,
-        mu_kappa=mu_kappa, sd_kappa=sd_kappa,
         p50_kappa=float(np.percentile(kappa, 50)),
         p95_kappa=float(np.percentile(kappa, 95)),
         p99_kappa=float(np.percentile(kappa, 99)),
-        mu_neff_raw=mu_neff_raw, sd_neff_raw=sd_neff_raw,
-        mu_neff_post=mu_neff_post, sd_neff_post=sd_neff_post,
-        mu_eta=mu_eta, sd_eta=sd_eta,
-        mu_rphi=mu_rphi, sd_rphi=sd_rphi,
-        mu_gident=mu_gident, sd_gident=sd_gident,
-        mu_theta=mu_theta, sd_theta=sd_theta,
         pr_phi_zero=int(np.count_nonzero(orient.phi_deactivated)) / n_targets,
         pr_theta_zero=int(np.count_nonzero(orient.theta_deactivated)) / n_targets,
         pr_uniform=n_uniform / n_targets,
         n_uniform=n_uniform,
+        **moments,
     )
 
 
@@ -172,7 +164,12 @@ _PROXY = dict(phi_mode="forced_zero", theta_z_mode="off", eta_mode="forced_one")
 
 
 def run_experiment(exp_id, base_seed=0):
-    """Run one of the four mechanism experiments.
+    """Run one of the four mechanism experiments: generate its dataset, fit
+    every variant with one fit_variants call, summarize each and check the
+    experiment's structural properties. Each experiment (_e71 ... _e74) is a
+    function of the seed returning its SimSpec, base config, named variants,
+    wide (as for fit_variants) and check(records, summaries) -> (properties,
+    extra report entries).
 
     Returns (report, records_by_variant) where the report carries the config,
     per-variant MapSummary values, weight-difference evidence where defined,
@@ -180,162 +177,129 @@ def run_experiment(exp_id, base_seed=0):
     which weight_diff reads, keep their weights; those of e71 and e73 are
     narrow (see engine.FitResult).
     """
-    runners = {"e71": _run_e71, "e72": _run_e72, "e73": _run_e73, "e74": _run_e74}
-    if exp_id not in runners:
-        raise ConfigurationError(f"unknown experiment id {exp_id!r}; expected one of {sorted(runners)}")
-    return runners[exp_id](base_seed)
-
-
-def _report(exp_id, seed, spec, config, summaries, properties, extra=None):
+    experiments = {"e71": _e71, "e72": _e72, "e73": _e73, "e74": _e74}
+    if exp_id not in experiments:
+        raise ConfigurationError(f"unknown experiment id {exp_id!r}; expected one of {sorted(experiments)}")
+    spec, base, variants, wide, check = experiments[exp_id](base_seed)
+    dataset, _ = generate(spec)
+    records = dict(zip(variants, fit_variants(dataset, variants.values(), wide=wide)))
+    summaries = {name: summarize(result) for name, result in records.items()}
+    properties, extra = check(records, summaries)
     report = {
         "schema": "gimbal.experiment-report.v2",
         "experiment": exp_id,
-        "seed": seed,
+        "seed": base_seed,
         "sim_spec": asdict(spec),
-        "base_config": asdict(config),
+        "base_config": asdict(base),
         "summaries": {name: asdict(s) for name, s in summaries.items()},
         "properties": properties,
+        **extra,
     }
-    if extra:
-        report.update(extra)
-    return report
+    return report, records
 
 
-def _verdict(passed, value):
-    return {"pass": bool(passed), "value": value}
+def _verdict(value, test):
+    return {"pass": bool(test(value)), "value": value}
 
 
-def _fit_variants(spec, configs, wide):
-    """Fit each named config on the one dataset of spec with one fit_variants
-    call, so one neighbor query serves every variant; wide as for
-    fit_variants.
-
-    Returns (records, summaries), both keyed by variant name.
-    """
-    dataset, _ = generate(spec)
-    records = dict(zip(configs, fit_variants(dataset, configs.values(), wide=wide)))
-    return records, {name: summarize(result) for name, result in records.items()}
+def _below(value, bound):
+    return _verdict(value, lambda v: v < bound)
 
 
-def _run_e71(seed):
+def _above(value, bound):
+    return _verdict(value, lambda v: v > bound)
+
+
+def _equal(value, target):
+    return _verdict(value, lambda v: v == target)
+
+
+def _e71(seed):
     """Isotropy sanity check: four variants on one undeformed dataset."""
+    def check(records, summaries):
+        proxy = summaries["isotropic_proxy"]
+        properties = {}
+        for name in ("theta_off", "full", "full_strict_eps_phi"):
+            s = summaries[name]
+            properties[f"no_harm_rmse_{name}"] = _below(abs(s.mu_rmse - proxy.mu_rmse), 0.01)
+            properties[f"no_harm_kappa_{name}"] = _below(
+                abs(s.mu_kappa - proxy.mu_kappa) / proxy.mu_kappa, 0.05)
+        properties["theta_branch_full_active"] = _equal(summaries["full"].pr_theta_zero, 0.0)
+        properties["theta_branch_proxy_forced"] = _equal(proxy.pr_theta_zero, 1.0)
+        # the strict threshold re-run changes the phi branch but, since r_phi is
+        # data-determined, the re-solved flag rate equals the flag-only rate
+        full = records["full"]
+        flag_only = int(np.count_nonzero(full.orientation.r_phi <= STRICT_EPS_PHI)) / len(full)
+        return properties, {"strict_eps_phi": {
+            "threshold": STRICT_EPS_PHI,
+            "resolved_pr_phi_zero": summaries["full_strict_eps_phi"].pr_phi_zero,
+            "flag_only_pr_phi_zero": flag_only,
+        }}
+
     spec = replace(_BASE_SPEC, rho=1.0, psi=0.0, c_rad=0.0, seed=seed)
-    records, summaries = _fit_variants(spec, {
+    return spec, _BASE_CONFIG, {
         "isotropic_proxy": replace(_BASE_CONFIG, **_PROXY),
         "theta_off": replace(_BASE_CONFIG, theta_z_mode="off"),
         "full": _BASE_CONFIG,
         "full_strict_eps_phi": replace(_BASE_CONFIG, eps_phi=STRICT_EPS_PHI),
-    }, wide=False)
-
-    proxy = summaries["isotropic_proxy"]
-    properties = {}
-    for name in ("theta_off", "full", "full_strict_eps_phi"):
-        s = summaries[name]
-        properties[f"no_harm_rmse_{name}"] = _verdict(
-            abs(s.mu_rmse - proxy.mu_rmse) < 0.01, abs(s.mu_rmse - proxy.mu_rmse)
-        )
-        properties[f"no_harm_kappa_{name}"] = _verdict(
-            abs(s.mu_kappa - proxy.mu_kappa) / proxy.mu_kappa < 0.05,
-            abs(s.mu_kappa - proxy.mu_kappa) / proxy.mu_kappa,
-        )
-    properties["theta_branch_full_active"] = _verdict(
-        summaries["full"].pr_theta_zero == 0.0, summaries["full"].pr_theta_zero
-    )
-    properties["theta_branch_proxy_forced"] = _verdict(
-        proxy.pr_theta_zero == 1.0, proxy.pr_theta_zero
-    )
-
-    # the strict threshold re-run changes the phi branch but, since r_phi is
-    # data-determined, the re-solved flag rate equals the flag-only rate
-    flag_only = int(np.count_nonzero(
-        records["full"].orientation.r_phi <= STRICT_EPS_PHI
-    )) / len(records["full"])
-    extra = {
-        "strict_eps_phi": {
-            "threshold": STRICT_EPS_PHI,
-            "resolved_pr_phi_zero": summaries["full_strict_eps_phi"].pr_phi_zero,
-            "flag_only_pr_phi_zero": flag_only,
-        }
-    }
-    return _report("e71", seed, spec, _BASE_CONFIG, summaries, properties, extra), records
+    }, False, check
 
 
-def _run_e72(seed):
+def _e72(seed):
     """Geometric anisotropy activation under rho=10, psi=pi/4."""
+    def check(records, summaries):
+        diff = weight_diff(records["full"], records["isotropic_proxy"])
+        return {
+            "proxy_eta_exactly_one": _equal(summaries["isotropic_proxy"].mu_eta, 1.0),
+            "gr_eta_activated": _above(summaries["full"].mu_eta, 2.5),
+            "weight_l1_visible": _above(diff.mu_l1, 0.2),
+            "weight_corr_below_one": _below(diff.mu_corr, 0.99),
+        }, {"weight_diff": asdict(diff)}
+
     spec = replace(_BASE_SPEC, rho=10.0, psi=math.pi / 4.0, c_rad=0.0, seed=seed)
-    records, summaries = _fit_variants(spec, {
+    return spec, _BASE_CONFIG, {
         "isotropic_proxy": replace(_BASE_CONFIG, **_PROXY),
         "full": _BASE_CONFIG,
-    }, wide=True)
-    diff = weight_diff(records["full"], records["isotropic_proxy"])
-
-    properties = {
-        "proxy_eta_exactly_one": _verdict(
-            summaries["isotropic_proxy"].mu_eta == 1.0, summaries["isotropic_proxy"].mu_eta
-        ),
-        "gr_eta_activated": _verdict(summaries["full"].mu_eta > 2.5, summaries["full"].mu_eta),
-        "weight_l1_visible": _verdict(diff.mu_l1 > 0.2, diff.mu_l1),
-        "weight_corr_below_one": _verdict(diff.mu_corr < 0.99, diff.mu_corr),
-    }
-    extra = {"weight_diff": asdict(diff)}
-    return _report("e72", seed, spec, _BASE_CONFIG, summaries, properties, extra), records
+    }, True, check
 
 
-def _run_e73(seed):
+def _e73(seed):
     """One-shot ESS stress: sweep the target level n0 on one dataset."""
+    def check(records, summaries):
+        sweep = [summaries[f"n0_{n0:g}"] for n0 in E73_N0_SWEEP]
+        return {
+            "neff_post_nondecreasing": _verdict(
+                [s.mu_neff_post for s in sweep], lambda v: all(b >= a for a, b in zip(v, v[1:]))),
+            "pr_uniform_nonincreasing": _verdict(
+                [s.pr_uniform for s in sweep], lambda v: all(b <= a for a, b in zip(v, v[1:]))),
+            # constant at 3-decimal resolution: spread below half a unit in the
+            # third decimal (round-equality alone is fragile at a rounding edge)
+            "rmse_constant_3dp": _verdict([s.mu_rmse for s in sweep], lambda v: max(v) - min(v) < 5e-4),
+        }, {}
+
     spec = replace(
         _BASE_SPEC, sampling="gaussian", extent=_E73_EXTENT,
         rho=10.0, psi=math.pi / 4.0, c_rad=0.0, seed=seed,
     )
     base = replace(_BASE_CONFIG, k=30, h=2000.0, n_min=12.0)
-    records, summaries = _fit_variants(
-        spec, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, wide=False)
-
-    ordered = [summaries[f"n0_{n0:g}"] for n0 in E73_N0_SWEEP]
-    neff = [s.mu_neff_post for s in ordered]
-    pr_uniform = [s.pr_uniform for s in ordered]
-    rmse = [s.mu_rmse for s in ordered]
-    properties = {
-        "neff_post_nondecreasing": _verdict(
-            all(b >= a for a, b in zip(neff, neff[1:])), neff
-        ),
-        "pr_uniform_nonincreasing": _verdict(
-            all(b <= a for a, b in zip(pr_uniform, pr_uniform[1:])), pr_uniform
-        ),
-        # constant at 3-decimal resolution: spread below half a unit in the
-        # third decimal (round-equality alone is fragile at a rounding edge)
-        "rmse_constant_3dp": _verdict(
-            max(rmse) - min(rmse) < 5e-4, rmse
-        ),
-    }
-    return _report("e73", seed, spec, base, summaries, properties), records
+    return spec, base, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, False, check
 
 
-def _run_e74(seed):
+def _e74(seed):
     """Value-orientation dependence under a radial response trend."""
+    def check(records, summaries):
+        on, off = summaries["theta_on"], summaries["theta_off"]
+        diff = weight_diff(records["theta_on"], records["theta_off"])
+        return {
+            "theta_active_under_on": _equal(on.pr_theta_zero, 0.0),
+            "theta_forced_under_off": _equal(off.pr_theta_zero, 1.0),
+            "weight_l1_visible": _above(diff.mu_l1, 0.05),
+            "rmse_unchanged": _below(abs(on.mu_rmse - off.mu_rmse), 0.005),
+        }, {"weight_diff": asdict(diff)}
+
     spec = replace(
         _BASE_SPEC, extent=_E74_EXTENT,
         rho=10.0, psi=math.pi / 4.0, c_rad=8.0, delta_beta=0.0, seed=seed,
     )
     base = replace(_BASE_CONFIG, k=30, h=2000.0, n0=20.0, n_min=4.0)
-    records, summaries = _fit_variants(spec, {
-        "theta_on": base,
-        "theta_off": replace(base, theta_z_mode="off"),
-    }, wide=True)
-    diff = weight_diff(records["theta_on"], records["theta_off"])
-
-    properties = {
-        "theta_active_under_on": _verdict(
-            summaries["theta_on"].pr_theta_zero == 0.0, summaries["theta_on"].pr_theta_zero
-        ),
-        "theta_forced_under_off": _verdict(
-            summaries["theta_off"].pr_theta_zero == 1.0, summaries["theta_off"].pr_theta_zero
-        ),
-        "weight_l1_visible": _verdict(diff.mu_l1 > 0.05, diff.mu_l1),
-        "rmse_unchanged": _verdict(
-            abs(summaries["theta_on"].mu_rmse - summaries["theta_off"].mu_rmse) < 0.005,
-            abs(summaries["theta_on"].mu_rmse - summaries["theta_off"].mu_rmse),
-        ),
-    }
-    extra = {"weight_diff": asdict(diff)}
-    return _report("e74", seed, spec, base, summaries, properties, extra), records
+    return spec, base, {"theta_on": base, "theta_off": replace(base, theta_z_mode="off")}, True, check

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import io
@@ -149,16 +150,17 @@ def test_every_csv_matches_the_csv_module_oracle(tmp_path):
     assert np.isnan(preds).any() and not np.isnan(preds).all()
     corr = residual_knn_correct(result.residual_at_target, fitted.neighborhood.member_indices, 3)
     ill = (~fitted.fit.well_posed).astype(int).tolist()
-    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed"]
+    overflow = (fitted.fit.well_posed & ~np.isfinite(preds)).astype(int).tolist()
+    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed", "overflow"]
     for residual_knn, extra in ((0, []), (3, [corr, preds + corr])):
         out = tmp_path / f"pred{residual_knn}.csv"
         rc = main(["predict", "--train", str(inp), "--test", str(tmp_path / "test.csv"),
                    "--out", str(out), "--k", "6", "--residual-knn", str(residual_knn)])
         assert rc == 0
         values = zip(*(c.tolist() for c in [test.lat, test.lon, test.x, test.y, preds, *extra]))
-        rows = [[str(i), *v[:5], str(ill[i]), *v[5:]] for i, v in enumerate(values)]
+        rows = [[str(i), *v[:5], str(ill[i]), str(overflow[i]), *v[5:]] for i, v in enumerate(values)]
         extra_header = ["residual_correction", "prediction_corrected"] if extra else []
-        assert out.read_bytes() == oracle_csv("gimbal.predictions.v1", header + extra_header, rows)
+        assert out.read_bytes() == oracle_csv("gimbal.predictions.v2", header + extra_header, rows)
 
     # a dataset file with every special float in its free column
     beta1 = np.array([math.nan, -0.0, math.inf, -math.inf, 5e-324, 0.1, 1e16, -2.5] * 3)
@@ -520,6 +522,47 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert ",ünï3,".encode() in outputs[1][0]
 
 
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    # spreadsheet "CSV UTF-8" exports begin with U+FEFF: a BOM-prefixed copy
+    # of an input, with or without this tool's schema line, fits to the bytes
+    # of the copy without it, and a config file with a BOM is read
+    write_dataset_csv(tmp_path / "schema.csv", generate(SimSpec(n=60, seed=3))[0])
+    write_csv(tmp_path / "header.csv", toy_rows(20))
+    config = tmp_path / "config.json"
+    config.write_bytes(codecs.BOM_UTF8 + b'{"k": 7}')
+    for name in ("schema", "header"):
+        plain = (tmp_path / f"{name}.csv").read_bytes()
+        (tmp_path / f"{name}_bom.csv").write_bytes(codecs.BOM_UTF8 + plain)
+        outputs = []
+        for inp in (f"{name}.csv", f"{name}_bom.csv"):
+            out = tmp_path / inp.replace(".csv", "_out")
+            out.mkdir()
+            rc = main(["fit", "--input", str(tmp_path / inp), "--config", str(config),
+                       "--out-records", str(out / "rec.csv"), "--out-summary", str(out / "sum.json")])
+            assert rc == 0
+            outputs.append([(out / "rec.csv").read_bytes(), (out / "sum.json").read_bytes()])
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0].startswith(b"# schema: ")
+        assert json.loads(outputs[1][1])["config"]["k"] == 7
+
+
+def test_ids_are_copied_verbatim_trailing_nuls_included(tmp_path):
+    try:
+        list(csv.reader(["a\x00,b"]))
+    except csv.Error:
+        pytest.skip("this interpreter's csv module does not read NUL")
+    ids = ["a\x00", "\x00", "b\x00\x00", *(f"p{i}" for i in range(7))]
+    inp = tmp_path / "data.csv"
+    inp.write_text("id,lat,lon,x,y\n" + "".join(f"{rec_id},{','.join(map(repr, row))}\n"
+                                               for rec_id, row in zip(ids, toy_rows())), encoding="utf-8")
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "rec.csv"),
+               "--out-summary", str(tmp_path / "sum.json"), "--k", "5"])
+    assert rc == 0
+    with open(tmp_path / "rec.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    assert [row[header.index("id")] for row in rows] == ids
+
+
 def test_config_precedence(tmp_path):
     inp = tmp_path / "data.csv"
     write_csv(inp, toy_rows())
@@ -726,8 +769,8 @@ def test_predict_fits_only_the_training_rows_its_correction_reads(tmp_path, monk
     # the file the full in-sample fit gives, byte for byte
     corr = residual_knn_correct(fit_all(train, config).residual_at_target, members, 7)
     columns = [np.arange(test.n), test.lat, test.lon, test.x, test.y, preds, ~result.fit.well_posed,
-               corr, preds + corr]
-    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed",
+               result.fit.well_posed & ~np.isfinite(preds), corr, preds + corr]
+    header = ["index", "lat", "lon", "x", "y", "prediction", "ill_posed", "overflow",
               "residual_correction", "prediction_corrected"]
     gimbal.cli._write_csv([tmp_path / "full.csv"], gimbal.cli.SCHEMA_PREDICTIONS, header, [columns])
     assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
@@ -754,9 +797,9 @@ def test_predict_residual_knn_zero_residuals(tmp_path, capsys):
                "--residual-knn", "5"])
     assert rc == 0
     _, plain = read_csv_skipping_comments(tmp_path / "pred_plain.csv")
-    _, rk = read_csv_skipping_comments(tmp_path / "pred_rk.csv")
+    rk_header, rk = read_csv_skipping_comments(tmp_path / "pred_rk.csv")
     assert float(plain[0][5]) == pytest.approx(2.5, abs=1e-8)
-    assert float(rk[0][8]) == pytest.approx(float(plain[0][5]), abs=1e-9)
+    assert float(rk[0][rk_header.index("prediction_corrected")]) == pytest.approx(float(plain[0][5]), abs=1e-9)
     # 0 means no correction; a negative count is an input error
     rc = main(["predict", "--train", str(tmp_path / "train.csv"),
                "--test", str(tmp_path / "test.csv"),

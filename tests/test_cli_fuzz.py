@@ -3,11 +3,13 @@ fit` on malformed files, exit 0 or 2, never 3 (exit 3 is an internal
 invariant violation), and raise no numpy RuntimeWarning."""
 
 import contextlib
+import csv
 import io
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from gimbal.cli import main
@@ -149,7 +151,15 @@ def test_predict_exits_0_or_2_never_3(case):
         write_points(tmp / "test.csv", test)
         rc, err = exit_code(["predict", "--train", str(tmp / "train.csv"), "--test", str(tmp / "test.csv"),
                              "--out", str(tmp / "p.csv"), *argv])
-    assert rc in (0, 2), err
+        assert rc in (0, 2), err
+        if rc == 0:
+            # the flags are a prediction's only signal: it is finite exactly
+            # where neither ill_posed nor overflow is set
+            with open(tmp / "p.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+            finite = np.isfinite([float(row["prediction"] or "nan") for row in rows])
+            flagged = np.array([row["ill_posed"] == "1" or row.get("overflow") == "1" for row in rows])
+            assert np.array_equal(finite, ~flagged), rows
 
 
 VALID = ("lat,lon,x,y\n" + "".join(f"{lat!r},{lon!r},{x!r},{y!r}\n" for lat, lon, x, y in SPREAD)).encode()
