@@ -14,7 +14,9 @@ the only field ever quoted, by the ``csv`` module's rules. One writer
 lockstep, so an experiment's variants format each float cell they share
 once. Every file is read and written as UTF-8, whatever the locale; a
 leading byte order mark is dropped on read, and none is written. A header
-that names a column twice is an input error. An id is copied verbatim.
+that names a column twice is an input error. An id is copied verbatim. A
+numeric input cell is a number as float() reads it, on ASCII text and
+without underscores.
 
 Exit codes: 0 success (flagged locations included), 2 input/configuration
 error, 3 internal invariant violation.
@@ -31,6 +33,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +67,10 @@ SCHEMA_PREDICTIONS = "gimbal.predictions.v2"
 SCHEMA_SUMMARY = "gimbal.summary.v2"
 
 _REQUIRED_COLUMNS = ("lat", "lon", "x", "y")
+# the characters str.isspace() holds beyond " \t\n\v\f\r": numpy's text
+# reader strips them around a number, float() does not strip the ASCII ones,
+# and a numeric cell is ASCII
+_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 
 RECORD_FIELDS = (
     "index", "id", "lat", "lon", "beta0", "beta1", "beta2",
@@ -133,18 +140,24 @@ def _write_json(path, obj):
 
 def read_dataset(path):
     """Read a dataset CSV; raises ConfigurationError naming the file, and
-    the offending column/row if it can be read."""
+    the offending column/row if it can be read.
+
+    The four required columns are parsed by numpy's text reader
+    (_parse_columns); the csv module reads the header, the id column and,
+    when the reader cannot vouch for a body, every row (_numeric_rows),
+    which names the first bad cell."""
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             # comment lines precede the header; after it, a row starting with "#" is data
-            rows = list(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))))
+            header = next(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))), None)
+            body = fh.read()
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         # missing, a directory, not UTF-8, or a cell over csv's field limit
         raise ConfigurationError(f"cannot read input file {path}: {exc}") from exc
-    if not rows:
+    if header is None:
         raise ConfigurationError(f"{path}: empty file")
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in header]
     twice = next((name for i, name in enumerate(header) if name and name in header[:i]), None)
     if twice is not None:
         raise ConfigurationError(f"{path}: column '{twice}' is named twice in the header")
@@ -152,13 +165,13 @@ def read_dataset(path):
     if missing:
         raise ConfigurationError(f"{path}: missing required column '{missing[0]}'")
     col = {name: header.index(name) for name in header}
-    body = rows[1:]
+    rows = _body_rows(path, body) if "id" in col else None
     try:
-        data = _numeric_columns(body, len(header), col)
+        data = _parse_columns(body, rows, len(header), col)
     except ValueError:
         # the row loop names the first bad row and column
-        data = _numeric_rows(path, body, len(header), col)
-    ids = [row[col["id"]] for row in body] if "id" in col else None
+        data = _numeric_rows(path, _body_rows(path, body) if rows is None else rows, len(header), col)
+    ids = [row[col["id"]] for row in rows] if rows is not None else None
 
     try:
         return Dataset(
@@ -171,19 +184,66 @@ def read_dataset(path):
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-def _numeric_columns(body, width, col):
-    """The required columns of the data rows as lists of floats, read one
-    column at a time; ValueError if a row has other than width fields or a
-    cell is not numeric."""
-    if any(len(row) != width for row in body):
+def _body_rows(path, body):
+    """The non-empty rows of the text after the header, as the csv module
+    reads them."""
+    try:
+        return list(filter(None, csv.reader(io.StringIO(body, newline=""))))
+    except csv.Error as exc:
+        raise ConfigurationError(f"cannot read input file {path}: {exc}") from exc
+
+
+def _parse_columns(body, rows, width, col):
+    """The required columns of the data rows as float arrays, parsed by
+    numpy's text reader, which gives float()'s bits; ValueError where the
+    row loop must read them instead: a row of other than width fields, a
+    field past the csv module's limit, a cell the reader rejects, or a
+    character it would strip around a number that the cell syntax does not
+    allow (_READER_ONLY_SPACE).
+
+    rows is the body as the csv module reads it, or None. Without them a
+    body is read here only if it holds no quote, so that each line's fields
+    are what lies between its commas."""
+    if any(char in body for char in _READER_ONLY_SPACE):
+        raise ValueError("a space character that only numpy's reader strips")
+    if rows is not None:
+        if any(len(row) != width for row in rows):
+            raise ValueError("a row of the wrong length")
+    elif '"' in body:
+        raise ValueError("a quoted field")
+    else:
+        _check_lines(body.encode("utf-8"), width)
+    with warnings.catch_warnings():
+        # a body of blank lines holds no data, which is no error
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar='"', ndmin=2,
+                          usecols=[col[name] for name in _REQUIRED_COLUMNS])
+    return {name: data[:, i] for i, name in enumerate(_REQUIRED_COLUMNS)}
+
+
+def _check_lines(text, width):
+    """ValueError unless every line of the quote-free UTF-8 text is blank
+    or has width fields, and no field is longer than the csv module's limit
+    (counted in bytes: at least its characters)."""
+    text = np.frombuffer(text, dtype=np.uint8)
+    # the commas and line ends, among the few bytes below "-"
+    ends = np.flatnonzero(text < ord("-"))
+    kind = text[ends]
+    keep = (kind == ord(",")) | (kind == ord("\n")) | (kind == ord("\r"))
+    ends, comma = ends[keep], kind[keep] == ord(",")
+    if np.diff(ends, prepend=-1, append=text.shape[0]).max() - 1 > csv.field_size_limit():
+        raise ValueError("a field past the csv module's limit")
+    # a line's commas, for each line that has one: its line ends come before
+    commas = np.bincount(np.cumsum(~comma)[comma])
+    if np.any((commas != 0) & (commas != width - 1)):
         raise ValueError("a row of the wrong length")
-    return {name: list(map(float, [row[col[name]] for row in body])) for name in _REQUIRED_COLUMNS}
 
 
 def _numeric_rows(path, body, width, col):
     """The required columns of the data rows as lists of floats, read row by
     row; raises ConfigurationError at the first row of the wrong length or
-    the first non-numeric cell."""
+    the first cell that is not a number: float()'s syntax on ASCII text,
+    without the underscores it allows between digits."""
     data = {name: [] for name in _REQUIRED_COLUMNS}
     for row_no, row in enumerate(body):
         if len(row) != width:
@@ -191,6 +251,8 @@ def _numeric_rows(path, body, width, col):
         for name in _REQUIRED_COLUMNS:
             raw = row[col[name]]
             try:
+                if "_" in raw or not raw.isascii():
+                    raise ValueError(raw)
                 value = float(raw)
             except ValueError:
                 raise ConfigurationError(f"{path}: row {row_no}: column {name} is not numeric ({raw!r})")

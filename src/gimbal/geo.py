@@ -23,15 +23,27 @@ EARTH_RADIUS_M = 6_371_000.0
 _DEG = math.pi / 180.0
 
 
+def haversine_table(lats, lons):
+    """The haversine's per-point terms: a (3, ...) stack of each point's
+    latitude and longitude in radians and the cosine of its latitude, so
+    that a point gathered many times pays for them once."""
+    phi = np.asarray(lats, dtype=np.float64) * _DEG
+    return np.stack([phi, np.asarray(lons, dtype=np.float64) * _DEG, np.cos(phi)])
+
+
+def haversine_between(points, origins):
+    """Haversine distances (meters) between points and origins, each given
+    by its haversine_table terms; the two broadcast against each other."""
+    phi, lam, cos_phi = points
+    phi0, lam0, cos_phi0 = origins
+    s = np.sin((phi - phi0) / 2.0) ** 2 + cos_phi0 * cos_phi * np.sin((lam - lam0) / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
 def haversine_to_all(lats, lons, lat0, lon0):
     """Haversine distances (meters) from origins to every row of lats/lons:
     (N,) from a scalar origin, (C, N) from (C, 1) origin arrays."""
-    phi = np.asarray(lats, dtype=np.float64) * _DEG
-    lam = np.asarray(lons, dtype=np.float64) * _DEG
-    phi0 = lat0 * _DEG
-    lam0 = lon0 * _DEG
-    s = np.sin((phi - phi0) / 2.0) ** 2 + np.cos(phi0) * np.cos(phi) * np.sin((lam - lam0) / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+    return haversine_between(haversine_table(lats, lons), haversine_table(lat0, lon0))
 
 
 def unit_vectors(lats, lons):

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geo import haversine_to_all, unit_vectors
+from .geo import haversine_between, haversine_table, unit_vectors
 
 # Cosine keys held per block of targets. The cap keeps peak memory at the
 # level of a one-target-at-a-time scan: a larger block measurably raises peak
@@ -299,6 +299,9 @@ def knn(lats, lons, target_lats, target_lons, k):
 
     pool = unit_vectors(lats, lons)
     targets = unit_vectors(target_lats, target_lons)
+    # the re-rank gathers each point's haversine terms, computed once here
+    table = haversine_table(lats, lons)
+    target_table = haversine_table(target_lats, target_lons)
     members = np.empty((targets.shape[0], k), dtype=np.intp)
     distances = np.empty(members.shape, dtype=np.float64)
     grids = _Grids(pool)
@@ -336,8 +339,7 @@ def knn(lats, lons, target_lats, target_lons, k):
                 cand[gathered] = np.flatnonzero(near) % w
                 if grid is not None:
                     cand = grid.order[_take_rows(positions, cand, row_piece)]
-                cand_d = haversine_to_all(lats[cand], lons[cand],
-                                          target_lats[block, None], target_lons[block, None])
+                cand_d = haversine_between(np.take(table, cand, axis=1), target_table[:, block, None])
                 cand_d[~gathered] = np.inf
                 # a row with no exact tie among its first k + 1 distances has
                 # unique first k, which the (distance, index) sort takes in the

@@ -5,6 +5,8 @@ import pytest
 
 from gimbal.geo import (
     EARTH_RADIUS_M,
+    haversine_between,
+    haversine_table,
     haversine_to_all,
     meters_to_geo_arrays,
     rotation_matrix,
@@ -159,3 +161,39 @@ def test_array_roundtrip_matches_scalar():
     e2, n2 = tangent_displacements(35.0, 135.0, lat, lon)
     assert np.allclose(e2, east, atol=1e-6)
     assert np.allclose(n2, north, atol=1e-6)
+
+
+def inline_haversine(lats, lons, lat0, lon0):
+    """The haversine written out in one expression, as the package computed
+    it before its per-point terms became a table."""
+    deg = math.pi / 180.0
+    phi, lam = np.asarray(lats, dtype=np.float64) * deg, np.asarray(lons, dtype=np.float64) * deg
+    phi0, lam0 = lat0 * deg, lon0 * deg
+    s = np.sin((phi - phi0) / 2.0) ** 2 + np.cos(phi0) * np.cos(phi) * np.sin((lam - lam0) / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+
+def test_haversine_table_split_equals_the_inline_formula_bitwise():
+    # random pairs over the whole sphere, near pairs, antipodes and poles:
+    # gathered table rows give the inline expression's bits, from (C, 1)
+    # origins and from a scalar one
+    rng = np.random.default_rng(31)
+    n = 4000
+    lats = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
+    lons = rng.uniform(-180.0, 180.0, n)
+    lats[:40], lons[:40] = 90.0 * np.sign(rng.normal(size=40)), rng.uniform(-180.0, 180.0, 40)
+    lat0 = np.concatenate([lats[:1000] + rng.normal(0.0, 1e-4, 1000), -lats[1000:2000],
+                           np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 2000)))])
+    lon0 = np.concatenate([lons[:1000] + rng.normal(0.0, 1e-4, 1000), lons[1000:2000] + 180.0,
+                           rng.uniform(-180.0, 180.0, 2000)])
+    lat0 = np.clip(lat0, -90.0, 90.0)
+    members = rng.integers(0, n, (n, 7))
+    expected = inline_haversine(lats[members], lons[members], lat0[:, None], lon0[:, None])
+    got = haversine_between(np.take(haversine_table(lats, lons), members, axis=1),
+                            haversine_table(lat0, lon0)[:, :, None])
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(haversine_to_all(lats[members], lons[members], lat0[:, None], lon0[:, None])
+                          .view(np.int64), expected.view(np.int64))
+    one = haversine_to_all(lats, lons, float(lat0[5]), float(lon0[5]))
+    assert np.array_equal(one.view(np.int64), inline_haversine(lats, lons, float(lat0[5]), float(lon0[5]))
+                          .view(np.int64))

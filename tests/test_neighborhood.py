@@ -31,11 +31,16 @@ def assert_matches_oracle(lats, lons, target_lats, target_lons, k):
     for i, target in enumerate(zip(target_lats, target_lons)):
         assert members[i].tolist() == scan_oracle(lats, lons, target, k), i
         assert np.all(np.diff(distances[i]) >= 0)
-    # the reported distances are the haversine distances of the members, bit for bit
+    assert_member_distances(lats, lons, target_lats, target_lons, members, distances)
+
+
+def assert_member_distances(lats, lons, target_lats, target_lons, members, distances):
+    """The reported distances are geo.haversine_to_all of the members, bit
+    for bit: the query's gathered haversine table changes no bit."""
     tlats, tlons = np.asarray(target_lats, float), np.asarray(target_lons, float)
     expected = haversine_to_all(np.asarray(lats)[members], np.asarray(lons)[members],
                                 tlats[:, None], tlons[:, None])
-    assert np.array_equal(distances, expected)
+    assert np.array_equal(distances.view(np.int64), expected.view(np.int64))
 
 
 def random_cloud(rng, n, spread=1.0):
@@ -247,6 +252,7 @@ def assert_grid_matches(monkeypatch, lats, lons, target_lats, target_lons, k, or
     full_members, full_distances = full_scan(monkeypatch, lats, lons, target_lats, target_lons, k)
     assert np.array_equal(members, full_members)
     assert np.array_equal(distances, full_distances)
+    assert_member_distances(lats, lons, target_lats, target_lons, members, distances)
     for i in oracle_rows:
         target = (target_lats[i], target_lons[i])
         assert members[i].tolist() == scan_oracle(lats, lons, target, k), i
@@ -517,6 +523,7 @@ def test_clearance_accepts_rows_the_cell_side_would_retry(monkeypatch):
     full_members, full_distances = full_scan(monkeypatch, ds.lat, ds.lon, ds.lat, ds.lon, k)
     assert np.array_equal(members, full_members)
     assert np.array_equal(distances, full_distances)
+    assert_member_distances(ds.lat, ds.lon, ds.lat, ds.lon, members, distances)
     tries = np.bincount(np.concatenate([block for block, _, _ in seen]), minlength=ds.n)
     only_clearance = 0
     for block, level, kth in seen:

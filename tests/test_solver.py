@@ -1,13 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import gimbal.solver as solver
 from gimbal.solver import (
     cond_wls2,
     operator_norm_bound,
     solve_local,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 def stability_bound(X, weights, gamma):
@@ -131,7 +135,8 @@ def test_stability_bound_requires_well_posed():
 
 def test_operator_norm_bound_is_bitwise_the_product_expression():
     # ||M_nor^-1||_2 ||B||_2 written out inline: the two Gram matrices summed
-    # in the same order, and their batched eigenvalues
+    # in the same order, M's Cholesky factor, and the closed-form largest
+    # eigenvalues of M, M^-1 and B B^T; eigvalsh is the oracle
     rng = np.random.default_rng(48)
     C, K = 40, 25
     x, z = rng.normal(0, 1, (C, K)), rng.uniform(0, 2, (C, K))
@@ -142,16 +147,18 @@ def test_operator_norm_bound_is_bitwise_the_product_expression():
     X = np.stack([np.ones((C, K)), x, z], axis=-1)
 
     scale = 1.0 + 2.0 * gamma * w
-    m_nor = np.empty((C, 3, 3))
-    b_gram = np.empty((C, 3, 3))
+    m_nor, b_gram = {}, {}
     for a in range(3):
         for b in range(a, 3):
-            m_nor[:, a, b] = m_nor[:, b, a] = np.sum(X[..., a] * X[..., b] * scale, axis=-1)
-            b_gram[:, a, b] = b_gram[:, b, a] = np.sum(X[..., a] * X[..., b] * (scale * scale), axis=-1)
-    evals = np.linalg.eigvalsh(m_nor)
-    well_posed = (evals[:, -1] > 0.0) & (evals[:, 0] > 1e-12 * evals[:, -1])
-    b_norm = np.sqrt(np.linalg.eigvalsh(b_gram)[:, -1])
-    expected = np.where(well_posed, b_norm / evals[:, 0], np.nan)
+            m_nor[a, b] = np.sum(X[..., a] * X[..., b] * scale, axis=-1)
+            b_gram[a, b] = np.sum(X[..., a] * X[..., b] * (scale * scale), axis=-1)
+    low, broken = solver._cholesky(m_nor)
+    lam_max = solver._largest_eigenvalue(m_nor)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam_min = np.where(broken, 0.0, 1.0 / solver._largest_eigenvalue(solver._inverse_gram(low)))
+        well_posed = (lam_max > 0.0) & (lam_min > 1e-12 * lam_max)
+        b_norm = np.sqrt(solver._largest_eigenvalue(b_gram))
+        expected = np.where(well_posed, b_norm / lam_min, np.nan)
 
     assert np.isnan(expected[3]) and np.count_nonzero(np.isnan(expected)) == 1
     for design in (X, (None, x, z)):
@@ -160,6 +167,17 @@ def test_operator_norm_bound_is_bitwise_the_product_expression():
     # one row alone is its row of the stack
     one = operator_norm_bound(X[5], w[5], gamma)
     assert one.view(np.int64) == expected[5].view(np.int64)
+
+    # against LAPACK: lam_min and ||B||_2 each within a few ulp of their
+    # matrix's norm, so the bound within 16 eps kappa relative
+    def full(g):
+        return np.stack([np.stack([g[min(a, b), max(a, b)] for b in range(3)], -1) for a in range(3)], -2)
+
+    evals = np.linalg.eigvalsh(full(m_nor))
+    oracle = np.sqrt(np.linalg.eigvalsh(full(b_gram))[:, -1]) / evals[:, 0]
+    kappa = evals[:, -1] / evals[:, 0]
+    ok = well_posed
+    assert np.all(np.abs(expected[ok] - oracle[ok]) <= 16 * EPS * kappa[ok] * oracle[ok])
 
 
 def test_gamma_interpolates_between_ols_and_wls():
@@ -373,3 +391,96 @@ def test_closed_form_solve_leaves_ill_posed_and_non_finite_rows_nan():
     assert not np.isfinite(fit.beta[5]).all()
     alone = solve_local(X[0], y[0], w[0], 1.0)
     assert np.array_equal(fit.beta[0], alone.beta) and np.isfinite(alone.beta).all()
+
+
+# the extreme eigenvalues in closed form: no LAPACK call, and LAPACK's
+# accuracy
+
+def test_fits_predictions_and_the_bound_make_no_linalg_call(monkeypatch):
+    # every np.linalg function records its caller; the only one left is the
+    # neighbor query's _start_level, whose eigenvalues pick where its level
+    # walk starts, never a result
+    from gimbal.engine import GimbalConfig, fit_all, predict
+    from gimbal.simgen import SimSpec, generate
+
+    callers = []
+
+    def spy(name, fn):
+        def called(*args, **kwargs):
+            callers.append((name, sys._getframe(1).f_code.co_name))
+            return fn(*args, **kwargs)
+        return called
+
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, spy(name, fn))
+    ds, _ = generate(SimSpec(n=400, seed=3))
+    config = GimbalConfig(k=20)
+    result = fit_all(ds, config)
+    predict(ds, config, ds.lat[:50] + 0.01, ds.lon[:50], ds.x[:50])
+    assert result.fit.well_posed.any()
+    assert callers and {caller for _, caller in callers} == {"_start_level"}
+    callers.clear()
+    rng = np.random.default_rng(70)
+    X, _, w = random_instance(rng)
+    operator_norm_bound(X, w, 1.0)
+    solve_local(X, rng.normal(0, 1, 30), w, 1.0)
+    assert callers == []
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 1e5, 1e8, 1e11])
+def test_extreme_eigenvalues_within_lapacks_error(kappa):
+    # SPD stacks of condition number kappa (times a random scale): lam_max
+    # and lam_min each within C_EIG eps lam_max of eigvalsh's, the class of
+    # eigvalsh's own error, so kappa within C_EIG eps kappa relative
+    C_EIG = 16
+    rng = np.random.default_rng(int(math.log10(kappa)) + 71)
+    c, k = 200, 30
+    X = conditioned_designs(rng, c, k, kappa) * rng.uniform(1e-3, 1e3, (c, 1, 1))
+    w = rng.uniform(0.01, 1.0, (c, k))
+    w /= w.sum(axis=-1, keepdims=True)
+    for gamma in (0.0, 3.0):
+        scale = 1.0 + 2.0 * gamma * w
+        _, lam_min, lam_max, well_posed = solver._normal_matrix(solver._design_columns(X), scale)
+        evals = np.linalg.eigvalsh(np.einsum("cka,ck,ckb->cab", X, scale, X))
+        assert well_posed.all()
+        assert np.all(np.abs(lam_max - evals[:, -1]) <= C_EIG * EPS * evals[:, -1])
+        assert np.all(np.abs(lam_min - evals[:, 0]) <= C_EIG * EPS * evals[:, -1])
+        fit = solve_local(X, np.zeros((c, k)), w, gamma, eps_kappa=0.0)
+        oracle = evals[:, -1] / evals[:, 0]
+        assert np.all(np.abs(fit.m_nor_condition - oracle) <= 2 * C_EIG * EPS * oracle * oracle)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_singular_non_finite_and_one_row_systems_keep_their_outputs():
+    rng = np.random.default_rng(75)
+    k = 12
+    good = conditioned_designs(rng, 1, k, 10.0)[0]
+    designs = {
+        "good": good,
+        # an exactly repeated column: the factorization breaks down
+        "repeated": np.column_stack([np.ones(k), good[:, 1], good[:, 1]]),
+        "zero": np.zeros((k, 3)),
+        "overflow": np.column_stack([np.ones(k), np.full(k, 1e160), good[:, 2]]),
+        "nan": np.column_stack([np.ones(k), np.full(k, np.nan), good[:, 2]]),
+    }
+    y = rng.normal(0.0, 1.0, k)
+    w = np.full(k, 1.0 / k)
+    for name, X in designs.items():
+        fit = solve_local(X, y, w, 1.0)
+        assert bool(fit.well_posed) == (name == "good"), name
+        assert np.isnan(fit.beta).all() != (name == "good"), name
+        assert np.isnan(operator_norm_bound(X, w, 1.0)) != (name == "good"), name
+    # a broken factorization reports lam_min 0: kappa is lam_max / eps_kappa
+    repeated = designs["repeated"]
+    lam_max = np.linalg.eigvalsh(repeated.T @ (repeated * (1.0 + 2.0 * w)[:, None]))[-1]
+    fit = solve_local(repeated, y, w, 1.0)
+    assert fit.m_nor_condition == pytest.approx(lam_max / 1e-12, rel=1e-13)
+    # no positive eigenvalue, or a matrix that is not finite: kappa inf
+    for name in ("zero", "overflow", "nan"):
+        assert solve_local(designs[name], y, w, 1.0).m_nor_condition == np.inf, name
+    # one row: a rank-one normal matrix, ill-posed, NaN summaries
+    one = solve_local(good[:1], y[:1], w[:1], 1.0)
+    assert not one.well_posed and np.isnan(one.beta).all() and np.isnan(one.rmse_local)
+    assert np.isnan(one.r2_local) and not one.r2_defined and one.m_nor_condition >= 1e10
