@@ -148,7 +148,9 @@ def read_dataset(path):
     which names the first bad cell."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
+        # decoded in one piece, so that a byte that is not UTF-8 is named by
+        # its offset in the file, a leading byte order mark included
+        with io.StringIO(path.read_bytes().decode("utf-8").removeprefix("\ufeff"), newline="") as fh:
             # comment lines precede the header; after it, a row starting with "#" is data
             header = next(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))), None)
             body = fh.read()
@@ -394,6 +396,10 @@ def _check_output_dir(flag, path):
 def cmd_fit(args):
     _check_output_file("--out-records", args.out_records)
     _check_output_file("--out-summary", args.out_summary)
+    # the summary, written last, would overwrite the records
+    if args.out_records.resolve() == args.out_summary.resolve():
+        raise ConfigurationError(f"--out-records {args.out_records} and --out-summary {args.out_summary} "
+                                 "name the same file")
     quantile, floor = args.fragile_kappa_quantile, args.fragile_neff_floor
     if not 0.0 <= quantile <= 1.0:
         raise ConfigurationError(f"--fragile-kappa-quantile must lie in [0, 1], got {quantile}")

@@ -84,7 +84,7 @@ def _rop(g, cp):
     (g1, g1's high and low 32 bits, g0's high and low 32 bits)."""
     g1, g1h, g1l, g0h, g0l = g
     ch, cl = cp >> 32, cp & _M32
-    # the high 64 bits of g0 cp, then of g1 cp, from 32-bit partial products
+    # the high 64 bits of g0 cp, then of g1 cp, from products of 32-bit halves
     lh, hl = g0l * ch, g0h * cl
     x1 = g0h * ch + (lh >> 32) + (hl >> 32) + ((((g0l * cl) >> 32) + (lh & _M32) + (hl & _M32)) >> 32)
     lh, hl = g1l * ch, g1h * cl

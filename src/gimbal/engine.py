@@ -12,21 +12,18 @@ one-shot safeguarded weight field, the closed-form local solve, and the
 standardized conditioning diagnostic. Configs that differ only in the fields
 read after the orientation stage (kernels.AFTER_ORIENTATION) share one
 orientation stage per chunk, and with it the raw weights' ESS, so an n0
-sweep computes it once. A fallback row's weights are 1/K whatever n0, so
-configs of one kernels.solve_key (u_scale, gamma, eps_kappa) solve each
-fallback row of a chunk once; a key that one config holds alone (every
-fit_all, fit_rows, predict and fit_location) solves the chunk in one call.
-The solve takes the design [1, x, z] as its x and z columns and skips every
-product with the intercept, which changes no bit. Each config's chunk is
-copied into its own columnar FitResult, in input order, before the next
+sweep computes it once. Each config solves all of a chunk's rows in one
+call; the solve takes the design [1, x, z] as its x and z columns and skips
+every product with the intercept, which changes no bit. Each config's chunk
+is copied into its own columnar FitResult, in input order, before the next
 config is computed. A narrow fit (wide=False) copies no K-wide column but
 the query's own member rows: the weights, residuals and distances stay
 inside their chunk, and each target's residual is read off them there.
 Every stage reduces each row on its own, so a target's values do not depend
 on which other targets share its chunk or the query, on which other configs
-share the query, an orientation stage or a solve, or on whether it is
-fitted alone or among a few selected rows (fit_location, fit_rows): all of
-these agree bitwise. Each config's chunk is copied through a field-name
+share the query or an orientation stage, or on whether it is fitted alone
+or among a few selected rows (fit_location, fit_rows): all of these agree
+bitwise. Each config's chunk is copied through a field-name
 tuple kept per dataclass type. The chunks run in order, in one thread, under
 one numpy error state that silences floating-point warnings: an extreme
 input or setting shows only as the rows it flags.
@@ -42,9 +39,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import cache, partial
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -54,7 +50,7 @@ from .geo import tangent_displacements
 from .neighborhood import ConfigurationError, Neighborhood, knn
 from .orientation import OrientationResult
 from .solver import LocalFit, cond_wls2
-from .weights import FALLBACK_NONE, FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
+from .weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
 
 BRANCH_PHI_ISO = "phi_iso"
 BRANCH_THETA_NONIDENT = "theta_nonident"
@@ -282,16 +278,6 @@ def standardized_covariate(x):
     return (x - np.mean(x)) / std
 
 
-def _local_solve(x_loc, z, y_loc, xs_loc, weights, config, rows):
-    """The local solve of a config on the design [1, x, z] at the selected
-    rows of a chunk's (C, K) columns (rows: an index array, or slice(None)
-    for every row, which copies nothing), and cond_wls2 on the standardized
-    x: a list of the LocalFit's columns, then cond_wls2's."""
-    w = weights[rows]
-    fit = solver.solve_local((None, x_loc[rows], z[rows]), y_loc[rows], w, config.gamma, config.eps_kappa)
-    return [*_columns(fit), cond_wls2(xs_loc[rows], w, config.eps_kappa)]
-
-
 def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances, wide):
     """The estimator map of each config at targets (lat0, lon0), whose
     neighbors in dataset are the (C, K) rows members and distances; yields
@@ -301,14 +287,10 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
 
     The tangent displacements and the members' gathered columns are computed
     once and serve every config, and so does each orientation stage: configs
-    that differ only in kernels.AFTER_ORIENTATION fields share one. A
-    fallback row's weights are 1/K whatever the config, so configs of one
-    kernels.solve_key solve each fallback row once: each later config solves
-    only the rows not already held and copies the rest. A key that one
-    config holds alone solves the whole chunk in one call. The memos live in
-    this call's frame, so no two chunks share them. x_std is the dataset's
-    standardized covariate. index holds each target's row in dataset, or -1
-    for an out-of-sample target.
+    that differ only in kernels.AFTER_ORIENTATION fields share one. The stage
+    memo lives in this call's frame, so no two chunks share it. x_std is the
+    dataset's standardized covariate. index holds each target's row in
+    dataset, or -1 for an out-of-sample target.
     """
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     x_loc, y_loc, xs_loc = dataset.x[members], dataset.y[members], x_std[members]
@@ -317,41 +299,17 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
     own = (np.arange(index.shape[0]), np.argmax(at_target, axis=-1))
     has_own = at_target.any(axis=-1)
     stages = {}
-    holders = Counter(kernels.solve_key(config) for config in configs)
-    # per solve key that several configs hold: the fallback rows solved so
-    # far, and _local_solve's columns over the chunk, valid at those rows
-    solved = {}
-
     for config in configs:
         z = distances / config.u_scale
         orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config, stages)
-        key = kernels.solve_key(config)
-        solve = partial(_local_solve, x_loc, z, y_loc, xs_loc, wmap.weights, config)
-        fallback = wmap.fallback_code != FALLBACK_NONE
-        held, memo = solved.get(key, (np.zeros_like(fallback), None))
-        reuse = fallback & held
-        if reuse.any():
-            rows = np.flatnonzero(~reuse)
-            columns = [column.copy() for column in memo]
-            for column, part in zip(columns, solve(rows)):
-                column[rows] = part
-        else:
-            columns = solve(slice(None))
-        # only a key that another config holds too keeps its fallback rows
-        if holders[key] > 1 and (added := fallback & ~held).any():
-            if memo is None:
-                memo = [column.copy() for column in columns]
-            else:
-                for column, new in zip(memo, columns):
-                    column[added] = new[added]
-            solved[key] = (held | added, memo)
-        fit = LocalFit(*columns[:-1])
+        fit = solver.solve_local((None, x_loc, z), y_loc, wmap.weights, config.gamma, config.eps_kappa)
+        cond = cond_wls2(xs_loc, wmap.weights, config.eps_kappa)
         residual_at_target = np.where(has_own, fit.residuals[own], np.nan)
         if not wide:
             wmap, fit = replace(wmap, weights=None), replace(fit, residuals=None)
         yield FitResult(
             index=index, lat=lat0, lon=lon0, neighborhood=None, orientation=orient,
-            weight_map=wmap, fit=fit, cond_wls2=columns[-1], residual_at_target=residual_at_target,
+            weight_map=wmap, fit=fit, cond_wls2=cond, residual_at_target=residual_at_target,
         )
 
 
@@ -427,10 +385,9 @@ def fit_variants(dataset, configs, wide=True):
     The configs must share k: the neighbor query and each chunk's tangent
     displacements and gathered member columns serve every config, each
     chunk's orientation stage serves every config of one
-    kernels.orientation_key, each fallback row's local solve serves every
-    config of one kernels.solve_key, and only the rest of the weight map, the
-    other rows' solves and the diagnostics run once per config. Every result's
-    neighborhood is the same read-only pair of arrays.
+    kernels.orientation_key, and only the rest of the weight map, the local
+    solve and the diagnostics run once per config. Every result's neighborhood
+    is the same read-only pair of arrays.
     wide: keep the K-wide weights, residuals and distances (the full
     FitResult); False drops them after each chunk (see FitResult), which
     changes no other field.

@@ -73,7 +73,7 @@ def tangent_displacements(lat0, lon0, lats, lons):
 
 
 def rotation_matrix(alpha):
-    """Counterclockwise planar rotation [[cos, -sin], [sin, cos]]."""
+    """Anticlockwise planar rotation [[cos, -sin], [sin, cos]]."""
     c = math.cos(alpha)
     s = math.sin(alpha)
     return np.array([[c, -s], [s, c]])

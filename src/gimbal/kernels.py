@@ -11,9 +11,7 @@ arrays, one row per neighborhood, or (K,) for a single one.
 
 Configs that differ only in AFTER_ORIENTATION fields have equal orientation
 stages, so weight_map computes the stage, q included, once per
-orientation_key among the calls that share one memo. On the fallback
-branches the weights are 1/K whatever the config, so configs with equal
-solve_key have equal local solves on the rows where both fall back.
+orientation_key among the calls that share one memo.
 """
 
 from __future__ import annotations
@@ -35,13 +33,6 @@ def orientation_key(config):
     """The config's fields other than AFTER_ORIENTATION, as a tuple: configs
     with equal keys have equal orientation stages."""
     return tuple(getattr(config, f.name) for f in fields(config) if f.name not in AFTER_ORIENTATION)
-
-
-def solve_key(config):
-    """The config's fields that a fallback row's local solve and cond_wls2
-    read (the distance scale of z = d / u, gamma and eps_kappa), as a tuple:
-    configs with equal keys solve a row they both weight 1/K equally."""
-    return (config.u_scale, config.gamma, config.eps_kappa)
 
 
 def orientation_stage(east, north, distances, z, y, config):

@@ -467,6 +467,17 @@ def test_fit_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("summary", ["same.out", "./same.out", "sub/../same.out"])
+def test_fit_records_and_summary_on_one_file_exits_2_before_reading(tmp_path, capsys, monkeypatch, summary):
+    # the summary, written last, would overwrite the records
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    rc = main(["fit", "--input", "missing.csv", "--out-records", "same.out", "--out-summary", summary])
+    assert rc == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert not (tmp_path / "same.out").exists()
+
+
 UNREADABLE = {
     "not_utf8": lambda path: path.write_bytes(b"lat,lon,x,y\n35.0,135.0,\xff,1.0\n"),
     "directory": lambda path: path.mkdir(),

@@ -129,9 +129,9 @@ ONE_FIELD_CHANGES = {
     "gamma": 0.5, "n0": 6.0, "n_min": 12.0, "eps_kappa": 1.0,
 }
 
-# an n0 sweep under each of five solve keys: two gamma values times two
-# distance scales, and one that differs in eps_kappa alone; every config has
-# fallback rows, so each key's later configs reuse its earlier ones' solves
+# an n0 sweep under each of five settings of the fields a fallback row's
+# solve reads: two gamma values times two distance scales, and one that
+# differs in eps_kappa alone; the configs at n0 = 4 and 6 have fallback rows
 SOLVE_KEYS = tuple(GimbalConfig(k=12, h=2000.0, n_min=10.0, n0=n0, **key)
                    for key in ({}, {"gamma": 0.5}, {"u": 1500.0}, {"gamma": 0.5, "u": 1500.0},
                                {"eps_kappa": 1.0})
@@ -139,7 +139,7 @@ SOLVE_KEYS = tuple(GimbalConfig(k=12, h=2000.0, n_min=10.0, n0=n0, **key)
 
 # the variant sets of e71 (proxy modes, eps_phi) and e73 (an n0 sweep at a
 # non-default h and n_min), one whose distance scales differ, the one-field
-# changes and the solve keys, each sharing one K
+# changes and SOLVE_KEYS, each sharing one K
 VARIANT_SETS = {
     "solve_keys": SOLVE_KEYS,
     "one_field": (ONE_FIELD_BASE, *(replace(ONE_FIELD_BASE, **{name: value})
@@ -213,22 +213,6 @@ def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, ke
     assert sorted(forms) == once_per_key_per_chunk
 
 
-def test_solve_keys_set_has_fallback_rows_under_two_configs_of_each_key():
-    # the coverage that test_fit_variants_equals_fit_all_per_config relies on
-    # to catch a solve_key missing a field the fallback solve reads
-    for chunks in (1, 2):
-        ds = chunked_dataset(chunks)
-        results = fit_variants(ds, VARIANT_SETS["solve_keys"])
-        by_key = {}
-        for config, result in zip(VARIANT_SETS["solve_keys"], results):
-            fallback = result.weight_map.fallback_code != 0
-            for start in range(0, ds.n, CHUNK_TARGETS):
-                has = fallback[start:start + CHUNK_TARGETS].any()
-                by_key.setdefault((kernels.solve_key(config), start), []).append(has)
-        assert len(by_key) == 5 * (chunks + 1)
-        assert all(sum(has) >= 2 for has in by_key.values())
-
-
 def spy_solves(monkeypatch):
     """Patch solver.solve_local to record the rows of each call under the
     index of the first target of the chunk it serves: {index: [rows, ...]}."""
@@ -250,35 +234,22 @@ def spy_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
-@pytest.mark.parametrize("variants", ["e73", "solve_keys"])
-def test_fallback_rows_are_solved_once_per_solve_key_per_chunk(monkeypatch, variants, chunks):
-    ds = chunked_dataset(chunks)
-    configs = VARIANT_SETS[variants]
-    calls = spy_solves(monkeypatch)
-    results = fit_variants(ds, configs)
-    assert sorted(calls) == list(range(0, ds.n, CHUNK_TARGETS))
-    for start, rows in calls.items():
-        chunk = slice(start, start + CHUNK_TARGETS)
-        expect = 0
-        for key in {kernels.solve_key(config) for config in configs}:
-            fallback = [result.weight_map.fallback_code[chunk] != 0
-                        for config, result in zip(configs, results) if kernels.solve_key(config) == key]
-            expect += sum(np.count_nonzero(~f) for f in fallback) + np.count_nonzero(np.any(fallback, axis=0))
-        assert len(rows) == len(configs)
-        assert sum(rows) == expect
-        assert expect < len(configs) * len(range(ds.n)[chunk])
-
-
-@pytest.mark.parametrize("chunks", [1, 2])
 def test_one_config_solves_each_chunk_in_one_call(monkeypatch, chunks):
-    # fit_all, predict and fit_location gather nothing: one call per chunk
-    # over all of its rows, fallback rows included
+    # each config of fit_variants, fit_all, predict and fit_location solves
+    # a chunk in one call over all of its rows, fallback rows included
     ds = chunked_dataset(chunks)
-    config = VARIANT_SETS["e73"][0]
     calls = spy_solves(monkeypatch)
+    sizes = {start: min(CHUNK_TARGETS, ds.n - start) for start in range(0, ds.n, CHUNK_TARGETS)}
+    for variants in ("e73", "solve_keys"):
+        configs = VARIANT_SETS[variants]
+        results = fit_variants(ds, configs)
+        assert any((result.weight_map.fallback_code != 0).any() for result in results), variants
+        assert calls == {start: [size] * len(configs) for start, size in sizes.items()}, variants
+        calls.clear()
+    config = VARIANT_SETS["e73"][0]
     result = fit_all(ds, config)
     assert (result.weight_map.fallback_code != 0).any()
-    assert calls == {start: [min(CHUNK_TARGETS, ds.n - start)] for start in range(0, ds.n, CHUNK_TARGETS)}
+    assert calls == {start: [size] for start, size in sizes.items()}
     calls.clear()
     # an out-of-sample chunk is tagged by its index, -1
     predict(ds, config, ds.lat[:10], ds.lon[:10], ds.x[:10])
@@ -290,7 +261,7 @@ def test_one_config_solves_each_chunk_in_one_call(monkeypatch, chunks):
 
 def test_fit_variants_solves_each_config_on_its_own_design():
     # each config's solve sees its own z = d / u column, also where the
-    # configs share an orientation stage or fallback solves
+    # configs share an orientation stage
     ds = small_dataset(seed=5, n=CHUNK_TARGETS + 44)
     configs = VARIANT_SETS["scales"]
     for config, result in zip(configs, fit_variants(ds, configs)):

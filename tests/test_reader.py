@@ -3,6 +3,7 @@ the csv module reads the header, the id column, and every row of a body the
 reader cannot vouch for. Both give float()'s bits on the cells they accept,
 and one cell syntax holds: float()'s, on ASCII text, without underscores."""
 
+import codecs
 import csv
 import io
 import itertools
@@ -160,6 +161,27 @@ def test_reader_only_space_is_every_space_float_does_not_take():
     # strips: numpy's reader strips them around a number
     spaces = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
     assert cli._READER_ONLY_SPACE == "".join(c for c in spaces if c not in " \t\n\v\f\r")
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+@pytest.mark.parametrize("offset", [300, 20_000])
+def test_a_byte_that_is_not_utf8_is_named_by_its_offset_in_the_file(tmp_path, capsys, offset, bom):
+    # a 0xff in place of a digit of a 4 800-row file, the byte order mark
+    # (if any) counted in its offset
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--out", str(sim), "--n", "4800", "--seed", "1"]) == 0
+    data = bytearray(bom + sim.read_bytes())
+    while not chr(data[offset]).isdigit():
+        offset += 1
+    data[offset] = 0xFF
+    sim.write_bytes(bytes(data))
+    rc = main(["fit", "--input", str(sim), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read input file {sim}: ")
+    assert f"can't decode byte 0xff in position {offset}:" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("cell", ["3_4.8", "\u0661\u0662", "1.5\u2003"])
