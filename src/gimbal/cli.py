@@ -6,7 +6,8 @@ comment lines before the header. The header and every row are ended by
 ``\r\n``, as the ``csv`` module ends them. A float is written as its
 ``repr``, the shortest text that reads back as the same double, so outputs
 are byte-identical across reruns with the same inputs; that text is computed
-for a block of float columns at a time in numpy (csvtext), not by ``repr``.
+for a block of float columns at a time in numpy (csvtext), not by ``repr``;
+a block holds neighborhood.batch_rows(len(header)) rows.
 Missing values (ill-posed locations, undefined diagnostics) are empty fields.
 Only the ``id`` field can hold a delimiter, a quote or a line break, so it is
 the only field ever quoted, by the ``csv`` module's rules. One writer
@@ -58,7 +59,7 @@ from .engine import (
     residual_knn_correct,
 )
 from .experiments import run_experiment, summarize
-from .neighborhood import ConfigurationError
+from .neighborhood import ConfigurationError, batch_rows
 from .simgen import SimSpec, generate
 
 SCHEMA_DATASET = "gimbal.dataset.v1"
@@ -82,8 +83,6 @@ RECORD_FIELDS = (
 
 # a branch code's text, indexed by its 5-bit code, laid out as csvtext.rows reads it
 _BRANCH_TEXT = csvtext.text_matrix(BRANCH_STRINGS)
-# the cells of one block of rows of a CSV file: bounds the formatter's arrays
-_BLOCK_CELLS = 1 << 13
 
 
 def _json_safe(obj):
@@ -118,11 +117,12 @@ def _write_csv(paths, schema, header, tables):
     name (see csvtext.rows).
 
     Every table has the same number of rows. The files are written in
-    lockstep, a block of rows of each per write (at most _BLOCK_CELLS
-    cells), so that a block's float cells reuse the text of the previous
-    table's block at the same place where their bits are equal.
+    lockstep, a block of batch_rows(len(header)) rows of each per write
+    (about BATCH_ELEMENTS cells, which bounds the formatter's arrays), so
+    that a block's float cells reuse the text of the previous table's block
+    at the same place where their bits are equal.
     """
-    step = max(1, _BLOCK_CELLS // len(header))
+    step = batch_rows(len(header))
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(Path(path).open("wb")) for path in paths]
         for fh in files:
@@ -218,7 +218,10 @@ def _parse_columns(body, rows, width, col):
     with warnings.catch_warnings():
         # a body of blank lines holds no data, which is no error
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar='"', ndmin=2,
+        # the body cut into lines where a StringIO cuts it, at "\n" only
+        # (str.splitlines also cuts at "\v", "\f", "\x1c" and more): a
+        # list of compact strings, not a StringIO's 4 bytes per character
+        data = np.loadtxt(body.split("\n"), delimiter=",", comments=None, quotechar='"', ndmin=2,
                           usecols=[col[name] for name in _REQUIRED_COLUMNS])
     return {name: data[:, i] for i, name in enumerate(_REQUIRED_COLUMNS)}
 

@@ -26,8 +26,7 @@ import math
 
 import numpy as np
 
-from .engine import CHUNK_TARGETS
-from .neighborhood import ConfigurationError, knn
+from .neighborhood import ConfigurationError, batch_rows, knn
 
 DEFAULT_K_MORAN = 8
 # reliability_mask defaults: kappa above its 95% quantile is fragile; no ESS floor
@@ -54,8 +53,10 @@ def moran_adjacency(finite, lats, lons, members, k_moran=DEFAULT_K_MORAN):
     position[subset] = np.arange(subset.size)
     adjacency = np.empty((subset.size, k_moran), dtype=np.intp)
     short = np.zeros(subset.size, dtype=bool)
-    for start in range(0, subset.size, CHUNK_TARGETS):
-        rows = np.arange(start, min(start + CHUNK_TARGETS, subset.size))
+    # batches of member rows, as many as fit the batch budget
+    step = batch_rows(members.shape[1])
+    for start in range(0, subset.size, step):
+        rows = np.arange(start, min(start + step, subset.size))
         row = position[members[subset[rows]]]
         kept = (row >= 0) & (row != rows[:, None])
         # a stable sort brings each row's kept points to its front, in row order

@@ -4,29 +4,33 @@ fit_variants evaluates one or more configs that share K at every target of a
 dataset; fit_all is its one-config case. One neighbor query (the exact grid
 query of neighborhood.knn) finds every target's KNN neighborhood first; its
 read-only arrays become the neighborhood of every config's result. The
-targets then run in fixed chunks of CHUNK_TARGETS. Each chunk slices its rows
-of the query, computes the tangent displacements and gathers the members'
-columns once, then for each config runs the config-dependent stages on
-(C, K) arrays: orientation quantities (with ablation overrides) and the
-one-shot safeguarded weight field, the closed-form local solve, and the
-standardized conditioning diagnostic. Configs that differ only in the fields
-read after the orientation stage (kernels.AFTER_ORIENTATION) share one
-orientation stage per chunk, and with it the raw weights' ESS, so an n0
-sweep computes it once. Each config solves all of a chunk's rows in one
-call; the solve takes the design [1, x, z] as its x and z columns and skips
-every product with the intercept, which changes no bit. Each config's chunk
-is copied into its own columnar FitResult, in input order, before the next
-config is computed. A narrow fit (wide=False) copies no K-wide column but
-the query's own member rows: the weights, residuals and distances stay
-inside their chunk, and each target's residual is read off them there.
-Every stage reduces each row on its own, so a target's values do not depend
-on which other targets share its chunk or the query, on which other configs
-share the query or an orientation stage, or on whether it is fitted alone
-or among a few selected rows (fit_location, fit_rows): all of these agree
-bitwise. Each config's chunk is copied through a field-name
-tuple kept per dataclass type. The chunks run in order, in one thread, under
-one numpy error state that silences floating-point warnings: an extreme
-input or setting shows only as the rows it flags.
+targets then run in chunks of neighborhood.batch_rows(K) rows, so that a
+chunk's (C, K) arrays hold about BATCH_ELEMENTS elements whatever K, and a
+stage's fixed cost per call is spread over as many rows as the budget
+allows. Each chunk slices its rows of the query, computes the tangent
+displacements and gathers the members' columns once, then for each config
+runs the config-dependent stages on (C, K) arrays: orientation quantities
+(with ablation overrides) and the one-shot safeguarded weight field, the
+closed-form local solve, and the standardized conditioning diagnostic.
+Configs that differ only in the fields read after the orientation stage
+(kernels.AFTER_ORIENTATION) share one orientation stage per chunk, and with
+it the raw weights' ESS, so an n0 sweep computes it once; configs of one
+distance scale share the chunk's z = d / u column. Each config solves all
+of a chunk's rows in one call; the solve takes the design [1, x, z] as its
+x and z columns and skips every product with the intercept, which changes
+no bit. Each config's chunk is copied into its own columnar FitResult, in
+input order, before the next config is computed. A narrow fit
+(wide=False) copies no K-wide column but the query's own member rows: the
+weights, residuals and distances stay inside their chunk, and each target's
+residual is read off them there. Every stage reduces each row on its own,
+so a target's values do not depend on which other targets share its chunk
+or the query, on which other configs share the query or an orientation
+stage, or on whether it is fitted alone or among a few selected rows
+(fit_location, fit_rows): all of these agree bitwise. Each config's chunk
+is copied through a field-name tuple kept per dataclass type. The chunks
+run in order, in one thread, under one numpy error state that silences
+floating-point warnings: an extreme input or setting shows only as the rows
+it flags.
 
 Out-of-sample prediction follows the training-pool-only protocol: neighbors
 come from the training table, the distance-trend regressor is zero at the
@@ -47,7 +51,7 @@ import numpy as np
 
 from . import kernels, solver
 from .geo import tangent_displacements
-from .neighborhood import ConfigurationError, Neighborhood, knn
+from .neighborhood import ConfigurationError, Neighborhood, batch_rows, knn
 from .orientation import OrientationResult
 from .solver import LocalFit, cond_wls2
 from .weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
@@ -67,9 +71,6 @@ BRANCH_BITS = (BRANCH_PHI_ISO, BRANCH_THETA_NONIDENT, BRANCH_UNIFORM_FALLBACK,
 BRANCH_SETS = tuple(frozenset(name for b, name in enumerate(BRANCH_BITS) if code >> b & 1)
                     for code in range(1 << len(BRANCH_BITS)))
 BRANCH_STRINGS = tuple(";".join(sorted(names)) for names in BRANCH_SETS)
-
-# Targets evaluated together. Bounds the (C, K) working arrays.
-CHUNK_TARGETS = 256
 
 _MODES = {
     "theta_z_mode": ("on", "off"),
@@ -287,10 +288,11 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
 
     The tangent displacements and the members' gathered columns are computed
     once and serve every config, and so does each orientation stage: configs
-    that differ only in kernels.AFTER_ORIENTATION fields share one. The stage
-    memo lives in this call's frame, so no two chunks share it. x_std is the
-    dataset's standardized covariate. index holds each target's row in
-    dataset, or -1 for an out-of-sample target.
+    that differ only in kernels.AFTER_ORIENTATION fields share one, and so
+    does each distance scale's z = d / u. Both memos live in this call's
+    frame, so no two chunks share them. x_std is the dataset's standardized
+    covariate. index holds each target's row in dataset, or -1 for an
+    out-of-sample target.
     """
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     x_loc, y_loc, xs_loc = dataset.x[members], dataset.y[members], x_std[members]
@@ -298,9 +300,12 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
     at_target = members == index[:, None]
     own = (np.arange(index.shape[0]), np.argmax(at_target, axis=-1))
     has_own = at_target.any(axis=-1)
-    stages = {}
+    stages, zs = {}, {}
     for config in configs:
-        z = distances / config.u_scale
+        # configs of one distance scale share its z column
+        if config.u_scale not in zs:
+            zs[config.u_scale] = distances / config.u_scale
+        z = zs[config.u_scale]
         orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config, stages)
         fit = solver.solve_local((None, x_loc, z), y_loc, wmap.weights, config.gamma, config.eps_kappa)
         cond = cond_wls2(xs_loc, wmap.weights, config.eps_kappa)
@@ -314,7 +319,7 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
 
 
 def _fit_chunks(dataset, configs, lat0, lon0, index, wide):
-    """_fit_targets over chunks of CHUNK_TARGETS targets: one FitResult per
+    """_fit_targets over chunks of batch_rows(K) targets: one FitResult per
     config, each joined in order.
 
     One neighbor query covers every target before the chunks run; each chunk
@@ -343,8 +348,9 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, wide):
         x_std = standardized_covariate(dataset.x)
         # an empty target list still makes one (empty) chunk; each config's
         # part is copied into place before the next is computed
-        for start in range(0, max(n, 1), CHUNK_TARGETS):
-            rows = slice(start, start + CHUNK_TARGETS)
+        step = batch_rows(ks[0])
+        for start in range(0, max(n, 1), step):
+            rows = slice(start, start + step)
             parts = _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows],
                                  members[rows], distances[rows], wide)
             for c, part in enumerate(parts):

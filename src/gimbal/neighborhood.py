@@ -20,9 +20,12 @@ size and spread; a row that fails its bound retries one level coarser. The
 coarsest level is the full scan (every point is a candidate), which is also
 taken wherever a block would hold more than FULL_SCAN_SHARE of the pool.
 The rows of one cell share their block: its points are gathered once and
-keyed against all of those rows by one matrix product. The re-rank sorts
-each row on distance alone, and on (distance, index) only where an exact
-tie among its first k + 1 distances could make the two differ.
+keyed against all of those rows by one matrix product, many cells to a
+product of at most BATCH_ELEMENTS keys, the package's one batch budget
+(batch_rows), which also sizes the fit's chunks, the Moran adjacency's
+batches and the CSV writer's blocks. The re-rank sorts each row on
+distance alone, and on (distance, index) only where an exact tie among its
+first k + 1 distances could make the two differ.
 """
 
 from __future__ import annotations
@@ -35,10 +38,16 @@ import numpy as np
 
 from .geo import haversine_between, haversine_table, unit_vectors
 
-# Cosine keys held per block of targets. The cap keeps peak memory at the
-# level of a one-target-at-a-time scan: a larger block measurably raises peak
-# RSS.
-BLOCK_DISTANCES = 1 << 15
+# Elements held per batch by every batched loop of the package: the
+# query's cosine keys per block of targets here, and in engine, diagnostics
+# and cli the fit's (chunk, K) arrays, the Moran adjacency's member rows and
+# the records writer's cells. A loop over rows of one width takes
+# batch_rows(width) of them at a time, so a batch costs the same elements
+# whatever its width. The cap keeps peak memory near that of a
+# one-row-at-a-time pass (a larger batch measurably raises peak RSS), while
+# a batch is wide enough that its time goes to arithmetic, not to per-call
+# overhead.
+BATCH_ELEMENTS = 1 << 15
 
 # Cosine slack of the candidate gather. With u = 2**-53, the key (a dot
 # product of unit vectors built from rounded sin/cos, |sum of terms| <= 1) is
@@ -72,6 +81,12 @@ FULL_SCAN_SHARE = 0.25
 
 # (dx, dy) of the nine columns of a 3x3x3 block
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+
+
+def batch_rows(width):
+    """The rows of width elements each that one batch takes:
+    max(1, BATCH_ELEMENTS // width)."""
+    return max(1, BATCH_ELEMENTS // width)
 
 
 class ConfigurationError(ValueError):
@@ -216,7 +231,7 @@ def _key_blocks(grids, level, pool, targets, rows):
     yields (block rows, keys, grid, positions, row_piece).
 
     A grid level orders its rows by block size, then cell, and cuts each
-    cell's rows into pieces whose keys fit BLOCK_DISTANCES (one piece unless
+    cell's rows into pieces whose keys fit BATCH_ELEMENTS (one piece unless
     the cell holds very many rows). A block of pieces gathers each piece's
     block points once, padded to the widest, and keys all of the piece's
     rows by one batched matmul; padding columns are -inf. positions (pieces,
@@ -224,7 +239,7 @@ def _key_blocks(grids, level, pool, targets, rows):
     row's piece. A full-scan row's key columns are the whole pool in index
     order (grid, positions and row_piece None). A row whose block holds more
     than FULL_SCAN_SHARE of the pool is given the full scan instead. No
-    padded product holds more than BLOCK_DISTANCES keys unless one row's
+    padded product holds more than BATCH_ELEMENTS keys unless one row's
     block does."""
     n = pool.shape[0]
     full = rows
@@ -239,7 +254,7 @@ def _key_blocks(grids, level, pool, targets, rows):
         order = np.argsort(size[cell_of[small]] * size.shape[0] + cell_of[small], kind="stable")
         rows, cell_of = rows[small][order], cell_of[small][order]
         # a piece is a run of one cell's rows whose keys alone fit a block
-        cap = np.maximum(1, BLOCK_DISTANCES // size[cell_of])
+        cap = np.maximum(1, BATCH_ELEMENTS // size[cell_of])
         first = np.ones(rows.shape[0], dtype=bool)
         first[1:] = cell_of[1:] != cell_of[:-1]
         # each row's place in its piece
@@ -252,12 +267,12 @@ def _key_blocks(grids, level, pool, targets, rows):
         a = 0
         while a < piece_start.shape[0]:
             # the most pieces from a whose padded product (pieces x most rows
-            # x widest block) holds at most BLOCK_DISTANCES keys; it grows
+            # x widest block) holds at most BATCH_ELEMENTS keys; it grows
             # with each piece, since widths ascend
-            span = slice(a, a + max(1, BLOCK_DISTANCES // int(piece_width[a])))
+            span = slice(a, a + batch_rows(int(piece_width[a])))
             cost = (np.arange(1, piece_rows[span].shape[0] + 1)
                     * np.maximum.accumulate(piece_rows[span]) * piece_width[span])
-            b = a + max(1, int(np.searchsorted(cost, BLOCK_DISTANCES, "right")))
+            b = a + max(1, int(np.searchsorted(cost, BATCH_ELEMENTS, "right")))
             cells, counts = piece_cell[a:b], piece_rows[a:b]
             w = int(piece_width[b - 1])
             block = rows[piece_start[a]:piece_start[b - 1] + counts[-1]]
@@ -273,7 +288,7 @@ def _key_blocks(grids, level, pool, targets, rows):
             keys = np.matmul(t, np.swapaxes(np.take(grid.points, positions, axis=0), -1, -2))
             np.copyto(keys, -np.inf, where=pad[:, None, :])
             yield block, keys[row_piece, slot], grid, positions, row_piece
-    step = max(1, BLOCK_DISTANCES // n)
+    step = batch_rows(n)
     for start in range(0, full.shape[0], step):
         block = full[start:start + step]
         yield block, targets[block] @ pool.T, None, None, None

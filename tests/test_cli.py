@@ -18,7 +18,6 @@ from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv, wri
 from gimbal.diagnostics import reliability_mask
 from gimbal.engine import (
     BRANCH_STRINGS,
-    CHUNK_TARGETS,
     Dataset,
     GimbalConfig,
     branch_codes,
@@ -26,7 +25,7 @@ from gimbal.engine import (
     predict,
     residual_knn_correct,
 )
-from gimbal.neighborhood import ConfigurationError
+from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows
 from gimbal.simgen import SimSpec, generate
 from gimbal.weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM
 from test_diagnostics import moran_on_finite
@@ -177,7 +176,7 @@ def test_tables_written_in_lockstep_match_the_csv_module_oracle(tmp_path):
     # values sit in the first block and across a block boundary (rotated from
     # table to table there, so that they are formatted, not reused)
     header = ["index", "name", "value", "same", "flag"]
-    step = gimbal.cli._BLOCK_CELLS // len(header)
+    step = batch_rows(len(header))
     n = 2 * step + 50
     rng = np.random.default_rng(12)
     base = rng.normal(size=n) * 10.0 ** rng.integers(-6, 18, n)
@@ -404,10 +403,56 @@ def test_fit_k_exceeds_n_exits_2(tmp_path, capsys):
     assert main(base + ["--k", "5", "--moran-k", "4"]) == 0
 
 
+def budget_batches(total, width):
+    """The row counts of the batches a loop over total rows of width
+    elements each takes, batch_rows(width) rows at a time."""
+    step = batch_rows(width)
+    return [min(step, total - start) for start in range(0, total, step)]
+
+
+@pytest.mark.parametrize("k", [5, 50, 200])
+def test_fit_batches_hold_the_budget_of_their_width(monkeypatch, tmp_path, k):
+    # gimbal fit's chunk step and Moran adjacency take batch_rows(K) rows at
+    # a time and its records writer batch_rows of the header's length; 7000
+    # rows cross a boundary of each at every K
+    ds, _ = generate(SimSpec(n=7000, extent=30_000.0, seed=25))
+    inp = tmp_path / "data.csv"
+    write_dataset_csv(inp, ds)
+    chunks, moran, blocks = [], [], []
+    fit_targets, take_along_axis, rows = gimbal.engine._fit_targets, np.take_along_axis, gimbal.csvtext.rows
+
+    def spied_fit_targets(dataset, configs, x_std, lat0, *rest):
+        chunks.append(lat0.shape[0])
+        yield from fit_targets(dataset, configs, x_std, lat0, *rest)
+
+    def spied_take_along_axis(a, *args, **kwargs):
+        # called once per batch of the Moran adjacency, on its member rows
+        moran.append(a.shape[0])
+        return take_along_axis(a, *args, **kwargs)
+
+    def spied_rows(columns, *args):
+        blocks.append(len(columns[0]))
+        return rows(columns, *args)
+
+    monkeypatch.setattr(gimbal.engine, "_fit_targets", spied_fit_targets)
+    monkeypatch.setattr(np, "take_along_axis", spied_take_along_axis)
+    monkeypatch.setattr(gimbal.csvtext, "rows", spied_rows)
+    assert main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+                 "--out-summary", str(tmp_path / "s.json"), "--k", str(k)]) == 0
+    header, records = read_csv_skipping_comments(tmp_path / "r.csv")
+    # the adjacency covers the rows with a finite residual, which have a Moran value
+    n_finite = sum(row[header.index("local_moran")] != "" for row in records)
+    assert chunks == budget_batches(ds.n, k)
+    assert moran == budget_batches(n_finite, k)
+    assert blocks == budget_batches(ds.n, len(RECORD_FIELDS))
+    assert max(chunks) * k <= BATCH_ELEMENTS and max(moran) * k <= BATCH_ELEMENTS
+    assert max(blocks) * len(RECORD_FIELDS) <= BATCH_ELEMENTS
+
+
 def test_fit_moran_rows_all_short_match_local_moran(tmp_path):
     # at --k 5 every fit row is too short for --moran-k 8, so the whole
-    # adjacency comes from one neighbor query; the rows span two chunks
-    ds, _ = generate(SimSpec(n=CHUNK_TARGETS + 44, extent=15_000.0, seed=24))
+    # adjacency comes from one neighbor query; the rows span two K=5 chunks
+    ds, _ = generate(SimSpec(n=batch_rows(5) + 44, extent=15_000.0, seed=24))
     inp = tmp_path / "data.csv"
     write_dataset_csv(inp, ds)
     rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),

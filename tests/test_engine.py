@@ -6,13 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gimbal.engine
 import gimbal.solver
 from gimbal import kernels
 from gimbal.engine import (
     BRANCH_ILL_POSED,
-    CHUNK_TARGETS,
     Dataset,
     GimbalConfig,
     branch_codes,
@@ -25,7 +25,7 @@ from gimbal.engine import (
     standardized_covariate,
 )
 from gimbal.kernels import orientation_stage
-from gimbal.neighborhood import ConfigurationError, knn
+from gimbal.neighborhood import ConfigurationError, batch_rows, knn
 from gimbal.simgen import SimSpec, generate
 from gimbal.solver import solve_local
 from gimbal.weights import frame_quadratic
@@ -156,10 +156,19 @@ VARIANT_SETS = {
 }
 
 
+# the rows of one chunk of a K=12 fit: every config of VARIANT_SETS, and
+# of the chunked tests below, has K=12
+CHUNK = batch_rows(12)
+assert {config.k for configs in VARIANT_SETS.values() for config in configs} == {12}
+
+
 def chunked_dataset(chunks):
-    """A dataset of chunks whole chunks and a 44-row tail, so one or more
-    chunk boundaries are crossed."""
-    return small_dataset(seed=3, n=chunks * CHUNK_TARGETS + 44)
+    """A dataset of chunks whole K=12 chunks and a 44-row tail, so one or
+    more chunk boundaries are crossed. Its points are as dense as 300 in
+    small_dataset's square, where the sparser neighborhoods fall back."""
+    n = chunks * CHUNK + 44
+    ds, _ = generate(SimSpec(n=n, extent=8000.0 * math.sqrt(n / 300), seed=3))
+    return ds
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
@@ -208,7 +217,7 @@ def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, ke
     monkeypatch.setattr(kernels, "orientation_stage", counted)
     monkeypatch.setattr(kernels, "frame_quadratic", counted_form)
     fit_variants(ds, VARIANT_SETS[variants])
-    once_per_key_per_chunk = [44] * keys + [CHUNK_TARGETS] * (chunks * keys)
+    once_per_key_per_chunk = [44] * keys + [CHUNK] * (chunks * keys)
     assert sorted(calls) == once_per_key_per_chunk
     assert sorted(forms) == once_per_key_per_chunk
 
@@ -239,7 +248,7 @@ def test_one_config_solves_each_chunk_in_one_call(monkeypatch, chunks):
     # a chunk in one call over all of its rows, fallback rows included
     ds = chunked_dataset(chunks)
     calls = spy_solves(monkeypatch)
-    sizes = {start: min(CHUNK_TARGETS, ds.n - start) for start in range(0, ds.n, CHUNK_TARGETS)}
+    sizes = {start: min(CHUNK, ds.n - start) for start in range(0, ds.n, CHUNK)}
     for variants in ("e73", "solve_keys"):
         configs = VARIANT_SETS[variants]
         results = fit_variants(ds, configs)
@@ -262,7 +271,7 @@ def test_one_config_solves_each_chunk_in_one_call(monkeypatch, chunks):
 def test_fit_variants_solves_each_config_on_its_own_design():
     # each config's solve sees its own z = d / u column, also where the
     # configs share an orientation stage
-    ds = small_dataset(seed=5, n=CHUNK_TARGETS + 44)
+    ds = small_dataset(seed=5, n=CHUNK + 44)
     configs = VARIANT_SETS["scales"]
     for config, result in zip(configs, fit_variants(ds, configs)):
         members = result.neighborhood.member_indices
@@ -274,7 +283,7 @@ def test_fit_variants_solves_each_config_on_its_own_design():
 
 def test_fit_variants_and_predict_make_one_query(monkeypatch):
     # one query covers every target of a fitted set, whatever its chunks
-    ds = small_dataset(seed=4, n=2 * CHUNK_TARGETS + 10)
+    ds = small_dataset(seed=4, n=2 * CHUNK + 10)
     calls = []
 
     def counted_knn(*args, **kwargs):
@@ -286,13 +295,13 @@ def test_fit_variants_and_predict_make_one_query(monkeypatch):
     assert len(results) == 9
     assert calls == [ds.n]
     calls.clear()
-    test = small_dataset(seed=5, n=CHUNK_TARGETS + 3)
+    test = small_dataset(seed=5, n=CHUNK + 3)
     predict(ds, GimbalConfig(k=12), test.lat, test.lon, test.x)
     assert calls == [test.n]
 
 
 def test_fit_variants_share_one_read_only_neighborhood():
-    ds = small_dataset(seed=6, n=CHUNK_TARGETS + 30)
+    ds = small_dataset(seed=6, n=CHUNK + 30)
     results = fit_variants(ds, VARIANT_SETS["e73"])
     nb = results[0].neighborhood
     assert all(result.neighborhood is nb for result in results)
@@ -315,10 +324,10 @@ def test_fit_variants_rejects_mixed_k_and_no_configs():
 def test_fit_location_equals_its_row_of_fit_all():
     # rows on both sides of a chunk boundary: a target's values do not depend
     # on the other targets of its chunk
-    ds = small_dataset(seed=7, n=CHUNK_TARGETS + 20)
+    ds = small_dataset(seed=7, n=CHUNK + 20)
     cfg = GimbalConfig(k=12)
     result = fit_all(ds, cfg)
-    for i in (0, CHUNK_TARGETS - 1, CHUNK_TARGETS, ds.n - 1):
+    for i in (0, CHUNK - 1, CHUNK, ds.n - 1):
         assert pickle.dumps(fit_location(ds, cfg, i)) == pickle.dumps(result.record(i))
 
 
@@ -326,9 +335,9 @@ def test_fit_rows_equal_their_rows_of_fit_all():
     # unsorted rows, a repeat and rows across a chunk boundary of fit_rows'
     # own targets: each row is bitwise its row of fit_all, whoever its
     # neighbors in the query and the chunk are
-    ds = small_dataset(seed=8, n=CHUNK_TARGETS + 40)
+    ds = small_dataset(seed=8, n=CHUNK + 40)
     cfg = GimbalConfig(k=12)
-    rows = np.concatenate([[ds.n - 1, 5, 5, 0], np.arange(CHUNK_TARGETS + 30, 10, -1)])
+    rows = np.concatenate([[ds.n - 1, 5, 5, 0], np.arange(CHUNK + 30, 10, -1)])
     assert pickle.dumps(fit_rows(ds, cfg, rows)) == pickle.dumps(fit_all(ds, cfg).take(rows))
     for bad in (np.ones(ds.n, dtype=bool), [0.0, 1.0], [[0, 1]], [-1], [ds.n]):
         with pytest.raises(ConfigurationError, match="rows must"):
@@ -367,22 +376,22 @@ def assert_narrow_of(narrow, full):
 
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_narrow_results_equal_the_full_ones_without_the_k_wide_columns(chunks):
-    ds = small_dataset(seed=9, n=chunks * CHUNK_TARGETS + 35)
+    ds = small_dataset(seed=9, n=chunks * CHUNK + 35)
     configs = VARIANT_SETS["e73"] + VARIANT_SETS["solve_keys"][:2]
     cfg = configs[0]
     for narrow, full in zip(fit_variants(ds, configs, wide=False), fit_variants(ds, configs)):
         assert_narrow_of(narrow, full)
     assert_narrow_of(fit_all(ds, cfg, wide=False), fit_all(ds, cfg))
-    rows = np.array([ds.n - 1, 3, 3, CHUNK_TARGETS, 0])
+    rows = np.array([ds.n - 1, 3, 3, CHUNK, 0])
     assert_narrow_of(fit_rows(ds, cfg, rows, wide=False), fit_rows(ds, cfg, rows))
-    test = small_dataset(seed=10, n=CHUNK_TARGETS + 5)
+    test = small_dataset(seed=10, n=CHUNK + 5)
     (preds, narrow), (full_preds, full) = (predict(ds, cfg, test.lat, test.lon, test.x, wide=wide)
                                            for wide in (False, True))
     assert preds.tobytes() == full_preds.tobytes()
     assert_narrow_of(narrow, full)
     # a row of a narrow result is narrow too
-    row = fit_all(ds, cfg, wide=False).record(CHUNK_TARGETS)
-    assert_narrow_of(row, fit_location(ds, cfg, CHUNK_TARGETS))
+    row = fit_all(ds, cfg, wide=False).record(CHUNK)
+    assert_narrow_of(row, fit_location(ds, cfg, CHUNK))
     # the ESS of the final weights needs them (ess(None) would be NaN)
     for result in (narrow, row):
         with pytest.raises(ValueError, match="n_eff_final requires weights"):
@@ -646,3 +655,42 @@ def test_records_depend_only_on_own_data():
     rec2 = fit_location(ds2, cfg, 0)
     assert rec2.fit.beta == pytest.approx(rec.fit.beta, rel=1e-12)
     assert rec2.weight_map.n_eff_post == pytest.approx(rec.weight_map.n_eff_post, rel=1e-12)
+
+
+@st.composite
+def permuted_fits(draw):
+    """(dataset, config, perm): a random cloud whose rows have no exact tie
+    among their first K + 1 distances, so that a permutation only relabels
+    neighbors, and a random permutation of its rows. K is large, so a chunk
+    holds a few hundred rows and the permutation moves rows across chunks."""
+    k = draw(st.sampled_from([100, 200]))
+    n = draw(st.integers(max(k, batch_rows(k)) + 1, 700))
+    ds, _ = generate(SimSpec(n=n, sampling=draw(st.sampled_from(["uniform", "gaussian"])),
+                             extent=draw(st.sampled_from([3000.0, 40_000.0])), seed=draw(st.integers(0, 2**16))))
+    _, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, k + 1)
+    assume(np.all(np.diff(distances, axis=-1) > 0.0))
+    config = GimbalConfig(k=k, h=draw(st.sampled_from([1000.0, 3000.0, 20_000.0])))
+    return ds, config, np.array(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(permuted_fits())
+def test_property_fit_all_is_equivariant_under_input_permutation(case):
+    # row i of the permuted input is row perm[i] of the input: its fit is
+    # that row's bit for bit, its members mapped back through perm, but for
+    # cond_wls2, whose standardized covariate reads the moments of all of x
+    ds, config, perm = case
+    expect = fit_all(ds, config).take(perm)
+    permuted = fit_all(Dataset(lat=ds.lat[perm], lon=ds.lon[perm], x=ds.x[perm], y=ds.y[perm]), config)
+    assert expect.index.tolist() == perm.tolist() and permuted.index.tolist() == list(range(ds.n))
+    got = dict(leaves(permuted))
+    for path, column in leaves(expect):
+        if path == "index":
+            continue
+        if path == "neighborhood.member_indices":
+            assert np.array_equal(perm[got[path]], column)
+        elif path == "cond_wls2":
+            np.testing.assert_allclose(got[path], column, rtol=1e-12, atol=0.0)
+        else:
+            assert got[path].dtype == column.dtype and got[path].tobytes() == column.tobytes(), path
+    assert branch_codes(permuted) == branch_codes(expect)

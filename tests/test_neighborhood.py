@@ -6,7 +6,7 @@ import gimbal.neighborhood as neighborhood
 from scalar_geo import haversine_distance, nearest_others
 from gimbal.diagnostics import moran_adjacency
 from gimbal.geo import haversine_to_all, unit_vectors
-from gimbal.neighborhood import BLOCK_DISTANCES, ConfigurationError, knn
+from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows, knn
 from gimbal.simgen import SimSpec, generate
 
 
@@ -164,7 +164,8 @@ def test_more_targets_than_one_block():
     rng = np.random.default_rng(17)
     n = 1000
     lats, lons = random_cloud(rng, n)
-    targets = 3 * (BLOCK_DISTANCES // n) + 1
+    # three full-scan blocks of targets and one more row
+    targets = 3 * batch_rows(n) + 1
     tlats, tlons = random_cloud(rng, targets)
     assert_matches_oracle(lats, lons, tlats, tlons, 12)
 
@@ -390,13 +391,13 @@ def test_cell_products_equal_full_scan_at_scale(monkeypatch, k):
     # queried by every pool point (a cell holds several rows, the copies'
     # cell more than one padded product can hold) and by a cloud outside the
     # pool: some key block holds cells of unequal block sizes and row counts,
-    # no padded product exceeds BLOCK_DISTANCES keys, and every row is the
+    # no padded product exceeds BATCH_ELEMENTS keys, and every row is the
     # full scan's bit for bit
     ds, _ = generate(SimSpec(n=19200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
     out, _ = generate(SimSpec(n=1200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=2))
     lats = np.concatenate([ds.lat, np.full(400, ds.lat[0])])
     lons = np.concatenate([ds.lon, np.full(400, ds.lon[0])])
-    assert 400 * 400 > BLOCK_DISTANCES
+    assert 400 * 400 > BATCH_ELEMENTS
     matmul, key_blocks = np.matmul, neighborhood._key_blocks
     for target_lats, target_lons in ((lats, lons), (out.lat, out.lon)):
         products, mixed = [], []
@@ -417,7 +418,7 @@ def test_cell_products_equal_full_scan_at_scale(monkeypatch, k):
             m.setattr(np, "matmul", spied_matmul)
             m.setattr(neighborhood, "_key_blocks", spied)
             members, distances = knn(lats, lons, target_lats, target_lons, k)
-        assert products and max(products) <= BLOCK_DISTANCES
+        assert products and max(products) <= BATCH_ELEMENTS
         assert any(mixed)
         rows = np.arange(0, target_lats.shape[0], 7)
         full_members, full_distances = full_scan(
