@@ -33,6 +33,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -72,6 +73,9 @@ _REQUIRED_COLUMNS = ("lat", "lon", "x", "y")
 # reader strips them around a number, float() does not strip the ASCII ones,
 # and a numeric cell is ASCII
 _READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+
+# a line and its end, "\r\n", "\r" or "\n", as StringIO(newline="") yields it
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 RECORD_FIELDS = (
     "index", "id", "lat", "lon", "beta0", "beta1", "beta2",
@@ -150,10 +154,7 @@ def read_dataset(path):
     try:
         # decoded in one piece, so that a byte that is not UTF-8 is named by
         # its offset in the file, a leading byte order mark included
-        with io.StringIO(path.read_bytes().decode("utf-8").removeprefix("\ufeff"), newline="") as fh:
-            # comment lines precede the header; after it, a row starting with "#" is data
-            header = next(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))), None)
-            body = fh.read()
+        header, body = _split_header(path.read_bytes().decode("utf-8").removeprefix("\ufeff"))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         # missing, a directory, not UTF-8, or a cell over csv's field limit
         raise ConfigurationError(f"cannot read input file {path}: {exc}") from exc
@@ -184,6 +185,25 @@ def read_dataset(path):
         )
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def _split_header(text):
+    """(header, body): the header row as the csv module reads it (None in
+    a file of comment lines and blank lines only) and the text after it.
+    The csv module reads only the lines up to the header, cut where a
+    StringIO(newline="") cuts them: a StringIO of the whole text would hold
+    4 bytes per character."""
+    end = 0
+
+    def lines():
+        nonlocal end
+        for line in _LINE.finditer(text):
+            end = line.end()
+            yield line.group()
+
+    # comment lines precede the header; after it, a row starting with "#" is data
+    header = next(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(lines()))), None)
+    return header, text[end:]
 
 
 def _body_rows(path, body):

@@ -33,17 +33,27 @@ def haversine_table(lats, lons):
 
 def haversine_between(points, origins):
     """Haversine distances (meters) between points and origins, each given
-    by its haversine_table terms; the two broadcast against each other."""
+    by its haversine_table terms; the two broadcast against each other.
+    Computed in place on two temporaries of the result's shape, in the op
+    order of 2 R arcsin(min(1, sqrt(sin((phi - phi0) / 2)**2
+    + cos_phi0 * cos_phi * sin((lam - lam0) / 2)**2))), bit for bit."""
     phi, lam, cos_phi = points
     phi0, lam0, cos_phi0 = origins
-    s = np.sin((phi - phi0) / 2.0) ** 2 + cos_phi0 * cos_phi * np.sin((lam - lam0) / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
-
-
-def haversine_to_all(lats, lons, lat0, lon0):
-    """Haversine distances (meters) from origins to every row of lats/lons:
-    (N,) from a scalar origin, (C, N) from (C, 1) origin arrays."""
-    return haversine_between(haversine_table(lats, lons), haversine_table(lat0, lon0))
+    t = np.subtract(lam, lam0)
+    np.divide(t, 2.0, out=t)
+    np.sin(t, out=t)
+    np.square(t, out=t)
+    s = np.multiply(cos_phi0, cos_phi)
+    np.multiply(s, t, out=s)
+    np.subtract(phi, phi0, out=t)
+    np.divide(t, 2.0, out=t)
+    np.sin(t, out=t)
+    np.square(t, out=t)
+    np.add(t, s, out=t)
+    np.sqrt(t, out=t)
+    np.minimum(t, 1.0, out=t)
+    np.arcsin(t, out=t)
+    return np.multiply(t, 2.0 * EARTH_RADIUS_M, out=t)
 
 
 def unit_vectors(lats, lons):

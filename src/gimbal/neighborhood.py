@@ -23,13 +23,23 @@ The rows of one cell share their block: its points are gathered once and
 keyed against all of those rows by one matrix product, many cells to a
 product of at most BATCH_ELEMENTS keys, the package's one batch budget
 (batch_rows), which also sizes the fit's chunks, the Moran adjacency's
-batches and the CSV writer's blocks. The re-rank sorts each row on
-distance alone, and on (distance, index) only where an exact tie among its
-first k + 1 distances could make the two differ.
+batches and the CSV writer's blocks.
+
+The query runs in two stages. The wide stage (_gathered), per key block,
+finds each row's k-th key, checks the row's bound and gathers every
+candidate within MARGIN of that key as pool indices. The narrow stage
+(_rerank) computes the candidates' haversine distances and sorts them,
+batch_rows(4 * k) rows at a time collected across key blocks and levels
+(a row's re-rank holds about four k-wide arrays), fewer where their
+padded candidates would pass BATCH_ELEMENTS. It sorts each row on distance
+alone, and on (distance, index) only where an exact tie among its first
+k + 1 distances could make the two differ. Rows are independent of their
+blocks and batches, so neither moves a bit of the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +49,8 @@ import numpy as np
 from .geo import haversine_between, haversine_table, unit_vectors
 
 # Elements held per batch by every batched loop of the package: the
-# query's cosine keys per block of targets here, and in engine, diagnostics
+# query's cosine keys per block of targets and its re-rank's rows here (four
+# k-wide arrays a row), and in engine, diagnostics
 # and cli the fit's (chunk, K) arrays, the Moran adjacency's member rows and
 # the records writer's cells. A loop over rows of one width takes
 # batch_rows(width) of them at a time, so a batch costs the same elements
@@ -140,7 +151,8 @@ class _Grid:
         # the point's place in its cell, in cells: the block reaches 1 + frac
         # below it and 2 - frac above it
         frac = scaled - np.floor(scaled)
-        return np.min(np.minimum(1.0 + frac, 2.0 - frac), axis=-1) / self._scale
+        near = np.minimum(1.0 + frac, 2.0 - frac)
+        return np.minimum(np.minimum(near[..., 0], near[..., 1]), near[..., 2]) / self._scale
 
     def blocks(self, points):
         """(cell_of, starts, lengths) of the G distinct cells of the points:
@@ -230,17 +242,19 @@ def _key_blocks(grids, level, pool, targets, rows):
     """The cosine keys of rows at level (-1: the full scan), in blocks:
     yields (block rows, keys, grid, positions, row_piece).
 
-    A grid level orders its rows by block size, then cell, and cuts each
-    cell's rows into pieces whose keys fit BATCH_ELEMENTS (one piece unless
-    the cell holds very many rows). A block of pieces gathers each piece's
-    block points once, padded to the widest, and keys all of the piece's
-    rows by one batched matmul; padding columns are -inf. positions (pieces,
-    width) holds each key column's place in grid.order, and row_piece each
-    row's piece. A full-scan row's key columns are the whole pool in index
-    order (grid, positions and row_piece None). A row whose block holds more
-    than FULL_SCAN_SHARE of the pool is given the full scan instead. No
-    padded product holds more than BATCH_ELEMENTS keys unless one row's
-    block does."""
+    A grid level cuts each cell's rows into pieces whose keys fit
+    BATCH_ELEMENTS (one piece unless the cell holds very many rows) and
+    orders them by the octave of their block's size, then by the rows in
+    their cell, so that the pieces of one block pad little in either
+    direction. A block of pieces gathers each piece's block points once,
+    padded to the widest, and keys all of the piece's rows by one batched
+    matmul; padding columns are -inf. positions (pieces, width) holds each
+    key column's place in grid.order, and row_piece each row's piece. A
+    full-scan row's key columns are the whole pool in index order (grid,
+    positions and row_piece None). A row whose block holds more than
+    FULL_SCAN_SHARE of the pool is given the full scan instead. No padded
+    product holds more than BATCH_ELEMENTS keys unless one row's block
+    does."""
     n = pool.shape[0]
     full = rows
     if level >= 0:
@@ -249,10 +263,14 @@ def _key_blocks(grids, level, pool, targets, rows):
         size = np.sum(lengths, axis=-1)
         small = size[cell_of] <= FULL_SCAN_SHARE * n
         full = rows[~small]
-        # rows in ascending block size, so that a block of pieces pads
-        # little, and each cell's rows together
-        order = np.argsort(size[cell_of[small]] * size.shape[0] + cell_of[small], kind="stable")
-        rows, cell_of = rows[small][order], cell_of[small][order]
+        rows, cell_of = rows[small], cell_of[small]
+        # each cell's place in the order: (octave of its block size, its
+        # rows, the cell) as one integer, below 64 * (rows + 1) * cells
+        octave = np.frexp(size)[1].astype(np.int64)
+        held = np.bincount(cell_of, minlength=size.shape[0])
+        place = (octave * (rows.shape[0] + 1) + held) * size.shape[0] + np.arange(size.shape[0])
+        order = np.argsort(place[cell_of], kind="stable")
+        rows, cell_of = rows[order], cell_of[order]
         # a piece is a run of one cell's rows whose keys alone fit a block
         cap = np.maximum(1, BATCH_ELEMENTS // size[cell_of])
         first = np.ones(rows.shape[0], dtype=bool)
@@ -267,14 +285,14 @@ def _key_blocks(grids, level, pool, targets, rows):
         a = 0
         while a < piece_start.shape[0]:
             # the most pieces from a whose padded product (pieces x most rows
-            # x widest block) holds at most BATCH_ELEMENTS keys; it grows
-            # with each piece, since widths ascend
+            # x widest block) holds at most BATCH_ELEMENTS keys
             span = slice(a, a + batch_rows(int(piece_width[a])))
             cost = (np.arange(1, piece_rows[span].shape[0] + 1)
-                    * np.maximum.accumulate(piece_rows[span]) * piece_width[span])
+                    * np.maximum.accumulate(piece_rows[span])
+                    * np.maximum.accumulate(piece_width[span]))
             b = a + max(1, int(np.searchsorted(cost, BATCH_ELEMENTS, "right")))
             cells, counts = piece_cell[a:b], piece_rows[a:b]
-            w = int(piece_width[b - 1])
+            w = int(piece_width[a:b].max())
             block = rows[piece_start[a]:piece_start[b - 1] + counts[-1]]
             row_piece = np.repeat(np.arange(b - a), counts)
             slot = rank[piece_start[a]:piece_start[a] + block.shape[0]]
@@ -287,11 +305,110 @@ def _key_blocks(grids, level, pool, targets, rows):
             # take, unlike [] indexing, copies each point's three coordinates at once
             keys = np.matmul(t, np.swapaxes(np.take(grid.points, positions, axis=0), -1, -2))
             np.copyto(keys, -np.inf, where=pad[:, None, :])
-            yield block, keys[row_piece, slot], grid, positions, row_piece
+            # pieces of equal rows hold no padding row
+            keys = keys.reshape(-1, w) if counts.min() == counts.max() else keys[row_piece, slot]
+            yield block, keys, grid, positions, row_piece
     step = batch_rows(n)
     for start in range(0, full.shape[0], step):
         block = full[start:start + step]
         yield block, targets[block] @ pool.T, None, None, None
+
+
+def _gathered(grids, pool, targets, level, k):
+    """The wide stage: each row's candidates, by key blocks over its levels
+    (level: each row's first, -1 the full scan). Yields (rows, count, cand)
+    per key block: the rows it answers, how many candidates each gathered,
+    and their pool indices, row after row. A grid row whose k-th key does not
+    clear its block's bound is keyed again one level coarser (level is
+    lowered in place), once every level has had its rows."""
+    limit = np.empty(targets.shape[0])
+    rows = np.arange(targets.shape[0])
+    while rows.shape[0]:
+        retry = []
+        for lv in np.unique(level[rows])[::-1]:
+            at = rows[level[rows] == lv]
+            if lv >= 0:
+                # a point outside the row's block is at chord >= its
+                # clearance, so its key is at most 1 - clearance**2 / 2,
+                # give or take a few ulp: a row whose k-th key clears that by
+                # MARGIN gathers every point the full scan would
+                clearance = grids[lv].clearance(targets[at])
+                limit[at] = 1.0 - 0.5 * clearance * clearance + MARGIN
+            for block, cos, grid, positions, row_piece in _key_blocks(grids, lv, pool, targets, at):
+                w = cos.shape[1]
+                # a copy: a view would hold the whole partitioned array
+                kth = np.partition(cos, w - k, axis=-1)[:, w - k].copy()
+                # every candidate within MARGIN of the k-th key
+                flat = np.flatnonzero(cos >= (kth - MARGIN)[:, None])
+                count = np.diff(np.searchsorted(flat, np.arange(block.shape[0] + 1) * w))
+                if grid is not None:
+                    ok = kth - MARGIN > limit[block]
+                    if not ok.all():
+                        retry.append(block[~ok])
+                        flat = flat[np.repeat(ok, count)]
+                        block, count, row_piece = block[ok], count[ok], row_piece[ok]
+                        if not block.shape[0]:
+                            continue
+                cand = flat % w
+                if grid is not None:
+                    cand = grid.order[np.take(positions, cand + np.repeat(row_piece * w, count))]
+                yield block, count, cand
+        rows = np.concatenate(retry) if retry else rows[:0]
+        level[rows] -= 1
+
+
+def _batches(pieces, size):
+    """The rows of pieces, each (rows, count, cand) as _gathered yields
+    them, re-cut into batches of size rows, the last holding the rest. A
+    batch takes fewer rows where its padded candidates (rows x most
+    gathered) would pass BATCH_ELEMENTS, unless its first row's do. Rows
+    are held until they fill a batch, so each is copied at most twice."""
+    held, n_held, widest = [], 0, 0
+    for piece in itertools.chain(pieces, [None]):
+        if piece is not None:
+            held.append(piece)
+            n_held += piece[0].shape[0]
+            widest = max(widest, int(piece[1].max()))
+            if n_held < size and n_held * widest <= BATCH_ELEMENTS:
+                continue
+        if not n_held:
+            return
+        rows, count, cand = (np.concatenate(a) for a in zip(*held))
+        r = c = 0
+        while r < n_held:
+            cost = np.arange(1, min(size, n_held - r) + 1) * np.maximum.accumulate(count[r:r + size])
+            take = max(1, int(np.searchsorted(cost, BATCH_ELEMENTS, "right")))
+            if piece is not None and take == n_held - r < size:
+                # the rest fills no batch yet
+                break
+            end = c + int(count[r:r + take].sum())
+            yield rows[r:r + take], count[r:r + take], cand[c:end]
+            r, c = r + take, end
+        held, n_held = [(rows[r:], count[r:], cand[c:])], n_held - r
+        widest = int(count[r:].max()) if n_held else 0
+
+
+def _rerank(table, target_table, k, rows, count, cand):
+    """The narrow stage: the k nearest of each row's candidates (rows,
+    count and cand as _batches yields them) on (haversine distance, index),
+    as (members, distances), each (rows, k). The haversine terms of the
+    candidates are gathered from table (the pool's) and target_table."""
+    # a row with fewer candidates than the widest is padded at distance inf
+    gathered = np.arange(count.max()) < count[:, None]
+    cand_2d = np.zeros(gathered.shape, dtype=np.intp)
+    cand_2d[gathered] = cand
+    cand_d = haversine_between(np.take(table, cand_2d, axis=1), target_table[:, rows, None])
+    np.copyto(cand_d, np.inf, where=~gathered)
+    # a row with no exact tie among its first k + 1 distances has unique
+    # first k, which the (distance, index) sort takes in the same order:
+    # only a tied row needs the index as second key
+    order = np.argsort(cand_d, axis=-1)
+    head = _take_rows(cand_d, order[:, :k + 1])
+    tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=-1))
+    if tied.shape[0]:
+        order[tied] = np.lexsort((cand_2d[tied], cand_d[tied]))
+    order = order[:, :k]
+    return _take_rows(cand_2d, order), _take_rows(cand_d, order)
 
 
 def knn(lats, lons, target_lats, target_lons, k):
@@ -302,7 +419,7 @@ def knn(lats, lons, target_lats, target_lons, k):
     every point) by the cosine of their central angle, gathers every
     candidate whose cosine is within MARGIN of the k-th largest (boundary ties
     and near-ties included), and sorts only those on (haversine distance,
-    index).
+    index), batch_rows(4 * k) rows at a time.
     A grid row whose k-th cosine does not clear its own block's bound (set
     by its clearance) retries one level coarser.
     """
@@ -325,48 +442,8 @@ def knn(lats, lons, target_lats, target_lons, k):
         level = np.full(targets.shape[0], -1)
     else:
         level = _first_levels(grids, targets, need)
-    rows = np.arange(targets.shape[0])
-    while rows.shape[0]:
-        retry = []
-        for lv in np.unique(level[rows])[::-1]:
-            for block, cos, grid, positions, row_piece in _key_blocks(
-                    grids, lv, pool, targets, rows[level[rows] == lv]):
-                w = cos.shape[1]
-                kth = np.partition(cos, w - k, axis=-1)[:, w - k:w - k + 1]
-                if grid is not None:
-                    # a point outside the row's block is at chord >= its
-                    # clearance, so its key is at most 1 - clearance**2 / 2,
-                    # give or take a few ulp: a row that clears that by MARGIN
-                    # gathers every point the full scan would
-                    clearance = grid.clearance(targets[block])
-                    ok = kth[:, 0] - MARGIN > 1.0 - 0.5 * clearance * clearance + MARGIN
-                    if not ok.all():
-                        retry.append(block[~ok])
-                        block, cos, kth, row_piece = block[ok], cos[ok], kth[ok], row_piece[ok]
-                        if not block.shape[0]:
-                            continue
-                # every candidate within MARGIN of the k-th key, left-aligned;
-                # a row with fewer than the block's most is padded at distance inf
-                near = cos >= kth - MARGIN
-                count = np.count_nonzero(near, axis=-1)
-                gathered = np.arange(count.max()) < count[:, None]
-                cand = np.zeros(gathered.shape, dtype=np.intp)
-                cand[gathered] = np.flatnonzero(near) % w
-                if grid is not None:
-                    cand = grid.order[_take_rows(positions, cand, row_piece)]
-                cand_d = haversine_between(np.take(table, cand, axis=1), target_table[:, block, None])
-                cand_d[~gathered] = np.inf
-                # a row with no exact tie among its first k + 1 distances has
-                # unique first k, which the (distance, index) sort takes in the
-                # same order: only a tied row needs the index as second key
-                order = np.argsort(cand_d, axis=-1)
-                head = _take_rows(cand_d, order[:, :k + 1])
-                tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=-1))
-                if tied.shape[0]:
-                    order[tied] = np.lexsort((cand[tied], cand_d[tied]))
-                order = order[:, :k]
-                members[block] = _take_rows(cand, order)
-                distances[block] = _take_rows(cand_d, order)
-        rows = np.concatenate(retry) if retry else rows[:0]
-        level[rows] -= 1
+    # a row's re-rank holds about four k-wide arrays: the three gathered
+    # haversine terms and the distances
+    for rows, count, cand in _batches(_gathered(grids, pool, targets, level, k), batch_rows(4 * k)):
+        members[rows], distances[rows] = _rerank(table, target_table, k, rows, count, cand)
     return members, distances

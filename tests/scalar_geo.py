@@ -2,9 +2,9 @@
 
 The package computes distances and displacements on arrays (``gimbal.geo``);
 these plain-math versions check it and serve as brute-force oracles.
-nearest_others, the neighbor oracle of local Moran, sorts whole rows of the
-package's own haversine distances instead, so that it orders exact ties as
-the package sees them.
+nearest_others, the neighbor oracle of local Moran, sorts whole rows of
+haversine_to_all's distances instead, which are the package's bit for bit,
+so that it orders exact ties as the package sees them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gimbal.geo import EARTH_RADIUS_M, haversine_to_all
+from gimbal.geo import EARTH_RADIUS_M
 
 _DEG = math.pi / 180.0
 
@@ -43,6 +43,17 @@ def haversine_distance(a, b):
     dlam = lon2 * _DEG - lon1 * _DEG
     s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
+
+
+def haversine_to_all(lats, lons, lat0, lon0):
+    """Haversine distances (meters) from origins to every row of lats/lons:
+    (N,) from a scalar origin, (C, N) from (C, 1) origin arrays. The formula
+    as one numpy expression, written apart from the package's table of
+    per-point terms and in-place op sequence: their bits must equal these."""
+    phi, lam = np.asarray(lats, dtype=np.float64) * _DEG, np.asarray(lons, dtype=np.float64) * _DEG
+    phi0, lam0 = np.asarray(lat0, dtype=np.float64) * _DEG, np.asarray(lon0, dtype=np.float64) * _DEG
+    s = np.sin((phi - phi0) / 2.0) ** 2 + np.cos(phi0) * np.cos(phi) * np.sin((lam - lam0) / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
 def tangent_displacement(origin, target):

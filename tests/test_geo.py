@@ -7,7 +7,6 @@ from gimbal.geo import (
     EARTH_RADIUS_M,
     haversine_between,
     haversine_table,
-    haversine_to_all,
     meters_to_geo_arrays,
     rotation_matrix,
     tangent_displacements,
@@ -17,6 +16,7 @@ from scalar_geo import (
     GeoPoint,
     bearing,
     haversine_distance,
+    haversine_to_all,
     meters_to_geo,
     tangent_displacement,
 )
@@ -163,16 +163,6 @@ def test_array_roundtrip_matches_scalar():
     assert np.allclose(n2, north, atol=1e-6)
 
 
-def inline_haversine(lats, lons, lat0, lon0):
-    """The haversine written out in one expression, as the package computed
-    it before its per-point terms became a table."""
-    deg = math.pi / 180.0
-    phi, lam = np.asarray(lats, dtype=np.float64) * deg, np.asarray(lons, dtype=np.float64) * deg
-    phi0, lam0 = lat0 * deg, lon0 * deg
-    s = np.sin((phi - phi0) / 2.0) ** 2 + np.cos(phi0) * np.cos(phi) * np.sin((lam - lam0) / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
-
-
 def test_haversine_table_split_equals_the_inline_formula_bitwise():
     # random pairs over the whole sphere, near pairs, antipodes and poles:
     # gathered table rows give the inline expression's bits, from (C, 1)
@@ -188,12 +178,10 @@ def test_haversine_table_split_equals_the_inline_formula_bitwise():
                            rng.uniform(-180.0, 180.0, 2000)])
     lat0 = np.clip(lat0, -90.0, 90.0)
     members = rng.integers(0, n, (n, 7))
-    expected = inline_haversine(lats[members], lons[members], lat0[:, None], lon0[:, None])
+    expected = haversine_to_all(lats[members], lons[members], lat0[:, None], lon0[:, None])
     got = haversine_between(np.take(haversine_table(lats, lons), members, axis=1),
                             haversine_table(lat0, lon0)[:, :, None])
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    assert np.array_equal(haversine_to_all(lats[members], lons[members], lat0[:, None], lon0[:, None])
-                          .view(np.int64), expected.view(np.int64))
-    one = haversine_to_all(lats, lons, float(lat0[5]), float(lon0[5]))
-    assert np.array_equal(one.view(np.int64), inline_haversine(lats, lons, float(lat0[5]), float(lon0[5]))
+    one = haversine_between(haversine_table(lats, lons), haversine_table(float(lat0[5]), float(lon0[5])))
+    assert np.array_equal(one.view(np.int64), haversine_to_all(lats, lons, float(lat0[5]), float(lon0[5]))
                           .view(np.int64))

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gimbal.neighborhood as neighborhood
-from scalar_geo import haversine_distance, nearest_others
+from scalar_geo import haversine_distance, haversine_to_all, nearest_others
 from gimbal.diagnostics import moran_adjacency
-from gimbal.geo import haversine_to_all, unit_vectors
+from gimbal.geo import unit_vectors
 from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows, knn
 from gimbal.simgen import SimSpec, generate
 
@@ -35,8 +35,8 @@ def assert_matches_oracle(lats, lons, target_lats, target_lons, k):
 
 
 def assert_member_distances(lats, lons, target_lats, target_lons, members, distances):
-    """The reported distances are geo.haversine_to_all of the members, bit
-    for bit: the query's gathered haversine table changes no bit."""
+    """The reported distances are haversine_to_all of the members, bit for
+    bit: the query's gathered haversine table changes no bit."""
     tlats, tlons = np.asarray(target_lats, float), np.asarray(target_lons, float)
     expected = haversine_to_all(np.asarray(lats)[members], np.asarray(lons)[members],
                                 tlats[:, None], tlons[:, None])
@@ -668,3 +668,88 @@ def test_only_rows_tied_among_their_first_k_plus_one_take_the_lexsort(monkeypatc
     for k in (1, 4, 25, 60):
         assert np.all(np.diff(d[:k + 1]) > 0)
         assert rows_lexsorted(tlat, tlon, k) == 0, k
+
+
+# ---- the narrow stage: one re-rank per batch of rows, across key blocks
+
+def reranked(monkeypatch, query):
+    """query()'s result, and the (rows, count) of each _rerank call it made."""
+    batches = []
+    rerank = neighborhood._rerank
+
+    def spied(table, target_table, k, rows, count, cand):
+        batches.append((rows.copy(), count.copy()))
+        return rerank(table, target_table, k, rows, count, cand)
+
+    with monkeypatch.context() as m:
+        m.setattr(neighborhood, "_rerank", spied)
+        result = query()
+    return result, batches
+
+
+@pytest.mark.parametrize("k", [50, 9])
+def test_rerank_takes_batch_rows_of_four_k_at_a_time(monkeypatch, k):
+    # fit_large-shaped data: key blocks of a few dozen rows each, collected
+    # into batches of batch_rows(4 * k) rows, every row re-ranked once
+    ds, _ = generate(SimSpec(n=2000, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
+    (members, distances), batches = reranked(monkeypatch, lambda: knn(ds.lat, ds.lon, ds.lat, ds.lon, k))
+    size = batch_rows(4 * k)
+    assert len(batches) >= 3
+    assert len(batches) == -(-ds.n // size)
+    assert all(rows.shape[0] == size for rows, _ in batches[:-1])
+    assert 0 < batches[-1][0].shape[0] <= size
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in batches])), np.arange(ds.n))
+    full_members, full_distances = full_scan(monkeypatch, ds.lat, ds.lon, ds.lat, ds.lon, k)
+    assert np.array_equal(members, full_members)
+    assert np.array_equal(distances, full_distances)
+
+
+def test_one_rerank_batch_mixes_fast_wide_retried_and_full_scan_rows(monkeypatch):
+    # a smooth cloud, a lattice about (0, 0) (exact ties), one moved by under
+    # 1e-12 deg per point (near ties), repeated points (twelve copies each
+    # of six, sixty of one) and targets far from every point: one batch
+    # holds rows answered at their first level with k candidates, rows that
+    # gathered more, rows keyed again coarser and full-scan rows, each
+    # padded to the batch's widest gather
+    rng = np.random.default_rng(41)
+    cloud_lats, cloud_lons = rng.normal(35.0, 0.2, 3000), rng.normal(135.0, 0.2, 3000)
+    steps = np.arange(-10, 11) * 0.001
+    lattice_lats, lattice_lons = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
+    jitter = rng.uniform(-1e-12, 1e-12, (2, lattice_lats.shape[0]))
+    copies = np.concatenate([np.repeat(np.arange(0, 3000, 500), 12), np.full(60, 7)])
+    lats = np.concatenate([cloud_lats, lattice_lats, lattice_lats + 0.5 + jitter[0], cloud_lats[copies]])
+    lons = np.concatenate([cloud_lons, lattice_lons, lattice_lons + 0.5 + jitter[1], cloud_lons[copies]])
+    tlats = np.concatenate([lats[::4], lattice_lats, [-35.0, -34.8, 0.0, 60.0, -80.0]])
+    tlons = np.concatenate([lons[::4], lattice_lons, [-45.0, -45.2, 90.0, -100.0, 10.0]])
+    k = 10
+    keyed = []
+    key_blocks = neighborhood._key_blocks
+
+    def spied(*spy_args):
+        for block, cos, grid, *columns in key_blocks(*spy_args):
+            keyed.append((block.copy(), grid is None))
+            yield block, cos, grid, *columns
+
+    with monkeypatch.context() as m:
+        m.setattr(neighborhood, "_key_blocks", spied)
+        (members, distances), batches = reranked(monkeypatch, lambda: knn(lats, lons, tlats, tlons, k))
+    tries = np.bincount(np.concatenate([block for block, _ in keyed]), minlength=tlats.shape[0])
+    scanned = np.zeros(tlats.shape[0], dtype=bool)
+    for block, full in keyed:
+        scanned[block] |= full
+    mixed = False
+    for rows, count in batches:
+        fast = (count == k) & (tries[rows] == 1) & ~scanned[rows]
+        mixed |= fast.any() and (count > k).any() and (tries[rows] > 1).any() and scanned[rows].any()
+        # no batch pads more candidates than the budget, unless one row does
+        assert rows.shape[0] <= batch_rows(4 * k)
+        assert rows.shape[0] * count.max() <= BATCH_ELEMENTS or rows.shape[0] == 1
+    assert mixed
+    # the sixty copies' wide gathers cut some batch short
+    assert any(rows.shape[0] < batch_rows(4 * k) for rows, _ in batches[:-1])
+    full_members, full_distances = full_scan(monkeypatch, lats, lons, tlats, tlons, k)
+    assert np.array_equal(members, full_members)
+    assert np.array_equal(distances.view(np.int64), full_distances.view(np.int64))
+    assert_member_distances(lats, lons, tlats, tlons, members, distances)
+    for i in range(0, tlats.shape[0], 29):
+        assert members[i].tolist() == scan_oracle(lats, lons, (tlats[i], tlons[i]), k), i

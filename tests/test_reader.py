@@ -10,6 +10,7 @@ import itertools
 import math
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,22 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_offset_in_the_file(tmp_path, ca
     assert err.startswith(f"error: cannot read input file {sim}: ")
     assert f"can't decode byte 0xff in position {offset}:" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_reading_a_4800_row_file_peaks_below_four_and_a_half_times_its_size(tmp_path):
+    # the text, the body after the header, its lines and numpy's parse: 3.8
+    # times the file's bytes; a StringIO of the whole text, read for the
+    # header, held 4 bytes per character and took the peak to 5 times
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--out", str(sim), "--n", "4800", "--seed", "1"]) == 0
+    read_dataset(sim)
+    tracemalloc.start()
+    try:
+        read_dataset(sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * sim.stat().st_size
 
 
 @pytest.mark.parametrize("cell", ["3_4.8", "\u0661\u0662", "1.5\u2003"])
