@@ -7,7 +7,8 @@ comment lines before the header. The header and every row are ended by
 ``repr``, the shortest text that reads back as the same double, so outputs
 are byte-identical across reruns with the same inputs; that text is computed
 for a block of float columns at a time in numpy (csvtext), not by ``repr``;
-a block holds neighborhood.batch_rows(len(header)) rows.
+the blocks are the equal batches of neighborhood.batches over the header's
+length.
 Missing values (ill-posed locations, undefined diagnostics) are empty fields.
 Only the ``id`` field can hold a delimiter, a quote or a line break, so it is
 the only field ever quoted, by the ``csv`` module's rules. One writer
@@ -60,7 +61,7 @@ from .engine import (
     residual_knn_correct,
 )
 from .experiments import run_experiment, summarize
-from .neighborhood import ConfigurationError, batch_rows
+from .neighborhood import ConfigurationError, batches
 from .simgen import SimSpec, generate
 
 SCHEMA_DATASET = "gimbal.dataset.v1"
@@ -121,20 +122,20 @@ def _write_csv(paths, schema, header, tables):
     name (see csvtext.rows).
 
     Every table has the same number of rows. The files are written in
-    lockstep, a block of batch_rows(len(header)) rows of each per write
-    (about BATCH_ELEMENTS cells, which bounds the formatter's arrays), so
-    that a block's float cells reuse the text of the previous table's block
-    at the same place where their bits are equal.
+    lockstep, one block of rows of each per write: the equal blocks of
+    neighborhood.batches over the header's length (about BATCH_ELEMENTS
+    cells each, which bounds the formatter's arrays), so that a block's
+    float cells reuse the text of the previous table's block at the same
+    place where their bits are equal.
     """
-    step = batch_rows(len(header))
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(Path(path).open("wb")) for path in paths]
         for fh in files:
             fh.write(f"# schema: {schema}\n{','.join(header)}\r\n".encode("utf-8"))
-        for start in range(0, len(tables[0][0]), step):
+        for rows in batches(len(tables[0][0]), len(header)):
             floats = None
             for fh, columns in zip(files, tables):
-                text, floats = csvtext.rows([column[start:start + step] for column in columns], floats)
+                text, floats = csvtext.rows([column[rows] for column in columns], floats)
                 fh.write(text)
 
 
@@ -147,9 +148,10 @@ def read_dataset(path):
     the offending column/row if it can be read.
 
     The four required columns are parsed by numpy's text reader
-    (_parse_columns); the csv module reads the header, the id column and,
-    when the reader cannot vouch for a body, every row (_numeric_rows),
-    which names the first bad cell."""
+    (_parse_columns); the csv module reads the header, the id column of a
+    body that holds a quote (a quote-free body's ids are cut from its lines,
+    _line_fields) and, when the reader cannot vouch for a body, every row
+    (_numeric_rows), which names the first bad cell."""
     path = Path(path)
     try:
         # decoded in one piece, so that a byte that is not UTF-8 is named by
@@ -168,13 +170,20 @@ def read_dataset(path):
     if missing:
         raise ConfigurationError(f"{path}: missing required column '{missing[0]}'")
     col = {name: header.index(name) for name in header}
-    rows = _body_rows(path, body) if "id" in col else None
+    rows = _body_rows(path, body) if "id" in col and '"' in body else None
+    ids = None
     try:
         data = _parse_columns(body, rows, len(header), col)
+        if "id" in col and rows is None:
+            ids = _line_fields(body, col["id"])
+            if len(ids) != data["lat"].shape[0]:
+                raise ValueError("the lines and the reader's rows differ")
     except ValueError:
         # the row loop names the first bad row and column
-        data = _numeric_rows(path, _body_rows(path, body) if rows is None else rows, len(header), col)
-    ids = [row[col["id"]] for row in rows] if rows is not None else None
+        rows = _body_rows(path, body) if rows is None else rows
+        data = _numeric_rows(path, rows, len(header), col)
+    if "id" in col and rows is not None:
+        ids = [row[col["id"]] for row in rows]
 
     try:
         return Dataset(
@@ -204,6 +213,15 @@ def _split_header(text):
     # comment lines precede the header; after it, a row starting with "#" is data
     header = next(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(lines()))), None)
     return header, text[end:]
+
+
+def _line_fields(body, at):
+    """The field at column at of each non-blank line of the quote-free
+    body, as the csv module reads it: the body cut into lines where
+    StringIO(newline="") cuts them (_LINE: at "\r\n", "\r" or "\n"), a
+    line's fields being what lies between its commas."""
+    lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [line.split(",", at + 1)[at] for line in lines if line]
 
 
 def _body_rows(path, body):

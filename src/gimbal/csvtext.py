@@ -48,7 +48,8 @@ def _schubfach_tables():
     interval of decimals that read back as the double (2**q, or 3/4 of it
     when irregular), and the shift h with 4 c 2**h g 2**-127 ~ 4 c 2**q
     10**-k. Per k from k_min: g = floor(10**-k 2**(125 - beta)) + 1 for
-    beta = floor(log2(10**-k)), as _rop takes it.
+    beta = floor(log2(10**-k)), as _rop takes it: a (5, k) uint64 array
+    of g's limbs, so that one take gathers a cell's five.
 
     k and beta are taken in float64: none of the products q log10(2),
     q log10(2) + log10(3/4) and k log2(10) of these ranges lies within 1e-5 of
@@ -71,26 +72,43 @@ def _schubfach_tables():
         limbs.append((g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32))
         betas.append(beta)
     h = np.concatenate([q, q]) + np.array(betas)[k - k_min] + 2
-    g1, *halves = np.array(limbs, dtype=np.uint64).T
-    return k.astype(np.int16), h.astype(np.uint8), (g1.copy(), *(half.astype(np.uint32) for half in halves)), k_min
+    return k.astype(np.int16), h.astype(np.uint8), np.array(limbs, dtype=np.uint64).T.copy(), k_min
 
 
 _K, _H, _G, _K_MIN = _schubfach_tables()
 
 
+def _high(hi, lo, ch, cl):
+    """The high 64 bits of (hi 2**32 + lo)(ch 2**32 + cl), each of the four
+    uint64 limbs below 2**32, from products of the limbs, in place."""
+    lh, hl, mid, out = lo * ch, hi * cl, lo * cl, hi * ch
+    mid >>= 32
+    for part in (lh, hl):
+        out += part >> 32
+        part &= _M32
+        mid += part
+    mid >>= 32
+    out += mid
+    return out
+
+
 def _rop(g, cp):
     """floor(cp g 2**-127) for g = g1 2**63 + g0 and cp < 2**60, rounded to
     odd: its low bit is set when the bits below it are not all zero. g is
-    (g1, g1's high and low 32 bits, g0's high and low 32 bits)."""
+    (g1, g1's high and low 32 bits, g0's high and low 32 bits), uint64
+    arrays as cp is. cp is overwritten."""
     g1, g1h, g1l, g0h, g0l = g
-    ch, cl = cp >> 32, cp & _M32
-    # the high 64 bits of g0 cp, then of g1 cp, from products of 32-bit halves
-    lh, hl = g0l * ch, g0h * cl
-    x1 = g0h * ch + (lh >> 32) + (hl >> 32) + ((((g0l * cl) >> 32) + (lh & _M32) + (hl & _M32)) >> 32)
-    lh, hl = g1l * ch, g1h * cl
-    y1 = g1h * ch + (lh >> 32) + (hl >> 32) + ((((g1l * cl) >> 32) + (lh & _M32) + (hl & _M32)) >> 32)
-    z = ((g1 * cp) >> 1) + x1  # g1 cp wraps to its low 64 bits
-    return (y1 + (z >> 63)) | ((z & _M63) != 0)
+    ch = cp >> 32
+    cl = cp & _M32
+    # g1 cp wraps to its low 64 bits
+    z = np.multiply(g1, cp, out=cp)
+    z >>= 1
+    z += _high(g0h, g0l, ch, cl)
+    y1 = _high(g1h, g1l, ch, cl)
+    y1 += z >> 63
+    z &= _M63
+    y1 |= z != 0
+    return y1
 
 
 def _significand(bits):
@@ -113,7 +131,7 @@ def _scaled(bits):
     half to even). Undefined elsewhere."""
     c, irregular, at = _significand(bits)
     k = _K[at]
-    g = tuple(table[k - _K_MIN] for table in _G)
+    g = np.take(_G, k - _K_MIN, axis=1)
     h = _H[at]
     odd = c & 1
     cb = c << 2

@@ -14,10 +14,11 @@ larger index, so these are exactly the k_moran nearest finite points other
 than the target. Only rows left with fewer than k_moran points are queried,
 for their k_moran + 1 nearest finite points less the target; where
 coincident points of smaller index push the target itself out of that row,
-less its last point. The adjacency depends on the rows, the set of finite
-residuals and k_moran only, so residual columns that share all three (the
-variants of an experiment) can share one. local_moran is the LISA step over
-an adjacency.
+less its last point. The rows are read in the equal batches of
+neighborhood.batches over the member rows' width, as the fit's chunks are.
+The adjacency depends on the rows, the set of finite residuals and k_moran
+only, so residual columns that share all three (the variants of an
+experiment) can share one. local_moran is the LISA step over an adjacency.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .neighborhood import ConfigurationError, batch_rows, knn
+from .neighborhood import ConfigurationError, batches, knn
 
 DEFAULT_K_MORAN = 8
 # reliability_mask defaults: kappa above its 95% quantile is fragile; no ESS floor
@@ -53,10 +54,9 @@ def moran_adjacency(finite, lats, lons, members, k_moran=DEFAULT_K_MORAN):
     position[subset] = np.arange(subset.size)
     adjacency = np.empty((subset.size, k_moran), dtype=np.intp)
     short = np.zeros(subset.size, dtype=bool)
-    # batches of member rows, as many as fit the batch budget
-    step = batch_rows(members.shape[1])
-    for start in range(0, subset.size, step):
-        rows = np.arange(start, min(start + step, subset.size))
+    # equal batches of member rows, about the batch budget each
+    for batch in batches(subset.size, members.shape[1]):
+        rows = np.arange(batch.start, batch.stop)
         row = position[members[subset[rows]]]
         kept = (row >= 0) & (row != rows[:, None])
         # a stable sort brings each row's kept points to its front, in row order

@@ -4,31 +4,35 @@ fit_variants evaluates one or more configs that share K at every target of a
 dataset; fit_all is its one-config case. One neighbor query (the exact grid
 query of neighborhood.knn) finds every target's KNN neighborhood first; its
 read-only arrays become the neighborhood of every config's result. The
-targets then run in chunks of neighborhood.batch_rows(K) rows, so that a
-chunk's (C, K) arrays hold about BATCH_ELEMENTS elements whatever K, and a
-stage's fixed cost per call is spread over as many rows as the budget
-allows. Each chunk slices its rows of the query, computes the tangent
-displacements and gathers the members' columns once, then for each config
-runs the config-dependent stages on (C, K) arrays: orientation quantities
-(with ablation overrides) and the one-shot safeguarded weight field, the
+targets then run in the equal chunks of neighborhood.batches(targets, K), so
+that a chunk's (C, K) arrays hold about BATCH_ELEMENTS elements whatever K,
+a stage's fixed cost per call is spread over as many rows as the budget
+allows, and no config pays that cost again for a short tail chunk. Each
+chunk slices its rows of the query, computes the tangent displacements and
+gathers the members' columns once, then for each config runs the
+config-dependent stages on (C, K) arrays: orientation quantities (with
+ablation overrides) and the one-shot safeguarded weight field, the
 closed-form local solve, and the standardized conditioning diagnostic.
 Configs that differ only in the fields read after the orientation stage
 (kernels.AFTER_ORIENTATION) share one orientation stage per chunk, and with
 it the raw weights' ESS, so an n0 sweep computes it once; configs of one
-distance scale share the chunk's z = d / u column. Each config solves all
-of a chunk's rows in one call; the solve takes the design [1, x, z] as its
-x and z columns and skips every product with the intercept, which changes
-no bit. Each config's chunk is copied into its own columnar FitResult, in
-input order, before the next config is computed. A narrow fit
-(wide=False) copies no K-wide column but the query's own member rows: the
-weights, residuals and distances stay inside their chunk, and each target's
-residual is read off them there. Every stage reduces each row on its own,
-so a target's values do not depend on which other targets share its chunk
-or the query, on which other configs share the query or an orientation
+distance scale share the chunk's z = d / u column and the local solve's
+terms that no config field moves (the products x x, x z and z z of the
+design's columns and y's total sum of squares), each computed by the first
+config that reads it in the same operations as alone, so sharing moves no
+bit. Each config solves all of a chunk's rows in one call; the solve takes
+the design [1, x, z] as its x and z columns and skips every product with the
+intercept, which changes no bit. Each config's chunk is copied into its own
+columnar FitResult, in input order, before the next config is computed. A
+narrow fit (wide=False) copies no K-wide column but the query's own member
+rows: the weights, residuals and distances stay inside their chunk, and each
+target's residual is read off them there. Every stage reduces each row on
+its own, so a target's values do not depend on which other targets share its
+chunk or the query, on which other configs share the query or an orientation
 stage, or on whether it is fitted alone or among a few selected rows
-(fit_location, fit_rows): all of these agree bitwise. Each config's chunk
-is copied through a field-name tuple kept per dataclass type. The chunks
-run in order, in one thread, under one numpy error state that silences
+(fit_location, fit_rows): all of these agree bitwise. Each config's chunk is
+copied through a field-name tuple kept per dataclass type. The chunks run in
+order, in one thread, under one numpy error state that silences
 floating-point warnings: an extreme input or setting shows only as the rows
 it flags.
 
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
 from typing import Optional
@@ -51,7 +56,7 @@ import numpy as np
 
 from . import kernels, solver
 from .geo import tangent_displacements
-from .neighborhood import ConfigurationError, Neighborhood, batch_rows, knn
+from .neighborhood import ConfigurationError, Neighborhood, batches, knn
 from .orientation import OrientationResult
 from .solver import LocalFit, cond_wls2
 from .weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
@@ -289,10 +294,12 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
     The tangent displacements and the members' gathered columns are computed
     once and serve every config, and so does each orientation stage: configs
     that differ only in kernels.AFTER_ORIENTATION fields share one, and so
-    does each distance scale's z = d / u. Both memos live in this call's
-    frame, so no two chunks share them. x_std is the dataset's standardized
-    covariate. index holds each target's row in dataset, or -1 for an
-    out-of-sample target.
+    does each distance scale's z = d / u. The configs of a scale that more
+    than one config has share one memo of the local solve's terms that no
+    config field moves (solver.solve_local); a lone config's solve keeps
+    none. The memos live in this call's frame, so no two chunks share them.
+    x_std is the dataset's standardized covariate. index holds each
+    target's row in dataset, or -1 for an out-of-sample target.
     """
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     x_loc, y_loc, xs_loc = dataset.x[members], dataset.y[members], x_std[members]
@@ -301,13 +308,15 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
     own = (np.arange(index.shape[0]), np.argmax(at_target, axis=-1))
     has_own = at_target.any(axis=-1)
     stages, zs = {}, {}
+    # configs of one distance scale share its z column and, where more than
+    # one config reads them, the solve's config-independent terms
+    scales = Counter(config.u_scale for config in configs)
     for config in configs:
-        # configs of one distance scale share its z column
         if config.u_scale not in zs:
-            zs[config.u_scale] = distances / config.u_scale
-        z = zs[config.u_scale]
+            zs[config.u_scale] = (distances / config.u_scale, {} if scales[config.u_scale] > 1 else None)
+        z, terms = zs[config.u_scale]
         orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config, stages)
-        fit = solver.solve_local((None, x_loc, z), y_loc, wmap.weights, config.gamma, config.eps_kappa)
+        fit = solver.solve_local((None, x_loc, z), y_loc, wmap.weights, config.gamma, config.eps_kappa, terms)
         cond = cond_wls2(xs_loc, wmap.weights, config.eps_kappa)
         residual_at_target = np.where(has_own, fit.residuals[own], np.nan)
         if not wide:
@@ -319,8 +328,8 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
 
 
 def _fit_chunks(dataset, configs, lat0, lon0, index, wide):
-    """_fit_targets over chunks of batch_rows(K) targets: one FitResult per
-    config, each joined in order.
+    """_fit_targets over the chunks of neighborhood.batches(targets, K): one
+    FitResult per config, each joined in order.
 
     One neighbor query covers every target before the chunks run; each chunk
     slices its rows. The query's arrays are marked read-only and become the
@@ -348,9 +357,7 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, wide):
         x_std = standardized_covariate(dataset.x)
         # an empty target list still makes one (empty) chunk; each config's
         # part is copied into place before the next is computed
-        step = batch_rows(ks[0])
-        for start in range(0, max(n, 1), step):
-            rows = slice(start, start + step)
+        for rows in batches(n, ks[0]):
             parts = _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows],
                                  members[rows], distances[rows], wide)
             for c, part in enumerate(parts):
@@ -358,7 +365,7 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, wide):
                     results[c] = _map_columns(lambda col: np.empty((n,) + col.shape[1:], col.dtype), part)
                     result_columns[c] = _columns(results[c])
                 for column, values in zip(result_columns[c], _columns(part)):
-                    column[start:start + len(part)] = values
+                    column[rows] = values
     nb = Neighborhood(member_indices=members, distances=distances if wide else None)
     return [replace(result, neighborhood=nb) for result in results]
 

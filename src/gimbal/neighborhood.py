@@ -21,9 +21,13 @@ coarsest level is the full scan (every point is a candidate), which is also
 taken wherever a block would hold more than FULL_SCAN_SHARE of the pool.
 The rows of one cell share their block: its points are gathered once and
 keyed against all of those rows by one matrix product, many cells to a
-product of at most BATCH_ELEMENTS keys, the package's one batch budget
-(batch_rows), which also sizes the fit's chunks, the Moran adjacency's
-batches and the CSV writer's blocks.
+product of at most BATCH_ELEMENTS keys, the package's one batch budget. A
+loop over a known number of rows (the fit's chunks, the Moran adjacency's
+batches, the CSV writer's blocks) cuts them into the equal batches of
+batches(n, width); the query's streamed loops, whose rows come as they
+are answered, take batch_rows(width) of them at a time. Grids are built
+for the levels in use, and a level's grid is dropped once every row has
+gone coarser than it.
 
 The query runs in two stages. The wide stage (_gathered), per key block,
 finds each row's k-th key, checks the row's bound and gathers every
@@ -50,14 +54,14 @@ from .geo import haversine_between, haversine_table, unit_vectors
 
 # Elements held per batch by every batched loop of the package: the
 # query's cosine keys per block of targets and its re-rank's rows here (four
-# k-wide arrays a row), and in engine, diagnostics
-# and cli the fit's (chunk, K) arrays, the Moran adjacency's member rows and
-# the records writer's cells. A loop over rows of one width takes
-# batch_rows(width) of them at a time, so a batch costs the same elements
-# whatever its width. The cap keeps peak memory near that of a
-# one-row-at-a-time pass (a larger batch measurably raises peak RSS), while
-# a batch is wide enough that its time goes to arithmetic, not to per-call
-# overhead.
+# k-wide arrays a row), and in engine, diagnostics and cli the fit's
+# (chunk, K) arrays, the Moran adjacency's member rows and the records
+# writer's cells. A loop over n known rows of width elements takes the
+# equal batches of batches(n, width), a streamed loop batch_rows(width)
+# rows at a time, so a batch costs about the same elements whatever its
+# width. The cap keeps peak memory near that of a one-row-at-a-time pass (a
+# larger batch measurably raises peak RSS), while a batch is wide enough
+# that its time goes to arithmetic, not to per-call overhead.
 BATCH_ELEMENTS = 1 << 15
 
 # Cosine slack of the candidate gather. With u = 2**-53, the key (a dot
@@ -95,9 +99,22 @@ _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
 def batch_rows(width):
-    """The rows of width elements each that one batch takes:
-    max(1, BATCH_ELEMENTS // width)."""
+    """The rows of width elements each that one batch of a streamed loop
+    takes: max(1, BATCH_ELEMENTS // width)."""
     return max(1, BATCH_ELEMENTS // width)
+
+
+def batches(n, width):
+    """n rows of width elements each cut into equal batches, as slices that
+    cover range(n) in order: n * width / BATCH_ELEMENTS batches, rounded
+    half up to an integer in [1, max(n, 1)], whose sizes differ by at most
+    one row (the larger first). No batch is a small tail, and none holds
+    1.5 * BATCH_ELEMENTS elements or more unless one row holds more than
+    half of them. n = 0 gives one empty batch."""
+    count = max(1, min(n, (2 * n * width + BATCH_ELEMENTS) // (2 * BATCH_ELEMENTS)))
+    size, extra = divmod(n, count)
+    edges = [b * size + min(b, extra) for b in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 class ConfigurationError(ValueError):
@@ -324,6 +341,10 @@ def _gathered(grids, pool, targets, level, k):
     limit = np.empty(targets.shape[0])
     rows = np.arange(targets.shape[0])
     while rows.shape[0]:
+        # rows only retry coarser, so a grid finer than every row's level (a
+        # probe of _first_levels, or a level every row has left) is dropped
+        for finer in [lv for lv in grids if lv > level[rows].max()]:
+            del grids[finer]
         retry = []
         for lv in np.unique(level[rows])[::-1]:
             at = rows[level[rows] == lv]

@@ -73,12 +73,30 @@ def _product(*factors):
     return out
 
 
-def _weighted_gram(columns, scale):
+def _kept(shared, key, compute):
+    """compute(), kept under key in the memo shared and computed only where
+    it holds none; computed afresh where shared is None."""
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
+def _weighted_gram(columns, scale, shared=None):
     """The upper entries g[a, b], a <= b, of the stacked symmetric matrices
-    G[a, b] = sum_k columns[a] columns[b] scale, as a dict of arrays."""
+    G[a, b] = sum_k columns[a] columns[b] scale, as a dict of arrays.
+    shared is None or solve_local's memo, which keeps each product
+    columns[a] columns[b] of two columns that are not the intercept."""
     p = len(columns)
-    return {(a, b): np.sum(_product(columns[a], columns[b], scale), axis=-1)
-            for a in range(p) for b in range(a, p)}
+    g = {}
+    for a in range(p):
+        for b in range(a, p):
+            if columns[a] is None or columns[b] is None:
+                g[a, b] = np.sum(_product(columns[a], columns[b], scale), axis=-1)
+            else:
+                g[a, b] = np.sum(_kept(shared, (a, b), lambda: columns[a] * columns[b]) * scale, axis=-1)
+    return g
 
 
 def _finite_or_identity(g):
@@ -144,7 +162,7 @@ def _inverse_gram(low):
     return {(a, b): sum(inv[k, a] * inv[k, b] for k in range(b, p)) for a in range(p) for b in range(a, p)}
 
 
-def _normal_matrix(cols, scale):
+def _normal_matrix(cols, scale, shared=None):
     """The Cholesky factor of the normal matrix M = X^T (I + 2 gamma W) X of
     each row (scale is 1 + 2 gamma w; see _cholesky), its smallest and
     largest eigenvalues, and whether the row is well posed:
@@ -154,8 +172,9 @@ def _normal_matrix(cols, scale):
     of M^-1's, with M^-1 from the factor: every finite row is factored
     before the eigenvalue test. A row whose factorization breaks down has
     lam_min 0, and one whose M^-1 overflows NaN; both are ill-posed. A row
-    whose matrix is not finite has NaN eigenvalues and is ill-posed."""
-    g, finite = _finite_or_identity(_weighted_gram(cols, scale))
+    whose matrix is not finite has NaN eigenvalues and is ill-posed.
+    shared as for _weighted_gram."""
+    g, finite = _finite_or_identity(_weighted_gram(cols, scale, shared))
     low, broken = _cholesky(g)
     lam_max = np.where(finite, _largest_eigenvalue(g), np.nan)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -178,19 +197,25 @@ def _cholesky_solve(low, rhs):
     return x
 
 
-def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
+def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA, shared=None):
     """Solve the modulated normal equations of one or many neighborhoods.
 
     X is a design array or a tuple of its columns (see the module
     docstring). Returns a LocalFit; a row whose normal matrix is singular
     carries well_posed=False and NaN coefficients (the location is flagged,
     not regularized).
+
+    shared is a memo of the terms that neither the weights nor gamma move,
+    read and filled here, for calls on the same design and y: the product
+    of each two design columns other than the intercept, and y's total sum
+    of squares. Each is computed in the same operations as without it, so
+    the result is bitwise the same; None keeps nothing past the call.
     """
     cols = _design_columns(X)
     y = np.asarray(y, dtype=np.float64)
     scale = 1.0 + 2.0 * gamma * np.asarray(weights, dtype=np.float64)
 
-    low, lam_min, lam_max, well_posed = _normal_matrix(cols, scale)
+    low, lam_min, lam_max, well_posed = _normal_matrix(cols, scale, shared)
     with np.errstate(divide="ignore", invalid="ignore"):
         # a lam_min that is NaN (M^-1 overflowed) lies below eps_kappa
         kappa = np.where(lam_max > 0.0, lam_max / np.fmax(lam_min, eps_kappa), np.inf)
@@ -203,7 +228,7 @@ def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA):
         beta = np.stack(_cholesky_solve(low, rhs), axis=-1)
     beta = np.where(well_posed[..., None], beta, np.nan)
 
-    rmse, r2, r2_defined, residuals = _summaries(cols, y, beta)
+    rmse, r2, r2_defined, residuals = _summaries(cols, y, beta, shared)
     return LocalFit(
         beta=beta,
         m_nor_condition=kappa,
@@ -232,7 +257,7 @@ def operator_norm_bound(X, weights, gamma):
         return np.where(well_posed, b_norm / lam_min, np.nan)
 
 
-def _summaries(cols, y, beta):
+def _summaries(cols, y, beta, shared=None):
     # the fitted values summed left to right over the columns, as a
     # last-axis sum of the products with a design array adds them
     fitted = None
@@ -242,7 +267,7 @@ def _summaries(cols, y, beta):
     residuals = y - fitted
     ss_res = np.sum(residuals * residuals, axis=-1)
     rmse = np.sqrt(ss_res / y.shape[-1])
-    ss_tot = np.sum((y - np.mean(y, axis=-1, keepdims=True)) ** 2, axis=-1)
+    ss_tot = _kept(shared, "ss_tot", lambda: np.sum((y - np.mean(y, axis=-1, keepdims=True)) ** 2, axis=-1))
     defined = ss_tot > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(defined, 1.0 - ss_res / ss_tot, 0.0)

@@ -25,7 +25,7 @@ from gimbal.engine import (
     predict,
     residual_knn_correct,
 )
-from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows
+from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows, batches
 from gimbal.simgen import SimSpec, generate
 from gimbal.weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM
 from test_diagnostics import moran_on_finite
@@ -176,8 +176,9 @@ def test_tables_written_in_lockstep_match_the_csv_module_oracle(tmp_path):
     # values sit in the first block and across a block boundary (rotated from
     # table to table there, so that they are formatted, not reused)
     header = ["index", "name", "value", "same", "flag"]
-    step = batch_rows(len(header))
-    n = 2 * step + 50
+    n = 3 * batch_rows(len(header)) + 50
+    starts = [rows.start for rows in batches(n, len(header))]
+    assert len(starts) == 3
     rng = np.random.default_rng(12)
     base = rng.normal(size=n) * 10.0 ** rng.integers(-6, 18, n)
     nan_a = np.float64(math.nan)
@@ -193,14 +194,14 @@ def test_tables_written_in_lockstep_match_the_csv_module_oracle(tmp_path):
     edges = np.array([0.0, -0.0, nan_a, nan_b, math.inf, -math.inf, 5e-324, np.nextafter(tiny, 0.0), tiny,
                       biggest, -biggest, 9999999999999998.0, 1e16, 0.0001, 9.999999999999999e-05,
                       np.nextafter(0.1, 1.0), 0.1, np.nextafter(0.1, 0.0), 1e23, -2.5])
-    boundary = 2 * step - len(edges) // 2
+    boundary = starts[2] - len(edges) // 2
     tables = []
     for t in range(4):
         col = base.copy()
         col[t::5] += t  # some cells change from table to table, most do not
         col[2:2 + len(edges)] = edges
         col[boundary:boundary + len(edges)] = np.roll(edges, t)
-        for row, values in zip((0, 1, step, n - 1), cells):
+        for row, values in zip((0, 1, starts[1], n - 1), cells):
             col[row] = values[t]
         same = np.full(n, 2.5)
         names = [f"t{t}r{i}ü" for i in range(n)]
@@ -405,17 +406,16 @@ def test_fit_k_exceeds_n_exits_2(tmp_path, capsys):
 
 def budget_batches(total, width):
     """The row counts of the batches a loop over total rows of width
-    elements each takes, batch_rows(width) rows at a time."""
-    step = batch_rows(width)
-    return [min(step, total - start) for start in range(0, total, step)]
+    elements each takes: the equal batches of neighborhood.batches."""
+    return [rows.stop - rows.start for rows in batches(total, width)]
 
 
 @pytest.mark.parametrize("k", [5, 50, 200])
 def test_fit_batches_hold_the_budget_of_their_width(monkeypatch, tmp_path, k):
-    # gimbal fit's chunk step and Moran adjacency take batch_rows(K) rows at
-    # a time and its records writer batch_rows of the header's length; 7000
-    # rows cross a boundary of each at every K
-    ds, _ = generate(SimSpec(n=7000, extent=30_000.0, seed=25))
+    # gimbal fit's chunk step and Moran adjacency cut their rows into the
+    # equal batches of width K and its records writer into those of the
+    # header's length; 10 500 rows cross a boundary of each at every K
+    ds, _ = generate(SimSpec(n=10_500, extent=30_000.0, seed=25))
     inp = tmp_path / "data.csv"
     write_dataset_csv(inp, ds)
     chunks, moran, blocks = [], [], []
@@ -445,24 +445,27 @@ def test_fit_batches_hold_the_budget_of_their_width(monkeypatch, tmp_path, k):
     assert chunks == budget_batches(ds.n, k)
     assert moran == budget_batches(n_finite, k)
     assert blocks == budget_batches(ds.n, len(RECORD_FIELDS))
-    assert max(chunks) * k <= BATCH_ELEMENTS and max(moran) * k <= BATCH_ELEMENTS
-    assert max(blocks) * len(RECORD_FIELDS) <= BATCH_ELEMENTS
+    for sizes, width in ((chunks, k), (moran, k), (blocks, len(RECORD_FIELDS))):
+        assert len(sizes) > 1 and max(sizes) - min(sizes) <= 1
+        assert max(sizes) * width < 1.5 * BATCH_ELEMENTS
 
 
 def test_fit_moran_rows_all_short_match_local_moran(tmp_path):
-    # at --k 5 every fit row is too short for --moran-k 8, so the whole
-    # adjacency comes from one neighbor query; the rows span two K=5 chunks
-    ds, _ = generate(SimSpec(n=batch_rows(5) + 44, extent=15_000.0, seed=24))
+    # at --k 8 every fit row (the point and 7 others) is too short for
+    # --moran-k 8, so the whole adjacency comes from one neighbor query; the
+    # rows span two K=8 chunks, and the finite ones two adjacency batches
+    ds, _ = generate(SimSpec(n=6600, extent=15_000.0, seed=24))
     inp = tmp_path / "data.csv"
     write_dataset_csv(inp, ds)
     rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
-               "--out-summary", str(tmp_path / "s.json"), "--k", "5", "--moran-k", "8"])
+               "--out-summary", str(tmp_path / "s.json"), "--k", "8", "--moran-k", "8"])
     assert rc == 0
     header, rows = read_csv_skipping_comments(tmp_path / "r.csv")
     column = header.index("local_moran")
     values = np.array([float(row[column]) if row[column] else math.nan for row in rows])
+    assert len(batches(ds.n, 8)) == len(batches(int(np.isfinite(values).sum()), 8)) == 2
 
-    expect = moran_on_finite(fit_all(read_dataset(inp), GimbalConfig(k=5)), 8)
+    expect = moran_on_finite(fit_all(read_dataset(inp), GimbalConfig(k=8)), 8)
     assert np.array_equal(values.view(np.int64), expect.view(np.int64))
 
 

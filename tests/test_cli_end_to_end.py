@@ -1,11 +1,15 @@
 """The console commands run as a user runs them, each in its own process:
-reruns of the same command write the same bytes."""
+reruns of the same command write the same bytes, and a variant that an
+experiment writes together with its others is the file gimbal fit writes
+for it alone."""
 
 import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gimbal
 
@@ -43,7 +47,7 @@ def assert_float_cells_are_repr(path):
 def test_reruns_on_19200_points_are_byte_identical(tmp_path):
     # fit at K = 50, 5 and 200 and predict with a residual correction, each
     # twice; at K=5 most rows sit at fine levels, many cells to a key block,
-    # and at K=200 a chunk holds 163 rows: 117 whole chunks and a 129-row tail
+    # and at K=200 the rows run in 117 equal chunks of 164 or 165 rows
     gimbal_cli(tmp_path, "simulate", "--out", "big.csv", "--n", "19200", "--sampling", "gaussian",
                "--rho", "10", "--seed", "1")
     for k, name in (("50", "big_k50"), ("5", "big_k5"), ("200", "big_k200")):
@@ -58,3 +62,62 @@ def test_reruns_on_19200_points_are_byte_identical(tmp_path):
     assert_same_bytes(tmp_path, ("big_pred.csv", "big_pred2.csv"))
     for name in ("big_k50.csv", "big_pred.csv"):
         assert_float_cells_are_repr(tmp_path / name)
+
+
+# each experiment's files at seed 1
+EXPERIMENT_FILES = {
+    "7.1": ["e71_full.csv", "e71_full_strict_eps_phi.csv", "e71_isotropic_proxy.csv", "e71_report.json",
+            "e71_theta_off.csv"],
+    "7.2": ["e72_full.csv", "e72_isotropic_proxy.csv", "e72_report.json"],
+    "7.3": [*(f"e73_n0_{n0}.csv" for n0 in (6, 8, 10, 15, 20, 30, 50, 75, 100)), "e73_report.json"],
+    "7.4": ["e74_report.json", "e74_theta_off.csv", "e74_theta_on.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def experiments(tmp_path_factory):
+    """A directory holding experiments 7.1-7.4 at seed 1, each run twice:
+    e71 and e71b, ..., e74 and e74b."""
+    cwd = tmp_path_factory.mktemp("experiments")
+    for exp_id in EXPERIMENT_FILES:
+        name = "e" + exp_id.replace(".", "")
+        for outdir in (name, f"{name}b"):
+            gimbal_cli(cwd, "experiment", "--id", exp_id, "--seed", "1", "--outdir", outdir)
+    return cwd
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENT_FILES))
+def test_experiment_reruns_are_byte_identical(experiments, exp_id):
+    name = "e" + exp_id.replace(".", "")
+    files = EXPERIMENT_FILES[exp_id]
+    assert sorted(path.name for path in (experiments / name).iterdir()) == sorted(files)
+    assert_same_bytes(experiments, *((f"{name}/{f}", f"{name}b/{f}") for f in files))
+
+
+def test_experiment_float_cells_are_repr(experiments):
+    for path in sorted((experiments / "e73").glob("*.csv")):
+        assert_float_cells_are_repr(path)
+
+
+def test_e71_and_e73_fitted_standalone_equal_the_experiments_files(experiments):
+    # a variant written with the others of its experiment is the file gimbal
+    # fit writes for its config on the experiment's dataset: e73's nine n0
+    # variants share one orientation stage and the solve's shared terms, and
+    # e71's share one distance scale, gamma and eps_kappa over four stages
+    cwd = experiments
+    gimbal_cli(cwd, "simulate", "--out", "e73_data.csv", "--n", "1200", "--sampling", "gaussian",
+               "--extent", "25000", "--rho", "10", "--psi", "0.7853981633974483", "--seed", "1")
+    for n0 in ("6", "100"):
+        gimbal_cli(cwd, "fit", "--input", "e73_data.csv", "--out-records", f"e73_fit_n0_{n0}.csv",
+                   "--out-summary", f"e73_fit_n0_{n0}.json", "--k", "30", "--h", "2000", "--n-min", "12",
+                   "--n0", n0)
+        assert_same_bytes(cwd, (f"e73_fit_n0_{n0}.csv", f"e73/e73_n0_{n0}.csv"))
+    gimbal_cli(cwd, "simulate", "--out", "e71_data.csv", "--n", "1200", "--extent", "40000", "--rho", "1",
+               "--psi", "0", "--c-rad", "0", "--seed", "1")
+    gimbal_cli(cwd, "fit", "--input", "e71_data.csv", "--out-records", "e71_fit_proxy.csv",
+               "--out-summary", "e71_fit_proxy.json", "--phi-mode", "forced_zero", "--theta-z-mode", "off",
+               "--eta-mode", "forced_one")
+    assert_same_bytes(cwd, ("e71_fit_proxy.csv", "e71/e71_isotropic_proxy.csv"))
+    gimbal_cli(cwd, "fit", "--input", "e71_data.csv", "--out-records", "e71_fit_strict.csv",
+               "--out-summary", "e71_fit_strict.json", "--eps-phi", "0.3")
+    assert_same_bytes(cwd, ("e71_fit_strict.csv", "e71/e71_full_strict_eps_phi.csv"))

@@ -10,7 +10,7 @@ from scalar_geo import nearest_others
 from gimbal.cli import _annotate_and_write, _moran_over_records
 from gimbal.diagnostics import local_moran, moran_adjacency, reliability_mask
 from gimbal.engine import Dataset, GimbalConfig, fit_all, fit_variants
-from gimbal.neighborhood import ConfigurationError, batch_rows, knn
+from gimbal.neighborhood import ConfigurationError, batch_rows, batches, knn
 from gimbal.simgen import SimSpec, generate
 
 
@@ -171,7 +171,8 @@ def test_moran_of_fit_rows_bitwise_equals_local_moran(k, monkeypatch):
 def test_moran_of_fit_rows_needs_no_second_query(monkeypatch):
     # every row keeps at least 8 finite members of its K=50 fit row, so the
     # adjacency is read off the fit alone, over three batches of K=50 rows
-    ds, _ = generate(SimSpec(n=2 * batch_rows(50) + 40, extent=15_000.0, seed=23))
+    assert len(batches(3 * batch_rows(50) + 40, 50)) == 3
+    ds, _ = generate(SimSpec(n=3 * batch_rows(50) + 40, extent=15_000.0, seed=23))
     result = fit_all(ds, GimbalConfig(k=50))
     expect = moran_on_finite(result, 8)
 

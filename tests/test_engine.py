@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +27,7 @@ from gimbal.engine import (
     standardized_covariate,
 )
 from gimbal.kernels import orientation_stage
-from gimbal.neighborhood import ConfigurationError, batch_rows, knn
+from gimbal.neighborhood import ConfigurationError, batch_rows, batches, knn
 from gimbal.simgen import SimSpec, generate
 from gimbal.solver import solve_local
 from gimbal.weights import frame_quadratic
@@ -156,17 +158,24 @@ VARIANT_SETS = {
 }
 
 
-# the rows of one chunk of a K=12 fit: every config of VARIANT_SETS, and
-# of the chunked tests below, has K=12
+# about the rows of one chunk of a K=12 fit: every config of VARIANT_SETS,
+# and of the chunked tests below, has K=12
 CHUNK = batch_rows(12)
 assert {config.k for configs in VARIANT_SETS.values() for config in configs} == {12}
 
 
+def chunk_starts(n):
+    """The first row of each chunk of a K=12 fit of n targets, and n."""
+    return [rows.start for rows in batches(n, 12)] + [n]
+
+
 def chunked_dataset(chunks):
-    """A dataset of chunks whole K=12 chunks and a 44-row tail, so one or
-    more chunk boundaries are crossed. Its points are as dense as 300 in
-    small_dataset's square, where the sparser neighborhoods fall back."""
-    n = chunks * CHUNK + 44
+    """A dataset of chunks + 1 K=12 chunks, the first one row longer than
+    the others, so one or more chunk boundaries are crossed. Its points are
+    as dense as 300 in small_dataset's square, where the sparser
+    neighborhoods fall back."""
+    n = (chunks + 1) * CHUNK + 1
+    assert np.diff(chunk_starts(n)).tolist() == [CHUNK + 1] + [CHUNK] * chunks
     ds, _ = generate(SimSpec(n=n, extent=8000.0 * math.sqrt(n / 300), seed=3))
     return ds
 
@@ -217,7 +226,7 @@ def test_orientation_stage_runs_once_per_key_per_chunk(monkeypatch, variants, ke
     monkeypatch.setattr(kernels, "orientation_stage", counted)
     monkeypatch.setattr(kernels, "frame_quadratic", counted_form)
     fit_variants(ds, VARIANT_SETS[variants])
-    once_per_key_per_chunk = [44] * keys + [CHUNK] * (chunks * keys)
+    once_per_key_per_chunk = sorted(np.diff(chunk_starts(ds.n)).tolist() * keys)
     assert sorted(calls) == once_per_key_per_chunk
     assert sorted(forms) == once_per_key_per_chunk
 
@@ -248,7 +257,8 @@ def test_one_config_solves_each_chunk_in_one_call(monkeypatch, chunks):
     # a chunk in one call over all of its rows, fallback rows included
     ds = chunked_dataset(chunks)
     calls = spy_solves(monkeypatch)
-    sizes = {start: min(CHUNK, ds.n - start) for start in range(0, ds.n, CHUNK)}
+    starts = chunk_starts(ds.n)
+    sizes = dict(zip(starts[:-1], np.diff(starts).tolist()))
     for variants in ("e73", "solve_keys"):
         configs = VARIANT_SETS[variants]
         results = fit_variants(ds, configs)
@@ -266,12 +276,54 @@ def test_one_config_solves_each_chunk_in_one_call(monkeypatch, chunks):
     calls.clear()
     fit_location(ds, config, 7)
     assert calls == {7: [1]}
+    calls.clear()
+    # no target still makes one, empty, chunk
+    assert len(fit_rows(ds, config, [])) == 0
+    assert calls == {0: [0]}
+
+
+@pytest.mark.parametrize("variants", ["solve_keys", "one_field", "e73"])
+def test_configs_of_one_scale_share_one_solve_memo_per_chunk(monkeypatch, variants):
+    # the configs of a distance scale that several configs have share one
+    # memo of the solve's config-free terms per chunk; a config alone at its
+    # scale keeps none, nor does a one-config fit
+    ds = chunked_dataset(1)
+    configs = VARIANT_SETS[variants]
+    memos = []
+    solve_local_ = gimbal.solver.solve_local
+
+    def spied(X, y, weights, gamma, eps_kappa, shared=None):
+        memos.append(shared)
+        return solve_local_(X, y, weights, gamma, eps_kappa, shared)
+
+    monkeypatch.setattr(gimbal.solver, "solve_local", spied)
+    fit_variants(ds, configs)
+    scales = Counter(config.u_scale for config in configs)
+    chunks = len(chunk_starts(ds.n)) - 1
+    assert len(memos) == chunks * len(configs)
+    seen = set()
+    for chunk in range(chunks):
+        first = {}
+        for config, memo in zip(configs, memos[chunk * len(configs):]):
+            if scales[config.u_scale] == 1:
+                assert memo is None
+                continue
+            assert memo is first.setdefault(config.u_scale, memo)
+            assert set(memo) == {(1, 1), (1, 2), (2, 2), "ss_tot"}
+        assert not seen & set(map(id, first.values()))
+        seen |= set(map(id, first.values()))
+    assert seen and len(seen) == chunks * sum(count > 1 for count in scales.values())
+    memos.clear()
+    fit_all(ds, configs[0])
+    predict(ds, configs[0], ds.lat[:10], ds.lon[:10], ds.x[:10])
+    fit_rows(ds, configs[0], [3, 1])
+    assert memos == [None] * (chunks + 2)
 
 
 def test_fit_variants_solves_each_config_on_its_own_design():
     # each config's solve sees its own z = d / u column, also where the
     # configs share an orientation stage
-    ds = small_dataset(seed=5, n=CHUNK + 44)
+    ds = small_dataset(seed=5, n=2 * CHUNK + 44)
     configs = VARIANT_SETS["scales"]
     for config, result in zip(configs, fit_variants(ds, configs)):
         members = result.neighborhood.member_indices
@@ -283,7 +335,7 @@ def test_fit_variants_solves_each_config_on_its_own_design():
 
 def test_fit_variants_and_predict_make_one_query(monkeypatch):
     # one query covers every target of a fitted set, whatever its chunks
-    ds = small_dataset(seed=4, n=2 * CHUNK + 10)
+    ds = small_dataset(seed=4, n=3 * CHUNK + 10)
     calls = []
 
     def counted_knn(*args, **kwargs):
@@ -295,13 +347,13 @@ def test_fit_variants_and_predict_make_one_query(monkeypatch):
     assert len(results) == 9
     assert calls == [ds.n]
     calls.clear()
-    test = small_dataset(seed=5, n=CHUNK + 3)
+    test = small_dataset(seed=5, n=2 * CHUNK + 3)
     predict(ds, GimbalConfig(k=12), test.lat, test.lon, test.x)
     assert calls == [test.n]
 
 
 def test_fit_variants_share_one_read_only_neighborhood():
-    ds = small_dataset(seed=6, n=CHUNK + 30)
+    ds = small_dataset(seed=6, n=2 * CHUNK + 30)
     results = fit_variants(ds, VARIANT_SETS["e73"])
     nb = results[0].neighborhood
     assert all(result.neighborhood is nb for result in results)
@@ -324,10 +376,11 @@ def test_fit_variants_rejects_mixed_k_and_no_configs():
 def test_fit_location_equals_its_row_of_fit_all():
     # rows on both sides of a chunk boundary: a target's values do not depend
     # on the other targets of its chunk
-    ds = small_dataset(seed=7, n=CHUNK + 20)
+    ds = small_dataset(seed=7, n=2 * CHUNK + 20)
     cfg = GimbalConfig(k=12)
     result = fit_all(ds, cfg)
-    for i in (0, CHUNK - 1, CHUNK, ds.n - 1):
+    boundary = chunk_starts(ds.n)[1]
+    for i in (0, boundary - 1, boundary, ds.n - 1):
         assert pickle.dumps(fit_location(ds, cfg, i)) == pickle.dumps(result.record(i))
 
 
@@ -335,9 +388,10 @@ def test_fit_rows_equal_their_rows_of_fit_all():
     # unsorted rows, a repeat and rows across a chunk boundary of fit_rows'
     # own targets: each row is bitwise its row of fit_all, whoever its
     # neighbors in the query and the chunk are
-    ds = small_dataset(seed=8, n=CHUNK + 40)
+    ds = small_dataset(seed=8, n=2 * CHUNK + 40)
     cfg = GimbalConfig(k=12)
-    rows = np.concatenate([[ds.n - 1, 5, 5, 0], np.arange(CHUNK + 30, 10, -1)])
+    rows = np.concatenate([[ds.n - 1, 5, 5, 0], np.arange(2 * CHUNK + 30, 10, -1)])
+    assert len(chunk_starts(rows.size)) == 3
     assert pickle.dumps(fit_rows(ds, cfg, rows)) == pickle.dumps(fit_all(ds, cfg).take(rows))
     for bad in (np.ones(ds.n, dtype=bool), [0.0, 1.0], [[0, 1]], [-1], [ds.n]):
         with pytest.raises(ConfigurationError, match="rows must"):
@@ -376,7 +430,7 @@ def assert_narrow_of(narrow, full):
 
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_narrow_results_equal_the_full_ones_without_the_k_wide_columns(chunks):
-    ds = small_dataset(seed=9, n=chunks * CHUNK + 35)
+    ds = small_dataset(seed=9, n=(chunks + 1) * CHUNK + 35)
     configs = VARIANT_SETS["e73"] + VARIANT_SETS["solve_keys"][:2]
     cfg = configs[0]
     for narrow, full in zip(fit_variants(ds, configs, wide=False), fit_variants(ds, configs)):
@@ -384,7 +438,7 @@ def test_narrow_results_equal_the_full_ones_without_the_k_wide_columns(chunks):
     assert_narrow_of(fit_all(ds, cfg, wide=False), fit_all(ds, cfg))
     rows = np.array([ds.n - 1, 3, 3, CHUNK, 0])
     assert_narrow_of(fit_rows(ds, cfg, rows, wide=False), fit_rows(ds, cfg, rows))
-    test = small_dataset(seed=10, n=CHUNK + 5)
+    test = small_dataset(seed=10, n=2 * CHUNK + 5)
     (preds, narrow), (full_preds, full) = (predict(ds, cfg, test.lat, test.lon, test.x, wide=wide)
                                            for wide in (False, True))
     assert preds.tobytes() == full_preds.tobytes()
@@ -664,7 +718,8 @@ def permuted_fits(draw):
     neighbors, and a random permutation of its rows. K is large, so a chunk
     holds a few hundred rows and the permutation moves rows across chunks."""
     k = draw(st.sampled_from([100, 200]))
-    n = draw(st.integers(max(k, batch_rows(k)) + 1, 700))
+    two_chunks = next(n for n in itertools.count(k) if len(batches(n, k)) > 1)
+    n = draw(st.integers(two_chunks, 700))
     ds, _ = generate(SimSpec(n=n, sampling=draw(st.sampled_from(["uniform", "gaussian"])),
                              extent=draw(st.sampled_from([3000.0, 40_000.0])), seed=draw(st.integers(0, 2**16))))
     _, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, k + 1)

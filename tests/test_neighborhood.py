@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +10,36 @@ import gimbal.neighborhood as neighborhood
 from scalar_geo import haversine_distance, haversine_to_all, nearest_others
 from gimbal.diagnostics import moran_adjacency
 from gimbal.geo import unit_vectors
-from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows, knn
+from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows, batches, knn
 from gimbal.simgen import SimSpec, generate
+
+
+@pytest.mark.parametrize("width", [1, 5, 12, 22, 30, 50, 200, 4097, BATCH_ELEMENTS // 2, 3 * BATCH_ELEMENTS])
+def test_batches_are_equal_and_near_the_budget(width):
+    # n * width / BATCH_ELEMENTS batches rounded half up, at least one and at
+    # most n; sizes differ by at most one row, the batches cover range(n) in
+    # order, and none holds 1.5 BATCH_ELEMENTS elements unless one row holds
+    # more than half of them
+    rng = np.random.default_rng(width)
+    near = [round(m * BATCH_ELEMENTS / width) + d for m in (0.5, 1, 1.5, 2, 2.5, 7.3) for d in (-1, 0, 1)]
+    for n in sorted({0, 1, 2, 3, *near, *rng.integers(0, 40 * BATCH_ELEMENTS // width + 3, 40).tolist()}):
+        if n < 0:
+            continue
+        cut = batches(n, width)
+        expect = max(1, min(n, math.floor(Fraction(n * width, BATCH_ELEMENTS) + Fraction(1, 2))))
+        assert len(cut) == expect, n
+        sizes = [rows.stop - rows.start for rows in cut]
+        assert all(rows.step is None for rows in cut)
+        assert [rows.start for rows in cut] == [0, *itertools.accumulate(sizes)][:-1] and cut[-1].stop == n
+        assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True), n
+        if 2 * width <= BATCH_ELEMENTS:
+            assert max(sizes) * width < 1.5 * BATCH_ELEMENTS, n
+        else:
+            assert max(sizes) * width < 1.5 * BATCH_ELEMENTS or max(sizes) == 1, n
+    # no target still makes one empty batch, and the workloads' shapes
+    assert batches(0, width) == [slice(0, 0)]
+    assert batches(1200, 30) == [slice(0, 1200)]
+    assert [rows.stop - rows.start for rows in batches(4800, 50)] == [686] * 5 + [685] * 2
 
 
 def scan_oracle(lats, lons, target, k):
@@ -383,6 +415,39 @@ def test_grid_equals_full_scan_at_scale(monkeypatch, k, moran):
     else:
         answered = assert_grid_matches(monkeypatch, ds.lat, ds.lon, ds.lat[rows], ds.lon[rows], k)
     assert answered.mean() > 0.95
+
+
+def test_grids_finer_than_every_row_left_are_dropped_and_built_once(monkeypatch):
+    # rows only retry coarser, so a grid finer than every row still to be
+    # answered is dropped (the walk's probes finer than every first level
+    # among them), and no level's grid is built twice
+    ds, _ = generate(SimSpec(n=19200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
+    events, first = [], []
+    missing, first_levels = neighborhood._Grids.__missing__, neighborhood._first_levels
+
+    def built(grids, level):
+        events.append(("build", level))
+        return missing(grids, level)
+
+    def dropped(grids, level):
+        events.append(("drop", level))
+        dict.__delitem__(grids, level)
+
+    def spied_first_levels(*args):
+        first.append(first_levels(*args))
+        return first[-1]
+
+    monkeypatch.setattr(neighborhood._Grids, "__missing__", built)
+    monkeypatch.setattr(neighborhood._Grids, "__delitem__", dropped)
+    monkeypatch.setattr(neighborhood, "_first_levels", spied_first_levels)
+    knn(ds.lat, ds.lon, ds.lat, ds.lon, 50)
+    levels = [level for what, level in events if what == "build"]
+    assert len(levels) == len(set(levels))
+    probes = {level for level in levels if level > first[0].max()}
+    assert probes and probes <= {level for what, level in events if what == "drop"}
+    for i, (what, level) in enumerate(events):
+        if what == "drop":
+            assert ("build", level) in events[:i] and ("build", level) not in events[i:]
 
 
 @pytest.mark.parametrize("k", [50, 5])

@@ -320,6 +320,40 @@ def test_column_path_equals_stacked_design_bitwise(k):
                                   solve_local(stacked[20], y[20], w[20], gamma))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_terms_change_no_bit(seed):
+    # one memo serves several solves of one (None, x, z) design and y, as an
+    # n0 sweep's configs share it: each equals the solve without it, on
+    # random stacks with ill-posed, overflowing, NaN-weight, non-finite-y,
+    # constant-y and uniform-weight rows, and at gamma = 0
+    rng = np.random.default_rng(70 + seed)
+    c, k = 48, int(rng.integers(5, 60))
+    x = rng.normal(0.0, 1.0, (c, k)) * 10.0 ** rng.integers(-3, 4, (c, 1))
+    z = rng.uniform(0.0, 2.0, (c, k))
+    y = 1.0 + 0.5 * x - z + rng.normal(0.0, 0.3, (c, k))
+    x[:4] = 1.5  # collinear with the intercept
+    z[4:8] = 2.0 * x[4:8]  # collinear with x
+    x[8, 0] = 1e160  # an overflowing product
+    y[9, 1] = np.inf
+    y[10:14] = -0.25  # constant response
+    shared = {}
+    for gamma in rng.permutation([0.0, 0.5, 1.0, 4.0, 1e308]):
+        w = rng.uniform(0.01, 1.0, (c, k))
+        w[14:18] = 1.0  # uniform weights, as on a fallback row
+        w[18, 2] = np.nan
+        w /= w.sum(axis=-1, keepdims=True)
+        alone = solve_local((None, x, z), y, w, gamma)
+        assert_fits_bitwise_equal(solve_local((None, x, z), y, w, gamma, shared=shared), alone)
+        assert not alone.well_posed[:9].any() and not alone.well_posed[18]
+        assert set(shared) == {(1, 1), (1, 2), (2, 2), "ss_tot"}
+    # without an intercept column every product of two columns is kept
+    X = (np.ones_like(x), x, z)
+    full = {}
+    assert_fits_bitwise_equal(solve_local(X, y, w, 2.0, shared=full), solve_local(X, y, w, 2.0))
+    assert len(full) == 7
+
+
 def test_kappa_reported_even_when_ill_posed():
     X = np.column_stack([np.ones(8), np.ones(8), np.zeros(8)])
     fit = solve_local(X, np.arange(8.0), np.full(8, 1 / 8), 1.0)
