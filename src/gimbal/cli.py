@@ -148,10 +148,9 @@ def read_dataset(path):
     the offending column/row if it can be read.
 
     The four required columns are parsed by numpy's text reader
-    (_parse_columns); the csv module reads the header, the id column of a
-    body that holds a quote (a quote-free body's ids are cut from its lines,
-    _line_fields) and, when the reader cannot vouch for a body, every row
-    (_numeric_rows), which names the first bad cell."""
+    (_parse_columns); the csv module reads the header, the id column and,
+    when the reader cannot vouch for a body, every row (_numeric_rows),
+    which names the first bad cell."""
     path = Path(path)
     try:
         # decoded in one piece, so that a byte that is not UTF-8 is named by
@@ -170,20 +169,13 @@ def read_dataset(path):
     if missing:
         raise ConfigurationError(f"{path}: missing required column '{missing[0]}'")
     col = {name: header.index(name) for name in header}
-    rows = _body_rows(path, body) if "id" in col and '"' in body else None
-    ids = None
+    rows = _body_rows(path, body) if "id" in col else None
     try:
         data = _parse_columns(body, rows, len(header), col)
-        if "id" in col and rows is None:
-            ids = _line_fields(body, col["id"])
-            if len(ids) != data["lat"].shape[0]:
-                raise ValueError("the lines and the reader's rows differ")
     except ValueError:
         # the row loop names the first bad row and column
-        rows = _body_rows(path, body) if rows is None else rows
-        data = _numeric_rows(path, rows, len(header), col)
-    if "id" in col and rows is not None:
-        ids = [row[col["id"]] for row in rows]
+        data = _numeric_rows(path, _body_rows(path, body) if rows is None else rows, len(header), col)
+    ids = [row[col["id"]] for row in rows] if rows is not None else None
 
     try:
         return Dataset(
@@ -213,15 +205,6 @@ def _split_header(text):
     # comment lines precede the header; after it, a row starting with "#" is data
     header = next(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(lines()))), None)
     return header, text[end:]
-
-
-def _line_fields(body, at):
-    """The field at column at of each non-blank line of the quote-free
-    body, as the csv module reads it: the body cut into lines where
-    StringIO(newline="") cuts them (_LINE: at "\r\n", "\r" or "\n"), a
-    line's fields being what lies between its commas."""
-    lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return [line.split(",", at + 1)[at] for line in lines if line]
 
 
 def _body_rows(path, body):

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
 from typing import Optional
@@ -294,12 +293,12 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
     The tangent displacements and the members' gathered columns are computed
     once and serve every config, and so does each orientation stage: configs
     that differ only in kernels.AFTER_ORIENTATION fields share one, and so
-    does each distance scale's z = d / u. The configs of a scale that more
-    than one config has share one memo of the local solve's terms that no
-    config field moves (solver.solve_local); a lone config's solve keeps
-    none. The memos live in this call's frame, so no two chunks share them.
-    x_std is the dataset's standardized covariate. index holds each
-    target's row in dataset, or -1 for an out-of-sample target.
+    does each distance scale's z = d / u. In a call of more than one config,
+    the configs of a scale share one memo of the local solve's terms that no
+    config field moves (solver.solve_local); a one-config call keeps none.
+    The memos live in this call's frame, so no two chunks share them. x_std
+    is the dataset's standardized covariate. index holds each target's row
+    in dataset, or -1 for an out-of-sample target.
     """
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
     x_loc, y_loc, xs_loc = dataset.x[members], dataset.y[members], x_std[members]
@@ -308,12 +307,11 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
     own = (np.arange(index.shape[0]), np.argmax(at_target, axis=-1))
     has_own = at_target.any(axis=-1)
     stages, zs = {}, {}
-    # configs of one distance scale share its z column and, where more than
-    # one config reads them, the solve's config-independent terms
-    scales = Counter(config.u_scale for config in configs)
+    # configs of one distance scale share its z column and, in a call of more
+    # than one config, the solve's config-independent terms
     for config in configs:
         if config.u_scale not in zs:
-            zs[config.u_scale] = (distances / config.u_scale, {} if scales[config.u_scale] > 1 else None)
+            zs[config.u_scale] = (distances / config.u_scale, {} if len(configs) > 1 else None)
         z, terms = zs[config.u_scale]
         orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config, stages)
         fit = solver.solve_local((None, x_loc, z), y_loc, wmap.weights, config.gamma, config.eps_kappa, terms)

@@ -451,21 +451,21 @@ def test_fit_batches_hold_the_budget_of_their_width(monkeypatch, tmp_path, k):
 
 
 def test_fit_moran_rows_all_short_match_local_moran(tmp_path):
-    # at --k 8 every fit row (the point and 7 others) is too short for
-    # --moran-k 8, so the whole adjacency comes from one neighbor query; the
-    # rows span two K=8 chunks, and the finite ones two adjacency batches
-    ds, _ = generate(SimSpec(n=6600, extent=15_000.0, seed=24))
+    # at --k 5 every fit row is too short for --moran-k 8, so the whole
+    # adjacency comes from one neighbor query; the rows span two K=5 chunks,
+    # and the finite ones two adjacency batches
+    ds, _ = generate(SimSpec(n=10_500, extent=15_000.0, seed=24))
     inp = tmp_path / "data.csv"
     write_dataset_csv(inp, ds)
     rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
-               "--out-summary", str(tmp_path / "s.json"), "--k", "8", "--moran-k", "8"])
+               "--out-summary", str(tmp_path / "s.json"), "--k", "5", "--moran-k", "8"])
     assert rc == 0
     header, rows = read_csv_skipping_comments(tmp_path / "r.csv")
     column = header.index("local_moran")
     values = np.array([float(row[column]) if row[column] else math.nan for row in rows])
-    assert len(batches(ds.n, 8)) == len(batches(int(np.isfinite(values).sum()), 8)) == 2
+    assert len(batches(ds.n, 5)) == len(batches(int(np.isfinite(values).sum()), 5)) == 2
 
-    expect = moran_on_finite(fit_all(read_dataset(inp), GimbalConfig(k=8)), 8)
+    expect = moran_on_finite(fit_all(read_dataset(inp), GimbalConfig(k=5)), 8)
     assert np.array_equal(values.view(np.int64), expect.view(np.int64))
 
 

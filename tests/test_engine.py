@@ -3,7 +3,6 @@ import itertools
 import math
 import pickle
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -284,9 +283,9 @@ def test_one_config_solves_each_chunk_in_one_call(monkeypatch, chunks):
 
 @pytest.mark.parametrize("variants", ["solve_keys", "one_field", "e73"])
 def test_configs_of_one_scale_share_one_solve_memo_per_chunk(monkeypatch, variants):
-    # the configs of a distance scale that several configs have share one
-    # memo of the solve's config-free terms per chunk; a config alone at its
-    # scale keeps none, nor does a one-config fit
+    # in a call of several configs, the configs of a distance scale share one
+    # memo of the solve's config-free terms per chunk; a one-config fit keeps
+    # none
     ds = chunked_dataset(1)
     configs = VARIANT_SETS[variants]
     memos = []
@@ -298,21 +297,18 @@ def test_configs_of_one_scale_share_one_solve_memo_per_chunk(monkeypatch, varian
 
     monkeypatch.setattr(gimbal.solver, "solve_local", spied)
     fit_variants(ds, configs)
-    scales = Counter(config.u_scale for config in configs)
+    scales = {config.u_scale for config in configs}
     chunks = len(chunk_starts(ds.n)) - 1
     assert len(memos) == chunks * len(configs)
     seen = set()
     for chunk in range(chunks):
         first = {}
         for config, memo in zip(configs, memos[chunk * len(configs):]):
-            if scales[config.u_scale] == 1:
-                assert memo is None
-                continue
             assert memo is first.setdefault(config.u_scale, memo)
             assert set(memo) == {(1, 1), (1, 2), (2, 2), "ss_tot"}
         assert not seen & set(map(id, first.values()))
         seen |= set(map(id, first.values()))
-    assert seen and len(seen) == chunks * sum(count > 1 for count in scales.values())
+    assert len(seen) == chunks * len(scales)
     memos.clear()
     fit_all(ds, configs[0])
     predict(ds, configs[0], ds.lat[:10], ds.lon[:10], ds.x[:10])
