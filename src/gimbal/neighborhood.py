@@ -21,29 +21,21 @@ coarsest level is the full scan (every point is a candidate), which is also
 taken wherever a block would hold more than FULL_SCAN_SHARE of the pool.
 The rows of one cell share their block: its points are gathered once and
 keyed against all of those rows by one matrix product, many cells to a
-product of at most BATCH_ELEMENTS keys, the package's one batch budget. A
-loop over a known number of rows (the fit's chunks, the Moran adjacency's
-batches, the CSV writer's blocks) cuts them into the equal batches of
-batches(n, width); the query's streamed loops, whose rows come as they
-are answered, take batch_rows(width) of them at a time. Grids are built
-for the levels in use, and a level's grid is dropped once every row has
-gone coarser than it.
+product of at most KEY_ELEMENTS keys, twice the package's one batch
+budget. Grids are built for the levels in use, and a level's grid is
+dropped once every row has gone coarser than it.
 
-The query runs in two stages. The wide stage (_gathered), per key block,
-finds each row's k-th key, checks the row's bound and gathers every
-candidate within MARGIN of that key as pool indices. The narrow stage
-(_rerank) computes the candidates' haversine distances and sorts them,
-batch_rows(4 * k) rows at a time collected across key blocks and levels
-(a row's re-rank holds about four k-wide arrays), fewer where their
-padded candidates would pass BATCH_ELEMENTS. It sorts each row on distance
-alone, and on (distance, index) only where an exact tie among its first
-k + 1 distances could make the two differ. Rows are independent of their
-blocks and batches, so neither moves a bit of the result.
+Each key product is answered where it is computed: _gathered finds each
+row's k-th key, checks the row's bound and gathers every candidate within
+MARGIN of that key as pool indices, and _rerank computes those candidates'
+haversine distances and sorts them. It sorts each row on distance alone,
+and on (distance, index) only where an exact tie among its first k + 1
+distances could make the two differ. Rows are independent of their
+products, so no cut moves a bit of the result.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,17 +44,24 @@ import numpy as np
 
 from .geo import haversine_between, haversine_table, unit_vectors
 
-# Elements held per batch by every batched loop of the package: the
-# query's cosine keys per block of targets and its re-rank's rows here (four
-# k-wide arrays a row), and in engine, diagnostics and cli the fit's
-# (chunk, K) arrays, the Moran adjacency's member rows and the records
-# writer's cells. A loop over n known rows of width elements takes the
-# equal batches of batches(n, width), a streamed loop batch_rows(width)
-# rows at a time, so a batch costs about the same elements whatever its
-# width. The cap keeps peak memory near that of a one-row-at-a-time pass (a
-# larger batch measurably raises peak RSS), while a batch is wide enough
-# that its time goes to arithmetic, not to per-call overhead.
+# Elements held per batch by every batched loop of the package: in engine,
+# diagnostics and cli the fit's (chunk, K) arrays, the Moran adjacency's
+# member rows and the records writer's cells, and here, doubled, the query's
+# key products. A loop over n known rows of width elements takes the equal
+# batches of batches(n, width), so a batch costs about the same elements
+# whatever its width. The cap keeps peak memory near that of a
+# one-row-at-a-time pass (a larger batch measurably raises peak RSS), while
+# a batch is wide enough that its time goes to arithmetic, not to per-call
+# overhead.
 BATCH_ELEMENTS = 1 << 15
+
+# Cosine keys per product of the query. Each product is re-ranked where it
+# is computed, so it also carries the re-rank's per-call cost, which twice
+# the batch budget spreads: on fit_large's data (N=4800, K=50) knn takes
+# 28.1 ms in 51 products against 30.5 ms in 87 at the batch budget itself,
+# at N=19200 110 against 118 ms, for a tracemalloc peak of 6.9 against
+# 6.1 MB on fit_large (2-vCPU Xeon, numpy 2.4).
+KEY_ELEMENTS = 2 * BATCH_ELEMENTS
 
 # Cosine slack of the candidate gather. With u = 2**-53, the key (a dot
 # product of unit vectors built from rounded sin/cos, |sum of terms| <= 1) is
@@ -96,12 +95,6 @@ FULL_SCAN_SHARE = 0.25
 
 # (dx, dy) of the nine columns of a 3x3x3 block
 _COLUMNS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
-
-
-def batch_rows(width):
-    """The rows of width elements each that one batch of a streamed loop
-    takes: max(1, BATCH_ELEMENTS // width)."""
-    return max(1, BATCH_ELEMENTS // width)
 
 
 def batches(n, width):
@@ -199,13 +192,10 @@ def _ragged_arange(starts, lengths):
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def _take_rows(a, columns, rows=None):
-    """a[rows[i], columns[i, j]] of a 2-D a, for rows (default: row i of
-    columns reads row i of a), as one take from the flattened array: cheaper
-    than take_along_axis or two index arrays."""
-    if rows is None:
-        rows = np.arange(columns.shape[0])
-    return np.take(a, columns + a.shape[1] * rows[:, None])
+def _take_rows(a, columns):
+    """a[i, columns[i, j]] of a 2-D a, as one take from the flattened array:
+    cheaper than take_along_axis or two index arrays."""
+    return np.take(a, columns + a.shape[1] * np.arange(columns.shape[0])[:, None])
 
 
 def _start_level(pool, need):
@@ -260,7 +250,7 @@ def _key_blocks(grids, level, pool, targets, rows):
     yields (block rows, keys, grid, positions, row_piece).
 
     A grid level cuts each cell's rows into pieces whose keys fit
-    BATCH_ELEMENTS (one piece unless the cell holds very many rows) and
+    KEY_ELEMENTS (one piece unless the cell holds very many rows) and
     orders them by the octave of their block's size, then by the rows in
     their cell, so that the pieces of one block pad little in either
     direction. A block of pieces gathers each piece's block points once,
@@ -270,7 +260,7 @@ def _key_blocks(grids, level, pool, targets, rows):
     full-scan row's key columns are the whole pool in index order (grid,
     positions and row_piece None). A row whose block holds more than
     FULL_SCAN_SHARE of the pool is given the full scan instead. No padded
-    product holds more than BATCH_ELEMENTS keys unless one row's block
+    product holds more than KEY_ELEMENTS keys unless one row's block
     does."""
     n = pool.shape[0]
     full = rows
@@ -289,7 +279,7 @@ def _key_blocks(grids, level, pool, targets, rows):
         order = np.argsort(place[cell_of], kind="stable")
         rows, cell_of = rows[order], cell_of[order]
         # a piece is a run of one cell's rows whose keys alone fit a block
-        cap = np.maximum(1, BATCH_ELEMENTS // size[cell_of])
+        cap = np.maximum(1, KEY_ELEMENTS // size[cell_of])
         first = np.ones(rows.shape[0], dtype=bool)
         first[1:] = cell_of[1:] != cell_of[:-1]
         # each row's place in its piece
@@ -302,12 +292,12 @@ def _key_blocks(grids, level, pool, targets, rows):
         a = 0
         while a < piece_start.shape[0]:
             # the most pieces from a whose padded product (pieces x most rows
-            # x widest block) holds at most BATCH_ELEMENTS keys
-            span = slice(a, a + batch_rows(int(piece_width[a])))
+            # x widest block) holds at most KEY_ELEMENTS keys
+            span = slice(a, a + max(1, KEY_ELEMENTS // int(piece_width[a])))
             cost = (np.arange(1, piece_rows[span].shape[0] + 1)
                     * np.maximum.accumulate(piece_rows[span])
                     * np.maximum.accumulate(piece_width[span]))
-            b = a + max(1, int(np.searchsorted(cost, BATCH_ELEMENTS, "right")))
+            b = a + max(1, int(np.searchsorted(cost, KEY_ELEMENTS, "right")))
             cells, counts = piece_cell[a:b], piece_rows[a:b]
             w = int(piece_width[a:b].max())
             block = rows[piece_start[a]:piece_start[b - 1] + counts[-1]]
@@ -325,19 +315,19 @@ def _key_blocks(grids, level, pool, targets, rows):
             # pieces of equal rows hold no padding row
             keys = keys.reshape(-1, w) if counts.min() == counts.max() else keys[row_piece, slot]
             yield block, keys, grid, positions, row_piece
-    step = batch_rows(n)
+    step = max(1, KEY_ELEMENTS // n)
     for start in range(0, full.shape[0], step):
         block = full[start:start + step]
         yield block, targets[block] @ pool.T, None, None, None
 
 
 def _gathered(grids, pool, targets, level, k):
-    """The wide stage: each row's candidates, by key blocks over its levels
-    (level: each row's first, -1 the full scan). Yields (rows, count, cand)
-    per key block: the rows it answers, how many candidates each gathered,
-    and their pool indices, row after row. A grid row whose k-th key does not
-    clear its block's bound is keyed again one level coarser (level is
-    lowered in place), once every level has had its rows."""
+    """Each row's candidates, by key blocks over its levels (level: each
+    row's first, -1 the full scan). Yields (rows, count, cand) per key
+    block: the rows it answers, how many candidates each gathered, and their
+    pool indices, row after row. A grid row whose k-th key does not clear
+    its block's bound is keyed again one level coarser (level is lowered in
+    place), once every level has had its rows."""
     limit = np.empty(targets.shape[0])
     rows = np.arange(targets.shape[0])
     while rows.shape[0]:
@@ -378,42 +368,11 @@ def _gathered(grids, pool, targets, level, k):
         level[rows] -= 1
 
 
-def _batches(pieces, size):
-    """The rows of pieces, each (rows, count, cand) as _gathered yields
-    them, re-cut into batches of size rows, the last holding the rest. A
-    batch takes fewer rows where its padded candidates (rows x most
-    gathered) would pass BATCH_ELEMENTS, unless its first row's do. Rows
-    are held until they fill a batch, so each is copied at most twice."""
-    held, n_held, widest = [], 0, 0
-    for piece in itertools.chain(pieces, [None]):
-        if piece is not None:
-            held.append(piece)
-            n_held += piece[0].shape[0]
-            widest = max(widest, int(piece[1].max()))
-            if n_held < size and n_held * widest <= BATCH_ELEMENTS:
-                continue
-        if not n_held:
-            return
-        rows, count, cand = (np.concatenate(a) for a in zip(*held))
-        r = c = 0
-        while r < n_held:
-            cost = np.arange(1, min(size, n_held - r) + 1) * np.maximum.accumulate(count[r:r + size])
-            take = max(1, int(np.searchsorted(cost, BATCH_ELEMENTS, "right")))
-            if piece is not None and take == n_held - r < size:
-                # the rest fills no batch yet
-                break
-            end = c + int(count[r:r + take].sum())
-            yield rows[r:r + take], count[r:r + take], cand[c:end]
-            r, c = r + take, end
-        held, n_held = [(rows[r:], count[r:], cand[c:])], n_held - r
-        widest = int(count[r:].max()) if n_held else 0
-
-
 def _rerank(table, target_table, k, rows, count, cand):
-    """The narrow stage: the k nearest of each row's candidates (rows,
-    count and cand as _batches yields them) on (haversine distance, index),
-    as (members, distances), each (rows, k). The haversine terms of the
-    candidates are gathered from table (the pool's) and target_table."""
+    """The k nearest of each row's candidates (rows, count and cand as
+    _gathered yields them for one key product) on (haversine distance,
+    index), as (members, distances), each (rows, k). The haversine terms of
+    the candidates are gathered from table (the pool's) and target_table."""
     # a row with fewer candidates than the widest is padded at distance inf
     gathered = np.arange(count.max()) < count[:, None]
     cand_2d = np.zeros(gathered.shape, dtype=np.intp)
@@ -440,7 +399,7 @@ def knn(lats, lons, target_lats, target_lons, k):
     every point) by the cosine of their central angle, gathers every
     candidate whose cosine is within MARGIN of the k-th largest (boundary ties
     and near-ties included), and sorts only those on (haversine distance,
-    index), batch_rows(4 * k) rows at a time.
+    index), each key product's rows right after that product is computed.
     A grid row whose k-th cosine does not clear its own block's bound (set
     by its clearance) retries one level coarser.
     """
@@ -463,8 +422,6 @@ def knn(lats, lons, target_lats, target_lons, k):
         level = np.full(targets.shape[0], -1)
     else:
         level = _first_levels(grids, targets, need)
-    # a row's re-rank holds about four k-wide arrays: the three gathered
-    # haversine terms and the distances
-    for rows, count, cand in _batches(_gathered(grids, pool, targets, level, k), batch_rows(4 * k)):
+    for rows, count, cand in _gathered(grids, pool, targets, level, k):
         members[rows], distances[rows] = _rerank(table, target_table, k, rows, count, cand)
     return members, distances

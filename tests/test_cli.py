@@ -25,7 +25,7 @@ from gimbal.engine import (
     predict,
     residual_knn_correct,
 )
-from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows, batches
+from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batches
 from gimbal.simgen import SimSpec, generate
 from gimbal.weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM
 from test_diagnostics import moran_on_finite
@@ -176,7 +176,7 @@ def test_tables_written_in_lockstep_match_the_csv_module_oracle(tmp_path):
     # values sit in the first block and across a block boundary (rotated from
     # table to table there, so that they are formatted, not reused)
     header = ["index", "name", "value", "same", "flag"]
-    n = 3 * batch_rows(len(header)) + 50
+    n = 3 * (BATCH_ELEMENTS // len(header)) + 50
     starts = [rows.start for rows in batches(n, len(header))]
     assert len(starts) == 3
     rng = np.random.default_rng(12)

@@ -1,9 +1,12 @@
 """The console commands run as a user runs them, each in its own process:
-reruns of the same command write the same bytes, and a variant that an
+reruns of the same command write the same bytes, a variant that an
 experiment writes together with its others is the file gimbal fit writes
-for it alone."""
+for it alone, odd but valid inputs fit to the plain input's bytes, and bad
+inputs and settings exit 2 while accepted extreme ones exit 0 with nothing
+on stderr."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -19,12 +22,14 @@ SRC = str(Path(gimbal.__file__).resolve().parents[1])
 NOT_FLOAT = {"index", "id", "branch_codes", "fragile", "ill_posed", "overflow"}
 
 
-def gimbal_cli(cwd, *args):
-    """`gimbal *args` in a fresh interpreter in cwd; it must exit 0."""
+def gimbal_cli(cwd, *args, status=0):
+    """`gimbal *args` in a fresh interpreter in cwd; it must exit with
+    status. Returns its stderr."""
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-m", "gimbal.cli", *args], cwd=cwd, env=env,
-                          capture_output=True, timeout=600)
-    assert proc.returncode == 0, (args, proc.stderr)
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == status, (args, proc.stderr)
+    return proc.stderr
 
 
 def assert_same_bytes(cwd, *pairs):
@@ -121,3 +126,158 @@ def test_e71_and_e73_fitted_standalone_equal_the_experiments_files(experiments):
     gimbal_cli(cwd, "fit", "--input", "e71_data.csv", "--out-records", "e71_fit_strict.csv",
                "--out-summary", "e71_fit_strict.json", "--eps-phi", "0.3")
     assert_same_bytes(cwd, ("e71_fit_strict.csv", "e71/e71_full_strict_eps_phi.csv"))
+
+
+# ---- a small fit and prediction, and the files made from their inputs
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A directory holding a 300-point train.csv and a 60-point test.csv,
+    the records.csv and summary.json of fitting train.csv at K=30, and the
+    pred.csv of predicting test.csv from it with a residual correction."""
+    cwd = tmp_path_factory.mktemp("small")
+    gimbal_cli(cwd, "simulate", "--out", "train.csv", "--n", "300", "--seed", "1")
+    gimbal_cli(cwd, "simulate", "--out", "test.csv", "--n", "60", "--seed", "2")
+    gimbal_cli(cwd, "fit", "--input", "train.csv", "--out-records", "records.csv", "--out-summary",
+               "summary.json", "--k", "30")
+    gimbal_cli(cwd, "predict", "--train", "train.csv", "--test", "test.csv", "--out", "pred.csv", "--k", "30",
+               "--residual-knn", "10")
+    return cwd
+
+
+def edit_cells(src, dst, edit):
+    """dst: src with edit(line number from 1, cells) applied to each line's
+    comma-separated cells (the last keeping its line ending), as awk -F,
+    -v OFS=, would rewrite the file."""
+    text = src.read_bytes().decode("utf-8")
+    out = []
+    for number, line in enumerate(text.removesuffix("\n").split("\n"), 1):
+        cells = line.split(",")
+        edit(number, cells)
+        out.append(",".join(cells) + "\n")
+    dst.write_bytes("".join(out).encode("utf-8"))
+
+
+def test_small_fit_and_predict_reruns_are_byte_identical(small):
+    gimbal_cli(small, "fit", "--input", "train.csv", "--out-records", "records2.csv", "--out-summary",
+               "summary2.json", "--k", "30")
+    assert_same_bytes(small, ("records.csv", "records2.csv"), ("summary.json", "summary2.json"))
+    gimbal_cli(small, "predict", "--train", "train.csv", "--test", "test.csv", "--out", "pred2.csv", "--k", "30",
+               "--residual-knn", "10")
+    assert_same_bytes(small, ("pred.csv", "pred2.csv"))
+
+
+def test_ids_holding_a_comma_and_quotes_fit(tmp_path):
+    (tmp_path / "ids.csv").write_text(
+        'id,lat,lon,x,y\n"a,b",35.0,135.0,0.1,1.0\n"say ""hi""",35.01,135.0,-0.4,2.0\n'
+        "c,35.0,135.01,1.3,0.5\nd,35.01,135.01,0.7,1.5\ne,35.02,135.0,-1.1,0.2\n", encoding="utf-8")
+    gimbal_cli(tmp_path, "fit", "--input", "ids.csv", "--out-records", "ids_records.csv", "--out-summary",
+               "ids_summary.json", "--k", "4", "--moran-k", "2")
+
+
+def without_id(src, dst):
+    """src's records with the id field cut from every row, the schema line
+    kept."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        schema = fh.readline()
+        rows = list(csv.reader(fh))
+    cut = rows[0].index("id")
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        fh.write(schema)
+        fh.writelines(",".join(row[:cut] + row[cut + 1:]) + "\r\n" for row in rows)
+
+
+def test_quoted_ids_after_a_byte_order_mark_fit_to_the_plain_files_bytes(small):
+    # train.csv again with a byte order mark and a quoted id column whose ids
+    # hold a comma, a quote and a line break: the records equal the plain
+    # file's once the id field is cut
+    with open(small / "train.csv", newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    with open(small / "quoted_ids.csv", "w", newline="", encoding="utf-8-sig") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + rows[0])
+        writer.writerows([f'p{i}, "q"\nr'] + row for i, row in enumerate(rows[1:]))
+    gimbal_cli(small, "fit", "--input", "quoted_ids.csv", "--out-records", "quoted_records.csv",
+               "--out-summary", "quoted_summary.json", "--k", "30")
+    without_id(small / "records.csv", small / "records_no_id.csv")
+    without_id(small / "quoted_records.csv", small / "quoted_records_no_id.csv")
+    assert_same_bytes(small, ("records_no_id.csv", "quoted_records_no_id.csv"),
+                      ("summary.json", "quoted_summary.json"))
+
+
+def test_a_cell_outside_the_number_syntax_exits_2(small):
+    def underscore(number, cells):
+        if number == 7:
+            cells[2] = "3_4.8"
+
+    edit_cells(small / "train.csv", small / "underscore.csv", underscore)
+    err = gimbal_cli(small, "fit", "--input", "underscore.csv", "--out-records", "u.csv", "--out-summary",
+                     "u.json", "--k", "30", status=2)
+    assert "column x is not numeric ('3_4.8')" in err
+
+
+def test_short_moran_rows_rerun_byte_identical_and_extreme_settings(small):
+    gimbal_cli(small, "simulate", "--out", "cl_base.csv", "--n", "200", "--seed", "4")
+    # twelve points moved onto the first one's spot, each keeping its x and y
+    spot = []
+
+    def cluster(number, cells):
+        if number == 3:
+            spot[:] = cells[:2]
+        if 2 < number <= 14:
+            cells[:2] = spot
+
+    edit_cells(small / "cl_base.csv", small / "cluster.csv", cluster)
+    for run in ("1", "2"):
+        gimbal_cli(small, "fit", "--input", "cluster.csv", "--out-records", f"cluster{run}.csv", "--out-summary",
+                   f"cluster{run}.json", "--k", "5", "--moran-k", "8")
+    assert_same_bytes(small, ("cluster1.csv", "cluster2.csv"), ("cluster1.json", "cluster2.json"))
+    gimbal_cli(small, "fit", "--input", "train.csv", "--out-records", "h.csv", "--out-summary", "h.json", "--k",
+               "30", "--h", "1e-300", status=2)
+    # accepted extreme settings exit 0 and flag their rows, with no numpy warning
+    assert gimbal_cli(small, "fit", "--input", "cl_base.csv", "--out-records", "g.csv", "--out-summary", "g.json",
+                      "--gamma", "1e308") == ""
+    assert gimbal_cli(small, "fit", "--input", "cl_base.csv", "--out-records", "n0.csv", "--out-summary",
+                      "n0.json", "--n0", "5e-324") == ""
+
+
+def test_unreadable_inputs_exit_2_and_a_byte_order_mark_is_ignored(small, tmp_path):
+    # a directory and a file that is not UTF-8 are input errors (exit 2), not
+    # internal ones (3)
+    (tmp_path / "in_dir").mkdir()
+    fit = ["--out-records", "u.csv", "--out-summary", "u.json"]
+    gimbal_cli(tmp_path, "fit", "--input", "in_dir", *fit, status=2)
+    (tmp_path / "not_utf8.csv").write_bytes(b"lat,lon,x,y\n35.0,135.0,\377,1.0\n")
+    gimbal_cli(tmp_path, "fit", "--input", "not_utf8.csv", *fit, status=2)
+    assert not (tmp_path / "u.csv").exists()
+    # a leading UTF-8 byte order mark, as spreadsheet exports write it, is ignored
+    (small / "bom_train.csv").write_bytes(b"\357\273\277" + (small / "train.csv").read_bytes())
+    gimbal_cli(small, "fit", "--input", "bom_train.csv", "--out-records", "bom_records.csv", "--out-summary",
+               "bom_summary.json", "--k", "30")
+    assert_same_bytes(small, ("bom_records.csv", "records.csv"))
+    # a config file nested deeper than the JSON decoder can recurse
+    (tmp_path / "deep.json").write_text("[" * 200000)
+    gimbal_cli(tmp_path, "fit", "--input", str(small / "train.csv"), *fit, "--config", "deep.json", status=2)
+
+
+def test_an_overflowing_prediction_is_flagged_with_no_warning(tmp_path):
+    # an x of +-1e308 overflows beta0 + beta1 * x: the run exits 0 with no
+    # numpy warning
+    gimbal_cli(tmp_path, "simulate", "--out", "ov_train.csv", "--n", "200", "--delta-beta", "4", "--seed", "1")
+    gimbal_cli(tmp_path, "simulate", "--out", "ov_test.csv", "--n", "5", "--seed", "2")
+
+    def big(number, cells):
+        if number > 2:
+            cells[2] = "1e308" if number % 2 else "-1e308"
+
+    edit_cells(tmp_path / "ov_test.csv", tmp_path / "ov_big.csv", big)
+    predict = ["predict", "--train", "ov_train.csv", "--test", "ov_big.csv", "--k", "30"]
+    assert gimbal_cli(tmp_path, *predict, "--out", "ov_pred.csv") == ""
+    assert gimbal_cli(tmp_path, *predict, "--out", "ov_pred10.csv", "--residual-knn", "10") == ""
+    # overflow is set exactly on the rows whose prediction is +-inf, and some are
+    for name in ("ov_pred.csv", "ov_pred10.csv"):
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        inf = [row["prediction"] != "" and math.isinf(float(row["prediction"])) for row in rows]
+        assert [row["overflow"] == "1" for row in rows] == inf, (name, rows)
+        assert any(inf), name

@@ -26,7 +26,7 @@ from gimbal.engine import (
     standardized_covariate,
 )
 from gimbal.kernels import orientation_stage
-from gimbal.neighborhood import ConfigurationError, batch_rows, batches, knn
+from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batches, knn
 from gimbal.simgen import SimSpec, generate
 from gimbal.solver import solve_local
 from gimbal.weights import frame_quadratic
@@ -159,7 +159,7 @@ VARIANT_SETS = {
 
 # about the rows of one chunk of a K=12 fit: every config of VARIANT_SETS,
 # and of the chunked tests below, has K=12
-CHUNK = batch_rows(12)
+CHUNK = BATCH_ELEMENTS // 12
 assert {config.k for configs in VARIANT_SETS.values() for config in configs} == {12}
 
 

@@ -10,7 +10,7 @@ import gimbal.neighborhood as neighborhood
 from scalar_geo import haversine_distance, haversine_to_all, nearest_others
 from gimbal.diagnostics import moran_adjacency
 from gimbal.geo import unit_vectors
-from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batch_rows, batches, knn
+from gimbal.neighborhood import BATCH_ELEMENTS, KEY_ELEMENTS, ConfigurationError, batches, knn
 from gimbal.simgen import SimSpec, generate
 
 
@@ -197,7 +197,7 @@ def test_more_targets_than_one_block():
     n = 1000
     lats, lons = random_cloud(rng, n)
     # three full-scan blocks of targets and one more row
-    targets = 3 * batch_rows(n) + 1
+    targets = 3 * (KEY_ELEMENTS // n) + 1
     tlats, tlons = random_cloud(rng, targets)
     assert_matches_oracle(lats, lons, tlats, tlons, 12)
 
@@ -456,13 +456,13 @@ def test_cell_products_equal_full_scan_at_scale(monkeypatch, k):
     # queried by every pool point (a cell holds several rows, the copies'
     # cell more than one padded product can hold) and by a cloud outside the
     # pool: some key block holds cells of unequal block sizes and row counts,
-    # no padded product exceeds BATCH_ELEMENTS keys, and every row is the
-    # full scan's bit for bit
+    # no padded product exceeds KEY_ELEMENTS keys, one comes within a tenth
+    # of it, and every row is the full scan's bit for bit
     ds, _ = generate(SimSpec(n=19200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
     out, _ = generate(SimSpec(n=1200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=2))
     lats = np.concatenate([ds.lat, np.full(400, ds.lat[0])])
     lons = np.concatenate([ds.lon, np.full(400, ds.lon[0])])
-    assert 400 * 400 > BATCH_ELEMENTS
+    assert 400 * 400 > KEY_ELEMENTS
     matmul, key_blocks = np.matmul, neighborhood._key_blocks
     for target_lats, target_lons in ((lats, lons), (out.lat, out.lon)):
         products, mixed = [], []
@@ -483,7 +483,7 @@ def test_cell_products_equal_full_scan_at_scale(monkeypatch, k):
             m.setattr(np, "matmul", spied_matmul)
             m.setattr(neighborhood, "_key_blocks", spied)
             members, distances = knn(lats, lons, target_lats, target_lons, k)
-        assert products and max(products) <= BATCH_ELEMENTS
+        assert products and 0.9 * KEY_ELEMENTS <= max(products) <= KEY_ELEMENTS
         assert any(mixed)
         rows = np.arange(0, target_lats.shape[0], 7)
         full_members, full_distances = full_scan(
@@ -735,47 +735,87 @@ def test_only_rows_tied_among_their_first_k_plus_one_take_the_lexsort(monkeypatc
         assert rows_lexsorted(tlat, tlon, k) == 0, k
 
 
-# ---- the narrow stage: one re-rank per batch of rows, across key blocks
+# ---- one stage: each key product re-ranked where it is computed
 
 def reranked(monkeypatch, query):
-    """query()'s result, and the (rows, count) of each _rerank call it made."""
-    batches = []
-    rerank = neighborhood._rerank
+    """query()'s result, and its knn calls' events in order: ("product",
+    rows, full) for each key product (full: a full-scan product) and
+    ("rerank", rows, count) for each _rerank call."""
+    events = []
+    key_blocks, rerank = neighborhood._key_blocks, neighborhood._rerank
 
-    def spied(table, target_table, k, rows, count, cand):
-        batches.append((rows.copy(), count.copy()))
+    def spied_key_blocks(*spy_args):
+        for block, cos, grid, *columns in key_blocks(*spy_args):
+            events.append(("product", block.copy(), grid is None))
+            yield block, cos, grid, *columns
+
+    def spied_rerank(table, target_table, k, rows, count, cand):
+        events.append(("rerank", rows.copy(), count.copy()))
         return rerank(table, target_table, k, rows, count, cand)
 
     with monkeypatch.context() as m:
-        m.setattr(neighborhood, "_rerank", spied)
+        m.setattr(neighborhood, "_key_blocks", spied_key_blocks)
+        m.setattr(neighborhood, "_rerank", spied_rerank)
         result = query()
-    return result, batches
+    return result, events
+
+
+def assert_one_rerank_per_product(events, n_targets):
+    """Each _rerank call directly follows its key product and answers that
+    product's rows in order, but for those keyed again later (retried
+    coarser); every row is re-ranked exactly once."""
+    later = np.zeros(n_targets, dtype=int)
+    for event in events:
+        if event[0] == "product":
+            later[event[1]] += 1
+    answered = []
+    for i, event in enumerate(events):
+        if event[0] == "product":
+            later[event[1]] -= 1
+            final = event[1][later[event[1]] == 0]
+            follows = events[i + 1] if i + 1 < len(events) else None
+            if final.shape[0]:
+                assert follows is not None and follows[0] == "rerank", i
+                assert np.array_equal(follows[1], final), i
+                answered.append(final)
+            else:
+                assert follows is None or follows[0] == "product", i
+        else:
+            assert events[i - 1][0] == "product", i
+    assert np.array_equal(np.sort(np.concatenate(answered)), np.arange(n_targets))
+
+
+def assert_reranks_hold_the_key_budget(events):
+    """No re-rank pads more candidates (rows x widest gather) than a key
+    product may hold keys, unless it holds one row."""
+    for event in events:
+        if event[0] == "rerank":
+            rows, count = event[1], event[2]
+            assert rows.shape[0] * count.max() <= neighborhood.KEY_ELEMENTS or rows.shape[0] == 1
 
 
 @pytest.mark.parametrize("k", [50, 9])
-def test_rerank_takes_batch_rows_of_four_k_at_a_time(monkeypatch, k):
-    # fit_large-shaped data: key blocks of a few dozen rows each, collected
-    # into batches of batch_rows(4 * k) rows, every row re-ranked once
+def test_each_key_product_is_reranked_where_it_is_computed(monkeypatch, k):
+    # fit_large-shaped data: several key products, each followed by one
+    # re-rank of the rows it answers, every row re-ranked once
     ds, _ = generate(SimSpec(n=2000, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
-    (members, distances), batches = reranked(monkeypatch, lambda: knn(ds.lat, ds.lon, ds.lat, ds.lon, k))
-    size = batch_rows(4 * k)
-    assert len(batches) >= 3
-    assert len(batches) == -(-ds.n // size)
-    assert all(rows.shape[0] == size for rows, _ in batches[:-1])
-    assert 0 < batches[-1][0].shape[0] <= size
-    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in batches])), np.arange(ds.n))
+    (members, distances), events = reranked(monkeypatch, lambda: knn(ds.lat, ds.lon, ds.lat, ds.lon, k))
+    assert sum(event[0] == "rerank" for event in events) >= 3
+    assert_one_rerank_per_product(events, ds.n)
+    assert_reranks_hold_the_key_budget(events)
     full_members, full_distances = full_scan(monkeypatch, ds.lat, ds.lon, ds.lat, ds.lon, k)
     assert np.array_equal(members, full_members)
     assert np.array_equal(distances, full_distances)
 
 
-def test_one_rerank_batch_mixes_fast_wide_retried_and_full_scan_rows(monkeypatch):
+def test_reranks_of_fast_wide_retried_and_full_scan_rows_hold_the_key_budget(monkeypatch):
     # a smooth cloud, a lattice about (0, 0) (exact ties), one moved by under
     # 1e-12 deg per point (near ties), repeated points (twelve copies each
-    # of six, sixty of one) and targets far from every point: one batch
-    # holds rows answered at their first level with k candidates, rows that
-    # gathered more, rows keyed again coarser and full-scan rows, each
-    # padded to the batch's widest gather
+    # of six, sixty of one) and targets far from every point: re-ranks take
+    # rows answered at their first level with k candidates, rows that
+    # gathered more (some with fast rows, padded to the wider gather), rows
+    # keyed again coarser and full-scan rows, and none pads past the key
+    # budget unless it holds one row
     rng = np.random.default_rng(41)
     cloud_lats, cloud_lons = rng.normal(35.0, 0.2, 3000), rng.normal(135.0, 0.2, 3000)
     steps = np.arange(-10, 11) * 0.001
@@ -787,34 +827,43 @@ def test_one_rerank_batch_mixes_fast_wide_retried_and_full_scan_rows(monkeypatch
     tlats = np.concatenate([lats[::4], lattice_lats, [-35.0, -34.8, 0.0, 60.0, -80.0]])
     tlons = np.concatenate([lons[::4], lattice_lons, [-45.0, -45.2, 90.0, -100.0, 10.0]])
     k = 10
-    keyed = []
-    key_blocks = neighborhood._key_blocks
-
-    def spied(*spy_args):
-        for block, cos, grid, *columns in key_blocks(*spy_args):
-            keyed.append((block.copy(), grid is None))
-            yield block, cos, grid, *columns
-
-    with monkeypatch.context() as m:
-        m.setattr(neighborhood, "_key_blocks", spied)
-        (members, distances), batches = reranked(monkeypatch, lambda: knn(lats, lons, tlats, tlons, k))
-    tries = np.bincount(np.concatenate([block for block, _ in keyed]), minlength=tlats.shape[0])
+    (members, distances), events = reranked(monkeypatch, lambda: knn(lats, lons, tlats, tlons, k))
+    assert_one_rerank_per_product(events, tlats.shape[0])
+    assert_reranks_hold_the_key_budget(events)
+    products = [event[1:] for event in events if event[0] == "product"]
+    tries = np.bincount(np.concatenate([block for block, _ in products]), minlength=tlats.shape[0])
     scanned = np.zeros(tlats.shape[0], dtype=bool)
-    for block, full in keyed:
+    for block, full in products:
         scanned[block] |= full
-    mixed = False
-    for rows, count in batches:
-        fast = (count == k) & (tries[rows] == 1) & ~scanned[rows]
-        mixed |= fast.any() and (count > k).any() and (tries[rows] > 1).any() and scanned[rows].any()
-        # no batch pads more candidates than the budget, unless one row does
-        assert rows.shape[0] <= batch_rows(4 * k)
-        assert rows.shape[0] * count.max() <= BATCH_ELEMENTS or rows.shape[0] == 1
-    assert mixed
-    # the sixty copies' wide gathers cut some batch short
-    assert any(rows.shape[0] < batch_rows(4 * k) for rows, _ in batches[:-1])
+    reranks = [event[1:] for event in events if event[0] == "rerank"]
+    fast = [(count == k) & (tries[rows] == 1) & ~scanned[rows] for rows, count in reranks]
+    assert any(f.any() and (count > k).any() for f, (_, count) in zip(fast, reranks))
+    assert any((tries[rows] > 1).any() for rows, _ in reranks)
+    assert any(scanned[rows].all() for rows, _ in reranks)
     full_members, full_distances = full_scan(monkeypatch, lats, lons, tlats, tlons, k)
     assert np.array_equal(members, full_members)
     assert np.array_equal(distances.view(np.int64), full_distances.view(np.int64))
     assert_member_distances(lats, lons, tlats, tlons, members, distances)
     for i in range(0, tlats.shape[0], 29):
         assert members[i].tolist() == scan_oracle(lats, lons, (tlats[i], tlons[i]), k), i
+
+
+def test_dense_cluster_equals_full_scan_within_the_key_budget(monkeypatch):
+    # fit_large-shaped data with a fifth of its points in one Gaussian
+    # cluster of sigma 1e-5 deg (~1 m), finer than a grid cell: the
+    # cluster's rows gather hundreds of candidates each
+    ds, _ = generate(SimSpec(n=4800, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
+    rng = np.random.default_rng(43)
+    lats, lons = ds.lat.copy(), ds.lon.copy()
+    cluster = rng.permutation(ds.n)[:960]
+    lats[cluster] = ds.lat[0] + rng.normal(0.0, 1e-5, 960)
+    lons[cluster] = ds.lon[0] + rng.normal(0.0, 1e-5, 960)
+    k = 50
+    (members, distances), events = reranked(monkeypatch, lambda: knn(lats, lons, lats, lons, k))
+    assert_one_rerank_per_product(events, ds.n)
+    assert_reranks_hold_the_key_budget(events)
+    assert max(event[2].max() for event in events if event[0] == "rerank") > 4 * k
+    rows = np.arange(0, ds.n, 10)
+    full_members, full_distances = full_scan(monkeypatch, lats, lons, lats[rows], lons[rows], k)
+    assert np.array_equal(members[rows], full_members)
+    assert np.array_equal(distances[rows].view(np.int64), full_distances.view(np.int64))
