@@ -434,6 +434,8 @@ def cmd_fit(args):
     # both neighbor counts are checked against the input before any fitting
     if config.k > dataset.n:
         raise ConfigurationError(f"K={config.k} exceeds dataset size {dataset.n}")
+    if dataset.n < 2:
+        raise ConfigurationError(f"local Moran needs at least two locations: the input has {dataset.n}")
     if not 1 <= args.moran_k < dataset.n:
         raise ConfigurationError(f"--moran-k {args.moran_k} outside the eligible range "
                                  f"[1, {dataset.n - 1}]: the input has {dataset.n} locations")

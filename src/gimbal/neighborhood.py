@@ -16,14 +16,15 @@ clears that bound cannot miss a point the full scan would gather, and it is
 answered by the same gather and re-rank as the full scan: members and
 distances agree bit for bit. Each target starts at the finest level whose
 block holds FILL * k points, found by a walk from a level set by the pool's
-size and spread; a row that fails its bound retries one level coarser. The
-coarsest level is the full scan (every point is a candidate), which is also
-taken wherever a block would hold more than FULL_SCAN_SHARE of the pool.
-The rows of one cell share their block: its points are gathered once and
-keyed against all of those rows by one matrix product, many cells to a
-product of at most KEY_ELEMENTS keys, twice the package's one batch
-budget. Grids are built for the levels in use, and a level's grid is
-dropped once every row has gone coarser than it.
+size and spread. The query passes over the levels once, finest first: a
+row that fails its bound is lowered one level and keyed with the rows whose
+first level that is. The coarsest level is the full scan (every point is a
+candidate), which is also taken wherever a block would hold more than
+FULL_SCAN_SHARE of the pool. The rows of one cell share their block: its
+points are gathered once and keyed against all of those rows by one matrix
+product, many cells to a product of at most KEY_ELEMENTS keys, twice the
+package's one batch budget. Grids are built for the levels in use, and a
+level's grid is dropped once the pass has gone coarser than it.
 
 Each key product is answered where it is computed: _gathered finds each
 row's k-th key, checks the row's bound and gathers every candidate within
@@ -58,9 +59,9 @@ BATCH_ELEMENTS = 1 << 15
 # Cosine keys per product of the query. Each product is re-ranked where it
 # is computed, so it also carries the re-rank's per-call cost, which twice
 # the batch budget spreads: on fit_large's data (N=4800, K=50) knn takes
-# 28.1 ms in 51 products against 30.5 ms in 87 at the batch budget itself,
-# at N=19200 110 against 118 ms, for a tracemalloc peak of 6.9 against
-# 6.1 MB on fit_large (2-vCPU Xeon, numpy 2.4).
+# 26.4 ms in 47 products against 29.5 ms in 83 at the batch budget itself,
+# at N=19200 106 against 115 ms, for a tracemalloc peak of 6.9 against
+# 6.0 MB on fit_large (2-vCPU Xeon, numpy 2.4).
 KEY_ELEMENTS = 2 * BATCH_ELEMENTS
 
 # Cosine slack of the candidate gather. With u = 2**-53, the key (a dot
@@ -322,50 +323,47 @@ def _key_blocks(grids, level, pool, targets, rows):
 
 
 def _gathered(grids, pool, targets, level, k):
-    """Each row's candidates, by key blocks over its levels (level: each
-    row's first, -1 the full scan). Yields (rows, count, cand) per key
-    block: the rows it answers, how many candidates each gathered, and their
-    pool indices, row after row. A grid row whose k-th key does not clear
-    its block's bound is keyed again one level coarser (level is lowered in
-    place), once every level has had its rows."""
+    """Each row's candidates, by key blocks over the levels from the finest
+    in use down to the full scan (level: each row's first, -1 the full
+    scan). Yields (rows, count, cand) per key block: the rows it answers,
+    how many candidates each gathered, and their pool indices, row after
+    row. A grid row whose k-th key does not clear its block's bound is
+    lowered one level in place, and is keyed with that level's rows."""
     limit = np.empty(targets.shape[0])
-    rows = np.arange(targets.shape[0])
-    while rows.shape[0]:
-        # rows only retry coarser, so a grid finer than every row's level (a
-        # probe of _first_levels, or a level every row has left) is dropped
-        for finer in [lv for lv in grids if lv > level[rows].max()]:
+    for lv in range(level.max(initial=-1), -2, -1):
+        # rows only go coarser, so a grid finer than lv (on the first step,
+        # the probes of _first_levels) is never read again
+        for finer in [g for g in grids if g > lv]:
             del grids[finer]
-        retry = []
-        for lv in np.unique(level[rows])[::-1]:
-            at = rows[level[rows] == lv]
-            if lv >= 0:
-                # a point outside the row's block is at chord >= its
-                # clearance, so its key is at most 1 - clearance**2 / 2,
-                # give or take a few ulp: a row whose k-th key clears that by
-                # MARGIN gathers every point the full scan would
-                clearance = grids[lv].clearance(targets[at])
-                limit[at] = 1.0 - 0.5 * clearance * clearance + MARGIN
-            for block, cos, grid, positions, row_piece in _key_blocks(grids, lv, pool, targets, at):
-                w = cos.shape[1]
-                # a copy: a view would hold the whole partitioned array
-                kth = np.partition(cos, w - k, axis=-1)[:, w - k].copy()
-                # every candidate within MARGIN of the k-th key
-                flat = np.flatnonzero(cos >= (kth - MARGIN)[:, None])
-                count = np.diff(np.searchsorted(flat, np.arange(block.shape[0] + 1) * w))
-                if grid is not None:
-                    ok = kth - MARGIN > limit[block]
-                    if not ok.all():
-                        retry.append(block[~ok])
-                        flat = flat[np.repeat(ok, count)]
-                        block, count, row_piece = block[ok], count[ok], row_piece[ok]
-                        if not block.shape[0]:
-                            continue
-                cand = flat % w
-                if grid is not None:
-                    cand = grid.order[np.take(positions, cand + np.repeat(row_piece * w, count))]
-                yield block, count, cand
-        rows = np.concatenate(retry) if retry else rows[:0]
-        level[rows] -= 1
+        at = np.flatnonzero(level == lv)
+        if not at.shape[0]:
+            continue
+        if lv >= 0:
+            # a point outside the row's block is at chord >= its clearance,
+            # so its key is at most 1 - clearance**2 / 2, give or take a few
+            # ulp: a row whose k-th key clears that by MARGIN gathers every
+            # point the full scan would
+            clearance = grids[lv].clearance(targets[at])
+            limit[at] = 1.0 - 0.5 * clearance * clearance + MARGIN
+        for block, cos, grid, positions, row_piece in _key_blocks(grids, lv, pool, targets, at):
+            w = cos.shape[1]
+            # a copy: a view would hold the whole partitioned array
+            kth = np.partition(cos, w - k, axis=-1)[:, w - k].copy()
+            # every candidate within MARGIN of the k-th key
+            flat = np.flatnonzero(cos >= (kth - MARGIN)[:, None])
+            count = np.diff(np.searchsorted(flat, np.arange(block.shape[0] + 1) * w))
+            if grid is not None:
+                ok = kth - MARGIN > limit[block]
+                if not ok.all():
+                    level[block[~ok]] -= 1
+                    flat = flat[np.repeat(ok, count)]
+                    block, count, row_piece = block[ok], count[ok], row_piece[ok]
+                    if not block.shape[0]:
+                        continue
+            cand = flat % w
+            if grid is not None:
+                cand = grid.order[np.take(positions, cand + np.repeat(row_piece * w, count))]
+            yield block, count, cand
 
 
 def _rerank(table, target_table, k, rows, count, cand):
@@ -401,7 +399,7 @@ def knn(lats, lons, target_lats, target_lons, k):
     and near-ties included), and sorts only those on (haversine distance,
     index), each key product's rows right after that product is computed.
     A grid row whose k-th cosine does not clear its own block's bound (set
-    by its clearance) retries one level coarser.
+    by its clearance) is keyed again with the next coarser level's rows.
     """
     lats, lons, target_lats, target_lons = (
         np.asarray(a, dtype=np.float64) for a in (lats, lons, target_lats, target_lons))

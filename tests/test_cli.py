@@ -719,6 +719,21 @@ def test_fit_moran_k_checked_before_fit(tmp_path, capsys):
         assert not (tmp_path / "r.csv").exists()
 
 
+def test_fit_of_one_location_says_local_moran_needs_two(tmp_path, capsys):
+    # no --moran-k fits one location: the error names the cause, not the
+    # empty range [1, 0]
+    inp = tmp_path / "one.csv"
+    write_csv(inp, [[35.0, 135.0, 1.0, 2.0]])
+    for moran_k in ("8", "1"):
+        rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+                   "--out-summary", str(tmp_path / "s.json"), "--k", "1", "--moran-k", moran_k])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "local Moran needs at least two locations: the input has 1" in err, err
+        assert "[1, 0]" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+
 def test_simulate_reproducible_and_readable(tmp_path):
     for tag in ("a", "b"):
         rc = main(["simulate", "--out", str(tmp_path / f"sim_{tag}.csv"),

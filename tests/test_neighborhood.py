@@ -450,6 +450,45 @@ def test_grids_finer_than_every_row_left_are_dropped_and_built_once(monkeypatch)
             assert ("build", level) in events[:i] and ("build", level) not in events[i:]
 
 
+def test_one_pass_keys_each_level_once_with_the_rows_retried_from_above(monkeypatch):
+    # fit_large's data: the levels are keyed once each, finest first, and a
+    # row that fails its bound is keyed with the next coarser level's own
+    # rows (seed 1: 1 990 rows whose first level is 8 and 101 from level 9)
+    ds, _ = generate(SimSpec(n=4800, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
+    first, calls = [], []
+    first_levels, key_blocks = neighborhood._first_levels, neighborhood._key_blocks
+
+    def spied_first_levels(*args):
+        level = first_levels(*args)
+        first.append(level.copy())
+        return level
+
+    def spied_key_blocks(grids, level, pool, targets, rows):
+        calls.append((level, rows.copy()))
+        return key_blocks(grids, level, pool, targets, rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(neighborhood, "_first_levels", spied_first_levels)
+        m.setattr(neighborhood, "_key_blocks", spied_key_blocks)
+        members, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, 50)
+    levels = [level for level, _ in calls]
+    assert len(first) == 1 and len(levels) >= 4
+    assert levels == sorted(set(levels), reverse=True)
+    # each row is keyed first at its first level, then only one level below
+    # the one it failed at
+    last = first[0] + 1
+    mixed = 0
+    for level, rows in calls:
+        assert np.all(last[rows] == level + 1), level
+        last[rows] = level
+        own = first[0][rows] == level
+        mixed += own.any() and not own.all()
+    assert mixed
+    full_members, full_distances = full_scan(monkeypatch, ds.lat, ds.lon, ds.lat, ds.lon, 50)
+    assert np.array_equal(members, full_members)
+    assert np.array_equal(distances.view(np.int64), full_distances.view(np.int64))
+
+
 @pytest.mark.parametrize("k", [50, 5])
 def test_cell_products_equal_full_scan_at_scale(monkeypatch, k):
     # N=19200 fit_large-shaped data and 400 copies of its first point,
