@@ -13,12 +13,12 @@ Missing values (ill-posed locations, undefined diagnostics) are empty fields.
 Only the ``id`` field can hold a delimiter, a quote or a line break, so it is
 the only field ever quoted, by the ``csv`` module's rules. One writer
 (_write_csv) frames every file; it writes the tables of several files in
-lockstep, so an experiment's variants format each float cell they share
-once. Every file is read and written as UTF-8, whatever the locale; a
-leading byte order mark is dropped on read, and none is written. A header
-that names a column twice is an input error. An id is copied verbatim. A
-numeric input cell is a number as float() reads it, on ASCII text and
-without underscores.
+lockstep, so an experiment's later variants render only the cells that
+differ from the variant before. Every file is read and written as UTF-8,
+whatever the locale; a leading byte order mark is dropped on read, and none
+is written. A header that names a column twice is an input error. An id is
+copied verbatim. A numeric input cell is a number as float() reads it, on
+ASCII text and without underscores.
 
 Exit codes: 0 success (flagged locations included), 2 input/configuration
 error, 3 internal invariant violation.
@@ -124,18 +124,18 @@ def _write_csv(paths, schema, header, tables):
     Every table has the same number of rows. The files are written in
     lockstep, one block of rows of each per write: the equal blocks of
     neighborhood.batches over the header's length (about BATCH_ELEMENTS
-    cells each, which bounds the formatter's arrays), so that a block's
-    float cells reuse the text of the previous table's block at the same
-    place where their bits are equal.
+    cells each, which bounds the formatter's arrays). Each table's block
+    passes its state (csvtext.rows) to the next table's block at the same
+    place, which renders only the cells that differ from it.
     """
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(Path(path).open("wb")) for path in paths]
         for fh in files:
             fh.write(f"# schema: {schema}\n{','.join(header)}\r\n".encode("utf-8"))
         for rows in batches(len(tables[0][0]), len(header)):
-            floats = None
+            state = None
             for fh, columns in zip(files, tables):
-                text, floats = csvtext.rows([column[rows] for column in columns], floats)
+                text, state = csvtext.rows([column[rows] for column in columns], state)
                 fh.write(text)
 
 
@@ -312,8 +312,8 @@ def write_records_csv(paths, results, ids, moran_values, fragile_flags):
     """One records file per path, from the result, local Moran values and
     fragile flags at the same position of the other sequences; the results
     cover the same targets. ids is the input's id column, or None. The files
-    are written in lockstep (_write_csv), so the variants of an experiment
-    format each float cell they share once.
+    are written in lockstep (_write_csv), so a later variant of an
+    experiment renders only the cells that differ from the variant before.
     """
     _write_csv(paths, SCHEMA_RECORDS, RECORD_FIELDS, [
         _records_columns(result, ids, moran, fragile)

@@ -19,7 +19,8 @@ the shortest. Each cell is then laid out by gathering its bytes (17 digits,
 3 exponent digits and a few constants) through a template chosen by its
 sign, notation, decimal point position and digit count, and a row is its
 cells' bytes with the pad dropped. A table written after another of the
-same shape reuses the text of every float cell whose bits are unchanged.
+same layout patches that table's padded rows: only the cells that differ
+from it are rendered, of every kind of column.
 """
 
 from __future__ import annotations
@@ -316,50 +317,65 @@ def text_matrix(texts):
     return np.frombuffer(padded, dtype=np.uint8).reshape(len(encoded), width)
 
 
-def _float_cells(block, prev):
-    """float_text of a (rows, columns) block, and the block's bits: (text,
-    bits). prev is (text, bits) of an earlier block of the same shape, or
-    None; a cell whose bits equal prev's (so -0.0 and 0.0 differ, and NaNs
-    of unequal payloads) reuses its text, and only the other cells are
-    formatted."""
-    bits = block.view(np.uint64)
-    if prev is None or prev[1].shape != bits.shape:
-        return float_text(block), bits
-    prev_text, prev_bits = prev
-    changed = bits != prev_bits
-    fresh = float_text(block[changed])
-    text = np.full(bits.shape + (max(prev_text.shape[-1], fresh.shape[-1]),), PAD, dtype=np.uint8)
-    text[..., :prev_text.shape[-1]] = prev_text
-    text[changed] = PAD
-    text[changed, :fresh.shape[-1]] = fresh
-    return text, bits
+def _key(column):
+    """A column's cell keys, equal where two cells' text is: a float's bits
+    (so -0.0 and 0.0 differ, and NaNs of unequal payloads), an integer's or a
+    boolean's value, a text row's bytes; a view of the column where the
+    dtype allows."""
+    if column.ndim == 2:
+        return column
+    if column.dtype.kind == "f":
+        return np.asarray(column, dtype=np.float64).view(np.uint64)
+    return np.asarray(column, dtype=np.int64)
+
+
+def _texts(keys, picks):
+    """The text of each column's cells at its picked rows, from its keys: all
+    the float cells by one float_text call, the integers by int_text, the
+    text rows as they are."""
+    bits = [key[pick] for key, pick in zip(keys, picks) if key.dtype == np.uint64]
+    if bits:
+        text = float_text(np.concatenate(bits).view(np.float64))
+        floats = iter(np.split(text, np.cumsum([len(cells) for cells in bits[:-1]])))
+    return [next(floats) if key.dtype == np.uint64 else int_text(key[pick]) if key.ndim == 1 else key[pick]
+            for key, pick in zip(keys, picks)]
 
 
 def rows(columns, prev=None):
     """The CSV rows of equal-length columns as bytes, in each row the
-    columns' fields joined by "," and ended by "\r\n", and the float cells
-    by which the next table's block at the same place reuses them: (bytes,
-    floats).
+    columns' fields joined by "," and ended by "\r\n", and the state by
+    which the next table's block at the same place reuses them: (bytes,
+    state).
 
-    A column is a 1-D array of floats (float_text, all of a call's float
-    columns in one block), of integers or booleans (int_text), or a 2-D
-    uint8 matrix of text as text_matrix lays it out. prev is the floats of
-    the previous table's block at the same place, or None (see _float_cells).
+    A column is a 1-D array of floats (float_text), of integers or booleans
+    (int_text), or a 2-D uint8 matrix of text as text_matrix lays it out. The
+    state is the block's padded row matrix, each column's slot in it (start
+    and width) and each column's cell keys (_key). prev is the previous
+    table's state for the block at the same place, or None; its matrix is
+    taken over, and its columns must be as they were written. When the
+    columns have the same kinds, row count and text widths as prev's, only
+    the cells whose keys differ from prev's are rendered (_texts) and written
+    over their slots, unless a text is wider than its slot; otherwise the
+    block is built afresh.
     """
-    is_float = [column.ndim == 1 and column.dtype.kind == "f" for column in columns]
-    floats = [column for column, f in zip(columns, is_float) if f]
-    float_cells = _float_cells(np.stack(floats, axis=1), prev) if floats else None
-    texts = iter(np.moveaxis(float_cells[0], 1, 0) if floats else ())
-    cells = [next(texts) if f else int_text(column) if column.ndim == 1 else column
-             for column, f in zip(columns, is_float)]
-    # each field's slot ends in its separator; the pad between is dropped
-    widths = [cell.shape[1] + 1 for cell in cells]
-    widths[-1] += 1
-    out = np.empty((len(cells[0]), sum(widths)), dtype=np.uint8)
-    end = 0
-    for cell, width in zip(cells, widths):
-        out[:, end:end + cell.shape[1]] = cell
-        end += width
-        out[:, end - 1] = ord(",")
-    out[:, -2:] = _CRLF
-    return out[out != PAD].tobytes(), float_cells
+    keys = [_key(column) for column in columns]
+    patch = prev is not None and [(k.dtype, k.shape) for k in keys] == [(k.dtype, k.shape) for k in prev[2]]
+    if patch:
+        out, slots, prev_keys = prev
+        picks = [np.flatnonzero(key != old if key.ndim == 1 else (key != old).any(axis=1))
+                 for key, old in zip(keys, prev_keys)]
+        texts = _texts(keys, picks)
+        patch = all(text.shape[1] <= width for text, (_, width) in zip(texts, slots))
+    if not patch:
+        picks = [slice(None)] * len(keys)
+        texts = _texts(keys, picks)
+        # each field's slot is followed by its separator; the pad is dropped
+        starts = np.cumsum([0] + [text.shape[1] + 1 for text in texts])
+        slots = [(start, text.shape[1]) for start, text in zip(starts.tolist(), texts)]
+        out = np.empty((len(keys[0]), starts[-1] + 1), dtype=np.uint8)
+        out[:, starts[1:] - 1] = ord(",")
+        out[:, -2:] = _CRLF
+    for pick, text, (start, width) in zip(picks, texts, slots):
+        out[pick, start:start + text.shape[1]] = text
+        out[pick, start + text.shape[1]:start + width] = PAD
+    return out[out != PAD].tobytes(), (out, slots, keys)

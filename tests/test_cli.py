@@ -15,7 +15,7 @@ import pytest
 
 import gimbal.cli
 from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv, write_records_csv
-from gimbal.diagnostics import reliability_mask
+from gimbal.diagnostics import DEFAULT_K_MORAN, DEFAULT_KAPPA_QUANTILE, DEFAULT_NEFF_FLOOR, reliability_mask
 from gimbal.engine import (
     BRANCH_STRINGS,
     Dataset,
@@ -25,6 +25,7 @@ from gimbal.engine import (
     predict,
     residual_knn_correct,
 )
+from gimbal.experiments import run_experiment
 from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batches
 from gimbal.simgen import SimSpec, generate
 from gimbal.weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM
@@ -229,6 +230,39 @@ def test_experiment_73_files_equal_the_fit_of_its_dataset(tmp_path):
                      "--out-summary", str(tmp_path / "s.json"),
                      "--k", "30", "--h", "2000", "--n-min", "12", "--n0", n0]) == 0
         assert out.read_bytes() == (tmp_path / "e73" / f"e73_n0_{n0}.csv").read_bytes()
+
+
+def test_experiment_73_tables_render_only_the_cells_they_change(monkeypatch, tmp_path):
+    # the nine n0 variants' records are one block each; a later table
+    # formats, in one call, just the float cells whose bits differ from the
+    # previous table's, and renders the integers of changed rows only
+    _, records = run_experiment("e73", base_seed=1)
+    results = list(records.values())
+    moran = [gimbal.cli._moran_over_records(result, DEFAULT_K_MORAN) for result in results]
+    fragile = [reliability_mask(result, DEFAULT_KAPPA_QUANTILE, DEFAULT_NEFF_FLOOR) for result in results]
+    columns = [gimbal.cli._records_columns(result, None, values, flags)
+               for result, values, flags in zip(results, moran, fragile)]
+    bits = [np.stack([c for c in table if c.ndim == 1 and c.dtype.kind == "f"]).view(np.uint64)
+            for table in columns]
+    n = len(results[0])
+    assert len(results) == 9 and n == 1200 and len(batches(n, len(RECORD_FIELDS))) == 1
+    changed = [int(np.count_nonzero(new != old)) for old, new in zip(bits, bits[1:])]
+    flips = [int(np.count_nonzero(new != old)) for old, new in zip(fragile, fragile[1:])]
+    assert bits[0].size == 21_600 and 0 < min(changed) and max(changed) < 21_600
+
+    formatted, rendered = [], []
+    float_text, int_text = gimbal.csvtext.float_text, gimbal.csvtext.int_text
+    monkeypatch.setattr(gimbal.csvtext, "float_text", lambda block: formatted.append(block.size) or float_text(block))
+    monkeypatch.setattr(gimbal.csvtext, "int_text", lambda column: rendered.append(len(column)) or int_text(column))
+    paths = [tmp_path / f"{name}.csv" for name in records]
+    write_records_csv(paths, results, None, moran, fragile)
+    monkeypatch.undo()
+    assert formatted == [21_600, *changed]
+    # the index, then the fragile flag: in full once, then the flipped flags
+    assert rendered == [n, n, *(count for flipped in flips for count in (0, flipped))]
+    for path, result, values, flags in zip(paths, results, moran, fragile):
+        write_records_csv([tmp_path / "alone.csv"], [result], None, [values], [flags])
+        assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_branch_codes_one_encoding(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gimbal import csvtext
@@ -122,7 +122,7 @@ def test_schubfach_tables_are_exact():
 
 def test_int_text_and_text_matrix():
     ints = np.array([0, 7, 10, -1, -99, 10 ** 16, 12345678901234567, -12345678901234567])
-    assert csvtext.rows([ints]) == ("".join(f"{v}\r\n" for v in ints.tolist()).encode(), None)
+    assert csvtext.rows([ints])[0] == "".join(f"{v}\r\n" for v in ints.tolist()).encode()
     assert csvtext.rows([np.array([True, False])])[0] == b"1\r\n0\r\n"
     texts = ["", "a", "ünï", "x\x00y", "日本"]
     matrix = csvtext.text_matrix(texts)
@@ -138,3 +138,51 @@ def test_rows_join_every_kind_of_column(n):
     matrix = csvtext.text_matrix(["b"] * n)
     out, _ = csvtext.rows([np.arange(n), matrix, floats, floats > 0, np.full(n, math.nan)])
     assert out == "".join(f"{i},b,{v!r},{int(v > 0)},\r\n" for i, v in enumerate(floats.tolist())).encode()
+
+
+NAN_PAYLOAD = float(from_bits([0x7FF8000000000001])[0])
+EDGE_FLOATS = [0.0, -0.0, math.nan, NAN_PAYLOAD, math.inf, -math.inf, 5e-324,
+               float(np.nextafter(np.finfo(np.float64).smallest_normal, 0.0)), 1e16, 9.999999999999999e-05]
+CELLS = {"f": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), "i": st.integers(-10 ** 6, 10 ** 6),
+         "b": st.booleans(), "t": st.text(max_size=3)}
+
+
+@st.composite
+def table_chains(draw):
+    """(kinds, tables): 2 to 4 tables of the same row count and column kinds
+    ("f" float, "i" integer, "b" boolean, "t" text), each but the first the
+    one before it with some cells redrawn, so that most cells repeat, an
+    integer column at times gains a digit and a text column changes width."""
+    n = draw(st.integers(1, 6))
+    kinds = draw(st.text("fibt", min_size=1, max_size=5))
+    tables = [[draw(st.lists(CELLS[kind], min_size=n, max_size=n)) for kind in kinds]]
+    for _ in range(draw(st.integers(1, 3))):
+        table = [list(values) for values in tables[-1]]
+        for kind, values in zip(kinds, table):
+            for row in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+                values[row] = draw(CELLS[kind])
+        tables.append(table)
+    return kinds, tables
+
+
+def as_column(kind, values):
+    if kind == "t":
+        return csvtext.text_matrix(values)
+    return np.array(values, dtype={"f": np.float64, "i": np.int64, "b": bool}[kind])
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_chains())
+# an index gains a digit, a text column widens, a float outgrows its slot
+@example(("itf", [[[8, 9], ["a", "b"], [0.0, 1.0]], [[9, 10], ["a", "b"], [-0.0, 1.0]],
+                  [[9, 10], ["ab", "b"], [NAN_PAYLOAD, 1.0]], [[9, 10], ["ab", "b"], [NAN_PAYLOAD, 0.125]]]))
+# cells change within their slots: a digit lost, equal-width text, the other NaN
+@example(("ibtf", [[[10, -1], [True, False], ["ü", "ab"], [math.nan, 5e-324]],
+                   [[9, -1], [False, False], ["ab", "ü"], [NAN_PAYLOAD, 1e16]]]))
+def test_tables_chained_through_their_state_equal_each_table_written_alone(chain):
+    kinds, tables = chain
+    state = None
+    for table in tables:
+        columns = [as_column(kind, values) for kind, values in zip(kinds, table)]
+        text, state = csvtext.rows(columns, state)
+        assert text == csvtext.rows(columns)[0]
