@@ -389,6 +389,13 @@ def _rerank(table, target_table, k, rows, count, cand):
     return _take_rows(cand_2d, order), _take_rows(cand_d, order)
 
 
+def check_k(k, n):
+    """Raise ConfigurationError unless a query of k neighbors among n points
+    is eligible: 1 <= k <= n."""
+    if k < 1 or k > n:
+        raise ConfigurationError(f"K={k} outside the eligible range [1, {n}]")
+
+
 def knn(lats, lons, target_lats, target_lons, k):
     """The k nearest points to each target by haversine distance.
 
@@ -404,8 +411,7 @@ def knn(lats, lons, target_lats, target_lons, k):
     lats, lons, target_lats, target_lons = (
         np.asarray(a, dtype=np.float64) for a in (lats, lons, target_lats, target_lons))
     n = lats.shape[0]
-    if k < 1 or k > n:
-        raise ConfigurationError(f"K={k} outside the eligible range [1, {n}]")
+    check_k(k, n)
 
     pool = unit_vectors(lats, lons)
     targets = unit_vectors(target_lats, target_lons)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ConfigurationError, Dataset, check_int, check_real
+from .engine import ConfigurationError, Dataset, check_fields
 from .geo import meters_to_geo_arrays, rotation_matrix, tangent_displacements
 
 _SAMPLING = ("uniform", "gaussian")
@@ -38,10 +38,7 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "seed"):
-            check_int(name, getattr(self, name))
-        for name in ("lat0", "lon0", "extent", "rho", "psi", "delta_beta", "sigma", "c_rad"):
-            check_real(name, getattr(self, name))
+        check_fields(self)
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:

@@ -238,7 +238,7 @@ def test_experiment_73_tables_render_only_the_cells_they_change(monkeypatch, tmp
     # previous table's, and renders the integers of changed rows only
     _, records = run_experiment("e73", base_seed=1)
     results = list(records.values())
-    moran = [gimbal.cli._moran_over_records(result, DEFAULT_K_MORAN) for result in results]
+    moran = [gimbal.cli._moran_over_records(result, DEFAULT_K_MORAN, {}) for result in results]
     fragile = [reliability_mask(result, DEFAULT_KAPPA_QUANTILE, DEFAULT_NEFF_FLOOR) for result in results]
     columns = [gimbal.cli._records_columns(result, None, values, flags)
                for result, values, flags in zip(results, moran, fragile)]
@@ -751,6 +751,22 @@ def test_fit_moran_k_checked_before_fit(tmp_path, capsys):
         assert rc == 2
         assert f"--moran-k {moran_k} outside the eligible range [1, 7]" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+
+def test_fit_moran_k_of_more_than_the_finite_residuals_exits_2(tmp_path, capsys):
+    # nine coincident points fit ill-posed at K=4, so 3 of the 12 rows keep a
+    # finite residual: --moran-k 8 passes the check against the input size
+    # and fails the one against the finite rows, before any file is written
+    rng = np.random.default_rng(3)
+    rows = [[35.0, 135.0, *rng.normal(size=2)] for _ in range(9)]
+    rows += [[35.0 + 0.01 * i, 135.0 + 0.01 * (i - 1), *rng.normal(size=2)] for i in (1, 2, 3)]
+    inp = tmp_path / "coincident.csv"
+    write_csv(inp, rows)
+    rc = main(["fit", "--input", str(inp), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--k", "4", "--moran-k", "8"])
+    assert rc == 2
+    assert "outside the eligible range [1, 2]: 3 points are finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.json").exists()
 
 
 def test_fit_of_one_location_says_local_moran_needs_two(tmp_path, capsys):

@@ -157,7 +157,7 @@ def test_moran_of_fit_rows_bitwise_equals_local_moran(k, monkeypatch):
         return knn(lats, lons, target_lats, target_lons, k_query)
 
     monkeypatch.setattr(gimbal.diagnostics, "knn", counting_knn)
-    values = _moran_over_records(result, 8)
+    values = _moran_over_records(result, 8, {})
     if k == 10:
         assert np.sum(~result.fit.well_posed) == 20
         # the short rows only, for their k_moran + 1 nearest
@@ -180,7 +180,7 @@ def test_moran_of_fit_rows_needs_no_second_query(monkeypatch):
         raise AssertionError("the Moran adjacency ran a neighbor query")
 
     monkeypatch.setattr(gimbal.diagnostics, "knn", no_query)
-    values = _moran_over_records(result, 8)
+    values = _moran_over_records(result, 8, {})
     assert np.isfinite(values).all()
     assert np.array_equal(values.view(np.int64), expect.view(np.int64))
 

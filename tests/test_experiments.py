@@ -28,6 +28,13 @@ def test_summary_identical_records_have_zero_sd():
     assert s.n_targets == 10
 
 
+def test_summary_of_no_records_raises():
+    empty = records_for(BASE_SPEC, BASE_CFG).take(slice(0, 0))
+    assert len(empty) == 0
+    with pytest.raises(ValueError, match="summarize requires at least one record"):
+        summarize(empty)
+
+
 def test_summary_isotropic_proxy_branch_rates():
     proxy_cfg = replace(BASE_CFG, phi_mode="forced_zero", theta_z_mode="off",
                         eta_mode="forced_one")

@@ -37,7 +37,7 @@ def test_batched_stages_equal_one_row_calls_bitwise():
     y = rng.normal(0.0, 1.0, (c, k))
     config = GimbalConfig(k=k, n0=10.0, n_min=6.0)
 
-    orient, wmap = kernels.weight_map(east, north, dist, z, y, config)
+    orient, wmap = kernels.weight_map(east, north, dist, z, y, config, {})
     X = np.stack([np.ones_like(z), x, z], axis=-1)
     fit = solve_local(X, y, wmap.weights, config.gamma)
     cw2 = cond_wls2(x, wmap.weights)
@@ -46,7 +46,7 @@ def test_batched_stages_equal_one_row_calls_bitwise():
     rows = [tangent_displacements(lat0[s], lon0[s], lats[s], lons[s]) for s in one]
     assert np.array_equal(east, np.concatenate([r[0] for r in rows]))
     assert np.array_equal(north, np.concatenate([r[1] for r in rows]))
-    rows = [kernels.weight_map(east[s], north[s], dist[s], z[s], y[s], config) for s in one]
+    rows = [kernels.weight_map(east[s], north[s], dist[s], z[s], y[s], config, {}) for s in one]
     assert_rows_equal(orient, [r[0] for r in rows])
     assert_rows_equal(wmap, [r[1] for r in rows])
     assert_rows_equal(fit, [solve_local(X[s], y[s], wmap.weights[s], config.gamma) for s in one])

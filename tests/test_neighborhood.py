@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gimbal.neighborhood as neighborhood
 from scalar_geo import haversine_distance, haversine_to_all, nearest_others
 from gimbal.diagnostics import moran_adjacency
-from gimbal.geo import unit_vectors
+from gimbal.geo import EARTH_RADIUS_M, unit_vectors
 from gimbal.neighborhood import BATCH_ELEMENTS, KEY_ELEMENTS, ConfigurationError, batches, knn
 from gimbal.simgen import SimSpec, generate
 
@@ -244,6 +244,58 @@ def point_sets(draw):
 def test_property_matches_oracle_with_duplicates(case):
     lats, lons, targets, k = case
     assert_matches_oracle(lats, lons, lats[targets], lons[targets], k)
+
+
+def great_circle_shift(lats, lons, shift, bearing):
+    """The points shift meters from (lats, lons) along the great circle at
+    bearing (radians from north)."""
+    delta = shift / EARTH_RADIUS_M
+    phi, lam = np.radians(lats), np.radians(lons)
+    phi2 = np.arcsin(np.sin(phi) * np.cos(delta) + np.cos(phi) * np.sin(delta) * np.cos(bearing))
+    lam2 = lam + np.arctan2(np.sin(bearing) * np.sin(delta) * np.cos(phi),
+                            np.cos(delta) - np.sin(phi) * np.sin(phi2))
+    return np.degrees(phi2), np.degrees(lam2)
+
+
+@st.composite
+def gap_cases(draw):
+    """30-600 uniform, gaussian or clustered points, a tenth of them copies
+    of others and ten in a cluster about 0.1 m wide; a K, and for each point
+    a fraction of its allowed shift (half of them 0.999) and a bearing."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(30, 600))
+    kind = draw(st.sampled_from(["uniform", "gaussian", "clustered"]))
+    if kind == "uniform":
+        lats, lons = random_cloud(rng, n, 0.5)
+    elif kind == "gaussian":
+        lats, lons = 35.0 + rng.normal(0.0, 0.1, n), 135.0 + rng.normal(0.0, 0.1, n)
+    else:
+        centres = rng.integers(0, 5, n)
+        lats = 35.0 + rng.uniform(-0.3, 0.3, 5)[centres] + rng.normal(0.0, 1e-3, n)
+        lons = 135.0 + rng.uniform(-0.3, 0.3, 5)[centres] + rng.normal(0.0, 1e-3, n)
+    copies = n // 10
+    lats[:copies], lons[:copies] = lats[-copies:], lons[-copies:]
+    lats[copies:copies + 10] = lats[copies] + rng.uniform(-5e-7, 5e-7, 10)
+    lons[copies:copies + 10] = lons[copies] + rng.uniform(-5e-7, 5e-7, 10)
+    k = draw(st.integers(1, min(60, n - 1)))
+    fraction = np.where(rng.random(n) < 0.5, 0.999, rng.random(n))
+    return lats, lons, k, fraction, rng.uniform(0.0, 2.0 * np.pi, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap_cases())
+def test_property_shift_within_the_gap_keeps_the_members(case):
+    # a shift moves every distance by at most itself, so a target moved by
+    # less than half the gap between its k-th and (k+1)-th distances (less a
+    # micrometre for rounding) keeps its k nearest points
+    lats, lons, k, fraction, bearing = case
+    members, distances = knn(lats, lons, lats, lons, k + 1)
+    gap = distances[:, k] - distances[:, k - 1]
+    rows = np.flatnonzero(gap > 1e-6)
+    shift = fraction[rows] * (gap[rows] - 1e-6) / 2.0
+    assert np.all(2.0 * shift + 1e-6 < gap[rows])
+    moved, _ = knn(lats, lons, *great_circle_shift(lats[rows], lons[rows], shift, bearing[rows]), k)
+    assert np.array_equal(np.sort(moved, axis=-1), np.sort(members[rows, :k], axis=-1))
 
 
 # ---- the cell grid: rows answered from a 3x3x3 block of cells agree bit for

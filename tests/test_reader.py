@@ -32,6 +32,8 @@ def reference_read(path):
     every file before numpy parsed the columns."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(itertools.dropwhile(lambda row: row[0].startswith("#"), filter(None, csv.reader(fh))))
+    if not rows:
+        return f"{path}: empty file"
     header = [name.strip() for name in rows[0]]
     col = {name: header.index(name) for name in header}
     data = {name: [] for name in REQUIRED}
@@ -116,6 +118,8 @@ FIXTURES = {
     "vertical_tab": "lat,lon,x,y\n" + ROWS + "35.0,135.0,\x0b1.5\x0c,1.0\n",
     "non_ascii_id": "id,lat,lon,x,y\nünï,35.0,135.0,0.5,1.25\n",
     "empty_cell": "lat,lon,x,y\n" + ROWS + "35.0,135.0,,1.0\n",
+    "empty": "",
+    "comment_and_blank_lines_only": "# schema: gimbal.dataset.v1\n\r\n#,lat,lon,x,y\n\n",
 }
 
 
@@ -135,6 +139,8 @@ def test_fixture_reads_as_the_row_loop_reads_it(tmp_path, name):
     ("underscore", "row 3: column x is not numeric ('3_4.8')"),
     ("arabic_indic_digits", "row 3: column x is not numeric ('\u0661\u0662')"),
     ("no_break_space", "row 3: column x is not numeric ('\\xa01.5')"),
+    ("empty", "empty file"),
+    ("comment_and_blank_lines_only", "empty file"),
 ])
 def test_fixture_errors_name_the_row_and_column(tmp_path, name, message):
     path = tmp_path / f"{name}.csv"

@@ -134,6 +134,9 @@ def test_spec_validation():
         SimSpec(sigma=-1.0)
     with pytest.raises(ValueError):
         SimSpec(sampling="poisson")
+    for extent in (0.0, -1.0):
+        with pytest.raises(ConfigurationError, match=rf"extent must be positive, got {extent}"):
+            SimSpec(extent=extent)
     # every float field must be a finite real number, and the error names it
     for name, value in (("extent", math.inf), ("sigma", math.nan), ("psi", math.inf),
                         ("rho", math.nan), ("lat0", -math.inf), ("c_rad", True),
