@@ -334,10 +334,16 @@ def _moran_over_records(result, k_moran, adjacencies):
     # the variants of one fit_variants call share their neighborhood arrays,
     # and one adjacency serves those with the same finite rows: over e73's
     # nine variants the shared one takes 2.4 ms against 12.3 ms for nine
-    # (2-vCPU Xeon)
+    # (2-vCPU Xeon). It is keyed on the fit's own array, not on the slice
+    # below, a new view per call
     key = (id(members), finite.tobytes(), k_moran)
     if key not in adjacencies:
-        adjacencies[key] = moran_adjacency(finite, result.lat, result.lon, members, k_moran)
+        # a row's first k_moran + 1 members hold its k_moran nearest others
+        # wherever they are all finite, and moran_adjacency queries the rest:
+        # the adjacency is the same as from all K columns, read at a fraction
+        # of the width (fit_large seed 1, K = 50: 2.6 ms -> 1.2 ms, 2-vCPU Xeon)
+        adjacencies[key] = moran_adjacency(finite, result.lat, result.lon,
+                                           members[:, :k_moran + 1], k_moran)
     # zero residual variance leaves the statistic undefined: all zeros
     values, _ = local_moran(residuals, adjacencies[key])
     return values
@@ -435,7 +441,7 @@ def cmd_fit(args):
         raise ConfigurationError(f"--moran-k {args.moran_k} outside the eligible range "
                                  f"[1, {dataset.n - 1}]: the input has {dataset.n} locations")
     # the records and summary read no weights, residuals or distances
-    result = fit_all(dataset, config, wide=False)
+    result = fit_all(dataset, config, keep="records")
     # an extreme cell overflows the statistics over its rows (local Moran,
     # the fragile flags, the map summary) as it did the fit; its flagged rows
     # stay the only signal
@@ -464,7 +470,10 @@ def cmd_predict(args):
     if not 0 <= args.residual_knn <= config.k:
         raise ConfigurationError(f"--residual-knn must lie in [0, K={config.k}], got {args.residual_knn}")
 
-    preds, result = predict(train, config, test.lat, test.lon, test.x, wide=False)
+    # the file reads beta, well_posed, the member rows and the training
+    # rows' residuals at target: both fits skip cond_wls2 and the K-wide
+    # fitted values, residuals and fit summaries
+    preds, result = predict(train, config, test.lat, test.lon, test.x, keep="estimate")
     # a well-posed solve whose beta0 + beta1 * x overflowed
     overflow = result.fit.well_posed & ~np.isfinite(preds)
     columns = [np.arange(test.n), *(getattr(test, name) for name in DATASET_COLUMNS),
@@ -475,7 +484,7 @@ def cmd_predict(args):
         # the correction reads the residuals of these training rows only
         read = np.unique(members[:, :args.residual_knn])
         training_residuals = np.full(train.n, math.nan)
-        training_residuals[read] = fit_rows(train, config, read, wide=False).residual_at_target
+        training_residuals[read] = fit_rows(train, config, read, keep="estimate").residual_at_target
         # extreme residuals overflow the mean as extreme cells do the fit
         with np.errstate(all="ignore"):
             corr = residual_knn_correct(training_residuals, members, args.residual_knn)

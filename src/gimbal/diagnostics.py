@@ -81,13 +81,22 @@ def local_moran(residuals, adjacency):
 
     Returns (values, defined); values are NaN where the residual is not
     finite. With zero variance among the finite residuals the statistic is
-    undefined: values there are 0 and defined is False.
+    undefined: values there are 0 and defined is False. Residuals whose
+    variance overflows (|r| near 1e308) are first divided by their largest
+    |r|; the statistic is scale-invariant, and a finite variance is never
+    rescaled, so no other value moves.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
     finite = np.isfinite(residuals)
     values = np.full(residuals.shape[0], math.nan)
     r = residuals[finite]
-    std = float(np.std(r))
+    # an overflow here (in the mean or the squares) leaves std inf or NaN,
+    # which the rescaled residuals replace
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(r))
+    if r.size and not math.isfinite(std):
+        r = r / np.max(np.abs(r))
+        std = float(np.std(r))
     if std == 0.0:
         values[finite] = 0.0
         return values, False

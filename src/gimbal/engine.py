@@ -24,9 +24,11 @@ bit. Each config solves all of a chunk's rows in one call; the solve takes
 the design [1, x, z] as its x and z columns and skips every product with the
 intercept, which changes no bit. Each config's chunk is copied into its own
 columnar FitResult, in input order, before the next config is computed. A
-narrow fit (wide=False) copies no K-wide column but the query's own member
-rows: the weights, residuals and distances stay inside their chunk, and each
-target's residual is read off them there. Every stage reduces each row on
+fit keeps the columns its keep level names (see FitResult). At "records" it
+copies no K-wide column but the query's own member rows: the weights,
+residuals and distances stay inside their chunk, and each target's residual
+is read off them there. At "estimate" it computes no residual but the
+target's own, no fit summary and no cond_wls2. Every stage reduces each row on
 its own, so a target's values do not depend on which other targets share its
 chunk or the query, on which other configs share the query or an orientation
 stage, or on whether it is fitted alone or among a few selected rows
@@ -57,7 +59,7 @@ from . import kernels, solver
 from .geo import tangent_displacements
 from .neighborhood import ConfigurationError, Neighborhood, batches, knn
 from .orientation import OrientationResult
-from .solver import LocalFit, cond_wls2
+from .solver import LocalFit, cond_wls2, fitted_values
 from .weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
 
 BRANCH_PHI_ISO = "phi_iso"
@@ -83,6 +85,8 @@ _MODES = {
 }
 # the real fields that must be positive, not just nonnegative
 _POSITIVE = ("h", "n0", "u")
+# the keep levels of a fit, from the widest (see FitResult)
+KEEP = ("all", "records", "estimate")
 
 
 def check_int(name, value):
@@ -237,9 +241,16 @@ class FitResult:
     Ill-posed rows carry NaN coefficients and residuals. One row (record) is
     a FitResult of the same structure with scalar and (K,) fields.
 
-    A narrow result (wide=False) has None for neighborhood.distances,
-    weight_map.weights and fit.residuals; every other field is as in the
-    full result, bit for bit. take and record pass a None field through.
+    A fit's keep level (see KEEP) sets which fields it holds:
+      "all"       every field;
+      "records"   None for neighborhood.distances, weight_map.weights and
+                  fit.residuals, the K-wide columns the records file does
+                  not read;
+      "estimate"  None for those and for cond_wls2, fit.rmse_local,
+                  fit.r2_local and fit.r2_defined: what a prediction reads
+                  (beta, well_posed, the member rows, residual_at_target).
+    Every field a level holds is as in the full result, bit for bit. take
+    and record pass a None field through.
     """
 
     index: np.ndarray
@@ -296,12 +307,12 @@ def standardized_covariate(x):
     return (x - np.mean(x)) / std
 
 
-def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances, wide):
+def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances, keep):
     """The estimator map of each config at targets (lat0, lon0), whose
     neighbors in dataset are the (C, K) rows members and distances; yields
     one FitResult per config, in order, with no neighborhood (the caller
-    holds the query's). Unless wide, each result's weights and residuals
-    are None: the residual at each target is read off them here.
+    holds the query's) and the fields of keep (see FitResult). The residual
+    at each target is computed from the target's own member column alone.
 
     The tangent displacements and the members' gathered columns are computed
     once and serve every config, and so does each orientation stage: configs
@@ -310,11 +321,14 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
     the configs of a scale share one memo of the local solve's terms that no
     config field moves (solver.solve_local); a one-config call keeps none.
     The memos live in this call's frame, so no two chunks share them. x_std
-    is the dataset's standardized covariate. index holds each target's row
-    in dataset, or -1 for an out-of-sample target.
+    is the dataset's standardized covariate (None at "estimate", which reads
+    none). index holds each target's row in dataset, or -1 for an
+    out-of-sample target.
     """
+    estimate = keep == "estimate"
     east, north = tangent_displacements(lat0, lon0, dataset.lat[members], dataset.lon[members])
-    x_loc, y_loc, xs_loc = dataset.x[members], dataset.y[members], x_std[members]
+    x_loc, y_loc = dataset.x[members], dataset.y[members]
+    xs_loc = None if estimate else x_std[members]
     # each in-sample target's own column of its row, if it is a member
     at_target = members == index[:, None]
     own = (np.arange(index.shape[0]), np.argmax(at_target, axis=-1))
@@ -331,10 +345,12 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
             zs[config.u_scale] = (distances / config.u_scale, {} if len(configs) > 1 else None)
         z, terms = zs[config.u_scale]
         orient, wmap = kernels.weight_map(east, north, distances, z, y_loc, config, stages)
-        fit = solver.solve_local((None, x_loc, z), y_loc, wmap.weights, config.gamma, config.eps_kappa, terms)
-        cond = cond_wls2(xs_loc, wmap.weights, config.eps_kappa)
-        residual_at_target = np.where(has_own, fit.residuals[own], np.nan)
-        if not wide:
+        fit = solver.solve_local((None, x_loc, z), y_loc, wmap.weights, config.gamma, config.eps_kappa,
+                                 terms, summaries=not estimate)
+        cond = None if estimate else cond_wls2(xs_loc, wmap.weights, config.eps_kappa)
+        residual_at_target = np.where(
+            has_own, y_loc[own] - fitted_values((None, x_loc[own], z[own]), fit.beta), np.nan)
+        if keep != "all":
             wmap, fit = replace(wmap, weights=None), replace(fit, residuals=None)
         yield FitResult(
             index=index, lat=lat0, lon=lon0, neighborhood=None, orientation=orient,
@@ -342,17 +358,19 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
         )
 
 
-def _fit_chunks(dataset, configs, lat0, lon0, index, wide):
+def _fit_chunks(dataset, configs, lat0, lon0, index, keep):
     """_fit_targets over the chunks of neighborhood.batches(targets, K): one
     FitResult per config, each joined in order.
 
     One neighbor query covers every target before the chunks run; each chunk
     slices its rows. The query's arrays are marked read-only and become the
-    neighborhood of every config's result, shared, not copied; a narrow
-    result (not wide) keeps only its member rows. Result columns are
-    allocated for the fields a chunk's results hold, so a narrow fit
-    allocates no K-wide column.
+    neighborhood of every config's result, shared, not copied; below "all"
+    a result keeps only its member rows. Result columns are allocated for
+    the fields a chunk's results hold, so a fit allocates no column its keep
+    level drops.
     """
+    if keep not in KEEP:
+        raise ConfigurationError(f"keep must be one of {KEEP}, got {keep!r}")
     configs = tuple(configs)
     if not configs:
         raise ConfigurationError("at least one config is required")
@@ -369,35 +387,35 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, wide):
     # subnormal n0) overflow on purpose; the rows they reach are flagged, so
     # numpy's floating-point warnings would only repeat the flags
     with np.errstate(all="ignore"):
-        x_std = standardized_covariate(dataset.x)
+        x_std = None if keep == "estimate" else standardized_covariate(dataset.x)
         # an empty target list still makes one (empty) chunk; each config's
         # part is copied into place before the next is computed
         for rows in batches(n, ks[0]):
             parts = _fit_targets(dataset, configs, x_std, lat0[rows], lon0[rows], index[rows],
-                                 members[rows], distances[rows], wide)
+                                 members[rows], distances[rows], keep)
             for c, part in enumerate(parts):
                 if results[c] is None:
                     results[c] = _map_columns(lambda col: np.empty((n,) + col.shape[1:], col.dtype), part)
                     result_columns[c] = _columns(results[c])
                 for column, values in zip(result_columns[c], _columns(part)):
                     column[rows] = values
-    nb = Neighborhood(member_indices=members, distances=distances if wide else None)
+    nb = Neighborhood(member_indices=members, distances=distances if keep == "all" else None)
     return [replace(result, neighborhood=nb) for result in results]
 
 
-def fit_rows(dataset, config, rows, wide=True):
+def fit_rows(dataset, config, rows, keep="all"):
     """The estimator map at the selected in-sample rows (an index array), as
     a FitResult in the order of rows. Each row is bitwise its row of fit_all:
     a target's values do not depend on which other targets are fitted with
     it, and the standardized covariate still reads the whole of dataset.x.
-    wide as for fit_variants."""
+    keep as for fit_variants."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
         raise ConfigurationError(f"rows must be a 1-D index array, got {rows.dtype} of shape {rows.shape}")
     if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n):
         raise ConfigurationError(f"rows must lie in [0, {dataset.n - 1}]")
     rows = rows.astype(np.intp)
-    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, wide)[0]
+    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, keep)[0]
 
 
 def fit_location(dataset, config, target_index):
@@ -406,7 +424,7 @@ def fit_location(dataset, config, target_index):
     return fit_rows(dataset, config, [target_index]).record(0)
 
 
-def fit_variants(dataset, configs, wide=True):
+def fit_variants(dataset, configs, keep="all"):
     """The estimator map of each config at every row: one FitResult per
     config, in the configs' order, each in input order.
 
@@ -416,31 +434,34 @@ def fit_variants(dataset, configs, wide=True):
     kernels.orientation_key, and only the rest of the weight map, the local
     solve and the diagnostics run once per config. Every result's neighborhood
     is the same read-only pair of arrays.
-    wide: keep the K-wide weights, residuals and distances (the full
-    FitResult); False drops them after each chunk (see FitResult), which
-    changes no other field.
+    keep: the fields each result holds, one of KEEP (see FitResult).
+    "all" (the full FitResult) keeps everything; "records" drops the K-wide
+    weights, residuals and distances after each chunk; "estimate" also
+    skips cond_wls2 and the local fit summaries (fit.rmse_local,
+    fit.r2_local, fit.r2_defined), which are never computed. No level
+    changes a field it keeps.
     """
-    return _fit_chunks(dataset, configs, dataset.lat, dataset.lon, np.arange(dataset.n), wide)
+    return _fit_chunks(dataset, configs, dataset.lat, dataset.lon, np.arange(dataset.n), keep)
 
 
-def fit_all(dataset, config, wide=True):
+def fit_all(dataset, config, keep="all"):
     """The estimator map at every row, as a FitResult in input order: the
     one-config case of fit_variants."""
-    return fit_variants(dataset, (config,), wide)[0]
+    return fit_variants(dataset, (config,), keep)[0]
 
 
-def predict(train, config, lats, lons, x, wide=True):
+def predict(train, config, lats, lons, x, keep="all"):
     """Out-of-sample predictions at target points.
 
     Neighbors come from the training pool only; the distance-trend regressor
     is evaluated as zero at the target, so the prediction is
     beta0 + beta1 * x. Returns (predictions, FitResult); a prediction is NaN
     where the local solve is ill-posed. The targets are checked as a
-    Dataset's rows are (check_coordinates). wide as for fit_variants.
+    Dataset's rows are (check_coordinates). keep as for fit_variants.
     """
     lats, lons, x = (np.asarray(c, dtype=np.float64) for c in (lats, lons, x))
     check_coordinates(lats, lons, x=x)
-    result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), wide)[0]
+    result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), keep)[0]
     beta = result.fit.beta
     # an extreme x overflows here as it does in the fit; see _fit_chunks
     with np.errstate(all="ignore"):

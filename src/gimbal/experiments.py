@@ -117,13 +117,13 @@ def weight_diff(result_a, result_b):
     """Per-target l1 distance and correlation of normalized weight vectors.
 
     Both runs must share targets and neighborhoods (same data and K), and
-    both must hold their weights (a wide fit). Correlation is skipped
+    both must hold their weights (a keep="all" fit). Correlation is skipped
     wherever either weight vector is constant.
     """
     for name, result in (("result_a", result_a), ("result_b", result_b)):
         if result.weight_map.weights is None:
             raise ValueError(f"weight_diff requires weight_map.weights, which {name} does not "
-                             "hold: fit it with wide=True")
+                             'hold: fit it with keep="all"')
     if len(result_a) != len(result_b):
         raise ValueError("weight_diff requires runs over the same targets")
     members_a = result_a.neighborhood.member_indices
@@ -168,21 +168,21 @@ def run_experiment(exp_id, base_seed=0):
     every variant with one fit_variants call, summarize each and check the
     experiment's structural properties. Each experiment (_e71 ... _e74) is a
     function of the seed returning its SimSpec, base config, named variants,
-    wide (as for fit_variants) and check(records, summaries) -> (properties,
+    keep (as for fit_variants) and check(records, summaries) -> (properties,
     extra report entries).
 
     Returns (report, records_by_variant) where the report carries the config,
     per-variant MapSummary values, weight-difference evidence where defined,
     and one verdict per structural property. The records of e72 and e74,
-    which weight_diff reads, keep their weights; those of e71 and e73 are
-    narrow (see engine.FitResult).
+    which weight_diff reads, keep every field ("all"); those of e71 and e73
+    keep what the records file reads ("records", see engine.FitResult).
     """
     experiments = {"e71": _e71, "e72": _e72, "e73": _e73, "e74": _e74}
     if exp_id not in experiments:
         raise ConfigurationError(f"unknown experiment id {exp_id!r}; expected one of {sorted(experiments)}")
-    spec, base, variants, wide, check = experiments[exp_id](base_seed)
+    spec, base, variants, keep, check = experiments[exp_id](base_seed)
     dataset, _ = generate(spec)
-    records = dict(zip(variants, fit_variants(dataset, variants.values(), wide=wide)))
+    records = dict(zip(variants, fit_variants(dataset, variants.values(), keep)))
     summaries = {name: summarize(result) for name, result in records.items()}
     properties, extra = check(records, summaries)
     report = {
@@ -242,7 +242,7 @@ def _e71(seed):
         "theta_off": replace(_BASE_CONFIG, theta_z_mode="off"),
         "full": _BASE_CONFIG,
         "full_strict_eps_phi": replace(_BASE_CONFIG, eps_phi=STRICT_EPS_PHI),
-    }, False, check
+    }, "records", check
 
 
 def _e72(seed):
@@ -260,7 +260,7 @@ def _e72(seed):
     return spec, _BASE_CONFIG, {
         "isotropic_proxy": replace(_BASE_CONFIG, **_PROXY),
         "full": _BASE_CONFIG,
-    }, True, check
+    }, "all", check
 
 
 def _e73(seed):
@@ -282,7 +282,7 @@ def _e73(seed):
         rho=10.0, psi=math.pi / 4.0, c_rad=0.0, seed=seed,
     )
     base = replace(_BASE_CONFIG, k=30, h=2000.0, n_min=12.0)
-    return spec, base, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, False, check
+    return spec, base, {f"n0_{n0:g}": replace(base, n0=n0) for n0 in E73_N0_SWEEP}, "records", check
 
 
 def _e74(seed):
@@ -302,4 +302,4 @@ def _e74(seed):
         rho=10.0, psi=math.pi / 4.0, c_rad=8.0, delta_beta=0.0, seed=seed,
     )
     base = replace(_BASE_CONFIG, k=30, h=2000.0, n0=20.0, n_min=4.0)
-    return spec, base, {"theta_on": base, "theta_off": replace(base, theta_z_mode="off")}, True, check
+    return spec, base, {"theta_on": base, "theta_off": replace(base, theta_z_mode="off")}, "all", check

@@ -41,7 +41,9 @@ class LocalFit:
     """Local solve of one neighborhood (scalars, (p,) beta, (K,) residuals) or
     of a stack ((C,) arrays, (C, p) beta, (C, K) residuals).
 
-    Ill-posed rows carry NaN coefficients, residuals and fit summaries.
+    Ill-posed rows carry NaN coefficients, residuals and fit summaries. A
+    solve without summaries (solve_local(summaries=False)) has None for
+    rmse_local, r2_local, r2_defined and residuals.
     """
 
     beta: np.ndarray
@@ -197,13 +199,15 @@ def _cholesky_solve(low, rhs):
     return x
 
 
-def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA, shared=None):
+def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA, shared=None, summaries=True):
     """Solve the modulated normal equations of one or many neighborhoods.
 
     X is a design array or a tuple of its columns (see the module
     docstring). Returns a LocalFit; a row whose normal matrix is singular
     carries well_posed=False and NaN coefficients (the location is flagged,
-    not regularized).
+    not regularized). Unless summaries, the K-wide residuals and the fit
+    summaries read off them are not computed (None); fitted_values gives
+    any column's fitted value, bitwise the residuals' own.
 
     shared is a memo of the terms that neither the weights nor gamma move,
     read and filled here, for calls on the same design and y: the product
@@ -228,16 +232,33 @@ def solve_local(X, y, weights, gamma, eps_kappa=DEFAULT_EPS_KAPPA, shared=None):
         beta = np.stack(_cholesky_solve(low, rhs), axis=-1)
     beta = np.where(well_posed[..., None], beta, np.nan)
 
-    rmse, r2, r2_defined, residuals = _summaries(cols, y, beta, shared)
+    rmse = r2 = r2_defined = residuals = None
+    if summaries:
+        rmse, r2, r2_defined, residuals = _summaries(cols, y, beta, shared)
+        r2, r2_defined = np.where(well_posed, r2, np.nan), r2_defined & well_posed
     return LocalFit(
         beta=beta,
         m_nor_condition=kappa,
         well_posed=well_posed,
         rmse_local=rmse,
-        r2_local=np.where(well_posed, r2, np.nan),
-        r2_defined=r2_defined & well_posed,
+        r2_local=r2,
+        r2_defined=r2_defined,
         residuals=residuals,
     )
+
+
+def fitted_values(X, beta):
+    """The fitted values of the design X (as solve_local takes it) under the
+    coefficients beta, whose last axis runs over X's columns and whose other
+    axes broadcast against them: the products summed left to right over the
+    columns, as a last-axis sum of the products with a design array adds
+    them. A row's residual y - fitted_values(...) is bitwise its entry of
+    solve_local's residuals, whatever other columns are fitted with it."""
+    fitted = None
+    for a, c in enumerate(_design_columns(X)):
+        term = _product(c, beta[..., a])
+        fitted = term if fitted is None else fitted + term
+    return fitted
 
 
 def operator_norm_bound(X, weights, gamma):
@@ -258,13 +279,9 @@ def operator_norm_bound(X, weights, gamma):
 
 
 def _summaries(cols, y, beta, shared=None):
-    # the fitted values summed left to right over the columns, as a
-    # last-axis sum of the products with a design array adds them
-    fitted = None
-    for a, c in enumerate(cols):
-        term = _product(c, beta[..., a, None])
-        fitted = term if fitted is None else fitted + term
-    residuals = y - fitted
+    """(rmse, r2, r2_defined, residuals) of each row's K-wide fit; shared as
+    for solve_local."""
+    residuals = y - fitted_values(tuple(cols), beta[..., None, :])
     ss_res = np.sum(residuals * residuals, axis=-1)
     rmse = np.sqrt(ss_res / y.shape[-1])
     ss_tot = _kept(shared, "ss_tot", lambda: np.sum((y - np.mean(y, axis=-1, keepdims=True)) ** 2, axis=-1))

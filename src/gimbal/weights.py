@@ -38,7 +38,7 @@ class RealizedWeightMap:
 
     n_recompute counts the weight recomputations at a corrected bandwidth:
     1, or 0 when the raw weights underflowed and h_eff could not be formed.
-    weights is None in a narrow fit's result (see engine.FitResult), and
+    weights is None in a fit below keep="all" (see engine.FitResult), and
     n_eff_final, which reads them, raises ValueError there.
     """
 
@@ -56,7 +56,7 @@ class RealizedWeightMap:
     @property
     def n_eff_final(self):
         if self.weights is None:
-            raise ValueError("n_eff_final requires weights, which a narrow fit (wide=False) drops")
+            raise ValueError("n_eff_final requires weights, which a fit below keep=\"all\" drops")
         return ess(self.weights)
 
 

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import gimbal.cli
+import gimbal.engine
+import gimbal.solver
 from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv, write_records_csv
 from gimbal.diagnostics import DEFAULT_K_MORAN, DEFAULT_KAPPA_QUANTILE, DEFAULT_NEFF_FLOOR, reliability_mask
 from gimbal.engine import (
@@ -446,9 +448,10 @@ def budget_batches(total, width):
 
 @pytest.mark.parametrize("k", [5, 50, 200])
 def test_fit_batches_hold_the_budget_of_their_width(monkeypatch, tmp_path, k):
-    # gimbal fit's chunk step and Moran adjacency cut their rows into the
-    # equal batches of width K and its records writer into those of the
-    # header's length; 10 500 rows cross a boundary of each at every K
+    # gimbal fit's chunk step cuts its rows into the equal batches of width
+    # K, its Moran adjacency into those of the member columns it reads (the
+    # first --moran-k + 1) and its records writer into those of the header's
+    # length; 10 500 rows cross a boundary of each at every K
     ds, _ = generate(SimSpec(n=10_500, extent=30_000.0, seed=25))
     inp = tmp_path / "data.csv"
     write_dataset_csv(inp, ds)
@@ -477,9 +480,10 @@ def test_fit_batches_hold_the_budget_of_their_width(monkeypatch, tmp_path, k):
     # the adjacency covers the rows with a finite residual, which have a Moran value
     n_finite = sum(row[header.index("local_moran")] != "" for row in records)
     assert chunks == budget_batches(ds.n, k)
-    assert moran == budget_batches(n_finite, k)
+    moran_width = min(k, DEFAULT_K_MORAN + 1)
+    assert moran == budget_batches(n_finite, moran_width)
     assert blocks == budget_batches(ds.n, len(RECORD_FIELDS))
-    for sizes, width in ((chunks, k), (moran, k), (blocks, len(RECORD_FIELDS))):
+    for sizes, width in ((chunks, k), (moran, moran_width), (blocks, len(RECORD_FIELDS))):
         assert len(sizes) > 1 and max(sizes) - min(sizes) <= 1
         assert max(sizes) * width < 1.5 * BATCH_ELEMENTS
 
@@ -875,10 +879,10 @@ def test_predict_fits_only_the_training_rows_its_correction_reads(tmp_path, monk
     fitted = []
     fit_rows = gimbal.cli.fit_rows
 
-    def spied(dataset, config, rows, wide=True):
+    def spied(dataset, config, rows, keep="all"):
         fitted.append(np.array(rows))
-        assert not wide
-        return fit_rows(dataset, config, rows, wide)
+        assert keep == "estimate"
+        return fit_rows(dataset, config, rows, keep)
 
     monkeypatch.setattr(gimbal.cli, "fit_rows", spied)
     rc = main(["predict", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
@@ -898,6 +902,37 @@ def test_predict_fits_only_the_training_rows_its_correction_reads(tmp_path, monk
               "residual_correction", "prediction_corrected"]
     gimbal.cli._write_csv([tmp_path / "full.csv"], gimbal.cli.SCHEMA_PREDICTIONS, header, [columns])
     assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+def test_predict_skips_the_work_its_file_does_not_read(tmp_path, monkeypatch):
+    # gimbal predict fits at the estimate level: no cond_wls2 and no K-wide
+    # fit summaries in either of its fits; gimbal fit still computes both,
+    # once per chunk of its one config
+    write_dataset_csv(tmp_path / "train.csv", generate(SimSpec(n=1200, seed=8))[0])
+    write_dataset_csv(tmp_path / "test.csv", generate(SimSpec(n=90, seed=9))[0])
+    calls = {"cond_wls2": 0, "_summaries": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counted(gimbal.engine, "cond_wls2")
+    counted(gimbal.solver, "_summaries")
+    rc = main(["predict", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+               "--out", str(tmp_path / "pred.csv"), "--k", "50", "--residual-knn", "10"])
+    assert rc == 0
+    assert calls == {"cond_wls2": 0, "_summaries": 0}
+    rc = main(["fit", "--input", str(tmp_path / "train.csv"), "--out-records", str(tmp_path / "r.csv"),
+               "--out-summary", str(tmp_path / "s.json"), "--k", "50"])
+    assert rc == 0
+    chunks = len(batches(1200, 50))
+    assert chunks > 1
+    assert calls == {"cond_wls2": chunks, "_summaries": chunks}
 
 
 def test_predict_residual_knn_zero_residuals(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,35 @@ def test_constant_residuals_flagged_undefined():
     values, defined = moran(np.full(6, 2.5), lats, lons, k_moran=2)
     assert not defined
     assert np.all(values == 0.0)
+
+
+def test_residuals_whose_variance_overflows_give_the_scale_invariant_values():
+    # np.std of +-1e308 overflows in its squares; the statistic is that of
+    # the residuals divided by their largest |r|, with no warning (the
+    # pyproject filter makes one raised in numpy's reductions an error)
+    lats, lons = line_points(3)
+    adjacency = moran_adjacency(np.ones(3, dtype=bool), lats, lons, np.arange(3)[:, None], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, defined = local_moran(np.array([1e308, -1e308, 1e308]), adjacency)
+        # a constant residual whose mean overflows is still zero variance
+        constant, constant_defined = local_moran(np.full(3, 1e308), adjacency)
+    unit, _ = local_moran(np.array([1.0, -1.0, 1.0]), adjacency)
+    assert defined and np.array_equal(values, unit) and (values != 0.0).all()
+    assert not constant_defined and np.array_equal(constant, np.zeros(3))
+    # a finite variance is not rescaled: the values are those of the plain formula
+    r = np.array([3.0, -1e150, 2e150])
+    z = (r - np.mean(r)) / np.std(r)
+    values, _ = local_moran(r, adjacency)
+    assert np.array_equal(values, z * np.mean(z[adjacency], axis=-1))
+
+
+def test_no_finite_residual_gives_all_nan_values():
+    # the std of an empty set is NaN, which is no overflow to rescale
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        values, _ = local_moran(np.full(3, np.nan), np.zeros((0, 2), dtype=np.intp))
+    assert np.isnan(values).all()
 
 
 def test_checkerboard_line_negative_interior():
@@ -220,6 +250,37 @@ def test_moran_of_rows_with_its_adjacency_given_is_bitwise_equal():
     values, defined = local_moran(residuals, adjacency)
     assert defined and np.array_equal(np.isnan(values), ~finite)
     assert np.array_equal(values.view(np.int64), moran_on_finite(result, 8).view(np.int64))
+
+
+def twelve_coincident_points():
+    """The simulated 200 points of seed 4 with the first twelve moved onto
+    the first one's spot, each keeping its x and y."""
+    ds, _ = generate(SimSpec(n=200, seed=4))
+    lat, lon = ds.lat.copy(), ds.lon.copy()
+    lat[:12], lon[:12] = lat[0], lon[0]
+    return Dataset(lat=lat, lon=lon, x=ds.x, y=ds.y)
+
+
+@pytest.mark.parametrize("data, k", [(cluster_fixture, 10), (cluster_fixture, 50), (twelve_coincident_points, 5),
+                                     (twelve_coincident_points, 30)])
+def test_moran_adjacency_from_the_first_k_moran_plus_one_columns_is_the_full_ones(monkeypatch, data, k):
+    # ill-posed rows (NaN residuals) and coincident points leave rows short
+    # of finite members in the slice as in the full rows; both are queried
+    result = fit_all(data(), GimbalConfig(k=k))
+    residuals, members = result.residual_at_target, result.neighborhood.member_indices
+    finite = np.isfinite(residuals)
+    for k_moran in (1, 4, 8):
+        full = moran_adjacency(finite, result.lat, result.lon, members, k_moran)
+        sliced = moran_adjacency(finite, result.lat, result.lon, members[:, :k_moran + 1], k_moran)
+        assert np.array_equal(sliced, full)
+        assert np.array_equal(sliced, oracle_adjacency(finite, result.lat, result.lon, k_moran))
+    # the records' Moran reads only that slice of the fit's rows
+    widths = []
+    monkeypatch.setattr(gimbal.cli, "moran_adjacency",
+                        lambda finite, lats, lons, rows, k_moran: widths.append(rows.shape[1])
+                        or moran_adjacency(finite, lats, lons, rows, k_moran))
+    _moran_over_records(result, 8, {})
+    assert widths == [min(k, 9)]
 
 
 def coincident_field(rng, n, groups):

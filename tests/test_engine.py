@@ -241,9 +241,9 @@ def spy_solves(monkeypatch):
         chunk["start"] = int(index[0]) if index.shape[0] else 0
         yield from fit_targets(dataset, configs, x_std, lat0, lon0, index, *rest)
 
-    def counted(X, y, *args):
+    def counted(X, y, *args, **kwargs):
         calls.setdefault(chunk["start"], []).append(y.shape[0])
-        return solve_local_(X, y, *args)
+        return solve_local_(X, y, *args, **kwargs)
 
     monkeypatch.setattr(gimbal.engine, "_fit_targets", tagged)
     monkeypatch.setattr(gimbal.solver, "solve_local", counted)
@@ -291,9 +291,9 @@ def test_configs_of_one_scale_share_one_solve_memo_per_chunk(monkeypatch, varian
     memos = []
     solve_local_ = gimbal.solver.solve_local
 
-    def spied(X, y, weights, gamma, eps_kappa, shared=None):
+    def spied(X, y, weights, gamma, eps_kappa, shared=None, summaries=True):
         memos.append(shared)
-        return solve_local_(X, y, weights, gamma, eps_kappa, shared)
+        return solve_local_(X, y, weights, gamma, eps_kappa, shared, summaries=summaries)
 
     monkeypatch.setattr(gimbal.solver, "solve_local", spied)
     fit_variants(ds, configs)
@@ -395,8 +395,13 @@ def test_fit_rows_equal_their_rows_of_fit_all():
     assert len(fit_rows(ds, cfg, [])) == 0
 
 
-# the K-wide fields a narrow result (wide=False) leaves None
+# the fields each keep level below "all" leaves None: "records" the K-wide
+# ones, "estimate" those and the ones only the records file reads
 WIDE_ONLY = ("neighborhood.distances", "weight_map.weights", "fit.residuals")
+DROPPED = {
+    "records": WIDE_ONLY,
+    "estimate": WIDE_ONLY + ("fit.rmse_local", "fit.r2_local", "fit.r2_defined", "cond_wls2"),
+}
 
 
 def leaves(result, path=""):
@@ -407,15 +412,15 @@ def leaves(result, path=""):
             for leaf in leaves(getattr(result, f.name), f"{path}.{f.name}".lstrip("."))]
 
 
-def assert_narrow_of(narrow, full):
-    """narrow holds None at WIDE_ONLY, every other column of full bitwise,
-    and no K-wide array but the member rows (a table's (C, K) or a row's
-    (K,))."""
+def assert_narrow_of(narrow, full, keep="records"):
+    """narrow holds None at DROPPED[keep], every other column of full
+    bitwise, and no K-wide array but the member rows (a table's (C, K) or a
+    row's (K,))."""
     k = full.neighborhood.member_indices.shape[-1]
     narrow_leaves, full_leaves = leaves(narrow), dict(leaves(full))
     assert [path for path, _ in narrow_leaves] == list(full_leaves)
     for path, column in narrow_leaves:
-        if path in WIDE_ONLY:
+        if path in DROPPED[keep]:
             assert column is None and full_leaves[path] is not None, path
             continue
         expect = full_leaves[path]
@@ -429,23 +434,70 @@ def test_narrow_results_equal_the_full_ones_without_the_k_wide_columns(chunks):
     ds = small_dataset(seed=9, n=(chunks + 1) * CHUNK + 35)
     configs = VARIANT_SETS["e73"] + VARIANT_SETS["solve_keys"][:2]
     cfg = configs[0]
-    for narrow, full in zip(fit_variants(ds, configs, wide=False), fit_variants(ds, configs)):
-        assert_narrow_of(narrow, full)
-    assert_narrow_of(fit_all(ds, cfg, wide=False), fit_all(ds, cfg))
     rows = np.array([ds.n - 1, 3, 3, CHUNK, 0])
-    assert_narrow_of(fit_rows(ds, cfg, rows, wide=False), fit_rows(ds, cfg, rows))
     test = small_dataset(seed=10, n=2 * CHUNK + 5)
-    (preds, narrow), (full_preds, full) = (predict(ds, cfg, test.lat, test.lon, test.x, wide=wide)
-                                           for wide in (False, True))
+    for keep in DROPPED:
+        for narrow, full in zip(fit_variants(ds, configs, keep), fit_variants(ds, configs)):
+            assert_narrow_of(narrow, full, keep)
+        assert_narrow_of(fit_all(ds, cfg, keep), fit_all(ds, cfg), keep)
+        assert_narrow_of(fit_rows(ds, cfg, rows, keep), fit_rows(ds, cfg, rows), keep)
+        (preds, narrow), (full_preds, full) = (predict(ds, cfg, test.lat, test.lon, test.x, level)
+                                               for level in (keep, "all"))
+        assert preds.tobytes() == full_preds.tobytes()
+        assert_narrow_of(narrow, full, keep)
+        # a row of a narrow result is narrow too, and so are rows taken together
+        row = fit_all(ds, cfg, keep).record(CHUNK)
+        assert_narrow_of(row, fit_location(ds, cfg, CHUNK), keep)
+        assert_narrow_of(fit_all(ds, cfg, keep).take(rows), fit_rows(ds, cfg, rows), keep)
+        # the ESS of the final weights needs them (ess(None) would be NaN)
+        for result in (narrow, row):
+            with pytest.raises(ValueError, match="n_eff_final requires weights"):
+                result.weight_map.n_eff_final
+    with pytest.raises(ConfigurationError, match="keep must be one of"):
+        fit_all(ds, cfg, "narrow")
+
+
+def duplicated_ill_posed_dataset():
+    """A dataset where many targets' own column is not their first: twenty
+    points each repeated four times (the repeats of a point tie at distance
+    0, and the ties go by index), of which twelve are moved onto an isolated
+    patch with one constant x (ill-posed at K = 12), and an x of 1e160,
+    whose rows' normal matrices overflow."""
+    base = small_dataset(seed=11, n=80)
+    lat, lon = np.repeat(base.lat[:20], 4), np.repeat(base.lon[:20], 4)
+    x, y = base.x.copy(), base.y.copy()
+    patch = slice(60, 72)
+    lat[patch], lon[patch] = base.lat[0] + 1.0 + np.arange(12) * 1e-4, base.lon[0] + 1.0
+    x[patch] = 2.0
+    x[5] = 1e160
+    return Dataset(lat=lat, lon=lon, x=x, y=y)
+
+
+@pytest.mark.parametrize("keep", ["records", "estimate"])
+def test_estimate_fits_equal_the_full_ones_at_duplicates_and_ill_posed_rows(keep):
+    ds = duplicated_ill_posed_dataset()
+    cfg = GimbalConfig(k=12)
+    full = fit_all(ds, cfg)
+    members = full.neighborhood.member_indices
+    own_column = np.argmax(members == np.arange(ds.n)[:, None], axis=-1)
+    assert (own_column > 0).sum() >= 20
+    assert (~full.fit.well_posed).sum() >= 5
+    assert np.isnan(full.residual_at_target).any() and np.isfinite(full.residual_at_target).any()
+    # the residual at each target is bitwise its own column of the K-wide residuals
+    has_own = (members == np.arange(ds.n)[:, None]).any(axis=-1)
+    own_residual = np.where(has_own, full.fit.residuals[np.arange(ds.n), own_column], np.nan)
+    assert full.residual_at_target.tobytes() == own_residual.tobytes()
+    assert_narrow_of(fit_all(ds, cfg, keep), full, keep)
+    rows = np.array([5, 61, 1, 3, 2, 70, 0, 79])
+    assert_narrow_of(fit_rows(ds, cfg, rows, keep), full.take(rows), keep)
+    # out-of-sample targets on training points, between them and on the patch
+    lats = np.concatenate([ds.lat[::7], ds.lat[:10] + 1e-5])
+    lons = np.concatenate([ds.lon[::7], ds.lon[:10]])
+    x = np.linspace(-2.0, 2.0, lats.size)
+    (preds, narrow), (full_preds, wide) = (predict(ds, cfg, lats, lons, x, level) for level in (keep, "all"))
     assert preds.tobytes() == full_preds.tobytes()
-    assert_narrow_of(narrow, full)
-    # a row of a narrow result is narrow too
-    row = fit_all(ds, cfg, wide=False).record(CHUNK)
-    assert_narrow_of(row, fit_location(ds, cfg, CHUNK))
-    # the ESS of the final weights needs them (ess(None) would be NaN)
-    for result in (narrow, row):
-        with pytest.raises(ValueError, match="n_eff_final requires weights"):
-            result.weight_map.n_eff_final
+    assert_narrow_of(narrow, wide, keep)
+    assert np.isnan(narrow.residual_at_target).all()
 
 
 def test_narrow_fit_allocates_less_by_the_columns_it_drops(monkeypatch):
@@ -462,17 +514,17 @@ def test_narrow_fit_allocates_less_by_the_columns_it_drops(monkeypatch):
 
     monkeypatch.setattr(gimbal.engine, "knn", knn_then_reset_peak)
 
-    def traced(wide):
+    def traced(keep):
         tracemalloc.start()
         try:
-            result = fit_all(ds, cfg, wide=wide)
+            result = fit_all(ds, cfg, keep)
             return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    traced(False)  # first-call caches
-    full, full_peak = traced(True)
-    narrow, narrow_peak = traced(False)
+    traced("records")  # first-call caches
+    full, full_peak = traced("all")
+    narrow, narrow_peak = traced("records")
     # the weights and residuals are never allocated as result columns
     # (2 x 2000 x 50 x 8 bytes); the distances are the query's own, held
     # through the chunks either way and only dropped from the result

@@ -120,20 +120,22 @@ def test_weight_diff_rejects_mismatched_neighborhoods():
 def test_weight_diff_names_missing_weights():
     recs = records_for(BASE_SPEC, BASE_CFG)
     ds, _ = generate(BASE_SPEC)
-    narrow = fit_all(ds, BASE_CFG, wide=False)
+    narrow = fit_all(ds, BASE_CFG, keep="records")
     with pytest.raises(ValueError, match="requires weight_map.weights, which result_b does not hold"):
         weight_diff(recs, narrow)
     with pytest.raises(ValueError, match="requires weight_map.weights, which result_a does not hold"):
         weight_diff(narrow, recs)
 
 
-@pytest.mark.parametrize("exp_id, wide", [("e71", False), ("e72", True), ("e73", False), ("e74", True)])
-def test_experiment_records_keep_weights_only_where_weight_diff_reads_them(exp_id, wide):
+@pytest.mark.parametrize("exp_id, full", [("e71", False), ("e72", True), ("e73", False), ("e74", True)])
+def test_experiment_records_keep_weights_only_where_weight_diff_reads_them(exp_id, full):
     _, records = run_experiment(exp_id, base_seed=2)
     for result in records.values():
-        assert (result.weight_map.weights is not None) == wide
-        assert (result.fit.residuals is not None) == wide
-        assert (result.neighborhood.distances is not None) == wide
+        assert (result.weight_map.weights is not None) == full
+        assert (result.fit.residuals is not None) == full
+        assert (result.neighborhood.distances is not None) == full
+        # the records file reads these at every level an experiment fits
+        assert result.cond_wls2 is not None and result.fit.rmse_local is not None
         assert result.neighborhood.member_indices is not None
 
 
