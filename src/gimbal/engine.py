@@ -3,7 +3,11 @@
 fit_variants evaluates one or more configs that share K at every target of a
 dataset; fit_all is its one-config case. One neighbor query (the exact grid
 query of neighborhood.knn) finds every target's KNN neighborhood first; its
-read-only arrays become the neighborhood of every config's result. The
+read-only arrays become the neighborhood of every config's result. A fit of
+every row is its pool's one query and indexes the pool for it alone;
+fit_rows and predict, which a caller repeats on one pool (gimbal predict
+queries its training pool twice), query the dataset's own index of it
+(Dataset._indexed), built on the first query and reused by every later one. The
 targets then run in the equal chunks of neighborhood.batches(targets, K), so
 that a chunk's (C, K) arrays hold about BATCH_ELEMENTS elements whatever K,
 a stage's fixed cost per call is spread over as many rows as the budget
@@ -57,7 +61,7 @@ import numpy as np
 
 from . import kernels, solver
 from .geo import tangent_displacements
-from .neighborhood import ConfigurationError, Neighborhood, batches, knn
+from .neighborhood import ConfigurationError, Neighborhood, PoolIndex, batches, knn
 from .orientation import OrientationResult
 from .solver import LocalFit, cond_wls2, fitted_values
 from .weights import FALLBACK_UNDERFLOW, FALLBACK_UNIFORM, RealizedWeightMap
@@ -181,7 +185,11 @@ def check_coordinates(lat, lon, **columns):
 @dataclass(frozen=True)
 class Dataset:
     """Input columns; construction checks them with check_coordinates, and
-    ids (if given) for lat's length."""
+    ids (if given) for lat's length.
+
+    lat and lon are the dataset's own read-only copies, so that an index of
+    the pool they make (see _indexed) cannot go stale.
+    """
 
     lat: np.ndarray
     lon: np.ndarray
@@ -191,7 +199,11 @@ class Dataset:
 
     def __post_init__(self):
         for name in DATASET_COLUMNS:
-            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+            column = getattr(self, name)
+            if name in ("lat", "lon"):
+                column = np.array(column, dtype=np.float64, order="C")
+                column.flags.writeable = False
+            object.__setattr__(self, name, np.ascontiguousarray(column, dtype=np.float64))
         check_coordinates(**{name: getattr(self, name) for name in DATASET_COLUMNS})
         if self.ids is not None and len(self.ids) != self.n:
             raise ConfigurationError(f"column ids has length {len(self.ids)}, expected {self.n}")
@@ -199,6 +211,15 @@ class Dataset:
     @property
     def n(self):
         return self.lat.shape[0]
+
+    def _indexed(self):
+        """The dataset, its pool indexed from now on: knn answers every query
+        on lat and lon from one neighborhood.PoolIndex that the dataset
+        holds, built here on the first call, whose grids later queries
+        reuse."""
+        if "_pool_index" not in self.__dict__:
+            object.__setattr__(self, "_pool_index", PoolIndex(self.lat, self.lon))
+        return self
 
 
 # Dataset's numeric columns: its fields without a default (ids has one)
@@ -362,12 +383,13 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, keep):
     """_fit_targets over the chunks of neighborhood.batches(targets, K): one
     FitResult per config, each joined in order.
 
-    One neighbor query covers every target before the chunks run; each chunk
-    slices its rows. The query's arrays are marked read-only and become the
-    neighborhood of every config's result, shared, not copied; below "all"
-    a result keeps only its member rows. Result columns are allocated for
-    the fields a chunk's results hold, so a fit allocates no column its keep
-    level drops.
+    One neighbor query, knn on the dataset's coordinates (through its index
+    where it has one, see Dataset._indexed), covers every target before the
+    chunks run; each chunk slices its rows. The query's arrays are marked
+    read-only and become the neighborhood of every config's result, shared,
+    not copied; below "all" a result keeps only its member rows. Result
+    columns are allocated for the fields a chunk's results hold, so a fit
+    allocates no column its keep level drops.
     """
     if keep not in KEEP:
         raise ConfigurationError(f"keep must be one of {KEEP}, got {keep!r}")
@@ -415,7 +437,7 @@ def fit_rows(dataset, config, rows, keep="all"):
     if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n):
         raise ConfigurationError(f"rows must lie in [0, {dataset.n - 1}]")
     rows = rows.astype(np.intp)
-    return _fit_chunks(dataset, (config,), dataset.lat[rows], dataset.lon[rows], rows, keep)[0]
+    return _fit_chunks(dataset._indexed(), (config,), dataset.lat[rows], dataset.lon[rows], rows, keep)[0]
 
 
 def fit_location(dataset, config, target_index):
@@ -461,7 +483,7 @@ def predict(train, config, lats, lons, x, keep="all"):
     """
     lats, lons, x = (np.asarray(c, dtype=np.float64) for c in (lats, lons, x))
     check_coordinates(lats, lons, x=x)
-    result = _fit_chunks(train, (config,), lats, lons, np.full(lats.shape[0], -1), keep)[0]
+    result = _fit_chunks(train._indexed(), (config,), lats, lons, np.full(lats.shape[0], -1), keep)[0]
     beta = result.fit.beta
     # an extreme x overflows here as it does in the fit; see _fit_chunks
     with np.errstate(all="ignore"):

@@ -16,15 +16,22 @@ clears that bound cannot miss a point the full scan would gather, and it is
 answered by the same gather and re-rank as the full scan: members and
 distances agree bit for bit. Each target starts at the finest level whose
 block holds FILL * k points, found by a walk from a level set by the pool's
-size and spread. The query passes over the levels once, finest first: a
-row that fails its bound is lowered one level and keyed with the rows whose
-first level that is. The coarsest level is the full scan (every point is a
-candidate), which is also taken wherever a block would hold more than
-FULL_SCAN_SHARE of the pool. The rows of one cell share their block: its
-points are gathered once and keyed against all of those rows by one matrix
-product, many cells to a product of at most KEY_ELEMENTS keys, twice the
-package's one batch budget. Grids are built for the levels in use, and a
-level's grid is dropped once the pass has gone coarser than it.
+size and spread; the walk probes a finer level only for rows whose 2x2x2
+cells around the finer block hold that many. The query passes over the
+levels once, finest first: a row that fails its bound is lowered one level
+and keyed with the rows whose first level that is, the walk's first probe
+serving as the start level's blocks. The coarsest level is the full scan
+(every point is a candidate), which is also taken wherever a block would
+hold more than FULL_SCAN_SHARE of the pool. The rows of one cell share
+their block: its points are gathered once and keyed against all of those
+rows by one matrix product, many cells to a product of at most
+KEY_ELEMENTS keys, twice the package's one batch budget.
+
+knn indexes a pool for its one query: it builds the grids of the levels in
+use and drops each once the pass has gone coarser than it. A PoolIndex
+holds one pool's unit vectors, haversine table, start levels and grids for
+every query on it: gimbal predict's two queries of its training pool (the
+test points, then the training rows its correction reads) share one.
 
 Each key product is answered where it is computed: _gathered finds each
 row's k-th key, checks the row's bound and gathers every candidate within
@@ -38,6 +45,7 @@ products, so no cut moves a bit of the result.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -141,8 +149,11 @@ class _Grid:
         keys = self.cells(pool)
         self.order = np.argsort(keys, kind="stable")
         self._keys = keys[self.order]
-        # a block's first key in each column, relative to its centre cell's key
-        self._columns = (_COLUMNS[:, 0] * self._width + _COLUMNS[:, 1]) * self._width - 1
+        # the first key of each of a block's nine columns and of the three cells
+        # along z in it, and the key after the column, relative to the centre
+        # cell's key: ascending, as a column is W > 3 keys from the next
+        self._bounds = ((_COLUMNS[:, 0] * self._width + _COLUMNS[:, 1]) * self._width - 1
+                        + np.arange(4)[:, None]).T.ravel()
 
     @cached_property
     def points(self):
@@ -165,27 +176,62 @@ class _Grid:
         near = np.minimum(1.0 + frac, 2.0 - frac)
         return np.minimum(np.minimum(near[..., 0], near[..., 1]), near[..., 2]) / self._scale
 
+    def octants(self, points):
+        """Which half of its cell each (..., 3) point lies in along each axis,
+        as an octant in [0, 8): bit 2 for x, 1 for y, 0 for z, set for the
+        upper half. The half is the parity of the point's cell one level
+        finer, computed as that level's grid computes it."""
+        half = np.floor(points * (2.0 * self._scale)).astype(np.int64) & 1
+        return (half[..., 0] << 2) | (half[..., 1] << 1) | half[..., 2]
+
     def blocks(self, points):
-        """(cell_of, starts, lengths) of the G distinct cells of the points:
-        each point's cell as an index in [0, G), and where the nine runs of
-        the block around each cell start in the sorted order and how many
-        points each holds, (G, 9) each."""
+        """(cell_of, starts, lengths, inner) of the G distinct cells of the
+        points: each point's cell as an index in [0, G); where the nine runs
+        of the block around each cell start in the sorted order and how many
+        points each holds, (G, 9) each; and inner, (8, G), the points of the
+        2x2x2 cells of the block that hold the block one level finer around
+        a point in each octant of the cell (see octants): on each axis the
+        cell and its neighbor on the point's side. The block one level finer
+        lies inside them, so it holds at most that many points."""
         cells, cell_of = np.unique(self.cells(points), return_inverse=True)
-        first = cells[:, None] + self._columns
-        starts = np.searchsorted(self._keys, first, "left")
-        return cell_of, starts, np.searchsorted(self._keys, first + 2, "right") - starts
+        # one search for every cell's 36 bounds, as (36, G) rows: each row
+        # is a sorted run of keys, which searchsorted walks faster than
+        # the same keys in cell order
+        bounds = np.searchsorted(self._keys, self._bounds[:, None] + cells).reshape(9, 4, -1)
+        # the points of each of the block's 27 cells, (dx, dy, dz, G)
+        counts = np.diff(bounds, axis=1).reshape(3, 3, 3, -1)
+        pairs = counts[:-1] + counts[1:]
+        pairs = pairs[:, :-1] + pairs[:, 1:]
+        inner = (pairs[:, :, :-1] + pairs[:, :, 1:]).reshape(8, -1)
+        starts = np.ascontiguousarray(bounds[:, 0].T)
+        return cell_of, starts, bounds[:, 3].T - starts, inner
 
 
 class _Grids(dict):
-    """The grid of each level, built when first asked for."""
+    """A pool's grid of each level, built when first asked for, and the level
+    walk's start level for each need, computed when first asked for.
 
-    def __init__(self, pool):
+    kept says whether a query leaves its grids for the next query (a
+    PoolIndex's) or drops each one once it has gone coarser than it (knn's
+    one shot). probe holds the level walk's first probe while its query
+    runs: (targets, level, cell_of, starts, lengths), covering every target.
+    """
+
+    def __init__(self, pool, kept=False):
         super().__init__()
         self.pool = pool
+        self.kept = kept
+        self.probe = None
+        self._starts = {}
 
     def __missing__(self, level):
         grid = self[level] = _Grid(self.pool, level)
         return grid
+
+    def start_level(self, need):
+        if need not in self._starts:
+            self._starts[need] = _start_level(self.pool, need)
+        return self._starts[need]
 
 
 def _ragged_arange(starts, lengths):
@@ -202,17 +248,25 @@ def _take_rows(a, columns):
 def _start_level(pool, need):
     """The level nearest the one whose block holds need points about a
     typical point of the pool, were its density that of a Gaussian with the
-    pool's spread: the two largest eigenvalues l1, l2 of the unit vectors'
-    covariance give a peak density N / (2 pi sqrt(l1 l2)), a typical point
-    sees half of it, and a block's section of the sphere is about 9 s**2.
+    pool's spread, read in two dimensions and in one, whichever gives the
+    coarser level. With l1 >= l2 the two largest eigenvalues of the unit
+    vectors' covariance, a 2-D Gaussian has peak density
+    N / (2 pi sqrt(l1 l2)), a typical point sees half of it, and a block's
+    section of the sphere is about 9 s**2; a 1-D one along l1 (a transect,
+    whose l2 is its jitter) has a typical density N / (2 sqrt(pi l1)) per
+    unit length, and a block's section of the line is about 3 s. The 1-D
+    level is the finer by log2(N / need) / 2 + log2(l2 / l1) / 4 before
+    rounding, so it is the start only where l2 / l1 < (need / N)**2.
     Clamped to [0, FINEST_LEVEL]; a pool with no spread (coincident points)
     starts finest."""
-    l2, l1 = np.linalg.eigvalsh(np.cov(pool, rowvar=False))[1:]
-    spread = math.sqrt(max(l1, 0.0) * max(l2, 0.0))
-    if spread == 0.0:
-        return FINEST_LEVEL
-    level = round(0.5 * math.log2(9.0 * pool.shape[0] / (need * 4.0 * math.pi * spread)))
-    return min(max(level, 0), FINEST_LEVEL)
+    l2, l1 = (max(l, 0.0) for l in np.linalg.eigvalsh(np.cov(pool, rowvar=False))[1:])
+    n = pool.shape[0]
+    level = FINEST_LEVEL
+    if l1 * l2 > 0.0:
+        level = min(level, round(0.5 * math.log2(9.0 * n / (need * 4.0 * math.pi * math.sqrt(l1 * l2)))))
+    if l1 > 0.0:
+        level = min(level, round(math.log2(3.0 * n / (need * 2.0 * math.sqrt(math.pi * l1)))))
+    return max(level, 0)
 
 
 def _first_levels(grids, targets, need):
@@ -221,26 +275,31 @@ def _first_levels(grids, targets, need):
     levels (a block lies inside its coarser level's block), so a walk from
     any level finds it: a row whose block holds need points goes finer until
     it does not, any other goes coarser until it does. The walk starts at
-    _start_level of the pool, where most rows need one or two probes."""
-
-    def holds(level, rows):
-        cell_of, _, lengths = grids[level].blocks(targets[rows])
-        return np.sum(lengths, axis=-1)[cell_of] >= need
-
-    start = _start_level(grids.pool, need)
+    the pool's _start_level, where most rows need one or two probes, and
+    probes a level finer only for the rows whose 2x2x2 cells holding the
+    finer block (blocks' inner) hold need points: for any other the finer
+    block holds fewer, and the probe could only fail. The first probe, of
+    every target, is left in grids.probe for the key pass."""
+    start = grids.start_level(need)
     first = np.full(targets.shape[0], -1)
-    held = holds(start, np.arange(targets.shape[0]))
+    cell_of, starts, lengths, inner = grids[start].blocks(targets)
+    grids.probe = (targets, start, cell_of, starts, lengths)
+    held = np.sum(lengths, axis=-1)[cell_of] >= need
     finer, coarser = np.flatnonzero(held), np.flatnonzero(~held)
     first[finer] = start
     for level in range(start + 1, FINEST_LEVEL + 1):
+        finer = finer[inner[grids[level - 1].octants(targets[finer]), cell_of[held]] >= need]
         if not finer.shape[0]:
             break
-        finer = finer[holds(level, finer)]
+        cell_of, _, lengths, inner = grids[level].blocks(targets[finer])
+        held = np.sum(lengths, axis=-1)[cell_of] >= need
+        finer = finer[held]
         first[finer] = level
     for level in range(start - 1, -1, -1):
         if not coarser.shape[0]:
             break
-        held = holds(level, coarser)
+        cell_of, _, lengths, _ = grids[level].blocks(targets[coarser])
+        held = np.sum(lengths, axis=-1)[cell_of] >= need
         first[coarser[held]] = level
         coarser = coarser[~held]
     return first
@@ -267,7 +326,14 @@ def _key_blocks(grids, level, pool, targets, rows):
     full = rows
     if level >= 0:
         grid = grids[level]
-        cell_of, starts, lengths = grid.blocks(targets[rows])
+        probe = grids.probe
+        if probe is not None and probe[0] is targets and probe[1] == level:
+            # the level walk's first probe covers every target: its cells
+            # beyond these rows' change no piece or order. It is read once
+            grids.probe = None
+            cell_of, starts, lengths = probe[2][rows], probe[3], probe[4]
+        else:
+            cell_of, starts, lengths, _ = grid.blocks(targets[rows])
         size = np.sum(lengths, axis=-1)
         small = size[cell_of] <= FULL_SCAN_SHARE * n
         full = rows[~small]
@@ -332,9 +398,10 @@ def _gathered(grids, pool, targets, level, k):
     limit = np.empty(targets.shape[0])
     for lv in range(level.max(initial=-1), -2, -1):
         # rows only go coarser, so a grid finer than lv (on the first step,
-        # the probes of _first_levels) is never read again
-        for finer in [g for g in grids if g > lv]:
-            del grids[finer]
+        # the probes of _first_levels) is never read again in this query
+        if not grids.kept:
+            for finer in [g for g in grids if g > lv]:
+                del grids[finer]
         at = np.flatnonzero(level == lv)
         if not at.shape[0]:
             continue
@@ -396,6 +463,58 @@ def check_k(k, n):
         raise ConfigurationError(f"K={k} outside the eligible range [1, {n}]")
 
 
+class PoolIndex:
+    """A pool of points indexed once for any number of neighbor queries: its
+    unit vectors and haversine table, the level walk's start level for each
+    need, and every grid a query has built, which later queries reuse.
+
+    Queried one query at a time. While an index lives, knn answers every
+    query on its own lats and lons arrays from it (see knn), so the arrays
+    must not change: a Dataset's coordinate columns are read-only copies.
+    """
+
+    def __init__(self, lats, lons):
+        self.lats, self.lons = lats, lons
+        lats, lons = (np.asarray(a, dtype=np.float64) for a in (lats, lons))
+        self.pool = unit_vectors(lats, lons)
+        # the re-rank gathers each point's haversine terms, computed once here
+        self.table = haversine_table(lats, lons)
+        self.grids = _Grids(self.pool, kept=True)
+        _INDEXES[id(self.lats)] = self
+
+    def query(self, target_lats, target_lons, k):
+        """knn's answer for the pool, from this index."""
+        return _query(self.pool, self.table, self.grids, target_lats, target_lons, k)
+
+
+# The live PoolIndex of each pool, by the id of its lats array: knn keeps
+# its (lats, lons, ...) signature, so it finds an index through the pool's
+# arrays. An index holds its arrays, so no other array takes that id while
+# its entry is here, and the entry goes with the index.
+_INDEXES = weakref.WeakValueDictionary()
+
+
+def _query(pool, table, grids, target_lats, target_lons, k):
+    """knn's answer for the pool of unit vectors pool and haversine table
+    table, whose grids are grids (see knn)."""
+    n = pool.shape[0]
+    check_k(k, n)
+    target_lats, target_lons = (np.asarray(a, dtype=np.float64) for a in (target_lats, target_lons))
+    targets = unit_vectors(target_lats, target_lons)
+    target_table = haversine_table(target_lats, target_lons)
+    members = np.empty((targets.shape[0], k), dtype=np.intp)
+    distances = np.empty(members.shape, dtype=np.float64)
+    need = FILL * k
+    if need > FULL_SCAN_SHARE * n:
+        level = np.full(targets.shape[0], -1)
+    else:
+        level = _first_levels(grids, targets, need)
+    for rows, count, cand in _gathered(grids, pool, targets, level, k):
+        members[rows], distances[rows] = _rerank(table, target_table, k, rows, count, cand)
+    grids.probe = None
+    return members, distances
+
+
 def knn(lats, lons, target_lats, target_lons, k):
     """The k nearest points to each target by haversine distance.
 
@@ -407,25 +526,15 @@ def knn(lats, lons, target_lats, target_lons, k):
     index), each key product's rows right after that product is computed.
     A grid row whose k-th cosine does not clear its own block's bound (set
     by its clearance) is keyed again with the next coarser level's rows.
-    """
-    lats, lons, target_lats, target_lons = (
-        np.asarray(a, dtype=np.float64) for a in (lats, lons, target_lats, target_lons))
-    n = lats.shape[0]
-    check_k(k, n)
 
+    A pool with a live PoolIndex (the lats and lons arrays it was built on)
+    is queried through it; any other is indexed for this query alone, and
+    each of its grids is dropped once the query has gone coarser than it.
+    The two answer bit for bit alike.
+    """
+    index = _INDEXES.get(id(lats))
+    if index is not None and index.lats is lats and index.lons is lons:
+        return index.query(target_lats, target_lons, k)
+    lats, lons = (np.asarray(a, dtype=np.float64) for a in (lats, lons))
     pool = unit_vectors(lats, lons)
-    targets = unit_vectors(target_lats, target_lons)
-    # the re-rank gathers each point's haversine terms, computed once here
-    table = haversine_table(lats, lons)
-    target_table = haversine_table(target_lats, target_lons)
-    members = np.empty((targets.shape[0], k), dtype=np.intp)
-    distances = np.empty(members.shape, dtype=np.float64)
-    grids = _Grids(pool)
-    need = FILL * k
-    if need > FULL_SCAN_SHARE * n:
-        level = np.full(targets.shape[0], -1)
-    else:
-        level = _first_levels(grids, targets, need)
-    for rows, count, cand in _gathered(grids, pool, targets, level, k):
-        members[rows], distances[rows] = _rerank(table, target_table, k, rows, count, cand)
-    return members, distances
+    return _query(pool, haversine_table(lats, lons), _Grids(pool), target_lats, target_lons, k)

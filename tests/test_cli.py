@@ -15,6 +15,7 @@ import pytest
 
 import gimbal.cli
 import gimbal.engine
+import gimbal.neighborhood
 import gimbal.solver
 from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv, write_records_csv
 from gimbal.diagnostics import DEFAULT_K_MORAN, DEFAULT_KAPPA_QUANTILE, DEFAULT_NEFF_FLOOR, reliability_mask
@@ -933,6 +934,41 @@ def test_predict_skips_the_work_its_file_does_not_read(tmp_path, monkeypatch):
     chunks = len(batches(1200, 50))
     assert chunks > 1
     assert calls == {"cond_wls2": chunks, "_summaries": chunks}
+
+
+def test_predict_indexes_its_training_pool_once(tmp_path, monkeypatch):
+    # predict_pool's shapes: the query of the test points and the query of
+    # the training rows the correction reads share one index of the
+    # training pool, so no level's grid of it is built twice and the walk's
+    # start level is computed once (two queries each, without the index)
+    write_dataset_csv(tmp_path / "train.csv", generate(SimSpec(n=4800, seed=1))[0])
+    write_dataset_csv(tmp_path / "test.csv", generate(SimSpec(n=1200, seed=2))[0])
+    neighborhood = gimbal.neighborhood
+    queries, built, started = [], [], []
+    knn, grid_init, start_level = gimbal.engine.knn, neighborhood._Grid.__init__, neighborhood._start_level
+
+    def spied_knn(*args):
+        queries.append(args[2].shape[0])
+        return knn(*args)
+
+    def spied_init(grid, pool, level):
+        built.append((pool.shape[0], level))
+        grid_init(grid, pool, level)
+
+    def spied_start_level(pool, need):
+        started.append(pool.shape[0])
+        return start_level(pool, need)
+
+    monkeypatch.setattr(gimbal.engine, "knn", spied_knn)
+    monkeypatch.setattr(neighborhood._Grid, "__init__", spied_init)
+    monkeypatch.setattr(neighborhood, "_start_level", spied_start_level)
+    rc = main(["predict", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+               "--out", str(tmp_path / "pred.csv"), "--residual-knn", "10"])
+    assert rc == 0
+    assert len(queries) == 2 and queries[0] == 1200
+    assert built and {size for size, _ in built} == {4800}
+    assert len(built) == len(set(built))
+    assert started == [4800]
 
 
 def test_predict_residual_knn_zero_residuals(tmp_path, capsys):

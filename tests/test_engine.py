@@ -73,6 +73,19 @@ def test_dataset_rejects_ids_of_another_length():
         Dataset(lat=np.zeros(3), lon=np.zeros(3), x=np.zeros(3), y=np.zeros(3), ids=np.array(["a"]))
 
 
+def test_dataset_coordinates_are_read_only_copies():
+    # an index of the pool they make must not go stale; the caller's own
+    # columns stay writable
+    lat, lon, x, y = (np.linspace(35.0, 35.1, 5), np.linspace(135.0, 135.1, 5), np.zeros(5), np.ones(5))
+    ds = Dataset(lat=lat, lon=lon, x=x, y=y)
+    for name in ("lat", "lon"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0] = 0.0
+    lat[0] = lon[0] = 1.0
+    assert ds.lat[0] == 35.0 and ds.lon[0] == 135.0
+    assert np.array_equal(ds.x, x) and np.array_equal(ds.y, y)
+
+
 def test_fit_location_deterministic():
     ds = small_dataset()
     cfg = GimbalConfig(k=20)

@@ -794,6 +794,159 @@ def test_start_level_follows_the_pool_spread(monkeypatch):
         assert walk_probes(monkeypatch, pool, need) < middle
 
 
+def transect(n=4800):
+    """n points along one meridian over 0.5 degrees, with ~0.5 m of jitter
+    across it: a pool spread in one dimension."""
+    rng = np.random.default_rng(36)
+    return (35.0 + rng.uniform(0.0, 0.5, n) + rng.normal(0.0, 0.5 / 111e3, n),
+            135.0 + rng.normal(0.0, 0.5 / 91e3, n))
+
+
+def test_a_transect_starts_where_its_blocks_hold_need(monkeypatch):
+    # read as a 2-D Gaussian, the transect's density would start the walk at
+    # level 16, four probes a row above its first levels; read in one
+    # dimension it starts at 13
+    lats, lons = transect()
+    pool = unit_vectors(lats, lons)
+    need = neighborhood.FILL * 50
+    assert neighborhood._start_level(pool, need) == 13
+    assert walk_probes(monkeypatch, pool, need) <= 2 * pool.shape[0]
+    rows = np.arange(0, pool.shape[0], 3)
+    assert_grid_matches(monkeypatch, lats, lons, lats[rows], lons[rows], 50)
+    # the workloads' pools are spread in two dimensions: their start levels
+    # are the 2-D reading's (predict_pool, fit_large, experiment_sweep)
+    for spec, k, level in ((SimSpec(n=4800, seed=1), 50, 10),
+                           (SimSpec(n=4800, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1), 50, 9),
+                           (SimSpec(extent=25_000.0, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, c_rad=0.0,
+                                    seed=1), 30, 9)):
+        ds, _ = generate(spec)
+        assert neighborhood._start_level(unit_vectors(ds.lat, ds.lon), neighborhood.FILL * k) == level
+
+
+# ---- one index per pool: a PoolIndex answers every query on its pool as a
+# one-shot query does, whatever the queries before it left in its grids
+
+def read_only(*columns):
+    """Read-only float copies of the columns, as a Dataset holds lat and lon."""
+    copies = [np.array(column, dtype=np.float64) for column in columns]
+    for column in copies:
+        column.flags.writeable = False
+    return copies
+
+
+def index_fixtures(rng):
+    """The grid tests' pools, each as (lats, lons, target lats, target lons)
+    with targets given as points, as a prediction's are, some of them on
+    pool points: the lattice on cell faces and across lon 180, points about
+    both poles, a dense cluster in a sparse field, and duplicates straddling
+    the equator in a field."""
+    steps = np.arange(-20, 21) * 0.001
+    lat_grid, lon_grid = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
+    lattice = (np.concatenate([lat_grid, lat_grid]),
+               np.concatenate([lon_grid, np.where(lon_grid > 0.0, lon_grid - 180.0, lon_grid + 180.0)]),
+               np.array([0.0, 0.0, 0.0, 0.0015, -0.0205, 0.0, 0.0, 0.0, 0.0055]),
+               np.array([0.0005, 180.0, -180.0, 0.0, 0.02, 0.0105, 179.9995, -179.9905, -180.0]))
+    poles = (*pole_points(rng), np.array([90.0, -90.0, 89.95, -89.995]), np.array([0.0, 0.0, 180.0, -37.0]))
+    cluster = (*cluster_points(rng), *random_cloud(rng, 40, spread=20.0))
+    base_lats = np.array([-1e-9, 0.0, 1e-9, 0.0, -1e-7, 1e-7])
+    base_lons = np.array([0.0, 0.0, 0.0, 1e-9, 0.0, 0.0])
+    picks = rng.integers(0, base_lats.shape[0], 300)
+    duplicates = (np.concatenate([base_lats[picks], rng.uniform(-0.5, 0.5, 900)]),
+                  np.concatenate([base_lons[picks], rng.uniform(-0.5, 0.5, 900)]),
+                  np.concatenate([[0.0, 5e-10], rng.uniform(-0.01, 0.01, 30)]),
+                  np.concatenate([[0.0, 0.0], rng.uniform(-0.01, 0.01, 30)]))
+    return {"lattice": lattice, "poles": poles, "cluster": cluster, "duplicates": duplicates}
+
+
+@pytest.mark.parametrize("fixture", ["lattice", "poles", "cluster", "duplicates"])
+def test_a_shared_index_answers_as_one_shot_queries(monkeypatch, fixture):
+    # out-of-pool targets, then in-sample rows, then those rows at another k,
+    # all through one index: each answer is bitwise that of a one-shot query
+    # (on copies of the pool, which no index holds) and of the full scan
+    lats, lons, target_lats, target_lons = index_fixtures(np.random.default_rng(35))[fixture]
+    lats, lons = read_only(lats, lons)
+    index = neighborhood.PoolIndex(lats, lons)
+    rows = np.arange(0, lats.shape[0], 7)
+    for tlats, tlons, k in ((target_lats, target_lons, 12), (lats[rows], lons[rows], 12),
+                            (lats[rows], lons[rows], 40)):
+        members, distances = knn(lats, lons, tlats, tlons, k)
+        one_shot = knn(lats.copy(), lons.copy(), tlats, tlons, k)
+        full = full_scan(monkeypatch, lats.copy(), lons.copy(), tlats, tlons, k)
+        for expect_members, expect_distances in (one_shot, full):
+            assert np.array_equal(members, expect_members)
+            assert np.array_equal(distances.view(np.int64), expect_distances.view(np.int64))
+    # the queries went through the index, which kept its grids
+    assert len(index.grids) >= 2
+
+
+def test_a_pool_index_is_queried_only_on_its_own_arrays():
+    # knn finds an index by its lats and lons arrays, never by equal values,
+    # and an index no longer held is gone
+    rng = np.random.default_rng(37)
+    lats, lons = read_only(*random_cloud(rng, 500))
+    index = neighborhood.PoolIndex(lats, lons)
+    for other_lats, other_lons in ((lats.copy(), lons), (lats, lons.copy())):
+        knn(other_lats, other_lons, lats[:20], lons[:20], 10)
+        assert not index.grids
+    knn(lats, lons, lats[:20], lons[:20], 10)
+    assert index.grids
+    del index
+    assert id(lats) not in neighborhood._INDEXES
+
+
+@st.composite
+def bound_cases(draw):
+    """A pool, targets among and about it, and a level in [0, FINEST_LEVEL):
+    uniform or clustered points, polar ones, or a 3-D lattice of the level's
+    half-cell faces (points off the sphere: a grid bins any point of the
+    cube [-1, 1]**3)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "clustered", "lattice", "polar"]))
+    level = draw(st.integers(0, neighborhood.FINEST_LEVEL - 1))
+    n = draw(st.integers(1, 400))
+    scale = 2.0 ** -level
+    if kind == "uniform":
+        pool = unit_vectors(*random_cloud(rng, n, spread=4e4 * scale * rng.uniform(0.1, 10.0)))
+    elif kind == "clustered":
+        centres = rng.integers(0, 4, n)
+        spread = 60.0 * scale * rng.uniform(0.01, 3.0)
+        pool = unit_vectors(35.0 + rng.uniform(-30.0, 30.0, 4)[centres] * scale + rng.normal(0.0, spread, n),
+                            135.0 + rng.uniform(-30.0, 30.0, 4)[centres] * scale + rng.normal(0.0, spread, n))
+    elif kind == "lattice":
+        base = np.floor(rng.uniform(-1.0, 1.0, 3) / scale) * scale
+        pool = np.clip(base + rng.integers(-6, 7, (n, 3)) * scale / 2.0, -1.0, 1.0)
+    else:
+        lats = np.where(rng.random(n) < 0.5, 1.0, -1.0) * (90.0 - rng.uniform(0.0, 1e3 * scale, n))
+        lats[:min(n, 3)] = 90.0
+        pool = unit_vectors(lats, rng.uniform(-180.0, 180.0, n))
+    step = scale / 2.0 if kind == "lattice" else scale * rng.uniform(0.0, 2.0)
+    targets = np.concatenate([pool[:30], pool[:20] + rng.integers(-3, 4, (min(n, 20), 3)) * step])
+    return pool, np.clip(targets, -1.0, 1.0), level
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_cases())
+def test_property_the_walks_bound_holds_the_finer_block(case):
+    # the 2x2x2 cells of a level on a target's side of its cell on each axis
+    # hold every point of its block one level finer: blocks' inner counts
+    # them, and is never below the finer block's count
+    pool, targets, level = case
+    grid = neighborhood._Grid(pool, level)
+    cell_of, _, lengths, inner = grid.blocks(targets)
+    bound = inner[grid.octants(targets), cell_of]
+    cells, finer_cells = (np.floor(points * 2.0 ** level) for points in (pool, pool * 2.0))
+    own, finer_own = (np.floor(points * 2.0 ** level) for points in (targets, targets * 2.0))
+    offset, finer_offset = own[:, None] - cells[None], finer_own[:, None] - finer_cells[None]
+    block = np.count_nonzero(np.all(np.abs(offset) <= 1, axis=-1), axis=1)
+    finer_block = np.count_nonzero(np.all(np.abs(finer_offset) <= 1, axis=-1), axis=1)
+    # the upper half of a cell is an odd cell one level finer
+    upper = (finer_own - 2.0 * own)[:, None]
+    sides = np.count_nonzero(np.all((offset == 0) | (offset == 1 - 2 * upper), axis=-1), axis=1)
+    assert np.array_equal(np.sum(lengths, axis=-1)[cell_of], block)
+    assert np.array_equal(bound, sides)
+    assert np.all(bound >= finer_block)
+
+
 def test_only_rows_tied_among_their_first_k_plus_one_take_the_lexsort(monkeypatch):
     steps = np.arange(-20, 21) * 0.001
     lats, lons = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
