@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .neighborhood import ConfigurationError, batches, knn
+from .neighborhood import ConfigurationError, PoolIndex, batches, knn
 
 DEFAULT_K_MORAN = 8
 # reliability_mask defaults: kappa above its 95% quantile is fragile; no ESS floor
@@ -66,7 +66,7 @@ def moran_adjacency(finite, lats, lons, members, k_moran=DEFAULT_K_MORAN):
     short = np.flatnonzero(short)
     if short.size:
         lats, lons = np.asarray(lats)[subset], np.asarray(lons)[subset]
-        near, _ = knn(lats, lons, lats[short], lons[short], k_moran + 1)
+        near, _ = knn(PoolIndex(lats, lons), lats[short], lons[short], k_moran + 1)
         # drop the row's own point, or its last one where coincident points
         # of smaller index leave the own point out
         own = near == short[:, None]

@@ -3,11 +3,11 @@
 fit_variants evaluates one or more configs that share K at every target of a
 dataset; fit_all is its one-config case. One neighbor query (the exact grid
 query of neighborhood.knn) finds every target's KNN neighborhood first; its
-read-only arrays become the neighborhood of every config's result. A fit of
-every row is its pool's one query and indexes the pool for it alone;
-fit_rows and predict, which a caller repeats on one pool (gimbal predict
-queries its training pool twice), query the dataset's own index of it
-(Dataset._indexed), built on the first query and reused by every later one. The
+read-only arrays become the neighborhood of every config's result. The query
+is on the index the caller names: a fit of every row is its pool's one query
+and indexes the pool for it alone; fit_rows and predict, which a caller
+repeats on one pool (gimbal predict queries its training pool twice), query
+Dataset.pool_index, built on the first query and kept with its grids. The
 targets then run in the equal chunks of neighborhood.batches(targets, K), so
 that a chunk's (C, K) arrays hold about BATCH_ELEMENTS elements whatever K,
 a stage's fixed cost per call is spread over as many rows as the budget
@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -187,8 +187,8 @@ class Dataset:
     """Input columns; construction checks them with check_coordinates, and
     ids (if given) for lat's length.
 
-    lat and lon are the dataset's own read-only copies, so that an index of
-    the pool they make (see _indexed) cannot go stale.
+    lat and lon are the dataset's own read-only copies, so that pool_index
+    stays the index of its columns.
     """
 
     lat: np.ndarray
@@ -212,14 +212,11 @@ class Dataset:
     def n(self):
         return self.lat.shape[0]
 
-    def _indexed(self):
-        """The dataset, its pool indexed from now on: knn answers every query
-        on lat and lon from one neighborhood.PoolIndex that the dataset
-        holds, built here on the first call, whose grids later queries
-        reuse."""
-        if "_pool_index" not in self.__dict__:
-            object.__setattr__(self, "_pool_index", PoolIndex(self.lat, self.lon))
-        return self
+    @cached_property
+    def pool_index(self):
+        """The neighborhood.PoolIndex of lat and lon, built on first use and
+        kept with its grids for every later query."""
+        return PoolIndex(self.lat, self.lon, kept=True)
 
 
 # Dataset's numeric columns: its fields without a default (ids has one)
@@ -379,17 +376,17 @@ def _fit_targets(dataset, configs, x_std, lat0, lon0, index, members, distances,
         )
 
 
-def _fit_chunks(dataset, configs, lat0, lon0, index, keep):
+def _fit_chunks(dataset, pool_index, configs, lat0, lon0, index, keep):
     """_fit_targets over the chunks of neighborhood.batches(targets, K): one
     FitResult per config, each joined in order.
 
-    One neighbor query, knn on the dataset's coordinates (through its index
-    where it has one, see Dataset._indexed), covers every target before the
-    chunks run; each chunk slices its rows. The query's arrays are marked
-    read-only and become the neighborhood of every config's result, shared,
-    not copied; below "all" a result keeps only its member rows. Result
-    columns are allocated for the fields a chunk's results hold, so a fit
-    allocates no column its keep level drops.
+    One neighbor query, knn on pool_index (an index of the dataset's
+    coordinates), covers every target before the chunks run; each chunk
+    slices its rows. The query's arrays are marked read-only and become the
+    neighborhood of every config's result, shared, not copied; below "all"
+    a result keeps only its member rows. Result columns are allocated for
+    the fields a chunk's results hold, so a fit allocates no column its
+    keep level drops.
     """
     if keep not in KEEP:
         raise ConfigurationError(f"keep must be one of {KEEP}, got {keep!r}")
@@ -399,7 +396,7 @@ def _fit_chunks(dataset, configs, lat0, lon0, index, keep):
     ks = sorted({config.k for config in configs})
     if len(ks) > 1:
         raise ConfigurationError(f"configs must share K, got K in {ks}")
-    members, distances = knn(dataset.lat, dataset.lon, lat0, lon0, ks[0])
+    members, distances = knn(pool_index, lat0, lon0, ks[0])
     members.flags.writeable = distances.flags.writeable = False
     n = index.shape[0]
     results = [None] * len(configs)
@@ -437,7 +434,7 @@ def fit_rows(dataset, config, rows, keep="all"):
     if rows.size and not (rows.min() >= 0 and rows.max() < dataset.n):
         raise ConfigurationError(f"rows must lie in [0, {dataset.n - 1}]")
     rows = rows.astype(np.intp)
-    return _fit_chunks(dataset._indexed(), (config,), dataset.lat[rows], dataset.lon[rows], rows, keep)[0]
+    return _fit_chunks(dataset, dataset.pool_index, (config,), dataset.lat[rows], dataset.lon[rows], rows, keep)[0]
 
 
 def fit_location(dataset, config, target_index):
@@ -463,7 +460,8 @@ def fit_variants(dataset, configs, keep="all"):
     fit.r2_local, fit.r2_defined), which are never computed. No level
     changes a field it keeps.
     """
-    return _fit_chunks(dataset, configs, dataset.lat, dataset.lon, np.arange(dataset.n), keep)
+    return _fit_chunks(dataset, PoolIndex(dataset.lat, dataset.lon), configs, dataset.lat, dataset.lon,
+                       np.arange(dataset.n), keep)
 
 
 def fit_all(dataset, config, keep="all"):
@@ -483,7 +481,7 @@ def predict(train, config, lats, lons, x, keep="all"):
     """
     lats, lons, x = (np.asarray(c, dtype=np.float64) for c in (lats, lons, x))
     check_coordinates(lats, lons, x=x)
-    result = _fit_chunks(train._indexed(), (config,), lats, lons, np.full(lats.shape[0], -1), keep)[0]
+    result = _fit_chunks(train, train.pool_index, (config,), lats, lons, np.full(lats.shape[0], -1), keep)[0]
     beta = result.fit.beta
     # an extreme x overflows here as it does in the fit; see _fit_chunks
     with np.errstate(all="ignore"):

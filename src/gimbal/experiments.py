@@ -89,7 +89,7 @@ def summarize(result):
     if n_ill == n_targets:
         raise ValueError("summarize requires at least one well-posed record")
 
-    kappa = fit.m_nor_condition[well]
+    p50, p95, p99 = np.percentile(fit.m_nor_condition[well], [50, 95, 99])
     n_uniform = int(np.count_nonzero(wmap.fallback_uniform))
     moments = {}
     for name, column in (
@@ -102,9 +102,9 @@ def summarize(result):
     return MapSummary(
         n_targets=n_targets,
         n_ill_posed=n_ill,
-        p50_kappa=float(np.percentile(kappa, 50)),
-        p95_kappa=float(np.percentile(kappa, 95)),
-        p99_kappa=float(np.percentile(kappa, 99)),
+        p50_kappa=float(p50),
+        p95_kappa=float(p95),
+        p99_kappa=float(p99),
         pr_phi_zero=int(np.count_nonzero(orient.phi_deactivated)) / n_targets,
         pr_theta_zero=int(np.count_nonzero(orient.theta_deactivated)) / n_targets,
         pr_uniform=n_uniform / n_targets,

@@ -27,11 +27,13 @@ their block: its points are gathered once and keyed against all of those
 rows by one matrix product, many cells to a product of at most
 KEY_ELEMENTS keys, twice the package's one batch budget.
 
-knn indexes a pool for its one query: it builds the grids of the levels in
-use and drops each once the pass has gone coarser than it. A PoolIndex
-holds one pool's unit vectors, haversine table, start levels and grids for
-every query on it: gimbal predict's two queries of its training pool (the
-test points, then the training rows its correction reads) share one.
+knn queries the PoolIndex it is given, and nothing else: an index is a
+snapshot of the pool's unit vectors and haversine table, with the start
+levels and grids its queries build. An index built for one query drops each
+grid once the pass has gone coarser than it; a kept one (a Dataset's
+pool_index) keeps them for the next query, so gimbal predict's two queries
+of its training pool (the test points, then the training rows its
+correction reads) share its grids.
 
 Each key product is answered where it is computed: _gathered finds each
 row's k-th key, checks the row's bound and gathers every candidate within
@@ -45,7 +47,6 @@ products, so no cut moves a bit of the result.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -211,17 +212,14 @@ class _Grids(dict):
     """A pool's grid of each level, built when first asked for, and the level
     walk's start level for each need, computed when first asked for.
 
-    kept says whether a query leaves its grids for the next query (a
-    PoolIndex's) or drops each one once it has gone coarser than it (knn's
-    one shot). probe holds the level walk's first probe while its query
-    runs: (targets, level, cell_of, starts, lengths), covering every target.
+    kept says whether a query leaves its grids for the next query or drops
+    each one once it has gone coarser than it (see PoolIndex).
     """
 
     def __init__(self, pool, kept=False):
         super().__init__()
         self.pool = pool
         self.kept = kept
-        self.probe = None
         self._starts = {}
 
     def __missing__(self, level):
@@ -278,12 +276,13 @@ def _first_levels(grids, targets, need):
     the pool's _start_level, where most rows need one or two probes, and
     probes a level finer only for the rows whose 2x2x2 cells holding the
     finer block (blocks' inner) hold need points: for any other the finer
-    block holds fewer, and the probe could only fail. The first probe, of
-    every target, is left in grids.probe for the key pass."""
+    block holds fewer, and the probe could only fail. Returns the levels
+    and the first probe, of every target, for the key pass: (start level,
+    cell_of, starts, lengths) as _Grid.blocks gives them."""
     start = grids.start_level(need)
     first = np.full(targets.shape[0], -1)
     cell_of, starts, lengths, inner = grids[start].blocks(targets)
-    grids.probe = (targets, start, cell_of, starts, lengths)
+    probe = (start, cell_of, starts, lengths)
     held = np.sum(lengths, axis=-1)[cell_of] >= need
     finer, coarser = np.flatnonzero(held), np.flatnonzero(~held)
     first[finer] = start
@@ -302,12 +301,14 @@ def _first_levels(grids, targets, need):
         held = np.sum(lengths, axis=-1)[cell_of] >= need
         first[coarser[held]] = level
         coarser = coarser[~held]
-    return first
+    return first, probe
 
 
-def _key_blocks(grids, level, pool, targets, rows):
+def _key_blocks(grids, level, pool, targets, rows, probe):
     """The cosine keys of rows at level (-1: the full scan), in blocks:
-    yields (block rows, keys, grid, positions, row_piece).
+    yields (block rows, keys, grid, positions, row_piece). probe is None or
+    _first_levels' probe of every target at this level, read in place of
+    the rows' own.
 
     A grid level cuts each cell's rows into pieces whose keys fit
     KEY_ELEMENTS (one piece unless the cell holds very many rows) and
@@ -326,14 +327,12 @@ def _key_blocks(grids, level, pool, targets, rows):
     full = rows
     if level >= 0:
         grid = grids[level]
-        probe = grids.probe
-        if probe is not None and probe[0] is targets and probe[1] == level:
-            # the level walk's first probe covers every target: its cells
-            # beyond these rows' change no piece or order. It is read once
-            grids.probe = None
-            cell_of, starts, lengths = probe[2][rows], probe[3], probe[4]
-        else:
+        if probe is None:
             cell_of, starts, lengths, _ = grid.blocks(targets[rows])
+        else:
+            # the probe's cells beyond these rows' change no piece or order
+            _, cell_of, starts, lengths = probe
+            cell_of = cell_of[rows]
         size = np.sum(lengths, axis=-1)
         small = size[cell_of] <= FULL_SCAN_SHARE * n
         full = rows[~small]
@@ -388,13 +387,14 @@ def _key_blocks(grids, level, pool, targets, rows):
         yield block, targets[block] @ pool.T, None, None, None
 
 
-def _gathered(grids, pool, targets, level, k):
+def _gathered(grids, pool, targets, level, k, probe):
     """Each row's candidates, by key blocks over the levels from the finest
     in use down to the full scan (level: each row's first, -1 the full
-    scan). Yields (rows, count, cand) per key block: the rows it answers,
-    how many candidates each gathered, and their pool indices, row after
-    row. A grid row whose k-th key does not clear its block's bound is
-    lowered one level in place, and is keyed with that level's rows."""
+    scan; probe: _first_levels' first probe, or None). Yields (rows,
+    count, cand) per key block: the rows it answers, how many candidates
+    each gathered, and their pool indices, row after row. A grid row whose
+    k-th key does not clear its block's bound is lowered one level in
+    place, and is keyed with that level's rows."""
     limit = np.empty(targets.shape[0])
     for lv in range(level.max(initial=-1), -2, -1):
         # rows only go coarser, so a grid finer than lv (on the first step,
@@ -412,7 +412,8 @@ def _gathered(grids, pool, targets, level, k):
             # point the full scan would
             clearance = grids[lv].clearance(targets[at])
             limit[at] = 1.0 - 0.5 * clearance * clearance + MARGIN
-        for block, cos, grid, positions, row_piece in _key_blocks(grids, lv, pool, targets, at):
+        walked = probe if probe is not None and probe[0] == lv else None
+        for block, cos, grid, positions, row_piece in _key_blocks(grids, lv, pool, targets, at, walked):
             w = cos.shape[1]
             # a copy: a view would hold the whole partitioned array
             kth = np.partition(cos, w - k, axis=-1)[:, w - k].copy()
@@ -464,59 +465,29 @@ def check_k(k, n):
 
 
 class PoolIndex:
-    """A pool of points indexed once for any number of neighbor queries: its
-    unit vectors and haversine table, the level walk's start level for each
-    need, and every grid a query has built, which later queries reuse.
+    """A pool of points indexed for neighbor queries (see knn): its unit
+    vectors and haversine table, the level walk's start level for each
+    need, and the grids its queries build. A snapshot: it holds no input
+    array, so a later change to lats or lons does not reach it.
 
-    Queried one query at a time. While an index lives, knn answers every
-    query on its own lats and lons arrays from it (see knn), so the arrays
-    must not change: a Dataset's coordinate columns are read-only copies.
+    kept says whether the grids a query builds stay for later queries, as
+    a pool queried more than once wants, or each is dropped once its query
+    has gone coarser than it, which keeps a single query's peak memory
+    down; a later query builds a dropped grid again. Queried one query at
+    a time.
     """
 
-    def __init__(self, lats, lons):
-        self.lats, self.lons = lats, lons
+    def __init__(self, lats, lons, kept=False):
         lats, lons = (np.asarray(a, dtype=np.float64) for a in (lats, lons))
         self.pool = unit_vectors(lats, lons)
         # the re-rank gathers each point's haversine terms, computed once here
         self.table = haversine_table(lats, lons)
-        self.grids = _Grids(self.pool, kept=True)
-        _INDEXES[id(self.lats)] = self
-
-    def query(self, target_lats, target_lons, k):
-        """knn's answer for the pool, from this index."""
-        return _query(self.pool, self.table, self.grids, target_lats, target_lons, k)
+        self.grids = _Grids(self.pool, kept)
 
 
-# The live PoolIndex of each pool, by the id of its lats array: knn keeps
-# its (lats, lons, ...) signature, so it finds an index through the pool's
-# arrays. An index holds its arrays, so no other array takes that id while
-# its entry is here, and the entry goes with the index.
-_INDEXES = weakref.WeakValueDictionary()
-
-
-def _query(pool, table, grids, target_lats, target_lons, k):
-    """knn's answer for the pool of unit vectors pool and haversine table
-    table, whose grids are grids (see knn)."""
-    n = pool.shape[0]
-    check_k(k, n)
-    target_lats, target_lons = (np.asarray(a, dtype=np.float64) for a in (target_lats, target_lons))
-    targets = unit_vectors(target_lats, target_lons)
-    target_table = haversine_table(target_lats, target_lons)
-    members = np.empty((targets.shape[0], k), dtype=np.intp)
-    distances = np.empty(members.shape, dtype=np.float64)
-    need = FILL * k
-    if need > FULL_SCAN_SHARE * n:
-        level = np.full(targets.shape[0], -1)
-    else:
-        level = _first_levels(grids, targets, need)
-    for rows, count, cand in _gathered(grids, pool, targets, level, k):
-        members[rows], distances[rows] = _rerank(table, target_table, k, rows, count, cand)
-    grids.probe = None
-    return members, distances
-
-
-def knn(lats, lons, target_lats, target_lons, k):
-    """The k nearest points to each target by haversine distance.
+def knn(index, target_lats, target_lons, k):
+    """The k nearest points of index's pool to each target by haversine
+    distance.
 
     Returns (members, distances), (C, K) arrays in ascending (distance, index)
     order. Each row ranks its candidates (the points of its grid block, or
@@ -526,15 +497,22 @@ def knn(lats, lons, target_lats, target_lons, k):
     index), each key product's rows right after that product is computed.
     A grid row whose k-th cosine does not clear its own block's bound (set
     by its clearance) is keyed again with the next coarser level's rows.
-
-    A pool with a live PoolIndex (the lats and lons arrays it was built on)
-    is queried through it; any other is indexed for this query alone, and
-    each of its grids is dropped once the query has gone coarser than it.
-    The two answer bit for bit alike.
+    The answer depends on the index's pool and the targets alone, not on
+    the queries the index answered before or on whether it is kept.
     """
-    index = _INDEXES.get(id(lats))
-    if index is not None and index.lats is lats and index.lons is lons:
-        return index.query(target_lats, target_lons, k)
-    lats, lons = (np.asarray(a, dtype=np.float64) for a in (lats, lons))
-    pool = unit_vectors(lats, lons)
-    return _query(pool, haversine_table(lats, lons), _Grids(pool), target_lats, target_lons, k)
+    pool, grids = index.pool, index.grids
+    n = pool.shape[0]
+    check_k(k, n)
+    target_lats, target_lons = (np.asarray(a, dtype=np.float64) for a in (target_lats, target_lons))
+    targets = unit_vectors(target_lats, target_lons)
+    target_table = haversine_table(target_lats, target_lons)
+    members = np.empty((targets.shape[0], k), dtype=np.intp)
+    distances = np.empty(members.shape, dtype=np.float64)
+    need = FILL * k
+    if need > FULL_SCAN_SHARE * n:
+        level, probe = np.full(targets.shape[0], -1), None
+    else:
+        level, probe = _first_levels(grids, targets, need)
+    for rows, count, cand in _gathered(grids, pool, targets, level, k, probe):
+        members[rows], distances[rows] = _rerank(index.table, target_table, k, rows, count, cand)
+    return members, distances

@@ -121,10 +121,10 @@ def test_criterion_6_isotropic_reduction():
     cfg = GimbalConfig(k=30, phi_mode="forced_zero", theta_z_mode="off",
                        eta_mode="forced_one")
     from gimbal.geo import tangent_displacements
-    from gimbal.neighborhood import knn
+    from gimbal.neighborhood import PoolIndex, knn
 
     for i in (0, 42, 99):
-        members, _ = knn(ds.lat, ds.lon, ds.lat[[i]], ds.lon[[i]], 30)
+        members, _ = knn(PoolIndex(ds.lat, ds.lon), ds.lat[[i]], ds.lon[[i]], 30)
         east, north = tangent_displacements(
             float(ds.lat[i]), float(ds.lon[i]), ds.lat[members[0]], ds.lon[members[0]])
         orient = OrientationResult(0.0, 0.0, True, 0.0, 0.0, True, 1.0, 0.0, 0.0)
@@ -279,7 +279,7 @@ def _oracle_weight_vector(lat_t, lon_t, lats, lons, ys, h, u, eps_phi,
 
 @_criterion(12, "weights/KNN/eigenvalues match independent brute-force oracles")
 def test_criterion_12_oracles():
-    from gimbal.neighborhood import knn
+    from gimbal.neighborhood import PoolIndex, knn
     from scalar_geo import haversine_distance
 
     rng = np.random.default_rng(105)
@@ -303,7 +303,7 @@ def test_criterion_12_oracles():
     for _ in range(20):
         tlat = float(rng.uniform(34.8, 35.2))
         tlon = float(rng.uniform(134.8, 135.2))
-        members, _ = knn(ds.lat, ds.lon, [tlat], [tlon], 10)
+        members, _ = knn(PoolIndex(ds.lat, ds.lon), [tlat], [tlon], 10)
         pairs = sorted(
             (haversine_distance((tlat, tlon), (float(ds.lat[j]), float(ds.lon[j]))), j)
             for j in range(ds.n)

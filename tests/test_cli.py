@@ -948,7 +948,7 @@ def test_predict_indexes_its_training_pool_once(tmp_path, monkeypatch):
     knn, grid_init, start_level = gimbal.engine.knn, neighborhood._Grid.__init__, neighborhood._start_level
 
     def spied_knn(*args):
-        queries.append(args[2].shape[0])
+        queries.append(args[1].shape[0])
         return knn(*args)
 
     def spied_init(grid, pool, level):

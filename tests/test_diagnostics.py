@@ -11,7 +11,7 @@ from scalar_geo import nearest_others
 from gimbal.cli import _annotate_and_write, _moran_over_records
 from gimbal.diagnostics import local_moran, moran_adjacency, reliability_mask
 from gimbal.engine import Dataset, GimbalConfig, fit_all, fit_variants
-from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batches, knn
+from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, PoolIndex, batches, knn
 from gimbal.simgen import SimSpec, generate
 
 
@@ -182,9 +182,9 @@ def test_moran_of_fit_rows_bitwise_equals_local_moran(k, monkeypatch):
     result = fit_all(cluster_fixture(), GimbalConfig(k=k))
     queried = []
 
-    def counting_knn(lats, lons, target_lats, target_lons, k_query):
+    def counting_knn(index, target_lats, target_lons, k_query):
         queried.append((len(target_lats), k_query))
-        return knn(lats, lons, target_lats, target_lons, k_query)
+        return knn(index, target_lats, target_lons, k_query)
 
     monkeypatch.setattr(gimbal.diagnostics, "knn", counting_knn)
     values = _moran_over_records(result, 8, {})
@@ -296,8 +296,8 @@ def spied_queries(monkeypatch):
     """Each knn call moran_adjacency makes, as (k, targets' lats, members)."""
     queries = []
 
-    def spy(lats, lons, target_lats, target_lons, k):
-        members, distances = knn(lats, lons, target_lats, target_lons, k)
+    def spy(index, target_lats, target_lons, k):
+        members, distances = knn(index, target_lats, target_lons, k)
         queries.append((k, target_lats, members))
         return members, distances
 
@@ -317,7 +317,7 @@ def test_short_rows_drop_the_own_point_or_the_last_among_coincident_points(monke
     lats, lons = coincident_field(rng, 90, [order[:3], np.sort(order[3:15])])
     finite = np.ones(90, dtype=bool)
     finite[order[15:21]] = False
-    members, _ = knn(lats, lons, lats, lons, k)
+    members, _ = knn(PoolIndex(lats, lons), lats, lons, k)
     queries = spied_queries(monkeypatch)
     adjacency = moran_adjacency(finite, lats, lons, members, 5)
     assert [q[0] for q in queries] == [6] and queries[0][1].shape == (84,)
@@ -367,7 +367,7 @@ def short_row_cases(draw):
 @given(short_row_cases())
 def test_property_moran_adjacency_matches_oracle_with_duplicates(case):
     lats, lons, finite, k, k_moran = case
-    members, _ = knn(lats, lons, lats, lons, k)
+    members, _ = knn(PoolIndex(lats, lons), lats, lons, k)
     assert np.array_equal(moran_adjacency(finite, lats, lons, members, k_moran),
                           oracle_adjacency(finite, lats, lons, k_moran))
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gimbal.engine
+import gimbal.neighborhood
 import gimbal.solver
 from gimbal import kernels
 from gimbal.engine import (
@@ -26,7 +27,7 @@ from gimbal.engine import (
     standardized_covariate,
 )
 from gimbal.kernels import orientation_stage
-from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, batches, knn
+from gimbal.neighborhood import BATCH_ELEMENTS, ConfigurationError, PoolIndex, batches, knn
 from gimbal.simgen import SimSpec, generate
 from gimbal.solver import solve_local
 from gimbal.weights import frame_quadratic
@@ -84,6 +85,30 @@ def test_dataset_coordinates_are_read_only_copies():
     lat[0] = lon[0] = 1.0
     assert ds.lat[0] == 35.0 and ds.lon[0] == 135.0
     assert np.array_equal(ds.x, x) and np.array_equal(ds.y, y)
+
+
+def test_a_fit_of_every_row_builds_the_same_grids_after_fit_rows(monkeypatch):
+    # fit_all queries an index of its own, not the dataset's pool_index: it
+    # builds the same grid levels on a fresh Dataset as after fit_rows has
+    # built pool_index and kept its grids
+    ds, _ = generate(SimSpec(n=2000, seed=3))
+    config = GimbalConfig(k=30)
+    built = []
+    grid_init = gimbal.neighborhood._Grid.__init__
+
+    def spied_init(grid, pool, level):
+        built.append(level)
+        grid_init(grid, pool, level)
+
+    monkeypatch.setattr(gimbal.neighborhood._Grid, "__init__", spied_init)
+    fresh = fit_all(ds, config)
+    fresh_levels = built.copy()
+    fit_rows(ds, config, np.arange(0, ds.n, 3))
+    assert ds.pool_index.grids
+    built.clear()
+    after = fit_all(ds, config)
+    assert fresh_levels and built == fresh_levels
+    assert pickle.dumps(after) == pickle.dumps(fresh)
 
 
 def test_fit_location_deterministic():
@@ -348,7 +373,7 @@ def test_fit_variants_and_predict_make_one_query(monkeypatch):
     calls = []
 
     def counted_knn(*args, **kwargs):
-        calls.append(args[2].shape[0])
+        calls.append(args[1].shape[0])
         return knn(*args, **kwargs)
 
     monkeypatch.setattr(gimbal.engine, "knn", counted_knn)
@@ -369,7 +394,7 @@ def test_fit_variants_share_one_read_only_neighborhood():
     assert not nb.member_indices.flags.writeable and not nb.distances.flags.writeable
     with pytest.raises(ValueError):
         nb.member_indices[0, 0] = 1
-    members, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, VARIANT_SETS["e73"][0].k)
+    members, distances = knn(PoolIndex(ds.lat, ds.lon), ds.lat, ds.lon, VARIANT_SETS["e73"][0].k)
     assert np.array_equal(nb.member_indices, members)
     assert np.array_equal(nb.distances, distances)
 
@@ -730,7 +755,7 @@ def test_residual_knn_correct_equals_own_query_bitwise(k):
     lats, lons, target_lats, target_lons = lattice_with_duplicates()
     res = np.random.default_rng(71).normal(size=len(lats))
     members = prediction_members(lats, lons, target_lats, target_lons, 30)
-    expect = np.mean(res[knn(lats, lons, target_lats, target_lons, k)[0]], -1)
+    expect = np.mean(res[knn(PoolIndex(lats, lons), target_lats, target_lons, k)[0]], -1)
     assert np.array_equal(residual_knn_correct(res, members, k).view(np.int64), expect.view(np.int64))
 
 
@@ -738,7 +763,7 @@ def test_residual_knn_correct_makes_no_query(monkeypatch):
     lats, lons, target_lats, target_lons = lattice_with_duplicates()
     res = np.random.default_rng(72).normal(size=len(lats))
     members = prediction_members(lats, lons, target_lats, target_lons, 30)
-    expect = np.mean(res[knn(lats, lons, target_lats, target_lons, 10)[0]], -1)
+    expect = np.mean(res[knn(PoolIndex(lats, lons), target_lats, target_lons, 10)[0]], -1)
 
     def no_query(*args, **kwargs):
         raise AssertionError("the residual correction ran a neighbor query")
@@ -783,7 +808,7 @@ def permuted_fits(draw):
     n = draw(st.integers(two_chunks, 700))
     ds, _ = generate(SimSpec(n=n, sampling=draw(st.sampled_from(["uniform", "gaussian"])),
                              extent=draw(st.sampled_from([3000.0, 40_000.0])), seed=draw(st.integers(0, 2**16))))
-    _, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, k + 1)
+    _, distances = knn(PoolIndex(ds.lat, ds.lon), ds.lat, ds.lon, k + 1)
     assume(np.all(np.diff(distances, axis=-1) > 0.0))
     config = GimbalConfig(k=k, h=draw(st.sampled_from([1000.0, 3000.0, 20_000.0])))
     return ds, config, np.array(draw(st.permutations(range(n))))

@@ -10,7 +10,7 @@ import gimbal.neighborhood as neighborhood
 from scalar_geo import haversine_distance, haversine_to_all, nearest_others
 from gimbal.diagnostics import moran_adjacency
 from gimbal.geo import EARTH_RADIUS_M, unit_vectors
-from gimbal.neighborhood import BATCH_ELEMENTS, KEY_ELEMENTS, ConfigurationError, batches, knn
+from gimbal.neighborhood import BATCH_ELEMENTS, KEY_ELEMENTS, ConfigurationError, PoolIndex, batches, knn
 from gimbal.simgen import SimSpec, generate
 
 
@@ -53,12 +53,12 @@ def scan_oracle(lats, lons, target, k):
 
 def knn_one(lats, lons, target_lat, target_lon, k):
     """knn at one target, as (K,) members and distances."""
-    members, distances = knn(lats, lons, [target_lat], [target_lon], k)
+    members, distances = knn(PoolIndex(lats, lons), [target_lat], [target_lon], k)
     return members[0], distances[0]
 
 
 def assert_matches_oracle(lats, lons, target_lats, target_lons, k):
-    members, distances = knn(lats, lons, target_lats, target_lons, k)
+    members, distances = knn(PoolIndex(lats, lons), target_lats, target_lons, k)
     assert members.shape == distances.shape == (len(target_lats), k)
     for i, target in enumerate(zip(target_lats, target_lons)):
         assert members[i].tolist() == scan_oracle(lats, lons, target, k), i
@@ -221,7 +221,7 @@ def test_antipodal_targets_on_the_sphere():
     tlons = np.where(lons > 0.0, lons - 180.0, lons + 180.0)
     for k in (1, 9, 40, 80):
         assert_matches_oracle(lats, lons, tlats, tlons, k)
-    members, _ = knn(lats, lons, tlats, tlons, 80)
+    members, _ = knn(PoolIndex(lats, lons), tlats, tlons, 80)
     assert np.array_equal(members[:, -1], np.arange(80))
 
 
@@ -289,23 +289,23 @@ def test_property_shift_within_the_gap_keeps_the_members(case):
     # less than half the gap between its k-th and (k+1)-th distances (less a
     # micrometre for rounding) keeps its k nearest points
     lats, lons, k, fraction, bearing = case
-    members, distances = knn(lats, lons, lats, lons, k + 1)
+    members, distances = knn(PoolIndex(lats, lons), lats, lons, k + 1)
     gap = distances[:, k] - distances[:, k - 1]
     rows = np.flatnonzero(gap > 1e-6)
     shift = fraction[rows] * (gap[rows] - 1e-6) / 2.0
     assert np.all(2.0 * shift + 1e-6 < gap[rows])
-    moved, _ = knn(lats, lons, *great_circle_shift(lats[rows], lons[rows], shift, bearing[rows]), k)
+    moved, _ = knn(PoolIndex(lats, lons), *great_circle_shift(lats[rows], lons[rows], shift, bearing[rows]), k)
     assert np.array_equal(np.sort(moved, axis=-1), np.sort(members[rows, :k], axis=-1))
 
 
 # ---- the cell grid: rows answered from a 3x3x3 block of cells agree bit for
 # bit with the full scan, the grid's coarsest level
 
-def full_scan(monkeypatch, *args, **kwargs):
+def full_scan(monkeypatch, lats, lons, target_lats, target_lons, k):
     """knn with every row sent to the full scan."""
     with monkeypatch.context() as m:
         m.setattr(neighborhood, "FULL_SCAN_SHARE", 0.0)
-        return knn(*args, **kwargs)
+        return knn(PoolIndex(lats, lons), target_lats, target_lons, k)
 
 
 def grid_answered(monkeypatch, query, n_targets):
@@ -333,7 +333,7 @@ def assert_grid_matches(monkeypatch, lats, lons, target_lats, target_lons, k, or
     """knn equals the full scan bit for bit, and the oracle on oracle_rows;
     returns the mask of rows the grid answered."""
     (members, distances), answered = grid_answered(
-        monkeypatch, lambda: knn(lats, lons, target_lats, target_lons, k), len(target_lats))
+        monkeypatch, lambda: knn(PoolIndex(lats, lons), target_lats, target_lons, k), len(target_lats))
     full_members, full_distances = full_scan(monkeypatch, lats, lons, target_lats, target_lons, k)
     assert np.array_equal(members, full_members)
     assert np.array_equal(distances, full_distances)
@@ -486,13 +486,14 @@ def test_grids_finer_than_every_row_left_are_dropped_and_built_once(monkeypatch)
         dict.__delitem__(grids, level)
 
     def spied_first_levels(*args):
-        first.append(first_levels(*args))
-        return first[-1]
+        level, probe = first_levels(*args)
+        first.append(level)
+        return level, probe
 
     monkeypatch.setattr(neighborhood._Grids, "__missing__", built)
     monkeypatch.setattr(neighborhood._Grids, "__delitem__", dropped)
     monkeypatch.setattr(neighborhood, "_first_levels", spied_first_levels)
-    knn(ds.lat, ds.lon, ds.lat, ds.lon, 50)
+    knn(PoolIndex(ds.lat, ds.lon), ds.lat, ds.lon, 50)
     levels = [level for what, level in events if what == "build"]
     assert len(levels) == len(set(levels))
     probes = {level for level in levels if level > first[0].max()}
@@ -511,18 +512,18 @@ def test_one_pass_keys_each_level_once_with_the_rows_retried_from_above(monkeypa
     first_levels, key_blocks = neighborhood._first_levels, neighborhood._key_blocks
 
     def spied_first_levels(*args):
-        level = first_levels(*args)
+        level, probe = first_levels(*args)
         first.append(level.copy())
-        return level
+        return level, probe
 
-    def spied_key_blocks(grids, level, pool, targets, rows):
+    def spied_key_blocks(grids, level, pool, targets, rows, probe):
         calls.append((level, rows.copy()))
-        return key_blocks(grids, level, pool, targets, rows)
+        return key_blocks(grids, level, pool, targets, rows, probe)
 
     with monkeypatch.context() as m:
         m.setattr(neighborhood, "_first_levels", spied_first_levels)
         m.setattr(neighborhood, "_key_blocks", spied_key_blocks)
-        members, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, 50)
+        members, distances = knn(PoolIndex(ds.lat, ds.lon), ds.lat, ds.lon, 50)
     levels = [level for level, _ in calls]
     assert len(first) == 1 and len(levels) >= 4
     assert levels == sorted(set(levels), reverse=True)
@@ -573,7 +574,7 @@ def test_cell_products_equal_full_scan_at_scale(monkeypatch, k):
         with monkeypatch.context() as m:
             m.setattr(np, "matmul", spied_matmul)
             m.setattr(neighborhood, "_key_blocks", spied)
-            members, distances = knn(lats, lons, target_lats, target_lons, k)
+            members, distances = knn(PoolIndex(lats, lons), target_lats, target_lons, k)
         assert products and 0.9 * KEY_ELEMENTS <= max(products) <= KEY_ELEMENTS
         assert any(mixed)
         rows = np.arange(0, target_lats.shape[0], 7)
@@ -667,8 +668,8 @@ def test_clearance_accepts_rows_the_cell_side_would_retry(monkeypatch):
     seen = []
     key_blocks = neighborhood._key_blocks
 
-    def spied(grids, level, pool, targets, rows):
-        for block, cos, grid, *columns in key_blocks(grids, level, pool, targets, rows):
+    def spied(grids, level, pool, targets, rows, probe):
+        for block, cos, grid, *columns in key_blocks(grids, level, pool, targets, rows, probe):
             w = cos.shape[1]
             seen.append((block.copy(), level if grid is not None else -1,
                          np.partition(cos, w - k, axis=-1)[:, w - k]))
@@ -676,7 +677,7 @@ def test_clearance_accepts_rows_the_cell_side_would_retry(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(neighborhood, "_key_blocks", spied)
-        members, distances = knn(ds.lat, ds.lon, ds.lat, ds.lon, k)
+        members, distances = knn(PoolIndex(ds.lat, ds.lon), ds.lat, ds.lon, k)
     full_members, full_distances = full_scan(monkeypatch, ds.lat, ds.lon, ds.lat, ds.lon, k)
     assert np.array_equal(members, full_members)
     assert np.array_equal(distances, full_distances)
@@ -736,7 +737,7 @@ def test_first_levels_are_the_finest_that_hold_need(points):
     targets = np.concatenate([pool[::7], unit_vectors(*random_cloud(rng, 20, spread=30.0))])
     grids = neighborhood._Grids(pool)
     for need in (1, 3, 30, 150):
-        assert np.array_equal(neighborhood._first_levels(grids, targets, need),
+        assert np.array_equal(neighborhood._first_levels(grids, targets, need)[0],
                               brute_first_levels(pool, targets, need)), need
 
 
@@ -750,7 +751,7 @@ def test_first_levels_walk_finds_them_from_every_start_level(monkeypatch, points
         for start in range(neighborhood.FINEST_LEVEL + 1):
             monkeypatch.setattr(neighborhood, "_start_level", lambda pool, need: start)
             grids = neighborhood._Grids(pool)
-            assert np.array_equal(neighborhood._first_levels(grids, targets, need), expect), (need, start)
+            assert np.array_equal(neighborhood._first_levels(grids, targets, need)[0], expect), (need, start)
 
 
 def walk_probes(monkeypatch, pool, need, start=None):
@@ -823,16 +824,8 @@ def test_a_transect_starts_where_its_blocks_hold_need(monkeypatch):
         assert neighborhood._start_level(unit_vectors(ds.lat, ds.lon), neighborhood.FILL * k) == level
 
 
-# ---- one index per pool: a PoolIndex answers every query on its pool as a
-# one-shot query does, whatever the queries before it left in its grids
-
-def read_only(*columns):
-    """Read-only float copies of the columns, as a Dataset holds lat and lon."""
-    copies = [np.array(column, dtype=np.float64) for column in columns]
-    for column in copies:
-        column.flags.writeable = False
-    return copies
-
+# ---- an index is a snapshot of its pool: each query on it answers as a
+# fresh index does, whatever the queries before it left in its grids
 
 def index_fixtures(rng):
     """The grid tests' pools, each as (lats, lons, target lats, target lons)
@@ -861,37 +854,69 @@ def index_fixtures(rng):
 @pytest.mark.parametrize("fixture", ["lattice", "poles", "cluster", "duplicates"])
 def test_a_shared_index_answers_as_one_shot_queries(monkeypatch, fixture):
     # out-of-pool targets, then in-sample rows, then those rows at another k,
-    # all through one index: each answer is bitwise that of a one-shot query
-    # (on copies of the pool, which no index holds) and of the full scan
+    # all through one kept index: each answer is bitwise that of a one-shot
+    # query and of the full scan
     lats, lons, target_lats, target_lons = index_fixtures(np.random.default_rng(35))[fixture]
-    lats, lons = read_only(lats, lons)
-    index = neighborhood.PoolIndex(lats, lons)
+    index = PoolIndex(lats, lons, kept=True)
     rows = np.arange(0, lats.shape[0], 7)
     for tlats, tlons, k in ((target_lats, target_lons, 12), (lats[rows], lons[rows], 12),
                             (lats[rows], lons[rows], 40)):
-        members, distances = knn(lats, lons, tlats, tlons, k)
-        one_shot = knn(lats.copy(), lons.copy(), tlats, tlons, k)
-        full = full_scan(monkeypatch, lats.copy(), lons.copy(), tlats, tlons, k)
+        members, distances = knn(index, tlats, tlons, k)
+        one_shot = knn(PoolIndex(lats, lons), tlats, tlons, k)
+        full = full_scan(monkeypatch, lats, lons, tlats, tlons, k)
         for expect_members, expect_distances in (one_shot, full):
             assert np.array_equal(members, expect_members)
             assert np.array_equal(distances.view(np.int64), expect_distances.view(np.int64))
-    # the queries went through the index, which kept its grids
+    # the index kept its grids
     assert len(index.grids) >= 2
 
 
-def test_a_pool_index_is_queried_only_on_its_own_arrays():
-    # knn finds an index by its lats and lons arrays, never by equal values,
-    # and an index no longer held is gone
+@pytest.mark.parametrize("fixture", ["lattice", "poles", "cluster", "duplicates"])
+def test_a_one_shot_index_queried_again_rebuilds_the_grids_it_dropped(monkeypatch, fixture):
+    # an index that is not kept drops its grids as each query goes coarser;
+    # queried again, at another k, it builds the levels a fresh index builds
+    # and answers bitwise as that index does
+    lats, lons, target_lats, target_lons = index_fixtures(np.random.default_rng(35))[fixture]
+    built = []
+    grid_init = neighborhood._Grid.__init__
+
+    def spied_init(grid, pool, level):
+        built.append(level)
+        grid_init(grid, pool, level)
+
+    monkeypatch.setattr(neighborhood._Grid, "__init__", spied_init)
+    index = PoolIndex(lats, lons)
+    for k in (12, 40):
+        built.clear()
+        expect_members, expect_distances = knn(PoolIndex(lats, lons), target_lats, target_lons, k)
+        fresh = built.copy()
+        built.clear()
+        members, distances = knn(index, target_lats, target_lons, k)
+        assert fresh and built == fresh and not index.grids, k
+        assert np.array_equal(members, expect_members)
+        assert np.array_equal(distances.view(np.int64), expect_distances.view(np.int64))
+
+
+def test_an_index_answers_on_the_pool_it_was_built_from(monkeypatch):
+    # moving a point of the caller's writeable arrays in place changes no
+    # answer of an index built before the move; an index built after it
+    # answers on the moved pool, where the moved point is its own nearest
     rng = np.random.default_rng(37)
-    lats, lons = read_only(*random_cloud(rng, 500))
-    index = neighborhood.PoolIndex(lats, lons)
-    for other_lats, other_lons in ((lats.copy(), lons), (lats, lons.copy())):
-        knn(other_lats, other_lons, lats[:20], lons[:20], 10)
-        assert not index.grids
-    knn(lats, lons, lats[:20], lons[:20], 10)
+    lats, lons = random_cloud(rng, 500)
+    original_lats, original_lons = lats.copy(), lons.copy()
+    index = PoolIndex(lats, lons, kept=True)
+    knn(index, lats[:20], lons[:20], 5)
     assert index.grids
-    del index
-    assert id(lats) not in neighborhood._INDEXES
+    lats[3], lons[3] = 35.123, 134.876
+    targets = lats[:20].copy(), lons[:20].copy()
+    kept = knn(index, *targets, 5)
+    fresh = knn(PoolIndex(lats, lons), *targets, 5)
+    for (members, distances), expect in ((kept, full_scan(monkeypatch, original_lats, original_lons, *targets, 5)),
+                                         (fresh, full_scan(monkeypatch, lats, lons, *targets, 5))):
+        assert np.array_equal(members, expect[0])
+        assert np.array_equal(distances.view(np.int64), expect[1].view(np.int64))
+    assert fresh[0][3, 0] == 3 and fresh[1][3, 0] == 0.0
+    assert 3 not in kept[0][3]
 
 
 @st.composite
@@ -961,7 +986,7 @@ def test_only_rows_tied_among_their_first_k_plus_one_take_the_lexsort(monkeypatc
         lexsorted.clear()
         with monkeypatch.context() as m:
             m.setattr(np, "lexsort", spied)
-            members, _ = knn(lats, lons, [tlat], [tlon], k)
+            members, _ = knn(PoolIndex(lats, lons), [tlat], [tlon], k)
         assert members[0].tolist() == scan_oracle(lats, lons, (tlat, tlon), k)
         return sum(lexsorted)
 
@@ -1043,7 +1068,7 @@ def test_each_key_product_is_reranked_where_it_is_computed(monkeypatch, k):
     # fit_large-shaped data: several key products, each followed by one
     # re-rank of the rows it answers, every row re-ranked once
     ds, _ = generate(SimSpec(n=2000, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
-    (members, distances), events = reranked(monkeypatch, lambda: knn(ds.lat, ds.lon, ds.lat, ds.lon, k))
+    (members, distances), events = reranked(monkeypatch, lambda: knn(PoolIndex(ds.lat, ds.lon), ds.lat, ds.lon, k))
     assert sum(event[0] == "rerank" for event in events) >= 3
     assert_one_rerank_per_product(events, ds.n)
     assert_reranks_hold_the_key_budget(events)
@@ -1071,7 +1096,7 @@ def test_reranks_of_fast_wide_retried_and_full_scan_rows_hold_the_key_budget(mon
     tlats = np.concatenate([lats[::4], lattice_lats, [-35.0, -34.8, 0.0, 60.0, -80.0]])
     tlons = np.concatenate([lons[::4], lattice_lons, [-45.0, -45.2, 90.0, -100.0, 10.0]])
     k = 10
-    (members, distances), events = reranked(monkeypatch, lambda: knn(lats, lons, tlats, tlons, k))
+    (members, distances), events = reranked(monkeypatch, lambda: knn(PoolIndex(lats, lons), tlats, tlons, k))
     assert_one_rerank_per_product(events, tlats.shape[0])
     assert_reranks_hold_the_key_budget(events)
     products = [event[1:] for event in events if event[0] == "product"]
@@ -1103,7 +1128,7 @@ def test_dense_cluster_equals_full_scan_within_the_key_budget(monkeypatch):
     lats[cluster] = ds.lat[0] + rng.normal(0.0, 1e-5, 960)
     lons[cluster] = ds.lon[0] + rng.normal(0.0, 1e-5, 960)
     k = 50
-    (members, distances), events = reranked(monkeypatch, lambda: knn(lats, lons, lats, lons, k))
+    (members, distances), events = reranked(monkeypatch, lambda: knn(PoolIndex(lats, lons), lats, lons, k))
     assert_one_rerank_per_product(events, ds.n)
     assert_reranks_hold_the_key_budget(events)
     assert max(event[2].max() for event in events if event[0] == "rerank") > 4 * k
