@@ -16,20 +16,20 @@ clears that bound cannot miss a point the full scan would gather, and it is
 answered by the same gather and re-rank as the full scan: members and
 distances agree bit for bit. Each target starts at the finest level whose
 block holds FILL * k points, found by a walk from a level set by the pool's
-size and spread; the walk probes a finer level only for rows whose 2x2x2
-cells around the finer block hold that many. The query passes over the
-levels once, finest first: a row that fails its bound is lowered one level
-and keyed with the rows whose first level that is, the walk's first probe
-serving as the start level's blocks. The coarsest level is the full scan
-(every point is a candidate), which is also taken wherever a block would
-hold more than FULL_SCAN_SHARE of the pool. The rows of one cell share
+size and spread. The query passes over the levels once, finest first: a row
+that fails its bound is lowered one level and keyed with the rows whose
+first level that is, the walk's first probe serving as the start level's
+blocks. The coarsest level is the full scan (every point is a candidate),
+which is also taken wherever a block would hold more than FULL_SCAN_SHARE
+of the pool. The rows of one cell share
 their block: its points are gathered once and keyed against all of those
 rows by one matrix product, many cells to a product of at most
 KEY_ELEMENTS keys, twice the package's one batch budget.
 
 knn queries the PoolIndex it is given, and nothing else: an index is a
 snapshot of the pool's unit vectors and haversine table, with the start
-levels and grids its queries build. An index built for one query drops each
+levels and grids its queries build, and the walk, the key pass and the
+gather all read that one object. An index built for one query drops each
 grid once the pass has gone coarser than it; a kept one (a Dataset's
 pool_index) keeps them for the next query, so gimbal predict's two queries
 of its training pool (the test points, then the training rows its
@@ -150,11 +150,11 @@ class _Grid:
         keys = self.cells(pool)
         self.order = np.argsort(keys, kind="stable")
         self._keys = keys[self.order]
-        # the first key of each of a block's nine columns and of the three cells
-        # along z in it, and the key after the column, relative to the centre
-        # cell's key: ascending, as a column is W > 3 keys from the next
-        self._bounds = ((_COLUMNS[:, 0] * self._width + _COLUMNS[:, 1]) * self._width - 1
-                        + np.arange(4)[:, None]).T.ravel()
+        # the first key of each of a block's nine columns and the key after
+        # the column, relative to the centre cell's key: ascending, as a
+        # column is W > 3 keys from the next
+        self._bounds = ((_COLUMNS[:, 0] * self._width + _COLUMNS[:, 1]) * self._width
+                        + np.array([-1, 2])[:, None]).T.ravel()
 
     @cached_property
     def points(self):
@@ -177,59 +177,18 @@ class _Grid:
         near = np.minimum(1.0 + frac, 2.0 - frac)
         return np.minimum(np.minimum(near[..., 0], near[..., 1]), near[..., 2]) / self._scale
 
-    def octants(self, points):
-        """Which half of its cell each (..., 3) point lies in along each axis,
-        as an octant in [0, 8): bit 2 for x, 1 for y, 0 for z, set for the
-        upper half. The half is the parity of the point's cell one level
-        finer, computed as that level's grid computes it."""
-        half = np.floor(points * (2.0 * self._scale)).astype(np.int64) & 1
-        return (half[..., 0] << 2) | (half[..., 1] << 1) | half[..., 2]
-
     def blocks(self, points):
-        """(cell_of, starts, lengths, inner) of the G distinct cells of the
-        points: each point's cell as an index in [0, G); where the nine runs
-        of the block around each cell start in the sorted order and how many
-        points each holds, (G, 9) each; and inner, (8, G), the points of the
-        2x2x2 cells of the block that hold the block one level finer around
-        a point in each octant of the cell (see octants): on each axis the
-        cell and its neighbor on the point's side. The block one level finer
-        lies inside them, so it holds at most that many points."""
+        """(cell_of, starts, lengths) of the G distinct cells of the points:
+        each point's cell as an index in [0, G), and where the nine runs of
+        the block around each cell start in the sorted order and how many
+        points each holds, (G, 9) each."""
         cells, cell_of = np.unique(self.cells(points), return_inverse=True)
-        # one search for every cell's 36 bounds, as (36, G) rows: each row
+        # one search for every cell's 18 bounds, as (18, G) rows: each row
         # is a sorted run of keys, which searchsorted walks faster than
         # the same keys in cell order
-        bounds = np.searchsorted(self._keys, self._bounds[:, None] + cells).reshape(9, 4, -1)
-        # the points of each of the block's 27 cells, (dx, dy, dz, G)
-        counts = np.diff(bounds, axis=1).reshape(3, 3, 3, -1)
-        pairs = counts[:-1] + counts[1:]
-        pairs = pairs[:, :-1] + pairs[:, 1:]
-        inner = (pairs[:, :, :-1] + pairs[:, :, 1:]).reshape(8, -1)
+        bounds = np.searchsorted(self._keys, self._bounds[:, None] + cells).reshape(9, 2, -1)
         starts = np.ascontiguousarray(bounds[:, 0].T)
-        return cell_of, starts, bounds[:, 3].T - starts, inner
-
-
-class _Grids(dict):
-    """A pool's grid of each level, built when first asked for, and the level
-    walk's start level for each need, computed when first asked for.
-
-    kept says whether a query leaves its grids for the next query or drops
-    each one once it has gone coarser than it (see PoolIndex).
-    """
-
-    def __init__(self, pool, kept=False):
-        super().__init__()
-        self.pool = pool
-        self.kept = kept
-        self._starts = {}
-
-    def __missing__(self, level):
-        grid = self[level] = _Grid(self.pool, level)
-        return grid
-
-    def start_level(self, need):
-        if need not in self._starts:
-            self._starts[need] = _start_level(self.pool, need)
-        return self._starts[need]
+        return cell_of, starts, bounds[:, 1].T - starts
 
 
 def _ragged_arange(starts, lengths):
@@ -267,44 +226,40 @@ def _start_level(pool, need):
     return max(level, 0)
 
 
-def _first_levels(grids, targets, need):
+def _first_levels(index, targets, need):
     """Each target's finest level in [0, FINEST_LEVEL] whose block holds at
     least need points, or -1 (the full scan). Block counts nest across
     levels (a block lies inside its coarser level's block), so a walk from
     any level finds it: a row whose block holds need points goes finer until
     it does not, any other goes coarser until it does. The walk starts at
-    the pool's _start_level, where most rows need one or two probes, and
-    probes a level finer only for the rows whose 2x2x2 cells holding the
-    finer block (blocks' inner) hold need points: for any other the finer
-    block holds fewer, and the probe could only fail. Returns the levels
-    and the first probe, of every target, for the key pass: (start level,
-    cell_of, starts, lengths) as _Grid.blocks gives them."""
-    start = grids.start_level(need)
+    the pool's start level (PoolIndex.start_level), where most rows need one
+    or two probes. Returns the levels and the first probe, of every target,
+    for the key pass: (start level, cell_of, starts, lengths) as
+    _Grid.blocks gives them."""
+    start = index.start_level(need)
     first = np.full(targets.shape[0], -1)
-    cell_of, starts, lengths, inner = grids[start].blocks(targets)
+    cell_of, starts, lengths = index[start].blocks(targets)
     probe = (start, cell_of, starts, lengths)
     held = np.sum(lengths, axis=-1)[cell_of] >= need
     finer, coarser = np.flatnonzero(held), np.flatnonzero(~held)
     first[finer] = start
     for level in range(start + 1, FINEST_LEVEL + 1):
-        finer = finer[inner[grids[level - 1].octants(targets[finer]), cell_of[held]] >= need]
         if not finer.shape[0]:
             break
-        cell_of, _, lengths, inner = grids[level].blocks(targets[finer])
-        held = np.sum(lengths, axis=-1)[cell_of] >= need
-        finer = finer[held]
+        cell_of, _, lengths = index[level].blocks(targets[finer])
+        finer = finer[np.sum(lengths, axis=-1)[cell_of] >= need]
         first[finer] = level
     for level in range(start - 1, -1, -1):
         if not coarser.shape[0]:
             break
-        cell_of, _, lengths, _ = grids[level].blocks(targets[coarser])
+        cell_of, _, lengths = index[level].blocks(targets[coarser])
         held = np.sum(lengths, axis=-1)[cell_of] >= need
         first[coarser[held]] = level
         coarser = coarser[~held]
     return first, probe
 
 
-def _key_blocks(grids, level, pool, targets, rows, probe):
+def _key_blocks(index, level, targets, rows, probe):
     """The cosine keys of rows at level (-1: the full scan), in blocks:
     yields (block rows, keys, grid, positions, row_piece). probe is None or
     _first_levels' probe of every target at this level, read in place of
@@ -323,12 +278,12 @@ def _key_blocks(grids, level, pool, targets, rows, probe):
     FULL_SCAN_SHARE of the pool is given the full scan instead. No padded
     product holds more than KEY_ELEMENTS keys unless one row's block
     does."""
-    n = pool.shape[0]
+    n = index.pool.shape[0]
     full = rows
     if level >= 0:
-        grid = grids[level]
+        grid = index[level]
         if probe is None:
-            cell_of, starts, lengths, _ = grid.blocks(targets[rows])
+            cell_of, starts, lengths = grid.blocks(targets[rows])
         else:
             # the probe's cells beyond these rows' change no piece or order
             _, cell_of, starts, lengths = probe
@@ -384,10 +339,10 @@ def _key_blocks(grids, level, pool, targets, rows, probe):
     step = max(1, KEY_ELEMENTS // n)
     for start in range(0, full.shape[0], step):
         block = full[start:start + step]
-        yield block, targets[block] @ pool.T, None, None, None
+        yield block, targets[block] @ index.pool.T, None, None, None
 
 
-def _gathered(grids, pool, targets, level, k, probe):
+def _gathered(index, targets, level, k, probe):
     """Each row's candidates, by key blocks over the levels from the finest
     in use down to the full scan (level: each row's first, -1 the full
     scan; probe: _first_levels' first probe, or None). Yields (rows,
@@ -399,9 +354,9 @@ def _gathered(grids, pool, targets, level, k, probe):
     for lv in range(level.max(initial=-1), -2, -1):
         # rows only go coarser, so a grid finer than lv (on the first step,
         # the probes of _first_levels) is never read again in this query
-        if not grids.kept:
-            for finer in [g for g in grids if g > lv]:
-                del grids[finer]
+        if not index.kept:
+            for finer in [g for g in index if g > lv]:
+                del index[finer]
         at = np.flatnonzero(level == lv)
         if not at.shape[0]:
             continue
@@ -410,10 +365,10 @@ def _gathered(grids, pool, targets, level, k, probe):
             # so its key is at most 1 - clearance**2 / 2, give or take a few
             # ulp: a row whose k-th key clears that by MARGIN gathers every
             # point the full scan would
-            clearance = grids[lv].clearance(targets[at])
+            clearance = index[lv].clearance(targets[at])
             limit[at] = 1.0 - 0.5 * clearance * clearance + MARGIN
         walked = probe if probe is not None and probe[0] == lv else None
-        for block, cos, grid, positions, row_piece in _key_blocks(grids, lv, pool, targets, at, walked):
+        for block, cos, grid, positions, row_piece in _key_blocks(index, lv, targets, at, walked):
             w = cos.shape[1]
             # a copy: a view would hold the whole partitioned array
             kth = np.partition(cos, w - k, axis=-1)[:, w - k].copy()
@@ -464,11 +419,12 @@ def check_k(k, n):
         raise ConfigurationError(f"K={k} outside the eligible range [1, {n}]")
 
 
-class PoolIndex:
+class PoolIndex(dict):
     """A pool of points indexed for neighbor queries (see knn): its unit
     vectors and haversine table, the level walk's start level for each
-    need, and the grids its queries build. A snapshot: it holds no input
-    array, so a later change to lats or lons does not reach it.
+    need, and, as a dict by level, the grids its queries build, each built
+    when first asked for. A snapshot: it holds no input array, so a later
+    change to lats or lons does not reach it.
 
     kept says whether the grids a query builds stay for later queries, as
     a pool queried more than once wants, or each is dropped once its query
@@ -478,11 +434,23 @@ class PoolIndex:
     """
 
     def __init__(self, lats, lons, kept=False):
+        super().__init__()
         lats, lons = (np.asarray(a, dtype=np.float64) for a in (lats, lons))
         self.pool = unit_vectors(lats, lons)
         # the re-rank gathers each point's haversine terms, computed once here
         self.table = haversine_table(lats, lons)
-        self.grids = _Grids(self.pool, kept)
+        self.kept = kept
+        self._starts = {}
+
+    def __missing__(self, level):
+        grid = self[level] = _Grid(self.pool, level)
+        return grid
+
+    def start_level(self, need):
+        """_start_level of the pool, computed once per need."""
+        if need not in self._starts:
+            self._starts[need] = _start_level(self.pool, need)
+        return self._starts[need]
 
 
 def knn(index, target_lats, target_lons, k):
@@ -500,8 +468,7 @@ def knn(index, target_lats, target_lons, k):
     The answer depends on the index's pool and the targets alone, not on
     the queries the index answered before or on whether it is kept.
     """
-    pool, grids = index.pool, index.grids
-    n = pool.shape[0]
+    n = index.pool.shape[0]
     check_k(k, n)
     target_lats, target_lons = (np.asarray(a, dtype=np.float64) for a in (target_lats, target_lons))
     targets = unit_vectors(target_lats, target_lons)
@@ -512,7 +479,7 @@ def knn(index, target_lats, target_lons, k):
     if need > FULL_SCAN_SHARE * n:
         level, probe = np.full(targets.shape[0], -1), None
     else:
-        level, probe = _first_levels(grids, targets, need)
-    for rows, count, cand in _gathered(grids, pool, targets, level, k, probe):
+        level, probe = _first_levels(index, targets, need)
+    for rows, count, cand in _gathered(index, targets, level, k, probe):
         members[rows], distances[rows] = _rerank(index.table, target_table, k, rows, count, cand)
     return members, distances

@@ -15,6 +15,7 @@ import pytest
 
 import gimbal.cli
 import gimbal.engine
+import gimbal.experiments
 import gimbal.neighborhood
 import gimbal.solver
 from gimbal.cli import RECORD_FIELDS, main, read_dataset, write_dataset_csv, write_records_csv
@@ -1050,6 +1051,32 @@ def test_experiment_71_emits_four_variants(tmp_path):
     # r_phi is data-determined: re-solved and flag-only strict rates coincide
     assert (report["strict_eps_phi"]["resolved_pr_phi_zero"]
             == report["strict_eps_phi"]["flag_only_pr_phi_zero"])
+
+
+def test_experiment_reports_a_failed_property_and_still_exits_0(tmp_path, capsys, monkeypatch):
+    # a failing verdict is a finding, not an error: it is printed as FAIL,
+    # counted on stderr and written to the report, and the run exits 0
+    e71 = gimbal.experiments._e71
+
+    def failing_e71(seed):
+        spec, base, variants, keep, check = e71(seed)
+
+        def failing_check(records, summaries):
+            properties, extra = check(records, summaries)
+            properties["theta_branch_full_active"] = {"pass": False, "value": 1.0}
+            return properties, extra
+
+        return spec, base, variants, keep, failing_check
+
+    monkeypatch.setattr(gimbal.experiments, "_e71", failing_e71)
+    rc = main(["experiment", "--id", "7.1", "--seed", "1", "--outdir", str(tmp_path / "out")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "e71 theta_branch_full_active: FAIL" in captured.out.splitlines()
+    assert captured.out.count(": FAIL") == 1
+    assert "e71: 1 property check(s) failed" in captured.err
+    report = json.loads((tmp_path / "out" / "e71_report.json").read_text())
+    assert report["properties"]["theta_branch_full_active"]["pass"] is False
 
 
 def test_threads_flag_is_accepted_and_ignored(tmp_path):

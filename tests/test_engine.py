@@ -104,7 +104,7 @@ def test_a_fit_of_every_row_builds_the_same_grids_after_fit_rows(monkeypatch):
     fresh = fit_all(ds, config)
     fresh_levels = built.copy()
     fit_rows(ds, config, np.arange(0, ds.n, 3))
-    assert ds.pool_index.grids
+    assert len(ds.pool_index)
     built.clear()
     after = fit_all(ds, config)
     assert fresh_levels and built == fresh_levels

@@ -475,23 +475,23 @@ def test_grids_finer_than_every_row_left_are_dropped_and_built_once(monkeypatch)
     # among them), and no level's grid is built twice
     ds, _ = generate(SimSpec(n=19200, sampling="gaussian", rho=10.0, psi=np.pi / 4.0, seed=1))
     events, first = [], []
-    missing, first_levels = neighborhood._Grids.__missing__, neighborhood._first_levels
+    missing, first_levels = PoolIndex.__missing__, neighborhood._first_levels
 
-    def built(grids, level):
+    def built(index, level):
         events.append(("build", level))
-        return missing(grids, level)
+        return missing(index, level)
 
-    def dropped(grids, level):
+    def dropped(index, level):
         events.append(("drop", level))
-        dict.__delitem__(grids, level)
+        dict.__delitem__(index, level)
 
     def spied_first_levels(*args):
         level, probe = first_levels(*args)
         first.append(level)
         return level, probe
 
-    monkeypatch.setattr(neighborhood._Grids, "__missing__", built)
-    monkeypatch.setattr(neighborhood._Grids, "__delitem__", dropped)
+    monkeypatch.setattr(PoolIndex, "__missing__", built)
+    monkeypatch.setattr(PoolIndex, "__delitem__", dropped)
     monkeypatch.setattr(neighborhood, "_first_levels", spied_first_levels)
     knn(PoolIndex(ds.lat, ds.lon), ds.lat, ds.lon, 50)
     levels = [level for what, level in events if what == "build"]
@@ -516,9 +516,9 @@ def test_one_pass_keys_each_level_once_with_the_rows_retried_from_above(monkeypa
         first.append(level.copy())
         return level, probe
 
-    def spied_key_blocks(grids, level, pool, targets, rows, probe):
+    def spied_key_blocks(index, level, targets, rows, probe):
         calls.append((level, rows.copy()))
-        return key_blocks(grids, level, pool, targets, rows, probe)
+        return key_blocks(index, level, targets, rows, probe)
 
     with monkeypatch.context() as m:
         m.setattr(neighborhood, "_first_levels", spied_first_levels)
@@ -668,8 +668,8 @@ def test_clearance_accepts_rows_the_cell_side_would_retry(monkeypatch):
     seen = []
     key_blocks = neighborhood._key_blocks
 
-    def spied(grids, level, pool, targets, rows, probe):
-        for block, cos, grid, *columns in key_blocks(grids, level, pool, targets, rows, probe):
+    def spied(index, level, targets, rows, probe):
+        for block, cos, grid, *columns in key_blocks(index, level, targets, rows, probe):
             w = cos.shape[1]
             seen.append((block.copy(), level if grid is not None else -1,
                          np.partition(cos, w - k, axis=-1)[:, w - k]))
@@ -729,34 +729,47 @@ def lattice_points(rng):
     return lats, lons
 
 
-@pytest.mark.parametrize("points", [cluster_points, lattice_points, pole_points])
+def transect(n=4800):
+    """n points along one meridian over 0.5 degrees, with ~0.5 m of jitter
+    across it: a pool spread in one dimension."""
+    rng = np.random.default_rng(36)
+    return (35.0 + rng.uniform(0.0, 0.5, n) + rng.normal(0.0, 0.5 / 111e3, n),
+            135.0 + rng.normal(0.0, 0.5 / 91e3, n))
+
+
+def transect_points(rng):
+    """The 1 200-point transect, which draws its own points, as a fixture."""
+    return transect(1200)
+
+
+@pytest.mark.parametrize("points", [cluster_points, lattice_points, pole_points, transect_points])
 def test_first_levels_are_the_finest_that_hold_need(points):
     rng = np.random.default_rng(28)
-    lats, lons = points(rng)
-    pool = unit_vectors(lats, lons)
+    index = PoolIndex(*points(rng))
+    pool = index.pool
     targets = np.concatenate([pool[::7], unit_vectors(*random_cloud(rng, 20, spread=30.0))])
-    grids = neighborhood._Grids(pool)
     for need in (1, 3, 30, 150):
-        assert np.array_equal(neighborhood._first_levels(grids, targets, need)[0],
+        assert np.array_equal(neighborhood._first_levels(index, targets, need)[0],
                               brute_first_levels(pool, targets, need)), need
 
 
-@pytest.mark.parametrize("points", [cluster_points, lattice_points, pole_points])
+@pytest.mark.parametrize("points", [cluster_points, lattice_points, pole_points, transect_points])
 def test_first_levels_walk_finds_them_from_every_start_level(monkeypatch, points):
     rng = np.random.default_rng(27)
-    pool = unit_vectors(*points(rng))
+    lats, lons = points(rng)
+    pool = unit_vectors(lats, lons)
     targets = np.concatenate([pool[::11], unit_vectors(*random_cloud(rng, 20, spread=30.0))])
     for need in (3, 150):
         expect = brute_first_levels(pool, targets, need)
         for start in range(neighborhood.FINEST_LEVEL + 1):
             monkeypatch.setattr(neighborhood, "_start_level", lambda pool, need: start)
-            grids = neighborhood._Grids(pool)
-            assert np.array_equal(neighborhood._first_levels(grids, targets, need)[0], expect), (need, start)
+            index = PoolIndex(lats, lons)
+            assert np.array_equal(neighborhood._first_levels(index, targets, need)[0], expect), (need, start)
 
 
-def walk_probes(monkeypatch, pool, need, start=None):
+def walk_probes(monkeypatch, lats, lons, need, start=None):
     """Rows probed by _Grid.blocks while _first_levels walks every point of
-    pool, from start if given, else from _start_level."""
+    the pool of lats and lons, from start if given, else from _start_level."""
     probes = []
     blocks = neighborhood._Grid.blocks
 
@@ -768,7 +781,8 @@ def walk_probes(monkeypatch, pool, need, start=None):
         m.setattr(neighborhood._Grid, "blocks", counted)
         if start is not None:
             m.setattr(neighborhood, "_start_level", lambda pool, need: start)
-        neighborhood._first_levels(neighborhood._Grids(pool), pool, need)
+        index = PoolIndex(lats, lons)
+        neighborhood._first_levels(index, index.pool, need)
     return sum(probes)
 
 
@@ -779,7 +793,7 @@ def walk_probes(monkeypatch, pool, need, start=None):
 def test_walk_from_the_start_level_takes_about_two_probes_a_row(monkeypatch, spec, per_row):
     ds, _ = generate(spec)
     need = neighborhood.FILL * 50
-    assert walk_probes(monkeypatch, unit_vectors(ds.lat, ds.lon), need) <= per_row * ds.n
+    assert walk_probes(monkeypatch, ds.lat, ds.lon, need) <= per_row * ds.n
 
 
 def test_start_level_follows_the_pool_spread(monkeypatch):
@@ -789,29 +803,20 @@ def test_start_level_follows_the_pool_spread(monkeypatch):
     # on a pool of one scale the walk from it probes fewer rows than one from
     # the middle level (a pool of mixed scales has no typical level)
     rng = np.random.default_rng(5)
-    for pool in (unit_vectors(*sphere_points(rng, 2000)), unit_vectors(*random_cloud(rng, 2000, 0.01)),
-                 unit_vectors(*random_cloud(rng, 2000, 2.0))):
-        middle = walk_probes(monkeypatch, pool, need, neighborhood.FINEST_LEVEL // 2)
-        assert walk_probes(monkeypatch, pool, need) < middle
-
-
-def transect(n=4800):
-    """n points along one meridian over 0.5 degrees, with ~0.5 m of jitter
-    across it: a pool spread in one dimension."""
-    rng = np.random.default_rng(36)
-    return (35.0 + rng.uniform(0.0, 0.5, n) + rng.normal(0.0, 0.5 / 111e3, n),
-            135.0 + rng.normal(0.0, 0.5 / 91e3, n))
+    for lats, lons in (sphere_points(rng, 2000), random_cloud(rng, 2000, 0.01), random_cloud(rng, 2000, 2.0)):
+        middle = walk_probes(monkeypatch, lats, lons, need, neighborhood.FINEST_LEVEL // 2)
+        assert walk_probes(monkeypatch, lats, lons, need) < middle
 
 
 def test_a_transect_starts_where_its_blocks_hold_need(monkeypatch):
     # read as a 2-D Gaussian, the transect's density would start the walk at
     # level 16, four probes a row above its first levels; read in one
-    # dimension it starts at 13
+    # dimension it starts at 13, and the walk probes fewer rows from there
     lats, lons = transect()
     pool = unit_vectors(lats, lons)
     need = neighborhood.FILL * 50
     assert neighborhood._start_level(pool, need) == 13
-    assert walk_probes(monkeypatch, pool, need) <= 2 * pool.shape[0]
+    assert walk_probes(monkeypatch, lats, lons, need) < walk_probes(monkeypatch, lats, lons, need, 16)
     rows = np.arange(0, pool.shape[0], 3)
     assert_grid_matches(monkeypatch, lats, lons, lats[rows], lons[rows], 50)
     # the workloads' pools are spread in two dimensions: their start levels
@@ -868,7 +873,7 @@ def test_a_shared_index_answers_as_one_shot_queries(monkeypatch, fixture):
             assert np.array_equal(members, expect_members)
             assert np.array_equal(distances.view(np.int64), expect_distances.view(np.int64))
     # the index kept its grids
-    assert len(index.grids) >= 2
+    assert len(index) >= 2
 
 
 @pytest.mark.parametrize("fixture", ["lattice", "poles", "cluster", "duplicates"])
@@ -892,7 +897,7 @@ def test_a_one_shot_index_queried_again_rebuilds_the_grids_it_dropped(monkeypatc
         fresh = built.copy()
         built.clear()
         members, distances = knn(index, target_lats, target_lons, k)
-        assert fresh and built == fresh and not index.grids, k
+        assert fresh and built == fresh and not len(index), k
         assert np.array_equal(members, expect_members)
         assert np.array_equal(distances.view(np.int64), expect_distances.view(np.int64))
 
@@ -906,7 +911,7 @@ def test_an_index_answers_on_the_pool_it_was_built_from(monkeypatch):
     original_lats, original_lons = lats.copy(), lons.copy()
     index = PoolIndex(lats, lons, kept=True)
     knn(index, lats[:20], lons[:20], 5)
-    assert index.grids
+    assert len(index)
     lats[3], lons[3] = 35.123, 134.876
     targets = lats[:20].copy(), lons[:20].copy()
     kept = knn(index, *targets, 5)
@@ -951,25 +956,14 @@ def bound_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(bound_cases())
-def test_property_the_walks_bound_holds_the_finer_block(case):
-    # the 2x2x2 cells of a level on a target's side of its cell on each axis
-    # hold every point of its block one level finer: blocks' inner counts
-    # them, and is never below the finer block's count
+def test_property_block_counts_equal_the_brute_force_counts(case):
+    # the nine runs blocks finds around a target's cell hold exactly the
+    # points of its 3x3x3 block, on half-cell faces and at the poles too
     pool, targets, level = case
-    grid = neighborhood._Grid(pool, level)
-    cell_of, _, lengths, inner = grid.blocks(targets)
-    bound = inner[grid.octants(targets), cell_of]
-    cells, finer_cells = (np.floor(points * 2.0 ** level) for points in (pool, pool * 2.0))
-    own, finer_own = (np.floor(points * 2.0 ** level) for points in (targets, targets * 2.0))
-    offset, finer_offset = own[:, None] - cells[None], finer_own[:, None] - finer_cells[None]
+    cell_of, _, lengths = neighborhood._Grid(pool, level).blocks(targets)
+    offset = np.floor(targets * 2.0 ** level)[:, None] - np.floor(pool * 2.0 ** level)[None]
     block = np.count_nonzero(np.all(np.abs(offset) <= 1, axis=-1), axis=1)
-    finer_block = np.count_nonzero(np.all(np.abs(finer_offset) <= 1, axis=-1), axis=1)
-    # the upper half of a cell is an odd cell one level finer
-    upper = (finer_own - 2.0 * own)[:, None]
-    sides = np.count_nonzero(np.all((offset == 0) | (offset == 1 - 2 * upper), axis=-1), axis=1)
     assert np.array_equal(np.sum(lengths, axis=-1)[cell_of], block)
-    assert np.array_equal(bound, sides)
-    assert np.all(bound >= finer_block)
 
 
 def test_only_rows_tied_among_their_first_k_plus_one_take_the_lexsort(monkeypatch):
